@@ -2,7 +2,7 @@ PYTHON ?= python
 export PYTHONPATH := src:$(PYTHONPATH)
 
 .PHONY: test test-columnar chaos membership coverage bench bench-shard \
-	perf docs scale experiments experiments-full
+	bench-e2e-smoke perf docs scale experiments experiments-full
 
 test:
 	$(PYTHON) -m pytest -q
@@ -50,6 +50,13 @@ bench:
 # lock-step harvest pair.  See PERFORMANCE.md §5.
 bench-shard:
 	$(PYTHON) -m pytest benchmarks/bench_micro.py -q -k "churn or harvest"
+
+# End-to-end smoke: all four workloads of BENCHMARK.json for 3 s each,
+# with every output checked (run.py exits 1 on a failed correctness
+# gate or a metric set that differs from BENCHMARK.json).  run.py puts
+# src/ on the path itself.  See benchmarks/e2e/README.md.
+bench-e2e-smoke:
+	$(PYTHON) benchmarks/e2e/run.py --seconds 3
 
 # Perf smoke: check the recorded key speedups in BENCH_micro.json
 # against tolerant floors (same-run ratios only; --strict adds the

@@ -22,15 +22,19 @@ import time
 
 from repro.core.counters import FrozenCounters, apply_round_update
 from repro.core.es_consensus import ESConsensus
+from repro.core.ess_consensus import ESSConsensus
 from repro.core.history import clear_intern_cache, intern_history
 from repro.core.pseudo_leader import HeartbeatPseudoLeader
 from repro.giraf.adversary import (
     NEVER_DELIVERED,
     ConstantDelay,
+    RandomSource,
     RoundRobinSource,
+    UniformDelay,
 )
 from repro.giraf.environments import (
     EventualSynchronyEnvironment,
+    EventuallyStableSourceEnvironment,
     MovingSourceEnvironment,
     SilentLinks,
 )
@@ -174,6 +178,61 @@ def test_bench_drifting_round_throughput_full_trace(benchmark):
     """Drifting scheduler, checker-grade full event traces."""
     trace = benchmark(_run_drifting, "full")
     assert trace.decided_pids()
+
+
+#: one n=64 broadcast's late receivers (everyone but the sender)
+DELAY_ROW_RECEIVERS = list(range(1, 64))
+
+
+def _delay_row_v1_reference(lo, hi, seed, round_no, sender, receivers):
+    """The per-link draw stream v2 replaced, kept only as this bench's
+    reference: one ``random.Random(repr(key))`` (SHA-512 seeding plus a
+    Mersenne-Twister init) per late link."""
+    return [
+        random.Random(repr(("delay", seed, round_no, sender, receiver))).randint(
+            lo, hi
+        )
+        for receiver in receivers
+    ]
+
+
+def test_bench_delay_row_v2_n64(benchmark):
+    """One broadcast's late delays through ``UniformDelay.delay_row``:
+    one prefix hash plus one keyed block per eight receivers."""
+    row = benchmark(UniformDelay(2, 6, seed=3).delay_row, 7, 0, DELAY_ROW_RECEIVERS)
+    assert len(row) == 63 and set(row) <= set(range(2, 7))
+
+
+def test_bench_delay_row_v1_reference_n64(benchmark):
+    """The same row drawn the old way, one seeded stream per link."""
+    row = benchmark(_delay_row_v1_reference, 2, 6, 3, 7, 0, DELAY_ROW_RECEIVERS)
+    assert len(row) == 63 and set(row) <= set(range(2, 7))
+
+
+def _ess_uniform(n: int):
+    """Algorithm 3 under ESS, lock-step, random source moves and random
+    late delays, until every process decides: every late link draws a
+    keyed delay."""
+    clear_intern_cache()
+    scheduler = LockStepScheduler(
+        [ESSConsensus(value) for value in range(n)],
+        EventuallyStableSourceEnvironment(
+            stabilization_round=1,
+            preferred_source=0,
+            source_schedule=RandomSource(3),
+            delay_policy=UniformDelay(2, 6, seed=3),
+        ),
+        max_rounds=100,
+        stop_when=stop_when_all_correct_decided,
+        trace_mode="aggregate",
+    )
+    return scheduler.run()
+
+
+def test_bench_ess_uniform_n256(benchmark):
+    """The paper's ESS consensus at n=256 with randomized delays."""
+    trace = benchmark.pedantic(_ess_uniform, args=(256,), rounds=3, iterations=1)
+    assert len(trace.decided_pids()) == 256
 
 
 def _heartbeat_lockstep(n: int, engine: str, rounds: int):

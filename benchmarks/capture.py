@@ -59,6 +59,16 @@ PR4_RECORDED_US = {
     "test_bench_drifting_round_throughput": 9235.074,
 }
 
+#: Recorded at commit b09513f, the last one whose single draws
+#: re-seeded ``random.Random(repr(key))`` per link (stream v1), on the
+#: reference machine (2 vCPU Intel Xeon, Python 3.11.7): Algorithm 3 at
+#: n=256 under random late delays, the configuration stream v2's keyed
+#: rows target.  A same-machine anchor like the two above, enforced
+#: only under --strict.
+STREAM_V1_RECORDED_US = {
+    "test_bench_ess_uniform_n256": 8396360.87,
+}
+
 
 def run_micro() -> dict[str, float]:
     """Run bench_micro.py under pytest-benchmark; return mean µs by test."""
@@ -125,6 +135,7 @@ def main(argv=None) -> int:
         "micro_us": run_micro(),
         "seed_baseline_us": SEED_BASELINE_US,
         "pr4_recorded_us": PR4_RECORDED_US,
+        "stream_v1_recorded_us": STREAM_V1_RECORDED_US,
     }
     if not args.skip_experiments:
         snapshot["experiments_s"] = run_experiments()
@@ -274,6 +285,17 @@ def main(argv=None) -> int:
     recorded = PR4_RECORDED_US.get("test_bench_drifting_round_throughput")
     if drifting and recorded:
         speedups["drifting_vs_pr4_recorded"] = round(recorded / drifting, 2)
+    # Keyed randomness: one broadcast's late-delay row through stream v2
+    # against the per-link SHA-512 + Mersenne-Twister reference (same
+    # run), and the consensus workload it dominated against its anchor.
+    row_v2 = micro.get("test_bench_delay_row_v2_n64")
+    row_v1 = micro.get("test_bench_delay_row_v1_reference_n64")
+    if row_v2 and row_v1:
+        speedups["delay_row_v2_vs_v1_n64"] = round(row_v1 / row_v2, 2)
+    ess = micro.get("test_bench_ess_uniform_n256")
+    recorded = STREAM_V1_RECORDED_US.get("test_bench_ess_uniform_n256")
+    if ess and recorded:
+        speedups["ess_uniform_n256_vs_stream_v1_recorded"] = round(recorded / ess, 2)
     if speedups:
         snapshot["speedups"] = speedups
 

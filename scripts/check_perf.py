@@ -17,10 +17,10 @@ Two classes of keys:
   runners, so the bench-smoke job captures fresh numbers and runs this
   script over them.
 * **trajectory ratios** (checked only with ``--strict``): current
-  numbers against values recorded on the reference machine at an
-  earlier commit (the seed, PR 4).  Meaningful only on that machine —
-  ``--strict`` is for the box that regenerates ``BENCH_micro.json``
-  before committing it.
+  numbers against values recorded on the reference machine at
+  earlier commits (the anchors kept in ``benchmarks/capture.py``).
+  Meaningful only on that machine — ``--strict`` is for the box that
+  regenerates ``BENCH_micro.json`` before committing it.
 
 Usage::
 
@@ -106,6 +106,13 @@ SAME_RUN_FLOORS = [
         "loop at n=100 — the switch should never lose at small n",
     ),
     (
+        "delay_row_v2_vs_v1_n64",
+        5.0,
+        "a stream-v2 late-delay row lost its edge over re-seeding a "
+        "SHA-512 Mersenne Twister per link (the row form presumably "
+        "stopped sharing its prefix hash and blocks)",
+    ),
+    (
         "shard_rebalance_time",
         0.5,
         "a join rebalance costs more than twice a from-scratch rebuild "
@@ -125,6 +132,12 @@ STRICT_FLOORS = [
         "drifting_vs_pr4_recorded",
         1.5,
         "the drifting hot-loop overhaul regressed below its PR-5 bar",
+    ),
+    (
+        "ess_uniform_n256_vs_stream_v1_recorded",
+        3.0,
+        "ESS consensus under random delays regressed toward the "
+        "per-link re-seeding cost of stream v1",
     ),
 ]
 

@@ -25,7 +25,7 @@ add-stream workload natural, and these experiments characterize it.
   *simulated* processes, C4 kills the *shard worker processes
   themselves* (a seeded :class:`~repro.weakset.faults.FaultPlan`) and
   runs under worker supervision (``recover=True``): dead workers are
-  respawned and their worlds replayed from the SHA-512 seed streams.
+  respawned and their worlds replayed from the keyed seed streams.
   The table reports the recovery cost — respawns, replayed rounds,
   recovery wall-clock — against the crash fraction, backend, and round
   batch, and demonstrates the headline guarantee: the recovered run's
@@ -162,7 +162,7 @@ def run_c2(
         ],
         notes=[
             "the latency columns must match row-for-row: the transport "
-            "backends replay the exact serial shard worlds (SHA-512-seeded "
+            "backends replay the exact serial shard worlds (keyed-seeded "
             "streams are process-independent), whatever the frame codec, "
             "round batching, in-flight window, or world multiplexing",
             "pairs = request/reply frame pairs exchanged with shard "
@@ -334,7 +334,7 @@ def run_c4(
             "a seeded FaultPlan kills floor(frac*shards) shard WORKER "
             "processes (the infrastructure, not the simulated processes) "
             "at seeded exchanges; recover=True respawns each one and "
-            "replays its world from the SHA-512 seed streams",
+            "replays its world from the keyed seed streams",
             "replayed = simulation rounds re-executed by respawned "
             "workers; rec-wall-s = wall-clock inside recovery; "
             "matches-unfaulted compares completed count and every add "
@@ -415,7 +415,7 @@ def run_c5(
     ``--leave-at``).  The ``matches-serial`` column re-runs the
     scenario's first backend as reference and compares the completed
     count and every latency — the rebalance replays worlds from their
-    SHA-512 seeds, so they are identical.
+    keyed seeds, so they are identical.
     """
     backends = [backend] if backend else (
         ["serial", "inproc"] if quick else ["serial", "multiprocess", "socket"]

@@ -22,7 +22,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Sequence
 
-from repro._rng import derive_randint, derive_randrange
+from repro._rng import derive_randint, derive_randint_row, derive_randrange
 from repro.errors import ProtocolMisuse
 
 __all__ = [
@@ -254,13 +254,15 @@ class DelayPolicy(ABC):
         """Vectorized form: one broadcast's late delays in one call.
 
         Must answer exactly what per-link :meth:`delay` calls would —
-        the draws stay *keyed* per link by design (that is what keeps
-        either path byte-identical, equivalence-tested in
-        ``tests/giraf``), so the win is collapsing the per-link
-        environment→policy call chain into one row call, not batching
-        the RNG itself.  The default falls back to the scalar method
-        so custom policies stay correct with no extra work; the
-        shipped policies override it with a single inline loop.
+        the draws stay *keyed* per link (that is what keeps either path
+        byte-identical, equivalence-tested in ``tests/giraf``).  A row
+        collapses the per-link environment→policy call chain into one
+        call and lets the RNG batch too: :class:`UniformDelay` keys its
+        draws by ``(round, sender)`` with the receiver as the stream
+        counter, so :func:`~repro._rng.derive_randint_row` hashes the
+        prefix once per broadcast and one block per eight receivers.
+        The default falls back to the scalar method so custom policies
+        stay correct with no extra work.
 
         Args:
             round_no: the round of the broadcast.
@@ -303,11 +305,9 @@ class UniformDelay(DelayPolicy):
     def delay_row(
         self, round_no: int, sender: int, receivers: Sequence[int]
     ) -> list:
-        lo, hi, seed = self._lo, self._hi, self._seed
-        return [
-            derive_randint(lo, hi, "delay", seed, round_no, sender, receiver)
-            for receiver in receivers
-        ]
+        return derive_randint_row(
+            self._lo, self._hi, ("delay", self._seed, round_no, sender), receivers
+        )
 
     def delay_bounds(self) -> tuple:
         return (self._lo, self._hi)

@@ -35,7 +35,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence
 
-from repro._rng import derive_uniform
+from repro._rng import derive_uniform, derive_uniform_row
 from repro.giraf.adversary import (
     DelayPolicy,
     RandomSource,
@@ -143,7 +143,6 @@ class BernoulliLinks(LinkPolicy):
         self._seed = seed
 
     def timely(self, round_no: int, sender: int, receiver: int) -> bool:
-        # Memoized single draw — same value as a fresh derived stream.
         return derive_uniform("link", self._seed, round_no, sender, receiver) < self._p
 
     def timely_block(
@@ -152,9 +151,11 @@ class BernoulliLinks(LinkPolicy):
         p, seed = self._p, self._seed
         return {
             sender: [
-                receiver != sender
-                and derive_uniform("link", seed, round_no, sender, receiver) < p
-                for receiver in receivers
+                receiver != sender and draw < p
+                for receiver, draw in zip(
+                    receivers,
+                    derive_uniform_row(("link", seed, round_no, sender), receivers),
+                )
             ]
             for sender in senders
         }
@@ -297,10 +298,6 @@ class Environment(ABC):
 
         The drifting scheduler additionally gates receivers so these
         always arrive in time; the value only shapes the interleaving.
-        Drawn through the memoized single-draw helper — bit-identical
-        to the first draw of a fresh ``derive_rng`` stream on the same
-        key (the pre-memoization implementation), at a dict probe
-        instead of an SHA-512 + Mersenne-Twister re-seed per link.
         """
         return 0.05 + 0.4 * derive_uniform("lat-t", round_no, sender, receiver)
 
@@ -334,12 +331,12 @@ class Environment(ABC):
             True
         """
         if type(self).timely_latency is Environment.timely_latency:
-            # Inline the stock draw (memoized, keyed per link): one
-            # list build, no per-link method dispatch.  Environments
-            # overriding the scalar fall through to it below.
+            # The stock draw as one keyed row (receivers are the stream
+            # counters).  Environments overriding the scalar fall
+            # through to it below.
             return [
-                0.05 + 0.4 * derive_uniform("lat-t", round_no, sender, receiver)
-                for receiver in receivers
+                0.05 + 0.4 * draw
+                for draw in derive_uniform_row(("lat-t", round_no, sender), receivers)
             ]
         return [
             self.timely_latency(round_no, sender, receiver) for receiver in receivers

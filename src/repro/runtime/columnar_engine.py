@@ -947,7 +947,7 @@ class ColumnarDriftingEngine:
         # constant is the never-delivered sentinel.  Values are what
         # the stock ``late_latencies`` would return (it reads the same
         # policy), so skipping the call cannot move a draw: the stock
-        # latency methods are pure and memoized per link.
+        # latency methods are pure functions of each link's key.
         self._const_delay: Optional[int] = None
         env_type = type(environment)
         if (
@@ -1333,8 +1333,8 @@ class ColumnarDriftingEngine:
 
         # Delivery planning.  The latency values are exactly what the
         # object loop draws — try_build pinned the stock (pure,
-        # memoized, per-link-keyed) latency methods, so batching or
-        # skipping calls cannot move a value.
+        # per-link-keyed) latency methods, so batching or skipping
+        # calls cannot move a value.
         needed = self._plan_obligations(round_no)
         environment = self._environment
         schedule = self._kernel.schedule

@@ -129,7 +129,7 @@ class ChurnEnvironments:
     environment: a :class:`~repro.giraf.environments.MovingSourceEnvironment`
     whose source schedule follows ``pattern`` and whose delay policy is
     seeded per shard — every stream derives from ``(seed, shard_index)``
-    through SHA-512, so the same factory builds bit-identical
+    through the keyed stream, so the same factory builds bit-identical
     environments in any process (what the multiprocess shard backend
     relies on).
 

@@ -8,7 +8,7 @@
   K shard clusters behind the same handle API, with runtime membership
   (join/leave + consistent-hash rebalance);
 * :mod:`~repro.weakset.ring` — the consistent-hash membership ring
-  (SHA-512 placement, minimal movement);
+  (keyed-hash placement, minimal movement);
 * :mod:`~repro.weakset.ms_emulation` — Algorithm 5 (MS from weak-set);
 * :mod:`~repro.weakset.register_adapter` — Proposition 1 (regular
   register from weak-set);

@@ -140,7 +140,7 @@ class FaultPlan:
 
     A plan is just a tuple of :class:`Fault` — no hidden state, no
     clock, no randomness at fire time.  Seeded construction helpers
-    draw their randomness through the repo's SHA-512 derivations, so a
+    draw their randomness through the repo's keyed derivations, so a
     ``(shards, fraction, seed)`` triple always names the same plan.
     """
 
@@ -185,7 +185,7 @@ class FaultPlan:
         The C4 experiment's plan factory: choose
         ``round(shards * fraction)`` distinct victims and give each one
         ``kill`` fault at an exchange drawn uniformly from ``window``
-        (inclusive) — all draws through SHA-512 derivation, so the grid
+        (inclusive) — all draws through keyed derivation, so the grid
         cell ``(shards, fraction, seed)`` is one fixed chaos schedule.
         """
         if not 0.0 <= fraction <= 1.0:

@@ -1,4 +1,4 @@
-"""Consistent-hash ring over the repository's SHA-512 seed streams.
+"""Consistent-hash ring over the repository's keyed seed streams.
 
 The sharded cluster routes every value to the shard world that owns
 it.  Up to PR 7 the owner was ``derive_randrange(shards, ...)`` — a
@@ -17,7 +17,7 @@ so ring placement is identical across processes, interpreter restarts,
 
 * each member owns ``replicas`` virtual nodes; vnode ``r`` of member
   ``m`` sits at ``derive_randrange(2**64, "weakset-ring", m, r)``;
-* a value hashes to ``derive_randrange(2**64, "weakset-ring-key", v)``
+* a value hashes to ``derive_randrange(2**64, "weakset-ring-key", v, 0)``
   and is owned by the first vnode at or clockwise after that point.
 
 Adding member ``m`` inserts only ``m``'s vnodes, so the only values
@@ -53,7 +53,7 @@ def _vnode_point(member: int, replica: int) -> int:
 
 
 def _key_point(value: Hashable) -> int:
-    return derive_randrange(RING_SPACE, "weakset-ring-key", value)
+    return derive_randrange(RING_SPACE, "weakset-ring-key", value, 0)
 
 
 class HashRing:

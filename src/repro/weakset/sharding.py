@@ -35,7 +35,7 @@ three-layer stack:
   --connect HOST:PORT``).
 
 Because every per-shard decision in the simulator derives from
-SHA-512-seeded streams — never from process state, object ids, or
+keyed seed streams — never from process state, object ids, or
 Python's salted ``hash`` — a worker replays the exact serial shard
 world: for a fixed seed **all backends produce byte-identical shard
 traces** (pinned in ``tests/weakset/test_shard_backends.py``).
@@ -48,7 +48,7 @@ drives the single shard through exactly the step sequence a plain
 :class:`MSWeakSetCluster` would take, reproducing its trace
 byte-for-byte (pinned in ``tests/weakset/test_sharded_cluster.py``).
 
-Routing derives from the value's ``repr`` through the same SHA-512
+Routing derives from the value's ``repr`` through the same keyed
 derivation every seeded policy uses — never Python's salted ``hash`` —
 so it is stable across processes and runs for any value whose ``repr``
 is content-based (strings, numbers, tuples, frozensets of these: the
@@ -162,7 +162,7 @@ def shard_of(value: Hashable, shards: int) -> int:
 
     Routes through the consistent-hash ring over members
     ``0..shards-1`` (:func:`repro.weakset.ring.ring_for_shards`) — the
-    same SHA-512-derived streams every seeded policy uses, never the
+    same keyed streams (:mod:`repro._rng`) every seeded policy uses, never the
     salted builtin ``hash`` — so the same value routes identically in
     every process, and a cluster that *grew* to ``shards`` members via
     :meth:`ShardedWeakSetCluster.join_shard` routes exactly like a
@@ -2174,7 +2174,7 @@ class MultiprocessBackend(TransportBackend):
     picklable ingredients the serial backend uses (``n``, the
     environment factory applied to the shard index, the crash schedule,
     horizon, trace mode), and every random decision inside derives from
-    SHA-512 streams stable across processes — so for a fixed seed the
+    keyed streams stable across processes — so for a fixed seed the
     shard traces are byte-identical to :class:`SerialBackend`'s.
 
     Start method: ``fork`` where available (environment factories may

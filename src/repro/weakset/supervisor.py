@@ -9,11 +9,11 @@ whole point of the source paper).  This module is the opt-in
 * :class:`RetryPolicy` — the shared deterministic backoff/deadline
   policy.  Every sleep the shard stack takes (worker connect loops,
   respawn backoff) and every reply deadline it enforces comes from one
-  policy object: exponential backoff with *seeded* jitter (derived via
-  SHA-512 like every other random decision in the repo, so two runs of
-  the same chaos plan sleep the same schedule), bounded attempts, and
-  a per-request reply deadline so a wedged worker surfaces as a
-  timeout error naming the shard instead of a hang.
+  policy object: exponential backoff with *seeded* jitter (drawn from
+  the keyed stream like every other random decision in the repo, so
+  two runs of the same chaos plan sleep the same schedule), bounded
+  attempts, and a per-request reply deadline so a wedged worker
+  surfaces as a timeout error naming the shard instead of a hang.
 * :class:`ShardRecoveryStats` — what recovery cost: detections,
   respawns, replayed rounds, wall-clock.
 * :class:`ShardSupervisor` — the recovery driver a
@@ -25,7 +25,7 @@ whole point of the source paper).  This module is the opt-in
   interrupted request, and hands back a reply set indistinguishable
   from an uninterrupted run.
 
-Why replay works: a shard world derives every decision from SHA-512
+Why replay works: a shard world derives every decision from keyed
 seed streams — never from process state — so a respawned worker fed
 the exact request sequence the dead one consumed (the supervisor keeps
 that log) rebuilds the *identical* world, tick for tick.  Recovered
@@ -84,9 +84,10 @@ class RetryPolicy:
 
     Delays are **deterministic**: attempt ``k`` sleeps
     ``min(base_delay * multiplier**k, max_delay)`` plus a jitter
-    fraction drawn through the repo's SHA-512 derivation from
-    ``(seed, key, k)`` — the same policy and key always produce the
-    same schedule, in every process, so chaos runs replay exactly.
+    fraction drawn from the repo's keyed stream at ``(seed, *key, k)``,
+    with the attempt as the stream counter — the same policy and key
+    always produce the same schedule, in every process, so chaos runs
+    replay exactly.
 
     Attributes:
         attempts: how many tries the backoff schedule allows.
@@ -138,7 +139,7 @@ class RetryPolicy:
             capped = min(delay, self.max_delay)
             if self.jitter:
                 capped += (
-                    derive_uniform("retry-policy", self.seed, attempt, *key)
+                    derive_uniform("retry-policy", self.seed, *key, attempt)
                     * self.jitter
                     * capped
                 )

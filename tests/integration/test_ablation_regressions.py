@@ -20,8 +20,8 @@ from repro.giraf.environments import (
 from repro.giraf.scheduler import LockStepScheduler
 from repro.sim.runner import stop_when_all_correct_decided
 
-A2_VIOLATING_SEEDS = [21, 32, 39]
-A3_VIOLATING_SEEDS = [199, 219, 286]
+A2_VIOLATING_SEEDS = [5, 11, 24]
+A3_VIOLATING_SEEDS = [35, 112, 282]
 
 
 def run_es_variant(seed, **kwargs):

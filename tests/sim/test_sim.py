@@ -1,8 +1,18 @@
 """Tests for workloads, metrics, runners, and the RNG derivation."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from repro._rng import derive_randint, derive_rng, derive_uniform
+from repro._rng import (
+    STREAM_VERSION,
+    derive_randint,
+    derive_randint_row,
+    derive_randrange,
+    derive_rng,
+    derive_uniform,
+    derive_uniform_row,
+)
 from repro.giraf.adversary import CrashPlan, CrashSchedule
 from repro.giraf.traces import RunTrace, SendEvent
 from repro.sim.metrics import consensus_metrics, mean_payload_by_round, payload_growth
@@ -27,6 +37,65 @@ class TestRng:
     def test_helpers(self):
         assert 0 <= derive_uniform("x", 3) < 1
         assert 1 <= derive_randint(1, 6, "y", 4) <= 6
+
+    @settings(max_examples=60)
+    @given(
+        prefix=st.tuples(
+            st.sampled_from(["delay", "link", "lat-t"]),
+            st.integers(0, 2**31),
+            st.integers(0, 500),
+        ),
+        # boundary counters mixed with random ones: lists come out
+        # unsorted, with repeats, and straddling 8-counter blocks
+        counters=st.lists(
+            st.one_of(
+                st.sampled_from([0, 7, 8, 9, 63, 64, 65]), st.integers(0, 10_000)
+            ),
+            max_size=40,
+        ),
+        lo=st.integers(-5, 5),
+        span=st.integers(0, 2**64),
+    )
+    @example(
+        prefix=("delay", 0, 3), counters=[9, 8, 7, 64, 63, 7, 0, 64], lo=2, span=4
+    )
+    def test_rows_equal_the_scalar_draws(self, prefix, counters, lo, span):
+        hi = lo + span
+        assert derive_uniform_row(prefix, counters) == [
+            derive_uniform(*prefix, c) for c in counters
+        ]
+        assert derive_randint_row(lo, hi, prefix, counters) == [
+            derive_randint(lo, hi, *prefix, c) for c in counters
+        ]
+
+    @pytest.mark.parametrize("key", [(), ("x",), ("x", 1.0), ("x", "3"), ("x", -1)])
+    def test_key_must_end_in_a_non_negative_int_counter(self, key):
+        with pytest.raises(ValueError):
+            derive_uniform(*key)
+        with pytest.raises(ValueError):
+            derive_randint(1, 6, *key)
+        with pytest.raises(ValueError):
+            derive_randrange(6, *key)
+
+    def test_rows_reject_negative_counters(self):
+        with pytest.raises(ValueError):
+            derive_uniform_row(("x",), [3, -1])
+        with pytest.raises(ValueError):
+            derive_randint_row(1, 6, ("x",), [-9])
+
+    def test_stream_v2_pinned_values(self):
+        """Known outputs: a failure here means every seeded run moved,
+        which needs a new STREAM_VERSION."""
+        assert STREAM_VERSION == 2
+        assert derive_randint(2, 6, "delay", 0, 3, 1, 5) == 3
+        assert derive_uniform("x", 3) == 0.53813727124756
+        assert (
+            derive_randrange(2**64, "weakset-ring", 0, 0) == 1757632938222125614
+        )
+        assert derive_uniform_row(("lat-t", 1, 0), [1, 9]) == [
+            0.5987061284865011,
+            0.5463774506287253,
+        ]
 
 
 class TestWorkloads:

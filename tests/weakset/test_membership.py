@@ -160,6 +160,17 @@ class TestLeaveEquivalence:
             assert _snapshot(shrunk) == _snapshot(fresh)
 
 
+def _shard_losing_values_on_join() -> int:
+    """An existing shard the 2 -> 3 join rebuilds: the lowest old owner
+    of a value in VALUES that the new ring places elsewhere."""
+    before, after = ring_for_shards(2), ring_for_shards(3)
+    return min(
+        before.owner(value)
+        for value in VALUES
+        if before.owner(value) != after.owner(value)
+    )
+
+
 @pytest.mark.chaos
 class TestChaosDuringMigration:
     @pytest.mark.parametrize("backend", ["multiprocess", "socket"])
@@ -169,7 +180,8 @@ class TestChaosDuringMigration:
         """A worker killed on its 2nd migration exchange is respawned
         under the supervisor and the rebalanced run still converges
         byte-identical to a fresh unsupervised post-join cluster."""
-        plan = parse_fault_plan("kill:1:2:rebalance")
+        victim = _shard_losing_values_on_join()
+        plan = parse_fault_plan(f"kill:{victim}:2:rebalance")
         grown = _build(
             backend, recover=True, fault_plan=plan, start_method=start_method
         )
@@ -179,7 +191,7 @@ class TestChaosDuringMigration:
             stats = grown.recovery_stats
             assert stats.detections >= 1
             assert stats.respawns >= 1
-            assert 1 in stats.recovered_shards
+            assert victim in stats.recovered_shards
             assert grown_result == _run(fresh)
             assert _snapshot(grown) == _snapshot(fresh)
 

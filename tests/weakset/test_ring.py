@@ -6,7 +6,7 @@ The three contracts runtime membership stands on, plus determinism:
   removing a member moves only *its* values;
 * **balance** — vnode replication keeps per-member load within a
   constant factor of the mean;
-* **determinism** — placement derives from SHA-512 seed streams, so it
+* **determinism** — placement derives from keyed seed streams, so it
   is identical across processes and ``PYTHONHASHSEED`` values (Python's
   salted ``hash`` must never leak into routing).
 """
@@ -93,7 +93,7 @@ class TestBalance:
     def test_load_stays_within_a_constant_factor_of_the_mean(self):
         """With 64 vnodes/member the max/mean spread stays under ~1.6
         on a fixed 4000-value population for every small member count
-        (deterministic: SHA-512 placement, fixed values — no flake)."""
+        (deterministic: keyed placement, fixed values — no flake)."""
         values = [f"value-{i}" for i in range(4000)]
         for shards in (2, 3, 4, 6, 8):
             load = ring_for_shards(shards).load(values)

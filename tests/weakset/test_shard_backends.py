@@ -4,7 +4,7 @@ The acceptance bar for the transport split: for a fixed seed, every
 transport backend — in-process behind the codec, one worker process
 per shard over pipes, workers over loopback TCP — must produce a
 byte-identical final weak-set trace to the serial backend: same shard
-worlds, same step sequence, same SHA-512-derived decisions, regardless
+worlds, same step sequence, same keyed-stream decisions, regardless
 of the overlapped harvest's arrival order.
 
 Process-backed tests take the ``start_method`` fixture (see
