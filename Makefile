@@ -7,13 +7,16 @@ export PYTHONPATH := src:$(PYTHONPATH)
 test:
 	$(PYTHON) -m pytest -q
 
-# Columnar suite alone: the counter-twin property tests and the
-# engine-equivalence pins.  Run it twice — plain, and again with
+# Columnar suite alone: the counter-storage property tests and the
+# engine-equivalence pins (heartbeats on both schedulers, Algorithm 3
+# on the lock-step engine).  Run it twice — plain, and again with
 # REPRO_NO_NUMPY=1 — to cover both array backends (CI does exactly
-# that; the numpy-masked run exercises the pure-stdlib fallback).
+# that; the numpy-masked run exercises the pure-stdlib backend, where
+# Algorithm 3 declines to the object engine and the pins check that).
 test-columnar:
 	$(PYTHON) -m pytest -q tests/core/test_columnar.py \
 		tests/runtime/test_columnar_engine.py \
+		tests/runtime/test_columnar_ess.py \
 		tests/runtime/test_columnar_drifting_engine.py
 
 # Chaos suite: the fault-injection and crash-recovery tests alone —

@@ -209,7 +209,7 @@ def test_bench_delay_row_v1_reference_n64(benchmark):
     assert len(row) == 63 and set(row) <= set(range(2, 7))
 
 
-def _ess_uniform(n: int):
+def _ess_uniform(n: int, engine: str = "object"):
     """Algorithm 3 under ESS, lock-step, random source moves and random
     late delays, until every process decides: every late link draws a
     keyed delay."""
@@ -225,6 +225,7 @@ def _ess_uniform(n: int):
         max_rounds=100,
         stop_when=stop_when_all_correct_decided,
         trace_mode="aggregate",
+        engine=engine,
     )
     return scheduler.run()
 
@@ -232,6 +233,15 @@ def _ess_uniform(n: int):
 def test_bench_ess_uniform_n256(benchmark):
     """The paper's ESS consensus at n=256 with randomized delays."""
     trace = benchmark.pedantic(_ess_uniform, args=(256,), rounds=3, iterations=1)
+    assert len(trace.decided_pids()) == 256
+
+
+def test_bench_ess_uniform_columnar_n256(benchmark):
+    """The same run on the lock-step matrix engine (Algorithm 3 as
+    boolean proposal matrices plus counter rows)."""
+    trace = benchmark.pedantic(
+        _ess_uniform, args=(256, "columnar"), rounds=3, iterations=1
+    )
     assert len(trace.decided_pids()) == 256
 
 

@@ -296,6 +296,14 @@ def main(argv=None) -> int:
     recorded = STREAM_V1_RECORDED_US.get("test_bench_ess_uniform_n256")
     if ess and recorded:
         speedups["ess_uniform_n256_vs_stream_v1_recorded"] = round(recorded / ess, 2)
+    # Algorithm 3 on the lock-step matrix engine: the same ESS run as
+    # boolean proposal matrices and counter rows, against the object
+    # engine in the same capture.
+    ess_columnar = micro.get("test_bench_ess_uniform_columnar_n256")
+    if ess and ess_columnar:
+        speedups["ess_uniform_columnar_vs_object_n256"] = round(
+            ess / ess_columnar, 2
+        )
     if speedups:
         snapshot["speedups"] = speedups
 

@@ -106,6 +106,14 @@ SAME_RUN_FLOORS = [
         "loop at n=100 — the switch should never lose at small n",
     ),
     (
+        "ess_uniform_columnar_vs_object_n256",
+        2.0,
+        "Algorithm 3 on the lock-step matrix engine lost its edge over "
+        "the object engine at n=256 (the ESS matrix path presumably "
+        "stopped engaging, or its compute regressed to per-process "
+        "Python loops)",
+    ),
+    (
         "delay_row_v2_vs_v1_n64",
         5.0,
         "a stream-v2 late-delay row lost its edge over re-seeding a "

@@ -7,9 +7,9 @@ representation is the measured scale ceiling (PERFORMANCE.md "What is
 ints per process, so n = 10,000 means hundreds of thousands of Python
 object operations per round no matter how tuned the loops are.
 
-This module is the array-native twin.  The paper's anonymity regime is
-what makes it dense-friendly: histories are brand streams, so the
-number of *distinct* histories alive in a run is about
+This module is the array-native representation.  The paper's
+anonymity regime is what makes it dense-friendly: histories are brand
+streams, so the number of *distinct* histories alive in a run is about
 ``brands × rounds`` — tiny compared to ``n``.  A shared
 :class:`HistoryIndex` assigns each distinct history a column id (built
 on the hash-consed :class:`~repro.core.history.HistoryNode` interning,
@@ -26,28 +26,27 @@ whole-array primitives:
   evaluated for all bumps before any write lands, realizing the
   paper's simultaneous batch assignment.
 
-Two backends are pinned equivalent: a pure-Python implementation on
-``array('q')`` rows (always available) and a numpy implementation used
-automatically when numpy is importable.  ``REPRO_NO_NUMPY=1`` hides
-numpy entirely (the CI fallback leg); ``REPRO_COLUMNAR_BACKEND``
-forces one backend.  Both env vars are read at import time.
+Two backends exist: a pure-Python implementation on ``array('q')``
+rows (always available) and a numpy implementation used automatically
+when numpy is importable.  ``REPRO_NO_NUMPY=1`` hides numpy entirely
+(the CI fallback leg; read at import time); ``REPRO_COLUMNAR_BACKEND``
+forces one backend.
 
 Layers, bottom up:
 
-* map-level twins (:func:`columnar_pointwise_min`,
-  :func:`columnar_round_update`, :func:`columnar_prefix_max`) — the
-  equivalence surface: same signatures-in-spirit as
-  :func:`~repro.core.counters.pointwise_min` /
-  :func:`~repro.core.counters.apply_round_update` /
-  :func:`~repro.core.counters.prefix_max`, property-tested against
-  them on random maps (``tests/core/test_columnar.py``);
-* :class:`ColumnarElector` — a drop-in for
-  :class:`~repro.core.pseudo_leader.PseudoLeaderElector` holding one
-  row over a shared index (what ``engine="columnar"`` swaps in when
-  the whole-round matrix engine cannot engage);
-* :class:`CounterColumns` — the n × width matrix store the lock-step
-  whole-round engine (:mod:`repro.runtime.columnar_engine`) computes
-  on.
+* :class:`HistoryIndex` — the run's history → column table, mirroring
+  the interned history tree (``parents``, ``ancestor_cols``, O(1)
+  ``child_col`` appends);
+* :class:`CounterColumns` — the ``n × width`` counter matrix the
+  matrix engines (:mod:`repro.runtime.columnar_engine`) compute on;
+* :class:`CounterRowView` — the read-only elector those engines leave
+  behind on every algorithm when a run finishes: one matrix row plus
+  the final history, with the counter map built on first read.
+
+There is no per-process columnar elector: a run the matrix engines
+decline runs the object engine with the dict elector
+(:class:`~repro.core.pseudo_leader.PseudoLeaderElector`), which the
+matrix engines are pinned against trace for trace.
 
 Scope note: columns exist for *non-empty* histories only (the paper's
 histories start at length 1 and only grow; the empty history never
@@ -60,16 +59,9 @@ from __future__ import annotations
 import os
 from array import array
 from types import MappingProxyType
-from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence
+from typing import Dict, Hashable, List, Mapping, Optional, Sequence
 
-from repro.core.counters import FrozenCounters
-from repro.core.history import (
-    History,
-    HistoryNode,
-    extend,
-    initial_history,
-    intern_history,
-)
+from repro.core.history import History, HistoryNode, intern_history
 
 __all__ = [
     "BACKENDS",
@@ -77,10 +69,7 @@ __all__ = [
     "default_backend",
     "HistoryIndex",
     "CounterColumns",
-    "ColumnarElector",
-    "columnar_pointwise_min",
-    "columnar_round_update",
-    "columnar_prefix_max",
+    "CounterRowView",
 ]
 
 #: numpy module or None.  Resolved once at import: backend selection
@@ -153,14 +142,12 @@ class HistoryIndex:
     create one per run (the schedulers do) and let it go.
     """
 
-    __slots__ = ("_cols", "parents", "lengths", "histories")
+    __slots__ = ("_cols", "parents", "histories")
 
     def __init__(self) -> None:
         self._cols: Dict[History, int] = {}
         #: parent column per column (-1 when the parent is the empty history)
         self.parents: List[int] = []
-        #: history length per column
-        self.lengths: List[int] = []
         #: canonical interned node per column
         self.histories: List[HistoryNode] = []
 
@@ -174,7 +161,6 @@ class HistoryIndex:
         self._cols[node] = col
         self.histories.append(node)
         self.parents.append(parent_col)
-        self.lengths.append(node.length)
         return col
 
     def intern(self, history: History) -> int:
@@ -234,44 +220,6 @@ class HistoryIndex:
 # row primitives (both backends)
 # ----------------------------------------------------------------------
 
-def _zeros(width: int, backend: str):
-    if backend == "numpy":
-        return _np.zeros(width, dtype=_np.int64)
-    return array("q", bytes(8 * width))
-
-
-def _row_from_map(
-    mapping: Mapping[History, int], index: HistoryIndex, backend: str, width: int
-):
-    """Dense row of an (already fully interned) sparse counter map.
-
-    Non-positive entries are left at zero: a zero or negative count is
-    indistinguishable from an absent history under the paper's sparse
-    semantics (it can never survive a minimum and never win a prefix
-    maximum), which is exactly how the object-path merge treats them.
-    """
-    row = _zeros(width, backend)
-    intern = index.intern
-    for history, count in mapping.items():
-        if count > 0:
-            row[intern(history)] = count
-    return row
-
-
-def _min_rows(rows: Sequence, backend: str):
-    """Element-wise minimum of equally-wide rows (a fresh row)."""
-    if backend == "numpy":
-        if len(rows) == 1:
-            return rows[0].copy()
-        return _np.minimum.reduce(rows)
-    out = rows[0]
-    for other in rows[1:]:
-        out = array("q", map(min, out, other))
-    if out is rows[0]:
-        out = array("q", out)
-    return out
-
-
 def _prefix_best(row, col: int, parents: Sequence[int]) -> int:
     """Max row value over ``col`` and its ancestor columns (0 default)."""
     best = 0
@@ -297,93 +245,6 @@ def _map_from_row(row, index: HistoryIndex) -> Dict[History, int]:
         for col, value in enumerate(values)
         if value > 0
     }
-
-
-# ----------------------------------------------------------------------
-# map-level twins (the property-tested equivalence surface)
-# ----------------------------------------------------------------------
-
-def columnar_pointwise_min(
-    counter_maps: Sequence[Mapping[History, int]],
-    *,
-    index: Optional[HistoryIndex] = None,
-    backend: Optional[str] = None,
-) -> Dict[History, int]:
-    """Row twin of :func:`~repro.core.counters.pointwise_min`."""
-    maps = list(counter_maps)
-    if not maps:
-        return {}
-    index = index if index is not None else HistoryIndex()
-    backend = _resolve_backend(backend)
-    for mapping in maps:
-        for history in mapping:
-            index.intern(history)
-    width = index.width
-    rows = [_row_from_map(mapping, index, backend, width) for mapping in maps]
-    return _map_from_row(_min_rows(rows, backend), index)
-
-
-def columnar_round_update(
-    counter_maps: Sequence[Mapping[History, int]],
-    received_histories: Iterable[History],
-    *,
-    inherit_prefixes: bool = True,
-    index: Optional[HistoryIndex] = None,
-    backend: Optional[str] = None,
-) -> Dict[History, int]:
-    """Row twin of :func:`~repro.core.counters.apply_round_update`.
-
-    Bumps are computed for every received history against the
-    post-minimum row before any bump is written (the paper's
-    simultaneous batch assignment) — with histories of arbitrary
-    lengths a bump column can be another bump's ancestor, so the
-    read-all-then-write-all order is load-bearing here.
-    """
-    maps = list(counter_maps)
-    histories = list(dict.fromkeys(received_histories))
-    index = index if index is not None else HistoryIndex()
-    backend = _resolve_backend(backend)
-    for mapping in maps:
-        for history in mapping:
-            index.intern(history)
-    cols = [index.intern(history) for history in histories]
-    width = index.width
-    if maps:
-        rows = [_row_from_map(mapping, index, backend, width) for mapping in maps]
-        merged = _min_rows(rows, backend)
-    else:
-        merged = _zeros(width, backend)
-    parents = index.parents
-    if inherit_prefixes:
-        bumps = [1 + _prefix_best(merged, col, parents) for col in cols]
-    else:
-        bumps = [1 + int(merged[col]) for col in cols]
-    for col, value in zip(cols, bumps):
-        merged[col] = value
-    return _map_from_row(merged, index)
-
-
-def columnar_prefix_max(
-    counters: Mapping[History, int],
-    history: History,
-    *,
-    index: Optional[HistoryIndex] = None,
-    backend: Optional[str] = None,
-) -> int:
-    """Row twin of :func:`~repro.core.counters.prefix_max`.
-
-    Interning adds a column for *every* prefix of every key, so the
-    ancestor chain of ``history``'s column enumerates exactly the
-    candidate prefixes the object-path scan would test.
-    """
-    index = index if index is not None else HistoryIndex()
-    backend = _resolve_backend(backend)
-    for key in counters:
-        index.intern(key)
-    col = index.intern(history)
-    width = index.width
-    row = _row_from_map(counters, index, backend, width)
-    return _prefix_best(row, col, index.parents)
 
 
 # ----------------------------------------------------------------------
@@ -471,162 +332,46 @@ class CounterColumns:
                 row[intern(history)] = count
 
 
-class ColumnarElector:
-    """Array-backed drop-in for
-    :class:`~repro.core.pseudo_leader.PseudoLeaderElector`.
+class CounterRowView:
+    """Read-only elector over one finished counter-matrix row.
 
-    Same public surface (``history``, ``counters``, ``merge_round``,
-    ``is_leader``, ``my_counter``, ``max_counter``, ``append``,
-    ``frozen_counters``, ``state_size``), same answers (pinned by the
-    cross-engine trace tests), but the counter state is one flat row
-    over a shared :class:`HistoryIndex` instead of a per-process dict.
-    This is what ``engine="columnar"`` swaps into counter-bearing
-    algorithms when the lock-step whole-round matrix engine cannot
-    take over (the drifting scheduler, consensus algorithms, snapshot
-    or hook-bearing runs).
+    What the matrix engines' ``finalize`` installs as each algorithm's
+    ``elector``: the final history plus the process's row, answering
+    the read side of
+    :class:`~repro.core.pseudo_leader.PseudoLeaderElector`
+    (``history``, ``counters``, ``is_leader``, ``my_counter``,
+    ``max_counter``, ``state_size``).  The counter map is built from
+    the row on first access, so installing ``n`` views costs O(n), not
+    O(n × width).
     """
 
-    __slots__ = (
-        "history",
-        "_index",
-        "_backend",
-        "_row",
-        "_inherit_prefixes",
-        "_own_col",
-    )
+    __slots__ = ("history", "_index", "_row", "_map")
 
-    def __init__(
-        self,
-        initial_value: Hashable,
-        *,
-        index: Optional[HistoryIndex] = None,
-        backend: Optional[str] = None,
-        use_trie: bool = True,  # signature parity; rows need no trie
-        inherit_prefixes: bool = True,
-    ) -> None:
-        self.history: History = initial_history(initial_value)
-        self._index = index if index is not None else HistoryIndex()
-        self._backend = _resolve_backend(backend)
-        self._row = _zeros(0, self._backend)
-        self._inherit_prefixes = inherit_prefixes
-        self._own_col: Optional[tuple] = None
+    def __init__(self, history: History, index: HistoryIndex, row) -> None:
+        self.history = history
+        self._index = index
+        self._row = row
+        self._map: Optional[Dict[History, int]] = None
 
-    @classmethod
-    def adopt(
-        cls,
-        elector,
-        index: HistoryIndex,
-        backend: Optional[str] = None,
-    ) -> "ColumnarElector":
-        """Columnar twin of an existing object elector (same state)."""
-        clone = cls.__new__(cls)
-        clone.history = elector.history
-        clone._index = index
-        clone._backend = _resolve_backend(backend)
-        clone._inherit_prefixes = getattr(elector, "_inherit_prefixes", True)
-        clone._own_col = None
-        counters = dict(getattr(elector, "_counters", None) or {})
-        for history in counters:
-            index.intern(history)
-        row = _zeros(index.width, clone._backend)
-        for history, count in counters.items():
-            if count > 0:
-                row[index.intern(history)] = count
-        clone._row = row
-        return clone
-
-    # -- internals ------------------------------------------------------
-    def _history_col(self) -> int:
-        cached = self._own_col
-        if cached is not None and cached[0] is self.history:
-            return cached[1]
-        col = self._index.intern(self.history)
-        self._own_col = (self.history, col)
-        return col
-
-    def _positive_items(self):
-        row = self._row
-        if self._backend == "numpy":
-            values = row.tolist()
-        else:
-            values = row
-        histories = self._index.histories
-        for col, value in enumerate(values):
-            if value > 0:
-                yield histories[col], value
-
-    # -- PseudoLeaderElector surface ------------------------------------
     @property
     def counters(self) -> Mapping[History, int]:
-        """The current counter map ``C`` (materialized, read-only)."""
-        return MappingProxyType(dict(self._positive_items()))
+        """The final counter map ``C`` (materialized once, read-only)."""
+        if self._map is None:
+            self._map = _map_from_row(self._row, self._index)
+        return MappingProxyType(self._map)
 
-    def merge_round(
-        self,
-        counter_maps: Iterable[Mapping[History, int]],
-        received_histories: Iterable[History],
-    ) -> None:
-        """Lines 8–9 on rows: element-wise min, then buffered bumps."""
-        index = self._index
-        intern = index.intern
-        maps = [
-            mapping._entries if isinstance(mapping, FrozenCounters) else mapping
-            for mapping in counter_maps
-        ]
-        histories = list(dict.fromkeys(received_histories))
-        for mapping in maps:
-            for history in mapping:
-                intern(history)
-        cols = [intern(history) for history in histories]
-        width = index.width
-        backend = self._backend
-        if maps:
-            rows = [_row_from_map(mapping, index, backend, width) for mapping in maps]
-            row = _min_rows(rows, backend)
-        else:
-            row = _zeros(width, backend)
-        parents = index.parents
-        if self._inherit_prefixes:
-            bumps = [1 + _prefix_best(row, col, parents) for col in cols]
-        else:
-            bumps = [1 + int(row[col]) for col in cols]
-        for col, value in zip(cols, bumps):
-            row[col] = value
-        self._row = row
+    def my_counter(self) -> int:
+        return self.counters.get(self.history, 0)
+
+    def max_counter(self) -> int:
+        return max(self.counters.values(), default=0)
 
     def is_leader(self) -> bool:
         """Definition 1: own history's counter is maximal."""
         return self.my_counter() >= self.max_counter()
 
-    def my_counter(self) -> int:
-        col = self._history_col()
-        row = self._row
-        return int(row[col]) if col < len(row) else 0
-
-    def max_counter(self) -> int:
-        row = self._row
-        if self._backend == "numpy":
-            return int(row.max()) if row.size else 0
-        return max(row, default=0)
-
-    def append(self, value: Hashable) -> None:
-        """Line 21: ``append VAL to HISTORY``."""
-        self.history = extend(self.history, value)
-
-    def frozen_counters(self) -> FrozenCounters:
-        """The immutable form carried in outgoing messages."""
-        # Positive-only by construction (minimum drops zeros, bumps are
-        # >= 1), so adopting without validation mirrors the object path.
-        return FrozenCounters._adopt(dict(self._positive_items()))
-
     def state_size(self) -> int:
         """Structural size of the elector's state (experiment T3)."""
-        lengths = self._index.lengths
-        row = self._row
-        if self._backend == "numpy":
-            values = row.tolist()
-        else:
-            values = row
         return len(self.history) + sum(
-            lengths[col] + 1 for col, value in enumerate(values) if value > 0
+            len(history) + 1 for history in self.counters
         )

@@ -139,19 +139,6 @@ class ESSConsensus(ConsensusAlgorithm):
         self._last_was_leader = True
 
     # ------------------------------------------------------------------
-    def use_columnar(self, index, backend=None) -> None:
-        """Swap the elector for its array-backed twin (``engine="columnar"``).
-
-        The consensus state machine only talks to the elector through
-        its public surface (``merge_round`` / ``is_leader`` / ``append``
-        / ``frozen_counters`` / ``history`` / ``state_size``), so the
-        columnar twin drops straight in; ``index`` is the run's shared
-        :class:`~repro.core.columnar.HistoryIndex`.
-        """
-        from repro.core.columnar import ColumnarElector
-
-        self.elector = ColumnarElector.adopt(self.elector, index, backend)
-
     def initialize(self) -> EssMessage:
         return EssMessage(self.proposed, self.elector.history, FrozenCounters.EMPTY)
 

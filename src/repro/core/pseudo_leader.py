@@ -146,18 +146,6 @@ class HeartbeatPseudoLeader(GirafAlgorithm):
         self.currently_leader: bool = True
         self.leader_since: Optional[int] = None
 
-    def use_columnar(self, index, backend: Optional[str] = None) -> None:
-        """Swap the elector for its array-backed twin (``engine="columnar"``).
-
-        Called by the schedulers before the first round when the run
-        asks for the columnar engine but the whole-round matrix path
-        cannot take over; ``index`` is the run's shared
-        :class:`~repro.core.columnar.HistoryIndex`.
-        """
-        from repro.core.columnar import ColumnarElector
-
-        self.elector = ColumnarElector.adopt(self.elector, index, backend)
-
     def initialize(self) -> HeartbeatMessage:
         return HeartbeatMessage(self.elector.history, FrozenCounters.EMPTY)
 

@@ -66,8 +66,10 @@ def sample_consensus(
     instead of per-event lists.  Every number this summary reports is
     identical in both modes; pick aggregate when the caller consumes
     only the summary, full when it also inspects ``trace`` events.
-    ``engine="columnar"`` additionally swaps the counter representation
-    for flat arrays (pinned equivalent; see :mod:`repro.core.columnar`).
+    ``engine="columnar"`` runs eligible configurations (aggregate
+    traces, stock Algorithm 3, a pure per-link link policy) as matrix
+    passes and everything else on the object engine (pinned
+    equivalent; see :mod:`repro.runtime.columnar_engine`).
     """
     algorithms = [factory(value) for value in proposals]
     scheduler = LockStepScheduler(

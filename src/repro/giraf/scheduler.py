@@ -49,25 +49,6 @@ __all__ = ["LockStepScheduler", "DriftingScheduler"]
 RoundHook = Callable[[int], None]
 
 
-def _swap_columnar_electors(processes: Sequence[GirafProcess]) -> None:
-    """Give every counter-bearing algorithm an array-backed elector.
-
-    The elector-level half of ``engine="columnar"``: one shared
-    :class:`~repro.core.columnar.HistoryIndex` per run, algorithms
-    opting in through their ``use_columnar`` hook (heartbeat and ESS
-    algorithms define it; counterless algorithms are left untouched and
-    simply run as before).
-    """
-    from repro.core.columnar import HistoryIndex, default_backend
-
-    index = HistoryIndex()
-    backend = default_backend()
-    for proc in processes:
-        hook = getattr(proc.algorithm, "use_columnar", None)
-        if hook is not None:
-            hook(index, backend)
-
-
 class LockStepScheduler:
     """Synchronized global rounds with controlled per-message lateness.
 
@@ -99,15 +80,19 @@ class LockStepScheduler:
     (the weak-set facades) use to issue application operations so they
     ride in that round's envelopes.
 
-    ``engine="columnar"`` switches the counter representation to flat
-    integer rows over one shared history index
-    (:mod:`repro.core.columnar`).  In aggregate trace mode with
-    heartbeat algorithms the whole tick becomes a matrix operation
+    ``engine="columnar"`` runs the whole tick as matrix operations
     (:class:`~repro.runtime.columnar_engine.ColumnarLockStepEngine` —
-    no per-envelope Python objects at all); otherwise counter-bearing
-    algorithms get array-backed electors and the loop is unchanged.
-    Either way the produced trace and final algorithm views are pinned
-    identical to the object engine (``tests/runtime``).
+    no per-envelope Python objects at all) when the run allows it:
+    aggregate traces, no ``on_round`` hook, and stock heartbeat
+    pseudo-leaders or stock Algorithm 3
+    (:class:`~repro.core.ess_consensus.ESSConsensus`, which
+    additionally needs numpy, no snapshots or payload statistics,
+    all-``int`` or all-``str`` proposals and a pure per-link link
+    policy).  Any other run takes the object engine.  Either way the
+    produced trace and final algorithm views are pinned identical to
+    the object engine (``tests/runtime``).  :attr:`engine_path` says
+    which path ran (``"matrix-lockstep"`` or ``"object"``) and
+    :attr:`engine_decline` why a columnar request did not engage.
     """
 
     def __init__(
@@ -141,17 +126,24 @@ class LockStepScheduler:
         self.processes = self._kernel.processes
         self._tick = 0
         self._columnar_engine = None
+        #: why ``engine="columnar"`` fell back to the object engine
+        self.engine_decline: Optional[str] = None
         if self._kernel.columnar:
             from repro.runtime.columnar_engine import ColumnarLockStepEngine
 
-            self._columnar_engine = ColumnarLockStepEngine.try_build(
-                self._kernel,
-                environment,
-                record_snapshots=record_snapshots,
-                on_round=on_round,
+            self._columnar_engine, self.engine_decline = (
+                ColumnarLockStepEngine.try_build(
+                    self._kernel,
+                    environment,
+                    record_snapshots=record_snapshots,
+                    on_round=on_round,
+                )
             )
-            if self._columnar_engine is None:
-                _swap_columnar_electors(self.processes)
+
+    @property
+    def engine_path(self) -> str:
+        """``"matrix-lockstep"`` or ``"object"``: the engine this run takes."""
+        return "object" if self._columnar_engine is None else "matrix-lockstep"
 
     @property
     def trace(self) -> RunTrace:
@@ -406,10 +398,12 @@ class DriftingScheduler:
     passes when the regime allows it
     (:class:`~repro.runtime.columnar_engine.ColumnarDriftingEngine` —
     aggregate traces without payload statistics, stock heartbeat
-    pseudo-leaders, stock latency draws); anything else transparently
-    falls back to per-process columnar electors with the object loop.
-    Either way the traces and final views are pinned identical to the
-    object engine (``tests/runtime``).
+    pseudo-leaders, stock latency draws); anything else runs the
+    object loop.  Either way the traces and final views are pinned
+    identical to the object engine (``tests/runtime``).
+    :attr:`engine_path` says which path ran (``"matrix-drifting"`` or
+    ``"object"``) and :attr:`engine_decline` why a columnar request
+    did not engage.
     """
 
     def __init__(
@@ -455,21 +449,25 @@ class DriftingScheduler:
         self._periods = list(periods)
         self._phases = list(phases)
         self._columnar_engine = None
+        #: why ``engine="columnar"`` fell back to the object engine
+        self.engine_decline: Optional[str] = None
         if self._kernel.columnar:
             from repro.runtime.columnar_engine import ColumnarDriftingEngine
 
-            self._columnar_engine = ColumnarDriftingEngine.try_build(
-                self._kernel,
-                environment,
-                periods=self._periods,
-                phases=self._phases,
-                record_snapshots=record_snapshots,
+            self._columnar_engine, self.engine_decline = (
+                ColumnarDriftingEngine.try_build(
+                    self._kernel,
+                    environment,
+                    periods=self._periods,
+                    phases=self._phases,
+                    record_snapshots=record_snapshots,
+                )
             )
-            if self._columnar_engine is None:
-                # Outside the matrix engine's regime the columnar win
-                # is the elector level: per-process rows over one
-                # shared index.
-                _swap_columnar_electors(self.processes)
+
+    @property
+    def engine_path(self) -> str:
+        """``"matrix-drifting"`` or ``"object"``: the engine this run takes."""
+        return "object" if self._columnar_engine is None else "matrix-drifting"
 
     @property
     def trace(self) -> RunTrace:

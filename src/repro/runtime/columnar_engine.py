@@ -1,4 +1,4 @@
-"""Whole-round columnar engine for the lock-step aggregate path.
+"""Whole-round matrix engines for aggregate runs.
 
 The object engine's lock-step tick, even in aggregate trace mode,
 still touches one Python object per process: an ``end_of_round`` call,
@@ -6,41 +6,61 @@ an :class:`~repro.giraf.automaton.InboxView`, a dict-backed counter
 merge, an envelope, and a handful of frozensets — per process, per
 tick.  That per-process constant is the measured n ceiling.
 
-This engine replaces the *entire tick* with matrix operations over
-:class:`~repro.core.columnar.CounterColumns` when three things hold
-(checked by :meth:`ColumnarLockStepEngine.try_build`; anything else
-falls back to the object loop, or to per-process columnar electors):
+:class:`ColumnarLockStepEngine` replaces the *entire tick* with matrix
+operations over :class:`~repro.core.columnar.CounterColumns` for two
+protocols, both with ``compute(k, M)`` reading only the slot ``M[k]``:
 
-* aggregate trace mode — no per-event objects are owed to anyone;
-* every algorithm is a stock
-  :class:`~repro.core.pseudo_leader.HeartbeatPseudoLeader` in its
-  initial state — the protocol whose round *is* exactly the counter
-  update (Algorithm 3 lines 8–9 + the leader predicate), with a
-  constant per-process brand appended each round;
-* no ``on_round`` injection hook (drivers that inject application
-  operations need real envelopes).
+* stock :class:`~repro.core.pseudo_leader.HeartbeatPseudoLeader` — the
+  protocol whose round *is* exactly the counter update (Algorithm 3
+  lines 8–9 plus the leader predicate), with a constant per-process
+  brand appended each round;
+* stock :class:`~repro.core.ess_consensus.ESSConsensus` — Algorithm 3
+  itself.  ``PROPOSED``, ``WRITTEN`` and ``WRITTENOLD`` become boolean
+  matrices over the run's sorted distinct proposals plus a ``⊥``
+  column, so lines 6–7 are AND/OR folds over the same receiver masks
+  the counter minimum uses; ``VAL`` is an index column and lines 10–18
+  are vectorized masks.  Deciders are halted in the tick they decide,
+  with their decision and halt recorded in pid order.
+
+Each engine's ``try_build`` says in one line why a run cannot take a
+matrix path; the scheduler then runs the object engine with the dict
+elector and reports the reason as its ``engine_decline``.  The regime
+every matrix run shares: aggregate traces (no per-event objects are
+owed to anyone), algorithms in their initial state, and no
+``on_round`` injection hook (facades that inject application
+operations need real envelopes).  Algorithm 3 further needs the numpy
+backend, no snapshots or payload statistics, all-``int`` or
+all-``str`` proposals (so line 14's ``max`` is the highest set
+column), and a link policy that is a pure per-link draw
+(:class:`~repro.giraf.environments.SilentLinks`,
+:class:`~repro.giraf.environments.AllTimelyLinks` or
+:class:`~repro.giraf.environments.BernoulliLinks` — a policy that
+reads live algorithm state cannot be planned from matrices).
 
 Under those conditions the lock-step semantics collapse into closed
-form, and every step below is pinned byte-identical to the object
-scheduler (``tests/runtime/test_columnar_engine.py``):
+form, and every step below is pinned trace-for-trace to the object
+scheduler (``tests/runtime/test_columnar_engine.py`` and
+``tests/runtime/test_columnar_ess.py``):
 
 * every active process fires every tick, so round-``t`` state lives in
   one ``n × width`` matrix ``C`` (row ``i`` = the counters process
   ``i`` sent at tick ``t``) plus one history column per process;
-* the tick-``t+1`` compute of process ``i`` is
-  ``min(C[i], C[obligatory…], C[extras delivering to i])`` followed by
-  one prefix-max bump per *distinct sender history* — and active
-  same-brand processes share one history column, so the per-tick
-  update is a handful of row broadcasts and one bump per column, not
-  per process;
+* a lock-step envelope carries only its sender's own message (nothing
+  of round ``t`` reaches anyone before everyone has fired), so the
+  tick-``t+1`` compute of process ``i`` folds exactly its own row, the
+  obligatory senders' rows, and the rows of the extras that reached
+  it — ``min`` for counters, AND/OR for proposals — followed by one
+  prefix-max bump per received history column (active same-brand
+  heartbeats share one history column, so their bumps are one per
+  column, not per process);
 * late deliveries with delay ≥ 2 ticks land in round slots the
-  receiver has already computed, so for the heartbeat protocol they
-  are state-no-ops that only the delivery *counter* sees — the engine
-  counts them arithmetically at queue time and flushes the counts on
-  the due tick, never materializing a queue entry; delay-1 lates are
-  flushed by the object loop *before* the next fire, so they do reach
-  the slot being computed — the engine feeds those into the next
-  tick's min/bump exactly like timely extras (counted on the due
+  receiver has already computed.  Since ``compute(k)`` reads only
+  ``M[k]``, they are state no-ops that only the delivery *counter*
+  sees — the engine counts them per due tick at queue time and flushes
+  the counts on that tick, never materializing a queue entry.  Delay-1
+  lates are flushed by the object loop *before* the next fire, so they
+  do reach the slot being computed — the engine feeds those into the
+  next tick's folds exactly like timely extras (counted on the due
   tick, state-applied at the next compute);
 * broadcast planning consumes the environment's vectorized
   ``plan_round_links`` boolean rows and ``delay_ticks_row`` delay rows
@@ -48,33 +68,44 @@ scheduler (``tests/runtime/test_columnar_engine.py``):
   declares fixed bounds), so no per-envelope object exists anywhere on
   the path.
 
-Trace bookkeeping (round entries, compute times, aggregate counters,
-optional snapshots and payload statistics) is emitted in the object
-engine's exact order and arithmetic; :meth:`finalize` writes the final
-histories, counters, leader flags, and process rounds back into the
-untouched algorithm objects so a finished run is externally
-indistinguishable.  (Inbox round slots are *not* materialized — in
-aggregate mode nothing reads them after the run.)
+Trace bookkeeping (round entries, compute times, decisions, halts,
+aggregate counters, and for heartbeats optional snapshots and payload
+statistics) is emitted in the object engine's exact order and
+arithmetic; ``finalize`` writes the final state back into the
+algorithm objects so a finished run is externally indistinguishable.
+(Inbox round slots are *not* materialized — in aggregate mode nothing
+reads them after the run.)
+
+:class:`ColumnarDriftingEngine` is the event-driven twin for heartbeat
+runs on the drifting scheduler (see its docstring).
 """
 
 from __future__ import annotations
 
-import os
 from array import array
+from bisect import bisect_left
+from collections import Counter
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.columnar import (
-    ColumnarElector,
     CounterColumns,
+    CounterRowView,
     HistoryIndex,
     _prefix_best,
     default_backend,
 )
+from repro.core.ess_consensus import ESSConsensus
 from repro.core.history import register_clear_hook
 from repro.core.pseudo_leader import HeartbeatPseudoLeader, PseudoLeaderElector
 from repro.giraf.adversary import NEVER_DELIVERED
-from repro.giraf.environments import Environment
+from repro.giraf.environments import (
+    AllTimelyLinks,
+    BernoulliLinks,
+    Environment,
+    SilentLinks,
+)
 from repro.giraf.messages import payload_size
+from repro.values import BOTTOM
 
 __all__ = [
     "ColumnarDriftingEngine",
@@ -127,43 +158,162 @@ def warm_history_index() -> HistoryIndex:
     return index
 
 
-def _install_final_views(
-    kernel, index, C, hist_col, leader, since, my, mx, computed, final_rounds
-) -> None:
-    """Point every algorithm at a lazy row view of its final state.
+def _constant_delay(environment) -> Optional[int]:
+    """The fixed late delay, when the environment routes delays straight
+    to a policy whose bounds coincide (else ``None``)."""
+    env_type = type(environment)
+    if (
+        env_type.delay_ticks is Environment.delay_ticks
+        and env_type.delay_ticks_row is Environment.delay_ticks_row
+    ):
+        bounds = environment.delay_policy.delay_bounds()
+        if bounds is not None and bounds[0] == bounds[1]:
+            return bounds[0]
+    return None
 
-    Shared by both matrix engines' ``finalize``.  Histories (interned
-    nodes), leadership flags, and the pre-append my/max captures are
-    scalars and are written eagerly; the counter *map* is not
-    materialized — each elector becomes a read-only
-    :class:`~repro.core.columnar.ColumnarElector` over the process's
-    matrix row (the same public surface the fallback elector path
-    exposes), whose ``counters`` builds its dict on first access.
-    Teardown is therefore O(n) instead of O(n × width).
+
+def _install_final_views(kernel, index, C, hist_col, final_rounds) -> None:
+    """Point every algorithm's elector at a lazy view of its final row.
+
+    Shared by both matrix engines' ``finalize``: each elector becomes a
+    read-only :class:`~repro.core.columnar.CounterRowView` over the
+    process's matrix row plus its final history (an interned node),
+    whose ``counters`` builds its dict on first access — teardown is
+    O(n) instead of O(n × width).  A process that never fired keeps
+    its initial history.
     """
     histories = index.histories
-    backend = C.backend
-    numpy = backend == "numpy"
+    numpy = C.backend == "numpy"
     for pid, proc in enumerate(kernel.processes):
         algorithm = proc.algorithm
         col = int(hist_col[pid])
-        elector = ColumnarElector.__new__(ColumnarElector)
-        elector.history = (
-            histories[col] if col >= 0 else algorithm.elector.history
-        )
-        elector._index = index
-        elector._backend = backend
-        elector._row = C.data[pid] if numpy else C.rows[pid]
-        elector._inherit_prefixes = True
-        elector._own_col = None
-        algorithm.elector = elector
+        history = histories[col] if col >= 0 else algorithm.elector.history
+        row = C.data[pid] if numpy else C.rows[pid]
+        algorithm.elector = CounterRowView(history, index, row)
+        proc.round = final_rounds[pid]
+
+
+def _install_heartbeat_flags(kernel, leader, since, my, mx, computed) -> None:
+    """The heartbeat's leadership flags and pre-append my/max captures."""
+    for pid, algorithm in enumerate(kernel.algorithms):
         algorithm.currently_leader = bool(leader[pid])
         value = int(since[pid])
         algorithm.leader_since = None if value < 0 else value
         if computed[pid]:
             algorithm._my_counter = int(my[pid])
             algorithm._max_counter = int(mx[pid])
-        proc.round = final_rounds[pid]
+
+
+# ----------------------------------------------------------------------
+# eligibility
+# ----------------------------------------------------------------------
+
+#: link policies whose timeliness is a pure function of the link key
+#: (a policy reading live algorithm state cannot be planned from rows)
+_PURE_LINK_POLICIES = (SilentLinks, AllTimelyLinks, BernoulliLinks)
+
+
+def _heartbeat_state_reason(algorithm) -> Optional[str]:
+    elector = algorithm.elector
+    if type(elector) is not PseudoLeaderElector or not elector._inherit_prefixes:
+        return "a heartbeat elector is not the stock prefix-inheriting one"
+    if elector._counters or len(elector.history) != 1:
+        return "a heartbeat elector is not in its initial state"
+    return None
+
+
+def _ess_state_reason(algorithm) -> Optional[str]:
+    elector = algorithm.elector
+    if (
+        algorithm._silent_non_leaders
+        or algorithm._ignore_empty
+        or type(elector) is not PseudoLeaderElector
+        or not elector._inherit_prefixes
+    ):
+        return "an ESSConsensus ablation knob is set"
+    if (
+        algorithm.halted
+        or algorithm.decision is not None
+        or algorithm.proposed
+        or algorithm.written
+        or algorithm.written_old
+        or not algorithm._last_was_leader
+        or algorithm.val != algorithm.initial_value
+        or elector._counters
+        or len(elector.history) != 1
+        or elector.history[0] != algorithm.initial_value
+    ):
+        return "an ESSConsensus is not in its initial state"
+    return None
+
+
+_STATE_REASONS = {
+    HeartbeatPseudoLeader: _heartbeat_state_reason,
+    ESSConsensus: _ess_state_reason,
+}
+
+
+def _decline_reason(kernel, *, kinds: Sequence[type]) -> Optional[str]:
+    """Why no matrix engine can run this kernel's processes, or ``None``.
+
+    The checks both engines share: aggregate traces, every algorithm
+    of exactly one class in ``kinds`` (no subclasses — their overrides
+    would not be honoured), every algorithm and process shell in its
+    initial state.  Each engine's ``try_build`` adds its own checks.
+    """
+    if not kernel.aggregate:
+        return "trace_mode='full' needs per-event objects"
+    algorithms = kernel.algorithms
+    kind = type(algorithms[0])
+    foreign = next(
+        (a for a in algorithms if type(a) is not kind or kind not in kinds),
+        None,
+    )
+    if foreign is not None:
+        names = " or ".join(k.__name__ for k in kinds)
+        return f"algorithm {type(foreign).__name__} is not a stock {names}"
+    state_reason = _STATE_REASONS[kind]
+    for algorithm in algorithms:
+        reason = state_reason(algorithm)
+        if reason is not None:
+            return reason
+    for proc in kernel.processes:
+        if proc.round != 0 or proc.crashed or proc.halted:
+            return f"process {proc.pid} is not in its initial state"
+    return None
+
+
+def _ess_run_reason(kernel, environment, record_snapshots: bool) -> Optional[str]:
+    """The Algorithm 3 path's checks on top of :func:`_decline_reason`."""
+    if record_snapshots:
+        return "record_snapshots=True reads live ESSConsensus objects"
+    if kernel.payload_stats:
+        return "payload_stats=True sizes real ESSConsensus messages"
+    value_types = {type(a.initial_value) for a in kernel.algorithms}
+    if value_types != {int} and value_types != {str}:
+        return "proposals are not all int or all str"
+    policy = type(environment.link_policy)
+    if policy not in _PURE_LINK_POLICIES:
+        return f"link policy {policy.__name__} is not a pure per-link draw"
+    if default_backend() != "numpy":
+        return "Algorithm 3's matrix path needs the numpy backend"
+    return None
+
+
+def _row_sets(matrix, values: Sequence) -> List[frozenset]:
+    """Per-row frozensets of ``values[col]`` over a boolean matrix's set
+    columns (identical rows share one frozenset)."""
+    cache: Dict[bytes, frozenset] = {}
+    sets = []
+    for row in matrix:
+        key = row.tobytes()
+        found = cache.get(key)
+        if found is None:
+            found = cache[key] = frozenset(
+                values[col] for col in row.nonzero()[0].tolist()
+            )
+        sets.append(found)
+    return sets
 
 
 class ColumnarLockStepEngine:
@@ -212,6 +362,31 @@ class ColumnarLockStepEngine:
             self._hist_col = self._np.full(n, -1, dtype=self._np.int64)
         else:
             self._hist_col = [-1] * n
+        self._last_fired = [0] * n
+
+        # --- trace plumbing -------------------------------------------
+        self._entries: List[Optional[dict]] = [None] * n
+        self._computes: List[Optional[dict]] = [None] * n
+        # due tick -> late-delivery count (the whole late queue)
+        self._late_counts: Dict[int, int] = {}
+        # last tick's delivery plan, consumed by the next compute:
+        # (obligatory sender pids, [(extra sender, timely receivers)])
+        # where timely receivers is a bool mask (numpy) or pid list.
+        self._pending: Tuple[List[int], list] = ([], [])
+        self._finalized = False
+
+        # Constant-delay shortcut: a broadcast's late count is then pure
+        # arithmetic — no delay row needs drawing.
+        self._const_delay = _constant_delay(environment)
+
+        self._ess = type(kernel.algorithms[0]) is ESSConsensus
+        if self._ess:
+            self._init_ess(kernel)
+        else:
+            self._init_heartbeat(kernel)
+
+    def _init_heartbeat(self, kernel) -> None:
+        n = self._n
         # Brand groups: active same-brand processes share identical
         # histories (everyone fires every tick), so one column intern
         # per group per tick covers all members.
@@ -256,17 +431,6 @@ class ColumnarLockStepEngine:
             self._my = [0] * n
             self._mx = [0] * n
             self._computed = [False] * n
-        self._last_fired = [0] * n
-
-        # --- trace plumbing -------------------------------------------
-        self._entries: List[Optional[dict]] = [None] * n
-        self._computes: List[Optional[dict]] = [None] * n
-        # due tick -> late-delivery count (the whole late queue)
-        self._late_counts: Dict[int, int] = {}
-        # last tick's delivery plan, consumed by the next compute:
-        # (obligatory sender pids, [(extra sender, timely receivers)])
-        # where timely receivers is a bool mask (numpy) or pid list.
-        self._pending: Tuple[List[int], list] = ([], [])
         # per-tick scratch for snapshots / payload stats (numpy path)
         self._round_rows = None
         self._round_own = None
@@ -275,49 +439,54 @@ class ColumnarLockStepEngine:
         self._round_width = 0
         # payload-size per column, grown with the index
         self._col_atoms: List[int] = []
-        self._finalized = False
 
-        # Constant-delay shortcut: when the environment routes delays
-        # straight to a fixed-width policy, a broadcast's late count is
-        # pure arithmetic — no delay row needs drawing.
-        self._const_delay: Optional[int] = None
-        env_type = type(environment)
-        if (
-            env_type.delay_ticks is Environment.delay_ticks
-            and env_type.delay_ticks_row is Environment.delay_ticks_row
-        ):
-            bounds = environment.delay_policy.delay_bounds()
-            if bounds is not None and bounds[0] == bounds[1]:
-                self._const_delay = bounds[0]
+    def _init_ess(self, kernel) -> None:
+        np = self._np
+        n = self._n
+        algorithms = kernel.algorithms
+        proposals = sorted({algorithm.initial_value for algorithm in algorithms})
+        # value columns in ascending order, then ⊥: line 14's max over
+        # WRITTEN \ {⊥} is the highest set value column
+        self._values = proposals + [BOTTOM]
+        self._bottom = len(proposals)
+        column = {value: col for col, value in enumerate(proposals)}
+        self._val = np.array(
+            [column[algorithm.initial_value] for algorithm in algorithms],
+            dtype=np.intp,
+        )
+        width = len(self._values)
+        # PROPOSED as last sent, WRITTENOLD (WRITTEN itself is only read
+        # back at finalize: line 20 makes it PROPOSED, except for a
+        # decider, which keeps its line-6 set)
+        self._P = np.zeros((n, width), dtype=bool)
+        self._WO = np.zeros((n, width), dtype=bool)
+        self._decided_written: Dict[int, frozenset] = {}
+        self._was_leader = np.ones(n, dtype=bool)
+        # ancestor columns by depth: anc[i, d] is the column of process
+        # i's history prefix of length d + 1 (the bump's prefix chain)
+        self._anc = np.zeros((n, 8), dtype=np.int64)
 
     # ------------------------------------------------------------------
     @classmethod
     def try_build(
         cls, kernel, environment, *, record_snapshots: bool, on_round
-    ) -> Optional["ColumnarLockStepEngine"]:
-        """The whole-round engine, or ``None`` when it cannot apply.
+    ) -> Tuple[Optional["ColumnarLockStepEngine"], Optional[str]]:
+        """``(engine, None)``, or ``(None, reason)`` when it cannot apply.
 
         Deliberately conservative: any subclassing, pre-seeded state,
-        or event-needing configuration falls back (the caller then
-        swaps per-process columnar electors instead, keeping
-        ``engine="columnar"`` meaningful for every run).
+        or event-needing configuration declines with a one-line reason
+        (the caller then runs the object engine and reports it).
         """
-        if not kernel.aggregate or on_round is not None:
-            return None
-        for algorithm in kernel.algorithms:
-            if type(algorithm) is not HeartbeatPseudoLeader:
-                return None
-            elector = algorithm.elector
-            if type(elector) is not PseudoLeaderElector:
-                return None
-            if not getattr(elector, "_inherit_prefixes", True):
-                return None
-            if elector._counters or len(elector.history) != 1:
-                return None
-        for proc in kernel.processes:
-            if proc.round != 0 or proc.crashed or proc.halted:
-                return None
-        return cls(kernel, environment, record_snapshots=record_snapshots)
+        reason = _decline_reason(
+            kernel, kinds=(HeartbeatPseudoLeader, ESSConsensus)
+        )
+        if reason is None and on_round is not None:
+            reason = "an on_round hook injects operations into real envelopes"
+        if reason is None and type(kernel.algorithms[0]) is ESSConsensus:
+            reason = _ess_run_reason(kernel, environment, record_snapshots)
+        if reason is not None:
+            return None, reason
+        return cls(kernel, environment, record_snapshots=record_snapshots), None
 
     # ------------------------------------------------------------------
     # activity bookkeeping
@@ -333,21 +502,21 @@ class ColumnarLockStepEngine:
                 self._active_idx = self._np.flatnonzero(self._active_np)
         return cached
 
+    def _deactivate(self, pid: int) -> None:
+        self._active[pid] = False
+        if self._numpy:
+            self._active_np[pid] = False
+        self._active_count -= 1
+        self._active_sorted = None
+
     def _apply_crashes(self, tick: int, *, before_send: bool) -> None:
         crashes = self._trace.crashes
         before = len(crashes)
         self._kernel.apply_scheduled_crashes(
             tick, float(tick), before_send=before_send
         )
-        if len(crashes) == before:
-            return
         for event in crashes[before:]:
-            pid = event.pid
-            self._active[pid] = False
-            if self._numpy:
-                self._active_np[pid] = False
-            self._active_count -= 1
-        self._active_sorted = None
+            self._deactivate(event.pid)
 
     # ------------------------------------------------------------------
     # the tick
@@ -359,9 +528,12 @@ class ColumnarLockStepEngine:
         if late:
             self._sink.bulk_deliveries(late)
         self._apply_crashes(tick, before_send=True)
-        fired = self._fire(tick)
+        if self._ess:
+            senders = self._fire_ess(tick)
+        else:
+            senders = self._fire_heartbeat(tick)
         self._apply_crashes(tick, before_send=False)
-        self._deliver(tick, fired)
+        self._deliver(tick, senders)
         if self._active_count == 0:
             return False
         if kernel.stop_requested():
@@ -369,7 +541,7 @@ class ColumnarLockStepEngine:
         return True
 
     # -- fire ----------------------------------------------------------
-    def _fire(self, tick: int) -> List[int]:
+    def _fire_heartbeat(self, tick: int) -> List[int]:
         fired = self._active_pids()
         if not fired:
             return fired
@@ -378,28 +550,28 @@ class ColumnarLockStepEngine:
                 self._compute_numpy(tick)
             else:
                 self._compute_python(tick, fired)
-        self._append_and_record(tick, fired)
+        self._append_heartbeat(tick, fired)
+        self._record(tick, fired, fired)
         if self._record_snapshots and tick >= 2:
             self._emit_snapshots(tick, fired)
         if self._payload_stats:
             self._emit_payload_stats(tick, fired)
         return fired
 
-    def _compute_numpy(self, tick: int) -> None:
+    def _fold_counters(self):
+        """Line 8 on rows: each active row becomes the minimum of its own
+        sent row and the rows of the messages it received; inactive rows
+        carry over, so they stay frozen across the double-buffer swap.
+        Returns the new matrix and its width."""
         np = self._np
-        index = self._index
-        width = index.width
+        width = self._index.width
         C, N = self._C, self._N
         C.ensure_width(width)
         N.ensure_width(width)
         Cd, Nd = C.data, N.data
         act = self._active_idx
         active_np = self._active_np
-        hist_col = self._hist_col
         oblig, extras = self._pending
-
-        # Carry every row over (crashed rows stay frozen across the
-        # double-buffer swap), then fold the round's messages in.
         Nd[:, :width] = Cd[:, :width]
         if oblig:
             if len(oblig) == 1:
@@ -411,6 +583,16 @@ class ColumnarLockStepEngine:
             hit = mask & active_np
             if hit.any():
                 Nd[hit, :width] = np.minimum(Nd[hit, :width], Cd[sender, :width])
+        return Nd, width
+
+    def _compute_numpy(self, tick: int) -> None:
+        np = self._np
+        index = self._index
+        act = self._active_idx
+        active_np = self._active_np
+        hist_col = self._hist_col
+        oblig, extras = self._pending
+        Nd, width = self._fold_counters()
 
         # Bumps: one prefix-max per distinct received-history column,
         # all maxima read before any write lands (the paper's
@@ -534,10 +716,9 @@ class ColumnarLockStepEngine:
         self._round_width = width
         self._C, self._N = self._N, self._C
 
-    def _append_and_record(self, tick: int, fired: List[int]) -> None:
-        """Per-group history appends + the object loop's bookkeeping."""
+    def _append_heartbeat(self, tick: int, fired: List[int]) -> None:
+        """Per-group history appends: one column per brand group."""
         index = self._index
-        trace = self._trace
         hist_col = self._hist_col
         active = self._active
         new_cols: Dict[int, int] = {}
@@ -559,32 +740,38 @@ class ColumnarLockStepEngine:
             new_cols[g] = col
             if self._numpy:
                 hist_col[gidx[sel]] = col
-
-        entries = self._entries
-        computes = self._computes
-        group_of = self._group_of
-        last_fired = self._last_fired
-        time = float(tick)
-        computing = tick - 1
-        use_lists = not self._numpy
-        for pid in fired:
-            if use_lists:
+        if not self._numpy:
+            group_of = self._group_of
+            for pid in fired:
                 hist_col[pid] = new_cols[group_of[pid]]
-            if tick >= 2:
+
+    def _record(self, tick: int, computed: List[int], senders: List[int]) -> None:
+        """The object loop's bookkeeping: a compute time for every
+        process that computed, a round entry for every one that sent."""
+        trace = self._trace
+        time = float(tick)
+        if tick >= 2:
+            computes = self._computes
+            computing = tick - 1
+            for pid in computed:
                 per_round = computes[pid]
                 if per_round is None:
                     per_round = computes[pid] = trace.compute_times.setdefault(
                         pid, {}
                     )
                 per_round[computing] = time
+        entries = self._entries
+        last_fired = self._last_fired
+        for pid in senders:
             per_round = entries[pid]
             if per_round is None:
                 per_round = entries[pid] = trace.round_entries.setdefault(pid, {})
             per_round[tick] = time
             last_fired[pid] = tick
-        if tick > trace.rounds_executed:
-            trace.rounds_executed = tick
-        trace.agg_sends += len(fired)
+        if senders:
+            if tick > trace.rounds_executed:
+                trace.rounds_executed = tick
+            trace.agg_sends += len(senders)
 
     def _emit_snapshots(self, tick: int, fired: List[int]) -> None:
         trace = self._trace
@@ -674,8 +861,168 @@ class ColumnarLockStepEngine:
                     biggest = size
         trace.agg_payload[tick] = [len(fired), total, biggest]
 
+    # -- Algorithm 3 ---------------------------------------------------
+    def _fire_ess(self, tick: int) -> List[int]:
+        """Every active process's end-of-round; returns the senders
+        (a decider halts instead of sending)."""
+        fired = self._active_pids()
+        if not fired:
+            return fired
+        if tick == 1:
+            # line 2, HISTORY := VAL: one column per distinct proposal,
+            # from the elector's actual node (as for heartbeat brands)
+            algorithms = self._kernel.algorithms
+            index = self._index
+            initial: Dict[object, int] = {}
+            for pid in fired:
+                algorithm = algorithms[pid]
+                col = initial.get(algorithm.initial_value)
+                if col is None:
+                    col = initial[algorithm.initial_value] = index.intern(
+                        algorithm.elector.history
+                    )
+                self._hist_col[pid] = col
+            self._anc[:, 0] = self._hist_col
+            self._record(tick, fired, fired)
+            return fired
+        deciders = self._compute_ess(tick)
+        senders = fired
+        if deciders:
+            self._halt_deciders(tick, deciders)
+            senders = self._active_pids()
+        self._record(tick, fired, senders)
+        return senders
+
+    def _compute_ess(self, tick: int) -> List[int]:
+        """``compute(tick - 1, M)`` of every active process as matrix
+        passes; returns the deciders (ascending pids)."""
+        np = self._np
+        k = tick - 1
+        act = self._active_idx
+        active_np = self._active_np
+        oblig, extras = self._pending
+        P = self._P
+        # lines 6–7 over M[k]: the own message, the obligatory senders'
+        # (which reach every active process) and the extras that arrived
+        written = P[act]
+        union = written.copy()
+        if oblig:
+            sent = P[oblig]
+            written &= sent.all(axis=0)
+            union |= sent.any(axis=0)
+        for sender, mask in extras:
+            hit = mask[act]
+            if hit.any():
+                written[hit] &= P[sender]
+                union[hit] |= P[sender]
+
+        # lines 8–9: every received history is bumped to one over its
+        # prefix maximum, all maxima read before any write lands
+        Nd, width = self._fold_counters()
+        hist = self._hist_col
+        anc = self._anc[:, :k]
+        writes = [(act, hist[act], Nd[act[:, None], anc[act]].max(axis=1))]
+        for sender in oblig:
+            best = Nd[act[:, None], anc[sender]].max(axis=1)
+            writes.append((act, hist[sender], best))
+        for sender, mask in extras:
+            rows = np.flatnonzero(mask & active_np)
+            if rows.size:
+                best = Nd[rows[:, None], anc[sender]].max(axis=1)
+                writes.append((rows, hist[sender], best))
+        for rows, cols, best in writes:
+            Nd[rows, cols] = best + 1
+        self._C, self._N = self._N, self._C
+
+        decide = None
+        if k % 2 == 0:                                          # line 10
+            bottom = self._bottom
+            positions = np.arange(len(act))
+            size = union.sum(axis=1)
+            val = self._val[act]
+            old = self._WO[act]
+            decide = (                                          # line 11
+                (old.sum(axis=1) == 1)
+                & old[positions, val]
+                & (size - union[positions, val] - union[:, bottom] == 0)
+            )
+            held = written[:, :bottom]                          # line 13
+            adopt = held.any(axis=1) & ~decide
+            if adopt.any():                                     # line 14
+                highest = bottom - 1 - held[:, ::-1].argmax(axis=1)
+                val = np.where(adopt, highest, val)
+                self._val[act] = val
+            own = Nd[act, hist[act]]                            # line 15
+            leader = own >= Nd[act, :width].max(axis=1)
+            settled = size - union[positions, val] - union[:, bottom] == 0
+            proposed = np.zeros_like(union)                     # lines 16/18
+            proposed[positions, np.where(leader | settled, val, bottom)] = True
+            proposed[decide] = union[decide]
+            self._was_leader[act[~decide]] = leader[~decide]
+        else:
+            proposed = union
+        self._P[act] = proposed
+
+        # a decider keeps its previous WRITTENOLD, its line-6 WRITTEN
+        # and its un-appended history
+        going = ~decide if decide is not None else np.ones(len(act), dtype=bool)
+        self._WO[act[going]] = written[going]                  # line 19
+        self._append_ess(k, act[going])
+        deciders = act[~going].tolist()
+        values = self._values
+        for pid, row in zip(deciders, written[~going]):
+            self._decided_written[pid] = frozenset(
+                values[col] for col in np.flatnonzero(row).tolist()
+            )
+        return deciders
+
+    def _append_ess(self, k: int, senders) -> None:
+        """Line 21: append VAL, one child column per distinct
+        ``(history, VAL)`` pair."""
+        if not len(senders):
+            return
+        np = self._np
+        if k >= self._anc.shape[1]:
+            grown = np.zeros((self._n, 2 * self._anc.shape[1]), dtype=np.int64)
+            grown[:, :k] = self._anc[:, :k]
+            self._anc = grown
+        hist = self._hist_col
+        values = self._values
+        stride = len(values)
+        keys = hist[senders] * stride + self._val[senders]
+        distinct, inverse = np.unique(keys, return_inverse=True)
+        child_col = self._index.child_col
+        cols = np.array(
+            [
+                child_col(key // stride, values[key % stride])
+                for key in distinct.tolist()
+            ],
+            dtype=np.int64,
+        )[inverse]
+        hist[senders] = cols
+        self._anc[senders, k] = cols
+
+    def _halt_deciders(self, tick: int, deciders: List[int]) -> None:
+        """Line 12 on the algorithm objects: ``decide VAL; halt`` in pid
+        order, recorded as the object loop does, before any after-send
+        crash or the stop predicate can see the process."""
+        kernel = self._kernel
+        processes = kernel.processes
+        values = self._values
+        k = tick - 1
+        time = float(tick)
+        for pid in deciders:
+            proc = processes[pid]
+            proc.algorithm._decide(values[self._val[pid]], k)
+            kernel.poll_decision(proc, time)
+            kernel.record_halt(proc, k, time)
+            self._deactivate(pid)
+
     # -- deliver -------------------------------------------------------
     def _deliver(self, tick: int, fired: List[int]) -> None:
+        """Plan and count the round's deliveries from ``fired`` (the
+        tick's senders), leaving the next compute's inputs in
+        ``_pending``."""
         if not fired:
             return
         kernel = self._kernel
@@ -715,6 +1062,21 @@ class ColumnarLockStepEngine:
         # Link policies may share one row object across senders (the
         # all-false silent row does); cache its true positions once.
         positions_cache: Dict[int, List[int]] = {}
+
+        def late_receivers(sender: int, timely: List[int]) -> List[int]:
+            if timely:
+                timely_set = set(timely)
+                return [
+                    pid
+                    for pid in receivers
+                    if pid != sender and pid not in timely_set
+                ]
+            # no timely link: every receiver but the sender (sorted pids)
+            at = bisect_left(receivers, sender)
+            if at < receiver_count and receivers[at] == sender:
+                return receivers[:at] + receivers[at + 1 :]
+            return receivers
+
         for sender in extra_senders:
             row = link_rows.get(sender)
             if row is None:
@@ -756,26 +1118,20 @@ class ColumnarLockStepEngine:
                 if due <= max_rounds and const_delay < NEVER_DELIVERED:
                     late_counts[due] = late_counts.get(due, 0) + late_count
                     if const_delay == 1:
-                        timely_set = set(timely)
-                        effective = [
-                            pid
-                            for pid in receivers
-                            if pid != sender and pid not in timely_set
-                        ]
+                        effective = late_receivers(sender, timely)
             else:
-                timely_set = set(timely)
-                late = [
-                    pid
-                    for pid in receivers
-                    if pid != sender and pid not in timely_set
-                ]
+                late = late_receivers(sender, timely)
                 delays = environment.delay_ticks_row(tick, sender, late)
-                for pid, delay in zip(late, delays):
+                # counted per delay value, not per link: only delay-1
+                # receivers are ever materialized
+                for delay, count in Counter(delays).items():
                     due = tick + delay
                     if due <= max_rounds and delay < NEVER_DELIVERED:
-                        late_counts[due] = late_counts.get(due, 0) + 1
+                        late_counts[due] = late_counts.get(due, 0) + count
                         if delay == 1:
-                            effective.append(pid)
+                            effective = [
+                                pid for pid, d in zip(late, delays) if d == 1
+                            ]
             if effective:
                 if self._numpy:
                     mask = self._np.zeros(self._n, dtype=bool)
@@ -792,27 +1148,38 @@ class ColumnarLockStepEngine:
         """Write matrix state back into the algorithm objects.
 
         Idempotent; called by the scheduler's ``run()`` when the run
-        ends.  After this, histories (interned nodes), counter views,
-        leader flags, ``leader_since``, the pre-append my/max counter
-        captures, and ``proc.round`` all read exactly as the object
-        engine would leave them; counter maps materialize lazily on
-        first access (see :func:`_install_final_views`).
+        ends.  After this, histories (interned nodes), counter views
+        and ``proc.round`` read exactly as the object engine would
+        leave them — plus the heartbeat's leader flags, ``leader_since``
+        and pre-append my/max counter captures, or Algorithm 3's
+        ``VAL``, ``PROPOSED``, ``WRITTEN``, ``WRITTENOLD`` and leader
+        flag (decisions were written during the run); counter maps
+        materialize lazily on first access (see
+        :func:`_install_final_views`).
         """
         if self._finalized:
             return
         self._finalized = True
+        kernel = self._kernel
         _install_final_views(
-            self._kernel,
-            self._index,
-            self._C,
-            self._hist_col,
-            self._leader,
-            self._since,
-            self._my,
-            self._mx,
-            self._computed,
-            self._last_fired,
+            kernel, self._index, self._C, self._hist_col, self._last_fired
         )
+        if not self._ess:
+            _install_heartbeat_flags(
+                kernel, self._leader, self._since, self._my, self._mx, self._computed
+            )
+            return
+        values = self._values
+        proposed = _row_sets(self._P, values)
+        written_old = _row_sets(self._WO, values)
+        written = self._decided_written
+        for pid, algorithm in enumerate(kernel.algorithms):
+            algorithm.val = values[self._val[pid]]
+            algorithm.proposed = proposed[pid]
+            # line 20 leaves WRITTEN = PROPOSED after every full round
+            algorithm.written = written.get(pid, proposed[pid])
+            algorithm.written_old = written_old[pid]
+            algorithm._last_was_leader = bool(self._was_leader[pid])
 
 
 class ColumnarDriftingEngine:
@@ -837,7 +1204,7 @@ class ColumnarDriftingEngine:
       per-link continuous draws), but a broadcast's late deliveries
       are grouped by distinct delay value into **one event per (tick,
       round) batch** — drained as one masked
-      ``columnar_pointwise_min`` fold into a per-round accumulator
+      pointwise-minimum fold into a per-round accumulator
       matrix plus bitmask updates, instead of ``n - 1`` envelope
       drains;
     * a process's ``compute(k, ·)`` then reads
@@ -854,13 +1221,13 @@ class ColumnarDriftingEngine:
     singleton; same-latency lates form exactly one batch drained in
     ascending-pid order (the object loop's scheduling order); and
     cross-broadcast blocks keep their scheduling order.  Eligibility
-    mirrors the lock-step engine (aggregate traces × stock heartbeat
-    pseudo-leaders in initial state) plus two drifting-specific
-    refusals — per-send payload statistics (compounded envelopes
-    share embedded messages, so structural sizes are not recoverable
-    from rows) and overridden latency methods (the disjointness
-    argument above needs the stock draws).  Everything else falls
-    back to the per-process columnar elector path.  Every step is
+    shares :func:`_decline_reason` with the lock-step engine (aggregate
+    traces × stock heartbeat pseudo-leaders in initial state) plus two
+    drifting-specific refusals — per-send payload statistics
+    (compounded envelopes share embedded messages, so structural sizes
+    are not recoverable from rows) and overridden latency methods (the
+    disjointness argument above needs the stock draws).  Everything
+    else runs the object event loop.  Every step is
     pinned byte-identical to the object scheduler across
     environments × crashes × GST × event queues × backends
     (``tests/runtime/test_columnar_drifting_engine.py``).
@@ -948,59 +1315,41 @@ class ColumnarDriftingEngine:
         # the stock ``late_latencies`` would return (it reads the same
         # policy), so skipping the call cannot move a draw: the stock
         # latency methods are pure functions of each link's key.
-        self._const_delay: Optional[int] = None
-        env_type = type(environment)
-        if (
-            env_type.delay_ticks is Environment.delay_ticks
-            and env_type.delay_ticks_row is Environment.delay_ticks_row
-        ):
-            bounds = environment.delay_policy.delay_bounds()
-            if bounds is not None and bounds[0] == bounds[1]:
-                self._const_delay = bounds[0]
+        self._const_delay = _constant_delay(environment)
 
     # ------------------------------------------------------------------
     @classmethod
     def try_build(
         cls, kernel, environment, *, periods, phases, record_snapshots
-    ) -> Optional["ColumnarDriftingEngine"]:
-        """The drifting matrix engine, or ``None`` when it cannot apply.
+    ) -> Tuple[Optional["ColumnarDriftingEngine"], Optional[str]]:
+        """``(engine, None)``, or ``(None, reason)`` when it cannot apply.
 
-        Same conservatism as the lock-step twin: any subclassing,
-        pre-seeded state, payload statistics, or non-stock latency
-        draws falls back (the caller then swaps per-process columnar
-        electors, keeping ``engine="columnar"`` meaningful for every
-        run).
+        Same conservatism as the lock-step engine, for heartbeat runs
+        only, plus two drifting-specific refusals: payload statistics
+        and non-stock latency draws (the caller then runs the object
+        event loop and reports the reason).
         """
-        if not kernel.aggregate or kernel.payload_stats:
-            return None
+        reason = _decline_reason(kernel, kinds=(HeartbeatPseudoLeader,))
+        if reason is None and kernel.payload_stats:
+            reason = "payload_stats=True: compounded envelopes share messages"
         env_type = type(environment)
-        if (
+        if reason is None and (
             env_type.timely_latency is not Environment.timely_latency
             or env_type.late_latency is not Environment.late_latency
             or env_type.timely_latencies is not Environment.timely_latencies
             or env_type.late_latencies is not Environment.late_latencies
         ):
-            return None
-        for algorithm in kernel.algorithms:
-            if type(algorithm) is not HeartbeatPseudoLeader:
-                return None
-            elector = algorithm.elector
-            if type(elector) is not PseudoLeaderElector:
-                return None
-            if not getattr(elector, "_inherit_prefixes", True):
-                return None
-            if elector._counters or len(elector.history) != 1:
-                return None
-        for proc in kernel.processes:
-            if proc.round != 0 or proc.crashed or proc.halted:
-                return None
-        return cls(
+            reason = f"{env_type.__name__} overrides the stock latency draws"
+        if reason is not None:
+            return None, reason
+        engine = cls(
             kernel,
             environment,
             periods=periods,
             phases=phases,
             record_snapshots=record_snapshots,
         )
+        return engine, None
 
     # ------------------------------------------------------------------
     # planning closures of the object loop, as methods
@@ -1491,15 +1840,10 @@ class ColumnarDriftingEngine:
         if self._finalized:
             return
         self._finalized = True
+        kernel = self._kernel
         _install_final_views(
-            self._kernel,
-            self._index,
-            self._C,
-            self._hist_col,
-            self._leader,
-            self._since,
-            self._my,
-            self._mx,
-            self._computed,
-            self._rounds,
+            kernel, self._index, self._C, self._hist_col, self._rounds
+        )
+        _install_heartbeat_flags(
+            kernel, self._leader, self._since, self._my, self._mx, self._computed
         )

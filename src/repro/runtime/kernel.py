@@ -69,13 +69,14 @@ class RuntimeKernel:
         payload_stats: collect per-round payload-size statistics
             (aggregate mode only).
         engine: ``"object"`` (per-process Python objects, the default)
-            or ``"columnar"`` (flat counter rows over a shared
-            :class:`~repro.core.columnar.HistoryIndex`).  The kernel
-            only validates and records the choice; engines act on it —
-            the lock-step scheduler swaps in the whole-round matrix
-            engine (or columnar electors when it cannot engage), the
-            drifting scheduler swaps electors.  Both engines are
-            pinned equivalent (``tests/runtime``), so this is purely a
+            or ``"columnar"`` (whole rounds as matrix passes over flat
+            counter rows, :mod:`repro.runtime.columnar_engine`).  The
+            kernel only validates and records the choice; schedulers
+            act on it — each builds its matrix engine when the run is
+            eligible and runs the object engine otherwise, reporting
+            the path taken (``engine_path``) and the reason for a
+            fallback (``engine_decline``).  Both engines are pinned
+            equivalent (``tests/runtime``), so this is purely a
             representation switch.
         event_queue: ``"calendar"`` (bucketed timing wheel, the
             default — O(1) inserts, bucket width derived from the

@@ -113,9 +113,10 @@ def run_consensus(
             metrics are identical — equivalence-tested — but the
             safety report degrades to count-based checks only).
         engine: ``"object"`` (per-process Python state, the default)
-            or ``"columnar"`` (array-backed counters over a shared
-            history index; pinned equivalent — see
-            :mod:`repro.core.columnar`).
+            or ``"columnar"`` (whole rounds as matrix passes when the
+            run is eligible — aggregate traces, stock Algorithm 3 on
+            the lock-step scheduler — else the object engine; pinned
+            equivalent — see :mod:`repro.runtime.columnar_engine`).
         event_queue: continuous-time event core for the drifting
             scheduler (``"calendar"`` or ``"heap"``; ignored under
             lock-step, which has no event queue).

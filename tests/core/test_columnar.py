@@ -1,10 +1,17 @@
-"""Columnar counter twins pinned against the dict-based reference.
+"""Columnar counter storage pinned against the dict-based reference.
 
-Every public piece of :mod:`repro.core.columnar` has a dict-based twin
-in :mod:`repro.core.counters` / :mod:`repro.core.pseudo_leader`; these
-tests pin them equal on random inputs, on both backends.  Tuple and
-interned-node histories hash and compare interchangeably, so the
-assertions compare dicts directly across representations.
+:class:`~repro.core.columnar.HistoryIndex` and
+:class:`~repro.core.columnar.CounterColumns` are the storage the matrix
+engines compute on, the row prefix maximum is line 9's bump on that
+storage, and :class:`~repro.core.columnar.CounterRowView` is the
+elector those engines leave on every algorithm after a run; these
+tests pin each against the dict-based reference
+(:mod:`repro.core.counters`,
+:class:`~repro.core.pseudo_leader.PseudoLeaderElector`), on both
+backends.  Tuple and interned-node histories hash and compare
+interchangeably, so the assertions compare dicts directly across
+representations.  (The engines' arithmetic itself is pinned trace for
+trace in ``tests/runtime``.)
 """
 
 import pytest
@@ -13,21 +20,14 @@ from hypothesis import strategies as st
 
 from repro.core.columnar import (
     BACKENDS,
-    ColumnarElector,
     CounterColumns,
+    CounterRowView,
     HistoryIndex,
-    columnar_pointwise_min,
-    columnar_prefix_max,
-    columnar_round_update,
+    _prefix_best,
     default_backend,
     numpy_available,
 )
-from repro.core.counters import (
-    FrozenCounters,
-    apply_round_update,
-    pointwise_min,
-    prefix_max,
-)
+from repro.core.counters import FrozenCounters, prefix_max
 from repro.core.history import (
     clear_intern_cache,
     intern_cache_size,
@@ -92,59 +92,24 @@ class TestHistoryIndex:
         assert index.width == 2
 
 
-@backends
-class TestPointwiseMinTwin:
-    @given(maps=st.lists(counter_map_st, min_size=1, max_size=4))
-    def test_matches_reference(self, backend, maps):
-        assert columnar_pointwise_min(maps, backend=backend) == pointwise_min(maps)
-
-    def test_empty_input(self, backend):
-        assert columnar_pointwise_min([], backend=backend) == {}
-
-
-@backends
-class TestRoundUpdateTwin:
-    @given(
-        maps=st.lists(counter_map_st, min_size=1, max_size=3),
-        received=st.lists(history_st, min_size=1, max_size=4),
-        inherit=st.booleans(),
-    )
-    def test_matches_reference(self, backend, maps, received, inherit):
-        expected = apply_round_update(maps, received, inherit_prefixes=inherit)
-        actual = columnar_round_update(
-            maps, received, inherit_prefixes=inherit, backend=backend
-        )
-        assert actual == expected
-
-    @given(
-        maps=st.lists(counter_map_st, min_size=1, max_size=3),
-        received=st.lists(history_st, min_size=1, max_size=4),
-    )
-    def test_matches_interned_fast_path(self, backend, maps, received):
-        """Same result whether the reference takes its interned fast
-        path (node inputs) or the generic dict path (tuple inputs)."""
-        node_maps = [
-            {intern_history(history): count for history, count in mapping.items()}
-            for mapping in maps
-        ]
-        node_received = [intern_history(history) for history in received]
-        expected = apply_round_update(node_maps, node_received)
-        assert columnar_round_update(maps, received, backend=backend) == expected
-
-    @given(received=st.lists(history_st, min_size=1, max_size=4))
-    def test_empty_state_bumps_to_one(self, backend, received):
-        result = columnar_round_update([{}], received, backend=backend)
-        assert result == apply_round_update([{}], received)
-        assert set(result.values()) <= {1}
+def _row(columns, i, backend):
+    return columns.data[i] if backend == "numpy" else columns.rows[i]
 
 
 @backends
 class TestPrefixMaxTwin:
     @given(counters=counter_map_st, history=history_st)
     def test_matches_reference(self, backend, counters, history):
-        assert columnar_prefix_max(
-            counters, history, backend=backend
-        ) == prefix_max(counters, history)
+        """The row form of line 9's prefix maximum (the drifting
+        engine's bump) matches the dict reference: interning adds a
+        column for every prefix, so the ancestor chain enumerates
+        exactly the prefixes the reference scans."""
+        index = HistoryIndex()
+        col = index.intern(history)
+        columns = CounterColumns(1, index, backend)
+        columns.set_row_map(0, counters)
+        row = _row(columns, 0, backend)
+        assert _prefix_best(row, col, index.parents) == prefix_max(counters, history)
 
 
 @backends
@@ -173,7 +138,7 @@ class TestCounterColumns:
 
 
 @backends
-class TestColumnarElector:
+class TestCounterRowView:
     @given(
         rounds=st.lists(
             st.tuples(
@@ -187,32 +152,33 @@ class TestColumnarElector:
         initial=st.integers(0, 3),
     )
     @settings(max_examples=50)
-    def test_tracks_reference_elector(self, backend, rounds, initial):
+    def test_matches_reference_elector(self, backend, rounds, initial):
+        """A view over a row holding the reference's counters answers
+        every read exactly as the reference elector does."""
         reference = PseudoLeaderElector(initial)
-        columnar = ColumnarElector(initial, backend=backend)
         for maps, received, appended in rounds:
-            frozen = [FrozenCounters(mapping) for mapping in maps]
-            reference.merge_round(frozen, received)
-            columnar.merge_round(frozen, received)
-            assert dict(columnar.counters) == dict(reference.counters)
-            assert columnar.is_leader() == reference.is_leader()
-            assert columnar.my_counter() == reference.my_counter()
-            assert columnar.max_counter() == reference.max_counter()
-            assert columnar.frozen_counters() == reference.frozen_counters()
-            assert columnar.state_size() == reference.state_size()
+            reference.merge_round(
+                [FrozenCounters(mapping) for mapping in maps], received
+            )
+            index = HistoryIndex()
+            columns = CounterColumns(1, index, backend)
+            columns.set_row_map(0, reference.counters)
+            view = CounterRowView(reference.history, index, _row(columns, 0, backend))
+            assert view._map is None  # nothing built until read
+            assert dict(view.counters) == dict(reference.counters)
+            assert view.is_leader() == reference.is_leader()
+            assert view.my_counter() == reference.my_counter()
+            assert view.max_counter() == reference.max_counter()
+            assert view.state_size() == reference.state_size()
             reference.append(appended)
-            columnar.append(appended)
-            assert tuple(columnar.history) == tuple(reference.history)
 
-    def test_adopt_carries_state(self, backend):
-        reference = PseudoLeaderElector("a")
-        reference.merge_round([FrozenCounters({("a",): 2})], [("b",)])
-        adopted = ColumnarElector.adopt(
-            PseudoLeaderElector("a"), HistoryIndex(), backend
-        )
-        adopted.merge_round([FrozenCounters({("a",): 2})], [("b",)])
-        assert dict(adopted.counters) == dict(reference.counters)
-        assert adopted.is_leader() == reference.is_leader()
+    def test_counters_are_read_only(self, backend):
+        index = HistoryIndex()
+        columns = CounterColumns(1, index, backend)
+        columns.set_row_map(0, {(1,): 2})
+        view = CounterRowView(intern_history((1,)), index, _row(columns, 0, backend))
+        with pytest.raises(TypeError):
+            view.counters[(1,)] = 5  # type: ignore[index]
 
 
 class TestInternCacheHygiene:

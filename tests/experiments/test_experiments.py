@@ -12,6 +12,7 @@ from repro.experiments import EXPERIMENTS, run_experiment
 from repro.experiments.churn_tables import run_c1, run_c2, run_c3, run_c5
 from repro.experiments.consensus_tables import run_f2, run_t2
 from repro.experiments.leader_figure import run_f3
+from repro.experiments.scale_table import s1_cells, s1_scheduler
 from repro.experiments.sigma_table import run_t6
 from repro.experiments.state_growth import run_t3
 from repro.experiments.weakset_tables import run_f4, run_t4, run_t5
@@ -57,6 +58,25 @@ class TestEngineInvariance:
         reference = run_f2(quick=True, seed=0, engine="object").render()
         columnar = run_f2(quick=True, seed=0, engine="columnar").render()
         assert columnar == reference
+
+
+class TestScaleTablePaths:
+    """Every columnar S1 cell runs on a matrix engine, not the object
+    fallback (Algorithm 3 cells need numpy for that)."""
+
+    @pytest.mark.parametrize("quick", [True, False], ids=["quick", "full"])
+    def test_columnar_cells_take_a_matrix_path(self, quick):
+        from repro.core.columnar import numpy_available
+
+        for workload, sched, n, engine, seed, _ in s1_cells(quick=quick):
+            if engine != "columnar":
+                continue
+            sim = s1_scheduler(workload, sched, n, engine, seed)
+            if workload == "ess" and not numpy_available():
+                assert sim.engine_path == "object"
+                assert "numpy" in sim.engine_decline
+            else:
+                assert sim.engine_path == f"matrix-{sched}", (workload, n)
 
 
 class TestHeadlineClaims:

@@ -20,7 +20,7 @@ import time
 
 import pytest
 
-from repro.core.columnar import ColumnarElector, numpy_available
+from repro.core.columnar import CounterRowView, numpy_available
 from repro.core.history import clear_intern_cache
 from repro.core.pseudo_leader import HeartbeatPseudoLeader
 from repro.giraf.adversary import (
@@ -219,8 +219,8 @@ class TestDriftingEngineOptions:
 
 
 class TestFallbackPins:
-    """Configurations the matrix engine refuses still honour
-    ``engine="columnar"`` via per-process columnar electors."""
+    """Configurations the matrix engine declines run the object event
+    loop (dict electors), so ``engine="columnar"`` changes nothing."""
 
     def test_payload_stats_fall_back_pinned(self):
         _assert_equivalent(expect_engine=False, payload_stats=True)
@@ -245,13 +245,14 @@ class TestFallbackPins:
 class TestTryBuildEligibility:
     def _build(self, kernel):
         n = len(kernel.processes)
-        return ColumnarDriftingEngine.try_build(
+        engine, _reason = ColumnarDriftingEngine.try_build(
             kernel,
             kernel.environment,
             periods=[1.0 + 0.13 * pid for pid in range(n)],
             phases=[0.01 * pid for pid in range(n)],
             record_snapshots=True,
         )
+        return engine
 
     def _kernel(self, algorithms=None, **kwargs):
         kwargs.setdefault("trace_mode", "aggregate")
@@ -331,14 +332,15 @@ class TestAmortization:
         reference, _ = _run("object", crashes=CRASHES)
         for proc, ref in zip(driver.processes, reference.processes):
             elector = proc.algorithm.elector
-            assert type(elector) is ColumnarElector
-            # a finished view, not a live elector: no own column is
-            # reserved, the counters materialize from the matrix row
-            assert elector._own_col is None
+            assert type(elector) is CounterRowView
+            # a finished view, not a live elector: no counter map is
+            # built until read, then it materializes from the matrix row
+            assert elector._map is None
             assert {
                 tuple(history): count
                 for history, count in elector.counters.items()
             } == dict(ref.algorithm.elector.counters)
+            assert elector._map is not None
 
     def test_short_run_overhead_bounded(self):
         # the regression mode: fixed setup/finalize costs dominating a

@@ -8,8 +8,9 @@ list), and the final algorithm views — histories, counters, leader
 flags, process rounds — must match field by field.  These tests sweep
 schedulers × environments × link policies × crashes × trace options,
 covering both the whole-round matrix path (lock-step aggregate
-heartbeat runs) and the per-process columnar-elector fallback (full
-traces, drifting scheduler, injected round hooks, consensus on top).
+heartbeat runs) and the object-engine fallback (full traces, drifting
+scheduler, injected round hooks, consensus on top).  Algorithm 3 on
+the matrix path has its own pins in ``test_columnar_ess.py``.
 """
 
 import pytest
@@ -180,8 +181,8 @@ class TestWholeRoundEngineOptions:
 
 
 class TestFallbackPins:
-    """Configurations the matrix engine refuses still honour
-    ``engine="columnar"`` via per-process columnar electors."""
+    """Configurations the matrix engine declines run the object engine
+    (dict electors), so ``engine="columnar"`` changes nothing there."""
 
     def test_full_trace_mode_events_identical(self):
         _assert_equivalent(trace_mode="full", payload_stats=False)
@@ -222,49 +223,45 @@ class TestTryBuildEligibility:
             **kwargs,
         )
 
+    def _build(self, kernel, on_round=None):
+        engine, _reason = ColumnarLockStepEngine.try_build(
+            kernel, kernel.environment, record_snapshots=False, on_round=on_round
+        )
+        return engine
+
     def test_builds_for_aggregate_heartbeat(self):
         kernel = self._kernel(trace_mode="aggregate")
-        engine = ColumnarLockStepEngine.try_build(
-            kernel, kernel.environment, record_snapshots=False, on_round=None
-        )
-        assert engine is not None
+        assert self._build(kernel) is not None
 
     def test_refuses_full_traces(self):
         kernel = self._kernel(trace_mode="full")
-        assert (
-            ColumnarLockStepEngine.try_build(
-                kernel, kernel.environment, record_snapshots=False, on_round=None
-            )
-            is None
-        )
+        assert self._build(kernel) is None
 
     def test_refuses_on_round_hook(self):
         kernel = self._kernel(trace_mode="aggregate")
-        assert (
-            ColumnarLockStepEngine.try_build(
-                kernel,
-                kernel.environment,
-                record_snapshots=False,
-                on_round=lambda tick: None,
-            )
-            is None
-        )
+        assert self._build(kernel, on_round=lambda tick: None) is None
 
     def test_refuses_foreign_algorithms(self):
-        from repro.core.ess_consensus import ESSConsensus
+        from repro.core.es_consensus import ESConsensus
 
         kernel = RuntimeKernel(
-            [ESSConsensus(pid) for pid in range(3)],
+            [ESConsensus(pid) for pid in range(3)],
             MovingSourceEnvironment(),
             trace_mode="aggregate",
             engine="columnar",
         )
-        assert (
-            ColumnarLockStepEngine.try_build(
-                kernel, kernel.environment, record_snapshots=False, on_round=None
-            )
-            is None
+        assert self._build(kernel) is None
+
+    def test_refuses_ess_ablation_knob(self):
+        from repro.core.ess_consensus import ESSConsensus
+
+        kernel = RuntimeKernel(
+            [ESSConsensus(pid, silent_non_leaders=True) for pid in range(3)],
+            MovingSourceEnvironment(),
+            trace_mode="aggregate",
+            engine="columnar",
         )
+        assert self._build(kernel) is None
 
     def test_unknown_engine_rejected(self):
         from repro.errors import SimulationError
