@@ -245,17 +245,20 @@ def test_bench_ess_uniform_columnar_n256(benchmark):
     assert len(trace.decided_pids()) == 256
 
 
-def _heartbeat_lockstep(n: int, engine: str, rounds: int):
+def _heartbeat_lockstep(n: int, engine: str, rounds: int, source=None):
     """S1's regime at bench scale: heartbeat pseudo-leaders, 8 brands,
-    MS obligations, no extra links, aggregate traces — the dense
-    anonymity workload the columnar engine collapses to matrix ops.
-    The intern table is cleared first so every iteration pays the same
-    (empty-cache) interning bill."""
+    MS obligations (round-robin unless ``source`` says otherwise), no
+    extra links, aggregate traces — the dense anonymity workload the
+    columnar engine collapses to matrix ops.  The intern table is
+    cleared first so every iteration pays the same (empty-cache)
+    interning bill."""
     clear_intern_cache()
     scheduler = LockStepScheduler(
         [HeartbeatPseudoLeader(pid % 8) for pid in range(n)],
         MovingSourceEnvironment(
-            RoundRobinSource(), SilentLinks(), ConstantDelay(NEVER_DELIVERED)
+            source or RoundRobinSource(),
+            SilentLinks(),
+            ConstantDelay(NEVER_DELIVERED),
         ),
         max_rounds=rounds,
         trace_mode="aggregate",
@@ -295,6 +298,21 @@ def test_bench_aggregate_round_columnar_n10k(benchmark):
         _heartbeat_lockstep, args=(10_000, "columnar", 2), rounds=3, iterations=1
     )
     assert trace.agg_sends > 0
+
+
+def test_bench_heartbeat_columnar_n10k_r40(benchmark):
+    """The end-to-end ``heartbeat_matrix`` shape on the lock-step matrix
+    engine: n=10,000, 8 brands, a random moving source, silent links,
+    never-delivered lates, 40 rounds.  Most counter columns die after
+    about 10 rounds, which the 2-round benches above never reach; this
+    is the bench the live-column layout is measured on."""
+    trace = benchmark.pedantic(
+        _heartbeat_lockstep,
+        args=(10_000, "columnar", 40, RandomSource(1)),
+        rounds=3,
+        iterations=1,
+    )
+    assert trace.agg_deliveries == 40 * 9_999
 
 
 def _heartbeat_drifting(n: int, engine: str, rounds: int):

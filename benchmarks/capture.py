@@ -69,6 +69,16 @@ STREAM_V1_RECORDED_US = {
     "test_bench_ess_uniform_n256": 8396360.87,
 }
 
+#: Recorded at commit 36e6bc3, the last one whose lock-step numpy path
+#: stored a dense n × width counter matrix over every history the
+#: index held, on the reference machine (2 vCPU Intel Xeon, Python
+#: 3.11.7; median of three bench means): the end-to-end heartbeat
+#: shape over 40 rounds, where most columns are dead.  A same-machine
+#: anchor like the ones above, enforced only under --strict.
+DENSE_LAYOUT_RECORDED_US = {
+    "test_bench_heartbeat_columnar_n10k_r40": 1759354.0,
+}
+
 
 def run_micro() -> dict[str, float]:
     """Run bench_micro.py under pytest-benchmark; return mean µs by test."""
@@ -136,6 +146,7 @@ def main(argv=None) -> int:
         "seed_baseline_us": SEED_BASELINE_US,
         "pr4_recorded_us": PR4_RECORDED_US,
         "stream_v1_recorded_us": STREAM_V1_RECORDED_US,
+        "dense_layout_recorded_us": DENSE_LAYOUT_RECORDED_US,
     }
     if not args.skip_experiments:
         snapshot["experiments_s"] = run_experiments()
@@ -303,6 +314,14 @@ def main(argv=None) -> int:
     if ess and ess_columnar:
         speedups["ess_uniform_columnar_vs_object_n256"] = round(
             ess / ess_columnar, 2
+        )
+    # Live-column counter matrices: the 40-round heartbeat bench
+    # against its recording on the dense layout.
+    heartbeat = micro.get("test_bench_heartbeat_columnar_n10k_r40")
+    recorded = DENSE_LAYOUT_RECORDED_US.get("test_bench_heartbeat_columnar_n10k_r40")
+    if heartbeat and recorded:
+        speedups["heartbeat_n10k_r40_vs_dense_recorded"] = round(
+            recorded / heartbeat, 2
         )
     if speedups:
         snapshot["speedups"] = speedups

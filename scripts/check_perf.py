@@ -147,6 +147,13 @@ STRICT_FLOORS = [
         "ESS consensus under random delays regressed toward the "
         "per-link re-seeding cost of stream v1",
     ),
+    (
+        "heartbeat_n10k_r40_vs_dense_recorded",
+        1.6,
+        "the 40-round heartbeat at n=10,000 regressed toward the dense "
+        "counter layout (the lock-step fold presumably stopped dropping "
+        "dead columns)",
+    ),
 ]
 
 

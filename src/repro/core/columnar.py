@@ -37,11 +37,15 @@ Layers, bottom up:
 * :class:`HistoryIndex` — the run's history → column table, mirroring
   the interned history tree (``parents``, ``ancestor_cols``, O(1)
   ``child_col`` appends);
-* :class:`CounterColumns` — the ``n × width`` counter matrix the
-  matrix engines (:mod:`repro.runtime.columnar_engine`) compute on;
+* :class:`CounterColumns` — a dense ``n × width`` counter matrix over
+  every index column, the store of the drifting engine and of the
+  lock-step engine's stdlib backend (the lock-step numpy path stores
+  only the columns that can still count, see
+  :mod:`repro.runtime.columnar_engine`);
 * :class:`CounterRowView` — the read-only elector those engines leave
-  behind on every algorithm when a run finishes: one matrix row plus
-  the final history, with the counter map built on first read.
+  behind on every algorithm when a run finishes: one counter row (plus
+  the columns its slots hold, for a live-column row) and the final
+  history, with the counter map built on first read.
 
 There is no per-process columnar elector: a run the matrix engines
 decline runs the object engine with the dict elector
@@ -233,9 +237,18 @@ def _prefix_best(row, col: int, parents: Sequence[int]) -> int:
     return int(best)
 
 
-def _map_from_row(row, index: HistoryIndex) -> Dict[History, int]:
-    """Sparse dict of a dense row's positive entries (canonical node keys)."""
+def _map_from_row(row, index: HistoryIndex, cols=None) -> Dict[History, int]:
+    """Sparse dict of a row's positive entries (canonical node keys), in
+    ascending column order.  ``cols`` names the column of each slot of
+    a live-column (numpy) row; ``None`` means the row is dense."""
     histories = index.histories
+    if cols is not None:
+        held = _np.flatnonzero(row > 0)
+        held = held[cols[held].argsort()]
+        return {
+            histories[col]: value
+            for col, value in zip(cols[held].tolist(), row[held].tolist())
+        }
     if _np is not None and isinstance(row, _np.ndarray):
         values = row.tolist()
     else:
@@ -254,14 +267,17 @@ def _map_from_row(row, index: HistoryIndex) -> Dict[History, int]:
 class CounterColumns:
     """Dense ``n × width`` counter matrix over a shared index.
 
-    The whole-round engine's store: row ``i`` is process ``i``'s
-    counter map, columns are :class:`HistoryIndex` ids.  The numpy
+    Row ``i`` is process ``i``'s counter map, columns are
+    :class:`HistoryIndex` ids — every column the index holds, whether
+    or not any row can still count it.  It is the drifting engine's
+    store and the lock-step engine's on the stdlib backend; the
+    lock-step numpy path stores only live columns instead.  The numpy
     backend keeps one 2-D int64 array (capacity-doubled as the index
     grows, so per-round widening is amortized O(1) per cell); the
     pure-Python backend keeps one ``array('q')`` per row, padded to
     the current width.
 
-    The engine computes directly on the backing storage (``data`` /
+    The engines compute directly on the backing storage (``data`` /
     ``rows``) — this class owns allocation and sparse import/export,
     not the arithmetic.
     """
@@ -333,31 +349,35 @@ class CounterColumns:
 
 
 class CounterRowView:
-    """Read-only elector over one finished counter-matrix row.
+    """Read-only elector over one finished counter row.
 
     What the matrix engines' ``finalize`` installs as each algorithm's
     ``elector``: the final history plus the process's row, answering
     the read side of
     :class:`~repro.core.pseudo_leader.PseudoLeaderElector`
     (``history``, ``counters``, ``is_leader``, ``my_counter``,
-    ``max_counter``, ``state_size``).  The counter map is built from
-    the row on first access, so installing ``n`` views costs O(n), not
+    ``max_counter``, ``state_size``).  A dense row is indexed by
+    column; a live-column row comes with ``cols``, the column each of
+    its slots holds.  Either way ``counters`` lists histories in
+    ascending column order.  The counter map is built from the row on
+    first access, so installing ``n`` views costs O(n), not
     O(n × width).
     """
 
-    __slots__ = ("history", "_index", "_row", "_map")
+    __slots__ = ("history", "_index", "_row", "_cols", "_map")
 
-    def __init__(self, history: History, index: HistoryIndex, row) -> None:
+    def __init__(self, history: History, index: HistoryIndex, row, cols=None) -> None:
         self.history = history
         self._index = index
         self._row = row
+        self._cols = cols
         self._map: Optional[Dict[History, int]] = None
 
     @property
     def counters(self) -> Mapping[History, int]:
         """The final counter map ``C`` (materialized once, read-only)."""
         if self._map is None:
-            self._map = _map_from_row(self._row, self._index)
+            self._map = _map_from_row(self._row, self._index, self._cols)
         return MappingProxyType(self._map)
 
     def my_counter(self) -> int:

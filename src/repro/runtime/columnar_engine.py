@@ -7,8 +7,8 @@ merge, an envelope, and a handful of frozensets — per process, per
 tick.  That per-process constant is the measured n ceiling.
 
 :class:`ColumnarLockStepEngine` replaces the *entire tick* with matrix
-operations over :class:`~repro.core.columnar.CounterColumns` for two
-protocols, both with ``compute(k, M)`` reading only the slot ``M[k]``:
+operations over counter matrices for two protocols, both with
+``compute(k, M)`` reading only the slot ``M[k]``:
 
 * stock :class:`~repro.core.pseudo_leader.HeartbeatPseudoLeader` — the
   protocol whose round *is* exactly the counter update (Algorithm 3
@@ -42,9 +42,15 @@ form, and every step below is pinned trace-for-trace to the object
 scheduler (``tests/runtime/test_columnar_engine.py`` and
 ``tests/runtime/test_columnar_ess.py``):
 
-* every active process fires every tick, so round-``t`` state lives in
-  one ``n × width`` matrix ``C`` (row ``i`` = the counters process
-  ``i`` sent at tick ``t``) plus one history column per process;
+* every active process fires every tick, so round-``t`` state is one
+  counter matrix ``C`` (process ``i``'s entries = the counters it sent
+  at tick ``t``) plus one history column per process.  On the numpy
+  backend ``C`` stores only live columns, the histories an active
+  process can still count, slot-major with one column per process
+  (``_fold`` drops the rest each tick); the stdlib backend keeps a
+  dense ``n × width``
+  :class:`~repro.core.columnar.CounterColumns` over every column of
+  the index;
 * a lock-step envelope carries only its sender's own message (nothing
   of round ``t`` reaches anyone before everyone has fired), so the
   tick-``t+1`` compute of process ``i`` folds exactly its own row, the
@@ -120,14 +126,18 @@ __all__ = [
 
 #: Process-wide warm :class:`HistoryIndex` shared by consecutive engine
 #: runs.  The index is content-addressed and append-only, so reuse is a
-#: pure cache: a fresh run's counter matrices start at zero everywhere,
-#: and a column interned by an earlier run simply reads zero until this
-#: run bumps it.  The list holds zero or one index.
+#: pure cache: a column interned by an earlier run reads zero until
+#: this run bumps it.  The lock-step numpy path stores only the columns
+#: its own run keeps alive, so earlier runs' histories do not widen its
+#: matrices; the dense stores (the drifting engine, the stdlib
+#: lock-step path) span the whole index.  The list holds zero or one
+#: index.
 _WARM_INDEX: list = []
 
 #: Rebuild instead of reusing once the warm index outgrows this width —
-#: a run full of one-off histories must not tax every later short run
-#: with a proportionally wide matrix.
+#: a run full of one-off histories must not tax every later drifting
+#: run with a proportionally wide matrix, nor grow the index (and the
+#: live-column path's column -> slot table) without bound.
 _WARM_WIDTH_CAP = 1 << 16
 
 
@@ -172,24 +182,30 @@ def _constant_delay(environment) -> Optional[int]:
     return None
 
 
-def _install_final_views(kernel, index, C, hist_col, final_rounds) -> None:
+def _dense_rows(C: CounterColumns):
+    """``pid -> (row, None)`` over a dense :class:`CounterColumns`."""
+    store = C.data if C.backend == "numpy" else C.rows
+    return lambda pid: (store[pid], None)
+
+
+def _install_final_views(kernel, index, rows, hist_col, final_rounds) -> None:
     """Point every algorithm's elector at a lazy view of its final row.
 
     Shared by both matrix engines' ``finalize``: each elector becomes a
     read-only :class:`~repro.core.columnar.CounterRowView` over the
-    process's matrix row plus its final history (an interned node),
-    whose ``counters`` builds its dict on first access — teardown is
-    O(n) instead of O(n × width).  A process that never fired keeps
-    its initial history.
+    process's final counter row — ``rows(pid)`` gives it with the
+    columns of its slots (``None`` for a dense row) — plus its final
+    history (an interned node), whose ``counters`` builds its dict on
+    first access — teardown is O(n) instead of O(n × width).  A process
+    that never fired keeps its initial history.
     """
     histories = index.histories
-    numpy = C.backend == "numpy"
     for pid, proc in enumerate(kernel.processes):
         algorithm = proc.algorithm
         col = int(hist_col[pid])
         history = histories[col] if col >= 0 else algorithm.elector.history
-        row = C.data[pid] if numpy else C.rows[pid]
-        algorithm.elector = CounterRowView(history, index, row)
+        row, cols = rows(pid)
+        algorithm.elector = CounterRowView(history, index, row, cols)
         proc.round = final_rounds[pid]
 
 
@@ -344,8 +360,23 @@ class ColumnarLockStepEngine:
         else:
             self._np = None
         self._index = warm_history_index()
-        self._C = CounterColumns(n, self._index, backend)
-        self._N = CounterColumns(n, self._index, backend)
+        if self._numpy:
+            # Live-column layout (see _fold): two slot-major buffers,
+            # one column per process, one slot per stored history.
+            np = self._np
+            self._C = np.zeros((8, n), dtype=np.int64)
+            self._N = np.zeros((8, n), dtype=np.int64)
+            #: slot -> history column (slot 0, always zero: -1); every
+            #: fold makes a new array, so a kept reference stays valid
+            self._cols = np.full(1, -1, dtype=np.int64)
+            #: history column -> slot (0: not stored, reads zero); sized
+            #: to the index by _fold
+            self._slot_of = np.zeros(0, dtype=np.intp)
+            #: deactivated pid -> its final (row, cols)
+            self._frozen: Dict[int, tuple] = {}
+        else:
+            self._C = CounterColumns(n, self._index, backend)
+            self._N = CounterColumns(n, self._index, backend)
 
         # --- activity -------------------------------------------------
         self._active: List[bool] = [True] * n
@@ -436,7 +467,6 @@ class ColumnarLockStepEngine:
         self._round_own = None
         self._round_max = None
         self._round_leader = None
-        self._round_width = 0
         # payload-size per column, grown with the index
         self._col_atoms: List[int] = []
 
@@ -506,6 +536,8 @@ class ColumnarLockStepEngine:
         self._active[pid] = False
         if self._numpy:
             self._active_np[pid] = False
+            # later folds stop carrying the row: keep it as it ends
+            self._frozen[pid] = (self._C[: len(self._cols), pid].copy(), self._cols)
         self._active_count -= 1
         self._active_sorted = None
 
@@ -558,32 +590,59 @@ class ColumnarLockStepEngine:
             self._emit_payload_stats(tick, fired)
         return fired
 
-    def _fold_counters(self):
-        """Line 8 on rows: each active row becomes the minimum of its own
-        sent row and the rows of the messages it received; inactive rows
-        carry over, so they stay frozen across the double-buffer swap.
-        Returns the new matrix and its width."""
+    def _fold(self, bumped):
+        """Line 8 into the spare buffer, over the live columns only.
+
+        The numpy path stores counters slot-major — ``C[s, i]`` is
+        process ``i``'s counter for history column ``self._cols[s]`` —
+        and only for the columns that can still count.  After line 8
+        every active process's counters are at most the obligatory
+        senders' shared minimum, so a column that minimum lacks is zero
+        for every active process, and since histories only grow no
+        later bump writes it.  The fold therefore keeps the columns
+        positive in that minimum (every stored one when the round has
+        no obligatory sender) plus ``bumped``, the columns line 9 bumps
+        this tick: histories appended last tick, not stored yet and
+        zero before the bump.  Slot 0 is a permanent zero, read by bump
+        ancestors that are no longer stored.  Inactive processes are
+        folded too but never read again (:meth:`_deactivate` kept their
+        rows).  Returns the new buffer and its width in slots.
+        """
         np = self._np
-        width = self._index.width
         C, N = self._C, self._N
-        C.ensure_width(width)
-        N.ensure_width(width)
-        Cd, Nd = C.data, N.data
-        act = self._active_idx
-        active_np = self._active_np
+        cols, slot_of = self._cols, self._slot_of
         oblig, extras = self._pending
-        Nd[:, :width] = Cd[:, :width]
         if oblig:
+            stored = len(cols)
             if len(oblig) == 1:
-                shared = Cd[oblig[0], :width]
+                shared = C[:stored, oblig[0]]
             else:
-                shared = Cd[np.array(oblig), :width].min(axis=0)
-            Nd[act, :width] = np.minimum(Cd[act, :width], shared)
+                shared = C[:stored, oblig].min(axis=1)
+            keep = np.flatnonzero(shared)
+        else:
+            keep = np.arange(1, len(cols))
+        fresh = np.unique(np.asarray(bumped, dtype=np.int64))
+        new_cols = np.concatenate(([-1], cols[keep], fresh))
+        live, width = 1 + len(keep), len(new_cols)
+        if len(slot_of) < self._index.width:
+            slot_of = self._slot_of = np.zeros(2 * self._index.width, dtype=np.intp)
+        else:
+            slot_of[cols[1:]] = 0
+        slot_of[new_cols[1:]] = np.arange(1, width)
+        if len(N) < width:
+            N = self._N = np.zeros((2 * width, self._n), dtype=np.int64)
+        if oblig:
+            np.minimum(C[keep], shared[keep][:, None], out=N[1:live])
+        else:
+            N[1:live] = C[1:live]
+        N[live:width] = 0
+        active_np = self._active_np
         for sender, mask in extras:
             hit = mask & active_np
             if hit.any():
-                Nd[hit, :width] = np.minimum(Nd[hit, :width], Cd[sender, :width])
-        return Nd, width
+                N[1:live, hit] = np.minimum(N[1:live, hit], C[keep, sender][:, None])
+        self._cols = new_cols
+        return N, width
 
     def _compute_numpy(self, tick: int) -> None:
         np = self._np
@@ -592,7 +651,6 @@ class ColumnarLockStepEngine:
         active_np = self._active_np
         hist_col = self._hist_col
         oblig, extras = self._pending
-        Nd, width = self._fold_counters()
 
         # Bumps: one prefix-max per distinct received-history column,
         # all maxima read before any write lands (the paper's
@@ -618,20 +676,21 @@ class ColumnarLockStepEngine:
             mask = mask_for(int(hist_col[sender]))
             np.logical_or(mask, emask & active_np, out=mask)
 
+        N, width = self._fold(list(masks))
+        slot_of = self._slot_of
         writes = []
         for col, mask in masks.items():
             rows = np.flatnonzero(mask)
-            ancestors = index.ancestor_cols(col)
-            values = Nd[np.ix_(rows, ancestors)].max(axis=1) + 1
-            writes.append((rows, col, values))
-        for rows, col, values in writes:
-            Nd[rows, col] = values
+            slots = np.unique(slot_of[index.ancestor_cols(col)])
+            values = N[slots[:, None], rows].max(axis=0) + 1
+            writes.append((slot_of[col], rows, values))
+        for slot, rows, values in writes:
+            N[slot, rows] = values
 
         # Leadership + the pre-append my/max capture, vectorized.
-        sub = Nd[act, :width]
-        own_cols = hist_col[act]
-        own = sub[np.arange(len(act)), own_cols]
-        row_max = sub.max(axis=1)
+        counters = N[:width]
+        own = counters[slot_of[hist_col[act]], act]
+        row_max = counters.max(axis=0)[act]
         leader_now = own >= row_max
         prev = self._leader[act]
         since = self._since[act]
@@ -642,11 +701,10 @@ class ColumnarLockStepEngine:
         self._my[act] = own
         self._mx[act] = row_max
         self._computed[act] = True
-        self._round_rows = sub
+        self._round_rows = counters
         self._round_own = own
         self._round_max = row_max
         self._round_leader = leader_now
-        self._round_width = width
         self._C, self._N = self._N, self._C
 
     def _compute_python(self, tick: int, fired: List[int]) -> None:
@@ -713,7 +771,6 @@ class ColumnarLockStepEngine:
             self._my[pid] = own
             self._mx[pid] = row_max
             self._computed[pid] = True
-        self._round_width = width
         self._C, self._N = self._N, self._C
 
     def _append_heartbeat(self, tick: int, fired: List[int]) -> None:
@@ -777,7 +834,7 @@ class ColumnarLockStepEngine:
         trace = self._trace
         computing = tick - 1
         if self._numpy:
-            counts = (self._round_rows > 0).sum(axis=1)
+            counts = (self._round_rows > 0).sum(axis=0)[self._active_idx]
             own, row_max = self._round_own, self._round_max
             leader = self._round_leader
             for position, pid in enumerate(fired):
@@ -834,12 +891,12 @@ class ColumnarLockStepEngine:
         if self._numpy:
             np = self._np
             atoms_arr = np.array(atoms, dtype=np.int64)
-            hist_atoms = atoms_arr[self._hist_col[self._active_idx]]
+            act = self._active_idx
+            hist_atoms = atoms_arr[self._hist_col[act]]
             if tick >= 2:
-                width = self._round_width
-                counter_atoms = 1 + (self._round_rows > 0) @ (
-                    atoms_arr[:width] + 1
-                )
+                # slot 0 (column -1) holds zero, so it never counts
+                slot_atoms = atoms_arr[self._cols] + 1
+                counter_atoms = 1 + (slot_atoms @ (self._round_rows > 0))[act]
             else:
                 counter_atoms = np.ones(len(fired), dtype=np.int64)
             send_atoms = 2 + hist_atoms + counter_atoms
@@ -918,20 +975,23 @@ class ColumnarLockStepEngine:
 
         # lines 8–9: every received history is bumped to one over its
         # prefix maximum, all maxima read before any write lands
-        Nd, width = self._fold_counters()
         hist = self._hist_col
+        senders = oblig + [sender for sender, _ in extras]
+        N, width = self._fold(np.concatenate((hist[act], hist[senders])))
+        slot_of = self._slot_of
         anc = self._anc[:, :k]
-        writes = [(act, hist[act], Nd[act[:, None], anc[act]].max(axis=1))]
+        own_slots = slot_of[hist[act]]
+        writes = [(own_slots, act, N[slot_of[anc[act]], act[:, None]].max(axis=1))]
         for sender in oblig:
-            best = Nd[act[:, None], anc[sender]].max(axis=1)
-            writes.append((act, hist[sender], best))
+            best = N[slot_of[anc[sender]][:, None], act].max(axis=0)
+            writes.append((slot_of[hist[sender]], act, best))
         for sender, mask in extras:
             rows = np.flatnonzero(mask & active_np)
             if rows.size:
-                best = Nd[rows[:, None], anc[sender]].max(axis=1)
-                writes.append((rows, hist[sender], best))
-        for rows, cols, best in writes:
-            Nd[rows, cols] = best + 1
+                best = N[slot_of[anc[sender]][:, None], rows].max(axis=0)
+                writes.append((slot_of[hist[sender]], rows, best))
+        for slots, rows, best in writes:
+            N[slots, rows] = best + 1
         self._C, self._N = self._N, self._C
 
         decide = None
@@ -952,8 +1012,8 @@ class ColumnarLockStepEngine:
                 highest = bottom - 1 - held[:, ::-1].argmax(axis=1)
                 val = np.where(adopt, highest, val)
                 self._val[act] = val
-            own = Nd[act, hist[act]]                            # line 15
-            leader = own >= Nd[act, :width].max(axis=1)
+            own = N[own_slots, act]                             # line 15
+            leader = own >= N[:width].max(axis=0)[act]
             settled = size - union[positions, val] - union[:, bottom] == 0
             proposed = np.zeros_like(union)                     # lines 16/18
             proposed[positions, np.where(leader | settled, val, bottom)] = True
@@ -1144,6 +1204,11 @@ class ColumnarLockStepEngine:
         self._pending = (oblig_senders, extras_store)
 
     # ------------------------------------------------------------------
+    def _final_row(self, pid: int):
+        """A process's final ``(row, cols)`` on the numpy path: kept when
+        it stopped, else its column of the last computed buffer."""
+        return self._frozen.get(pid) or (self._C[: len(self._cols), pid], self._cols)
+
     def finalize(self) -> None:
         """Write matrix state back into the algorithm objects.
 
@@ -1161,8 +1226,9 @@ class ColumnarLockStepEngine:
             return
         self._finalized = True
         kernel = self._kernel
+        rows = self._final_row if self._numpy else _dense_rows(self._C)
         _install_final_views(
-            kernel, self._index, self._C, self._hist_col, self._last_fired
+            kernel, self._index, rows, self._hist_col, self._last_fired
         )
         if not self._ess:
             _install_heartbeat_flags(
@@ -1842,7 +1908,7 @@ class ColumnarDriftingEngine:
         self._finalized = True
         kernel = self._kernel
         _install_final_views(
-            kernel, self._index, self._C, self._hist_col, self._rounds
+            kernel, self._index, _dense_rows(self._C), self._hist_col, self._rounds
         )
         _install_heartbeat_flags(
             kernel, self._leader, self._since, self._my, self._mx, self._computed

@@ -9,11 +9,16 @@ flags, process rounds — must match field by field.  These tests sweep
 schedulers × environments × link policies × crashes × trace options,
 covering both the whole-round matrix path (lock-step aggregate
 heartbeat runs) and the object-engine fallback (full traces, drifting
-scheduler, injected round hooks, consensus on top).  Algorithm 3 on
-the matrix path has its own pins in ``test_columnar_ess.py``.
+scheduler, injected round hooks, consensus on top).  Beyond the
+hand-picked grid, generated lock-step heartbeat configurations pin the
+matrix path cold and after an unrelated columnar run has filled the
+shared history index.  Algorithm 3 on the matrix path has its own pins
+in ``test_columnar_ess.py``.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.columnar import numpy_available
 from repro.core.history import clear_intern_cache
@@ -36,7 +41,10 @@ from repro.giraf.environments import (
     SilentLinks,
 )
 from repro.giraf.scheduler import DriftingScheduler, LockStepScheduler
-from repro.runtime.columnar_engine import ColumnarLockStepEngine
+from repro.runtime.columnar_engine import (
+    ColumnarLockStepEngine,
+    warm_history_index,
+)
 from repro.runtime.kernel import RuntimeKernel
 from repro.sim.runner import run_ess_consensus
 
@@ -178,6 +186,102 @@ class TestWholeRoundEngineOptions:
     def test_backends_agree(self, backend, monkeypatch):
         monkeypatch.setenv("REPRO_COLUMNAR_BACKEND", backend)
         _assert_equivalent(env="ess-stable", crashes=CRASHES)
+
+
+@st.composite
+def heartbeat_configs(draw, sizes=tuple(range(1, 20)) + (64, 200)):
+    """A generated lock-step heartbeat configuration, as a plain tuple
+    so object and columnar runs each build fresh, identical inputs."""
+    n = draw(st.sampled_from(sizes))
+    brands = draw(st.integers(1, 6))
+    seed = draw(st.integers(0, 10_000))
+    env = draw(st.sampled_from(["MS", "ES", "ESS"]))
+    link = draw(st.sampled_from(["silent", "alltimely", "bernoulli"]))
+    p = draw(st.floats(0.0, 1.0))
+    delay = draw(st.sampled_from(["uniform", "constant", "never"]))
+    stable = draw(st.integers(1, 6))
+    fraction = draw(st.sampled_from([0.0, 0.1, 0.3, 0.6]))
+    # most counter columns die within ~10 rounds, so horizons lean
+    # long; the object engine's cost grows with n, so large n stay short
+    longest = {64: 24, 200: 8}.get(n, 60)
+    horizon = draw(st.integers(1, longest) | st.integers(min(12, longest), longest))
+    snapshots = draw(st.booleans())
+    payload = draw(st.booleans())
+    return (
+        n, brands, seed, env, link, p, delay, stable, fraction, horizon,
+        snapshots, payload,
+    )
+
+
+def _generated(config, engine):
+    (n, brands, seed, env, link, p, delay, stable, fraction, horizon,
+     snapshots, payload) = config
+    links = {
+        "silent": SilentLinks,
+        "alltimely": AllTimelyLinks,
+        "bernoulli": lambda: BernoulliLinks(p, seed=seed),
+    }[link]()
+    delays = {
+        "uniform": lambda: UniformDelay(2, 5, seed=seed),
+        "constant": lambda: ConstantDelay(2 + seed % 3),
+        "never": lambda: ConstantDelay(NEVER_DELIVERED),
+    }[delay]()
+    source = RandomSource(seed)
+    if env == "MS":
+        environment = MovingSourceEnvironment(source, links, delays)
+    elif env == "ES":
+        environment = EventualSynchronyEnvironment(stable, source, links, delays)
+    else:
+        environment = EventuallyStableSourceEnvironment(
+            stable, 0, source, links, delays
+        )
+    crashes = None
+    if fraction and n > 1:
+        crashes = CrashSchedule.fraction(
+            n, fraction, seed=seed, earliest_round=1, latest_round=20, protect={0}
+        )
+    driver = LockStepScheduler(
+        [HeartbeatPseudoLeader(pid % brands) for pid in range(n)],
+        environment,
+        crash_schedule=crashes,
+        max_rounds=horizon,
+        record_snapshots=snapshots,
+        payload_stats=payload,
+        trace_mode="aggregate",
+        engine=engine,
+    )
+    return driver, driver.run()
+
+
+def _assert_ascending_columns(driver):
+    """Counter views list their histories in ascending column order of
+    the engines' shared history index."""
+    index = warm_history_index()
+    for proc in driver.processes:
+        cols = [index.intern(history) for history in proc.algorithm.elector.counters]
+        assert cols == sorted(cols)
+
+
+class TestGeneratedConfigurations:
+    """Generated lock-step heartbeat runs take the matrix path and match
+    the object engine, from a cold history index and from one an
+    unrelated columnar run has filled (no cache clear in between)."""
+
+    @given(config=heartbeat_configs(), warmup=heartbeat_configs(sizes=range(1, 20)))
+    @settings(max_examples=60)
+    def test_trace_and_views_match_object_engine(self, config, warmup):
+        clear_intern_cache()
+        reference, reference_trace = _generated(config, "object")
+        reference_views = _final_views(reference)
+        for leg in ("cold", "warm"):
+            clear_intern_cache()
+            if leg == "warm":
+                _generated(warmup, "columnar")
+            columnar, columnar_trace = _generated(config, "columnar")
+            assert columnar.engine_path == "matrix-lockstep"
+            assert columnar_trace == reference_trace
+            assert _final_views(columnar) == reference_views
+            _assert_ascending_columns(columnar)
 
 
 class TestFallbackPins:

@@ -8,8 +8,9 @@ generated configurations — MS/ES/ESS environments × the three pure
 link policies × uniform, constant, never-delivered and 1-tick delays ×
 crash fractions × stop predicate × horizons — the whole
 :class:`~repro.giraf.traces.RunTrace` and every final algorithm view
-must equal the object engine's.  Configurations outside the regime run
-the object engine and say why (``engine_decline``).
+must equal the object engine's, from a cold history index and from one
+an unrelated columnar run has filled.  Configurations outside the
+regime run the object engine and say why (``engine_decline``).
 
 Under ``REPRO_NO_NUMPY=1`` every draw declines with the numpy reason
 and still matches the object engine.
@@ -155,19 +156,29 @@ def _final_views(scheduler):
     ]
 
 
-def _run(config, engine, **overrides):
+def _run(config, engine, *, after=None, **overrides):
+    """One run from a cleared intern table — or, with ``after``, right
+    after a columnar run of that configuration, whose histories stay in
+    the engines' shared index."""
     clear_intern_cache()
+    if after is not None:
+        _build(after, "columnar").run()
     scheduler = _build(config, engine, **overrides)
     trace = scheduler.run()
     return scheduler, trace
 
 
-def _assert_pinned(config, **overrides):
+def _assert_pinned(config, *, after=None, **overrides):
     reference, reference_trace = _run(config, "object", **overrides)
-    columnar, columnar_trace = _run(config, "columnar", **overrides)
+    columnar, columnar_trace = _run(config, "columnar", after=after, **overrides)
     assert columnar_trace == reference_trace
     assert _final_views(columnar) == _final_views(reference)
     return columnar, columnar_trace
+
+
+def _stored_columns(scheduler) -> int:
+    """Counter columns the run's lock-step matrix buffers hold room for."""
+    return scheduler._columnar_engine._C.shape[0]
 
 
 #: the benchmark's headline shape: ESS from round 3, uniform delays,
@@ -176,20 +187,24 @@ HEADLINE = (64, 5, "distinct", "ESS", "silent", 0.0, "uniform", 3, 0.25, True, 2
 
 
 class TestGeneratedConfigurations:
-    @given(config=ess_configs())
+    @given(config=ess_configs(), warmup=ess_configs())
     @settings(
         max_examples=120,
         deadline=None,
         suppress_health_check=[HealthCheck.too_slow],
     )
-    def test_trace_and_views_match_object_engine(self, config):
-        columnar, _ = _assert_pinned(config)
-        if numpy_available():
-            assert columnar.engine_path == "matrix-lockstep"
-            assert columnar.engine_decline is None
-        else:
-            assert columnar.engine_path == "object"
-            assert columnar.engine_decline == NUMPY_REASON
+    def test_trace_and_views_match_object_engine(self, config, warmup):
+        reference, reference_trace = _run(config, "object")
+        for after in (None, warmup):
+            columnar, columnar_trace = _run(config, "columnar", after=after)
+            assert columnar_trace == reference_trace
+            assert _final_views(columnar) == _final_views(reference)
+            if numpy_available():
+                assert columnar.engine_path == "matrix-lockstep"
+                assert columnar.engine_decline is None
+            else:
+                assert columnar.engine_path == "object"
+                assert columnar.engine_decline == NUMPY_REASON
 
     def test_headline_configuration(self):
         columnar, trace = _assert_pinned(HEADLINE)
@@ -249,6 +264,17 @@ class TestDeciderSemantics:
             assert len(algorithm.elector.history) == decision.round_no
             assert algorithm.written_old == frozenset({decision.value})
             assert proc.halted
+
+    def test_warm_index_does_not_widen_the_matrices(self):
+        """Runs inside one intern-cache window share the warm history
+        index, so a run after an unrelated one sees every earlier
+        history; it must still store only its own live columns, and
+        still match the object engine."""
+        unrelated = (40, 9, "distinct", "MS", "bernoulli", 0.3, "uniform", 1, 0.1, True, 30)
+        cold, _ = _assert_pinned(HEADLINE)
+        warm, _ = _assert_pinned(HEADLINE, after=unrelated)
+        assert warm.engine_path == "matrix-lockstep"
+        assert _stored_columns(warm) <= _stored_columns(cold)
 
     def test_one_tick_lates_feed_the_next_compute(self):
         """With most late links 1 tick late, those messages still reach
