@@ -424,20 +424,15 @@ _CODEC_MESSAGES = (
 )
 
 
-def _frame_codec_round_trips(codec: str, repeats: int = 200):
+def _frame_codec_round_trips(repeats: int = 200):
     for _ in range(repeats):
         for message in _CODEC_MESSAGES:
-            assert decode_message(encode_message(message, codec=codec)) == message
-
-
-def test_bench_frame_codec_json(benchmark):
-    """The JSON (debug/fallback) frame codec: encode + decode."""
-    benchmark(_frame_codec_round_trips, "json")
+            assert decode_message(encode_message(message)) == message
 
 
 def test_bench_frame_codec_binary(benchmark):
-    """The binary frame codec on the identical messages."""
-    benchmark(_frame_codec_round_trips, "binary")
+    """The frame codec: encode + decode of one round trip's frames."""
+    benchmark(_frame_codec_round_trips)
 
 
 def _nested_payload(index: int):
@@ -460,22 +455,17 @@ _NESTED_MESSAGES = (
 )
 
 
-def _nested_codec_round_trips(codec: str, repeats: int = 200):
+def _nested_codec_round_trips(repeats: int = 200):
     for _ in range(repeats):
         for message in _NESTED_MESSAGES:
-            assert decode_message(encode_message(message, codec=codec)) == message
-
-
-def test_bench_frame_codec_nested_json(benchmark):
-    """Nested structured payloads through the JSON codec."""
-    benchmark(_nested_codec_round_trips, "json")
+            assert decode_message(encode_message(message)) == message
 
 
 def test_bench_frame_codec_nested_binary(benchmark):
-    """The same nested payloads through the binary codec's flattened
-    shape-prefixed layout (one shape string + one packed leaf lane
-    instead of one dispatch per node)."""
-    benchmark(_nested_codec_round_trips, "binary")
+    """Nested payloads through the codec's flattened shape-prefixed
+    layout (one shape string + one packed leaf lane instead of one
+    dispatch per node)."""
+    benchmark(_nested_codec_round_trips)
 
 
 def _weakset_add_wave(shards: int):
@@ -646,7 +636,7 @@ def test_bench_shard_rebalance_fresh_twin(benchmark):
     assert cluster.now == 6.0
 
 
-def _steady_multiprocess_cluster(overlap: bool) -> ShardedWeakSetCluster:
+def _steady_multiprocess_cluster() -> ShardedWeakSetCluster:
     """A 4-shard multiprocess cluster at steady state (adds landed)."""
     backend = MultiprocessBackend(
         4,
@@ -655,7 +645,6 @@ def _steady_multiprocess_cluster(overlap: bool) -> ShardedWeakSetCluster:
         crash_schedule=None,
         max_total_rounds=1_000_000,
         trace_mode="aggregate",
-        overlap=overlap,
     )
     cluster = ShardedWeakSetCluster(4, shards=4, backend=backend)
     for pid in range(4):
@@ -669,20 +658,10 @@ def test_bench_shard_harvest_overlapped(benchmark):
 
     Workers are spawned once outside the measurement; what is timed is
     the steady per-round exchange — send-all, then harvest completions
-    as they arrive.  On a single core the two harvests are near parity
-    (workers serialize anyway); multi-core is where overlap hides a
-    slow shard behind its siblings.
+    as they arrive.  Multi-core is where the overlap hides a slow shard
+    behind its siblings.
     """
-    cluster = _steady_multiprocess_cluster(overlap=True)
-    try:
-        benchmark.pedantic(cluster.advance, args=(25,), rounds=5, iterations=1)
-    finally:
-        cluster.close()
-
-
-def test_bench_shard_harvest_lockstep(benchmark):
-    """The same 25 round trips harvested in fixed shard order."""
-    cluster = _steady_multiprocess_cluster(overlap=False)
+    cluster = _steady_multiprocess_cluster()
     try:
         benchmark.pedantic(cluster.advance, args=(25,), rounds=5, iterations=1)
     finally:

@@ -79,6 +79,16 @@ DENSE_LAYOUT_RECORDED_US = {
     "test_bench_heartbeat_columnar_n10k_r40": 1759354.0,
 }
 
+#: Recorded at commit 799af11, the last one carrying the JSON frame
+#: codec, on the reference machine (2 vCPU Intel Xeon, Python 3.11.7):
+#: the JSON twins of the two frame-codec benches, the yardstick the
+#: binary codec's floors were set against.  A same-machine anchor like
+#: the ones above, enforced only under --strict.
+JSON_CODEC_RECORDED_US = {
+    "test_bench_frame_codec_json": 27898.157,
+    "test_bench_frame_codec_nested_json": 259071.148,
+}
+
 
 def run_micro() -> dict[str, float]:
     """Run bench_micro.py under pytest-benchmark; return mean µs by test."""
@@ -147,6 +157,7 @@ def main(argv=None) -> int:
         "pr4_recorded_us": PR4_RECORDED_US,
         "stream_v1_recorded_us": STREAM_V1_RECORDED_US,
         "dense_layout_recorded_us": DENSE_LAYOUT_RECORDED_US,
+        "json_codec_recorded_us": JSON_CODEC_RECORDED_US,
     }
     if not args.skip_experiments:
         snapshot["experiments_s"] = run_experiments()
@@ -194,30 +205,21 @@ def main(argv=None) -> int:
         speedups["churn_multiprocess_vs_serial_cost"] = round(multiproc / serial, 2)
     # Transport split (PR 4): the socket backend's end-to-end cost on
     # the same stream (spawn + TCP handshake included, like the
-    # multiprocess twin), and the steady-state harvest comparison —
-    # overlapped (selector) vs lock-step (fixed order) reply
-    # collection over the same 4 pipe workers.  Ratios ≈ 1 on this
-    # single-core box; the overlap pays off when shards genuinely
-    # compute concurrently.
+    # multiprocess twin).
     sock = micro.get("test_bench_churn_workload_socket")
     if serial and sock:
         speedups["churn_socket_vs_serial_cost"] = round(sock / serial, 2)
-    overlapped = micro.get("test_bench_shard_harvest_overlapped")
-    lockstep = micro.get("test_bench_shard_harvest_lockstep")
-    if overlapped and lockstep:
-        speedups["shard_harvest_lockstep_vs_overlapped"] = round(
-            lockstep / overlapped, 2
-        )
     # Hot-loop overhaul (PR 5): the binary frame codec against the
-    # JSON codec on identical messages, the calendar event queue
-    # against the heap twin on identical churn, the round-batched
-    # socket stream against the per-round twin (all same-run ratios),
-    # and the drifting/socket trajectories against the PR-4 recordings
-    # (same-machine anchors).
-    json_codec = micro.get("test_bench_frame_codec_json")
+    # recorded JSON codec on identical messages (a trajectory ratio
+    # since the JSON codec was deleted), the calendar event queue
+    # against the heap twin on identical churn and the round-batched
+    # socket stream against the per-round twin (same-run ratios).
     binary_codec = micro.get("test_bench_frame_codec_binary")
-    if json_codec and binary_codec:
-        speedups["frame_codec_binary_vs_json"] = round(json_codec / binary_codec, 2)
+    recorded = JSON_CODEC_RECORDED_US.get("test_bench_frame_codec_json")
+    if binary_codec and recorded:
+        speedups["frame_codec_binary_vs_json_recorded"] = round(
+            recorded / binary_codec, 2
+        )
     heap_queue = micro.get("test_bench_event_queue_heap")
     calendar_queue = micro.get("test_bench_event_queue_calendar")
     if heap_queue and calendar_queue:
@@ -234,8 +236,9 @@ def main(argv=None) -> int:
     # is no round-trip bill to hide and the window is ≈ parity.  The
     # mux pair is end-to-end on plain loopback: one worker process
     # hosting both shard worlds halves the spawns and the frame pairs.
-    # The nested-codec pair exercises the flattened 'W' layout on
-    # structured payloads (the plain pair's payloads are flat strings).
+    # The nested-codec ratio exercises the flattened 'W' layout on
+    # structured payloads (the plain pair's payloads are flat strings),
+    # against the recorded JSON codec like the plain pair.
     linked_serial = micro.get("test_bench_shard_rounds_linked_unpipelined")
     linked_windowed = micro.get("test_bench_shard_rounds_linked_pipelined")
     if linked_serial and linked_windowed:
@@ -245,10 +248,12 @@ def main(argv=None) -> int:
     mux = micro.get("test_bench_churn_workload_socket_mux")
     if batched and mux:
         speedups["churn_socket_mux_vs_per_world"] = round(batched / mux, 2)
-    nested_json = micro.get("test_bench_frame_codec_nested_json")
     nested_binary = micro.get("test_bench_frame_codec_nested_binary")
-    if nested_json and nested_binary:
-        speedups["frame_codec_nested"] = round(nested_json / nested_binary, 2)
+    recorded = JSON_CODEC_RECORDED_US.get("test_bench_frame_codec_nested_json")
+    if nested_binary and recorded:
+        speedups["frame_codec_nested_vs_json_recorded"] = round(
+            recorded / nested_binary, 2
+        )
     # Self-healing (PR 6): the multiprocess stream with one worker
     # killed and recovered mid-run against its unfaulted twin.  The
     # ratio is the whole recovery bill — detection, respawn, replay —

@@ -5,14 +5,14 @@ tripwire that keeps it honest.  It reads a snapshot (the committed one
 by default, or a freshly captured file via ``--snapshot``) and checks
 the ``speedups`` section against **tolerant floors** — far below the
 recorded ratios, so machine-to-machine jitter does not cry wolf, but
-high enough that losing a fast path outright (binary codec silently
-falling back to JSON, the aggregate sink regressing to event objects)
+high enough that losing a fast path outright (the columnar engine
+silently declining, the aggregate sink regressing to event objects)
 fails loudly.
 
 Two classes of keys:
 
 * **same-run ratios** (checked always): both sides of the ratio are
-  measured in the same capture on the same machine — codec vs codec,
+  measured in the same capture on the same machine — engine vs engine,
   aggregate vs full trace.  These are stable anywhere, including CI
   runners, so the bench-smoke job captures fresh numbers and runs this
   script over them.
@@ -51,11 +51,6 @@ SAME_RUN_FLOORS = [
         "the aggregate trace sink no longer skips event allocation",
     ),
     (
-        "frame_codec_binary_vs_json",
-        1.4,
-        "the binary frame codec lost its edge over the JSON codec",
-    ),
-    (
         "drifting_aggregate_vs_full_trace",
         1.0,
         "the drifting aggregate sink costs more than full traces",
@@ -71,12 +66,6 @@ SAME_RUN_FLOORS = [
         1.0,
         "multiplexing shard worlds onto one worker stopped paying for "
         "itself against per-world processes",
-    ),
-    (
-        "frame_codec_nested",
-        1.3,
-        "the flattened 'W' layout lost its edge over JSON on nested "
-        "payloads",
     ),
     (
         "aggregate_round_columnar_vs_object_n10k",
@@ -153,6 +142,18 @@ STRICT_FLOORS = [
         "the 40-round heartbeat at n=10,000 regressed toward the dense "
         "counter layout (the lock-step fold presumably stopped dropping "
         "dead columns)",
+    ),
+    (
+        "frame_codec_binary_vs_json_recorded",
+        1.4,
+        "the binary frame codec lost its edge over the recorded JSON "
+        "codec",
+    ),
+    (
+        "frame_codec_nested_vs_json_recorded",
+        1.3,
+        "the flattened 'W' layout lost its edge over the recorded JSON "
+        "codec on nested payloads",
     ),
 ]
 

@@ -100,15 +100,6 @@ def main(argv=None) -> int:
         "for external workers",
     )
     parser.add_argument(
-        "--frames",
-        choices=["binary", "json"],
-        default=None,
-        help="wire codec for the churn family's transport backends "
-        "(default binary: struct-packed hot messages; json is the "
-        "readable debug/fallback codec — tables are identical either "
-        "way)",
-    )
-    parser.add_argument(
         "--round-batch",
         type=int,
         default=None,
@@ -221,7 +212,6 @@ def main(argv=None) -> int:
             args.ids
             or args.listen is not None
             or args.backend is not None
-            or args.frames is not None
             or args.round_batch is not None
             or args.window is not None
             or args.worlds_per_worker is not None
@@ -230,11 +220,11 @@ def main(argv=None) -> int:
             or args.join_at is not None
             or args.leave_at is not None
         ):
-            # parent-side knobs; the worker adopts whatever the parent
-            # negotiated, so accepting them here would mislead
+            # parent-side knobs; the worker serves whatever the parent
+            # assigns, so accepting them here would mislead
             parser.error(
                 "--connect runs a bare worker; drop IDs/--listen/--backend/"
-                "--frames/--round-batch/--window/--worlds-per-worker/"
+                "--round-batch/--window/--worlds-per-worker/"
                 "--recover/--fault-plan/--join-at/--leave-at"
             )
         from repro.weakset.sharding import run_socket_worker
@@ -262,7 +252,6 @@ def main(argv=None) -> int:
             seed=args.seed,
             jobs=args.jobs,
             backend=backend,
-            frames=args.frames,
             round_batch=args.round_batch,
             window=args.window,
             worlds_per_worker=args.worlds_per_worker,

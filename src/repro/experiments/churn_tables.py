@@ -11,7 +11,8 @@ add-stream workload natural, and these experiments characterize it.
   ``pattern × shards``.
 * **C2** — shard-backend equivalence and cost.  The same workload run
   on the serial backend, the multiprocess (pipe) backend, and the
-  socket (loopback TCP) backend; the latency columns are
+  socket (loopback TCP) backend, across round batching, the pipelined
+  window and world multiplexing; the latency columns are
   byte-identical by construction — the table demonstrates it — and
   the wall-clock column shows what the extra processes and the wire
   cost (or buy, on multi-core and multi-machine hosts).
@@ -70,7 +71,6 @@ def run_c1(
     quick: bool = True,
     seed: int = 0,
     backend: str = "serial",
-    frames: str = "binary",
     round_batch: int = 1,
     window: int = 1,
     worlds_per_worker: Optional[int] = None,
@@ -94,8 +94,8 @@ def run_c1(
         notes=[
             "latency = rounds from add() to written (Theorem 3: always "
             "finite); percentiles are nearest-rank over completed adds",
-            f"backend={backend}, frames={frames}, round_batch={round_batch}; "
-            "results are backend- and codec-invariant for a fixed seed "
+            f"backend={backend}, round_batch={round_batch}; "
+            "results are backend-invariant for a fixed seed "
             "(pinned in tests/weakset/test_shard_backends.py)",
         ],
     )
@@ -109,7 +109,6 @@ def run_c1(
                 pattern=pattern,
                 backend=backend,
                 seed=seed,
-                frames=frames,
                 round_batch=round_batch,
                 window=window,
                 worlds_per_worker=worlds_per_worker,
@@ -135,17 +134,18 @@ def run_c2(
     window: Optional[int] = None,
     worlds_per_worker: Optional[int] = None,
 ) -> Table:
-    """C2: backend × codec × batch × window equivalence and cost.
+    """C2: backend × batch × window equivalence and cost.
 
-    The grid covers the full transport surface on one workload: codec
-    (binary/json), round batching, the pipelined in-flight window, and
-    socket world multiplexing.  ``window``/``worlds_per_worker`` append
-    an extra socket row with that setting on top of the stock grid.
-    The ``pairs`` column counts request/reply frame pairs actually
-    exchanged with workers — the structural wire cost that batching
-    and multiplexing shrink (batch=4 cuts it ~4x; worlds-per-worker=2
-    halves the remainder) and that a deeper window slightly grows
-    (speculative in-flight batches past the stream's end).
+    The grid covers the full transport surface on one workload: round
+    batching, the pipelined in-flight window, and socket world
+    multiplexing.  ``window``/``worlds_per_worker`` append an extra
+    socket row with that setting on top of the stock grid.  The
+    ``pairs`` column counts request/reply pairs the driver exchanged
+    with the shard worlds (the serial row's are direct, in-process
+    exchanges) — the structural cost that batching and multiplexing
+    shrink (batch=4 cuts it ~4x; worlds-per-worker=2 halves the
+    remainder) and that a deeper window slightly grows (speculative
+    in-flight batches past the stream's end).
     """
     n = 3 if quick else 6
     shards = 2 if quick else 4
@@ -155,18 +155,18 @@ def run_c2(
     table = Table(
         experiment_id="C2",
         title="Shard backends: serial vs multiprocess vs socket "
-        "(codec, batch, window, mux)",
+        "(batch, window, mux)",
         headers=[
-            "backend", "frames", "batch", "win", "wpw", "completed",
+            "backend", "batch", "win", "wpw", "completed",
             "p50", "p95", "p99", "pairs", "wall-s", "matches-serial",
         ],
         notes=[
             "the latency columns must match row-for-row: the transport "
             "backends replay the exact serial shard worlds (keyed-seeded "
-            "streams are process-independent), whatever the frame codec, "
-            "round batching, in-flight window, or world multiplexing",
-            "pairs = request/reply frame pairs exchanged with shard "
-            "workers (0 for serial: no wire); batching divides it, "
+            "streams are process-independent), whatever the round "
+            "batching, in-flight window, or world multiplexing",
+            "pairs = request/reply pairs exchanged with the shard worlds "
+            "(direct, in-process pairs for serial); batching divides it, "
             "wpw>1 multiplexes worlds onto shared frames, win>1 adds a "
             "few speculative batches past the stream's end",
             "wall-s is this machine's cost of the worker processes and "
@@ -177,20 +177,19 @@ def run_c2(
     )
     reference = None
     cases = [
-        ("serial", "binary", 1, 1, 1),
-        ("multiprocess", "binary", 1, 1, 1),
-        ("socket", "binary", 1, 1, 1),
-        ("socket", "json", 1, 1, 1),
-        ("socket", "binary", 4, 1, 1),
-        ("socket", "binary", 4, 2, 1),
-        ("socket", "binary", 4, 4, 1),
-        ("socket", "binary", 4, 1, 2),
+        ("serial", 1, 1, 1),
+        ("multiprocess", 1, 1, 1),
+        ("socket", 1, 1, 1),
+        ("socket", 4, 1, 1),
+        ("socket", 4, 2, 1),
+        ("socket", 4, 4, 1),
+        ("socket", 4, 1, 2),
     ]
     if window is not None:
-        cases.append(("socket", "binary", 4, window, 1))
+        cases.append(("socket", 4, window, 1))
     if worlds_per_worker is not None:
-        cases.append(("socket", "binary", 4, window or 1, worlds_per_worker))
-    for backend, frames, round_batch, win, wpw in cases:
+        cases.append(("socket", 4, window or 1, worlds_per_worker))
+    for backend, round_batch, win, wpw in cases:
         start = time.perf_counter()
         run = run_churn_workload(
             n=n,
@@ -200,7 +199,6 @@ def run_c2(
             pattern="random",
             backend=backend,
             seed=seed,
-            frames=frames,
             round_batch=round_batch,
             window=win,
             worlds_per_worker=wpw if backend == "socket" else None,
@@ -211,7 +209,6 @@ def run_c2(
             reference = summary
         table.add_row(
             backend,
-            frames,
             round_batch,
             win,
             wpw,
@@ -230,7 +227,6 @@ def run_c3(
     quick: bool = True,
     seed: int = 0,
     backend: str = "serial",
-    frames: str = "binary",
     round_batch: int = 1,
     window: int = 1,
     worlds_per_worker: Optional[int] = None,
@@ -257,8 +253,8 @@ def run_c3(
             "queued adds on crashed processes are skipped, in-flight ones "
             "abandoned — surviving processes' adds keep completing "
             "(Algorithm 4 tolerates n-1 crashes)",
-            f"backend={backend}, frames={frames}, round_batch={round_batch}; "
-            "results are backend- and codec-invariant for a fixed seed "
+            f"backend={backend}, round_batch={round_batch}; "
+            "results are backend-invariant for a fixed seed "
             "(pinned in tests/weakset/test_shard_backends.py)",
         ],
     )
@@ -274,7 +270,6 @@ def run_c3(
                 backend=backend,
                 seed=seed,
                 crash_schedule=crashes,
-                frames=frames,
                 round_batch=round_batch,
                 window=window,
                 worlds_per_worker=worlds_per_worker,
@@ -299,7 +294,6 @@ def run_c4(
     quick: bool = True,
     seed: int = 0,
     backend: Optional[str] = None,
-    frames: str = "binary",
     round_batch: Optional[int] = None,
 ) -> Table:
     """C4: worker crash recovery — cost vs. crash fraction × backend × batch.
@@ -340,7 +334,7 @@ def run_c4(
             "matches-unfaulted compares completed count and every add "
             "latency against an unfaulted run of the same cell — "
             "deterministic replay makes them identical",
-            f"frames={frames}, shards={shards}, n={n}, seed={seed}",
+            f"shards={shards}, n={n}, seed={seed}",
         ],
     )
     for backend_name in backends:
@@ -361,7 +355,6 @@ def run_c4(
                     pattern="random",
                     backend=backend_name,
                     seed=seed,
-                    frames=frames,
                     round_batch=batch,
                     recover=True,
                     fault_plan=plan,
@@ -375,7 +368,6 @@ def run_c4(
                     pattern="random",
                     backend=backend_name,
                     seed=seed,
-                    frames=frames,
                     round_batch=batch,
                 )
                 stats = run.recovery
@@ -399,7 +391,6 @@ def run_c5(
     quick: bool = True,
     seed: int = 0,
     backend: Optional[str] = None,
-    frames: str = "binary",
     round_batch: Optional[int] = None,
     join_at: Optional[Sequence[int]] = None,
     leave_at: Optional[Sequence[Tuple[int, int]]] = None,
@@ -453,8 +444,7 @@ def run_c5(
             "latency against the scenario's reference backend — "
             "deterministic replay makes membership changes invisible "
             "to the simulation domain",
-            f"n={n}, shards={shards}, adds={total_adds}, frames={frames}, "
-            f"seed={seed}",
+            f"n={n}, shards={shards}, adds={total_adds}, seed={seed}",
         ],
     )
     batch = round_batch or 1
@@ -469,7 +459,6 @@ def run_c5(
                 pattern="random",
                 backend=backend_name,
                 seed=seed,
-                frames=frames,
                 round_batch=batch,
                 join_at=joins,
                 leave_at=leaves,

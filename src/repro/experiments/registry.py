@@ -62,7 +62,6 @@ def run_experiment(
     seed: int = 0,
     jobs: Optional[int] = None,
     backend: Optional[str] = None,
-    frames: Optional[str] = None,
     round_batch: Optional[int] = None,
     window: Optional[int] = None,
     worlds_per_worker: Optional[int] = None,
@@ -78,8 +77,7 @@ def run_experiment(
     whose workload is not cell-parallel simply ignore it.  ``backend``
     selects the shard-execution backend (``"serial"``,
     ``"multiprocess"``, ``"socket"``, or ``"socket:HOST:PORT"``) for
-    the churn family, ``frames`` its wire codec (``"binary"`` /
-    ``"json"``), ``round_batch`` its frame coalescing, ``window`` its
+    the churn family, ``round_batch`` its frame coalescing, ``window`` its
     in-flight pipelining depth and ``worlds_per_worker`` the socket
     backend's world multiplexing; ``recover`` turns on worker
     supervision and ``fault_plan`` injects a
@@ -101,7 +99,6 @@ def run_experiment(
     for name, value in (
         ("jobs", jobs),
         ("backend", backend),
-        ("frames", frames),
         ("round_batch", round_batch),
         ("window", window),
         ("worlds_per_worker", worlds_per_worker),
@@ -122,7 +119,6 @@ def run_all(
     seed: int = 0,
     jobs: Optional[int] = None,
     backend: Optional[str] = None,
-    frames: Optional[str] = None,
     round_batch: Optional[int] = None,
     window: Optional[int] = None,
     worlds_per_worker: Optional[int] = None,
@@ -138,7 +134,6 @@ def run_all(
             seed=seed,
             jobs=jobs,
             backend=backend,
-            frames=frames,
             round_batch=round_batch,
             window=window,
             worlds_per_worker=worlds_per_worker,

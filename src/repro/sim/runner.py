@@ -261,11 +261,11 @@ class ChurnRun:
             identical with and without the crashes — ``recovery`` is
             where the infrastructure cost shows.
         exchanges/frame_pairs: structural wire-cost counters from the
-            transport backends — driver exchanges issued and
-            request/reply frame pairs they put on the wire (one pair
-            per worker channel per exchange).  Zero for the serial
-            backend (no wire).  These are what round batching and
-            world multiplexing shrink, independent of timing noise.
+            shard driver — exchanges issued and the request/reply pairs
+            they carried (one pair per worker channel per exchange;
+            direct, in-process pairs on the serial backend).  These are
+            what round batching and world multiplexing shrink,
+            independent of timing noise.
         rebalances: one
             :class:`~repro.weakset.sharding.RebalanceStats` per
             membership change the run performed (``join_at`` /
@@ -326,7 +326,6 @@ def run_churn_workload(
     trace_mode: str = "aggregate",
     max_total_rounds: Optional[int] = None,
     crash_schedule: Optional[CrashSchedule] = None,
-    frames: str = "binary",
     round_batch: int = 1,
     window: int = 1,
     worlds_per_worker: Optional[int] = None,
@@ -378,11 +377,8 @@ def run_churn_workload(
             adds already in flight when their process crashes are
             abandoned (issued, never completed) instead of stalling
             the drain loop.
-        frames: wire codec for the transport backends (``"binary"``,
-            the struct-packed default, or ``"json"``); ignored by the
-            serial backend.  Results are codec-invariant.
         round_batch: coalesce up to this many lock-step rounds into
-            one frame pair per worker during the **drain** phase (after
+            one request/reply pair per worker during the **drain** phase (after
             the stream is exhausted — the issue loop stays per-round,
             since issuance decisions read completions between rounds).
             The completed-add latencies are batch-invariant (end
@@ -454,7 +450,6 @@ def run_churn_workload(
         max_total_rounds=max_total_rounds,
         trace_mode=trace_mode,
         backend=backend,
-        frames=frames,
         round_batch=round_batch,
         window=window,
         worlds_per_worker=worlds_per_worker,

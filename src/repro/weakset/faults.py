@@ -281,8 +281,8 @@ class FaultyTransport(Transport):
     Wraps ``inner`` and forwards everything — until the wrapper's
     driver-exchange counter reaches a scheduled fault for its shard,
     at which point the fault fires once and the schedule advances.
-    Wrapping is transparent to both the exchange loop (``fileno`` and
-    ``codec`` delegate) and the supervisor (which swaps the inner
+    Wrapping is transparent to both the exchange loop (``fileno``
+    delegates) and the supervisor (which swaps the inner
     channel on respawn via :meth:`replace_inner` and silences the
     schedule during replay via :meth:`suspended`).
     """
@@ -312,14 +312,6 @@ class FaultyTransport(Transport):
         self._dead = False
 
     # -- delegation ------------------------------------------------------
-    @property
-    def codec(self) -> str:  # type: ignore[override]
-        return self._inner.codec
-
-    @codec.setter
-    def codec(self, value: str) -> None:
-        self._inner.codec = value
-
     def fileno(self) -> Optional[int]:
         return self._inner.fileno()
 
@@ -411,7 +403,7 @@ class FaultyTransport(Transport):
         if fault.kind == "drop":
             return  # swallowed: no reply owed, nothing queued
         if fault.kind == "truncate":
-            frame = encode_message(message, self.codec)
+            frame = encode_message(message)
             cut = min(fault.cut, max(len(frame) - 1, 1))
             try:
                 self._inner.send_raw(frame[:cut])
@@ -448,7 +440,7 @@ class FaultyTransport(Transport):
             return self._inner.recv()
         if fault.kind == "duplicate":
             reply = self._inner.recv()
-            self._dup_frames.append(encode_message(reply, self.codec))
+            self._dup_frames.append(encode_message(reply))
             return reply
         raise SimulationError(  # pragma: no cover - schedule guarantees
             f"unexpected reply-side fault {fault.kind!r}"

@@ -1,4 +1,4 @@
-"""The shard cluster's wire protocol: message types + dual codecs.
+"""The shard cluster's wire protocol: message types + the frame codec.
 
 The sharded weak-set's parent/worker conversation consists of a small
 closed set of **round-trip message types**, one dataclass pair each:
@@ -24,75 +24,65 @@ stop      :class:`StopRequest`            :class:`StopReply`
 ========  ==============================  ==============================
 
 plus :class:`ErrorReply` (a worker-side failure, valid in any reply
-position) and the one-time bootstrap pair :class:`HelloRequest` /
-:class:`ConfigReply` that the socket transport uses to hand a
-connecting worker its shard assignment — and, since protocol version
-2, to negotiate the frame codec.
+position), the multiplexed pair :class:`MuxRequest` /
+:class:`MuxReply`, the rebalance pair :class:`MigrateRequest` /
+:class:`MigrateReply`, and the one-time bootstrap pair
+:class:`HelloRequest` / :class:`ConfigReply` that the socket transport
+uses to hand a connecting worker its shard assignment.
 
-Messages travel as **versioned, length-prefixed frames**::
+Messages travel as **versioned, length-prefixed frames** in one
+codec — there is no codec byte and nothing to negotiate::
 
     frame  := header body
-    header := version:uint8  codec:uint8  length:uint32 (big-endian)
-    body   := JSON body | binary body, per the header's codec byte
+    header := version:uint8  length:uint32 (big-endian)
+    body   := tag:uint8 fields…
 
-Two codecs share the framing:
+The body is a struct-packed field layout for the hot round-trip
+messages (round / batch / peek / mux), which keeps pure-Python JSON
+out of every socket frame::
 
-* ``json`` (codec byte 0) — the debug/fallback codec: canonical JSON
-  (sorted keys, no whitespace), UTF-8, field values encoded through
-  the repo's canonical tagged codec
-  (:func:`repro.serialization.encode_value`).
-* ``binary`` (codec byte 1, the default) — a struct-packed field
-  layout for the hot round-trip messages (round / batch / peek), which
-  removes the pure-Python JSON encode/decode from every socket frame::
+    adds        := count:u32 [bulk:u8 …]       (absent when count=0)
+    bulk=1      := (token:u64 pid:u32)* charlen:u32* bytes:u32 utf8
+                   (all-string values, column-packed: one length
+                   array, one concatenated blob)
+    bulk=0      := (token:u64 pid:u32 value)*
+    value       := 'N'|'T'|'F' | 'I' i64 | 'D' f64 | 'S' u32 utf8
+                   | 'V' u32 decimal | 'U' u32 value* | 'X' u32 value*
+                   | 'W' u32 shape lane                (flattened)
+                   | 'J' u32 canonical-JSON   (tagged-codec escape)
+    shape       := ('U' u32 | 'X' u32 | 'L')*          (preorder)
+    lane        := 's' u32 charlen:u32* bytes:u32 utf8
+                   | 'i' u32 i64*
 
-      binary body := tag:uint8 fields…
-      adds        := count:u32 [bulk:u8 …]       (absent when count=0)
-      bulk=1      := (token:u64 pid:u32)* charlen:u32* bytes:u32 utf8
-                     (all-string values, column-packed: one length
-                     array, one concatenated blob)
-      bulk=0      := (token:u64 pid:u32 value)*
-      value       := 'N'|'T'|'F' | 'I' i64 | 'D' f64 | 'S' u32 utf8
-                     | 'V' u32 decimal | 'U' u32 value* | 'X' u32 value*
-                     | 'W' u32 shape lane                (flattened)
-                     | 'J' u32 canonical-JSON   (tagged-codec escape)
-      shape       := ('U' u32 | 'X' u32 | 'L')*          (preorder)
-      lane        := 's' u32 charlen:u32* bytes:u32 utf8
-                     | 'i' u32 i64*
+The ``'W'`` layout (protocol version 4) flattens a **nested**
+tuple/frozenset whose leaves are all strings (or all i64 ints) into a
+shape prefix plus one column-packed leaf lane — a handful of C pack
+calls instead of one recursive encode per node.  The recursive walker
+stays as the fallback for every other container, so the two layouts
+carry the identical value universe.
 
-  The ``'W'`` layout (protocol version 4) flattens a **nested**
-  tuple/frozenset whose leaves are all strings (or all i64 ints) into
-  a shape prefix plus one column-packed leaf lane — a handful of C
-  pack calls instead of one recursive encode per node.  The recursive
-  walker stays as the fallback for every other container, so the two
-  layouts carry the identical value universe.
+Message layouts: tag 1 ``RoundRequest`` = adds; tag 2 ``RoundReply`` =
+alive:u8 count:u32 (token:u64 end:f64)* count:u32 crashed:u32* now:f64;
+tag 3 ``PeekRequest`` = pid:u32 adds; tag 4 ``PeekReply`` = crashed:u8
+bulk:u8 count:u32 then (bulk=1) a string-set column layout like the
+adds' or (bulk=0) ``count`` values; tag 5 ``StepBatchRequest`` =
+rounds:u32 adds; tag 6 ``StepBatchReply`` = alive:u8 executed:u32 then
+as tag 2; tags 7/8 ``MuxRequest``/``MuxReply`` = count:u32 then
+length-prefixed sub-bodies.  Tag 0 is the JSON escape for the cold
+messages (trace, stop, error, hello, config, migrate): canonical JSON
+(sorted keys, no whitespace) behind the tag.
 
-  Message layouts: tag 1 ``RoundRequest`` = adds; tag 2 ``RoundReply``
-  = alive:u8 count:u32 (token:u64 end:f64)* count:u32 crashed:u32*
-  now:f64; tag 3 ``PeekRequest`` = pid:u32 adds; tag 4 ``PeekReply`` =
-  crashed:u8 bulk:u8 count:u32 then (bulk=1) a string-set column
-  layout like the adds' or (bulk=0) ``count`` values; tag 5
-  ``StepBatchRequest`` = rounds:u32 adds; tag 6 ``StepBatchReply`` =
-  alive:u8 executed:u32 then as tag 2.  Tag 0 is the JSON escape
-  hatch: any message (trace, stop, hello, config, error) crosses as
-  its canonical JSON body behind the tag — one frame format, two
-  encodings, every message valid in both.
+The ``'J'`` value escape routes anything outside the native scalar/
+tuple/frozenset universe (``⊥``, interned histories, counter maps,
+user types registered via :func:`repro.serialization.register_codec`)
+through the canonical tagged codec, so every value the canonical codec
+carries crosses the wire — round-trip identity is property-tested in
+``tests/weakset/test_protocol.py``.  To read a frame, decode it:
+:func:`decode_message` returns a frozen dataclass whose ``repr`` is the
+readable view.
 
-  The ``'J'`` value escape routes anything outside the native scalar/
-  tuple/frozenset universe (``⊥``, interned histories, counter maps,
-  user types registered via
-  :func:`repro.serialization.register_codec`) through the canonical
-  tagged codec, so the binary codec carries exactly the same value
-  universe as the JSON codec — round-trip identity for **both** codecs
-  is property-tested in ``tests/weakset/test_protocol.py``.
-
-Codec negotiation: frames are self-describing (the codec byte), so
-either end can *decode* both codecs; what is negotiated is what each
-side **emits**.  A connecting worker's :class:`HelloRequest` lists the
-codecs it supports; the parent answers with its choice in
-:class:`ConfigReply.codec` (failing with a clean error when the worker
-cannot speak the codec the run requires).  A *version* mismatch fails
-faster still: the first byte of the first frame raises
-:class:`VersionMismatch`, which names both versions — see
+A *version* mismatch fails fast: the first byte of the first frame
+raises :class:`VersionMismatch`, which names both versions — see
 :func:`repro.weakset.sharding.serve_shard_over_socket` for how an
 externally-launched worker surfaces it.
 
@@ -102,17 +92,14 @@ callable, so it crosses as pickled bytes — the same trust model as
 ``multiprocessing`` itself.  Only connect socket workers to parents
 you trust (loopback, or a network you control).
 
-Example — a frame is a few dozen bytes and round-trips exactly, in
-either codec:
+Example — a frame is a few dozen bytes and round-trips exactly:
 
     >>> request = RoundRequest(adds=((0, 2, "alpha"),))
-    >>> frame = encode_message(request)                  # binary default
+    >>> frame = encode_message(request)
     >>> frame[:1] == bytes([PROTOCOL_VERSION])
     True
-    >>> decode_message(frame) == request
-    True
-    >>> decode_message(encode_message(request, codec="json")) == request
-    True
+    >>> decode_message(frame)
+    RoundRequest(adds=((0, 2, 'alpha'),))
 """
 
 from __future__ import annotations
@@ -139,8 +126,6 @@ from repro.serialization import (
 __all__ = [
     "PROTOCOL_VERSION",
     "HEADER_SIZE",
-    "CODECS",
-    "DEFAULT_CODEC",
     "ProtocolError",
     "VersionMismatch",
     "QueuedAdd",
@@ -170,7 +155,7 @@ __all__ = [
 
 #: wire version; bumped on any frame- or message-shape change.  A
 #: parent and worker must agree exactly — the header check fails fast
-#: instead of mis-decoding.  Version 2 added the codec byte, the
+#: instead of mis-decoding.  Version 2 added a codec byte, the
 #: binary codec, and the step-batch messages; version 3 added the
 #: ``resume_round`` field to :class:`ConfigReply` (crash recovery);
 #: version 4 added the multiplexed frames (:class:`MuxRequest` /
@@ -179,24 +164,15 @@ __all__ = [
 #: nested-container value layout; version 5 added the membership
 #: rebalance pair (:class:`MigrateRequest` / :class:`MigrateReply`)
 #: that resets one worker's world in place before the parent replays
-#: its rewritten history (``join_shard`` / ``leave_shard``).
-PROTOCOL_VERSION = 5
+#: its rewritten history (``join_shard`` / ``leave_shard``); version 6
+#: dropped the JSON frame codec: the codec byte left the header and the
+#: codec fields left :class:`HelloRequest` / :class:`ConfigReply`.
+PROTOCOL_VERSION = 6
 
-_HEADER = struct.Struct(">BBI")
+_HEADER = struct.Struct(">BI")
 
-#: bytes of frame header: version byte + codec byte + 4 length bytes,
-#: big-endian.
+#: bytes of frame header: version byte + 4 length bytes, big-endian.
 HEADER_SIZE = _HEADER.size
-
-#: frame codecs by name -> codec byte.  Frames are self-describing;
-#: the names appear in ``HelloRequest.codecs`` / ``ConfigReply.codec``
-#: and on the ``--frames`` CLI flag.
-CODECS: Dict[str, int] = {"json": 0, "binary": 1}
-_CODEC_NAMES = {code: name for name, code in CODECS.items()}
-_JSON_ID, _BINARY_ID = CODECS["json"], CODECS["binary"]
-
-#: the codec transports emit unless told otherwise.
-DEFAULT_CODEC = "binary"
 
 #: sanity bound on one frame's body; a header announcing more than
 #: this is treated as corruption, not as a request for 4 GiB of RAM.
@@ -408,16 +384,11 @@ class MigrateReply:
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class HelloRequest:
-    """A connecting worker announcing itself and the codecs it speaks.
+    """A connecting worker announcing itself.
 
-    The frame header already carries the protocol version; ``codecs``
-    is the negotiation half the header cannot express — the parent
-    picks one (its configured frame codec) and answers it in
-    :class:`ConfigReply.codec`, or fails clean when the worker cannot
-    speak it.
+    The frame header carries the protocol version, which is all the
+    parent needs to check before assigning a shard.
     """
-
-    codecs: Tuple[str, ...] = ("binary", "json")
 
 
 @dataclass(frozen=True)
@@ -425,12 +396,11 @@ class ConfigReply:
     """The parent's answer to a hello: shard assignment + world config.
 
     ``world`` is a pickled :class:`WorldConfig` (see the module
-    docstring for the trust model); ``codec`` is the frame codec the
-    negotiation settled on — both sides emit it from the next frame.
-    ``resume_round`` (protocol version 3) tells a worker replacing a
-    crashed one which round clock its rebuilt world must reach: 0 for
-    a fresh start, and the supervisor's current round when the parent
-    is about to replay the dead worker's request log into it.
+    docstring for the trust model).  ``resume_round`` (protocol
+    version 3) tells a worker replacing a crashed one which round clock
+    its rebuilt world must reach: 0 for a fresh start, and the
+    supervisor's current round when the parent is about to replay the
+    dead worker's request log into it.
     ``extra_shards`` (protocol version 4) lists the *additional* shard
     worlds this worker hosts beyond ``shard_index`` — a multiplexed
     worker serves ``(shard_index, *extra_shards)`` and answers
@@ -439,77 +409,14 @@ class ConfigReply:
 
     shard_index: int
     world: bytes
-    codec: str = DEFAULT_CODEC
     resume_round: int = 0
     extra_shards: Tuple[int, ...] = ()
 
 
 # ----------------------------------------------------------------------
-# JSON codec registry
+# the tag-0 JSON escape: cold messages as canonical JSON
 # ----------------------------------------------------------------------
-def _encode_adds(adds: Tuple[QueuedAdd, ...]) -> list:
-    return [[token, pid, encode_value(value)] for token, pid, value in adds]
-
-
-def _decode_adds(blob: list) -> Tuple[QueuedAdd, ...]:
-    return tuple((token, pid, decode_value(value)) for token, pid, value in blob)
-
-
 _MESSAGE_CODECS: Dict[str, Tuple[type, Callable[[Any], Any], Callable[[Any], Any]]] = {
-    "round_req": (
-        RoundRequest,
-        lambda m: {"adds": _encode_adds(m.adds)},
-        lambda v: RoundRequest(adds=_decode_adds(v["adds"])),
-    ),
-    "round_rep": (
-        RoundReply,
-        lambda m: {
-            "alive": m.alive,
-            "completions": [[token, end] for token, end in m.completions],
-            "crashed": sorted(m.crashed),
-            "now": m.now,
-        },
-        lambda v: RoundReply(
-            alive=v["alive"],
-            completions=tuple((token, end) for token, end in v["completions"]),
-            crashed=frozenset(v["crashed"]),
-            now=v["now"],
-        ),
-    ),
-    "batch_req": (
-        StepBatchRequest,
-        lambda m: {"rounds": m.rounds, "adds": _encode_adds(m.adds)},
-        lambda v: StepBatchRequest(
-            rounds=v["rounds"], adds=_decode_adds(v["adds"])
-        ),
-    ),
-    "batch_rep": (
-        StepBatchReply,
-        lambda m: {
-            "alive": m.alive,
-            "executed": m.executed,
-            "completions": [[token, end] for token, end in m.completions],
-            "crashed": sorted(m.crashed),
-            "now": m.now,
-        },
-        lambda v: StepBatchReply(
-            alive=v["alive"],
-            executed=v["executed"],
-            completions=tuple((token, end) for token, end in v["completions"]),
-            crashed=frozenset(v["crashed"]),
-            now=v["now"],
-        ),
-    ),
-    "peek_req": (
-        PeekRequest,
-        lambda m: {"pid": m.pid, "adds": _encode_adds(m.adds)},
-        lambda v: PeekRequest(pid=v["pid"], adds=_decode_adds(v["adds"])),
-    ),
-    "peek_rep": (
-        PeekReply,
-        lambda m: {"crashed": m.crashed, "proposed": encode_value(m.proposed)},
-        lambda v: PeekReply(crashed=v["crashed"], proposed=decode_value(v["proposed"])),
-    ),
     "trace_req": (TraceRequest, lambda m: {}, lambda v: TraceRequest()),
     "trace_rep": (
         TraceReply,
@@ -523,31 +430,24 @@ _MESSAGE_CODECS: Dict[str, Tuple[type, Callable[[Any], Any], Callable[[Any], Any
         lambda m: {"message": m.message},
         lambda v: ErrorReply(message=v["message"]),
     ),
-    "hello": (
-        HelloRequest,
-        lambda m: {"codecs": list(m.codecs)},
-        lambda v: HelloRequest(codecs=tuple(v["codecs"])),
-    ),
+    "hello": (HelloRequest, lambda m: {}, lambda v: HelloRequest()),
     "config": (
         ConfigReply,
         lambda m: {
             "shard_index": m.shard_index,
             "world": base64.b64encode(m.world).decode("ascii"),
-            "codec": m.codec,
             "resume_round": m.resume_round,
             "extra_shards": list(m.extra_shards),
         },
         lambda v: ConfigReply(
             shard_index=v["shard_index"],
             world=base64.b64decode(v["world"]),
-            codec=v["codec"],
             resume_round=v.get("resume_round", 0),
             extra_shards=tuple(v.get("extra_shards", ())),
         ),
     ),
     # the migrate pair (protocol v5) is cold-path traffic — one pair
-    # per rebuilt world per membership change — so it rides the binary
-    # codec's JSON escape hatch like every other bootstrap message
+    # per rebuilt world per membership change
     "migrate_req": (
         MigrateRequest,
         lambda m: {"shard_index": m.shard_index, "resume_round": m.resume_round},
@@ -560,25 +460,13 @@ _MESSAGE_CODECS: Dict[str, Tuple[type, Callable[[Any], Any], Callable[[Any], Any
         lambda m: {"shard_index": m.shard_index, "now": m.now},
         lambda v: MigrateReply(shard_index=v["shard_index"], now=v["now"]),
     ),
-    # the multiplexed frames nest ordinary tagged messages, so the JSON
-    # side is simply a list of tagged blobs
-    "mux_req": (
-        MuxRequest,
-        lambda m: {"subs": [_message_to_obj(sub) for sub in m.subs]},
-        lambda v: MuxRequest(subs=tuple(_obj_to_message(sub) for sub in v["subs"])),
-    ),
-    "mux_rep": (
-        MuxReply,
-        lambda m: {"subs": [_message_to_obj(sub) for sub in m.subs]},
-        lambda v: MuxReply(subs=tuple(_obj_to_message(sub) for sub in v["subs"])),
-    ),
 }
 
 _TAG_BY_TYPE = {cls: tag for tag, (cls, _e, _d) in _MESSAGE_CODECS.items()}
 
 
-def _message_to_obj(message: object) -> dict:
-    """One protocol message -> its tagged JSON-ready object."""
+def _encode_json_body(message: object) -> bytes:
+    """One cold message -> its canonical tagged-JSON body."""
     tag = _TAG_BY_TYPE.get(type(message))
     if tag is None:
         raise ProtocolError(f"not a protocol message: {type(message).__name__}")
@@ -590,11 +478,17 @@ def _message_to_obj(message: object) -> dict:
             f"{tag!r} payload cannot cross the wire: {error} "
             "(register a codec via repro.serialization.register_codec)"
         ) from None
-    return {"t": tag, "v": payload}
+    return json.dumps(
+        {"t": tag, "v": payload}, sort_keys=True, separators=(",", ":")
+    ).encode("utf-8")
 
 
-def _obj_to_message(blob: object) -> object:
-    """Invert :func:`_message_to_obj`."""
+def _decode_json_body(body: bytes) -> object:
+    """Invert :func:`_encode_json_body`."""
+    try:
+        blob = json.loads(body.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as error:
+        raise ProtocolError(f"undecodable frame body: {error}") from None
     if not isinstance(blob, dict) or "t" not in blob or "v" not in blob:
         raise ProtocolError(f"malformed frame body: {blob!r}")
     tag = blob["t"]
@@ -608,24 +502,8 @@ def _obj_to_message(blob: object) -> object:
         raise ProtocolError(f"malformed {tag!r} payload: {error}") from None
 
 
-def _encode_json_body(message: object) -> bytes:
-    return json.dumps(
-        _message_to_obj(message),
-        sort_keys=True,
-        separators=(",", ":"),
-    ).encode("utf-8")
-
-
-def _decode_json_body(body: bytes) -> object:
-    try:
-        blob = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as error:
-        raise ProtocolError(f"undecodable frame body: {error}") from None
-    return _obj_to_message(blob)
-
-
 # ----------------------------------------------------------------------
-# binary codec: struct-packed layouts for the hot messages
+# struct-packed layouts for the hot messages
 # ----------------------------------------------------------------------
 _U32 = struct.Struct(">I")
 _I64 = struct.Struct(">q")
@@ -759,8 +637,8 @@ def _encode_binary_value(value: Any, out: bytearray) -> None:
 
     Scalars, tuples and frozensets are native; anything else — ``⊥``,
     interned histories, counter maps, registered user types — takes
-    the ``'J'`` escape through the canonical tagged codec, so both
-    frame codecs carry the identical value universe.
+    the ``'J'`` escape through the canonical tagged codec, so the
+    frames carry that codec's whole value universe.
     """
     kind = type(value)
     if kind is str:
@@ -790,8 +668,8 @@ def _encode_binary_value(value: Any, out: bytearray) -> None:
             for item in value:
                 _encode_binary_value(item, out)
     elif kind is frozenset:
-        # Canonical (repr-sorted) element order, like the JSON codec:
-        # equal sets encode byte-identically in every process.
+        # Canonical (repr-sorted) element order, like the canonical
+        # codec: equal sets encode byte-identically in every process.
         if not _encode_flattened(value, out):
             out += _SIZED.pack(b"X", len(value))
             for item in sorted(value, key=repr):
@@ -799,7 +677,7 @@ def _encode_binary_value(value: Any, out: bytearray) -> None:
     else:
         # bool/int/float/str subclasses land here too (exact types
         # above keep the hot path to one dispatch) — the canonical
-        # codec normalizes them exactly as the JSON frames would.
+        # codec normalizes them.
         try:
             blob = json.dumps(
                 encode_value(value), sort_keys=True, separators=(",", ":")
@@ -1006,7 +884,7 @@ def _unpack_round_outcome(body: bytes, offset: int):
     return completions, crashed, now, offset + 8
 
 
-#: binary message tags; 0 is the JSON escape for the non-hot messages.
+#: body tags; 0 is the JSON escape for the cold messages.
 _B_JSON, _B_ROUND_REQ, _B_ROUND_REP, _B_PEEK_REQ, _B_PEEK_REP = 0, 1, 2, 3, 4
 _B_BATCH_REQ, _B_BATCH_REP = 5, 6
 _B_MUX_REQ, _B_MUX_REP = 7, 8
@@ -1071,8 +949,8 @@ def _encode_binary_body(message: object, out: bytearray) -> None:
             out += _U32.pack(len(sub_body))
             out += sub_body
     else:
-        # cold messages (trace/stop/error/bootstrap): JSON behind the
-        # escape tag — one frame format, no second registry to drift
+        # cold messages (trace/stop/error/bootstrap/migrate): canonical
+        # JSON behind the escape tag
         out.append(_B_JSON)
         out += _encode_json_body(message)
 
@@ -1162,55 +1040,42 @@ def _decode_binary_body(body: bytes) -> object:
 # ----------------------------------------------------------------------
 # framing
 # ----------------------------------------------------------------------
-def encode_message(message: object, codec: str = DEFAULT_CODEC) -> bytes:
+def encode_message(message: object) -> bytes:
     """One protocol message -> one versioned, length-prefixed frame."""
-    codec_id = CODECS.get(codec)
-    if codec_id is None:
-        known = ", ".join(sorted(CODECS))
-        raise ProtocolError(f"unknown frame codec {codec!r}; known: {known}")
     # one buffer for header + body: the header is packed in place once
     # the body length is known, avoiding a full-frame concat copy
     frame = bytearray(HEADER_SIZE)
-    if codec_id == _BINARY_ID:
-        _encode_binary_body(message, frame)
-    else:
-        frame += _encode_json_body(message)
+    _encode_binary_body(message, frame)
     length = len(frame) - HEADER_SIZE
     if length > _MAX_BODY_BYTES:  # pragma: no cover - 1 GiB of adds
         raise ProtocolError(f"frame body too large ({length} bytes)")
-    _HEADER.pack_into(frame, 0, PROTOCOL_VERSION, codec_id, length)
+    _HEADER.pack_into(frame, 0, PROTOCOL_VERSION, length)
     return bytes(frame)
 
 
-def decode_header(header: bytes) -> Tuple[int, int]:
-    """Validate a frame header; return ``(codec id, body length)``."""
+def decode_header(header: bytes) -> int:
+    """Validate a frame header; return the body length it announces."""
     if len(header) != HEADER_SIZE:
         raise ProtocolError(f"truncated header ({len(header)} bytes)")
-    version, codec_id, length = _HEADER.unpack(header)
+    version, length = _HEADER.unpack(header)
     if version != PROTOCOL_VERSION:
         raise VersionMismatch(version)
-    if codec_id not in _CODEC_NAMES:
-        raise ProtocolError(f"unknown frame codec byte {codec_id}")
     if length > _MAX_BODY_BYTES:
         raise ProtocolError(f"frame announces implausible body ({length} bytes)")
-    return codec_id, length
+    return length
 
 
-def decode_body(body: bytes, codec_id: int = _JSON_ID) -> object:
-    """Invert a frame body (header already consumed) for its codec."""
-    if codec_id == _BINARY_ID:
-        return _decode_binary_body(body)
-    if codec_id == _JSON_ID:
-        return _decode_json_body(body)
-    raise ProtocolError(f"unknown frame codec byte {codec_id}")
+def decode_body(body: bytes) -> object:
+    """Invert a frame body (header already consumed)."""
+    return _decode_binary_body(body)
 
 
 def decode_message(frame: bytes) -> object:
     """Decode one complete frame (header + body) back to its message."""
-    codec_id, length = decode_header(frame[:HEADER_SIZE])
+    length = decode_header(frame[:HEADER_SIZE])
     body = frame[HEADER_SIZE:]
     if len(body) != length:
         raise ProtocolError(
             f"frame length mismatch: header says {length}, got {len(body)}"
         )
-    return decode_body(body, codec_id)
+    return decode_body(body)

@@ -13,26 +13,30 @@ whole set, which is the multi-machine story: each shard group can live
 on its own machine, and clients fan ``get`` out and union.
 
 Execution of the K shard worlds goes through a pluggable
-:class:`ShardBackend` seam, built since PR 4 as an explicit
-three-layer stack:
+:class:`ShardBackend` seam, built as an explicit three-layer stack:
 
-* the **wire protocol** (:mod:`repro.weakset.protocol`) — the four
-  round-trip message types (round / peek / trace / stop) as frozen
-  dataclasses with a versioned, length-prefixed binary codec;
+* the **wire protocol** (:mod:`repro.weakset.protocol`) — the
+  round-trip message types (round / batch / peek / trace / stop, plus
+  mux and migrate) as frozen dataclasses with one versioned,
+  length-prefixed binary codec;
 * the **transports** (:mod:`repro.weakset.transport`) — where a shard
-  world lives: in this process (:class:`~repro.weakset.transport.InProcTransport`),
+  world lives: in this process with no codec
+  (:class:`~repro.weakset.transport.DirectTransport`), in this process
+  behind the codec (:class:`~repro.weakset.transport.InProcTransport`),
   behind a ``multiprocessing`` pipe, or across a TCP socket — plus the
-  overlapped ``exchange_all`` round loop that issues every shard's
-  request first and harvests replies as they arrive (order-canonical,
-  so traces stay byte-identical);
-* the **backends** (this module) — :class:`SerialBackend` (the
-  historical in-process mode, no protocol involved, byte-for-byte),
-  and the :class:`TransportBackend` compositions
-  :class:`InProcBackend`, :class:`MultiprocessBackend` (one worker
-  process per shard over pipes) and :class:`SocketBackend` (workers
-  over TCP — loopback-spawned for CI, or remote via
-  :func:`run_socket_worker` / ``python -m repro.experiments
-  --connect HOST:PORT``).
+  ``exchange_all`` round loop that issues every shard's request first
+  and harvests replies, as they arrive when the channels are
+  selectable (order-canonical, so traces stay byte-identical);
+* the **driver** (this module) — one :class:`TransportBackend` that
+  every backend is a thin composition of: :class:`SerialBackend`
+  (direct transports, the default), :class:`InProcBackend`,
+  :class:`MultiprocessBackend` (one worker process per shard over
+  pipes) and :class:`SocketBackend` (workers over TCP —
+  loopback-spawned for CI, or remote via :func:`run_socket_worker` /
+  ``python -m repro.experiments --connect HOST:PORT``).  Every backend
+  shares its parent-side mirror, its pipelined window and its
+  migrate-and-replay membership path; each world is a
+  :class:`ShardServer` wherever it lives.
 
 Because every per-shard decision in the simulator derives from
 keyed seed streams — never from process state, object ids, or
@@ -56,9 +60,10 @@ payloads the library trades in, and the same property the repo's
 seeded policies already assume).  Values with identity-based reprs
 (e.g. a class using the ``object`` default) would route by memory
 address; give such types a content ``__repr__`` before sharding them.
-Transport-executed backends additionally require values the canonical
-codec can carry (the :mod:`repro.serialization` universe) — register a
-codec for custom payload types before sharding them across processes.
+The backends behind a codec (every one but serial) additionally
+require values the canonical codec can carry (the
+:mod:`repro.serialization` universe) — register a codec for custom
+payload types before sharding them across processes.
 """
 
 from __future__ import annotations
@@ -84,8 +89,6 @@ from repro.giraf.environments import Environment, MovingSourceEnvironment
 from repro.giraf.traces import RunTrace
 from repro.weakset.cluster import MSWeakSetCluster
 from repro.weakset.protocol import (
-    CODECS,
-    DEFAULT_CODEC,
     ConfigReply,
     ErrorReply,
     HelloRequest,
@@ -117,6 +120,7 @@ from repro.weakset.supervisor import (
     ShardSupervisor,
 )
 from repro.weakset.transport import (
+    DirectTransport,
     InProcTransport,
     PipeTransport,
     SocketTransport,
@@ -251,7 +255,7 @@ def _plan_rebalance(
     history: List[tuple],
     route_old: Callable[[Hashable], int],
     route_new: Callable[[Hashable], int],
-    pending_tokens: FrozenSet[int] = frozenset(),
+    pending_tokens: FrozenSet[int],
 ) -> _RebalancePlan:
     """Classify a membership change against the operation history.
 
@@ -303,7 +307,7 @@ def _plan_rebalance(
                     "advance until one completes first"
                 )
             in_flight[key] = value
-        if token is not None and token in pending_tokens:
+        if token in pending_tokens:
             continue  # undelivered: re-bucketed, never replayed
         owner_old = route_old(value)
         if owner_old != owner_new:
@@ -360,11 +364,11 @@ class ShardBackend(ABC):
 
     The facade owns routing, the operation log, and the blocking-add
     loop; the backend owns *where the shard clusters live and step*.
-    Implementations must preserve the serial shard semantics exactly:
+    Implementations must preserve the plain shard semantics exactly:
     a shard is an :class:`~repro.weakset.cluster.MSWeakSetCluster` that
-    receives the same ``begin_add``/``step`` sequence it would receive
-    in-process (equivalence is pinned in
-    ``tests/weakset/test_shard_backends.py``).
+    receives the same ``begin_add``/``step`` sequence a standalone
+    cluster would (equivalence is pinned — and fuzzed against plain
+    clusters — in ``tests/weakset/test_shard_backends.py``).
 
     Attributes:
         num_shards: how many shard worlds the backend drives.
@@ -380,12 +384,11 @@ class ShardBackend(ABC):
             backends turn that into **one frame pair per worker** —
             the high-latency-link lever).  Default 1.
         window: how many round batches a multi-chunk :meth:`advance`
-            may keep **in flight** at once (transport backends send
-            batch ``k+1`` before batch ``k``'s replies are harvested —
-            the round-trip-hiding lever; see
-            :meth:`TransportBackend.advance`).  Backends without a
-            wire accept and ignore it.  Default 1: strict
-            send-then-harvest, the historical behaviour.
+            may keep **in flight** at once (the driver sends batch
+            ``k+1`` before batch ``k``'s replies are harvested — the
+            round-trip-hiding lever; see
+            :meth:`TransportBackend.advance`).  Traces are identical
+            for every window.  Default 1: strict send-then-harvest.
     """
 
     num_shards: int
@@ -393,29 +396,6 @@ class ShardBackend(ABC):
     n: int
     round_batch: int = 1
     window: int = 1
-
-    # -- membership history ---------------------------------------------
-    # Every backend that supports runtime membership keeps the global
-    # operation history: the interleaving of issued adds and lock-step
-    # ticks since construction.  A rebalance replays the *owned* slice
-    # of this history into each rebuilt world — the same seed-replay
-    # idea the supervisor uses for crash recovery, applied to a
-    # membership change instead of a worker death.  Entries:
-    #   ("add", token, pid, value, record)   token is None serially
-    #   ("step", ticks)                      coalesced with the tail
-    def _record_add(
-        self, token: Optional[int], pid: int, value: Hashable, record: AddRecord
-    ) -> None:
-        self._history.append(("add", token, pid, value, record))
-
-    def _record_steps(self, ticks: int) -> None:
-        if ticks < 1:
-            return
-        history = self._history
-        if history and history[-1][0] == "step":
-            history[-1] = ("step", history[-1][1] + ticks)
-        else:
-            history.append(("step", ticks))
 
     def apply_membership(
         self,
@@ -425,9 +405,9 @@ class ShardBackend(ABC):
     ) -> RebalanceStats:
         """Rebalance to ``new_members`` (member-id routes old/new).
 
-        Only the serial backend and the single-world-per-channel
-        transport backends support runtime membership; the default
-        rejects it.
+        :class:`TransportBackend` — every built-in backend — supports
+        runtime membership while each channel hosts one world; the
+        default here rejects it for custom backends.
         """
         raise SimulationError(
             f"{type(self).__name__} does not support runtime membership"
@@ -518,8 +498,8 @@ class ShardBackend(ABC):
     def traces(self) -> List[RunTrace]:
         """Per-shard run traces (index = shard).
 
-        The serial backend returns the live trace objects; transport
-        backends return point-in-time snapshots fetched from the
+        The serial backend returns the live trace objects; backends
+        behind a codec return point-in-time snapshots fetched from the
         workers.
         """
 
@@ -544,211 +524,18 @@ class ShardBackend(ABC):
         self.close()
 
 
-class SerialBackend(ShardBackend):
-    """All shard worlds in this process, stepped in shard order.
-
-    This is the historical execution mode extracted behind the seam;
-    the step sequence each shard sees — and therefore every shard
-    trace — is byte-for-byte what the pre-seam facade produced.  No
-    protocol or transport is involved (compare :class:`InProcBackend`,
-    which runs the same worlds behind the full wire stack).
-    """
-
-    def __init__(
-        self,
-        n: int,
-        *,
-        shards: int,
-        environment_factory: EnvironmentFactory,
-        crash_schedule: Optional[CrashSchedule],
-        max_total_rounds: int,
-        trace_mode: str,
-        round_batch: int = 1,
-        window: int = 1,
-        frames: str = DEFAULT_CODEC,
-        recover: bool = False,
-        fault_plan: Optional[FaultPlan] = None,
-        retry_policy: Optional[RetryPolicy] = None,
-        members: Optional[List[int]] = None,
-    ):
-        # ``frames`` is accepted (and checked) for signature uniformity
-        # with the transport backends; no wire is involved here, so the
-        # codec choice has nothing to encode.  Likewise ``window`` (no
-        # round trips to overlap: in-process steps are synchronous
-        # either way) and ``retry_policy`` (nothing to retry);
-        # supervision and fault injection, though, are wire features a
-        # wireless backend cannot honour even vacuously — asking for
-        # them here is a configuration error.
-        if frames not in CODECS:
-            known = ", ".join(sorted(CODECS))
-            raise SimulationError(f"unknown frame codec {frames!r}; known: {known}")
-        if round_batch < 1:
-            raise SimulationError("round_batch must be >= 1")
-        if window < 1:
-            raise SimulationError("window must be >= 1")
-        if recover or fault_plan:
-            raise SimulationError(
-                "the serial backend has no workers to supervise or wires "
-                "to fault; use inproc, multiprocess, or socket"
-            )
-        self.round_batch = round_batch
-        self.window = window
-        self.members = _resolve_members(shards, members)
-        self.num_shards = len(self.members)
-        self.n = n
-        # kept for runtime membership: a rebalanced world is rebuilt
-        # from exactly these construction ingredients plus the history
-        self._environment_factory = environment_factory
-        self._crash_schedule = crash_schedule
-        self._max_total_rounds = max_total_rounds
-        self._trace_mode = trace_mode
-        self._history: List[tuple] = []
-        self.clusters: List[MSWeakSetCluster] = [
-            MSWeakSetCluster(
-                n,
-                environment=environment_factory(member),
-                crash_schedule=crash_schedule,
-                max_total_rounds=max_total_rounds,
-                trace_mode=trace_mode,
-            )
-            for member in self.members
-        ]
-
-    @property
-    def now(self) -> float:
-        return self.clusters[0].now
-
-    @property
-    def exhausted(self) -> bool:
-        return any(cluster.exhausted for cluster in self.clusters)
-
-    def begin_add(self, shard_index: int, pid: int, value: Hashable) -> AddRecord:
-        record = self.clusters[shard_index].begin_add(pid, value)
-        self._record_add(None, pid, value, record)
-        return record
-
-    def step(self) -> bool:
-        alive = True
-        for cluster in self.clusters:
-            if not cluster.step():
-                alive = False
-        self._record_steps(1)
-        return alive
-
-    def apply_membership(
-        self,
-        new_members: List[int],
-        route_old: Callable[[Hashable], int],
-        route_new: Callable[[Hashable], int],
-    ) -> RebalanceStats:
-        started = time.perf_counter()
-        if self.exhausted:
-            raise SimulationError(
-                "cannot change membership once a shard world is exhausted"
-            )
-        plan = _plan_rebalance(
-            self.members, new_members, self._history, route_old, route_new
-        )
-        # Rebuild each affected world from its seed: a fresh cluster
-        # driven through the owned slice of the global history — the
-        # exact begin_add/step sequence a cluster *constructed* with
-        # the new membership would have executed.  The replay drives
-        # throwaway records; originals are only mutated once every
-        # world replayed cleanly, so a replay-time rejection leaves
-        # the cluster untouched on the old membership.
-        rebuilt: Dict[int, MSWeakSetCluster] = {}
-        replayed_ticks = 0
-        swaps: List[Tuple[MSWeakSetCluster, AddRecord, AddRecord]] = []
-        for member in plan.rebuilt:
-            world = MSWeakSetCluster(
-                self.n,
-                environment=self._environment_factory(member),
-                crash_schedule=self._crash_schedule,
-                max_total_rounds=self._max_total_rounds,
-                trace_mode=self._trace_mode,
-            )
-            for entry in self._history:
-                if entry[0] == "step":
-                    for _ in range(entry[1]):
-                        world.step()
-                    replayed_ticks += entry[1]
-                    continue
-                _kind, _token, pid, value, record = entry
-                if route_new(value) != member:
-                    continue
-                try:
-                    replayed = world.begin_add(pid, value)
-                except (ProtocolMisuse, SimulationError) as error:
-                    raise SimulationError(
-                        f"cannot rebalance: replaying member {member}'s "
-                        f"history has no equivalent state under the new "
-                        f"membership ({error})"
-                    ) from None
-                swaps.append((world, replayed, record))
-            if world.now != self.now:
-                raise SimulationError(
-                    f"rebuilt world for member {member} replayed to round "
-                    f"{world.now:g}, cluster is at {self.now:g}"
-                )
-            rebuilt[member] = world
-        # Adopt the replay outcomes.  The replayed timeline is the
-        # authoritative one for every value a rebuilt world owns: the
-        # caller-held records take its stamps — identical for values
-        # that did not move; the new owner's timeline for moved ones,
-        # exactly what a fresh post-change cluster stamps — and the
-        # worlds swap the original objects back in so live traffic
-        # keeps stamping what the caller holds (blocking-add loop,
-        # OpLog).
-        for world, replayed, record in swaps:
-            record.end = replayed.end
-            for sequence in (world.log.adds, world._in_flight):
-                for index, item in enumerate(sequence):
-                    if item is replayed:
-                        sequence[index] = record
-        by_member = dict(zip(self.members, self.clusters))
-        for member in plan.removed:
-            del by_member[member]
-        by_member.update(rebuilt)
-        self.members = list(new_members)
-        self.num_shards = len(self.members)
-        self.clusters = [by_member[member] for member in self.members]
-        return RebalanceStats(
-            joined=tuple(plan.joined),
-            left=tuple(plan.removed),
-            moved_values=plan.moved_values,
-            rebuilt_members=tuple(plan.rebuilt),
-            replayed_ticks=replayed_ticks,
-            wall_clock=time.perf_counter() - started,
-        )
-
-    def crashed(self, shard_index: int, pid: int) -> bool:
-        return self.clusters[shard_index]._scheduler.processes[pid].crashed
-
-    def local_views(self, pid: int) -> List[Tuple[bool, FrozenSet[Hashable]]]:
-        return [
-            (
-                cluster._scheduler.processes[pid].crashed,
-                cluster.algorithms[pid].get_now(),
-            )
-            for cluster in self.clusters
-        ]
-
-    def traces(self) -> List[RunTrace]:
-        return [cluster.trace for cluster in self.clusters]
-
-
 # ----------------------------------------------------------------------
 # the worker side: one shard world behind the wire protocol
 # ----------------------------------------------------------------------
 class ShardServer:
     """One shard's lock-step world, answering protocol requests.
 
-    The worker half of every transport backend: owns the shard's
-    :class:`~repro.weakset.cluster.MSWeakSetCluster` plus the
-    token -> :class:`~repro.weakset.spec.AddRecord` map for in-flight
-    adds, and maps each request type to the same cluster calls the
-    serial backend makes — which is why workers replay serial worlds
-    exactly.
+    The worker half of every backend, the serial one included: owns
+    the shard's :class:`~repro.weakset.cluster.MSWeakSetCluster` plus
+    the token -> :class:`~repro.weakset.spec.AddRecord` map for
+    in-flight adds, and maps each request type to cluster calls — the
+    same calls wherever the server lives, which is why every backend
+    replays the same worlds exactly.
 
     Example (driving the protocol without any transport):
 
@@ -895,9 +682,9 @@ class ShardServer:
             )
         if isinstance(request, StopRequest):
             # serve_requests intercepts stops before they reach a
-            # handler; InProcTransport dispatches here directly, so
-            # answer the shutdown handshake rather than treating a
-            # clean close as protocol misuse.
+            # handler; the in-process transports dispatch here
+            # directly, so answer the shutdown handshake rather than
+            # treating a clean close as protocol misuse.
             return StopReply()
         raise ProtocolMisuse(f"unexpected request {type(request).__name__}")
 
@@ -944,11 +731,10 @@ def _pipe_worker(
     connection,
     shard_index: int,
     config: WorldConfig,
-    codec: str = DEFAULT_CODEC,
     resume_round: int = 0,
 ) -> None:
     """Worker process entry point for the pipe (multiprocess) backend."""
-    transport = PipeTransport(connection, codec)
+    transport = PipeTransport(connection)
     try:
         server = ShardServer(config, shard_index, resume_round)
     except BaseException:
@@ -978,9 +764,8 @@ def serve_shard_over_socket(
     :class:`~repro.weakset.supervisor.RetryPolicy` for exponential
     backoff with seeded jitter instead (what a fleet of workers
     hammering one parent wants).  Then performs the hello/config
-    bootstrap — announcing the codecs this worker speaks and adopting
-    the one the parent chose — then serves protocol requests until the
-    parent sends stop or goes away.
+    bootstrap and serves protocol requests until the parent sends stop
+    or goes away.
 
     Returns:
         True when a parent was reached (a world was served, or at
@@ -993,9 +778,8 @@ def serve_shard_over_socket(
 
     Raises:
         SimulationError: the parent speaks a different protocol
-            version (named for both sides), or chose a frame codec
-            this worker does not speak.  Version skew cannot heal by
-            retrying, so it surfaces instead of looping.
+            version (named for both sides).  Version skew cannot heal
+            by retrying, so it surfaces instead of looping.
     """
     if retry_policy is None:
         # the historical timing: fixed-delay attempts, no jitter.
@@ -1017,7 +801,7 @@ def serve_shard_over_socket(
     sock.settimeout(None)
     transport = SocketTransport(sock)
     try:
-        transport.send(HelloRequest(codecs=tuple(sorted(CODECS))))
+        transport.send(HelloRequest())
         config_reply = transport.recv()
     except VersionMismatch as error:
         # An undecodable first frame used to surface as a generic
@@ -1035,14 +819,6 @@ def serve_shard_over_socket(
     if not isinstance(config_reply, ConfigReply):
         transport.close()
         return True
-    if config_reply.codec not in CODECS:
-        transport.close()
-        raise SimulationError(
-            f"cannot serve shards for {address[0]}:{address[1]}: the parent "
-            f"chose frame codec {config_reply.codec!r}, this worker speaks "
-            f"{', '.join(sorted(CODECS))}"
-        )
-    transport.codec = config_reply.codec
     try:
         config = pickle.loads(config_reply.world)
         # ``extra_shards`` (protocol v4) multiplexes several shard
@@ -1168,13 +944,13 @@ def spawn_socket_workers(
 
 
 # ----------------------------------------------------------------------
-# the parent side: protocol + transport + overlapped driver
+# the parent side: the shared driver
 # ----------------------------------------------------------------------
 class TransportBackend(ShardBackend):
     """Shard execution composed from protocol + transports + driver.
 
-    This is the shared parent-side driver every non-serial backend is a
-    thin composition of: it mirrors exactly the shard state the facade
+    This is the shared parent-side driver every backend is a thin
+    composition of: it mirrors exactly the shard state the facade
     consults between steps — the shared clock, per-shard crash sets,
     shard exhaustion, and which adds are still in flight — so handle
     operations stay local, and cross-channel traffic is **one
@@ -1183,14 +959,15 @@ class TransportBackend(ShardBackend):
     queued since the last tick; the reply carries completions, the
     crash set and the clock) plus one pair per shard per ``get``.
 
-    Each exchange is **overlapped**: all shard requests are issued
-    first, then replies are harvested as they arrive through a
-    selector (:func:`repro.weakset.transport.exchange_all`) rather
-    than in fixed shard order — a slow worker no longer serializes the
-    harvest behind a fast one.  Replies are *processed* in canonical
-    shard order regardless of arrival, so traces stay byte-identical
-    for a fixed seed (``overlap=False`` forces the lock-step harvest;
-    the benchmarks compare the two).
+    Each exchange issues all shard requests first, then harvests one
+    reply per shard (:func:`repro.weakset.transport.exchange_all`).
+    When every channel is selectable and neither ``recover`` nor
+    ``fault_plan`` is set, the backend keeps one long-lived selector
+    and the harvest **overlaps**: replies are collected as they arrive
+    rather than in fixed shard order, so a slow worker no longer
+    serializes the harvest behind a fast one.  Replies are *processed*
+    in canonical shard order regardless of arrival, so traces stay
+    byte-identical for a fixed seed.
 
     With ``window > 1`` a multi-chunk :meth:`advance` goes further and
     **pipelines** the exchanges themselves: up to ``window`` round
@@ -1228,9 +1005,10 @@ class TransportBackend(ShardBackend):
     ``fault_plan`` wraps every transport in a
     :class:`~repro.weakset.faults.FaultyTransport` firing the plan's
     scheduled faults — the chaos harness the supervisor is tested
-    against.  Both knobs force the lock-step (non-overlapped) harvest:
+    against.  Both knobs drop the selector for the in-order harvest:
     deterministic per-shard detection matters more than harvest
-    overlap when channels are expected to die.
+    overlap when channels are expected to die (and a closed fd
+    silently drops out of an epoll set).
     """
 
     def __init__(
@@ -1242,8 +1020,6 @@ class TransportBackend(ShardBackend):
         crash_schedule: Optional[CrashSchedule],
         max_total_rounds: int,
         trace_mode: str,
-        overlap: bool = True,
-        frames: str = DEFAULT_CODEC,
         round_batch: int = 1,
         window: int = 1,
         recover: bool = False,
@@ -1251,14 +1027,10 @@ class TransportBackend(ShardBackend):
         retry_policy: Optional[RetryPolicy] = None,
         members: Optional[List[int]] = None,
     ):
-        if frames not in CODECS:
-            known = ", ".join(sorted(CODECS))
-            raise SimulationError(f"unknown frame codec {frames!r}; known: {known}")
         if round_batch < 1:
             raise SimulationError("round_batch must be >= 1")
         if window < 1:
             raise SimulationError("window must be >= 1")
-        self.frames = frames
         self.round_batch = round_batch
         self.window = window
         self.members = _resolve_members(shards, members)
@@ -1267,10 +1039,11 @@ class TransportBackend(ShardBackend):
         self.n = n
         self._history: List[tuple] = []
         #: structural wire-cost counters: driver exchanges issued, and
-        #: request/reply frame pairs they put on the wire (one per
-        #: worker channel per exchange — so batching and mux visibly
-        #: shrink ``frame_pairs`` per simulated round, independent of
-        #: timing noise).  Shutdown and recovery traffic is not counted.
+        #: request/reply frame pairs they carried (one per worker
+        #: channel per exchange, direct channels included — so batching
+        #: and mux visibly shrink ``frame_pairs`` per simulated round,
+        #: independent of timing noise).  Shutdown, recovery and
+        #: migration traffic is not counted.
         self.exchanges = 0
         self.frame_pairs = 0
         self._config = WorldConfig(
@@ -1280,13 +1053,6 @@ class TransportBackend(ShardBackend):
             max_total_rounds=max_total_rounds,
             trace_mode=trace_mode,
         )
-        if recover or fault_plan:
-            # Dying channels and a shared selector do not mix (a closed
-            # fd silently drops out of an epoll set); recovery and
-            # chaos both use the per-shard lock-step harvest, where
-            # detection is attributable and deterministic.
-            overlap = False
-        self._overlap = overlap
         self._fault_plan = fault_plan
         self._retry_policy = retry_policy
         # An unsupervised run with faults injected (or an explicit
@@ -1327,20 +1093,7 @@ class TransportBackend(ShardBackend):
                 ]
             if recover:
                 self._supervisor = ShardSupervisor(self, policy=retry_policy)
-            if (
-                overlap
-                and len(self._transports) > 1
-                and all(t.fileno() is not None for t in self._transports)
-            ):
-                # One long-lived selector with every shard registered:
-                # the per-round harvest is then a single poll instead
-                # of a register/unregister cycle (exactly one reply
-                # per shard is ever in flight).
-                self._selector = selectors.DefaultSelector()
-                for index, transport in enumerate(self._transports):
-                    self._selector.register(
-                        transport.fileno(), selectors.EVENT_READ, index
-                    )
+            self._open_selector()
         except BaseException:
             self.close()
             raise
@@ -1348,6 +1101,41 @@ class TransportBackend(ShardBackend):
     @abstractmethod
     def _start(self) -> None:
         """Create one transport per shard (and any backing workers)."""
+
+    def _open_selector(self) -> None:
+        """Register every channel with one long-lived selector, when
+        the harvest may overlap: more than one channel, all selectable,
+        and neither supervision nor fault injection on.  The per-round
+        harvest is then a single poll instead of a register/unregister
+        cycle; otherwise it stays in index order."""
+        if (
+            self._supervisor is None
+            and not self._fault_plan
+            and len(self._transports) > 1
+            and all(t.fileno() is not None for t in self._transports)
+        ):
+            self._selector = selectors.DefaultSelector()
+            for index, transport in enumerate(self._transports):
+                self._selector.register(
+                    transport.fileno(), selectors.EVENT_READ, index
+                )
+
+    # -- membership history ---------------------------------------------
+    # The global operation history: the interleaving of issued adds and
+    # lock-step ticks since construction.  A rebalance replays the
+    # *owned* slice of this history into each rebuilt world — the same
+    # seed-replay idea the supervisor uses for crash recovery, applied
+    # to a membership change instead of a worker death.  Entries:
+    #   ("add", token, pid, value, record)
+    #   ("step", ticks)                      coalesced with the tail
+    def _record_steps(self, ticks: int) -> None:
+        if ticks < 1:
+            return
+        history = self._history
+        if history and history[-1][0] == "step":
+            history[-1] = ("step", history[-1][1] + ticks)
+        else:
+            history.append(("step", ticks))
 
     # -- supervision hooks -----------------------------------------------
     @property
@@ -1441,7 +1229,7 @@ class TransportBackend(ShardBackend):
         return replies
 
     def _exchange(self, requests: List[object]) -> List[object]:
-        """One overlapped round trip; replies in canonical shard order."""
+        """One round trip; replies in canonical shard order."""
         self.exchanges += 1
         self.frame_pairs += len(self._transports)
         if self._supervisor is not None:
@@ -1459,7 +1247,6 @@ class TransportBackend(ShardBackend):
                     exchange_all(
                         self._transports,
                         self._wire_requests(requests),
-                        overlap=self._overlap,
                         selector=self._selector,
                         timeout=self._request_timeout,
                     )
@@ -1486,8 +1273,8 @@ class TransportBackend(ShardBackend):
             raise SimulationError("backend already closed")
         if self._failed:
             raise SimulationError(
-                "backend failed (a shard worker died mid-round); "
-                "construct a fresh cluster"
+                "backend failed (a shard world or its worker failed "
+                "mid-exchange); construct a fresh cluster"
             )
 
     def _take_pending(self) -> List[Tuple[QueuedAdd, ...]]:
@@ -1506,8 +1293,8 @@ class TransportBackend(ShardBackend):
 
     def begin_add(self, shard_index: int, pid: int, value: Hashable) -> AddRecord:
         self._ensure_open()
-        # The serial shard's checks, mirrored parent-side so a bad add
-        # fails fast instead of poisoning a worker mid-round (the pid
+        # The shard cluster's checks, mirrored parent-side so a bad add
+        # fails fast instead of poisoning a world mid-round (the pid
         # guard doubles the facade's, for direct backend users).
         if not 0 <= pid < self.n:
             raise SimulationError(f"no process {pid}")
@@ -1521,7 +1308,7 @@ class TransportBackend(ShardBackend):
         self._records[token] = record
         self._in_flight[(shard_index, pid)] = record
         self._pending[shard_index].append((token, pid, value))
-        self._record_add(token, pid, value, record)
+        self._history.append(("add", token, pid, value, record))
         return record
 
     def step(self) -> bool:
@@ -1727,16 +1514,7 @@ class TransportBackend(ShardBackend):
                 self._pending[slot].append((token, pid, value))
             if record.end is None:
                 self._in_flight[(slot, pid)] = record
-        if (
-            self._overlap
-            and len(self._transports) > 1
-            and all(t.fileno() is not None for t in self._transports)
-        ):
-            self._selector = selectors.DefaultSelector()
-            for index, transport in enumerate(self._transports):
-                self._selector.register(
-                    transport.fileno(), selectors.EVENT_READ, index
-                )
+        self._open_selector()
         if self._supervisor is not None:
             self._supervisor.reset_membership(
                 [
@@ -1987,7 +1765,6 @@ class TransportBackend(ShardBackend):
         try:
             wire_replies = harvest_all(
                 self._transports,
-                overlap=self._overlap,
                 selector=self._selector,
                 deadlines=deadlines,
                 timeout=self._request_timeout,
@@ -2140,25 +1917,68 @@ class TransportBackend(ShardBackend):
             pass
 
 
+class SerialBackend(TransportBackend):
+    """All shard worlds in this process, with no codec in between.
+
+    The shared driver over one
+    :class:`~repro.weakset.transport.DirectTransport` per world: each
+    world is a :class:`ShardServer` answering request objects in
+    process, stepped in shard order.  A world's exception becomes an
+    :class:`~repro.weakset.protocol.ErrorReply`, so this backend fails
+    closed exactly like the others.  Supervision and fault injection
+    target worker processes and wires, which a serial run does not
+    have, so asking for them here is a configuration error.
+    """
+
+    def __init__(
+        self,
+        n: int,
+        *,
+        recover: bool = False,
+        fault_plan: Optional[FaultPlan] = None,
+        **options,
+    ):
+        if recover or fault_plan:
+            raise SimulationError(
+                "the serial backend has no workers to supervise or wires "
+                "to fault; use inproc, multiprocess, or socket"
+            )
+        super().__init__(n, **options)
+
+    def _start(self) -> None:
+        self._servers: Dict[int, ShardServer] = {}
+        for member in self.members:
+            self._transports.append(self._spawn_world(member))
+
+    def _spawn_world(self, member: int, *, resume_round: int = 0) -> Transport:
+        server = ShardServer(self._config, member, resume_round)
+        self._servers[member] = server
+        return DirectTransport(server.handle)
+
+    @property
+    def clusters(self) -> List[MSWeakSetCluster]:
+        """The live shard clusters, in slot order."""
+        return [self._servers[member].cluster for member in self.members]
+
+
 class InProcBackend(TransportBackend):
     """Every shard world in this process, behind the full wire stack.
 
     Functionally the serial backend (same worlds, same step sequence,
-    byte-identical traces) but every operation round-trips the binary
-    codec through :class:`~repro.weakset.transport.InProcTransport` —
-    the cheapest way to exercise the protocol end-to-end, and a
-    drop-in check that a workload's values survive the wire before
-    pointing it at real processes or machines.
+    byte-identical traces) but every operation round-trips the codec
+    through :class:`~repro.weakset.transport.InProcTransport` — the
+    cheapest way to exercise the protocol end-to-end, and a drop-in
+    check that a workload's values survive the wire before pointing it
+    at real processes or machines.
     """
 
     def _start(self) -> None:
         for member in self.members:
-            server = ShardServer(self._config, member)
-            self._transports.append(InProcTransport(server.handle, self.frames))
+            self._transports.append(self._spawn_world(member))
 
     def _spawn_world(self, member: int, *, resume_round: int = 0) -> Transport:
         server = ShardServer(self._config, member, resume_round)
-        return InProcTransport(server.handle, self.frames)
+        return InProcTransport(server.handle)
 
 
 class MultiprocessBackend(TransportBackend):
@@ -2167,7 +1987,7 @@ class MultiprocessBackend(TransportBackend):
     The composition: :func:`_pipe_worker` serves a
     :class:`ShardServer` over a
     :class:`~repro.weakset.transport.PipeTransport`; this class spawns
-    the workers and drives them through the shared overlapped
+    the workers and drives them through the shared
     :class:`TransportBackend` loop.
 
     Determinism: a worker constructs its shard world from the same
@@ -2197,8 +2017,6 @@ class MultiprocessBackend(TransportBackend):
         max_total_rounds: int,
         trace_mode: str,
         start_method: Optional[str] = None,
-        overlap: bool = True,
-        frames: str = DEFAULT_CODEC,
         round_batch: int = 1,
         window: int = 1,
         recover: bool = False,
@@ -2216,8 +2034,6 @@ class MultiprocessBackend(TransportBackend):
             crash_schedule=crash_schedule,
             max_total_rounds=max_total_rounds,
             trace_mode=trace_mode,
-            overlap=overlap,
-            frames=frames,
             round_batch=round_batch,
             window=window,
             recover=recover,
@@ -2235,20 +2051,14 @@ class MultiprocessBackend(TransportBackend):
         parent_conn, child_conn = self._context.Pipe()
         worker = self._context.Process(
             target=_pipe_worker,
-            args=(
-                child_conn,
-                member,
-                self._config,
-                self.frames,
-                resume_round,
-            ),
+            args=(child_conn, member, self._config, resume_round),
             daemon=True,
         )
         worker.start()
         child_conn.close()
         self._workers.append(worker)
         self._shard_workers[member] = worker
-        return PipeTransport(parent_conn, self.frames)
+        return PipeTransport(parent_conn)
 
     def _spawn_world(self, member: int, *, resume_round: int = 0) -> Transport:
         # The superseded worker stays in ``_workers`` for the final
@@ -2304,8 +2114,6 @@ class SocketBackend(TransportBackend):
         listen: Optional[Tuple[str, int]] = None,
         start_method: Optional[str] = None,
         accept_timeout: float = 30.0,
-        overlap: bool = True,
-        frames: str = DEFAULT_CODEC,
         round_batch: int = 1,
         window: int = 1,
         worlds_per_worker: int = 1,
@@ -2340,8 +2148,6 @@ class SocketBackend(TransportBackend):
             crash_schedule=crash_schedule,
             max_total_rounds=max_total_rounds,
             trace_mode=trace_mode,
-            overlap=overlap,
-            frames=frames,
             round_batch=round_batch,
             window=window,
             recover=recover,
@@ -2416,19 +2222,11 @@ class SocketBackend(TransportBackend):
                     f"worker for shard {shard_index} opened with "
                     f"{type(hello).__name__}, expected HelloRequest"
                 )
-            if self.frames not in hello.codecs:
-                raise SimulationError(
-                    f"worker for shard {shard_index} speaks frame codecs "
-                    f"{', '.join(hello.codecs)}; this run requires "
-                    f"{self.frames!r} (pass frames='json' or upgrade the "
-                    "worker)"
-                )
             try:
                 transport.send(
                     ConfigReply(
                         shard_index=shard_index,
                         world=self._world_blob,
-                        codec=self.frames,
                         resume_round=resume_round,
                         extra_shards=extra_shards,
                     )
@@ -2441,7 +2239,6 @@ class SocketBackend(TransportBackend):
         except BaseException:
             transport.close()
             raise
-        transport.codec = self.frames
         sock.settimeout(None)
         return transport
 
@@ -2575,24 +2372,18 @@ class ShardedWeakSetCluster:
         start_method: optional ``multiprocessing`` start method for the
             multiprocess/socket backends (default: ``fork`` when
             available).
-        frames: frame codec for the wire-executed backends —
-            ``"binary"`` (the default struct-packed layout) or
-            ``"json"`` (the debug/fallback).  Traces are codec-
-            invariant; the serial backend accepts and ignores it (no
-            wire involved).
         round_batch: how many lock-step ticks :meth:`advance`
-            coalesces into one backend exchange (one frame pair per
-            worker on the wire backends).  Single ``step`` calls and
+            coalesces into one backend exchange (one request/reply
+            pair per worker channel).  Single ``step`` calls and
             blocking adds stay per-tick, so traces are identical
             across batch sizes for a fixed seed (pinned in
             ``tests/weakset/test_shard_backends.py``).  Default 1.
         window: how many round batches a multi-chunk :meth:`advance`
-            keeps in flight on the wire backends — batch ``k+1`` is
-            sent before batch ``k``'s replies are harvested, hiding
-            the per-batch round trip (see
+            keeps in flight — batch ``k+1`` is sent before batch
+            ``k``'s replies are harvested, hiding the per-batch round
+            trip on the wire backends (see
             :meth:`TransportBackend.advance`).  Traces are identical
-            across window sizes for a fixed seed.  The serial backend
-            accepts and ignores it.  Default 1.
+            across window sizes for a fixed seed.  Default 1.
         worlds_per_worker: socket backend only — let one worker
             process host up to this many shard worlds behind one
             multiplexed channel (protocol-v4 ``MuxRequest`` frames),
@@ -2640,7 +2431,6 @@ class ShardedWeakSetCluster:
         trace_mode: str = "full",
         backend: object = "serial",
         start_method: Optional[str] = None,
-        frames: str = DEFAULT_CODEC,
         round_batch: int = 1,
         window: int = 1,
         worlds_per_worker: Optional[int] = None,
@@ -2720,7 +2510,6 @@ class ShardedWeakSetCluster:
                 crash_schedule=crash_schedule,
                 max_total_rounds=max_total_rounds,
                 trace_mode=trace_mode,
-                frames=frames,
                 round_batch=round_batch,
                 window=window,
                 recover=recover,
@@ -2885,7 +2674,8 @@ class ShardedWeakSetCluster:
         return self._backend.step()
 
     def close(self) -> None:
-        """Release backend resources (a no-op for the serial backend)."""
+        """Release backend resources (worker processes, channels); any
+        later operation raises."""
         self._backend.close()
 
     def __enter__(self) -> "ShardedWeakSetCluster":

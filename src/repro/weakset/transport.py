@@ -1,28 +1,34 @@
-"""Transports: move protocol frames between driver and shard workers.
+"""Transports: move protocol messages between driver and shard workers.
 
 :mod:`repro.weakset.protocol` defines *what* crosses the wire; this
-module is *how*.  A :class:`Transport` is one bidirectional frame
-channel to one shard worker, and three implementations cover the three
-places a shard world can live:
+module is *how*.  A :class:`Transport` is one bidirectional message
+channel to one shard worker, and four implementations cover the places
+a shard world can live:
 
-* :class:`InProcTransport` — the worker is an object in this process;
-  frames still round-trip through the binary codec (so the protocol is
-  exercised end-to-end) but no OS channel is involved.  The cheapest
-  way to test the stack, and the ``backend="inproc"`` execution mode.
+* :class:`DirectTransport` — the worker is an object in this process
+  and messages are handed over as objects, with no codec at all.  The
+  ``backend="serial"`` execution mode.
+* :class:`InProcTransport` — a :class:`DirectTransport` whose requests
+  and replies round-trip through the frame codec, so the protocol is
+  exercised end-to-end without an OS channel.  The cheapest way to
+  test the stack, and the ``backend="inproc"`` execution mode.
 * :class:`PipeTransport` — a ``multiprocessing`` pipe to a forked or
-  spawned worker process on this machine (the pipe backend's channel,
-  extracted from the pre-PR-4 ``MultiprocessBackend`` internals).
+  spawned worker process on this machine.
 * :class:`SocketTransport` — a TCP stream, so the worker can live on
   another machine entirely.  Frames are already length-prefixed, so
   the stream needs no extra delimiting.
 
-:func:`exchange_all` is the **overlapped round loop**: it issues every
-shard's request first, then harvests replies *as they arrive* through
-a ``selectors`` poll instead of a fixed iteration order — a slow shard
-no longer serializes the harvest behind a fast one.  Results are
-returned **order-canonically** (reply ``i`` belongs to transport ``i``
-no matter the arrival order), which is why backend traces stay
-byte-identical for a fixed seed regardless of harvest interleaving.
+:func:`exchange_all` is the round loop: it issues every shard's
+request first, then harvests one reply per shard.  Handed a
+``selector`` with every channel registered, the harvest **overlaps**:
+replies are collected as they arrive instead of in a fixed order, so a
+slow shard no longer serializes the harvest behind a fast one.
+Without one it receives in index order.  The driver keeps a selector
+exactly when every channel is selectable and neither supervision nor
+fault injection is on (dying channels and a shared selector do not
+mix).  Results are returned **order-canonically** either way (reply
+``i`` belongs to transport ``i`` no matter the arrival order), which
+is why backend traces stay byte-identical for a fixed seed.
 
 Rebalance traffic rides the same channels: a membership change first
 quiesces the pipelined window (every in-flight frame is harvested, so
@@ -51,7 +57,6 @@ from typing import Callable, Deque, List, Optional, Sequence
 
 from repro.errors import ReproError
 from repro.weakset.protocol import (
-    DEFAULT_CODEC,
     HEADER_SIZE,
     ErrorReply,
     ProtocolError,
@@ -66,6 +71,7 @@ from repro.weakset.protocol import (
 __all__ = [
     "Transport",
     "TransportError",
+    "DirectTransport",
     "InProcTransport",
     "PipeTransport",
     "SocketTransport",
@@ -81,17 +87,7 @@ class TransportError(ReproError):
 
 
 class Transport(ABC):
-    """One bidirectional frame channel to one shard worker.
-
-    ``codec`` is the frame codec this side *emits* (``"binary"`` by
-    default, ``"json"`` as the debug/fallback).  Frames are
-    self-describing — the header carries a codec byte — so ``recv``
-    accepts either codec regardless; the socket bootstrap negotiates
-    what both sides emit and assigns ``codec`` accordingly.
-    """
-
-    #: the frame codec ``send`` emits (decoding is self-describing).
-    codec: str = DEFAULT_CODEC
+    """One bidirectional message channel to one shard worker."""
 
     @abstractmethod
     def send(self, message: object) -> None:
@@ -112,17 +108,15 @@ class Transport(ABC):
         The fault-injection hook: lets a wrapper put a truncated or
         corrupted frame on the wire, which ``send``'s encode step never
         would.  Channels without a byte-level wire (the in-process
-        transport) cannot carry one and refuse.
+        transports) cannot carry one and refuse.
         """
         raise TransportError("transport cannot ship raw frames")
 
     def fileno(self) -> Optional[int]:
         """A selectable file descriptor, or ``None`` (not selectable).
 
-        :func:`exchange_all` overlaps its harvest only when every
-        transport is selectable; otherwise it falls back to in-order
-        receives (which is also the deterministic lock-step mode the
-        benchmarks compare against).
+        A driver builds an overlapping selector only when every
+        transport is selectable; otherwise it harvests in index order.
         """
         return None
 
@@ -130,39 +124,36 @@ class Transport(ABC):
         """Release the channel (idempotent)."""
 
 
-class InProcTransport(Transport):
-    """A worker living in this process, behind the full codec.
+class DirectTransport(Transport):
+    """A worker living in this process, with no codec in between.
 
-    ``send`` encodes the request to frame bytes, decodes them on "the
-    other side", hands the message to ``handler`` and buffers the
-    encoded reply for ``recv`` — so every message still round-trips
-    the binary codec exactly as it would over a pipe or socket, and a
-    value the codec cannot carry fails here too (instead of only
-    failing once a real network is involved).
+    ``send`` hands the request object to ``handler`` and buffers the
+    reply object for ``recv``.  A handler exception becomes an
+    :class:`~repro.weakset.protocol.ErrorReply` carrying its traceback,
+    exactly what a worker process would send, so the driver fails
+    closed the same way on every transport.
     """
 
-    def __init__(
-        self, handler: Callable[[object], object], codec: str = DEFAULT_CODEC
-    ):
+    def __init__(self, handler: Callable[[object], object]):
         self._handler = handler
-        self.codec = codec
-        self._inbox: Deque[bytes] = deque()
+        self._inbox: Deque[object] = deque()
         self._closed = False
+
+    def _answer(self, request: object) -> object:
+        try:
+            return self._handler(request)
+        except BaseException:
+            return ErrorReply(traceback.format_exc())
 
     def send(self, message: object) -> None:
         if self._closed:
             raise TransportError("transport closed")
-        request = decode_message(encode_message(message, self.codec))
-        try:
-            reply = self._handler(request)
-        except BaseException:
-            reply = ErrorReply(traceback.format_exc())
-        self._inbox.append(encode_message(reply, self.codec))
+        self._inbox.append(self._answer(message))
 
     def recv(self) -> object:
         if not self._inbox:
             raise TransportError("no reply pending (send first)")
-        return decode_message(self._inbox.popleft())
+        return self._inbox.popleft()
 
     def poll(self, timeout: float = 0.0) -> bool:
         return bool(self._inbox)
@@ -172,16 +163,36 @@ class InProcTransport(Transport):
         self._inbox.clear()
 
 
+class InProcTransport(DirectTransport):
+    """A :class:`DirectTransport` behind the full codec.
+
+    ``send`` encodes the request to frame bytes, decodes them on "the
+    other side", hands the message to ``handler`` and buffers the
+    encoded reply for ``recv`` — so every message still round-trips
+    the codec exactly as it would over a pipe or socket, and a value
+    the codec cannot carry fails here too (instead of only failing
+    once a real network is involved).
+    """
+
+    def send(self, message: object) -> None:
+        if self._closed:
+            raise TransportError("transport closed")
+        request = decode_message(encode_message(message))
+        self._inbox.append(encode_message(self._answer(request)))
+
+    def recv(self) -> object:
+        return decode_message(super().recv())
+
+
 class PipeTransport(Transport):
     """Frames over a ``multiprocessing`` pipe connection."""
 
-    def __init__(self, connection, codec: str = DEFAULT_CODEC):
+    def __init__(self, connection):
         self._conn = connection
-        self.codec = codec
 
     def send(self, message: object) -> None:
         try:
-            self._conn.send_bytes(encode_message(message, self.codec))
+            self._conn.send_bytes(encode_message(message))
         except (OSError, ValueError):
             raise TransportError("pipe peer is gone") from None
 
@@ -227,9 +238,8 @@ class SocketTransport(Transport):
     buffering only adds latency.
     """
 
-    def __init__(self, sock: socket.socket, codec: str = DEFAULT_CODEC):
+    def __init__(self, sock: socket.socket):
         self._sock = sock
-        self.codec = codec
         self._closed = False
         try:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
@@ -252,7 +262,7 @@ class SocketTransport(Transport):
 
     def send(self, message: object) -> None:
         try:
-            self._sock.sendall(encode_message(message, self.codec))
+            self._sock.sendall(encode_message(message))
         except OSError:
             raise TransportError("socket peer is gone") from None
 
@@ -263,8 +273,8 @@ class SocketTransport(Transport):
             raise TransportError("socket peer is gone") from None
 
     def recv(self) -> object:
-        codec_id, length = decode_header(self._read_exactly(HEADER_SIZE))
-        return decode_body(self._read_exactly(length), codec_id)
+        length = decode_header(self._read_exactly(HEADER_SIZE))
+        return decode_body(self._read_exactly(length))
 
     def poll(self, timeout: float = 0.0) -> bool:
         try:
@@ -292,7 +302,7 @@ class SocketTransport(Transport):
 
 
 # ----------------------------------------------------------------------
-# the overlapped exchange
+# the exchange
 # ----------------------------------------------------------------------
 def send_all(
     transports: Sequence[Transport],
@@ -328,17 +338,16 @@ def send_all(
 def harvest_all(
     transports: Sequence[Transport],
     *,
-    overlap: bool = True,
     selector: Optional[selectors.BaseSelector] = None,
     deadlines: Optional[Sequence[float]] = None,
     timeout: Optional[float] = None,
 ) -> List[object]:
     """Receive exactly one reply per transport, order-canonically.
 
-    The harvest half of an exchange.  With ``overlap=True`` and every
-    transport selectable, replies are collected as they arrive via a
-    selector; otherwise in index order (lock-step).  Either way the
-    returned list is index-aligned with ``transports``.  Each call
+    The harvest half of an exchange.  Handed a ``selector`` with every
+    transport registered (data = its index), replies are collected as
+    they arrive; without one, in index order (lock-step).  Either way
+    the returned list is index-aligned with ``transports``.  Each call
     consumes exactly one reply per channel, and channels deliver
     replies in request order — so a pipelined driver that issued
     several waves via :func:`send_all` harvests them one wave at a
@@ -353,57 +362,43 @@ def harvest_all(
     """
     replies: List[object] = [None] * len(transports)
     limit = "its deadline" if timeout is None else f"{timeout:g}s"
-    selectable = len(transports) > 1 and all(
-        transport.fileno() is not None for transport in transports
-    )
-    if overlap and selectable:
-        own_selector = selector is None
-        if own_selector:
-            selector = selectors.DefaultSelector()
-            for index, transport in enumerate(transports):
-                selector.register(transport.fileno(), selectors.EVENT_READ, index)
-        try:
-            pending = set(range(len(transports)))
-            while pending:
-                if deadlines is None:
-                    ready = selector.select()
-                else:
-                    now = time.monotonic()
-                    expired = sorted(
-                        index for index in pending if deadlines[index] <= now
-                    )
-                    if expired:
-                        raise TransportError(
-                            f"shard(s) {expired}: no reply within {limit}"
-                        )
-                    wait = min(deadlines[index] for index in pending) - now
-                    ready = selector.select(wait)
-                    if not ready:
-                        continue  # next pass raises for whoever expired
-                for key, _events in ready:
-                    index = key.data
-                    if index not in pending:
-                        continue
-                    try:
-                        replies[index] = transports[index].recv()
-                    except TransportError as error:
-                        raise TransportError(f"shard {index}: {error}") from None
-                    pending.discard(index)
-        finally:
-            if own_selector:
-                selector.close()
-    else:
-        for index, transport in enumerate(transports):
-            if deadlines is not None:
-                remaining = deadlines[index] - time.monotonic()
-                if remaining <= 0 or not transport.poll(remaining):
+    if selector is not None:
+        pending = set(range(len(transports)))
+        while pending:
+            if deadlines is None:
+                ready = selector.select()
+            else:
+                now = time.monotonic()
+                expired = sorted(
+                    index for index in pending if deadlines[index] <= now
+                )
+                if expired:
                     raise TransportError(
-                        f"shard {index}: no reply within {limit}"
+                        f"shard(s) {expired}: no reply within {limit}"
                     )
-            try:
-                replies[index] = transport.recv()
-            except TransportError as error:
-                raise TransportError(f"shard {index}: {error}") from None
+                wait = min(deadlines[index] for index in pending) - now
+                ready = selector.select(wait)
+                if not ready:
+                    continue  # next pass raises for whoever expired
+            for key, _events in ready:
+                index = key.data
+                if index not in pending:
+                    continue
+                try:
+                    replies[index] = transports[index].recv()
+                except TransportError as error:
+                    raise TransportError(f"shard {index}: {error}") from None
+                pending.discard(index)
+        return replies
+    for index, transport in enumerate(transports):
+        if deadlines is not None:
+            remaining = deadlines[index] - time.monotonic()
+            if remaining <= 0 or not transport.poll(remaining):
+                raise TransportError(f"shard {index}: no reply within {limit}")
+        try:
+            replies[index] = transport.recv()
+        except TransportError as error:
+            raise TransportError(f"shard {index}: {error}") from None
     return replies
 
 
@@ -411,34 +406,27 @@ def exchange_all(
     transports: Sequence[Transport],
     requests: Sequence[object],
     *,
-    overlap: bool = True,
     selector: Optional[selectors.BaseSelector] = None,
     timeout: Optional[float] = None,
 ) -> List[object]:
-    """One request/reply round trip with every shard, overlapped.
+    """One request/reply round trip with every shard.
 
     Sends ``requests[i]`` on ``transports[i]`` for all ``i`` *first*
-    (so every worker computes concurrently), then harvests replies.
-    With ``overlap=True`` (the default) and all transports selectable,
-    replies are collected **as they arrive** via a selector; otherwise
-    they are received in index order (lock-step harvest).  Either way
-    the returned list is index-aligned with the inputs — the caller
-    processes replies in canonical shard order, so traces do not
-    depend on arrival interleaving.  (:func:`send_all` and
-    :func:`harvest_all` are the two halves, exposed separately for
+    (so every worker computes concurrently), then harvests replies —
+    **as they arrive** when handed a long-lived ``selector`` with
+    every transport registered (data = its index), in index order
+    otherwise.  Either way the returned list is index-aligned with the
+    inputs — the caller processes replies in canonical shard order, so
+    traces do not depend on arrival interleaving.  (:func:`send_all`
+    and :func:`harvest_all` are the two halves, exposed separately for
     pipelined drivers that keep several waves in flight.)
-
-    ``selector`` optionally supplies a long-lived selector with every
-    transport already registered (data = its index); round-loop
-    drivers pass one so the per-exchange cost is a single poll, not a
-    register/unregister cycle.
 
     ``timeout`` optionally bounds each reply: the deadline is stamped
     **per request at its send** (not once per call), so a reply's
     budget starts when its own request went out — a wedged or silent
     worker becomes a diagnosable :class:`TransportError` naming the
     shards still owing a reply instead of a hang.  ``None`` (the
-    default) preserves the historical blocking harvest.
+    default) blocks.
 
     Raises :class:`TransportError` (annotated with the shard index) as
     soon as any channel fails; remaining replies are left unread — the
@@ -446,11 +434,7 @@ def exchange_all(
     """
     deadlines = send_all(transports, requests, timeout=timeout)
     return harvest_all(
-        transports,
-        overlap=overlap,
-        selector=selector,
-        deadlines=deadlines,
-        timeout=timeout,
+        transports, selector=selector, deadlines=deadlines, timeout=timeout
     )
 
 

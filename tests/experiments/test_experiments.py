@@ -123,19 +123,21 @@ class TestHeadlineClaims:
     def test_c2_transport_backends_match_serial(self):
         table = run_c2(quick=True)
         assert table.column("backend") == (
-            ["serial", "multiprocess"] + ["socket"] * 6
+            ["serial", "multiprocess"] + ["socket"] * 5
         )
-        # the grid covers both frame codecs, a round-batched row, the
-        # pipelined windows, and a multiplexed (2 worlds/worker) row
-        assert "json" in table.column("frames")
+        # the grid covers a round-batched row, the pipelined windows,
+        # and a multiplexed (2 worlds/worker) row
         assert 4 in table.column("batch")
         assert {1, 2, 4} <= set(table.column("win"))
         assert 2 in table.column("wpw")
         assert all(table.column("matches-serial"))
         # completed + the three latency percentiles agree on every row
         assert len(set(map(tuple, (
-            (row[5], row[6], row[7], row[8]) for row in table.rows
+            (row[4], row[5], row[6], row[7]) for row in table.rows
         )))) == 1
+        # the serial row counts its direct exchanges like any driver
+        serial_pairs, multiprocess_pairs = table.column("pairs")[:2]
+        assert serial_pairs == multiprocess_pairs > 0
         # frame-pair accounting: batching cuts pairs, mux halves them
         # again, and the window re-orders without adding any
         pairs = dict(zip(

@@ -1,7 +1,7 @@
 """Reusable hypothesis strategies for the shard wire protocol.
 
 One place for the payload-value universe the weak set trades in and
-the message shapes the codecs carry, so every protocol/codec test
+the message shapes the frame codec carries, so every protocol test
 draws from the same distributions instead of maintaining ad-hoc value
 lists.  Import from here; do not re-declare strategies per test file.
 """
@@ -146,7 +146,7 @@ _simple_messages = st.one_of(
     st.builds(ErrorReply, message=st.text(max_size=40)),
 )
 
-#: every message shape the codecs carry (mux frames wrap the simple
+#: every message shape the frame codec carries (mux frames wrap the simple
 #: ones, mirroring how the socket backend multiplexes worlds)
 messages = st.one_of(
     _simple_messages,

@@ -196,7 +196,7 @@ class TestFaultyTransportUnit:
         try:
             transport.send(_PING)
             shipped = worker_end.recv_bytes()
-            assert shipped == encode_message(_PING, transport.codec)[:3]
+            assert shipped == encode_message(_PING)[:3]
             with pytest.raises(TransportError, match="peer is gone"):
                 transport.send(_PING)
         finally:

@@ -205,6 +205,26 @@ class TestChaosDuringMigration:
             assert cluster.advance(8) == 8  # would die here if it fired
 
 
+def _values_colliding_on_join():
+    """Two values the 2 -> 3 join moves to member 2 from *different*
+    old owners — legal as concurrent adds by one pid before the join,
+    impossible after it."""
+    old_ring = ring_for_shards(2)
+    new_ring = HashRing([0, 1, 2])
+    first = second = None
+    for i in range(10_000):
+        value = f"collide-{i}"
+        if new_ring.owner(value) != 2:
+            continue
+        if old_ring.owner(value) == 0:
+            first = first or value
+        else:
+            second = second or value
+        if first is not None and second is not None:
+            return first, second
+    raise AssertionError("no colliding pair found")
+
+
 class TestInFlightAdds:
     @pytest.mark.parametrize("window", [1, 4])
     @pytest.mark.parametrize("backend", ["serial", "inproc"])
@@ -236,23 +256,7 @@ class TestInFlightAdds:
         owner have no equivalent state under the new membership (a
         fresh cluster would have rejected the second add): the
         rebalance fails closed before mutating anything."""
-        old_ring = ring_for_shards(2)
-        new_ring = HashRing([0, 1, 2])
-        # two values the join moves to member 2 from *different* old
-        # owners — legal as concurrent in-flight adds before the join,
-        # impossible after it
-        first = second = None
-        for i in range(10_000):
-            value = f"collide-{i}"
-            if new_ring.owner(value) != 2:
-                continue
-            if old_ring.owner(value) == 0:
-                first = first or value
-            else:
-                second = second or value
-            if first is not None and second is not None:
-                break
-        assert first is not None and second is not None
+        first, second = _values_colliding_on_join()
         with _build("serial") as cluster:
             cluster.begin_add(0, first)
             cluster.begin_add(0, second)  # legal: different old shards
@@ -261,6 +265,26 @@ class TestInFlightAdds:
             # nothing was mutated: the run continues on old membership
             assert cluster.members == [0, 1]
             cluster.advance(6)
+
+    @pytest.mark.parametrize(
+        "backend", ["serial", "inproc", "multiprocess", "socket"]
+    )
+    def test_inadmissible_replay_fails_closed(self, backend):
+        """The same two adds, both *completed* before the join: the plan
+        admits them, but replaying member 2's history issues both in
+        one tick, which its world rejects.  Worlds already rebuilt
+        under the new routing cannot be trusted to match the parent's
+        old membership, so the backend fails closed — serial exactly
+        like the backends behind a wire, in process or across one."""
+        first, second = _values_colliding_on_join()
+        with _build(backend) as cluster:
+            records = [cluster.begin_add(0, first), cluster.begin_add(0, second)]
+            cluster.advance(TOTAL_ROUNDS)
+            assert all(record.end is not None for record in records)
+            with pytest.raises(SimulationError, match="member 2"):
+                cluster.join_shard()
+            with pytest.raises(SimulationError, match="backend failed"):
+                cluster.advance(1)
 
 
 class TestMembershipSurface:

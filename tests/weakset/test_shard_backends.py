@@ -1,11 +1,14 @@
 """The shard-execution backends: every backend == serial, pinned.
 
 The acceptance bar for the transport split: for a fixed seed, every
-transport backend — in-process behind the codec, one worker process
-per shard over pipes, workers over loopback TCP — must produce a
-byte-identical final weak-set trace to the serial backend: same shard
-worlds, same step sequence, same keyed-stream decisions, regardless
-of the overlapped harvest's arrival order.
+backend — in-process behind the codec, one worker process per shard
+over pipes, workers over loopback TCP — must produce a byte-identical
+final weak-set trace to the serial backend: same shard worlds, same
+step sequence, same keyed-stream decisions, regardless of the
+overlapped harvest's arrival order.  Since every backend runs one
+shared driver, a differential fuzz at the end checks the serial and
+in-process backends against K plain :class:`MSWeakSetCluster` worlds
+driven without any of the driver's code.
 
 Process-backed tests take the ``start_method`` fixture (see
 ``conftest.py``) so the module runs under both ``fork`` and ``spawn``.
@@ -16,13 +19,18 @@ import threading
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gen import values
 from repro.errors import ProtocolMisuse, SimulationError
 from repro.giraf.adversary import CrashPlan, CrashSchedule
 from repro.serialization import trace_to_json
 from repro.sim.runner import run_churn_workload
-from repro.sim.workloads import ChurnEnvironments
-from repro.weakset.protocol import PROTOCOL_VERSION, HelloRequest
+from repro.sim.workloads import CHURN_PATTERNS, ChurnEnvironments
+from repro.weakset.cluster import MSWeakSetCluster
+from repro.weakset.faults import parse_fault_plan
+from repro.weakset.protocol import PROTOCOL_VERSION
 from repro.weakset.sharding import (
     MultiprocessBackend,
     SerialBackend,
@@ -30,9 +38,9 @@ from repro.weakset.sharding import (
     SocketBackend,
     parse_backend_spec,
     serve_shard_over_socket,
+    shard_of,
 )
 from repro.weakset.spec import check_weakset
-from repro.weakset.transport import SocketTransport
 
 
 def _drive(cluster):
@@ -73,28 +81,6 @@ class TestBackendEquivalence:
                 assert _drive(cluster) == serial_result, backend
                 assert _snapshot(cluster) == serial_traces, backend
 
-    def test_overlap_and_lockstep_harvests_agree(self):
-        """Arrival order must not leak into results: the overlapped
-        selector harvest and the fixed-order harvest are identical."""
-        def build(overlap):
-            backend = MultiprocessBackend(
-                4,
-                shards=3,
-                environment_factory=ChurnEnvironments(pattern="random", seed=9),
-                crash_schedule=None,
-                max_total_rounds=10_000,
-                trace_mode="full",
-                overlap=overlap,
-            )
-            return ShardedWeakSetCluster(4, shards=3, backend=backend)
-
-        with build(True) as overlapped:
-            overlapped_result = _drive(overlapped)
-            overlapped_traces = _snapshot(overlapped)
-        with build(False) as lockstep:
-            assert _drive(lockstep) == overlapped_result
-            assert _snapshot(lockstep) == overlapped_traces
-
     def test_equivalence_under_crashes(self, start_method):
         crashes = CrashSchedule({2: CrashPlan(3, before_send=True)})
 
@@ -119,38 +105,27 @@ class TestBackendEquivalence:
             with pytest.raises(SimulationError):
                 multiproc.handle(2).add("x")
 
-    def test_batch_and_codec_grid_byte_identical(self):
-        """The PR-5 acceptance grid: every backend, both frame codecs,
-        round_batch ∈ {1, 4} — all byte-identical to the plain serial
-        run (codec and batching change frames, never the worlds)."""
-        def build(backend, frames="binary", round_batch=1):
+    def test_batch_grid_byte_identical(self):
+        """The batching acceptance grid: every backend at round_batch=4 —
+        all byte-identical to the plain serial run (batching changes
+        frames, never the worlds; round_batch=1 is the default the
+        main equivalence test above already pins for every backend)."""
+        def build(backend, round_batch=1):
             return ShardedWeakSetCluster(
                 4,
                 shards=3,
                 environment_factory=ChurnEnvironments(pattern="random", seed=7),
                 backend=backend,
-                frames=frames,
                 round_batch=round_batch,
             )
 
         serial = build("serial")
         serial_result = _drive(serial)
         serial_traces = _snapshot(serial)
-        grid = [("serial", "binary", 4)]
-        grid += [
-            (backend, frames, round_batch)
-            for backend in ("inproc", "multiprocess", "socket")
-            for frames in ("json", "binary")
-            for round_batch in (1, 4)
-            # (binary, 1) is the default combination the main
-            # equivalence test above already pins for every backend
-            if (frames, round_batch) != ("binary", 1)
-        ]
-        for backend, frames, round_batch in grid:
-            with build(backend, frames, round_batch) as cluster:
-                label = (backend, frames, round_batch)
-                assert _drive(cluster) == serial_result, label
-                assert _snapshot(cluster) == serial_traces, label
+        for backend in ("serial", "inproc", "multiprocess", "socket"):
+            with build(backend, round_batch=4) as cluster:
+                assert _drive(cluster) == serial_result, backend
+                assert _snapshot(cluster) == serial_traces, backend
 
     def test_churn_workload_backend_invariant(self):
         runs = [
@@ -165,28 +140,27 @@ class TestBackendEquivalence:
             assert run.rounds == runs[0].rounds
         assert all(run.completed == 10 for run in runs)
 
-    def test_churn_workload_codec_and_batch_invariant(self):
-        """--frames and --round-batch change frames, not results: the
-        completed-add latencies are identical for every combination."""
+    def test_churn_workload_batch_invariant(self):
+        """--round-batch changes frames, not results: the completed-add
+        latencies are identical for every combination."""
         reference = run_churn_workload(
             n=3, shards=2, total_adds=10, adds_per_round=2,
             pattern="round-robin", backend="serial", seed=5,
         )
         for backend in ("serial", "inproc", "socket"):
-            for frames in ("json", "binary"):
-                for round_batch in (1, 4):
-                    run = run_churn_workload(
-                        n=3, shards=2, total_adds=10, adds_per_round=2,
-                        pattern="round-robin", backend=backend, seed=5,
-                        frames=frames, round_batch=round_batch,
-                    )
-                    label = (backend, frames, round_batch)
-                    assert run.latencies == reference.latencies, label
-                    assert run.completed == reference.completed, label
+            for round_batch in (1, 4):
+                run = run_churn_workload(
+                    n=3, shards=2, total_adds=10, adds_per_round=2,
+                    pattern="round-robin", backend=backend, seed=5,
+                    round_batch=round_batch,
+                )
+                label = (backend, round_batch)
+                assert run.latencies == reference.latencies, label
+                assert run.completed == reference.completed, label
 
 
 class TestNegotiationAndVersioning:
-    """The bootstrap fails clean: versions and codecs are named."""
+    """The bootstrap fails clean: both versions are named."""
 
     def test_worker_names_both_versions_on_mismatch(self):
         """An externally-launched worker hitting a parent with a
@@ -219,15 +193,16 @@ class TestNegotiationAndVersioning:
             thread.join(timeout=5.0)
             listener.close()
 
-    def test_parent_rejects_worker_without_the_required_codec(self):
-        """A worker that cannot speak the run's frame codec fails the
-        handshake with an error naming what each side speaks."""
+    def test_parent_names_both_versions_on_mismatch(self):
+        """A v5 worker (six-byte header: version, codec byte, length)
+        connecting to a v6 parent fails the handshake with an error
+        naming both versions."""
         probe = socket.socket()
         probe.bind(("127.0.0.1", 0))
         address = probe.getsockname()[:2]
         probe.close()
 
-        def json_only_worker():
+        def v5_worker():
             sock = None
             for _ in range(100):
                 try:
@@ -237,17 +212,15 @@ class TestNegotiationAndVersioning:
                     time.sleep(0.05)
             if sock is None:
                 return
-            transport = SocketTransport(sock)
-            try:
-                transport.send(HelloRequest(codecs=("json",)))
-                transport.poll(2.0)
-            finally:
-                transport.close()
+            with sock:
+                body = bytes([0]) + b'{"t":"hello","v":{"codecs":["binary"]}}'
+                sock.sendall(bytes([5, 1]) + len(body).to_bytes(4, "big") + body)
+                time.sleep(0.5)
 
-        thread = threading.Thread(target=json_only_worker, daemon=True)
+        thread = threading.Thread(target=v5_worker, daemon=True)
         thread.start()
         try:
-            with pytest.raises(SimulationError, match="frame codec"):
+            with pytest.raises(SimulationError, match="handshake") as excinfo:
                 SocketBackend(
                     2,
                     shards=1,
@@ -256,16 +229,16 @@ class TestNegotiationAndVersioning:
                     max_total_rounds=50,
                     trace_mode="aggregate",
                     listen=address,
-                    frames="binary",
                     accept_timeout=10.0,
                 )
+            message = str(excinfo.value)
+            assert "peer speaks 5" in message
+            assert f"this side speaks {PROTOCOL_VERSION}" in message
         finally:
             thread.join(timeout=5.0)
 
-    def test_bad_frames_and_round_batch_rejected(self):
+    def test_bad_round_batch_rejected(self):
         for backend in ("serial", "inproc"):
-            with pytest.raises(SimulationError, match="frame codec"):
-                ShardedWeakSetCluster(2, shards=1, backend=backend, frames="morse")
             with pytest.raises(SimulationError, match="round_batch"):
                 ShardedWeakSetCluster(2, shards=1, backend=backend, round_batch=0)
 
@@ -552,6 +525,103 @@ class TestBackendClasses:
         )
         assert backend.traces()[0] is backend.clusters[0].trace
 
+    def test_serial_lifecycle(self):
+        """The serial backend runs the shared driver: its direct
+        exchanges are counted like wire ones, and close() ends it."""
+        cluster = ShardedWeakSetCluster(3, shards=2)
+        cluster.handle(0).add("v")
+        backend = cluster.backend
+        assert backend.exchanges > 0
+        assert backend.frame_pairs == 2 * backend.exchanges
+        cluster.close()
+        cluster.close()  # idempotent
+        for call in (
+            lambda: cluster.advance(1),
+            cluster.step,
+            cluster.traces,
+            lambda: cluster.begin_add(1, "w"),
+            lambda: cluster.handle(0).get(),
+        ):
+            with pytest.raises(SimulationError, match="backend already closed"):
+                call()
+
+    @pytest.mark.parametrize("option", ["recover", "fault_plan"])
+    def test_serial_rejects_supervision_and_faults(self, option):
+        """No workers to respawn and no wires to fault: asking the
+        serial backend for either is a configuration error, not a
+        silently ignored knob."""
+        value = {"recover": True, "fault_plan": parse_fault_plan("kill:0:5")}
+        with pytest.raises(SimulationError, match="no workers to supervise"):
+            ShardedWeakSetCluster(3, shards=2, **{option: value[option]})
+
+
+def _registered(backend):
+    """The channel descriptors the backend's selector watches."""
+    return {key.fd for key in backend._selector.get_map().values()}
+
+
+class TestOverlapRule:
+    """The harvest overlaps exactly when the backend holds a selector,
+    and it holds one only when there is more than one channel, every
+    channel is selectable, and neither supervision nor fault injection
+    is on — arrival order must never reach those two layers."""
+
+    @pytest.mark.parametrize("backend", ["serial", "inproc"])
+    def test_in_process_channels_never_overlap(self, backend):
+        with ShardedWeakSetCluster(3, shards=3, backend=backend) as cluster:
+            assert all(t.fileno() is None for t in cluster.backend._transports)
+            assert cluster.backend._selector is None
+            assert cluster.advance(2) == 2
+
+    def test_process_channels_overlap(self, start_method):
+        cluster = ShardedWeakSetCluster(
+            3, shards=3, backend="multiprocess", start_method=start_method
+        )
+        with cluster:
+            backend = cluster.backend
+            assert _registered(backend) == {
+                t.fileno() for t in backend._transports
+            }
+            assert cluster.advance(2) == 2
+        assert backend._selector is None  # closed with the backend
+
+    @pytest.mark.parametrize("option", ["recover", "fault_plan"])
+    def test_supervision_and_faults_harvest_in_index_order(self, option):
+        # a fault far past the run: the plan is on, nothing fires
+        value = {"recover": True, "fault_plan": parse_fault_plan("kill:0:500")}
+        with ShardedWeakSetCluster(
+            3, shards=3, backend="multiprocess", **{option: value[option]}
+        ) as cluster:
+            assert cluster.backend._selector is None
+            assert cluster.advance(2) == 2
+
+    def test_one_channel_never_overlaps(self):
+        """Two worlds multiplexed behind one socket worker leave one
+        channel: nothing to overlap."""
+        with ShardedWeakSetCluster(
+            3, shards=2, backend="socket", worlds_per_worker=2
+        ) as cluster:
+            assert len(cluster.backend._transports) == 1
+            assert cluster.backend._selector is None
+
+    def test_membership_change_reregisters_the_channels(self):
+        with ShardedWeakSetCluster(
+            3, shards=2, backend="multiprocess"
+        ) as cluster:
+            backend = cluster.backend
+            cluster.advance(1)
+            cluster.join_shard()
+            assert len(backend._transports) == 3
+            assert _registered(backend) == {
+                t.fileno() for t in backend._transports
+            }
+            cluster.leave_shard(0)
+            assert len(backend._transports) == 2
+            assert _registered(backend) == {
+                t.fileno() for t in backend._transports
+            }
+            assert cluster.advance(2) == 2
+
 
 class TestPipelinedWindow:
     """The pipelined driver: windows change timing, never bytes.
@@ -577,21 +647,17 @@ class TestPipelinedWindow:
         return _drive(serial), _snapshot(serial)
 
     def test_window_grid_byte_identical(self):
-        """window × round_batch × codec on the in-process transport:
-        every combination equals the plain serial run."""
+        """window × round_batch on the in-process transport: every
+        combination equals the plain serial run."""
         serial_result, serial_traces = self._serial_reference()
         for window in (2, 4):
             for round_batch in (1, 4):
-                for frames in ("binary", "json"):
-                    label = (window, round_batch, frames)
-                    with self._build(
-                        "inproc",
-                        window=window,
-                        round_batch=round_batch,
-                        frames=frames,
-                    ) as cluster:
-                        assert _drive(cluster) == serial_result, label
-                        assert _snapshot(cluster) == serial_traces, label
+                label = (window, round_batch)
+                with self._build(
+                    "inproc", window=window, round_batch=round_batch
+                ) as cluster:
+                    assert _drive(cluster) == serial_result, label
+                    assert _snapshot(cluster) == serial_traces, label
 
     def test_window_grid_process_backends(self, start_method):
         serial_result, serial_traces = self._serial_reference()
@@ -718,8 +784,8 @@ class TestPipelinedWindow:
             ShardedWeakSetCluster(
                 2, shards=1, backend="inproc", worlds_per_worker=2
             )
-        # serial accepts (and ignores) window: the CLI can pass it
-        # uniformly without special-casing the reference backend
+        # serial runs the same windowed driver: the CLI can pass
+        # window uniformly without special-casing the default backend
         cluster = ShardedWeakSetCluster(2, shards=1, window=4)
         cluster.handle(0).add("v")
 
@@ -754,3 +820,139 @@ class TestPipelinedWindow:
             ShardedWeakSetCluster(
                 3, shards=2, backend=backend, worlds_per_worker=2
             )
+
+
+# ----------------------------------------------------------------------
+# differential fuzz: the one driver against plain clusters
+# ----------------------------------------------------------------------
+@st.composite
+def shard_runs(draw):
+    """A whole run: world shape, churn environment, an optional crash
+    schedule shared by every shard, round horizon, driver shape, and a
+    schedule of steps — each issues up to ``n`` adds, then advances or
+    gets.  Horizons mostly below the schedule's 30-tick maximum let
+    worlds go dead mid-batch and mid-window."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    pids = st.integers(min_value=0, max_value=n - 1)
+    then = st.one_of(
+        st.tuples(st.just("advance"), st.integers(min_value=1, max_value=5)),
+        st.tuples(st.just("get"), pids),
+    )
+    return {
+        "n": n,
+        "shards": draw(st.integers(min_value=1, max_value=4)),
+        "pattern": draw(st.sampled_from(sorted(CHURN_PATTERNS))),
+        "seed": draw(st.integers(min_value=0, max_value=2**16)),
+        "crash_fraction": draw(
+            st.none() | st.floats(min_value=0.25, max_value=1.0)
+        ),
+        "horizon": draw(st.integers(min_value=2, max_value=24)),
+        "round_batch": draw(st.integers(min_value=1, max_value=4)),
+        "window": draw(st.integers(min_value=1, max_value=3)),
+        "steps": draw(
+            st.lists(
+                st.tuples(st.lists(st.tuples(pids, values), max_size=n), then),
+                min_size=1,
+                max_size=6,
+            )
+        ),
+    }
+
+
+def _world_options(run):
+    fraction = run["crash_fraction"]
+    return {
+        "crash_schedule": None if fraction is None else CrashSchedule.fraction(
+            run["n"], fraction, seed=run["seed"]
+        ),
+        "max_total_rounds": run["horizon"],
+        "trace_mode": "full",
+    }
+
+
+def _outcome(call):
+    """A call's result, or the error it raised, as comparable data."""
+    try:
+        return ("ok", call())
+    except (ProtocolMisuse, SimulationError) as error:
+        return ("error", type(error).__name__, str(error))
+
+
+def _drive_facade(run, backend):
+    with ShardedWeakSetCluster(
+        run["n"],
+        shards=run["shards"],
+        environment_factory=ChurnEnvironments(
+            pattern=run["pattern"], seed=run["seed"]
+        ),
+        backend=backend,
+        round_batch=run["round_batch"],
+        window=run["window"],
+        **_world_options(run),
+    ) as cluster:
+        events = []
+
+        def add(pid, value):
+            cluster.begin_add(pid, value)
+
+        for adds, (kind, arg) in run["steps"]:
+            for pid, value in adds:
+                events.append(_outcome(lambda: add(pid, value)))
+            if kind == "advance":
+                events.append(("advanced", cluster.advance(arg)))
+            else:
+                events.append(_outcome(cluster.handle(arg).get))
+        log = [(r.pid, r.value, r.start, r.end) for r in cluster.log.adds]
+        traces = [trace_to_json(trace) for trace in cluster.traces()]
+    return events, log, traces
+
+
+def _drive_plain_clusters(run):
+    """The oracle: K plain clusters, each built from the environment
+    factory for its member, fed the adds ``shard_of`` routes to it and
+    stepped once per tick — none of the shard driver's code."""
+    factory = ChurnEnvironments(pattern=run["pattern"], seed=run["seed"])
+    options = _world_options(run)
+    worlds = [
+        MSWeakSetCluster(run["n"], environment=factory(member), **options)
+        for member in range(run["shards"])
+    ]
+    events, records = [], []
+
+    def add(pid, value):
+        records.append(worlds[shard_of(value, run["shards"])].begin_add(pid, value))
+
+    def get(pid):
+        merged = set()
+        for world in worlds:
+            merged |= world.handle(pid).get()
+        return frozenset(merged)
+
+    for adds, (kind, arg) in run["steps"]:
+        for pid, value in adds:
+            events.append(_outcome(lambda: add(pid, value)))
+        if kind == "advance":
+            ticks = 0
+            for _ in range(arg):
+                ticks += 1
+                if not all([world.step() for world in worlds]):
+                    break
+            events.append(("advanced", ticks))
+        else:
+            events.append(_outcome(lambda: get(arg)))
+    log = [(r.pid, r.value, r.start, r.end) for r in records]
+    return events, log, [trace_to_json(world.trace) for world in worlds]
+
+
+class TestDifferentialFuzz:
+    """Every backend runs one driver, so nothing but an independent
+    oracle can check it for K > 1: the serial backend (no codec) and
+    the in-process backend (the codec leg) must both reproduce K plain
+    clusters — traces, op logs, get results and errors alike."""
+
+    @given(run=shard_runs())
+    @settings(max_examples=100)
+    def test_serial_and_inproc_match_plain_clusters(self, run):
+        expected = _drive_plain_clusters(run)
+        assert _drive_facade(run, "serial") == expected
+        assert _drive_facade(run, "inproc") == expected

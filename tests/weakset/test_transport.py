@@ -1,11 +1,12 @@
-"""Transports and the overlapped exchange driver.
+"""Transports and the exchange driver.
 
-Covers the frame channels in isolation (framing over real byte
-streams, partial reads, peer-death semantics) and ``exchange_all``'s
-contract: replies are harvested as they arrive but returned in
-canonical input order.
+Covers the channels in isolation (the direct in-process hand-over,
+framing over real byte streams, partial reads, peer-death semantics)
+and ``exchange_all``'s contract: handed a selector, replies are
+harvested as they arrive but returned in canonical input order.
 """
 
+import selectors
 import socket
 import threading
 import time
@@ -21,6 +22,7 @@ from repro.weakset.protocol import (
     encode_message,
 )
 from repro.weakset.transport import (
+    DirectTransport,
     InProcTransport,
     SocketTransport,
     TransportError,
@@ -34,6 +36,52 @@ from repro.weakset.transport import (
 def socket_pair():
     left, right = socket.socketpair()
     return SocketTransport(left), SocketTransport(right)
+
+
+def selector_for(transports):
+    """A selector with every transport registered (data = its index)."""
+    selector = selectors.DefaultSelector()
+    for index, transport in enumerate(transports):
+        selector.register(transport.fileno(), selectors.EVENT_READ, index)
+    return selector
+
+
+class TestDirectTransport:
+    def test_handler_receives_the_callers_object(self):
+        request = RoundRequest(adds=((0, 1, object()),))  # uncodable
+        seen = []
+
+        def handler(message):
+            seen.append(message)
+            return StopReply()
+
+        transport = DirectTransport(handler)
+        transport.send(request)
+        assert transport.poll()
+        assert transport.recv() == StopReply()
+        # no codec in between: the very same object, which need not
+        # be encodable
+        assert seen[0] is request
+        assert transport.fileno() is None
+
+    def test_handler_failure_becomes_error_reply(self):
+        def handler(request):
+            raise RuntimeError("shard world exploded")
+
+        transport = DirectTransport(handler)
+        transport.send(StopRequest())
+        reply = transport.recv()
+        assert isinstance(reply, ErrorReply)
+        assert "shard world exploded" in reply.message
+
+    def test_recv_without_send_and_close(self):
+        transport = DirectTransport(lambda request: StopReply())
+        assert not transport.poll()
+        with pytest.raises(TransportError):
+            transport.recv()
+        transport.close()
+        with pytest.raises(TransportError):
+            transport.send(StopRequest())
 
 
 class TestInProcTransport:
@@ -150,11 +198,12 @@ class TestExchangeAll:
         ]
         for thread in threads:
             thread.start()
-        replies = exchange_all(
-            list(parents),
-            [PeekRequest(pid=index) for index in range(3)],
-            overlap=True,
-        )
+        with selector_for(parents) as selector:
+            replies = exchange_all(
+                list(parents),
+                [PeekRequest(pid=index) for index in range(3)],
+                selector=selector,
+            )
         for thread in threads:
             thread.join(timeout=10)
         assert [reply.message for reply in replies] == [
@@ -167,22 +216,11 @@ class TestExchangeAll:
         handler = lambda request: ErrorReply(f"pid={request.pid}")
         transports = [InProcTransport(handler) for _ in range(3)]
         replies = exchange_all(
-            transports,
-            [PeekRequest(pid=index) for index in range(3)],
-            overlap=False,
+            transports, [PeekRequest(pid=index) for index in range(3)]
         )
         assert [reply.message for reply in replies] == [
             "pid=0", "pid=1", "pid=2",
         ]
-
-    def test_inproc_transports_fall_back_from_overlap(self):
-        """InProc channels are not selectable; overlap=True must still
-        work (sequential fallback), not crash on fileno()."""
-        transports = [InProcTransport(lambda r: StopReply()) for _ in range(2)]
-        replies = exchange_all(
-            transports, [StopRequest(), StopRequest()], overlap=True
-        )
-        assert replies == [StopReply(), StopReply()]
 
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ValueError):
@@ -254,12 +292,14 @@ class TestDeadlineBookkeeping:
         right0.send(StopReply())  # shard 0's reply is already in flight
         now = time.monotonic()
         try:
-            with pytest.raises(TransportError, match=r"shard\(s\) \[1\]"):
-                harvest_all(
-                    [left0, left1],
-                    deadlines=[now + 5.0, now + 0.1],
-                    timeout=0.1,
-                )
+            with selector_for([left0, left1]) as selector:
+                with pytest.raises(TransportError, match=r"shard\(s\) \[1\]"):
+                    harvest_all(
+                        [left0, left1],
+                        selector=selector,
+                        deadlines=[now + 5.0, now + 0.1],
+                        timeout=0.1,
+                    )
         finally:
             for transport in (left0, right0, left1, right1):
                 transport.close()
