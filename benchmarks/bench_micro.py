@@ -185,9 +185,9 @@ DELAY_ROW_RECEIVERS = list(range(1, 64))
 
 
 def _delay_row_v1_reference(lo, hi, seed, round_no, sender, receivers):
-    """The per-link draw stream v2 replaced, kept only as this bench's
-    reference: one ``random.Random(repr(key))`` (SHA-512 seeding plus a
-    Mersenne-Twister init) per late link."""
+    """The per-link draw the keyed streams replaced, kept only as this
+    bench's reference: one ``random.Random(repr(key))`` (SHA-512 seeding
+    plus a Mersenne-Twister init) per late link."""
     return [
         random.Random(repr(("delay", seed, round_no, sender, receiver))).randint(
             lo, hi
@@ -196,9 +196,9 @@ def _delay_row_v1_reference(lo, hi, seed, round_no, sender, receivers):
     ]
 
 
-def test_bench_delay_row_v2_n64(benchmark):
+def test_bench_delay_row_v3_n64(benchmark):
     """One broadcast's late delays through ``UniformDelay.delay_row``:
-    one prefix hash plus one keyed block per eight receivers."""
+    one SHAKE-128 block covers all 63 receivers."""
     row = benchmark(UniformDelay(2, 6, seed=3).delay_row, 7, 0, DELAY_ROW_RECEIVERS)
     assert len(row) == 63 and set(row) <= set(range(2, 7))
 
@@ -207,6 +207,55 @@ def test_bench_delay_row_v1_reference_n64(benchmark):
     """The same row drawn the old way, one seeded stream per link."""
     row = benchmark(_delay_row_v1_reference, 2, 6, 3, 7, 0, DELAY_ROW_RECEIVERS)
     assert len(row) == 63 and set(row) <= set(range(2, 7))
+
+
+#: one lock-step round of the headline shape at n=64: 48 late senders,
+#: every link late (the diagonal is a sender's own, drawn but unused)
+DELAY_ROUND_SENDERS = list(range(16, 64))
+DELAY_ROUND_RECEIVERS = list(range(64))
+
+
+def _delay_round_late():
+    import numpy as np
+
+    shape = (len(DELAY_ROUND_SENDERS), len(DELAY_ROUND_RECEIVERS))
+    late = np.ones(shape, dtype=bool)
+    late[np.arange(len(DELAY_ROUND_SENDERS)), DELAY_ROUND_SENDERS] = False
+    return late
+
+
+def _delay_round_rows(policy, round_no, senders, late_receivers):
+    """The same round as one ``delay_row`` per sender over its late
+    receivers, the way the object engine draws it."""
+    return [
+        policy.delay_row(round_no, sender, late)
+        for sender, late in zip(senders, late_receivers)
+    ]
+
+
+def test_bench_delay_round_matrix_n64(benchmark):
+    """A 48 x 64 round of late delays through ``UniformDelay.delay_matrix``:
+    one SHAKE-128 block per sender, gathered as one numpy array."""
+    policy = UniformDelay(2, 6, seed=3)
+    late = _delay_round_late()
+    delays = benchmark(
+        policy.delay_matrix, 7, DELAY_ROUND_SENDERS, DELAY_ROUND_RECEIVERS, late
+    )
+    assert delays.shape == late.shape
+    assert set(delays[late].tolist()) == set(range(2, 7))
+
+
+def test_bench_delay_round_rows_n64(benchmark):
+    """The same round as 48 ``delay_row`` calls."""
+    policy = UniformDelay(2, 6, seed=3)
+    late_receivers = [
+        [r for r in DELAY_ROUND_RECEIVERS if r != sender]
+        for sender in DELAY_ROUND_SENDERS
+    ]
+    rows = benchmark(
+        _delay_round_rows, policy, 7, DELAY_ROUND_SENDERS, late_receivers
+    )
+    assert len(rows) == 48 and all(len(row) == 63 for row in rows)
 
 
 def _ess_uniform(n: int, engine: str = "object"):

@@ -69,6 +69,16 @@ STREAM_V1_RECORDED_US = {
     "test_bench_ess_uniform_n256": 8396360.87,
 }
 
+#: Recorded at commit 264809b, the last one on stream v2 (keyed blake2b
+#: rows, drawn one late broadcast at a time), on the reference machine
+#: (2 vCPU Intel Xeon, Python 3.11.7): Algorithm 3 at n=256 on the
+#: lock-step matrix engine, whose late delays stream v3 draws as one
+#: matrix per round.  A same-machine anchor like the ones above,
+#: enforced only under --strict.
+STREAM_V2_RECORDED_US = {
+    "test_bench_ess_uniform_columnar_n256": 381225.801,
+}
+
 #: Recorded at commit 36e6bc3, the last one whose lock-step numpy path
 #: stored a dense n × width counter matrix over every history the
 #: index held, on the reference machine (2 vCPU Intel Xeon, Python
@@ -156,6 +166,7 @@ def main(argv=None) -> int:
         "seed_baseline_us": SEED_BASELINE_US,
         "pr4_recorded_us": PR4_RECORDED_US,
         "stream_v1_recorded_us": STREAM_V1_RECORDED_US,
+        "stream_v2_recorded_us": STREAM_V2_RECORDED_US,
         "dense_layout_recorded_us": DENSE_LAYOUT_RECORDED_US,
         "json_codec_recorded_us": JSON_CODEC_RECORDED_US,
     }
@@ -301,13 +312,21 @@ def main(argv=None) -> int:
     recorded = PR4_RECORDED_US.get("test_bench_drifting_round_throughput")
     if drifting and recorded:
         speedups["drifting_vs_pr4_recorded"] = round(recorded / drifting, 2)
-    # Keyed randomness: one broadcast's late-delay row through stream v2
-    # against the per-link SHA-512 + Mersenne-Twister reference (same
-    # run), and the consensus workload it dominated against its anchor.
-    row_v2 = micro.get("test_bench_delay_row_v2_n64")
+    # Keyed randomness: one broadcast's late-delay row through stream v3
+    # against the per-link SHA-512 + Mersenne-Twister reference, and one
+    # lock-step round drawn as a matrix against the same round as rows
+    # (both same run), and the consensus workload the draws dominated
+    # against its anchor.
+    row_v3 = micro.get("test_bench_delay_row_v3_n64")
     row_v1 = micro.get("test_bench_delay_row_v1_reference_n64")
-    if row_v2 and row_v1:
-        speedups["delay_row_v2_vs_v1_n64"] = round(row_v1 / row_v2, 2)
+    if row_v3 and row_v1:
+        speedups["delay_row_v3_vs_v1_n64"] = round(row_v1 / row_v3, 2)
+    round_matrix = micro.get("test_bench_delay_round_matrix_n64")
+    round_rows = micro.get("test_bench_delay_round_rows_n64")
+    if round_matrix and round_rows:
+        speedups["delay_round_matrix_vs_rows_n64"] = round(
+            round_rows / round_matrix, 2
+        )
     ess = micro.get("test_bench_ess_uniform_n256")
     recorded = STREAM_V1_RECORDED_US.get("test_bench_ess_uniform_n256")
     if ess and recorded:
@@ -319,6 +338,11 @@ def main(argv=None) -> int:
     if ess and ess_columnar:
         speedups["ess_uniform_columnar_vs_object_n256"] = round(
             ess / ess_columnar, 2
+        )
+    recorded = STREAM_V2_RECORDED_US.get("test_bench_ess_uniform_columnar_n256")
+    if ess_columnar and recorded:
+        speedups["ess_uniform_columnar_n256_vs_stream_v2_recorded"] = round(
+            recorded / ess_columnar, 2
         )
     # Live-column counter matrices: the 40-round heartbeat bench
     # against its recording on the dense layout.

@@ -103,11 +103,18 @@ SAME_RUN_FLOORS = [
         "Python loops)",
     ),
     (
-        "delay_row_v2_vs_v1_n64",
+        "delay_row_v3_vs_v1_n64",
         5.0,
-        "a stream-v2 late-delay row lost its edge over re-seeding a "
+        "a stream-v3 late-delay row lost its edge over re-seeding a "
         "SHA-512 Mersenne Twister per link (the row form presumably "
-        "stopped sharing its prefix hash and blocks)",
+        "stopped squeezing one block per 64 receivers)",
+    ),
+    (
+        "delay_round_matrix_vs_rows_n64",
+        2.0,
+        "a round of late delays drawn as one matrix lost its edge over "
+        "the same round drawn row by row (the matrix form presumably "
+        "fell back to per-row or per-draw Python)",
     ),
     (
         "shard_rebalance_time",
@@ -135,6 +142,13 @@ STRICT_FLOORS = [
         3.0,
         "ESS consensus under random delays regressed toward the "
         "per-link re-seeding cost of stream v1",
+    ),
+    (
+        "ess_uniform_columnar_n256_vs_stream_v2_recorded",
+        2.0,
+        "Algorithm 3 on the lock-step matrix engine regressed toward its "
+        "stream-v2 cost (the round's late delays presumably stopped "
+        "being drawn as one matrix)",
     ),
     (
         "heartbeat_n10k_r40_vs_dense_recorded",

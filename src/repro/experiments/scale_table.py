@@ -200,12 +200,13 @@ def s1_cells(
     if quick:
         object_ns = [64, 256]
         columnar_ns = [64, 256, 1024]
-        ess_ns = [64, 256]
+        ess_object_ns = ess_columnar_ns = [64, 256]
         pin_cap = 256
     else:
         object_ns = [64, 256, 1024]
         columnar_ns = [64, 256, 1024, 4000, 10000]
-        ess_ns = [64, 256, 1024]
+        ess_object_ns = [64, 256, 1024]
+        ess_columnar_ns = [64, 256, 1024, 4096]
         pin_cap = 1024
     engines = ["object", "columnar"] if engine is None else [engine]
     schedulers = ["lockstep", "drifting"] if scheduler is None else [scheduler]
@@ -218,9 +219,11 @@ def s1_cells(
                 if size in grid:
                     cells.append(("heartbeat", sched, size, name, seed, pin_cap))
     if "lockstep" in schedulers:
-        for size in ess_ns:
+        for size in sorted(set(ess_object_ns) | set(ess_columnar_ns)):
             for name in engines:
-                cells.append(("ess", "lockstep", size, name, seed, pin_cap))
+                grid = ess_object_ns if name == "object" else ess_columnar_ns
+                if size in grid:
+                    cells.append(("ess", "lockstep", size, name, seed, pin_cap))
     return cells
 
 

@@ -22,7 +22,12 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Sequence
 
-from repro._rng import derive_randint, derive_randint_row, derive_randrange
+from repro._rng import (
+    derive_randint,
+    derive_randint_matrix,
+    derive_randint_row,
+    derive_randrange,
+)
 from repro.errors import ProtocolMisuse
 
 __all__ = [
@@ -241,7 +246,10 @@ class DelayPolicy(ABC):
 
     In the lock-step scheduler a delay of 1 tick still lands in time to
     be read (deliveries flush before computes), so *real* lateness
-    requires a delay of at least 2; policies enforce that minimum.
+    requires a delay of at least 2; the shipped policies enforce that
+    minimum.  A custom policy may answer 1, but never less: a delivery
+    due in a tick already flushed would be lost, so both lock-step
+    engines raise :class:`~repro.errors.ProtocolMisuse` instead.
     """
 
     @abstractmethod
@@ -259,10 +267,10 @@ class DelayPolicy(ABC):
         collapses the per-link environment→policy call chain into one
         call and lets the RNG batch too: :class:`UniformDelay` keys its
         draws by ``(round, sender)`` with the receiver as the stream
-        counter, so :func:`~repro._rng.derive_randint_row` hashes the
-        prefix once per broadcast and one block per eight receivers.
-        The default falls back to the scalar method so custom policies
-        stay correct with no extra work.
+        counter, so :func:`~repro._rng.derive_randint_row` squeezes one
+        SHAKE-128 block per 64 receivers.  The default falls back to
+        the scalar method so custom policies stay correct with no extra
+        work.
 
         Args:
             round_no: the round of the broadcast.
@@ -273,6 +281,33 @@ class DelayPolicy(ABC):
             One delay (ticks, ``>= 2``) per receiver.
         """
         return [self.delay(round_no, sender, receiver) for receiver in receivers]
+
+    def delay_matrix(
+        self, round_no: int, senders: Sequence[int], receivers: Sequence[int], late
+    ):
+        """Matrix form: a whole round's late delays in one call.
+
+        The lock-step matrix engine's late path.  ``late`` is a numpy
+        boolean array of shape ``(len(senders), len(receivers))``
+        marking the late links; the answer is an ``int64`` array of the
+        same shape holding, on every late link, exactly what
+        :meth:`delay` would for ``(round_no, senders[i], receivers[j])``,
+        and 0 everywhere else.  The default asks :meth:`delay_row` for
+        each sender's late receivers only, so a custom policy sees the
+        same questions the object engine asks; :class:`UniformDelay`
+        answers with one :func:`~repro._rng.derive_randint_matrix`
+        draw.
+
+        Args:
+            round_no: the round of the broadcasts.
+            senders: the broadcasting pids, in row order.
+            receivers: the receiving pids, in column order.
+            late: which links are late.
+
+        Returns:
+            The delays (ticks), 0 off the late links.
+        """
+        return _matrix_from_rows(self.delay_row, round_no, senders, receivers, late)
 
     def delay_bounds(self) -> Optional[tuple]:
         """The ``(lo, hi)`` tick range this policy draws from, if known.
@@ -309,6 +344,14 @@ class UniformDelay(DelayPolicy):
             self._lo, self._hi, ("delay", self._seed, round_no, sender), receivers
         )
 
+    def delay_matrix(
+        self, round_no: int, senders: Sequence[int], receivers: Sequence[int], late
+    ):
+        prefixes = [("delay", self._seed, round_no, sender) for sender in senders]
+        delays = derive_randint_matrix(self._lo, self._hi, prefixes, receivers)
+        delays[~late] = 0
+        return delays
+
     def delay_bounds(self) -> tuple:
         return (self._lo, self._hi)
 
@@ -335,3 +378,22 @@ class ConstantDelay(DelayPolicy):
 
     def delay_bounds(self) -> tuple:
         return (self._ticks, self._ticks)
+
+
+def _matrix_from_rows(
+    row, round_no: int, senders: Sequence[int], receivers: Sequence[int], late
+):
+    """A delay matrix assembled from ``row(round_no, sender, late
+    receivers)`` calls, one per sender with a late link: the per-row
+    fallback behind :meth:`DelayPolicy.delay_matrix` and
+    :meth:`~repro.giraf.environments.Environment.delay_ticks_matrix`."""
+    import numpy as np
+
+    delays = np.zeros(late.shape, dtype=np.int64)
+    for i, sender in enumerate(senders):
+        columns = np.flatnonzero(late[i])
+        if columns.size:
+            delays[i, columns] = row(
+                round_no, sender, [receivers[j] for j in columns.tolist()]
+            )
+    return delays

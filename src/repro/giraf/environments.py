@@ -41,6 +41,7 @@ from repro.giraf.adversary import (
     RandomSource,
     SourceSchedule,
     UniformDelay,
+    _matrix_from_rows,
 )
 
 __all__ = [
@@ -269,7 +270,9 @@ class Environment(ABC):
         environment/policy layers instead of one per link.  The draws
         stay keyed per link, so the values are exactly what per-link
         :meth:`delay_ticks` calls would produce (equivalence-tested) —
-        the lock-step scheduler's late path may use either form.
+        the lock-step scheduler's late path may use either form, and
+        the lock-step matrix engine reads the same values a round at a
+        time through :meth:`delay_ticks_matrix`.
 
         Args:
             round_no: the round of the broadcast.
@@ -291,6 +294,44 @@ class Environment(ABC):
                 for receiver in receivers
             ]
         return self.delay_policy.delay_row(round_no, sender, receivers)
+
+    def delay_ticks_matrix(
+        self, round_no: int, senders: Sequence[int], receivers: Sequence[int], late
+    ):
+        """Matrix :meth:`delay_ticks`: a whole round's late links in one call.
+
+        ``late`` is a numpy boolean array of shape ``(len(senders),
+        len(receivers))`` marking the late links; the answer is an
+        ``int64`` array of that shape with :meth:`delay_ticks`'s value
+        on every late link and 0 elsewhere.  Routed like
+        :meth:`delay_ticks_row`: stock environments delegate to the
+        delay policy's
+        :meth:`~repro.giraf.adversary.DelayPolicy.delay_matrix` (one
+        keyed matrix draw for :class:`~repro.giraf.adversary.UniformDelay`),
+        while environments that override :meth:`delay_ticks` or
+        :meth:`delay_ticks_row` get one :meth:`delay_ticks_row` call per
+        sender over its late receivers only — the same questions the
+        object engine asks.  numpy is needed only here.
+
+        Example:
+            >>> import numpy as np
+            >>> env = MovingSourceEnvironment()
+            >>> late = np.array([[False, True, True], [True, False, False]])
+            >>> matrix = env.delay_ticks_matrix(3, [0, 1], [0, 1, 2], late)
+            >>> matrix[0, 1:].tolist() == env.delay_ticks_row(3, 0, [1, 2])
+            True
+            >>> int(matrix[1, 0]) == env.delay_ticks(3, 1, 0), int(matrix[1, 1])
+            (True, 0)
+        """
+        env_type = type(self)
+        if (
+            env_type.delay_ticks is Environment.delay_ticks
+            and env_type.delay_ticks_row is Environment.delay_ticks_row
+        ):
+            return self.delay_policy.delay_matrix(round_no, senders, receivers, late)
+        return _matrix_from_rows(
+            self.delay_ticks_row, round_no, senders, receivers, late
+        )
 
     # -- drifting-scheduler latencies ------------------------------------
     def timely_latency(self, round_no: int, sender: int, receiver: int) -> float:

@@ -67,12 +67,19 @@ scheduler (``tests/runtime/test_columnar_engine.py`` and
   lates are flushed by the object loop *before* the next fire, so they
   do reach the slot being computed — the engine feeds those into the
   next tick's folds exactly like timely extras (counted on the due
-  tick, state-applied at the next compute);
+  tick, state-applied at the next compute).  A delay under one tick
+  would be due in a tick already flushed, so it raises
+  :class:`~repro.errors.ProtocolMisuse` on both engines instead of
+  vanishing;
 * broadcast planning consumes the environment's vectorized
-  ``plan_round_links`` boolean rows and ``delay_ticks_row`` delay rows
-  directly (with a constant-delay arithmetic shortcut when the policy
-  declares fixed bounds), so no per-envelope object exists anywhere on
-  the path.
+  ``plan_round_links`` boolean rows directly.  On the numpy backend a
+  round's late delays are one senders × receivers
+  ``delay_ticks_matrix`` draw per chunk of senders (at most
+  :data:`_LATE_CHUNK_CELLS` cells, so memory stays bounded at any
+  ``n``), counted per due tick with one ``np.bincount``; the stdlib
+  backend draws ``delay_ticks_row`` rows, and a policy that declares
+  fixed bounds takes a constant-delay arithmetic shortcut on both.  No
+  per-envelope object exists anywhere on the path.
 
 Trace bookkeeping (round entries, compute times, decisions, halts,
 aggregate counters, and for heartbeats optional snapshots and payload
@@ -111,6 +118,7 @@ from repro.giraf.environments import (
     SilentLinks,
 )
 from repro.giraf.messages import payload_size
+from repro.runtime.kernel import check_late_row
 from repro.values import BOTTOM
 
 __all__ = [
@@ -166,6 +174,11 @@ def warm_history_index() -> HistoryIndex:
     index = HistoryIndex()
     _WARM_INDEX.append(index)
     return index
+
+
+#: Cells per chunk of a round's late-delay matrix: the draw holds an
+#: int64 matrix and its squeezed bytes, ~1 MB per chunk at any ``n``.
+_LATE_CHUNK_CELLS = 1 << 16
 
 
 def _constant_delay(environment) -> Optional[int]:
@@ -1122,6 +1135,8 @@ class ColumnarLockStepEngine:
         # Link policies may share one row object across senders (the
         # all-false silent row does); cache its true positions once.
         positions_cache: Dict[int, List[int]] = {}
+        # (sender, timely receivers) whose lates the matrix draws
+        drawn: List[Tuple[int, List[int]]] = []
 
         def late_receivers(sender: int, timely: List[int]) -> List[int]:
             if timely:
@@ -1174,14 +1189,22 @@ class ColumnarLockStepEngine:
             # delivery count still lands on the due tick).
             effective: List[int] = []
             if const_delay is not None:
+                if const_delay < 1:
+                    late = late_receivers(sender, timely)
+                    check_late_row(tick, sender, late, [const_delay] * late_count)
                 due = tick + const_delay
                 if due <= max_rounds and const_delay < NEVER_DELIVERED:
                     late_counts[due] = late_counts.get(due, 0) + late_count
                     if const_delay == 1:
                         effective = late_receivers(sender, timely)
+            elif self._numpy:
+                # drawn below, the whole round as one delay matrix
+                drawn.append((sender, timely))
+                continue
             else:
                 late = late_receivers(sender, timely)
                 delays = environment.delay_ticks_row(tick, sender, late)
+                check_late_row(tick, sender, late, delays)
                 # counted per delay value, not per link: only delay-1
                 # receivers are ever materialized
                 for delay, count in Counter(delays).items():
@@ -1199,9 +1222,59 @@ class ColumnarLockStepEngine:
                     extras_store.append((sender, mask))
                 else:
                     extras_store.append((sender, effective))
+        if drawn:
+            self._count_late_matrix(tick, drawn, receivers, extras_store)
         if deliveries:
             self._sink.bulk_deliveries(deliveries)
         self._pending = (oblig_senders, extras_store)
+
+    def _count_late_matrix(
+        self, tick: int, drawn: list, receivers: List[int], extras_store: list
+    ) -> None:
+        """Count the late links of ``drawn`` (``(sender, timely
+        receivers)`` pairs, each with a late link) per due tick: one
+        ``delay_ticks_matrix`` draw and one ``np.bincount`` per chunk of
+        senders (the counts offset by the smallest delay, so they span
+        the drawn delays only).  Delay-1 links feed the next compute as
+        extras, as on the row path."""
+        np = self._np
+        n = self._n
+        count = len(receivers)
+        pids = np.asarray(receivers, dtype=np.intp)
+        position = np.full(n, -1, dtype=np.intp)
+        position[pids] = np.arange(count)
+        horizon = min(self._kernel.max_rounds - tick, NEVER_DELIVERED - 1)
+        late_counts = self._late_counts
+        environment = self._environment
+        rows = max(1, _LATE_CHUNK_CELLS // count)
+        for start in range(0, len(drawn), rows):
+            chunk = drawn[start : start + rows]
+            senders = [sender for sender, _ in chunk]
+            late = np.ones((len(chunk), count), dtype=bool)
+            for i, (_, timely) in enumerate(chunk):
+                if timely:
+                    late[i, position[timely]] = False
+            own = position[senders]
+            sending = np.flatnonzero(own >= 0)
+            late[sending, own[sending]] = False
+            delays = environment.delay_ticks_matrix(tick, senders, receivers, late)
+            drawn_delays = delays[late]
+            low = int(drawn_delays.min())
+            if low < 1:
+                i, j = np.argwhere(late & (delays < 1))[0].tolist()
+                check_late_row(tick, senders[i], [receivers[j]], [int(delays[i, j])])
+            kept = drawn_delays[drawn_delays <= horizon]
+            if kept.size:
+                counts = np.bincount(kept - low)
+                for offset in np.flatnonzero(counts).tolist():
+                    due = tick + low + offset
+                    late_counts[due] = late_counts.get(due, 0) + int(counts[offset])
+            if low == 1:
+                ones = late & (delays == 1)
+                for i in np.flatnonzero(ones.any(axis=1)).tolist():
+                    mask = np.zeros(n, dtype=bool)
+                    mask[pids[ones[i]]] = True
+                    extras_store.append((senders[i], mask))
 
     # ------------------------------------------------------------------
     def _final_row(self, pid: int):

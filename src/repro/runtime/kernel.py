@@ -28,7 +28,7 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.errors import SimulationError
+from repro.errors import ProtocolMisuse, SimulationError
 from repro.giraf.adversary import NEVER_DELIVERED, CrashSchedule
 from repro.giraf.automaton import GirafAlgorithm, GirafProcess
 from repro.giraf.environments import Environment
@@ -43,6 +43,24 @@ StopPredicate = Callable[[RunTrace], bool]
 
 #: queued late delivery: (receiver, envelope, sender, sent_tick)
 QueuedDelivery = Tuple[int, Envelope, int, int]
+
+
+def check_late_row(
+    round_no: int, sender: int, receivers: Sequence[int], delays: Sequence[int]
+) -> None:
+    """Fail closed on a late delay under one tick, naming the first one.
+
+    Such a delivery would be due in a lock-step tick already flushed
+    and never arrive; both lock-step engines raise this one
+    :class:`~repro.errors.ProtocolMisuse` instead of dropping it.
+    """
+    if delays and min(delays) < 1:
+        at = next(i for i, delay in enumerate(delays) if delay < 1)
+        raise ProtocolMisuse(
+            f"round {round_no}: late delay {delays[at]} from sender {sender} "
+            f"to receiver {receivers[at]} is under one tick (a lock-step "
+            "late delivery lands at least one tick later; it would be lost)"
+        )
 
 
 class RuntimeKernel:
@@ -284,8 +302,10 @@ class RuntimeKernel:
         due past the horizon or carrying the never-delivered sentinel
         are dropped (reliability only promises *eventual* delivery,
         which a finite run prefix cannot refute).  Queue order follows
-        row order, so schedules are identical to per-link queuing.
+        row order, so schedules are identical to per-link queuing.  A
+        delay under one tick raises (see :func:`check_late_row`).
         """
+        check_late_row(tick, sender, receivers, delays)
         pending = self._pending
         max_rounds = self.max_rounds
         for receiver, delay in zip(receivers, delays):

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Tuple
 
-from repro._rng import derive_rng
+from repro._rng import derive_randrange
 from repro.errors import ProtocolMisuse
 
 __all__ = ["AtomicRegister", "RegularRegister", "Invoke"]
@@ -101,8 +101,10 @@ class RegularRegister:
     def read(self, *, pid: int, step: int) -> Hashable:
         choices: List[Hashable] = [self._committed]
         choices.extend(self._in_flight[t] for t in sorted(self._in_flight))
-        rng = derive_rng("regular-read", self._seed, self.name, step, pid)
-        return choices[rng.randrange(len(choices))]
+        index = derive_randrange(
+            len(choices), "regular-read", self._seed, self.name, step, pid
+        )
+        return choices[index]
 
     def __repr__(self) -> str:
         return (

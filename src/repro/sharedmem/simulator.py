@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Generator, List, Optional
 
-from repro._rng import derive_rng
+from repro._rng import derive_randrange
 from repro.errors import SimulationError
 from repro.sharedmem.objects import Invoke
 
@@ -97,8 +97,9 @@ class SharedMemorySimulator:
         if not self._runnable:
             return False
         self.step_count += 1
-        rng = derive_rng("sm-sched", self._seed, self.step_count)
-        index = rng.randrange(len(self._runnable))
+        index = derive_randrange(
+            len(self._runnable), "sm-sched", self._seed, self.step_count
+        )
         task = self._runnable[index]
         if task.start_step is None:
             task.start_step = self.step_count

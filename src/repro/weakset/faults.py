@@ -65,7 +65,7 @@ import time
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro._rng import derive_randrange, derive_rng
+from repro._rng import derive_randrange, derive_uniform_row
 from repro.errors import SimulationError
 from repro.weakset.protocol import decode_message, encode_message
 from repro.weakset.transport import Transport, TransportError
@@ -194,8 +194,11 @@ class FaultPlan:
         if low < 1 or high < low:
             raise SimulationError("kill window must satisfy 1 <= low <= high")
         victims = round(shards * fraction)
-        rng = derive_rng("fault-plan-victims", shards, fraction, seed)
-        chosen = sorted(rng.sample(range(shards), victims))
+        # the victims are the shards with the smallest keyed draws
+        draws = derive_uniform_row(
+            ("fault-plan-victims", shards, fraction, seed), range(shards)
+        )
+        chosen = sorted(sorted(range(shards), key=draws.__getitem__)[:victims])
         faults = tuple(
             Fault(
                 "kill",

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Callable, FrozenSet, Hashable, Set
 
-from repro._rng import derive_rng
+from repro._rng import derive_randint
 from repro.weakset.spec import AddRecord, GetRecord, OpLog
 
 __all__ = ["IdealWeakSet", "uniform_completion_delay"]
@@ -29,7 +29,7 @@ def uniform_completion_delay(lo: int = 1, hi: int = 5, seed: int = 0) -> Callabl
         raise ValueError("need 1 <= lo <= hi")
 
     def sample(pid: int, op_index: int) -> int:
-        return derive_rng("ws-delay", seed, pid, op_index).randint(lo, hi)
+        return derive_randint(lo, hi, "ws-delay", seed, pid, op_index)
 
     return sample
 

@@ -136,7 +136,7 @@ class TestAblationVariants:
 
     def test_pinned_a3_agreement_violation(self):
         """Regression: the seed the A3 search found keeps violating."""
-        seed = 35
+        seed = 70
         env = EventuallyStableSourceEnvironment(
             stabilization_round=30,
             preferred_source=0,
@@ -160,7 +160,7 @@ class TestAblationVariants:
         assert not report.agreement
 
     def test_faithful_survives_the_same_schedule(self):
-        seed = 35
+        seed = 70
         env = EventuallyStableSourceEnvironment(
             stabilization_round=30,
             preferred_source=0,

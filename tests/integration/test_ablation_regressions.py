@@ -20,8 +20,8 @@ from repro.giraf.environments import (
 from repro.giraf.scheduler import LockStepScheduler
 from repro.sim.runner import stop_when_all_correct_decided
 
-A2_VIOLATING_SEEDS = [5, 11, 24]
-A3_VIOLATING_SEEDS = [35, 112, 282]
+A2_VIOLATING_SEEDS = [1, 17, 24]
+A3_VIOLATING_SEEDS = [70, 129, 293]
 
 
 def run_es_variant(seed, **kwargs):

@@ -12,7 +12,8 @@ heartbeat runs) and the object-engine fallback (full traces, drifting
 scheduler, injected round hooks, consensus on top).  Beyond the
 hand-picked grid, generated lock-step heartbeat configurations pin the
 matrix path cold and after an unrelated columnar run has filled the
-shared history index.  Algorithm 3 on the matrix path has its own pins
+shared history index, and a late delay under one tick fails closed on
+both engines.  Algorithm 3 on the matrix path has its own pins
 in ``test_columnar_ess.py``.
 """
 
@@ -21,13 +22,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.columnar import numpy_available
+from repro.core.ess_consensus import ESSConsensus
 from repro.core.history import clear_intern_cache
 from repro.core.pseudo_leader import HeartbeatPseudoLeader
+from repro.errors import ProtocolMisuse
 from repro.giraf.adversary import (
     NEVER_DELIVERED,
     ConstantDelay,
     CrashPlan,
     CrashSchedule,
+    DelayPolicy,
     RandomSource,
     RoundRobinSource,
     UniformDelay,
@@ -74,6 +78,24 @@ ENVIRONMENTS = {
 }
 
 BACKENDS = ["numpy", "python"] if numpy_available() else ["python"]
+
+
+class StretchedDelays:
+    """Mixed into an environment, answers its own ``delay_ticks`` (1 to
+    4 ticks) and records every link it is asked about: the matrix
+    engine's late draw must take the per-row fallback and ask exactly
+    the object engine's questions, about the late links only."""
+
+    def delay_ticks(self, round_no: int, sender: int, receiver: int) -> int:
+        self.asked.append((round_no, sender, receiver))
+        return 1 + (3 * round_no + sender + 2 * receiver) % 4
+
+
+ENVIRONMENT_CLASSES = {
+    "MS": MovingSourceEnvironment,
+    "ES": EventualSynchronyEnvironment,
+    "ESS": EventuallyStableSourceEnvironment,
+}
 
 
 def _final_views(scheduler):
@@ -198,7 +220,7 @@ def heartbeat_configs(draw, sizes=tuple(range(1, 20)) + (64, 200)):
     env = draw(st.sampled_from(["MS", "ES", "ESS"]))
     link = draw(st.sampled_from(["silent", "alltimely", "bernoulli"]))
     p = draw(st.floats(0.0, 1.0))
-    delay = draw(st.sampled_from(["uniform", "constant", "never"]))
+    delay = draw(st.sampled_from(["uniform", "constant", "never", "stretched"]))
     stable = draw(st.integers(1, 6))
     fraction = draw(st.sampled_from([0.0, 0.1, 0.3, 0.6]))
     # most counter columns die within ~10 rounds, so horizons lean
@@ -225,16 +247,19 @@ def _generated(config, engine):
         "uniform": lambda: UniformDelay(2, 5, seed=seed),
         "constant": lambda: ConstantDelay(2 + seed % 3),
         "never": lambda: ConstantDelay(NEVER_DELIVERED),
+        "stretched": lambda: None,  # the environment answers itself
     }[delay]()
     source = RandomSource(seed)
+    cls = ENVIRONMENT_CLASSES[env]
+    if delay == "stretched":
+        cls = type(f"Stretched{cls.__name__}", (StretchedDelays, cls), {})
     if env == "MS":
-        environment = MovingSourceEnvironment(source, links, delays)
+        environment = cls(source, links, delays)
     elif env == "ES":
-        environment = EventualSynchronyEnvironment(stable, source, links, delays)
+        environment = cls(stable, source, links, delays)
     else:
-        environment = EventuallyStableSourceEnvironment(
-            stable, 0, source, links, delays
-        )
+        environment = cls(stable, 0, source, links, delays)
+    environment.asked = []
     crashes = None
     if fraction and n > 1:
         crashes = CrashSchedule.fraction(
@@ -281,7 +306,68 @@ class TestGeneratedConfigurations:
             assert columnar.engine_path == "matrix-lockstep"
             assert columnar_trace == reference_trace
             assert _final_views(columnar) == reference_views
+            assert columnar._environment.asked == reference._environment.asked
             _assert_ascending_columns(columnar)
+
+
+class FixedDelay(DelayPolicy):
+    """A custom policy answering ``ticks`` on every late link, its bounds
+    declared (the engine's constant-delay shortcut) or not (drawn)."""
+
+    def __init__(self, ticks: int, declared: bool):
+        self._ticks = ticks
+        self._declared = declared
+
+    def delay(self, round_no: int, sender: int, receiver: int) -> int:
+        return self._ticks
+
+    def delay_bounds(self):
+        return (self._ticks, self._ticks) if self._declared else None
+
+
+def _fixed_delay_run(engine, algorithm, ticks, declared):
+    clear_intern_cache()
+    build = HeartbeatPseudoLeader if algorithm == "heartbeat" else ESSConsensus
+    return LockStepScheduler(
+        [build(pid % 3) for pid in range(5)],
+        MovingSourceEnvironment(
+            RoundRobinSource(), SilentLinks(), FixedDelay(ticks, declared)
+        ),
+        max_rounds=8,
+        trace_mode="aggregate",
+        engine=engine,
+    )
+
+
+@pytest.mark.parametrize("declared", [False, True], ids=["drawn", "constant"])
+@pytest.mark.parametrize("algorithm", ["heartbeat", "ess"])
+class TestSubTickDelaysFailClosed:
+    """A late delay under one tick would be due in a tick already
+    flushed: both lock-step engines refuse it with one clean error
+    naming the link, where they used to drop the delivery silently."""
+
+    @pytest.mark.parametrize("ticks", [0, -1])
+    def test_both_engines_raise_naming_the_link(self, algorithm, declared, ticks):
+        messages = []
+        for engine in ("object", "columnar"):
+            scheduler = _fixed_delay_run(engine, algorithm, ticks, declared)
+            with pytest.raises(ProtocolMisuse) as raised:
+                scheduler.run()
+            messages.append(str(raised.value))
+        # round 1's source is pid 1, so sender 0's first late link is to 1
+        assert messages[0].startswith(
+            f"round 1: late delay {ticks} from sender 0 to receiver 1 "
+        )
+        assert messages[1] == messages[0]
+
+    def test_one_tick_is_legal(self, algorithm, declared):
+        reference = _fixed_delay_run("object", algorithm, 1, declared).run()
+        columnar = _fixed_delay_run("columnar", algorithm, 1, declared)
+        assert columnar.run() == reference
+        if numpy_available() or algorithm == "heartbeat":
+            assert columnar.engine_path == "matrix-lockstep"
+        # more than the source's own timely links got through
+        assert reference.agg_deliveries > 8 * 4
 
 
 class TestFallbackPins:

@@ -5,8 +5,9 @@ as matrix passes (``PROPOSED``/``WRITTEN``/``WRITTENOLD`` as boolean
 matrices over the run's proposals plus ``⊥``, ``VAL`` as an index
 column).  That is a representation switch, not a semantics switch: on
 generated configurations — MS/ES/ESS environments × the three pure
-link policies × uniform, constant, never-delivered and 1-tick delays ×
-crash fractions × stop predicate × horizons — the whole
+link policies × uniform, constant, never-delivered and 1-tick delays or
+an environment answering its own delays × crash fractions × stop
+predicate × horizons — the whole
 :class:`~repro.giraf.traces.RunTrace` and every final algorithm view
 must equal the object engine's, from a cold history index and from one
 an unrelated columnar run has filled.  Configurations outside the
@@ -45,6 +46,7 @@ from repro.giraf.environments import (
     SilentLinks,
 )
 from repro.giraf.scheduler import LockStepScheduler
+from repro.runtime import columnar_engine
 from repro.sim.runner import stop_when_all_correct_decided
 
 NUMPY_REASON = "Algorithm 3's matrix path needs the numpy backend"
@@ -59,6 +61,24 @@ class OneTickDelay(DelayPolicy):
 
     def delay(self, round_no: int, sender: int, receiver: int) -> int:
         return 1 if (7 * round_no + 3 * sender + receiver + self._seed) % 3 else 4
+
+
+class StretchedDelays:
+    """Mixed into an environment, answers its own ``delay_ticks`` (1 to
+    4 ticks) and records every link it is asked about: the matrix
+    engine's late draw must take the per-row fallback and ask exactly
+    the object engine's questions, about the late links only."""
+
+    def delay_ticks(self, round_no: int, sender: int, receiver: int) -> int:
+        self.asked.append((round_no, sender, receiver))
+        return 1 + (3 * round_no + sender + 2 * receiver) % 4
+
+
+ENVIRONMENT_CLASSES = {
+    "MS": MovingSourceEnvironment,
+    "ES": EventualSynchronyEnvironment,
+    "ESS": EventuallyStableSourceEnvironment,
+}
 
 
 def _proposals(kind: str, n: int, seed: int):
@@ -81,7 +101,9 @@ def ess_configs(draw):
     env = draw(st.sampled_from(["MS", "ES", "ESS"]))
     link = draw(st.sampled_from(["silent", "alltimely", "bernoulli"]))
     p = draw(st.floats(0.0, 1.0))
-    delay = draw(st.sampled_from(["uniform", "constant", "never", "one-tick"]))
+    delay = draw(
+        st.sampled_from(["uniform", "constant", "never", "one-tick", "stretched"])
+    )
     stable = draw(st.integers(1, 6))
     fraction = draw(st.sampled_from([0.0, 0.1, 0.25, 0.5]))
     stop = draw(st.booleans())
@@ -103,16 +125,19 @@ def _build(config, engine, **overrides):
         "constant": lambda: ConstantDelay(2 + seed % 3),
         "never": lambda: ConstantDelay(NEVER_DELIVERED),
         "one-tick": lambda: OneTickDelay(seed),
+        "stretched": lambda: None,  # the environment answers itself
     }[delay]()
     source = RandomSource(seed)
+    cls = ENVIRONMENT_CLASSES[env]
+    if delay == "stretched":
+        cls = type(f"Stretched{cls.__name__}", (StretchedDelays, cls), {})
     if env == "MS":
-        environment = MovingSourceEnvironment(source, links, delays)
+        environment = cls(source, links, delays)
     elif env == "ES":
-        environment = EventualSynchronyEnvironment(stable, source, links, delays)
+        environment = cls(stable, source, links, delays)
     else:
-        environment = EventuallyStableSourceEnvironment(
-            stable, 0, source, links, delays
-        )
+        environment = cls(stable, 0, source, links, delays)
+    environment.asked = []
     crashes = None
     if fraction and n > 1:
         crashes = CrashSchedule.fraction(
@@ -199,6 +224,7 @@ class TestGeneratedConfigurations:
             columnar, columnar_trace = _run(config, "columnar", after=after)
             assert columnar_trace == reference_trace
             assert _final_views(columnar) == _final_views(reference)
+            assert columnar._environment.asked == reference._environment.asked
             if numpy_available():
                 assert columnar.engine_path == "matrix-lockstep"
                 assert columnar.engine_decline is None
@@ -216,6 +242,27 @@ class TestGeneratedConfigurations:
 needs_numpy = pytest.mark.skipif(
     not numpy_available(), reason="the Algorithm 3 matrix path needs numpy"
 )
+
+
+@needs_numpy
+class TestLateMatrixChunks:
+    """A round's late delays are drawn in chunks of senders; chunks of
+    one or a few senders must count, and feed delay-1 lates, exactly as
+    one whole-round matrix does (the object engine is the reference)."""
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            HEADLINE,
+            (13, 7, "repeated", "MS", "bernoulli", 0.3, "one-tick", 1, 0.25, True, 40),
+            (13, 8, "str", "ES", "silent", 0.0, "stretched", 4, 0.1, False, 13),
+        ],
+        ids=["headline", "one-tick", "stretched"],
+    )
+    def test_small_chunks_match_object_engine(self, config, monkeypatch):
+        monkeypatch.setattr(columnar_engine, "_LATE_CHUNK_CELLS", 30)
+        columnar, _ = _assert_pinned(config)
+        assert columnar.engine_path == "matrix-lockstep"
 
 
 @needs_numpy

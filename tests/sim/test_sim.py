@@ -1,5 +1,9 @@
 """Tests for workloads, metrics, runners, and the RNG derivation."""
 
+import collections
+import hashlib
+import statistics
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -7,9 +11,9 @@ from hypothesis import strategies as st
 from repro._rng import (
     STREAM_VERSION,
     derive_randint,
+    derive_randint_matrix,
     derive_randint_row,
     derive_randrange,
-    derive_rng,
     derive_uniform,
     derive_uniform_row,
 )
@@ -28,28 +32,32 @@ from repro.sim.workloads import (
 
 class TestRng:
     def test_same_key_same_stream(self):
-        assert derive_rng("a", 1).random() == derive_rng("a", 1).random()
+        assert derive_uniform("a", 1) == derive_uniform("a", 1)
 
     def test_different_keys_differ(self):
-        draws = {derive_rng("k", i).random() for i in range(50)}
+        draws = {derive_uniform("k", i) for i in range(50)}
         assert len(draws) == 50
 
     def test_helpers(self):
         assert 0 <= derive_uniform("x", 3) < 1
         assert 1 <= derive_randint(1, 6, "y", 4) <= 6
 
-    @settings(max_examples=60)
+    @settings(max_examples=60, deadline=None)
     @given(
-        prefix=st.tuples(
-            st.sampled_from(["delay", "link", "lat-t"]),
-            st.integers(0, 2**31),
-            st.integers(0, 500),
+        prefixes=st.lists(
+            st.tuples(
+                st.sampled_from(["delay", "link", "lat-t"]),
+                st.integers(0, 2**31),
+                st.integers(0, 500),
+            ),
+            min_size=1,
+            max_size=4,
         ),
-        # boundary counters mixed with random ones: lists come out
-        # unsorted, with repeats, and straddling 8-counter blocks
+        # block-edge counters mixed with random ones: lists come out
+        # empty, unsorted, with repeats, and straddling 64-word blocks
         counters=st.lists(
             st.one_of(
-                st.sampled_from([0, 7, 8, 9, 63, 64, 65]), st.integers(0, 10_000)
+                st.sampled_from([0, 63, 64, 65, 127, 128]), st.integers(0, 10_000)
             ),
             max_size=40,
         ),
@@ -57,16 +65,36 @@ class TestRng:
         span=st.integers(0, 2**64),
     )
     @example(
-        prefix=("delay", 0, 3), counters=[9, 8, 7, 64, 63, 7, 0, 64], lo=2, span=4
+        prefixes=[("delay", 0, 3)],
+        counters=[128, 64, 63, 127, 65, 63, 0, 128],
+        lo=2,
+        span=4,
     )
-    def test_rows_equal_the_scalar_draws(self, prefix, counters, lo, span):
+    @example(prefixes=[("delay", 0, 3), ("link", 1, 2)], counters=[], lo=0, span=1)
+    def test_matrix_equals_rows_equals_scalars(self, prefixes, counters, lo, span):
         hi = lo + span
-        assert derive_uniform_row(prefix, counters) == [
-            derive_uniform(*prefix, c) for c in counters
+        for prefix in prefixes:
+            assert derive_uniform_row(prefix, counters) == [
+                derive_uniform(*prefix, c) for c in counters
+            ]
+            assert derive_randint_row(lo, hi, prefix, counters) == [
+                derive_randint(lo, hi, *prefix, c) for c in counters
+            ]
+        if hi < 2**63:  # the matrix form draws int64
+            matrix = derive_randint_matrix(lo, hi, prefixes, counters)
+            assert matrix.shape == (len(prefixes), len(counters))
+            assert matrix.tolist() == [
+                derive_randint_row(lo, hi, prefix, counters) for prefix in prefixes
+            ]
+
+    def test_matrix_spans_the_whole_int64_range(self):
+        lo, hi = -(2**63), 2**63 - 1
+        counters = [0, 63, 64, 200]
+        assert derive_randint_matrix(lo, hi, [("wide",)], counters).tolist() == [
+            derive_randint_row(lo, hi, ("wide",), counters)
         ]
-        assert derive_randint_row(lo, hi, prefix, counters) == [
-            derive_randint(lo, hi, *prefix, c) for c in counters
-        ]
+        with pytest.raises(ValueError):
+            derive_randint_matrix(0, 2**63, [("wide",)], counters)
 
     @pytest.mark.parametrize("key", [(), ("x",), ("x", 1.0), ("x", "3"), ("x", -1)])
     def test_key_must_end_in_a_non_negative_int_counter(self, key):
@@ -82,20 +110,96 @@ class TestRng:
             derive_uniform_row(("x",), [3, -1])
         with pytest.raises(ValueError):
             derive_randint_row(1, 6, ("x",), [-9])
+        with pytest.raises(ValueError):
+            derive_randint_matrix(1, 6, [("x",), ("y",)], [3, -1])
 
-    def test_stream_v2_pinned_values(self):
-        """Known outputs: a failure here means every seeded run moved,
-        which needs a new STREAM_VERSION."""
-        assert STREAM_VERSION == 2
-        assert derive_randint(2, 6, "delay", 0, 3, 1, 5) == 3
-        assert derive_uniform("x", 3) == 0.53813727124756
-        assert (
-            derive_randrange(2**64, "weakset-ring", 0, 0) == 1757632938222125614
-        )
-        assert derive_uniform_row(("lat-t", 1, 0), [1, 9]) == [
-            0.5987061284865011,
-            0.5463774506287253,
+    def test_stream_v3_pinned_values(self):
+        """Known outputs, each also recomputed from the stream's
+        definition by a hashlib-only reimplementation: a failure here
+        means every seeded run moved, which needs a new STREAM_VERSION."""
+        assert STREAM_VERSION == 3
+        pins = [
+            (derive_randint(2, 6, "delay", 0, 3, 1, 5), 5),
+            (derive_uniform("x", 3), 0.909479392089435),
+            (
+                derive_randrange(2**64, "weakset-ring", 0, 0),
+                1449331043870226915,
+            ),
         ]
+        for drawn, pinned in pins:
+            assert drawn == pinned
+        assert 2 + _reference_word(("delay", 0, 3, 1), 5) % 5 == 5
+        assert (_reference_word(("x",), 3) >> 11) * 2.0**-53 == 0.909479392089435
+        assert _reference_word(("weakset-ring", 0), 0) == 1449331043870226915
+        row = derive_uniform_row(("lat-t", 1, 0), [1, 9])
+        assert row == [0.8333987468920925, 0.46006724531708465]
+        assert row == [
+            (_reference_word(("lat-t", 1, 0), c) >> 11) * 2.0**-53 for c in (1, 9)
+        ]
+        # raw words across the first block edge
+        edge = [63, 64, 65, 127, 128]
+        words = [
+            8411806275601559538,
+            154507692590170112,
+            18017934037844318525,
+            9226088521236223768,
+            14708894274313993580,
+        ]
+        assert derive_randint_row(0, 2**64 - 1, ("pin",), edge) == words
+        assert [_reference_word(("pin",), c) for c in edge] == words
+        matrix = derive_randint_matrix(
+            2, 6, [("delay", 0, 3, 1), ("delay", 0, 3, 2)], [5, 63, 64]
+        )
+        assert matrix.tolist() == [[5, 2, 2], [4, 6, 2]]
+
+
+def _reference_word(prefix, counter):
+    """Stream v3 from its definition, with nothing but hashlib: counter
+    c is the little-endian u64 at word c % 64 of the 512-byte
+    SHAKE-128 squeeze of repr(prefix) followed by u64le(c // 64)."""
+    block = hashlib.shake_128(
+        repr(tuple(prefix)).encode() + (counter // 64).to_bytes(8, "little")
+    ).digest(512)
+    at = 8 * (counter % 64)
+    return int.from_bytes(block[at : at + 8], "little")
+
+
+class TestStreamStatistics:
+    """A cheap smoke of stream v3's output.  SHAKE-128 is a
+    cryptographic XOF, so these target slips in the construction — a
+    wrong block index or byte order, words reused across a block edge
+    — not the primitive.  Every input is fixed, so each verdict is."""
+
+    def test_randint_histogram_is_uniform(self):
+        # 1,000 broadcasts x 60 receivers of UniformDelay(2, 6)'s draw
+        counts = collections.Counter()
+        for sender in range(1_000):
+            counts.update(derive_randint_row(2, 6, ("delay", 7, 3, sender), range(60)))
+        expected = 60_000 / 5
+        chi2 = sum((counts[v] - expected) ** 2 / expected for v in range(2, 7))
+        assert sorted(counts) == [2, 3, 4, 5, 6]
+        assert chi2 < 18.47  # chi-squared, 4 degrees of freedom, p = 0.001
+
+    def test_no_repeated_word_in_a_long_row(self):
+        words = derive_randint_row(0, 2**64 - 1, ("link", 5, 9, 1), range(4_096))
+        assert len(set(words)) == 4_096
+
+    def test_no_correlation_across_a_block_edge(self):
+        # counters 63 and 64 sit in different blocks of one prefix
+        left = [derive_uniform("edge", seed, 63) for seed in range(4_000)]
+        right = [derive_uniform("edge", seed, 64) for seed in range(4_000)]
+        assert abs(statistics.correlation(left, right)) < 0.06
+
+    def test_no_correlation_between_adjacent_prefixes(self):
+        rows = [
+            derive_uniform_row(("lat-t", 4, sender), range(64)) for sender in range(65)
+        ]
+        left = [draw for row in rows[:-1] for draw in row]
+        right = [draw for row in rows[1:] for draw in row]
+        assert abs(statistics.correlation(left, right)) < 0.06
+        neighbours = [draw for row in rows for draw in row[1:]]
+        previous = [draw for row in rows for draw in row[:-1]]
+        assert abs(statistics.correlation(previous, neighbours)) < 0.06
 
 
 class TestWorkloads:

@@ -1,13 +1,17 @@
-"""API quality gates: docstrings, exports, and error hierarchy.
+"""API quality gates: docstrings, exports, error hierarchy, imports.
 
 Meta-tests that keep the library's public surface honest: every public
 module/class/function must be documented, every ``__all__`` name must
-resolve, and every library error must descend from ``ReproError``.
+resolve, every library error must descend from ``ReproError``, and
+runs that need no matrix never load numpy.
 """
 
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -65,3 +69,52 @@ class TestErrorHierarchy:
     def test_repro_error_is_catchable_as_exception(self):
         with pytest.raises(Exception):
             raise ReproError("x")
+
+
+#: an object-engine drifting ES run and a serial shard cluster's add and
+#: get, in a fresh interpreter that then reports whether numpy loaded
+OBJECT_ENGINE_RUNS = """
+import sys
+import repro
+from repro import DriftingScheduler, ESConsensus, ShardedWeakSetCluster
+from repro.giraf.adversary import RandomSource, UniformDelay
+from repro.giraf.environments import EventualSynchronyEnvironment
+from repro.sim.runner import stop_when_all_correct_decided
+from repro.sim.workloads import ChurnEnvironments
+
+trace = DriftingScheduler(
+    [ESConsensus(value) for value in range(8)],
+    EventualSynchronyEnvironment(
+        2, RandomSource(1), delay_policy=UniformDelay(2, 6, seed=1)
+    ),
+    max_rounds=40,
+    stop_when=stop_when_all_correct_decided,
+    trace_mode="aggregate",
+).run()
+assert trace.decided_pids()
+with ShardedWeakSetCluster(
+    4, shards=2, environment_factory=ChurnEnvironments(pattern="random", seed=1)
+) as cluster:
+    cluster.handle(0).add("x")
+    assert "x" in cluster.handle(1).get()
+print("numpy" in sys.modules)
+"""
+
+
+class TestNumpyStaysOptional:
+    def test_object_engine_runs_never_import_numpy(self):
+        """numpy costs ~12 MB of resident memory: only the matrix
+        engines and the matrix draw may load it, so an object-engine
+        run and a serial shard cluster keep it out of ``sys.modules``."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [os.path.abspath("src"), env.get("PYTHONPATH")])
+        )
+        output = subprocess.run(
+            [sys.executable, "-c", OBJECT_ENGINE_RUNS],
+            capture_output=True,
+            text=True,
+            env=env,
+            check=True,
+        ).stdout.strip()
+        assert output == "False"

@@ -58,12 +58,12 @@ def _build(backend, *, shards=2, members=None, start_method=None, **kwargs):
     )
 
 
-def _run(cluster, event=None):
+def _run(cluster, event=None, adds=ADDS):
     """Drive the fixed async workload; fire ``event`` at EVENT_AT."""
     round_now = 0
     fired = event is None
     records = []
-    for at, pid, value in ADDS:
+    for at, pid, value in adds:
         if not fired and at >= EVENT_AT:
             cluster.advance(EVENT_AT - round_now)
             round_now = EVENT_AT
@@ -160,15 +160,25 @@ class TestLeaveEquivalence:
             assert _snapshot(shrunk) == _snapshot(fresh)
 
 
-def _shard_losing_values_on_join() -> int:
-    """An existing shard the 2 -> 3 join rebuilds: the lowest old owner
-    of a value in VALUES that the new ring places elsewhere."""
+def _adds_migrating_on_join():
+    """ADDS with the add in flight at EVENT_AT (round 3) carrying a value
+    the 2 -> 3 join moves, found on the rings themselves as
+    :func:`_values_colliding_on_join` does — so the join must migrate
+    and replay it whatever the ring places where — plus the shard the
+    join rebuilds: that value's old owner."""
     before, after = ring_for_shards(2), ring_for_shards(3)
-    return min(
-        before.owner(value)
-        for value in VALUES
-        if before.owner(value) != after.owner(value)
+    moved = next(
+        (
+            f"migrating-{i}"
+            for i in range(10_000)
+            if before.owner(f"migrating-{i}") != after.owner(f"migrating-{i}")
+        ),
+        None,
     )
+    adds = [
+        (at, pid, moved if value == VALUES[3] else value) for at, pid, value in ADDS
+    ]
+    return adds, None if moved is None else before.owner(moved)
 
 
 @pytest.mark.chaos
@@ -180,19 +190,24 @@ class TestChaosDuringMigration:
         """A worker killed on its 2nd migration exchange is respawned
         under the supervisor and the rebalanced run still converges
         byte-identical to a fresh unsupervised post-join cluster."""
-        victim = _shard_losing_values_on_join()
+        adds, victim = _adds_migrating_on_join()
+        assert victim is not None, (
+            "ring_for_shards(3) moves none of 10,000 candidate values off "
+            "ring_for_shards(2), so the join would migrate nothing and the "
+            "rebalance-phase kill could never fire"
+        )
         plan = parse_fault_plan(f"kill:{victim}:2:rebalance")
         grown = _build(
             backend, recover=True, fault_plan=plan, start_method=start_method
         )
         fresh = _build(backend, shards=3, start_method=start_method)
         with grown, fresh:
-            grown_result = _run(grown, event=lambda c: c.join_shard())
+            grown_result = _run(grown, event=lambda c: c.join_shard(), adds=adds)
             stats = grown.recovery_stats
             assert stats.detections >= 1
             assert stats.respawns >= 1
             assert victim in stats.recovered_shards
-            assert grown_result == _run(fresh)
+            assert grown_result == _run(fresh, adds=adds)
             assert _snapshot(grown) == _snapshot(fresh)
 
     def test_rebalance_phase_faults_stay_quiet_in_live_traffic(self):
