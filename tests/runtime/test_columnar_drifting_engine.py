@@ -8,7 +8,13 @@ switch: every configuration must produce a
 :class:`~repro.giraf.traces.RunTrace` that compares equal as a whole
 dataclass, and final algorithm views that match field by field —
 across environments × link/delay policies × crash schedules × GST
-values × both event queues × both array backends.
+values × both event queues × both array backends.  Beyond the
+hand-picked grid, generated configurations (sizes, brands, MS/ES/ESS
+with swept GST, link and delay policies, crash plans before and after
+send, drifted periods and phases, both event queues) pin the matrix
+event loop cold and after an unrelated columnar run has filled the
+shared history index, and straddle each ``try_build`` condition so the
+declines are pinned too.
 
 The second half covers the amortization layer shared with the
 lock-step engine: the warm :class:`HistoryIndex` reused between runs
@@ -16,9 +22,12 @@ inside one intern-cache window, and the lazy finalize views that keep
 teardown O(n) instead of O(n × width).
 """
 
+import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.columnar import CounterRowView, numpy_available
 from repro.core.history import clear_intern_cache
@@ -216,6 +225,148 @@ class TestDriftingEngineOptions:
         assert heap.trace == reference.trace
         assert heap.report == reference.report
         assert heap.metrics == reference.metrics
+
+
+ENVIRONMENT_CLASSES = {
+    "MS": MovingSourceEnvironment,
+    "ES": EventualSynchronyEnvironment,
+    "ESS": EventuallyStableSourceEnvironment,
+}
+
+#: the stock latency methods ``try_build`` requires; overriding any one
+#: of them (even by a delegate returning the same values) declines
+LATENCY_METHODS = ("timely_latency", "late_latency", "timely_latencies", "late_latencies")
+
+#: what each drawn decline must name in ``engine_decline``
+DECLINE_TEXT = {
+    "payload": "payload_stats=True",
+    "full": "per-event objects",
+    "latency": "overrides the stock latency draws",
+}
+
+
+@st.composite
+def drifting_configs(draw, sizes=tuple(range(1, 20)) + (64,)):
+    """A generated drifting heartbeat configuration, as a plain tuple so
+    object and columnar runs each build fresh, identical inputs.  One
+    draw in two asks for something ``try_build`` refuses (payload
+    statistics, full traces, or an overridden latency method), so the
+    fuzz straddles each eligibility condition."""
+    n = draw(st.sampled_from(sizes))
+    brands = draw(st.integers(1, 6))
+    seed = draw(st.integers(0, 10_000))
+    env = draw(st.sampled_from(sorted(ENVIRONMENT_CLASSES)))
+    gst = draw(st.integers(1, 8))
+    link = draw(st.sampled_from(["silent", "alltimely", "bernoulli"]))
+    p = draw(st.floats(0.0, 1.0))
+    delay = draw(st.sampled_from(["uniform", "constant", "never"]))
+    crashes = ()
+    if n > 1:
+        plans = draw(
+            st.lists(
+                st.tuples(st.integers(1, n - 1), st.integers(1, 10), st.booleans()),
+                max_size=min(n - 1, 4),
+                unique_by=lambda plan: plan[0],
+            )
+        )
+        crashes = tuple(sorted(plans))
+    drift = draw(st.sampled_from([0.0, 0.0, 0.5, 1.5]))
+    horizon = draw(st.integers(1, 6 if n > 19 else 14))
+    snapshots = draw(st.booleans())
+    queue = draw(st.sampled_from(["calendar", "heap"]))
+    decline = draw(
+        st.sampled_from([None, None, None, "payload", "full", "latency"])
+    )
+    override = draw(st.sampled_from(LATENCY_METHODS))
+    return (
+        n, brands, seed, env, gst, link, p, delay, crashes, drift, horizon,
+        snapshots, queue, decline, override,
+    )
+
+
+def _delegate(base):
+    def method(self, *args):
+        return base(self, *args)
+
+    return method
+
+
+def _generated(config, engine):
+    (n, brands, seed, env, gst, link, p, delay, crashes, drift, horizon,
+     snapshots, queue, decline, override) = config
+    links = {
+        "silent": SilentLinks,
+        "alltimely": AllTimelyLinks,
+        "bernoulli": lambda: BernoulliLinks(p, seed=seed),
+    }[link]()
+    delays = {
+        "uniform": lambda: UniformDelay(2, 5, seed=seed),
+        "constant": lambda: ConstantDelay(2 + seed % 3),
+        "never": lambda: ConstantDelay(NEVER_DELIVERED),
+    }[delay]()
+    cls = ENVIRONMENT_CLASSES[env]
+    if decline == "latency":
+        cls = type(
+            f"Overridden{cls.__name__}",
+            (cls,),
+            {override: _delegate(getattr(cls, override))},
+        )
+    source = RandomSource(seed)
+    if env == "MS":
+        environment = cls(source, links, delays)
+    elif env == "ES":
+        environment = cls(gst, source, links, delays)
+    else:
+        environment = cls(gst, 0, source, links, delays)
+    periods = phases = None
+    if drift:
+        rng = random.Random(seed)
+        periods = [1.0 + drift * rng.random() for _ in range(n)]
+        phases = [rng.random() for _ in range(n)]
+    driver = DriftingScheduler(
+        [HeartbeatPseudoLeader(pid % brands) for pid in range(n)],
+        environment,
+        crash_schedule=CrashSchedule(
+            {pid: CrashPlan(at, before) for pid, at, before in crashes}
+        ),
+        periods=periods,
+        phases=phases,
+        max_rounds=horizon,
+        record_snapshots=snapshots,
+        trace_mode="full" if decline == "full" else "aggregate",
+        payload_stats=decline == "payload",
+        engine=engine,
+        event_queue=queue,
+    )
+    return driver, driver.run()
+
+
+class TestGeneratedConfigurations:
+    """Generated drifting heartbeat runs match the object event loop as
+    whole traces and final views, from a cold history index and from
+    one an unrelated columnar run has filled (no cache clear in
+    between); ineligible draws run the object loop and say why."""
+
+    @given(config=drifting_configs(), warmup=drifting_configs(sizes=range(1, 20)))
+    @settings(max_examples=40)
+    def test_trace_and_views_match_object_loop(self, config, warmup):
+        decline = config[-2]
+        clear_intern_cache()
+        reference, reference_trace = _generated(config, "object")
+        reference_views = _final_views(reference)
+        for leg in ("cold", "warm"):
+            clear_intern_cache()
+            if leg == "warm":
+                _generated(warmup, "columnar")
+            columnar, columnar_trace = _generated(config, "columnar")
+            assert columnar_trace == reference_trace
+            assert _final_views(columnar) == reference_views
+            if decline is None:
+                assert columnar.engine_path == "matrix-drifting"
+                assert columnar.engine_decline is None
+            else:
+                assert columnar.engine_path == "object"
+                assert DECLINE_TEXT[decline] in columnar.engine_decline
 
 
 class TestFallbackPins:
