@@ -9,10 +9,9 @@ test:
 
 # Columnar suite alone: the counter-storage property tests and the
 # engine-equivalence pins (heartbeats on both schedulers, Algorithm 3
-# on the lock-step engine).  Run it twice — plain, and again with
-# REPRO_NO_NUMPY=1 — to cover both array backends (CI does exactly
-# that; the numpy-masked run exercises the pure-stdlib backend, where
-# Algorithm 3 declines to the object engine and the pins check that).
+# on the lock-step engine).  CI runs it twice — with numpy, and again
+# after uninstalling numpy, where every columnar request declines to
+# the object engine with the numpy reason and the pins check that.
 test-columnar:
 	$(PYTHON) -m pytest -q tests/core/test_columnar.py \
 		tests/runtime/test_columnar_engine.py \

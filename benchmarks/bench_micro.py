@@ -5,12 +5,12 @@ harness leans on — counter merging, the payload-size proxy, and raw
 lock-step scheduling throughput — so regressions in the substrate are
 visible independently of the experiment-level numbers.
 
-The headline benches (``test_bench_counter_update_trie``,
+The headline benches (``test_bench_counter_update_interned``,
 ``test_bench_lockstep_round_throughput``) measure the engine's
 *default* path: interned histories riding in :class:`FrozenCounters`
 and the aggregate trace mode — what every experiment actually
-executes.  The ``*_tuples`` / ``*_full_trace`` variants keep the
-legacy paths honest (they remain supported and property-tested).
+executes.  The ``*_scan`` / ``*_full_trace`` variants keep the legacy
+paths honest (they remain supported and property-tested).
 ``benchmarks/capture.py`` records all of them into ``BENCH_micro.json``.
 """
 
@@ -87,33 +87,17 @@ def _counter_workload(depth: int, fanout: int, *, interned: bool = True):
     return maps, histories
 
 
-def test_bench_counter_update_trie(benchmark):
-    """Default engine path: interned histories, stamped fused update.
-
-    (Historic name: on all-interned inputs no trie is built at all —
-    the stamped walk replaces it.  The actual ``HistoryTrie`` path is
-    what ``test_bench_counter_update_tuples`` measures.)
-    """
+def test_bench_counter_update_interned(benchmark):
+    """Default engine path: interned histories, stamped fused update."""
     maps, histories = _counter_workload(depth=60, fanout=8)
     result = benchmark(apply_round_update, maps, histories)
     assert all(result[h] >= 1 for h in histories)
 
 
-def test_bench_counter_update_tuples(benchmark):
-    """Legacy tuple-history path (trie-indexed prefix maxima)."""
-    maps, histories = _counter_workload(depth=60, fanout=8, interned=False)
-    result = benchmark(
-        apply_round_update, maps, histories, use_trie=True
-    )
-    assert all(result[h] >= 1 for h in histories)
-
-
 def test_bench_counter_update_scan(benchmark):
-    """Legacy tuple-history path, naive per-entry scans."""
+    """Tuple-history path: per-entry prefix scans (the reference)."""
     maps, histories = _counter_workload(depth=60, fanout=8, interned=False)
-    result = benchmark(
-        apply_round_update, maps, histories, use_trie=False
-    )
+    result = benchmark(apply_round_update, maps, histories)
     assert all(result[h] >= 1 for h in histories)
 
 

@@ -18,7 +18,7 @@ The captured shape::
       "schema": 1,
       "python": "3.11.7",
       "platform": "...",
-      "micro_us": {"test_bench_counter_update_trie": 51.7, ...},
+      "micro_us": {"test_bench_counter_update_interned": 85.2, ...},
       "experiments_s": {"T1_quick": 0.21, "F1_quick": 0.18, "T3_full": 4.1},
       "seed_baseline_us": {...}   # frozen numbers from the seed commit
     }
@@ -175,10 +175,10 @@ def main(argv=None) -> int:
 
     micro = snapshot["micro_us"]
     speedups: dict[str, float] = {}
-    # Same-machine, same-workload twin: the tuple bench runs the seed's
-    # representation on the identical input.
-    fast = micro.get("test_bench_counter_update_trie")
-    twin = micro.get("test_bench_counter_update_tuples")
+    # Same-machine, same-workload twin: the scan bench runs the seed's
+    # tuple-history representation on the identical input.
+    fast = micro.get("test_bench_counter_update_interned")
+    twin = micro.get("test_bench_counter_update_scan")
     if fast and twin:
         speedups["counter_update_vs_tuple_twin"] = round(twin / fast, 2)
     # The lockstep comparison uses the *recorded seed number* (the seed

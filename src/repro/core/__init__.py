@@ -12,11 +12,9 @@
 from repro.core.checkers import ConsensusReport, assert_consensus, check_consensus
 from repro.core.counters import (
     FrozenCounters,
-    HistoryTrie,
     apply_round_update,
     pointwise_min,
     prefix_max,
-    prefix_max_via_trie,
 )
 from repro.core.es_consensus import ESConsensus
 from repro.core.ess_consensus import ESSConsensus, EssMessage
@@ -55,7 +53,6 @@ __all__ = [
     "HeartbeatPseudoLeader",
     "History",
     "HistoryNode",
-    "HistoryTrie",
     "PseudoLeaderElector",
     "apply_round_update",
     "assert_consensus",
@@ -75,5 +72,4 @@ __all__ = [
     "set_interning",
     "pointwise_min",
     "prefix_max",
-    "prefix_max_via_trie",
 ]

@@ -14,8 +14,9 @@ streams, so the number of *distinct* histories alive in a run is about
 :class:`HistoryIndex` assigns each distinct history a column id (built
 on the hash-consed :class:`~repro.core.history.HistoryNode` interning,
 so assigning a column is one dict probe), and a counter map becomes a
-flat integer row: ``row[col(H)] = C[H]``, absent-is-zero exactly like
-the paper's sparse semantics.  On rows, Algorithm 3's operations are
+flat integer row with one entry per stored column, ``C[H]`` at the
+slot holding ``col(H)``, absent-is-zero exactly like the paper's
+sparse semantics.  On rows, Algorithm 3's operations are
 whole-array primitives:
 
 * **line 8** (pointwise minimum) — element-wise ``min`` over rows: a
@@ -26,26 +27,22 @@ whole-array primitives:
   evaluated for all bumps before any write lands, realizing the
   paper's simultaneous batch assignment.
 
-Two backends exist: a pure-Python implementation on ``array('q')``
-rows (always available) and a numpy implementation used automatically
-when numpy is importable.  ``REPRO_NO_NUMPY=1`` hides numpy entirely
-(the CI fallback leg; read at import time); ``REPRO_COLUMNAR_BACKEND``
-forces one backend.
+Rows are numpy arrays.  numpy stays optional: without it
+(:func:`numpy_available` is the one probe) the matrix engines decline
+every run with one reason and the object engine runs instead.
 
 Layers, bottom up:
 
-* :class:`HistoryIndex` — the run's history → column table, mirroring
-  the interned history tree (``parents``, ``ancestor_cols``, O(1)
+* :class:`HistoryIndex` — the history → column table, mirroring the
+  interned history tree (``parents``, ``ancestor_cols``, O(1)
   ``child_col`` appends);
-* :class:`CounterColumns` — a dense ``n × width`` counter matrix over
-  every index column, the store of the drifting engine and of the
-  lock-step engine's stdlib backend (the lock-step numpy path stores
-  only the columns that can still count, see
-  :mod:`repro.runtime.columnar_engine`);
+* the matrix engines' counter buffers
+  (:mod:`repro.runtime.columnar_engine`) — one slot per stored history,
+  a run-local slot table naming the index column each slot holds;
 * :class:`CounterRowView` — the read-only elector those engines leave
-  behind on every algorithm when a run finishes: one counter row (plus
-  the columns its slots hold, for a live-column row) and the final
-  history, with the counter map built on first read.
+  behind on every algorithm when a run finishes: one counter row plus
+  the column each of its slots holds, and the final history, with the
+  counter map built on first read.
 
 There is no per-process columnar elector: a run the matrix engines
 decline runs the object engine with the dict elector
@@ -60,72 +57,28 @@ history raises.
 
 from __future__ import annotations
 
-import os
-from array import array
 from types import MappingProxyType
-from typing import Dict, Hashable, List, Mapping, Optional, Sequence
+from typing import Dict, Hashable, List, Mapping, Optional
 
 from repro.core.history import History, HistoryNode, intern_history
 
 __all__ = [
-    "BACKENDS",
     "numpy_available",
-    "default_backend",
     "HistoryIndex",
-    "CounterColumns",
     "CounterRowView",
 ]
 
-#: numpy module or None.  Resolved once at import: backend selection
-#: must be stable for a run (rows of both kinds never mix), and the
-#: no-numpy CI leg sets REPRO_NO_NUMPY before Python starts.
-_np = None
-if not os.environ.get("REPRO_NO_NUMPY"):
-    try:
-        import numpy as _np  # type: ignore[no-redef]
-    except ImportError:  # pragma: no cover - exercised by the CI leg
-        _np = None
-
-BACKENDS = ("numpy", "python")
+#: numpy module or None, resolved once at import (tests fake a missing
+#: numpy by setting this to None).
+try:
+    import numpy as _np
+except ImportError:  # pragma: no cover - exercised by the CI decline leg
+    _np = None
 
 
 def numpy_available() -> bool:
-    """True when the numpy backend can be used in this process."""
+    """True when numpy is importable: the matrix engines need it."""
     return _np is not None
-
-
-def _resolve_backend(backend):
-    """Validate an explicit backend choice (``None`` = default)."""
-    if backend is None:
-        return default_backend()
-    if backend not in BACKENDS:
-        raise ValueError(
-            f"unknown backend {backend!r}: expected one of {BACKENDS}"
-        )
-    if backend == "numpy" and _np is None:
-        raise RuntimeError("numpy backend requested but numpy is not importable")
-    return backend
-
-
-def default_backend() -> str:
-    """The backend columnar code uses unless told otherwise.
-
-    ``REPRO_COLUMNAR_BACKEND`` forces a choice (raising if it names
-    the numpy backend while numpy is unavailable); otherwise numpy
-    when importable, the pure-Python ``array`` rows when not.
-    """
-    forced = os.environ.get("REPRO_COLUMNAR_BACKEND")
-    if forced:
-        if forced not in BACKENDS:
-            raise ValueError(
-                f"REPRO_COLUMNAR_BACKEND={forced!r}: expected one of {BACKENDS}"
-            )
-        if forced == "numpy" and _np is None:
-            raise RuntimeError(
-                "REPRO_COLUMNAR_BACKEND=numpy but numpy is not importable"
-            )
-        return forced
-    return "numpy" if _np is not None else "python"
 
 
 class HistoryIndex:
@@ -220,132 +173,16 @@ class HistoryIndex:
         return chain
 
 
-# ----------------------------------------------------------------------
-# row primitives (both backends)
-# ----------------------------------------------------------------------
-
-def _prefix_best(row, col: int, parents: Sequence[int]) -> int:
-    """Max row value over ``col`` and its ancestor columns (0 default)."""
-    best = 0
-    size = len(row)
-    while col >= 0:
-        if col < size:
-            value = row[col]
-            if value > best:
-                best = value
-        col = parents[col]
-    return int(best)
-
-
-def _map_from_row(row, index: HistoryIndex, cols=None) -> Dict[History, int]:
+def _map_from_row(row, index: HistoryIndex, cols) -> Dict[History, int]:
     """Sparse dict of a row's positive entries (canonical node keys), in
-    ascending column order.  ``cols`` names the column of each slot of
-    a live-column (numpy) row; ``None`` means the row is dense."""
+    ascending column order; ``cols`` names the column of each slot."""
     histories = index.histories
-    if cols is not None:
-        held = _np.flatnonzero(row > 0)
-        held = held[cols[held].argsort()]
-        return {
-            histories[col]: value
-            for col, value in zip(cols[held].tolist(), row[held].tolist())
-        }
-    if _np is not None and isinstance(row, _np.ndarray):
-        values = row.tolist()
-    else:
-        values = row
+    held = _np.flatnonzero(row > 0)
+    held = held[cols[held].argsort()]
     return {
         histories[col]: value
-        for col, value in enumerate(values)
-        if value > 0
+        for col, value in zip(cols[held].tolist(), row[held].tolist())
     }
-
-
-# ----------------------------------------------------------------------
-# stores
-# ----------------------------------------------------------------------
-
-class CounterColumns:
-    """Dense ``n × width`` counter matrix over a shared index.
-
-    Row ``i`` is process ``i``'s counter map, columns are
-    :class:`HistoryIndex` ids — every column the index holds, whether
-    or not any row can still count it.  It is the drifting engine's
-    store and the lock-step engine's on the stdlib backend; the
-    lock-step numpy path stores only live columns instead.  The numpy
-    backend keeps one 2-D int64 array (capacity-doubled as the index
-    grows, so per-round widening is amortized O(1) per cell); the
-    pure-Python backend keeps one ``array('q')`` per row, padded to
-    the current width.
-
-    The engines compute directly on the backing storage (``data`` /
-    ``rows``) — this class owns allocation and sparse import/export,
-    not the arithmetic.
-    """
-
-    __slots__ = ("n", "index", "backend", "_width", "data", "rows")
-
-    def __init__(
-        self, n: int, index: HistoryIndex, backend: Optional[str] = None
-    ) -> None:
-        if n < 1:
-            raise ValueError("need at least one row")
-        self.n = n
-        self.index = index
-        self.backend = _resolve_backend(backend)
-        self._width = 0
-        if self.backend == "numpy":
-            self.data = _np.zeros((n, 8), dtype=_np.int64)
-            self.rows = None
-        else:
-            self.data = None
-            self.rows = [array("q") for _ in range(n)]
-
-    @property
-    def width(self) -> int:
-        """Logical width (columns in use; storage may be wider)."""
-        return self._width
-
-    def ensure_width(self, width: int) -> None:
-        """Grow logical width (new columns read as zero)."""
-        if width <= self._width:
-            return
-        if self.backend == "numpy":
-            capacity = self.data.shape[1]
-            if width > capacity:
-                grown = _np.zeros(
-                    (self.n, max(width, 2 * capacity)), dtype=_np.int64
-                )
-                grown[:, :capacity] = self.data
-                self.data = grown
-        else:
-            for row in self.rows:
-                pad = width - len(row)
-                if pad:
-                    row.extend(array("q", bytes(8 * pad)))
-        self._width = width
-
-    def row_map(self, i: int) -> Dict[History, int]:
-        """Sparse dict of row ``i`` (positive entries, node keys)."""
-        if self.backend == "numpy":
-            return _map_from_row(self.data[i, : self._width], self.index)
-        return _map_from_row(self.rows[i], self.index)
-
-    def set_row_map(self, i: int, mapping: Mapping[History, int]) -> None:
-        """Load row ``i`` from a sparse map (clearing it first)."""
-        for history in mapping:
-            self.index.intern(history)
-        self.ensure_width(self.index.width)
-        intern = self.index.intern
-        if self.backend == "numpy":
-            self.data[i, : self._width] = 0
-            row = self.data[i]
-        else:
-            row = self.rows[i]
-            for col in range(len(row)):
-                row[col] = 0
-        for history, count in mapping.items():
-            if count > 0:
-                row[intern(history)] = count
 
 
 class CounterRowView:
@@ -356,9 +193,8 @@ class CounterRowView:
     the read side of
     :class:`~repro.core.pseudo_leader.PseudoLeaderElector`
     (``history``, ``counters``, ``is_leader``, ``my_counter``,
-    ``max_counter``, ``state_size``).  A dense row is indexed by
-    column; a live-column row comes with ``cols``, the column each of
-    its slots holds.  Either way ``counters`` lists histories in
+    ``max_counter``, ``state_size``).  The row comes with ``cols``,
+    the column each of its slots holds; ``counters`` lists histories in
     ascending column order.  The counter map is built from the row on
     first access, so installing ``n`` views costs O(n), not
     O(n × width).
@@ -366,7 +202,7 @@ class CounterRowView:
 
     __slots__ = ("history", "_index", "_row", "_cols", "_map")
 
-    def __init__(self, history: History, index: HistoryIndex, row, cols=None) -> None:
+    def __init__(self, history: History, index: HistoryIndex, row, cols) -> None:
         self.history = history
         self._index = index
         self._row = row

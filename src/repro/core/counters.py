@@ -18,17 +18,15 @@ it each round:
   anonymity makes meaningless anyway — cannot matter.
 
 :class:`FrozenCounters` is the immutable, hashable form that rides
-inside messages; :class:`HistoryTrie` is an index for prefix-maximum
-queries that turns the per-message bump from ``O(|C| · len)`` into
-``O(len)`` (they are tested against each other).  Three fast paths keep
-the round update cheap at scale (PERFORMANCE.md):
+inside messages.  Two fast paths keep the round update cheap at scale
+(PERFORMANCE.md):
 
 * an empty post-minimum map short-circuits the bump to ``C[H] := 1``;
 * interned :class:`~repro.core.history.HistoryNode` histories answer
-  prefix maxima by walking parent pointers — no index at all;
-* a caller-owned trie (see
-  :meth:`~repro.core.pseudo_leader.PseudoLeaderElector`) is refilled in
-  place per round, reusing its node allocations via version stamping.
+  prefix maxima by walking parent pointers — no index at all.
+
+Tuple histories take the per-entry scan of :func:`prefix_max`, the
+reference the interned path is tested against.
 
 **Concurrency note:** the stamped fast paths annotate shared interned
 nodes through a module-global stamp, so concurrent counter merges from
@@ -41,16 +39,14 @@ histories (the generic paths are pure).
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Dict, Iterable, Iterator, Mapping, Optional, Sequence
 
 from repro.core.history import History, HistoryNode, intern_generation, is_prefix
 
 __all__ = [
     "FrozenCounters",
-    "HistoryTrie",
     "pointwise_min",
     "prefix_max",
-    "prefix_max_via_trie",
     "apply_round_update",
 ]
 
@@ -320,7 +316,7 @@ def _fast_round_update(
 
     The stamped minimum leaves the per-key running minimum and presence
     count on the nodes; the prefix walks read those same stamps, so the
-    prefix maxima need neither a trie nor a single dict probe.  Bumps
+    prefix maxima need neither a scan nor a single dict probe.  Bumps
     are written into the result dict only — node annotations keep their
     post-minimum values — which realizes the paper's simultaneous batch
     assignment for free.
@@ -362,7 +358,7 @@ def _prefix_max_ancestors(counters: Mapping[History, int], history: HistoryNode)
     node = history
     while node is not None:
         # Includes the length-0 root: the empty history is a prefix of
-        # everything, exactly as the scan and trie paths treat it.
+        # everything, exactly as the scan treats it.
         count = counters.get(node, 0)
         if count > best:
             best = count
@@ -376,101 +372,25 @@ def _prefix_max_ancestors(counters: Mapping[History, int], history: HistoryNode)
 _STAMP = 0
 
 
-class HistoryTrie:
-    """Prefix index over a counter map for fast prefix-maximum queries.
-
-    Each query walks the history once instead of scanning every entry.
-    The trie can be built once from a map (the seed behaviour) or owned
-    by an elector and *refilled in place* every round: nodes are
-    version-stamped rather than deallocated, so the per-round rebuild
-    reuses the allocation of every previously-seen path — histories
-    only grow, so path reuse is near-total.
-    """
-
-    __slots__ = ("_root", "_version")
-
-    class _Node:
-        __slots__ = ("count", "version", "children")
-
-        def __init__(self):
-            self.count = 0
-            self.version = 0
-            self.children: Dict[Hashable, "HistoryTrie._Node"] = {}
-
-    def __init__(self, counters: Optional[Mapping[History, int]] = None):
-        self._root = HistoryTrie._Node()
-        self._version = 0
-        if counters:
-            for history, count in counters.items():
-                self.insert(history, count)
-
-    def insert(self, history: History, count: int) -> None:
-        version = self._version
-        node = self._root
-        for element in history:
-            node = node.children.setdefault(element, HistoryTrie._Node())
-        node.count = count
-        node.version = version
-
-    def refill(self, counters: Mapping[History, int]) -> None:
-        """Reset to exactly ``counters`` without discarding trie nodes.
-
-        Bumping the version makes every stale count read as 0; the
-        inserts restamp the live entries.  O(total length of the new
-        support), with no allocation along previously-seen paths.
-        """
-        self._version += 1
-        for history, count in counters.items():
-            self.insert(history, count)
-
-    def prefix_max(self, history: History) -> int:
-        """Maximum count over all stored prefixes of ``history``."""
-        version = self._version
-        root = self._root
-        best = root.count if root.version == version else 0
-        node = root
-        for element in history:
-            child = node.children.get(element)
-            if child is None:
-                return best
-            if child.version == version and child.count > best:
-                best = child.count
-            node = child
-        return best
-
-
-def prefix_max_via_trie(counters: Mapping[History, int], histories: Iterable[History]) -> Dict[History, int]:
-    """Batch prefix-maximum via one trie build (equivalent to per-entry scans)."""
-    trie = HistoryTrie(counters)
-    return {history: trie.prefix_max(history) for history in histories}
-
-
 def apply_round_update(
     counter_maps: Sequence[Mapping[History, int]],
     received_histories: Iterable[History],
     *,
-    use_trie: bool = True,
     inherit_prefixes: bool = True,
-    trie: Optional[HistoryTrie] = None,
 ) -> Dict[History, int]:
     """Lines 8 and 9 in one step.
 
     Args:
         counter_maps: the ``m.C`` of every message received this round.
         received_histories: the ``m.HISTORY`` of every received message.
-        use_trie: query prefix maxima through a :class:`HistoryTrie`
-            (semantically identical to the naive scan; property tests
-            enforce the equivalence).  Interned histories skip the trie
-            and walk their parent chain instead — same answers, no
-            index build.
         inherit_prefixes: the paper's line 9.  ``False`` is the
             ablation A1 variant: bump only the exact history key, so a
             history that grew since last round restarts from zero —
             every counter stays at 1 and leadership degenerates to
             "everybody, always".
-        trie: an optional caller-owned trie, refilled in place from the
-            post-minimum map — the persistent-index path electors use
-            to avoid re-allocating the index every round.
+
+    Interned histories walk their parent chain for the prefix maxima;
+    tuple histories scan the post-minimum map (:func:`prefix_max`).
 
     Returns the process's new counter map.
     """
@@ -485,7 +405,7 @@ def apply_round_update(
         and _identity_mergeable(counter_maps)
     ):
         # All-interned fast path: minimum + prefix maxima + bumps in
-        # one stamped pass, no trie and no per-key hashing.
+        # one stamped pass, no per-key hashing.
         return _fast_round_update(
             [counters._entries for counters in counter_maps], histories
         )
@@ -499,23 +419,12 @@ def apply_round_update(
         for history in histories:
             merged[history] = 1
         return merged
-    node_histories = [h for h in histories if isinstance(h, HistoryNode)]
-    slow_histories = [h for h in histories if not isinstance(h, HistoryNode)]
     maxima: Dict[History, int] = {
         history: _prefix_max_ancestors(merged, history)
-        for history in node_histories
+        if isinstance(history, HistoryNode)
+        else prefix_max(merged, history)
+        for history in histories
     }
-    if slow_histories:
-        if use_trie:
-            if trie is not None:
-                trie.refill(merged)
-                for history in slow_histories:
-                    maxima[history] = trie.prefix_max(history)
-            else:
-                maxima.update(prefix_max_via_trie(merged, slow_histories))
-        else:
-            for history in slow_histories:
-                maxima[history] = prefix_max(merged, history)
     # Simultaneous batch assignment: all bumps read the post-minimum map.
     for history in histories:
         merged[history] = 1 + maxima[history]

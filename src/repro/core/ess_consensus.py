@@ -121,7 +121,6 @@ class ESSConsensus(ConsensusAlgorithm):
         self,
         initial_value: Hashable,
         *,
-        use_trie: bool = True,
         silent_non_leaders: bool = False,
         ignore_empty_in_intersection: bool = False,
         prefix_inheritance: bool = True,
@@ -129,7 +128,7 @@ class ESSConsensus(ConsensusAlgorithm):
         super().__init__(initial_value)
         self.val: Hashable = initial_value                             # line 2
         self.elector = PseudoLeaderElector(
-            initial_value, use_trie=use_trie, inherit_prefixes=prefix_inheritance
+            initial_value, inherit_prefixes=prefix_inheritance
         )
         self.written: FrozenSet[Hashable] = frozenset()                # line 3
         self.written_old: FrozenSet[Hashable] = frozenset()

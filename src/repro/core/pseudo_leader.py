@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Dict, Hashable, Iterable, Mapping, Optional, Tuple
 
-from repro.core.counters import FrozenCounters, HistoryTrie, apply_round_update
+from repro.core.counters import FrozenCounters, apply_round_update
 from repro.core.history import History, extend, initial_history
 from repro.giraf.automaton import GirafAlgorithm, InboxView
 
@@ -44,21 +44,10 @@ class PseudoLeaderElector:
     3. :meth:`append` with the value broadcast this round — line 21.
     """
 
-    def __init__(
-        self,
-        initial_value: Hashable,
-        *,
-        use_trie: bool = True,
-        inherit_prefixes: bool = True,
-    ):
+    def __init__(self, initial_value: Hashable, *, inherit_prefixes: bool = True):
         self.history: History = initial_history(initial_value)
         self._counters: Dict[History, int] = {}
-        self._use_trie = use_trie
         self._inherit_prefixes = inherit_prefixes
-        # Persistent prefix index, refilled in place each round instead
-        # of rebuilt from scratch (only consulted for tuple histories —
-        # interned nodes answer prefix maxima from parent pointers).
-        self._trie = HistoryTrie() if use_trie else None
 
     @property
     def counters(self) -> Mapping[History, int]:
@@ -80,9 +69,7 @@ class PseudoLeaderElector:
         self._counters = apply_round_update(
             list(counter_maps),
             received_histories,
-            use_trie=self._use_trie,
             inherit_prefixes=self._inherit_prefixes,
-            trie=self._trie,
         )
 
     def is_leader(self) -> bool:
@@ -139,10 +126,10 @@ class HeartbeatPseudoLeader(GirafAlgorithm):
     F3 plots exactly that.
     """
 
-    def __init__(self, brand: Hashable, *, use_trie: bool = True):
+    def __init__(self, brand: Hashable):
         super().__init__()
         self.brand = brand
-        self.elector = PseudoLeaderElector(brand, use_trie=use_trie)
+        self.elector = PseudoLeaderElector(brand)
         self.currently_leader: bool = True
         self.leader_since: Optional[int] = None
 

@@ -244,6 +244,18 @@ def main(argv=None) -> int:
     unknown = [identifier for identifier in ids if identifier not in EXPERIMENTS]
     if unknown:
         parser.error(f"unknown experiment ids: {', '.join(unknown)}")
+    if args.engine == "columnar":
+        from repro.core.columnar import numpy_available
+
+        if not numpy_available():
+            from repro.runtime.columnar_engine import NUMPY_REASON
+
+            print(
+                f"warning: --engine columnar cannot engage ({NUMPY_REASON}); "
+                "every run takes the object engine, so the tables match "
+                "--engine object",
+                file=sys.stderr,
+            )
 
     for identifier in ids:
         table = run_experiment(

@@ -28,10 +28,11 @@ elector and reports the reason as its ``engine_decline``.  The regime
 every matrix run shares: aggregate traces (no per-event objects are
 owed to anyone), algorithms in their initial state, and no
 ``on_round`` injection hook (facades that inject application
-operations need real envelopes).  Algorithm 3 further needs the numpy
-backend, no snapshots or payload statistics, all-``int`` or
-all-``str`` proposals (so line 14's ``max`` is the highest set
-column), and a link policy that is a pure per-link draw
+operations need real envelopes), and numpy — without it every matrix
+request declines with one reason.  Algorithm 3 further needs no
+snapshots or payload statistics, all-``int`` or all-``str`` proposals
+(so line 14's ``max`` is the highest set column), and a link policy
+that is a pure per-link draw
 (:class:`~repro.giraf.environments.SilentLinks`,
 :class:`~repro.giraf.environments.AllTimelyLinks` or
 :class:`~repro.giraf.environments.BernoulliLinks` — a policy that
@@ -44,13 +45,10 @@ scheduler (``tests/runtime/test_columnar_engine.py`` and
 
 * every active process fires every tick, so round-``t`` state is one
   counter matrix ``C`` (process ``i``'s entries = the counters it sent
-  at tick ``t``) plus one history column per process.  On the numpy
-  backend ``C`` stores only live columns, the histories an active
-  process can still count, slot-major with one column per process
-  (``_fold`` drops the rest each tick); the stdlib backend keeps a
-  dense ``n × width``
-  :class:`~repro.core.columnar.CounterColumns` over every column of
-  the index;
+  at tick ``t``) plus one history column per process.  ``C`` stores
+  only live columns, the histories an active process can still count,
+  slot-major with one column per process (``_fold`` drops the rest
+  each tick);
 * a lock-step envelope carries only its sender's own message (nothing
   of round ``t`` reaches anyone before everyone has fired), so the
   tick-``t+1`` compute of process ``i`` folds exactly its own row, the
@@ -72,14 +70,13 @@ scheduler (``tests/runtime/test_columnar_engine.py`` and
   :class:`~repro.errors.ProtocolMisuse` on both engines instead of
   vanishing;
 * broadcast planning consumes the environment's vectorized
-  ``plan_round_links`` boolean rows directly.  On the numpy backend a
-  round's late delays are one senders × receivers
-  ``delay_ticks_matrix`` draw per chunk of senders (at most
-  :data:`_LATE_CHUNK_CELLS` cells, so memory stays bounded at any
-  ``n``), counted per due tick with one ``np.bincount``; the stdlib
-  backend draws ``delay_ticks_row`` rows, and a policy that declares
-  fixed bounds takes a constant-delay arithmetic shortcut on both.  No
-  per-envelope object exists anywhere on the path.
+  ``plan_round_links`` boolean rows directly.  A round's late delays
+  are one senders × receivers ``delay_ticks_matrix`` draw per chunk of
+  senders (at most :data:`_LATE_CHUNK_CELLS` cells, so memory stays
+  bounded at any ``n``), counted per due tick with one
+  ``np.bincount``, and a policy that declares fixed bounds takes a
+  constant-delay arithmetic shortcut.  No per-envelope object exists
+  anywhere on the path.
 
 Trace bookkeeping (round entries, compute times, decisions, halts,
 aggregate counters, and for heartbeats optional snapshots and payload
@@ -95,18 +92,10 @@ runs on the drifting scheduler (see its docstring).
 
 from __future__ import annotations
 
-from array import array
 from bisect import bisect_left
-from collections import Counter
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.core.columnar import (
-    CounterColumns,
-    CounterRowView,
-    HistoryIndex,
-    _prefix_best,
-    default_backend,
-)
+from repro.core.columnar import CounterRowView, HistoryIndex, numpy_available
 from repro.core.ess_consensus import ESSConsensus
 from repro.core.history import register_clear_hook
 from repro.core.pseudo_leader import HeartbeatPseudoLeader, PseudoLeaderElector
@@ -124,8 +113,12 @@ from repro.values import BOTTOM
 __all__ = [
     "ColumnarDriftingEngine",
     "ColumnarLockStepEngine",
+    "NUMPY_REASON",
     "warm_history_index",
 ]
+
+#: why every matrix request declines when numpy is not importable
+NUMPY_REASON = "numpy is not installed, and the matrix engines need it"
 
 
 # ----------------------------------------------------------------------
@@ -135,17 +128,16 @@ __all__ = [
 #: Process-wide warm :class:`HistoryIndex` shared by consecutive engine
 #: runs.  The index is content-addressed and append-only, so reuse is a
 #: pure cache: a column interned by an earlier run reads zero until
-#: this run bumps it.  The lock-step numpy path stores only the columns
-#: its own run keeps alive, so earlier runs' histories do not widen its
-#: matrices; the dense stores (the drifting engine, the stdlib
-#: lock-step path) span the whole index.  The list holds zero or one
-#: index.
+#: this run bumps it.  Both engines store counters in run-local slots,
+#: one per history their own run holds, so earlier runs' histories do
+#: not widen their matrices.  The list holds zero or one index.
 _WARM_INDEX: list = []
 
-#: Rebuild instead of reusing once the warm index outgrows this width —
-#: a run full of one-off histories must not tax every later drifting
-#: run with a proportionally wide matrix, nor grow the index (and the
-#: live-column path's column -> slot table) without bound.
+#: Rebuild instead of reusing once the warm index outgrows this width.
+#: The counter matrices no longer span the index, but the index itself,
+#: the lock-step engine's column -> slot table and its per-column
+#: payload sizes (``_atoms_upto``) still grow with it, so a stream of
+#: runs full of one-off histories must not grow them without bound.
 _WARM_WIDTH_CAP = 1 << 16
 
 
@@ -195,22 +187,16 @@ def _constant_delay(environment) -> Optional[int]:
     return None
 
 
-def _dense_rows(C: CounterColumns):
-    """``pid -> (row, None)`` over a dense :class:`CounterColumns`."""
-    store = C.data if C.backend == "numpy" else C.rows
-    return lambda pid: (store[pid], None)
-
-
 def _install_final_views(kernel, index, rows, hist_col, final_rounds) -> None:
     """Point every algorithm's elector at a lazy view of its final row.
 
     Shared by both matrix engines' ``finalize``: each elector becomes a
     read-only :class:`~repro.core.columnar.CounterRowView` over the
     process's final counter row — ``rows(pid)`` gives it with the
-    columns of its slots (``None`` for a dense row) — plus its final
-    history (an interned node), whose ``counters`` builds its dict on
-    first access — teardown is O(n) instead of O(n × width).  A process
-    that never fired keeps its initial history.
+    columns of its slots — plus its final history (an interned node),
+    whose ``counters`` builds its dict on first access — teardown is
+    O(n) instead of O(n × width).  A process that never fired keeps its
+    initial history.
     """
     histories = index.histories
     for pid, proc in enumerate(kernel.processes):
@@ -285,11 +271,14 @@ _STATE_REASONS = {
 def _decline_reason(kernel, *, kinds: Sequence[type]) -> Optional[str]:
     """Why no matrix engine can run this kernel's processes, or ``None``.
 
-    The checks both engines share: aggregate traces, every algorithm
-    of exactly one class in ``kinds`` (no subclasses — their overrides
-    would not be honoured), every algorithm and process shell in its
-    initial state.  Each engine's ``try_build`` adds its own checks.
+    The checks both engines share: numpy, aggregate traces, every
+    algorithm of exactly one class in ``kinds`` (no subclasses — their
+    overrides would not be honoured), every algorithm and process shell
+    in its initial state.  Each engine's ``try_build`` adds its own
+    checks.
     """
+    if not numpy_available():
+        return NUMPY_REASON
     if not kernel.aggregate:
         return "trace_mode='full' needs per-event objects"
     algorithms = kernel.algorithms
@@ -324,8 +313,6 @@ def _ess_run_reason(kernel, environment, record_snapshots: bool) -> Optional[str
     policy = type(environment.link_policy)
     if policy not in _PURE_LINK_POLICIES:
         return f"link policy {policy.__name__} is not a pure per-link draw"
-    if default_backend() != "numpy":
-        return "Algorithm 3's matrix path needs the numpy backend"
     return None
 
 
@@ -363,49 +350,33 @@ class ColumnarLockStepEngine:
         self._payload_stats = kernel.payload_stats
         n = len(kernel.processes)
         self._n = n
-        backend = default_backend()
-        self._backend = backend
-        self._numpy = backend == "numpy"
-        if self._numpy:
-            import numpy
+        import numpy as np
 
-            self._np = numpy
-        else:
-            self._np = None
+        self._np = np
         self._index = warm_history_index()
-        if self._numpy:
-            # Live-column layout (see _fold): two slot-major buffers,
-            # one column per process, one slot per stored history.
-            np = self._np
-            self._C = np.zeros((8, n), dtype=np.int64)
-            self._N = np.zeros((8, n), dtype=np.int64)
-            #: slot -> history column (slot 0, always zero: -1); every
-            #: fold makes a new array, so a kept reference stays valid
-            self._cols = np.full(1, -1, dtype=np.int64)
-            #: history column -> slot (0: not stored, reads zero); sized
-            #: to the index by _fold
-            self._slot_of = np.zeros(0, dtype=np.intp)
-            #: deactivated pid -> its final (row, cols)
-            self._frozen: Dict[int, tuple] = {}
-        else:
-            self._C = CounterColumns(n, self._index, backend)
-            self._N = CounterColumns(n, self._index, backend)
+        # Live-column layout (see _fold): two slot-major buffers, one
+        # column per process, one slot per stored history.
+        self._C = np.zeros((8, n), dtype=np.int64)
+        self._N = np.zeros((8, n), dtype=np.int64)
+        #: slot -> history column (slot 0, always zero: -1); every fold
+        #: makes a new array, so a kept reference stays valid
+        self._cols = np.full(1, -1, dtype=np.int64)
+        #: history column -> slot (0: not stored, reads zero); sized to
+        #: the index by _fold
+        self._slot_of = np.zeros(0, dtype=np.intp)
+        #: deactivated pid -> its final (row, cols)
+        self._frozen: Dict[int, tuple] = {}
 
         # --- activity -------------------------------------------------
         self._active: List[bool] = [True] * n
         self._active_count = n
         self._active_sorted: Optional[List[int]] = list(range(n))
-        if self._numpy:
-            self._active_np = self._np.ones(n, dtype=bool)
-            self._active_idx = self._np.arange(n)
+        self._active_np = np.ones(n, dtype=bool)
+        self._active_idx = np.arange(n)
         # --- histories ------------------------------------------------
-        # Per-process current history column (-1 = never fired).  The
-        # numpy path keeps an int64 array (compute indexes rows with
-        # it); the python path a plain list.
-        if self._numpy:
-            self._hist_col = self._np.full(n, -1, dtype=self._np.int64)
-        else:
-            self._hist_col = [-1] * n
+        # Per-process current history column (-1 = never fired), an
+        # int64 array: compute indexes rows with it.
+        self._hist_col = np.full(n, -1, dtype=np.int64)
         self._last_fired = [0] * n
 
         # --- trace plumbing -------------------------------------------
@@ -414,8 +385,7 @@ class ColumnarLockStepEngine:
         # due tick -> late-delivery count (the whole late queue)
         self._late_counts: Dict[int, int] = {}
         # last tick's delivery plan, consumed by the next compute:
-        # (obligatory sender pids, [(extra sender, timely receivers)])
-        # where timely receivers is a bool mask (numpy) or pid list.
+        # (obligatory sender pids, [(extra sender, receiver bool mask)])
         self._pending: Tuple[List[int], list] = ([], [])
         self._finalized = False
 
@@ -443,39 +413,25 @@ class ColumnarLockStepEngine:
                 order.append(brand)
             group_pids[brand].append(pid)
         self._brands = order
-        self._groups = [group_pids[brand] for brand in order]
-        self._group_of = [0] * n
-        for g, pids in enumerate(self._groups):
-            for pid in pids:
-                self._group_of[pid] = g
-        if self._numpy:
-            self._group_idx = [
-                self._np.array(pids, dtype=self._np.intp) for pids in self._groups
-            ]
+        np = self._np
+        groups = [group_pids[brand] for brand in order]
+        self._group_idx = [np.array(pids, dtype=np.intp) for pids in groups]
         # Length-1 history column per group, from the elector's actual
         # initial history node (so finalize hands back the same
         # interned object the object engine would hold).
         self._initial_col = [
             self._index.intern(kernel.algorithms[pids[0]].elector.history)
-            for pids in self._groups
+            for pids in groups
         ]
-        self._group_col = [-1] * len(self._groups)
+        self._group_col = [-1] * len(groups)
 
         # --- leadership / per-process results -------------------------
-        if self._numpy:
-            i64 = self._np.int64
-            self._leader = self._np.ones(n, dtype=bool)
-            self._since = self._np.full(n, -1, dtype=i64)
-            self._my = self._np.zeros(n, dtype=i64)
-            self._mx = self._np.zeros(n, dtype=i64)
-            self._computed = self._np.zeros(n, dtype=bool)
-        else:
-            self._leader = [True] * n
-            self._since = [-1] * n
-            self._my = [0] * n
-            self._mx = [0] * n
-            self._computed = [False] * n
-        # per-tick scratch for snapshots / payload stats (numpy path)
+        self._leader = np.ones(n, dtype=bool)
+        self._since = np.full(n, -1, dtype=np.int64)
+        self._my = np.zeros(n, dtype=np.int64)
+        self._mx = np.zeros(n, dtype=np.int64)
+        self._computed = np.zeros(n, dtype=bool)
+        # per-tick scratch for snapshots / payload stats
         self._round_rows = None
         self._round_own = None
         self._round_max = None
@@ -541,16 +497,14 @@ class ColumnarLockStepEngine:
             cached = self._active_sorted = [
                 pid for pid in range(self._n) if active[pid]
             ]
-            if self._numpy:
-                self._active_idx = self._np.flatnonzero(self._active_np)
+            self._active_idx = self._np.flatnonzero(self._active_np)
         return cached
 
     def _deactivate(self, pid: int) -> None:
         self._active[pid] = False
-        if self._numpy:
-            self._active_np[pid] = False
-            # later folds stop carrying the row: keep it as it ends
-            self._frozen[pid] = (self._C[: len(self._cols), pid].copy(), self._cols)
+        self._active_np[pid] = False
+        # later folds stop carrying the row: keep it as it ends
+        self._frozen[pid] = (self._C[: len(self._cols), pid].copy(), self._cols)
         self._active_count -= 1
         self._active_sorted = None
 
@@ -591,11 +545,8 @@ class ColumnarLockStepEngine:
         if not fired:
             return fired
         if tick >= 2:
-            if self._numpy:
-                self._compute_numpy(tick)
-            else:
-                self._compute_python(tick, fired)
-        self._append_heartbeat(tick, fired)
+            self._compute_heartbeat(tick)
+        self._append_heartbeat(tick)
         self._record(tick, fired, fired)
         if self._record_snapshots and tick >= 2:
             self._emit_snapshots(tick, fired)
@@ -606,9 +557,9 @@ class ColumnarLockStepEngine:
     def _fold(self, bumped):
         """Line 8 into the spare buffer, over the live columns only.
 
-        The numpy path stores counters slot-major — ``C[s, i]`` is
-        process ``i``'s counter for history column ``self._cols[s]`` —
-        and only for the columns that can still count.  After line 8
+        Counters are stored slot-major — ``C[s, i]`` is process ``i``'s
+        counter for history column ``self._cols[s]`` — and only for the
+        columns that can still count.  After line 8
         every active process's counters are at most the obligatory
         senders' shared minimum, so a column that minimum lacks is zero
         for every active process, and since histories only grow no
@@ -657,7 +608,7 @@ class ColumnarLockStepEngine:
         self._cols = new_cols
         return N, width
 
-    def _compute_numpy(self, tick: int) -> None:
+    def _compute_heartbeat(self, tick: int) -> None:
         np = self._np
         index = self._index
         act = self._active_idx
@@ -720,100 +671,20 @@ class ColumnarLockStepEngine:
         self._round_leader = leader_now
         self._C, self._N = self._N, self._C
 
-    def _compute_python(self, tick: int, fired: List[int]) -> None:
-        index = self._index
-        width = index.width
-        C, N = self._C, self._N
-        C.ensure_width(width)
-        N.ensure_width(width)
-        crows, nrows = C.rows, N.rows
-        active = self._active
-        hist_col = self._hist_col
-        oblig, extras = self._pending
-
-        for pid in range(self._n):
-            nrows[pid] = array("q", crows[pid])
-        if oblig:
-            shared = crows[oblig[0]]
-            for sender in oblig[1:]:
-                shared = array("q", map(min, shared, crows[sender]))
-            for pid in fired:
-                nrows[pid] = array("q", map(min, nrows[pid], shared))
-        for sender, timely in extras:
-            srow = crows[sender]
-            for receiver in timely:
-                if active[receiver]:
-                    nrows[receiver] = array("q", map(min, nrows[receiver], srow))
-
-        masks: Dict[int, Set[int]] = {}
-        for g, pids in enumerate(self._groups):
-            members = [pid for pid in pids if active[pid]]
-            if members:
-                masks.setdefault(self._group_col[g], set()).update(members)
-        for sender in oblig:
-            masks.setdefault(hist_col[sender], set()).update(fired)
-        for sender, timely in extras:
-            hits = [pid for pid in timely if active[pid]]
-            if hits:
-                masks.setdefault(hist_col[sender], set()).update(hits)
-
-        writes = []
-        for col, pids in masks.items():
-            ancestors = index.ancestor_cols(col)
-            for pid in pids:
-                row = nrows[pid]
-                best = 0
-                for ancestor in ancestors:
-                    value = row[ancestor]
-                    if value > best:
-                        best = value
-                writes.append((pid, col, best + 1))
-        for pid, col, value in writes:
-            nrows[pid][col] = value
-
-        for pid in fired:
-            row = nrows[pid]
-            own = row[hist_col[pid]]
-            row_max = max(row) if width else 0
-            leader_now = own >= row_max
-            if leader_now and not self._leader[pid]:
-                self._since[pid] = tick - 1
-            elif not leader_now:
-                self._since[pid] = -1
-            self._leader[pid] = leader_now
-            self._my[pid] = own
-            self._mx[pid] = row_max
-            self._computed[pid] = True
-        self._C, self._N = self._N, self._C
-
-    def _append_heartbeat(self, tick: int, fired: List[int]) -> None:
+    def _append_heartbeat(self, tick: int) -> None:
         """Per-group history appends: one column per brand group."""
         index = self._index
         hist_col = self._hist_col
-        active = self._active
-        new_cols: Dict[int, int] = {}
-        for g, pids in enumerate(self._groups):
-            if self._numpy:
-                gidx = self._group_idx[g]
-                sel = self._active_np[gidx]
-                if not sel.any():
-                    continue
-            else:
-                sel = None
-                if not any(active[pid] for pid in pids):
-                    continue
+        for g, gidx in enumerate(self._group_idx):
+            sel = self._active_np[gidx]
+            if not sel.any():
+                continue
             if tick == 1:
                 col = self._initial_col[g]
             else:
                 col = index.child_col(self._group_col[g], self._brands[g])
             self._group_col[g] = col
-            new_cols[g] = col
-            if self._numpy:
-                hist_col[gidx[sel]] = col
-        if not self._numpy:
-            group_of = self._group_of
-            for pid in fired:
-                hist_col[pid] = new_cols[group_of[pid]]
+            hist_col[gidx[sel]] = col
 
     def _record(self, tick: int, computed: List[int], senders: List[int]) -> None:
         """The object loop's bookkeeping: a compute time for every
@@ -846,37 +717,21 @@ class ColumnarLockStepEngine:
     def _emit_snapshots(self, tick: int, fired: List[int]) -> None:
         trace = self._trace
         computing = tick - 1
-        if self._numpy:
-            counts = (self._round_rows > 0).sum(axis=0)[self._active_idx]
-            own, row_max = self._round_own, self._round_max
-            leader = self._round_leader
-            for position, pid in enumerate(fired):
-                trace.record_snapshot(
-                    pid,
-                    computing,
-                    {
-                        "leader": bool(leader[position]),
-                        "my_counter": int(own[position]),
-                        "max_counter": int(row_max[position]),
-                        "history_len": tick,
-                        "counter_entries": int(counts[position]),
-                    },
-                )
-        else:
-            crows = self._C.rows
-            for pid in fired:
-                support = sum(1 for value in crows[pid] if value > 0)
-                trace.record_snapshot(
-                    pid,
-                    computing,
-                    {
-                        "leader": bool(self._leader[pid]),
-                        "my_counter": int(self._my[pid]),
-                        "max_counter": int(self._mx[pid]),
-                        "history_len": tick,
-                        "counter_entries": support,
-                    },
-                )
+        counts = (self._round_rows > 0).sum(axis=0)[self._active_idx]
+        own, row_max = self._round_own, self._round_max
+        leader = self._round_leader
+        for position, pid in enumerate(fired):
+            trace.record_snapshot(
+                pid,
+                computing,
+                {
+                    "leader": bool(leader[position]),
+                    "my_counter": int(own[position]),
+                    "max_counter": int(row_max[position]),
+                    "history_len": tick,
+                    "counter_entries": int(counts[position]),
+                },
+            )
 
     def _atoms_upto(self, width: int) -> List[int]:
         atoms = self._col_atoms
@@ -899,37 +754,22 @@ class ColumnarLockStepEngine:
         exactly what :func:`~repro.giraf.messages.payload_size` walks
         out of the object representation.
         """
-        trace = self._trace
-        atoms = self._atoms_upto(self._index.width)
-        if self._numpy:
-            np = self._np
-            atoms_arr = np.array(atoms, dtype=np.int64)
-            act = self._active_idx
-            hist_atoms = atoms_arr[self._hist_col[act]]
-            if tick >= 2:
-                # slot 0 (column -1) holds zero, so it never counts
-                slot_atoms = atoms_arr[self._cols] + 1
-                counter_atoms = 1 + (slot_atoms @ (self._round_rows > 0))[act]
-            else:
-                counter_atoms = np.ones(len(fired), dtype=np.int64)
-            send_atoms = 2 + hist_atoms + counter_atoms
-            total = int(send_atoms.sum())
-            biggest = int(send_atoms.max())
+        np = self._np
+        atoms = np.array(self._atoms_upto(self._index.width), dtype=np.int64)
+        act = self._active_idx
+        hist_atoms = atoms[self._hist_col[act]]
+        if tick >= 2:
+            # slot 0 (column -1) holds zero, so it never counts
+            slot_atoms = atoms[self._cols] + 1
+            counter_atoms = 1 + (slot_atoms @ (self._round_rows > 0))[act]
         else:
-            crows = self._C.rows
-            total = 0
-            biggest = 0
-            for pid in fired:
-                counter_atoms = 1
-                if tick >= 2:
-                    for col, value in enumerate(crows[pid]):
-                        if value > 0:
-                            counter_atoms += atoms[col] + 1
-                size = 2 + atoms[self._hist_col[pid]] + counter_atoms
-                total += size
-                if size > biggest:
-                    biggest = size
-        trace.agg_payload[tick] = [len(fired), total, biggest]
+            counter_atoms = np.ones(len(fired), dtype=np.int64)
+        send_atoms = 2 + hist_atoms + counter_atoms
+        self._trace.agg_payload[tick] = [
+            len(fired),
+            int(send_atoms.sum()),
+            int(send_atoms.max()),
+        ]
 
     # -- Algorithm 3 ---------------------------------------------------
     def _fire_ess(self, tick: int) -> List[int]:
@@ -1098,6 +938,8 @@ class ColumnarLockStepEngine:
         ``_pending``."""
         if not fired:
             return
+        np = self._np
+        n = self._n
         kernel = self._kernel
         trace = self._trace
         environment = self._environment
@@ -1172,56 +1014,33 @@ class ColumnarLockStepEngine:
                     timely = [pid for pid in timely if pid != sender]
             if timely:
                 deliveries += len(timely)
-                if self._numpy:
-                    mask = self._np.zeros(self._n, dtype=bool)
-                    mask[timely] = True
-                    extras_store.append((sender, mask))
-                else:
-                    extras_store.append((sender, timely))
+                mask = np.zeros(n, dtype=bool)
+                mask[timely] = True
+                extras_store.append((sender, mask))
             late_count = (
                 receiver_count - (1 if active[sender] else 0) - len(timely)
             )
             if not late_count:
                 continue
-            # Delay-1 lates are flushed before the next fire, so they
-            # reach the slot that fire computes from — state-effective,
-            # fed into the next tick exactly like timely extras (their
-            # delivery count still lands on the due tick).
-            effective: List[int] = []
-            if const_delay is not None:
-                if const_delay < 1:
-                    late = late_receivers(sender, timely)
-                    check_late_row(tick, sender, late, [const_delay] * late_count)
-                due = tick + const_delay
-                if due <= max_rounds and const_delay < NEVER_DELIVERED:
-                    late_counts[due] = late_counts.get(due, 0) + late_count
-                    if const_delay == 1:
-                        effective = late_receivers(sender, timely)
-            elif self._numpy:
+            if const_delay is None:
                 # drawn below, the whole round as one delay matrix
                 drawn.append((sender, timely))
                 continue
-            else:
+            if const_delay < 1:
                 late = late_receivers(sender, timely)
-                delays = environment.delay_ticks_row(tick, sender, late)
-                check_late_row(tick, sender, late, delays)
-                # counted per delay value, not per link: only delay-1
-                # receivers are ever materialized
-                for delay, count in Counter(delays).items():
-                    due = tick + delay
-                    if due <= max_rounds and delay < NEVER_DELIVERED:
-                        late_counts[due] = late_counts.get(due, 0) + count
-                        if delay == 1:
-                            effective = [
-                                pid for pid, d in zip(late, delays) if d == 1
-                            ]
-            if effective:
-                if self._numpy:
-                    mask = self._np.zeros(self._n, dtype=bool)
-                    mask[effective] = True
+                check_late_row(tick, sender, late, [const_delay] * late_count)
+            due = tick + const_delay
+            if due <= max_rounds and const_delay < NEVER_DELIVERED:
+                late_counts[due] = late_counts.get(due, 0) + late_count
+                if const_delay == 1:
+                    # Delay-1 lates are flushed before the next fire, so
+                    # they reach the slot that fire computes from —
+                    # state-effective, fed into the next tick exactly
+                    # like timely extras (their delivery count still
+                    # lands on the due tick).
+                    mask = np.zeros(n, dtype=bool)
+                    mask[late_receivers(sender, timely)] = True
                     extras_store.append((sender, mask))
-                else:
-                    extras_store.append((sender, effective))
         if drawn:
             self._count_late_matrix(tick, drawn, receivers, extras_store)
         if deliveries:
@@ -1278,8 +1097,8 @@ class ColumnarLockStepEngine:
 
     # ------------------------------------------------------------------
     def _final_row(self, pid: int):
-        """A process's final ``(row, cols)`` on the numpy path: kept when
-        it stopped, else its column of the last computed buffer."""
+        """A process's final ``(row, cols)``: kept when it stopped, else
+        its column of the last computed buffer."""
         return self._frozen.get(pid) or (self._C[: len(self._cols), pid], self._cols)
 
     def finalize(self) -> None:
@@ -1299,9 +1118,8 @@ class ColumnarLockStepEngine:
             return
         self._finalized = True
         kernel = self._kernel
-        rows = self._final_row if self._numpy else _dense_rows(self._C)
         _install_final_views(
-            kernel, self._index, rows, self._hist_col, self._last_fired
+            kernel, self._index, self._final_row, self._hist_col, self._last_fired
         )
         if not self._ess:
             _install_heartbeat_flags(
@@ -1332,10 +1150,17 @@ class ColumnarDriftingEngine:
     one inbox mutation, and a gate probe) per link.  This engine keeps
     the event-driven skeleton — ``end-of-round`` events per process,
     gating on obligatory senders, continuous-time latencies — but
-    replaces the per-link payload machinery with delivery-tick columns:
+    replaces the per-link payload machinery with delivery-tick columns
+    over a run-local slot table (the lock-step engine's conventions:
+    ``_cols`` maps slot → history column with slot 0 a permanent zero,
+    ``_slot_of`` maps column → slot).  A slot is assigned when the run
+    first appends a history and is never dropped — processes sit in
+    different rounds, so no round's minimum retires a column for all of
+    them — and every prefix of a run's history was appended earlier by
+    the same process, so line 9's prefix chains stay inside the table:
 
     * a broadcast is snapshotted once as ``(combined counter row,
-      distinct history columns)`` — the pointwise minimum over every
+      distinct history slots)`` — the pointwise minimum over every
       message riding in the envelope (the sender's own plus any
       early-arrived round mates), exactly what a receiver's merge
       would extract from the envelope's message set;
@@ -1348,7 +1173,7 @@ class ColumnarDriftingEngine:
       drains;
     * a process's ``compute(k, ·)`` then reads
       ``min(own row, accumulator row)`` and bumps once per distinct
-      received-history column — work scaling with distinct columns,
+      received-history slot — work scaling with distinct histories,
       not with the number of messages received;
     * gate probes after a batch run only when the batch's sender is a
       round obligation (a parked gate can only open via a needed
@@ -1366,9 +1191,10 @@ class ColumnarDriftingEngine:
     (compounded envelopes share embedded messages, so structural sizes
     are not recoverable from rows) and overridden latency methods (the
     disjointness argument above needs the stock draws).  Everything
-    else runs the object event loop.  Every step is
-    pinned byte-identical to the object scheduler across
-    environments × crashes × GST × event queues × backends
+    else runs the object event loop.  Every step is pinned
+    byte-identical to the object scheduler across environments ×
+    crashes × GST × periods and phases × event queues, on generated
+    configurations cold and warm
     (``tests/runtime/test_columnar_drifting_engine.py``).
     """
 
@@ -1383,25 +1209,30 @@ class ColumnarDriftingEngine:
         n = len(kernel.processes)
         self._n = n
         self._all_pids = list(range(n))
-        backend = default_backend()
-        self._backend = backend
-        self._numpy = backend == "numpy"
-        if self._numpy:
-            import numpy
+        import numpy as np
 
-            self._np = numpy
-        else:
-            self._np = None
+        self._np = np
         self._index = warm_history_index()
-        #: row pid = the counters pid sent with its latest round message
-        self._C = CounterColumns(n, self._index, backend)
+        # --- the slot table (see the class docstring) -----------------
+        #: slot -> history column (slot 0, always zero: -1)
+        self._cols: List[int] = [-1]
+        #: history column -> slot, for the columns this run stores
+        self._slot_of: Dict[int, int] = {}
+        #: slot -> the slots of its history and every proper prefix
+        #: (line 9's prefix chain; slot 0's is empty)
+        self._chain: list = [np.zeros(0, dtype=np.intp)]
+        #: row pid, slot s = the counter pid sent for history
+        #: ``_cols[s]`` with its latest round message; every counter
+        #: matrix shares this capacity (see _slot)
+        self._C = np.zeros((n, 8), dtype=np.int64)
 
         # --- per-process state ----------------------------------------
         self._active: List[bool] = [True] * n
         self._active_count = n
         #: invocations fired so far (mirrors ``proc.round``)
         self._rounds: List[int] = [0] * n
-        self._hist_col: List[int] = [-1] * n
+        #: slot of each process's current history (0: never fired)
+        self._hist_slot: List[int] = [0] * n
         self._brand = [algorithm.brand for algorithm in kernel.algorithms]
         # Length-1 column per process from the elector's actual initial
         # node, so finalize hands back the same interned object.
@@ -1417,12 +1248,12 @@ class ColumnarDriftingEngine:
 
         # --- per-round delivery state ---------------------------------
         # round -> min-accumulator over delivered broadcast rows (one
-        # matrix row per receiver; ``seeded`` marks rows holding at
-        # least one fold).  Round-1 broadcasts carry empty counters and
-        # never seed an accumulator.
-        self._acc: Dict[int, CounterColumns] = {}
+        # matrix row per receiver, slots as in _C; ``seeded`` marks rows
+        # holding at least one fold).  Round-1 broadcasts carry empty
+        # counters and never seed an accumulator.
+        self._acc: Dict[int, object] = {}
         self._seeded: Dict[int, List[bool]] = {}
-        # round -> history column -> receiver bitmask: who received a
+        # round -> history slot -> receiver bitmask: who received a
         # message carrying that history this round (the bump set).
         self._colmask: Dict[int, Dict[int, int]] = {}
         # round -> envelope sender -> receiver bitmask: the object
@@ -1617,8 +1448,32 @@ class ColumnarDriftingEngine:
         self._replan_after_exit(pid, now)
 
     # ------------------------------------------------------------------
-    # delivery state
+    # slots and delivery state
     # ------------------------------------------------------------------
+    def _slot(self, col: int, parent_slot: int) -> int:
+        """The slot of history column ``col`` — appended by a process
+        whose previous history sits in ``parent_slot`` (0: none) —
+        assigning one on first sight.  Outgrowing the shared capacity
+        doubles ``_C`` and every live accumulator."""
+        slot = self._slot_of.get(col)
+        if slot is not None:
+            return slot
+        np = self._np
+        slot = self._slot_of[col] = len(self._cols)
+        self._cols.append(col)
+        self._chain.append(np.concatenate(([slot], self._chain[parent_slot])))
+        capacity = self._C.shape[1]
+        if slot >= capacity:
+            def grown(matrix):
+                wider = np.zeros((self._n, 2 * capacity), dtype=np.int64)
+                wider[:, :capacity] = matrix
+                return wider
+
+            self._C = grown(self._C)
+            for round_no, acc in self._acc.items():
+                self._acc[round_no] = grown(acc)
+        return slot
+
     def _absorb(self, env: tuple, receivers, mask: int) -> None:
         """Fold one broadcast into the per-round delivery state.
 
@@ -1627,12 +1482,12 @@ class ColumnarDriftingEngine:
         masked matrix min per call — the batch twin of ``n`` envelope
         receives.
         """
-        sender, round_no, row, row_width, cols = env
+        sender, round_no, row, slots = env
         colmask = self._colmask.get(round_no)
         if colmask is None:
             colmask = self._colmask[round_no] = {}
-        for col in cols:
-            colmask[col] = colmask.get(col, 0) | mask
+        for slot in slots:
+            colmask[slot] = colmask.get(slot, 0) | mask
         got = self._got.get(round_no)
         if got is None:
             got = self._got[round_no] = {}
@@ -1644,45 +1499,20 @@ class ColumnarDriftingEngine:
             return
         acc = self._acc.get(round_no)
         if acc is None:
-            acc = self._acc[round_no] = CounterColumns(
-                self._n, self._index, self._backend
-            )
+            acc = self._acc[round_no] = self._np.zeros_like(self._C)
             self._seeded[round_no] = [False] * self._n
             self._evict()
         seeded = self._seeded[round_no]
-        acc.ensure_width(row_width)
-        width = acc.width
-        if self._numpy:
-            data = acc.data
-            fresh = [pid for pid in receivers if not seeded[pid]]
-            olds = [pid for pid in receivers if seeded[pid]]
-            if fresh:
-                data[fresh, :row_width] = row[:row_width]
-            if olds:
-                sub = data[olds, :row_width]
-                self._np.minimum(sub, row[:row_width], out=sub)
-                data[olds, :row_width] = sub
-                if width > row_width:
-                    # the broadcast's map is implicitly zero past its
-                    # snapshot width, so the minimum zeroes the tail
-                    data[olds, row_width:width] = 0
-        else:
-            store = acc.rows
-            zeros_tail = None
-            for pid in receivers:
-                arow = store[pid]
-                if seeded[pid]:
-                    arow[:row_width] = array(
-                        "q", map(min, arow[:row_width], row[:row_width])
-                    )
-                    if width > row_width:
-                        if zeros_tail is None:
-                            zeros_tail = array(
-                                "q", bytes(8 * (width - row_width))
-                            )
-                        arow[row_width:width] = zeros_tail
-                else:
-                    arow[:row_width] = row[:row_width]
+        width = len(row)
+        fresh = [pid for pid in receivers if not seeded[pid]]
+        olds = [pid for pid in receivers if seeded[pid]]
+        if fresh:
+            acc[fresh, :width] = row
+        if olds:
+            acc[olds, :width] = self._np.minimum(acc[olds, :width], row)
+            # the broadcast's map is zero in the slots assigned after
+            # its snapshot, so the minimum zeroes them
+            acc[olds, width:] = 0
         for pid in receivers:
             seeded[pid] = True
 
@@ -1691,49 +1521,29 @@ class ColumnarDriftingEngine:
     # ------------------------------------------------------------------
     def _compute(self, pid: int, k: int):
         """``compute(k, ·)`` on rows; returns the new counter row."""
-        index = self._index
-        width = index.width
-        C = self._C
-        C.ensure_width(width)
+        width = len(self._cols)
+        row = self._C[pid, :width]
         acc = self._acc.get(k)
-        seeded = acc is not None and self._seeded[k][pid]
-        if seeded:
-            acc.ensure_width(width)
-        if self._numpy:
-            if seeded:
-                merged = self._np.minimum(
-                    C.data[pid, :width], acc.data[pid, :width]
-                )
-            else:
-                merged = C.data[pid, :width].copy()
+        if acc is not None and self._seeded[k][pid]:
+            merged = self._np.minimum(row, acc[pid, :width])
         else:
-            if seeded:
-                merged = array("q", map(min, C.rows[pid], acc.rows[pid]))
-            else:
-                merged = array("q", C.rows[pid])
-        # bumps: own round-k history plus every history column that
-        # reached this process in a round-k envelope — one prefix-max
-        # per distinct column, all maxima read before any write lands
-        own_col = self._hist_col[pid]
-        cols = [own_col]
+            merged = row.copy()
+        # bumps: own round-k history plus every history that reached
+        # this process in a round-k envelope — one prefix-max per
+        # distinct slot, all maxima read before any write lands
+        own = self._hist_slot[pid]
+        chain = self._chain
+        bumps = [(own, 1 + int(merged[chain[own]].max()))]
         colmask = self._colmask.get(k)
         if colmask:
             bit = 1 << pid
-            for col, mask in colmask.items():
-                if mask & bit and col != own_col:
-                    cols.append(col)
-        parents = index.parents
-        if len(cols) == 1:
-            merged[own_col] = 1 + _prefix_best(merged, own_col, parents)
-        else:
-            bumps = [1 + _prefix_best(merged, col, parents) for col in cols]
-            for col, value in zip(cols, bumps):
-                merged[col] = value
-        own_value = int(merged[own_col])
-        if self._numpy:
-            row_max = int(merged.max()) if width else 0
-        else:
-            row_max = max(merged, default=0)
+            for slot, mask in colmask.items():
+                if mask & bit and slot != own:
+                    bumps.append((slot, 1 + int(merged[chain[slot]].max())))
+        for slot, value in bumps:
+            merged[slot] = value
+        own_value = int(merged[own])
+        row_max = int(merged.max())
         leader_now = own_value >= row_max
         if leader_now:
             if not self._leader[pid]:
@@ -1742,12 +1552,9 @@ class ColumnarDriftingEngine:
             self._since[pid] = -1
         self._leader[pid] = leader_now
         self._my[pid] = own_value
-        self._mx[pid] = int(row_max)
+        self._mx[pid] = row_max
         self._computed[pid] = True
-        if self._numpy:
-            C.data[pid, :width] = merged
-        else:
-            C.rows[pid] = merged
+        row[:] = merged
         return merged
 
     def _fire(self, pid: int, invocation: int, now: float) -> None:
@@ -1755,21 +1562,16 @@ class ColumnarDriftingEngine:
         trace = self._trace
         computing = invocation - 1
         merged = self._compute(pid, computing) if computing >= 1 else None
+        slot = self._hist_slot[pid]
         if invocation == 1:
             new_col = self._initial_col[pid]
         else:
-            new_col = self._index.child_col(
-                self._hist_col[pid], self._brand[pid]
-            )
-        self._hist_col[pid] = new_col
+            new_col = self._index.child_col(self._cols[slot], self._brand[pid])
+        new_slot = self._hist_slot[pid] = self._slot(new_col, slot)
         self._rounds[pid] = invocation
         if computing >= 1:
             trace.record_compute(pid, computing, now)
             if self._record_snapshots:
-                if self._numpy:
-                    entries = int((merged > 0).sum())
-                else:
-                    entries = sum(1 for value in merged if value > 0)
                 trace.record_snapshot(
                     pid,
                     computing,
@@ -1778,46 +1580,33 @@ class ColumnarDriftingEngine:
                         "my_counter": self._my[pid],
                         "max_counter": self._mx[pid],
                         "history_len": invocation,
-                        "counter_entries": entries,
+                        "counter_entries": int((merged > 0).sum()),
                     },
                 )
         trace.record_round_entry(pid, invocation, now)
         self._sink.send(pid, invocation, now, None)
-        self._broadcast(pid, invocation, merged, new_col, now)
+        self._broadcast(pid, invocation, merged, new_slot, now)
 
-    def _broadcast(self, pid, round_no, merged, new_col, now: float) -> None:
+    def _broadcast(self, pid, round_no, merged, new_slot, now: float) -> None:
         # Envelope snapshot: the combined counter row (pointwise min
         # over every message riding in the envelope — the sender's own
         # new message plus early-arrived round mates already folded
         # into this round's accumulator) and the distinct history
-        # columns those messages carry.  Materialized once per
+        # slots those messages carry.  Materialized once per
         # broadcast; receivers only ever fold it.
         acc = self._acc.get(round_no)
-        if merged is None:
-            row = None
-            row_width = 0
-        elif acc is not None and self._seeded[round_no][pid]:
-            row_width = min(len(merged), acc.width)
-            if self._numpy:
-                row = self._np.minimum(
-                    merged[:row_width], acc.data[pid, :row_width]
-                )
-            else:
-                row = array(
-                    "q",
-                    map(min, merged[:row_width], acc.rows[pid][:row_width]),
-                )
+        if merged is not None and acc is not None and self._seeded[round_no][pid]:
+            row = self._np.minimum(merged, acc[pid, : len(merged)])
         else:
             row = merged
-            row_width = len(merged)
-        cols = [new_col]
+        slots = [new_slot]
         colmask = self._colmask.get(round_no)
         if colmask:
             bit = 1 << pid
-            for col, mask in colmask.items():
-                if mask & bit and col != new_col:
-                    cols.append(col)
-        env = (pid, round_no, row, row_width, tuple(cols))
+            for slot, mask in colmask.items():
+                if mask & bit and slot != new_slot:
+                    slots.append(slot)
+        env = (pid, round_no, row, tuple(slots))
 
         # Delivery planning.  The latency values are exactly what the
         # object loop draws — try_build pinned the stock (pure,
@@ -1980,8 +1769,14 @@ class ColumnarDriftingEngine:
             return
         self._finalized = True
         kernel = self._kernel
+        width = len(self._cols)
+        cols = self._np.array(self._cols, dtype=self._np.int64)
         _install_final_views(
-            kernel, self._index, _dense_rows(self._C), self._hist_col, self._rounds
+            kernel,
+            self._index,
+            lambda pid: (self._C[pid, :width], cols),
+            cols[self._hist_slot],
+            self._rounds,
         )
         _install_heartbeat_flags(
             kernel, self._leader, self._since, self._my, self._mx, self._computed

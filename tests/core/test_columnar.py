@@ -1,33 +1,27 @@
 """Columnar counter storage pinned against the dict-based reference.
 
-:class:`~repro.core.columnar.HistoryIndex` and
-:class:`~repro.core.columnar.CounterColumns` are the storage the matrix
-engines compute on, the row prefix maximum is line 9's bump on that
-storage, and :class:`~repro.core.columnar.CounterRowView` is the
-elector those engines leave on every algorithm after a run; these
-tests pin each against the dict-based reference
+:class:`~repro.core.columnar.HistoryIndex` is the history → column
+table the matrix engines index their slot tables through, and
+:class:`~repro.core.columnar.CounterRowView` is the elector those
+engines leave on every algorithm after a run — one ``(row, cols)``
+pair, a counter row plus the index column each of its slots holds.
+These tests pin both against the dict-based reference
 (:mod:`repro.core.counters`,
-:class:`~repro.core.pseudo_leader.PseudoLeaderElector`), on both
-backends.  Tuple and interned-node histories hash and compare
-interchangeably, so the assertions compare dicts directly across
-representations.  (The engines' arithmetic itself is pinned trace for
-trace in ``tests/runtime``.)
+:class:`~repro.core.pseudo_leader.PseudoLeaderElector`).  Tuple and
+interned-node histories hash and compare interchangeably, so the
+assertions compare dicts directly across representations.  (The
+engines' arithmetic itself is pinned trace for trace in
+``tests/runtime``.)
 """
+
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.columnar import (
-    BACKENDS,
-    CounterColumns,
-    CounterRowView,
-    HistoryIndex,
-    _prefix_best,
-    default_backend,
-    numpy_available,
-)
-from repro.core.counters import FrozenCounters, prefix_max
+from repro.core.columnar import CounterRowView, HistoryIndex
+from repro.core.counters import FrozenCounters
 from repro.core.history import (
     clear_intern_cache,
     intern_cache_size,
@@ -37,24 +31,6 @@ from repro.core.pseudo_leader import PseudoLeaderElector
 
 history_st = st.lists(st.integers(0, 3), min_size=1, max_size=6).map(tuple)
 counter_map_st = st.dictionaries(history_st, st.integers(1, 20), max_size=6)
-
-backends = pytest.mark.parametrize(
-    "backend",
-    [
-        backend
-        for backend in BACKENDS
-        if backend == "python" or numpy_available()
-    ],
-)
-
-
-class TestBackendSelection:
-    def test_default_backend_is_known(self):
-        assert default_backend() in BACKENDS
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            CounterColumns(1, HistoryIndex(), "fortran")
 
 
 class TestHistoryIndex:
@@ -92,52 +68,22 @@ class TestHistoryIndex:
         assert index.width == 2
 
 
-def _row(columns, i, backend):
-    return columns.data[i] if backend == "numpy" else columns.rows[i]
+def _row_view(history, mapping, seed=0):
+    """A :class:`CounterRowView` over ``mapping`` laid out the way the
+    matrix engines lay rows out: slot 0 a permanent zero, the other
+    slots holding the map's columns in shuffled order, plus one stored
+    column that counts zero."""
+    np = pytest.importorskip("numpy")
+    index = HistoryIndex()
+    cols = [index.intern(stored) for stored in mapping]
+    cols.append(index.intern((9, 9)))
+    random.Random(seed).shuffle(cols)
+    row = np.zeros(len(cols) + 1, dtype=np.int64)
+    for stored, count in mapping.items():
+        row[1 + cols.index(index.intern(stored))] = count
+    return CounterRowView(history, index, row, np.array([-1] + cols)), index
 
 
-@backends
-class TestPrefixMaxTwin:
-    @given(counters=counter_map_st, history=history_st)
-    def test_matches_reference(self, backend, counters, history):
-        """The row form of line 9's prefix maximum (the drifting
-        engine's bump) matches the dict reference: interning adds a
-        column for every prefix, so the ancestor chain enumerates
-        exactly the prefixes the reference scans."""
-        index = HistoryIndex()
-        col = index.intern(history)
-        columns = CounterColumns(1, index, backend)
-        columns.set_row_map(0, counters)
-        row = _row(columns, 0, backend)
-        assert _prefix_best(row, col, index.parents) == prefix_max(counters, history)
-
-
-@backends
-class TestCounterColumns:
-    def test_row_map_round_trip(self, backend):
-        index = HistoryIndex()
-        columns = CounterColumns(3, index, backend)
-        mapping = {(1,): 4, (1, 2): 1}
-        columns.set_row_map(1, mapping)
-        assert columns.row_map(1) == mapping
-        assert columns.row_map(0) == {}
-
-    def test_zero_entries_dropped(self, backend):
-        index = HistoryIndex()
-        columns = CounterColumns(1, index, backend)
-        columns.set_row_map(0, {(1,): 0, (2,): 3})
-        assert columns.row_map(0) == {(2,): 3}
-
-    def test_ensure_width_preserves_values(self, backend):
-        index = HistoryIndex()
-        columns = CounterColumns(2, index, backend)
-        columns.set_row_map(0, {(1,): 2})
-        index.intern((9, 9, 9, 9, 9, 9, 9, 9, 9, 9))
-        columns.ensure_width(index.width)
-        assert columns.row_map(0) == {(1,): 2}
-
-
-@backends
 class TestCounterRowView:
     @given(
         rounds=st.lists(
@@ -150,33 +96,31 @@ class TestCounterRowView:
             max_size=5,
         ),
         initial=st.integers(0, 3),
+        seed=st.integers(0, 100),
     )
     @settings(max_examples=50)
-    def test_matches_reference_elector(self, backend, rounds, initial):
+    def test_matches_reference_elector(self, rounds, initial, seed):
         """A view over a row holding the reference's counters answers
-        every read exactly as the reference elector does."""
+        every read exactly as the reference elector does, listing the
+        histories in ascending column order whatever the slot order."""
         reference = PseudoLeaderElector(initial)
         for maps, received, appended in rounds:
             reference.merge_round(
                 [FrozenCounters(mapping) for mapping in maps], received
             )
-            index = HistoryIndex()
-            columns = CounterColumns(1, index, backend)
-            columns.set_row_map(0, reference.counters)
-            view = CounterRowView(reference.history, index, _row(columns, 0, backend))
+            view, index = _row_view(reference.history, reference.counters, seed)
             assert view._map is None  # nothing built until read
             assert dict(view.counters) == dict(reference.counters)
+            cols = [index.intern(history) for history in view.counters]
+            assert cols == sorted(cols)
             assert view.is_leader() == reference.is_leader()
             assert view.my_counter() == reference.my_counter()
             assert view.max_counter() == reference.max_counter()
             assert view.state_size() == reference.state_size()
             reference.append(appended)
 
-    def test_counters_are_read_only(self, backend):
-        index = HistoryIndex()
-        columns = CounterColumns(1, index, backend)
-        columns.set_row_map(0, {(1,): 2})
-        view = CounterRowView(intern_history((1,)), index, _row(columns, 0, backend))
+    def test_counters_are_read_only(self):
+        view, _ = _row_view(intern_history((1,)), {(1,): 2})
         with pytest.raises(TypeError):
             view.counters[(1,)] = 5  # type: ignore[index]
 

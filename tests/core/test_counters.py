@@ -6,11 +6,9 @@ from hypothesis import strategies as st
 
 from repro.core.counters import (
     FrozenCounters,
-    HistoryTrie,
     apply_round_update,
     pointwise_min,
     prefix_max,
-    prefix_max_via_trie,
 )
 
 history_st = st.lists(st.integers(0, 3), min_size=1, max_size=6).map(tuple)
@@ -91,16 +89,6 @@ class TestPrefixMax:
     def test_no_prefix_gives_zero(self):
         assert prefix_max({(2,): 9}, (1,)) == 0
 
-    @given(counter_map_st, history_st)
-    def test_trie_equivalent_to_scan(self, counters, history):
-        trie = HistoryTrie(counters)
-        assert trie.prefix_max(history) == prefix_max(counters, history)
-
-    @given(counter_map_st, st.lists(history_st, max_size=5))
-    def test_batch_trie_equivalent(self, counters, histories):
-        batch = prefix_max_via_trie(counters, histories)
-        assert batch == {h: prefix_max(counters, h) for h in histories}
-
 
 class TestApplyRoundUpdate:
     def test_lemma4_ratchet(self):
@@ -134,15 +122,6 @@ class TestApplyRoundUpdate:
             )
             assert counters[history] == 1
             history = history + (3,)
-
-    @given(
-        st.lists(counter_map_st, min_size=1, max_size=3),
-        st.lists(history_st, min_size=1, max_size=4),
-    )
-    def test_trie_and_scan_agree(self, maps, received):
-        with_trie = apply_round_update(maps, received, use_trie=True)
-        without = apply_round_update(maps, received, use_trie=False)
-        assert with_trie == without
 
     @given(
         st.lists(counter_map_st, min_size=1, max_size=3),

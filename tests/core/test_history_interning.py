@@ -217,9 +217,7 @@ class TestRoundUpdateParity:
     def test_empty_history_key_inherits_like_tuple_path(self):
         # The empty history is a prefix of everything; hypothesis's
         # min_size=1 histories never generate it, so pin it explicitly.
-        tuple_result = apply_round_update(
-            [FrozenCounters({(): 5})], [(1,)], use_trie=False
-        )
+        tuple_result = apply_round_update([FrozenCounters({(): 5})], [(1,)])
         node_result = apply_round_update(
             [FrozenCounters({intern_history([]): 5})], [intern_history([1])]
         )

@@ -30,6 +30,25 @@ class TestCli:
         assert main(["T6", "--seed", "3"]) == 0
         assert "[T6]" in capsys.readouterr().out
 
+    def test_columnar_engine_warns_without_numpy(self, capsys, monkeypatch):
+        """Without numpy, ``--engine columnar`` says once, on stderr and
+        before the tables, that the matrix engines cannot engage; the
+        tables are the object engine's."""
+        import repro.core.columnar as columnar_module
+        from repro.runtime.columnar_engine import NUMPY_REASON
+
+        assert main(["F1", "--engine", "object"]) == 0
+        reference = capsys.readouterr()
+        assert reference.err == ""
+        monkeypatch.setattr(columnar_module, "_np", None)
+        assert main(["F1", "--engine", "columnar"]) == 0
+        columnar = capsys.readouterr()
+        assert columnar.out == reference.out
+        warnings = columnar.err.splitlines()
+        assert len(warnings) == 1
+        assert warnings[0].startswith("warning: --engine columnar cannot engage")
+        assert NUMPY_REASON in warnings[0]
+
     def test_backend_flag_runs_churn_family(self, capsys):
         assert main(["C1", "--backend", "multiprocess"]) == 0
         out = capsys.readouterr().out

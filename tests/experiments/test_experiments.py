@@ -62,7 +62,7 @@ class TestEngineInvariance:
 
 class TestScaleTablePaths:
     """Every columnar S1 cell runs on a matrix engine, not the object
-    fallback (Algorithm 3 cells need numpy for that)."""
+    fallback (the matrix engines need numpy for that)."""
 
     @pytest.mark.parametrize("quick", [True, False], ids=["quick", "full"])
     def test_columnar_cells_take_a_matrix_path(self, quick):
@@ -72,7 +72,7 @@ class TestScaleTablePaths:
             if engine != "columnar":
                 continue
             sim = s1_scheduler(workload, sched, n, engine, seed)
-            if workload == "ess" and not numpy_available():
+            if not numpy_available():
                 assert sim.engine_path == "object"
                 assert "numpy" in sim.engine_decline
             else:

@@ -13,8 +13,10 @@ scheduler, injected round hooks, consensus on top).  Beyond the
 hand-picked grid, generated lock-step heartbeat configurations pin the
 matrix path cold and after an unrelated columnar run has filled the
 shared history index, and a late delay under one tick fails closed on
-both engines.  Algorithm 3 on the matrix path has its own pins
-in ``test_columnar_ess.py``.
+both engines.  Without numpy every columnar request declines with
+the numpy reason and the same pins hold against the object engine.
+Algorithm 3 on the matrix path has its own pins in
+``test_columnar_ess.py``.
 """
 
 import pytest
@@ -46,6 +48,7 @@ from repro.giraf.environments import (
 )
 from repro.giraf.scheduler import DriftingScheduler, LockStepScheduler
 from repro.runtime.columnar_engine import (
+    NUMPY_REASON,
     ColumnarLockStepEngine,
     warm_history_index,
 )
@@ -77,7 +80,14 @@ ENVIRONMENTS = {
     ),
 }
 
-BACKENDS = ["numpy", "python"] if numpy_available() else ["python"]
+#: the path an eligible lock-step run takes (every columnar request
+#: declines to the object engine without numpy)
+MATRIX_PATH = "matrix-lockstep" if numpy_available() else "object"
+MATRIX_DECLINE = None if numpy_available() else NUMPY_REASON
+
+needs_numpy = pytest.mark.skipif(
+    not numpy_available(), reason="the matrix engines need numpy"
+)
 
 
 class StretchedDelays:
@@ -204,11 +214,6 @@ class TestWholeRoundEngineOptions:
         assert columnar.run() == reference_trace
         assert _final_views(columnar) == _final_views(reference)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_backends_agree(self, backend, monkeypatch):
-        monkeypatch.setenv("REPRO_COLUMNAR_BACKEND", backend)
-        _assert_equivalent(env="ess-stable", crashes=CRASHES)
-
 
 @st.composite
 def heartbeat_configs(draw, sizes=tuple(range(1, 20)) + (64, 200)):
@@ -303,11 +308,13 @@ class TestGeneratedConfigurations:
             if leg == "warm":
                 _generated(warmup, "columnar")
             columnar, columnar_trace = _generated(config, "columnar")
-            assert columnar.engine_path == "matrix-lockstep"
+            assert columnar.engine_path == MATRIX_PATH
+            assert columnar.engine_decline == MATRIX_DECLINE
             assert columnar_trace == reference_trace
             assert _final_views(columnar) == reference_views
             assert columnar._environment.asked == reference._environment.asked
-            _assert_ascending_columns(columnar)
+            if numpy_available():
+                _assert_ascending_columns(columnar)
 
 
 class FixedDelay(DelayPolicy):
@@ -364,8 +371,7 @@ class TestSubTickDelaysFailClosed:
         reference = _fixed_delay_run("object", algorithm, 1, declared).run()
         columnar = _fixed_delay_run("columnar", algorithm, 1, declared)
         assert columnar.run() == reference
-        if numpy_available() or algorithm == "heartbeat":
-            assert columnar.engine_path == "matrix-lockstep"
+        assert columnar.engine_path == MATRIX_PATH
         # more than the source's own timely links got through
         assert reference.agg_deliveries > 8 * 4
 
@@ -373,6 +379,22 @@ class TestSubTickDelaysFailClosed:
 class TestFallbackPins:
     """Configurations the matrix engine declines run the object engine
     (dict electors), so ``engine="columnar"`` changes nothing there."""
+
+    @pytest.mark.parametrize("scheduler", ["lockstep", "drifting"])
+    def test_declines_without_numpy(self, scheduler, monkeypatch):
+        import repro.core.columnar as columnar_module
+
+        monkeypatch.setattr(columnar_module, "_np", None)
+        _assert_equivalent(scheduler=scheduler, crashes=CRASHES, payload_stats=False)
+        cls = LockStepScheduler if scheduler == "lockstep" else DriftingScheduler
+        driver = cls(
+            [HeartbeatPseudoLeader(pid % 3) for pid in range(4)],
+            ENVIRONMENTS["ess-stable"](),
+            trace_mode="aggregate",
+            engine="columnar",
+        )
+        assert driver.engine_path == "object"
+        assert driver.engine_decline == NUMPY_REASON
 
     def test_full_trace_mode_events_identical(self):
         _assert_equivalent(trace_mode="full", payload_stats=False)
@@ -419,6 +441,7 @@ class TestTryBuildEligibility:
         )
         return engine
 
+    @needs_numpy
     def test_builds_for_aggregate_heartbeat(self):
         kernel = self._kernel(trace_mode="aggregate")
         assert self._build(kernel) is not None
