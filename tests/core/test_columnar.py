@@ -4,8 +4,10 @@
 table the matrix engines index their slot tables through, and
 :class:`~repro.core.columnar.CounterRowView` is the elector those
 engines leave on every algorithm after a run — one ``(row, cols)``
-pair, a counter row plus the index column each of its slots holds.
-These tests pin both against the dict-based reference
+pair, a counter row plus the index column each of its slots holds;
+:func:`~repro.core.columnar.numpy_available` is the one probe deciding
+whether those engines run at all.  These tests pin the index and the
+view against the dict-based reference
 (:mod:`repro.core.counters`,
 :class:`~repro.core.pseudo_leader.PseudoLeaderElector`).  Tuple and
 interned-node histories hash and compare interchangeably, so the
@@ -20,8 +22,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.columnar import CounterRowView, HistoryIndex
-from repro.core.counters import FrozenCounters
+from repro.core.columnar import CounterRowView, HistoryIndex, numpy_available
+from repro.core.counters import FrozenCounters, prefix_max
 from repro.core.history import (
     clear_intern_cache,
     intern_cache_size,
@@ -31,6 +33,20 @@ from repro.core.pseudo_leader import PseudoLeaderElector
 
 history_st = st.lists(st.integers(0, 3), min_size=1, max_size=6).map(tuple)
 counter_map_st = st.dictionaries(history_st, st.integers(1, 20), max_size=6)
+
+
+class TestNumpyProbe:
+    def test_true_when_numpy_imports(self):
+        pytest.importorskip("numpy")
+        assert numpy_available()
+
+    def test_false_when_the_probe_is_unset(self, monkeypatch):
+        """Tests fake a missing numpy by clearing the module probe; the
+        engines' decline reads it at run time, so this must stick."""
+        import repro.core.columnar as columnar_module
+
+        monkeypatch.setattr(columnar_module, "_np", None)
+        assert not numpy_available()
 
 
 class TestHistoryIndex:
@@ -66,6 +82,31 @@ class TestHistoryIndex:
         assert index.width == 0
         index.intern((1, 2))
         assert index.width == 2
+
+    def test_columns_survive_an_intern_cache_clear(self):
+        """Lookup is by content: a node interned before a clear, its
+        tuple, and its re-interned doppelganger share one column."""
+        index = HistoryIndex()
+        stale = intern_history((4, 5))
+        col = index.intern(stale)
+        clear_intern_cache()
+        assert index.intern(intern_history((4, 5))) == col
+        assert index.intern((4, 5)) == col
+        assert index.child_col(index.intern((4,)), 5) == col
+        assert index.width == 2
+
+    @given(counters=counter_map_st, history=history_st)
+    def test_ancestor_chain_gives_the_prefix_maximum(self, counters, history):
+        """Line 9's prefix maximum over index columns matches the dict
+        reference: interning adds a column for every prefix, so the
+        ancestor chain enumerates exactly the prefixes the reference
+        scans — the walk both matrix engines' prefix chains follow."""
+        index = HistoryIndex()
+        col = index.intern(history)
+        stored = {index.intern(h): count for h, count in counters.items()}
+        row = [stored.get(c, 0) for c in range(index.width)]
+        best = max(row[c] for c in index.ancestor_cols(col))
+        assert best == prefix_max(counters, history)
 
 
 def _row_view(history, mapping, seed=0):
@@ -123,6 +164,37 @@ class TestCounterRowView:
         view, _ = _row_view(intern_history((1,)), {(1,): 2})
         with pytest.raises(TypeError):
             view.counters[(1,)] = 5  # type: ignore[index]
+
+    def test_zero_slots_dropped(self):
+        """Slots a run stored but whose counters read zero are absent
+        from the map, as the paper's sparse semantics require."""
+        view, _ = _row_view(
+            intern_history((1, 2)), {(1,): 3, (2,): 0, (1, 2): 0}, seed=7
+        )
+        assert dict(view.counters) == {(1,): 3}
+        assert view.my_counter() == 0
+        assert view.max_counter() == 3
+        assert not view.is_leader()
+        assert view.state_size() == 2 + 2
+
+    def test_zero_row_reads_like_a_fresh_elector(self):
+        reference = PseudoLeaderElector(5)
+        view, _ = _row_view(reference.history, {})
+        assert dict(view.counters) == dict(reference.counters) == {}
+        assert view.my_counter() == reference.my_counter() == 0
+        assert view.max_counter() == reference.max_counter() == 0
+        assert view.is_leader() and reference.is_leader()
+        assert view.state_size() == reference.state_size()
+
+    def test_map_materialized_once(self):
+        """The map is built from the row on first read and kept: later
+        reads neither rebuild it nor see the row again."""
+        view, _ = _row_view(intern_history((1,)), {(1,): 2, (1, 3): 4})
+        first = view.counters
+        built = view._map
+        view._row[:] = 0
+        assert view._map is built
+        assert dict(view.counters) == dict(first) == {(1,): 2, (1, 3): 4}
 
 
 class TestInternCacheHygiene:

@@ -6,10 +6,12 @@ from hypothesis import strategies as st
 
 from repro.core.counters import (
     FrozenCounters,
+    _prefix_max_ancestors,
     apply_round_update,
     pointwise_min,
     prefix_max,
 )
+from repro.core.history import intern_history
 
 history_st = st.lists(st.integers(0, 3), min_size=1, max_size=6).map(tuple)
 counter_map_st = st.dictionaries(history_st, st.integers(1, 20), max_size=6)
@@ -89,6 +91,19 @@ class TestPrefixMax:
     def test_no_prefix_gives_zero(self):
         assert prefix_max({(2,): 9}, (1,)) == 0
 
+    def test_empty_history_prefixes_everything(self):
+        assert prefix_max({(): 4, (2,): 9}, (1, 2)) == 4
+
+    @given(counter_map_st, history_st, st.booleans())
+    def test_ancestor_walk_equivalent_to_scan(self, counters, history, node_keys):
+        """Interned histories answer the prefix maximum by walking their
+        parent chain; it must agree with the scan over node-keyed and
+        tuple-keyed maps alike."""
+        if node_keys:
+            counters = {intern_history(h): c for h, c in counters.items()}
+        walked = _prefix_max_ancestors(counters, intern_history(history))
+        assert walked == prefix_max(counters, history)
+
 
 class TestApplyRoundUpdate:
     def test_lemma4_ratchet(self):
@@ -131,3 +146,30 @@ class TestApplyRoundUpdate:
         updated = apply_round_update(maps, received)
         for history in received:
             assert updated[history] >= 1
+
+    @given(
+        st.lists(counter_map_st, min_size=1, max_size=3),
+        st.lists(history_st, min_size=1, max_size=4),
+        st.randoms(use_true_random=False),
+    )
+    def test_message_order_cannot_matter(self, maps, received, rng):
+        """Anonymous messages arrive as a set: shuffling the received
+        maps and histories leaves the update unchanged."""
+        shuffled_maps, shuffled_received = list(maps), list(received)
+        rng.shuffle(shuffled_maps)
+        rng.shuffle(shuffled_received)
+        assert apply_round_update(shuffled_maps, shuffled_received) == (
+            apply_round_update(maps, received)
+        )
+
+    @given(
+        st.lists(counter_map_st, min_size=1, max_size=3),
+        st.lists(history_st, min_size=1, max_size=4),
+    )
+    def test_duplicate_messages_count_once(self, maps, received):
+        """Two identical messages are one message to an anonymous
+        receiver: repeating them neither lowers a minimum nor bumps a
+        history twice."""
+        assert apply_round_update(maps + maps, received + received) == (
+            apply_round_update(maps, received)
+        )

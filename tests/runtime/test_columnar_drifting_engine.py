@@ -17,7 +17,8 @@ straddle each ``try_build`` condition so the declines are pinned too.
 Without numpy every columnar request declines with the numpy reason
 and the same pins hold against the object loop.
 
-The second half covers the amortization layer shared with the
+The second half covers the run-local slot table the counter matrices
+are indexed through, and the amortization layer shared with the
 lock-step engine: the warm :class:`HistoryIndex` reused between runs
 inside one intern-cache window, and the lazy finalize views that keep
 teardown O(n) instead of O(n × width).
@@ -456,6 +457,108 @@ class TestTryBuildEligibility:
             engine="columnar",
         )
         assert self._build(kernel) is None
+
+
+def _warm_up():
+    """An unrelated columnar run filling the warm history index."""
+    DriftingScheduler(
+        [HeartbeatPseudoLeader(f"unrelated-{pid}") for pid in range(5)],
+        ENVIRONMENTS["ms-silent-const"](),
+        max_rounds=6,
+        trace_mode="aggregate",
+        engine="columnar",
+    ).run()
+
+
+@needs_numpy
+class TestSlotTable:
+    """The run-local slot table: ``_cols`` maps slot → index column
+    with slot 0 a permanent zero, ``_slot_of`` maps column → slot,
+    ``_chain`` lists each slot's prefix slots, and a slot is assigned on
+    the run's first append of a history and never dropped."""
+
+    def test_slot_zero_stays_zero(self):
+        driver, _ = _run("columnar", crashes=CRASHES)
+        engine = driver._columnar_engine
+        assert engine._cols[0] == -1
+        assert len(engine._chain[0]) == 0
+        assert not engine._C[:, 0].any()
+        for acc in engine._acc.values():
+            assert not acc[:, 0].any()
+
+    def test_slot_of_inverts_cols(self):
+        driver, _ = _run("columnar", crashes=CRASHES)
+        engine = driver._columnar_engine
+        assert len(set(engine._cols)) == len(engine._cols)
+        assert engine._slot_of == {
+            col: slot for slot, col in enumerate(engine._cols) if slot
+        }
+
+    def test_slots_are_the_run_histories(self):
+        """After an unrelated run has filled the warm index, the table
+        still holds exactly the histories this run appended: every
+        non-empty prefix of each process's final history."""
+        clear_intern_cache()
+        _warm_up()
+        driver, _ = _run("columnar", crashes=CRASHES, clear=False)
+        engine = driver._columnar_engine
+        index = engine._index
+        appended = {
+            index.intern(tuple(proc.algorithm.elector.history)[:length])
+            for proc in driver.processes
+            for length in range(1, len(proc.algorithm.elector.history) + 1)
+        }
+        # more histories than the initial eight-slot capacity
+        assert engine._C.shape[1] >= len(engine._cols) > 8
+        assert set(engine._cols[1:]) == appended
+
+    def test_chains_are_the_prefix_slots(self):
+        """Every prefix of a stored history is stored too, so each
+        slot's chain names its own column and every proper prefix's,
+        nearest first, exactly as the index's ancestor walk does."""
+        clear_intern_cache()
+        _warm_up()
+        driver, _ = _run("columnar", crashes=CRASHES, clear=False)
+        engine = driver._columnar_engine
+        for slot in range(1, len(engine._cols)):
+            chain = [engine._cols[t] for t in engine._chain[slot]]
+            assert chain == engine._index.ancestor_cols(engine._cols[slot])
+
+    def test_growth_preserves_rows_and_accumulators(self):
+        clear_intern_cache()
+        kernel = RuntimeKernel(
+            [HeartbeatPseudoLeader(pid % 2) for pid in range(4)],
+            MovingSourceEnvironment(),
+            trace_mode="aggregate",
+            engine="columnar",
+        )
+        engine, _ = ColumnarDriftingEngine.try_build(
+            kernel,
+            kernel.environment,
+            periods=[1.0] * 4,
+            phases=[0.0] * 4,
+            record_snapshots=False,
+        )
+        capacity = engine._C.shape[1]
+        engine._acc[3] = engine._np.zeros_like(engine._C)
+        col, slot, slots = -1, 0, []
+        for step in range(capacity + 2):
+            col = engine._index.child_col(col, "g")
+            slot = engine._slot(col, slot)
+            slots.append(slot)
+            engine._C[:, slot] = step + 1
+            engine._acc[3][:, slot] = 2 * step + 1
+        assert slots == list(range(1, capacity + 3))
+        assert engine._C.shape[1] == engine._acc[3].shape[1] == 2 * capacity
+        assert engine._C[0, : capacity + 3].tolist() == list(range(capacity + 3))
+        assert engine._acc[3][3, 1 : capacity + 3].tolist() == list(
+            range(1, 2 * capacity + 4, 2)
+        )
+        assert not engine._C[:, capacity + 3 :].any()
+        assert engine._chain[slot].tolist() == slots[::-1]
+        # a column seen before keeps its slot, and nothing grows
+        assert engine._slot(engine._cols[3], 2) == 3
+        assert len(engine._cols) == capacity + 3
 
 
 @needs_numpy
