@@ -296,7 +296,29 @@ def _delegate(base):
     return method
 
 
+def _recording(cls):
+    """``cls`` with its two planning calls logged, in call order, to the
+    instance's ``calls`` list.  Neither method is one ``try_build``
+    checks, so the subclass leaves engine eligibility unchanged."""
+
+    class Recording(cls):
+        def plan_round(self, round_no, candidates):
+            self.calls.append(("plan_round", round_no, tuple(candidates)))
+            return super().plan_round(round_no, candidates)
+
+        def plan_round_links(self, round_no, senders, receivers):
+            self.calls.append(
+                ("plan_round_links", round_no, tuple(senders), tuple(receivers))
+            )
+            return super().plan_round_links(round_no, senders, receivers)
+
+    Recording.__name__ = cls.__name__
+    return Recording
+
+
 def _generated(config, engine):
+    """Run one generated configuration; returns the driver, its trace
+    and the environment's planning calls in order."""
     (n, brands, seed, env, gst, link, p, delay, crashes, drift, horizon,
      snapshots, queue, decline, override) = config
     links = {
@@ -316,6 +338,7 @@ def _generated(config, engine):
             (cls,),
             {override: _delegate(getattr(cls, override))},
         )
+    cls = _recording(cls)
     source = RandomSource(seed)
     if env == "MS":
         environment = cls(source, links, delays)
@@ -323,6 +346,7 @@ def _generated(config, engine):
         environment = cls(gst, source, links, delays)
     else:
         environment = cls(gst, 0, source, links, delays)
+    environment.calls = []
     periods = phases = None
     if drift:
         rng = random.Random(seed)
@@ -343,29 +367,32 @@ def _generated(config, engine):
         engine=engine,
         event_queue=queue,
     )
-    return driver, driver.run()
+    return driver, driver.run(), environment.calls
 
 
 class TestGeneratedConfigurations:
     """Generated drifting heartbeat runs match the object event loop as
     whole traces and final views, from a cold history index and from
     one an unrelated columnar run has filled (no cache clear in
-    between); ineligible draws run the object loop and say why."""
+    between); ineligible draws run the object loop and say why.  Both
+    make the same ``plan_round`` and ``plan_round_links`` calls in the
+    same order: same rounds, candidates, senders and receivers."""
 
     @given(config=drifting_configs(), warmup=drifting_configs(sizes=range(1, 20)))
     @settings(max_examples=40)
     def test_trace_and_views_match_object_loop(self, config, warmup):
         decline = config[-2]
         clear_intern_cache()
-        reference, reference_trace = _generated(config, "object")
+        reference, reference_trace, reference_calls = _generated(config, "object")
         reference_views = _final_views(reference)
         for leg in ("cold", "warm"):
             clear_intern_cache()
             if leg == "warm":
                 _generated(warmup, "columnar")
-            columnar, columnar_trace = _generated(config, "columnar")
+            columnar, columnar_trace, calls = _generated(config, "columnar")
             assert columnar_trace == reference_trace
             assert _final_views(columnar) == reference_views
+            assert calls == reference_calls
             if not numpy_available():
                 assert columnar.engine_path == "object"
                 assert columnar.engine_decline == NUMPY_REASON
