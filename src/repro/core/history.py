@@ -41,7 +41,6 @@ __all__ = [
     "clear_intern_cache",
     "intern_cache_size",
     "intern_generation",
-    "register_clear_hook",
     "is_prefix",
     "is_proper_prefix",
     "common_prefix_length",
@@ -266,24 +265,6 @@ def interning_disabled():
         set_interning(previous)
 
 
-#: Callbacks invoked by :func:`clear_intern_cache` *after* the bump —
-#: caches keyed by node identity (e.g. the warm ``HistoryIndex`` in
-#: :mod:`repro.runtime.columnar_engine`) register here so a clear
-#: invalidates them atomically with the table they mirror.
-_CLEAR_HOOKS: list = []
-
-
-def register_clear_hook(hook) -> None:
-    """Run ``hook()`` whenever :func:`clear_intern_cache` executes.
-
-    For caches that hold interned nodes and must not outlive them.
-    Hooks are kept for the process lifetime and must be idempotent;
-    registering the same function twice is a no-op.
-    """
-    if hook not in _CLEAR_HOOKS:
-        _CLEAR_HOOKS.append(hook)
-
-
 def clear_intern_cache() -> None:
     """Drop every interned node (frees memory between big sweeps).
 
@@ -294,8 +275,6 @@ def clear_intern_cache() -> None:
     (including against re-interned equals), but they are no longer
     canonical: the generation bump makes the counter fast paths fall
     back to hash-based merging for any state that survives the clear.
-    Hooks registered via :func:`register_clear_hook` run afterwards so
-    node-identity caches drop in the same step.
     """
     global _GENERATION
     _GENERATION += 1
@@ -303,8 +282,6 @@ def clear_intern_cache() -> None:
     # Fresh chains hang off the root and inherit its generation; old
     # detached chains keep theirs, marking them non-canonical.
     _ROOT._gen = _GENERATION
-    for hook in _CLEAR_HOOKS:
-        hook()
 
 
 def intern_cache_size() -> int:

@@ -22,7 +22,11 @@ link planning — applies to both.
     process may not execute ``compute(k, ·)`` until the obligatory
     round-``k`` envelopes have reached it (in GIRAF terms, the
     environment simply schedules ``end-of-round`` after the relevant
-    ``receive`` actions — the environment controls both).
+    ``receive`` actions — the environment controls both).  One
+    :class:`DriftingLoop` holds that ordering — planning, gating,
+    re-planning and dispatch — for both engines: the object path and
+    the matrix engine plug in how processes fire and how deliveries
+    land.
 
 Both produce the same :class:`~repro.giraf.traces.RunTrace` format,
 both accept ``trace_mode="aggregate"`` for the counter-only fast path,
@@ -34,11 +38,11 @@ algorithms.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Set
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.errors import SimulationError
 from repro.giraf.adversary import NEVER_DELIVERED, CrashSchedule
-from repro.giraf.automaton import GirafAlgorithm, GirafProcess
+from repro.giraf.automaton import GirafAlgorithm
 from repro.giraf.environments import Environment
 from repro.giraf.messages import Envelope
 from repro.giraf.traces import RunTrace
@@ -349,14 +353,368 @@ class LockStepScheduler:
                 kernel.queue_delivery_row(tick, envelope, sender, late, delays)
 
 
-class _Gate:
-    """Round-``k`` obligations a process must receive before computing ``k``."""
+def _bitmask(pids) -> int:
+    """One bit per pid."""
+    mask = 0
+    for pid in pids:
+        mask |= 1 << pid
+    return mask
 
-    __slots__ = ("round_no", "awaiting")
 
-    def __init__(self, round_no: int, awaiting: Set[int]):
-        self.round_no = round_no
-        self.awaiting = awaiting
+class DriftingLoop:
+    """The drifting scheduler's event loop: planning, gating and dispatch.
+
+    One loop drives one :class:`DriftingScheduler` run, whichever path
+    holds the processes' state.  The loop decides the ordering; a
+    *path* computes and delivers:
+
+    * the object path (:class:`_ObjectPath`): each process's
+      ``end_of_round`` and one ``deliver`` event per envelope and link;
+    * the matrix path
+      (:class:`~repro.runtime.columnar_engine.ColumnarDriftingEngine`):
+      row computes, one ``cdel`` event per timely link and one ``cbat``
+      event per batch of late links sharing a latency.
+
+    A path provides ``fire(pid, invocation, now)`` — the end-of-round,
+    its trace records and the broadcast's delivery events, ``False``
+    when the process halted instead of sending — plus ``handlers``
+    (delivery event kind → ``handler(now, data)``) and
+    ``evict(horizon)``, which drops its per-round state below the
+    lowest active round.  Its broadcasts ask the loop for the round's
+    obligations (:meth:`plan`) and link plan (:meth:`link_row`), and its
+    handlers report through :meth:`arrived` the receivers an envelope
+    reached before they computed its round.
+
+    The loop keeps, for the run:
+
+    * ``rounds`` and ``active``: per process, the invocations fired so
+      far (``proc.round`` on the object path) and whether it still
+      takes steps;
+    * the obligation memo: round → bitmask of its obligatory senders,
+      planned once by ``plan_round`` and never evicted, so a re-plan
+      after a crash or halt walks every planned round;
+    * per planned round, evicted below the lowest active round: the
+      link plan (its ``plan_round_links`` matrix); per sender, the
+      bitmask of the receivers its envelope reached in time, so a batch
+      of receivers is one mask update; and per receiver, the bitmask
+      of the obligatory senders among those, so a gate probe is one
+      mask test (a re-plan folds in the new senders' past arrivals);
+    * the parked processes: pid → the round whose obligations it waits
+      for.  A gate is satisfied when every obligatory sender but the
+      process itself has reached it.
+    """
+
+    def __init__(
+        self,
+        kernel: RuntimeKernel,
+        environment: Environment,
+        periods: Sequence[float],
+        phases: Sequence[float],
+    ):
+        self.kernel = kernel
+        self.environment = environment
+        self._periods = periods
+        self._phases = phases
+        n = len(kernel.processes)
+        self.pids = list(range(n))
+        self.rounds = [0] * n
+        self.active = [proc.active for proc in kernel.processes]
+        self._active_count = sum(self.active)
+        self._correct = kernel.correct
+        self._obligations: Dict[int, int] = {}
+        self._links: Dict[int, Dict[int, List[bool]]] = {}
+        self._reached: Dict[int, List[int]] = {}
+        self._held: Dict[int, List[int]] = {}
+        self._waiting: Dict[int, int] = {}
+        self._path = None
+
+    def _nominal(self, pid: int, invocation: int) -> float:
+        return self._phases[pid] + invocation * self._periods[pid]
+
+    # ------------------------------------------------------------------
+    # planning
+    # ------------------------------------------------------------------
+    def _candidates(self, round_no: int) -> List[int]:
+        """Active correct processes not yet past ``round_no``."""
+        active, rounds, correct = self.active, self.rounds, self._correct
+        return [
+            pid
+            for pid in self.pids
+            if active[pid] and pid in correct and rounds[pid] <= round_no
+        ]
+
+    def plan(self, round_no: int) -> int:
+        """The obligatory senders of ``round_no``, as a bitmask.
+
+        Planned on first use over the active correct processes not yet
+        past the round (every active process when there is none), and
+        memoized for the run.  Planning a round opens its gates and
+        evicts the rounds every active process has passed.
+        """
+        needed = self._obligations.get(round_no)
+        if needed is None:
+            candidates = self._candidates(round_no) or [
+                pid for pid in self.pids if self.active[pid]
+            ]
+            needed = 0
+            if candidates:
+                plan = self.environment.plan_round(round_no, candidates)
+                needed = _bitmask(plan.obligatory)
+                if plan.source is not None:
+                    self.kernel.trace.declared_sources.setdefault(
+                        round_no, plan.source
+                    )
+            self._obligations[round_no] = needed
+            self._reached[round_no] = [0] * len(self.pids)
+            self._held[round_no] = [0] * len(self.pids)
+            self._evict()
+        return needed
+
+    def link_row(self, round_no: int, sender: int) -> List[bool]:
+        """Which receivers (by pid) a non-obligatory broadcast from
+        ``sender`` reaches in time.  Link policies are deterministic per
+        link, so one ``plan_round_links`` call plans the whole round."""
+        matrix = self._links.get(round_no)
+        if matrix is None:
+            matrix = self._links[round_no] = self.environment.plan_round_links(
+                round_no, self.pids, self.pids
+            )
+        return matrix[sender]
+
+    def _evict(self) -> None:
+        """Drop the per-round state of rounds every active process has
+        passed: no process computes them again."""
+        active = self.active
+        horizon = min(
+            (round_no for pid, round_no in enumerate(self.rounds) if active[pid]),
+            default=None,
+        )
+        if horizon is None:
+            return
+        for store in (self._links, self._reached, self._held):
+            for stale in [round_no for round_no in store if round_no < horizon]:
+                del store[stale]
+        self._path.evict(horizon)
+
+    # ------------------------------------------------------------------
+    # gating
+    # ------------------------------------------------------------------
+    def satisfied(self, pid: int, round_no: int) -> bool:
+        """Have the obligatory round-``round_no`` envelopes reached ``pid``?"""
+        needed = self._obligations.get(round_no)
+        if needed is None:
+            needed = self.plan(round_no)
+        return not needed & ~(self._held[round_no][pid] | 1 << pid)
+
+    def arrived(
+        self,
+        round_no: int,
+        sender: int,
+        receivers: Sequence[int],
+        mask: int,
+        now: float,
+    ) -> None:
+        """``sender``'s round-``round_no`` envelope reached ``receivers``
+        (active and not yet past the round, ascending; ``mask`` is their
+        bitmask): record it, and release a parked receiver it completes."""
+        self._reached[round_no][sender] |= mask
+        bit = 1 << sender
+        # only an obligatory sender moves a gate
+        if self._obligations[round_no] & bit:
+            held = self._held[round_no]
+            waiting = self._waiting
+            for pid in receivers:
+                held[pid] |= bit
+                if waiting.get(pid) == round_no:
+                    self._release(pid, round_no, now)
+
+    def _release(self, pid: int, round_no: int, now: float) -> None:
+        """Schedule parked ``pid``'s end-of-round once its gate is
+        satisfied: at its nominal time, or now if that has passed."""
+        if self.satisfied(pid, round_no):
+            del self._waiting[pid]
+            when = self._nominal(pid, round_no + 1)
+            if when < now:
+                when = now
+            self.kernel.schedule(when, "eor", (pid, round_no + 1))
+
+    def _exit(self, pid: int, now: float) -> None:
+        """``pid`` crashed or halted.  It sends nothing more, so drop it
+        from the obligations of every round it has not sent, re-plan any
+        round that leaves with none, and re-probe every parked gate."""
+        self.active[pid] = False
+        self._active_count -= 1
+        bit = 1 << pid
+        exited_round = self.rounds[pid]
+        obligations = self._obligations
+        for round_no, needed in list(obligations.items()):
+            if needed & bit and exited_round < round_no:
+                needed &= ~bit
+                if not needed:
+                    candidates = self._candidates(round_no)
+                    if candidates:
+                        needed = _bitmask(
+                            self.environment.plan_round(
+                                round_no, candidates
+                            ).obligatory
+                        )
+                        self._hold(round_no, needed)
+                obligations[round_no] = needed
+        for waiter, round_no in list(self._waiting.items()):
+            self._release(waiter, round_no, now)
+
+    def _hold(self, round_no: int, senders: int) -> None:
+        """Fold the past arrivals of newly obligatory ``senders`` into
+        the round's gates (none left to fold once the round is evicted)."""
+        held = self._held.get(round_no)
+        if held is None:
+            return
+        reached = self._reached[round_no]
+        for sender in self.pids:
+            if senders >> sender & 1:
+                bit = 1 << sender
+                for pid in self.pids:
+                    if reached[sender] >> pid & 1:
+                        held[pid] |= bit
+
+    def _crash(self, pid: int, invocation: int, now: float, *, before_send: bool):
+        kernel = self.kernel
+        kernel.crash(kernel.processes[pid], invocation, now, before_send=before_send)
+        self._exit(pid, now)
+
+    # ------------------------------------------------------------------
+    # dispatch
+    # ------------------------------------------------------------------
+    def run(self, path) -> None:
+        """Drain the event queue through ``path`` until it empties, the
+        stop predicate fires or no process is active."""
+        self._path = path
+        fire = path.fire
+        handlers = path.handlers
+        kernel = self.kernel
+        crash_plan_for = kernel.crashes.plan_for
+        schedule = kernel.schedule
+        next_event = kernel.next_event
+        has_events = kernel.has_events
+        max_rounds = kernel.max_rounds
+        nominal = self._nominal
+        active, rounds, waiting = self.active, self.rounds, self._waiting
+        for pid in self.pids:
+            schedule(nominal(pid, 1), "eor", (pid, 1))
+        while has_events():
+            now, kind, data = next_event()
+            if kind != "eor":
+                handlers[kind](now, data)
+                continue
+            pid, invocation = data
+            if (
+                not active[pid]
+                or rounds[pid] != invocation - 1
+                or invocation > max_rounds
+            ):
+                continue
+            crash_plan = crash_plan_for(pid)
+            crashing = crash_plan is not None and crash_plan.round_no == invocation
+            if crashing and crash_plan.before_send:
+                self._crash(pid, invocation, now, before_send=True)
+                continue
+            computing = invocation - 1
+            if computing >= 1 and not self.satisfied(pid, computing):
+                waiting[pid] = computing
+                continue
+            if fire(pid, invocation, now):
+                if crashing:
+                    self._crash(pid, invocation, now, before_send=False)
+                else:
+                    schedule(
+                        nominal(pid, invocation + 1), "eor", (pid, invocation + 1)
+                    )
+            else:
+                kernel.record_halt(kernel.processes[pid], rounds[pid], now)
+                self._exit(pid, now)
+            if kernel.stop_requested() or not self._active_count:
+                return
+
+
+class _ObjectPath:
+    """The drifting loop's object path: processes fire through
+    ``end_of_round``, and every envelope reaches every receiver as its
+    own ``deliver`` event, merged by ``receive``."""
+
+    def __init__(self, loop: DriftingLoop, record_snapshots: bool):
+        kernel = loop.kernel
+        self._loop = loop
+        self._kernel = kernel
+        self._processes = kernel.processes
+        self._trace = kernel.trace
+        self._sink = kernel.sink
+        self._record_snapshots = record_snapshots
+        self.handlers = {"deliver": self.deliver}
+
+    def fire(self, pid: int, invocation: int, now: float) -> bool:
+        """``end_of_round`` with its records, then the broadcast;
+        ``False`` when the algorithm halted instead."""
+        proc = self._processes[pid]
+        trace = self._trace
+        envelope = proc.end_of_round()
+        computing = invocation - 1
+        if computing >= 1:
+            trace.record_compute(pid, computing, now)
+            if self._record_snapshots:
+                trace.record_snapshot(pid, computing, proc.algorithm.snapshot())
+        self._kernel.poll_decision(proc, now)
+        if envelope is None:
+            return False
+        self._loop.rounds[pid] = envelope.round_no
+        trace.record_round_entry(pid, envelope.round_no, now)
+        self._sink.send(pid, envelope.round_no, now, envelope.payload)
+        self._broadcast(pid, envelope, now)
+        return True
+
+    def _broadcast(self, pid: int, envelope: Envelope, now: float) -> None:
+        """One ``deliver`` event per receiver: every link of an
+        obligatory sender is timely, the others as the link plan says."""
+        loop = self._loop
+        environment = loop.environment
+        round_no = envelope.round_no
+        receivers = [other for other in loop.pids if other != pid]
+        if loop.plan(round_no) >> pid & 1:
+            timely_targets, late_targets = receivers, []
+        else:
+            row = loop.link_row(round_no, pid)
+            timely_targets, late_targets = [], []
+            for other in receivers:
+                (timely_targets if row[other] else late_targets).append(other)
+        latencies = dict(
+            zip(
+                timely_targets,
+                environment.timely_latencies(round_no, pid, timely_targets),
+            )
+        )
+        latencies.update(
+            zip(late_targets, environment.late_latencies(round_no, pid, late_targets))
+        )
+        schedule = self._kernel.schedule
+        for other in receivers:
+            latency = latencies[other]
+            if latency < NEVER_DELIVERED:
+                schedule(now + latency, "deliver", (pid, other, envelope, now))
+
+    def deliver(self, now: float, data: tuple) -> None:
+        """One envelope reaching one receiver."""
+        sender, receiver, envelope, sent_time = data
+        loop = self._loop
+        round_no = envelope.round_no
+        timely = False
+        if loop.active[receiver]:
+            self._processes[receiver].receive(envelope)
+            timely = loop.rounds[receiver] <= round_no
+        self._sink.delivery(sender, receiver, round_no, sent_time, now, timely)
+        if timely:
+            loop.arrived(round_no, sender, (receiver,), 1 << receiver, now)
+
+    def evict(self, horizon: int) -> None:
+        """Nothing per round to drop: each process keeps its inbox."""
 
 
 class DriftingScheduler:
@@ -394,13 +752,15 @@ class DriftingScheduler:
     drain in identical ``(time, seq)`` order, so the produced traces
     are byte-identical (pinned in ``tests/runtime``).
 
-    ``engine="columnar"`` runs the whole event loop as masked matrix
-    passes when the regime allows it
+    One :class:`DriftingLoop` does the planning, gating and dispatch
+    on either engine.  ``engine="columnar"`` plugs the matrix engine
+    into it when the regime allows it
     (:class:`~repro.runtime.columnar_engine.ColumnarDriftingEngine` —
     aggregate traces without payload statistics, stock heartbeat
-    pseudo-leaders, stock latency draws); anything else runs the
-    object loop.  Either way the traces and final views are pinned
-    identical to the object engine (``tests/runtime``).
+    pseudo-leaders, stock latency draws): row computes and batched
+    delivery folds instead of per-envelope receives.  Anything else
+    runs the object path.  Either way the traces and final views are
+    pinned identical to the object engine (``tests/runtime``).
     :attr:`engine_path` says which path ran (``"matrix-drifting"`` or
     ``"object"``) and :attr:`engine_decline` why a columnar request
     did not engage.
@@ -458,8 +818,6 @@ class DriftingScheduler:
                 ColumnarDriftingEngine.try_build(
                     self._kernel,
                     environment,
-                    periods=self._periods,
-                    phases=self._phases,
                     record_snapshots=record_snapshots,
                 )
             )
@@ -476,237 +834,17 @@ class DriftingScheduler:
 
     # ------------------------------------------------------------------
     def run(self) -> RunTrace:
-        if self._columnar_engine is not None:
-            trace = self._columnar_engine.run()
-            self._columnar_engine.finalize()
-            return trace
-        kernel = self._kernel
-        trace = kernel.trace
-        sink = kernel.sink
-        n = len(self.processes)
-        all_pids = list(range(n))
-        # round -> set of obligatory sender pids (mutable, re-plannable)
-        obligations: Dict[int, Set[int]] = {}
-        declared: Dict[int, int] = {}
-        # round -> vectorized link-timeliness matrix (deterministic per
-        # link, so planning the whole round once is exact)
-        link_matrices: Dict[int, Dict[int, List[bool]]] = {}
-        # pid -> _Gate when the process is parked waiting for obligations
-        waiting: Dict[int, _Gate] = {}
-        # pid -> rounds for which each obligatory envelope has arrived
-        received_from_obligatory: Dict[int, Dict[int, Set[int]]] = {
-            pid: {} for pid in range(n)
-        }
-        stopped = False
-
-        def nominal_time(pid: int, invocation: int) -> float:
-            return self._phases[pid] + invocation * self._periods[pid]
-
-        def plan_obligations(round_no: int) -> Set[int]:
-            """Plan (or fetch) the obligatory senders of ``round_no``."""
-            if round_no in obligations:
-                return obligations[round_no]
-            candidates = sorted(
-                proc.pid
-                for proc in self.processes
-                if proc.active and proc.pid in trace.correct and proc.round <= round_no
-            )
-            if not candidates:
-                candidates = sorted(
-                    proc.pid for proc in self.processes if proc.active
-                )
-            if not candidates:
-                obligations[round_no] = set()
-                return obligations[round_no]
-            plan = self._environment.plan_round(round_no, candidates)
-            obligations[round_no] = set(plan.obligatory)
-            if plan.source is not None:
-                declared[round_no] = plan.source
-                trace.declared_sources.setdefault(round_no, plan.source)
-            return obligations[round_no]
-
-        def link_row(round_no: int, sender: int) -> List[bool]:
-            matrix = link_matrices.get(round_no)
-            if matrix is None:
-                matrix = self._environment.plan_round_links(
-                    round_no, all_pids, all_pids
-                )
-                link_matrices[round_no] = matrix
-                # A round's matrix is dead once every process that can
-                # still broadcast has passed it; evict so long-horizon
-                # (especially aggregate) runs stay bounded.
-                horizon = min(
-                    (proc.round for proc in self.processes if proc.active),
-                    default=round_no,
-                )
-                for stale in [k for k in link_matrices if k < horizon]:
-                    del link_matrices[stale]
-            return matrix[sender]
-
-        def gate_satisfied(pid: int, round_no: int) -> bool:
-            if round_no < 1:
-                return True
-            needed = plan_obligations(round_no)
-            got = received_from_obligatory[pid].get(round_no, set())
-            return all(s == pid or s in got for s in needed)
-
-        def replan_after_exit(exited: int, now: float) -> None:
-            """Drop an exited process from unfulfilled obligations."""
-            exited_round = self.processes[exited].round
-            for round_no, needed in list(obligations.items()):
-                if exited in needed and exited_round < round_no:
-                    needed.discard(exited)
-                    if not needed:
-                        candidates = sorted(
-                            proc.pid
-                            for proc in self.processes
-                            if proc.active
-                            and proc.pid in trace.correct
-                            and proc.round <= round_no
-                        )
-                        if candidates:
-                            plan = self._environment.plan_round(round_no, candidates)
-                            needed.update(plan.obligatory)
-                            if plan.source is not None:
-                                declared[round_no] = plan.source
-            release_waiters(now)
-
-        def release_waiter(pid: int, gate: _Gate, now: float) -> None:
-            """Release one parked process if its gate is now satisfied."""
-            if gate_satisfied(pid, gate.round_no):
-                del waiting[pid]
-                invocation = gate.round_no + 1
-                when = nominal_time(pid, invocation)
-                if when < now:
-                    when = now
-                kernel.schedule(when, "eor", (pid, invocation))
-
-        def release_waiters(now: float) -> None:
-            """Re-check every parked gate (obligations were re-planned)."""
-            for pid, gate in list(waiting.items()):
-                release_waiter(pid, gate, now)
-
-        def broadcast(proc: GirafProcess, envelope: Envelope, now: float) -> None:
-            round_no = envelope.round_no
-            needed = plan_obligations(round_no)
-            obligatory = proc.pid in needed
-            receivers = [
-                other.pid for other in self.processes if other.pid != proc.pid
-            ]
-            if obligatory:
-                timely_targets, late_targets = receivers, []
-            else:
-                row = link_row(round_no, proc.pid)
-                timely_targets, late_targets = [], []
-                for other_pid in receivers:
-                    if row[other_pid]:
-                        timely_targets.append(other_pid)
-                    else:
-                        late_targets.append(other_pid)
-            latencies = dict(
-                zip(
-                    timely_targets,
-                    self._environment.timely_latencies(
-                        round_no, proc.pid, timely_targets
-                    ),
-                )
-            )
-            latencies.update(
-                zip(
-                    late_targets,
-                    self._environment.late_latencies(round_no, proc.pid, late_targets),
-                )
-            )
-            for other_pid in receivers:
-                latency = latencies[other_pid]
-                if latency >= NEVER_DELIVERED:
-                    continue
-                kernel.schedule(
-                    now + latency,
-                    "deliver",
-                    (proc.pid, other_pid, envelope, now),
-                )
-
-        # seed the first end-of-round of every process
-        for pid in range(n):
-            kernel.schedule(nominal_time(pid, 1), "eor", (pid, 1))
-
-        while kernel.has_events() and not stopped:
-            now, kind, data = kernel.next_event()
-            if kind == "deliver":
-                sender, receiver, envelope, sent_time = data
-                proc = self.processes[receiver]
-                timely = proc.active and not proc.has_computed(envelope.round_no)
-                if proc.active:
-                    proc.receive(envelope)
-                    received_from_obligatory[receiver].setdefault(
-                        envelope.round_no, set()
-                    ).add(sender)
-                sink.delivery(
-                    sender, receiver, envelope.round_no, sent_time, now, timely
-                )
-                # Only the receiver's gate — and only for this
-                # envelope's round — can have become satisfied by this
-                # delivery; every other parked gate is untouched, so
-                # the old full scan of ``waiting`` was pure overhead
-                # (the dominant cost of large drifting runs).
-                gate = waiting.get(receiver)
-                if gate is not None and gate.round_no == envelope.round_no:
-                    release_waiter(receiver, gate, now)
-                continue
-
-            pid, invocation = data
-            proc = self.processes[pid]
-            if not proc.active or proc.round != invocation - 1:
-                continue
-            if invocation > kernel.max_rounds:
-                continue
-
-            crash_plan = kernel.crashes.plan_for(pid)
-            if (
-                crash_plan is not None
-                and crash_plan.round_no == invocation
-                and crash_plan.before_send
-            ):
-                kernel.crash(proc, invocation, now, before_send=True)
-                replan_after_exit(pid, now)
-                continue
-
-            computing = invocation - 1
-            if computing >= 1 and not gate_satisfied(pid, computing):
-                waiting[pid] = _Gate(
-                    computing,
-                    set(plan_obligations(computing)),
-                )
-                continue
-
-            envelope = proc.end_of_round()
-            if computing >= 1:
-                trace.record_compute(pid, computing, now)
-                if self._record_snapshots:
-                    trace.record_snapshot(pid, computing, proc.algorithm.snapshot())
-            kernel.poll_decision(proc, now)
-            if envelope is None:
-                kernel.record_halt(proc, proc.round, now)
-                replan_after_exit(pid, now)
-            else:
-                trace.record_round_entry(pid, envelope.round_no, now)
-                sink.send(pid, envelope.round_no, now, envelope.payload)
-                broadcast(proc, envelope, now)
-                if (
-                    crash_plan is not None
-                    and crash_plan.round_no == invocation
-                    and not crash_plan.before_send
-                ):
-                    kernel.crash(proc, invocation, now, before_send=False)
-                    replan_after_exit(pid, now)
-                else:
-                    kernel.schedule(
-                        nominal_time(pid, invocation + 1), "eor", (pid, invocation + 1)
-                    )
-
-            if kernel.stop_requested():
-                stopped = True
-            if not kernel.any_active():
-                stopped = True
-        return trace
+        """Run the event loop on this run's path and return the trace."""
+        loop = DriftingLoop(
+            self._kernel, self._environment, self._periods, self._phases
+        )
+        engine = self._columnar_engine
+        if engine is None:
+            loop.run(_ObjectPath(loop, self._record_snapshots))
+        else:
+            engine.bind(loop)
+            loop.run(engine)
+            # final algorithm views out of the matrices, as on the
+            # lock-step engine
+            engine.finalize()
+        return self.trace

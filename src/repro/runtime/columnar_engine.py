@@ -86,18 +86,23 @@ algorithm objects so a finished run is externally indistinguishable.
 (Inbox round slots are *not* materialized — in aggregate mode nothing
 reads them after the run.)
 
-:class:`ColumnarDriftingEngine` is the event-driven twin for heartbeat
-runs on the drifting scheduler (see its docstring).
+:class:`ColumnarDriftingEngine` is the drifting scheduler's matrix path
+for heartbeat runs: it plugs its row computes and batched delivery
+folds into the scheduler's one event loop
+(:class:`~repro.giraf.scheduler.DriftingLoop`), which plans, gates and
+dispatches for both engines (see its docstring).
+
+Each engine run builds its own :class:`~repro.core.columnar.HistoryIndex`,
+so the index and the tables sized by it grow with that run only.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.columnar import CounterRowView, HistoryIndex, numpy_available
 from repro.core.ess_consensus import ESSConsensus
-from repro.core.history import register_clear_hook
 from repro.core.pseudo_leader import HeartbeatPseudoLeader, PseudoLeaderElector
 from repro.giraf.adversary import NEVER_DELIVERED
 from repro.giraf.environments import (
@@ -114,58 +119,10 @@ __all__ = [
     "ColumnarDriftingEngine",
     "ColumnarLockStepEngine",
     "NUMPY_REASON",
-    "warm_history_index",
 ]
 
 #: why every matrix request declines when numpy is not importable
 NUMPY_REASON = "numpy is not installed, and the matrix engines need it"
-
-
-# ----------------------------------------------------------------------
-# warm index + lazy views: amortizing engine setup/finalize
-# ----------------------------------------------------------------------
-
-#: Process-wide warm :class:`HistoryIndex` shared by consecutive engine
-#: runs.  The index is content-addressed and append-only, so reuse is a
-#: pure cache: a column interned by an earlier run reads zero until
-#: this run bumps it.  Both engines store counters in run-local slots,
-#: one per history their own run holds, so earlier runs' histories do
-#: not widen their matrices.  The list holds zero or one index.
-_WARM_INDEX: list = []
-
-#: Rebuild instead of reusing once the warm index outgrows this width.
-#: The counter matrices no longer span the index, but the index itself,
-#: the lock-step engine's column -> slot table and its per-column
-#: payload sizes (``_atoms_upto``) still grow with it, so a stream of
-#: runs full of one-off histories must not grow them without bound.
-_WARM_WIDTH_CAP = 1 << 16
-
-
-def _drop_warm_index() -> None:
-    _WARM_INDEX.clear()
-
-
-# The index holds interned HistoryNode objects, so it must not outlive
-# the intern table it mirrors: clearing the table drops the warm index
-# in the same step.
-register_clear_hook(_drop_warm_index)
-
-
-def warm_history_index() -> HistoryIndex:
-    """A shared :class:`HistoryIndex` for engine runs (see above).
-
-    Repeated engine runs within one intern-cache window (benchmark
-    iterations, a timing run after its warmup) skip re-interning the
-    same brand streams — the measured chunk of the per-run setup cost
-    at large ``n`` (PERFORMANCE.md §11).
-    :func:`~repro.core.history.clear_intern_cache` invalidates it.
-    """
-    if _WARM_INDEX and _WARM_INDEX[0].width <= _WARM_WIDTH_CAP:
-        return _WARM_INDEX[0]
-    _WARM_INDEX.clear()
-    index = HistoryIndex()
-    _WARM_INDEX.append(index)
-    return index
 
 
 #: Cells per chunk of a round's late-delay matrix: the draw holds an
@@ -353,7 +310,7 @@ class ColumnarLockStepEngine:
         import numpy as np
 
         self._np = np
-        self._index = warm_history_index()
+        self._index = HistoryIndex()
         # Live-column layout (see _fold): two slot-major buffers, one
         # column per process, one slot per stored history.
         self._C = np.zeros((8, n), dtype=np.int64)
@@ -1140,50 +1097,50 @@ class ColumnarLockStepEngine:
 
 
 class ColumnarDriftingEngine:
-    """One drifting (event-driven) run as masked matrix passes.
+    """The drifting scheduler's matrix path: rows instead of envelopes.
 
     The drifting scheduler has no global tick to vectorize across
     processes — every process fires at its own nominal times and late
     messages land in old round slots.  What it *does* have is fan-out:
     one broadcast reaches up to ``n - 1`` receivers, and the object
-    loop materializes one envelope-delivery event (plus one receive,
-    one inbox mutation, and a gate probe) per link.  This engine keeps
-    the event-driven skeleton — ``end-of-round`` events per process,
-    gating on obligatory senders, continuous-time latencies — but
-    replaces the per-link payload machinery with delivery-tick columns
-    over a run-local slot table (the lock-step engine's conventions:
-    ``_cols`` maps slot → history column with slot 0 a permanent zero,
-    ``_slot_of`` maps column → slot).  A slot is assigned when the run
-    first appends a history and is never dropped — processes sit in
-    different rounds, so no round's minimum retires a column for all of
-    them — and every prefix of a run's history was appended earlier by
-    the same process, so line 9's prefix chains stay inside the table:
+    path materializes one envelope-delivery event (plus one receive and
+    one inbox mutation) per link.  This engine plugs into the same
+    :class:`~repro.giraf.scheduler.DriftingLoop` — which plans the
+    rounds, gates, re-plans and dispatches the end-of-rounds for both
+    paths — and replaces the per-link payload machinery with
+    delivery-tick columns over a run-local slot table (the lock-step
+    engine's conventions: ``_cols`` maps slot → history column with
+    slot 0 a permanent zero, ``_slot_of`` maps column → slot).  A slot
+    is assigned when the run first appends a history and is never
+    dropped — processes sit in different rounds, so no round's minimum
+    retires a column for all of them — and every prefix of a run's
+    history was appended earlier by the same process, so line 9's
+    prefix chains stay inside the table:
 
-    * a broadcast is snapshotted once as ``(combined counter row,
-      distinct history slots)`` — the pointwise minimum over every
-      message riding in the envelope (the sender's own plus any
-      early-arrived round mates), exactly what a receiver's merge
-      would extract from the envelope's message set;
-    * timely deliveries stay singleton events (their latencies are
-      per-link continuous draws), but a broadcast's late deliveries
-      are grouped by distinct delay value into **one event per (tick,
-      round) batch** — drained as one masked
-      pointwise-minimum fold into a per-round accumulator
-      matrix plus bitmask updates, instead of ``n - 1`` envelope
-      drains;
+    * :meth:`fire` computes on rows (:meth:`_compute`), appends the new
+      history's slot (:meth:`_slot`) and snapshots the broadcast once
+      as ``(combined counter row, distinct history slots)`` — the
+      pointwise minimum over every message riding in the envelope (the
+      sender's own plus any early-arrived round mates), exactly what a
+      receiver's merge would extract from the envelope's message set
+      (:meth:`_broadcast`);
+    * timely deliveries stay singleton ``cdel`` events (their latencies
+      are per-link continuous draws), but a broadcast's late deliveries
+      are grouped by distinct delay value into **one ``cbat`` event per
+      (tick, round) batch** — drained as one masked pointwise-minimum
+      fold into a per-round accumulator matrix plus bitmask updates
+      (:meth:`_absorb`), instead of ``n - 1`` envelope drains; both
+      report their receivers to the loop's gates;
     * a process's ``compute(k, ·)`` then reads
       ``min(own row, accumulator row)`` and bumps once per distinct
       received-history slot — work scaling with distinct histories,
-      not with the number of messages received;
-    * gate probes after a batch run only when the batch's sender is a
-      round obligation (a parked gate can only open via a needed
-      sender's delivery or a re-plan, which re-checks every gate).
+      not with the number of messages received.
 
-    Event drain order is identical to the object loop's: timely
+    Event drain order is identical to the object path's: timely
     latencies are fractional (``0.05 + 0.4·U ∈ (0.05, 0.45)``) while
     late latencies are integral tick counts, so a batch never ties a
     singleton; same-latency lates form exactly one batch drained in
-    ascending-pid order (the object loop's scheduling order); and
+    ascending-pid order (the object path's scheduling order); and
     cross-broadcast blocks keep their scheduling order.  Eligibility
     shares :func:`_decline_reason` with the lock-step engine (aggregate
     traces × stock heartbeat pseudo-leaders in initial state) plus two
@@ -1191,28 +1148,25 @@ class ColumnarDriftingEngine:
     (compounded envelopes share embedded messages, so structural sizes
     are not recoverable from rows) and overridden latency methods (the
     disjointness argument above needs the stock draws).  Everything
-    else runs the object event loop.  Every step is pinned
-    byte-identical to the object scheduler across environments ×
-    crashes × GST × periods and phases × event queues, on generated
-    configurations cold and warm
-    (``tests/runtime/test_columnar_drifting_engine.py``).
+    else runs the object path.  Every step is pinned byte-identical to
+    the object path across environments × crashes × GST × periods and
+    phases × event queues, on generated configurations cold and after
+    an unrelated run, with the same environment calls in the same
+    order (``tests/runtime/test_columnar_drifting_engine.py``).
     """
 
-    def __init__(self, kernel, environment, *, periods, phases, record_snapshots):
+    def __init__(self, kernel, environment, *, record_snapshots):
         self._kernel = kernel
         self._environment = environment
         self._record_snapshots = record_snapshots
-        self._periods = list(periods)
-        self._phases = list(phases)
         self._trace = kernel.trace
         self._sink = kernel.sink
         n = len(kernel.processes)
         self._n = n
-        self._all_pids = list(range(n))
         import numpy as np
 
         self._np = np
-        self._index = warm_history_index()
+        self._index = HistoryIndex()
         # --- the slot table (see the class docstring) -----------------
         #: slot -> history column (slot 0, always zero: -1)
         self._cols: List[int] = [-1]
@@ -1227,10 +1181,11 @@ class ColumnarDriftingEngine:
         self._C = np.zeros((n, 8), dtype=np.int64)
 
         # --- per-process state ----------------------------------------
-        self._active: List[bool] = [True] * n
-        self._active_count = n
-        #: invocations fired so far (mirrors ``proc.round``)
+        # The loop's ``rounds`` (invocations fired so far) and
+        # ``active``, shared once bind() plugs the engine in.
+        self._loop = None
         self._rounds: List[int] = [0] * n
+        self._active: List[bool] = [True] * n
         #: slot of each process's current history (0: never fired)
         self._hist_slot: List[int] = [0] * n
         self._brand = [algorithm.brand for algorithm in kernel.algorithms]
@@ -1246,7 +1201,7 @@ class ColumnarDriftingEngine:
         self._mx: List[int] = [0] * n
         self._computed: List[bool] = [False] * n
 
-        # --- per-round delivery state ---------------------------------
+        # --- per-round delivery state (evicted at the loop's horizon) -
         # round -> min-accumulator over delivered broadcast rows (one
         # matrix row per receiver, slots as in _C; ``seeded`` marks rows
         # holding at least one fold).  Round-1 broadcasts carry empty
@@ -1256,26 +1211,15 @@ class ColumnarDriftingEngine:
         # round -> history slot -> receiver bitmask: who received a
         # message carrying that history this round (the bump set).
         self._colmask: Dict[int, Dict[int, int]] = {}
-        # round -> envelope sender -> receiver bitmask: the object
-        # loop's ``received_from_obligatory`` (gate bookkeeping).
-        self._got: Dict[int, Dict[int, int]] = {}
-        # round -> obligatory sender set (mutable, re-plannable).  Kept
-        # for the run's lifetime like the object loop's memo, so
-        # re-plans consult — and call ``plan_round`` for — exactly the
-        # same rounds.
-        self._obligations: Dict[int, Set[int]] = {}
-        # round -> link-timeliness matrix (evicted below the horizon)
-        self._link_matrices: Dict[int, Dict[int, List[bool]]] = {}
         # round -> id(row) -> (timely positions, late positions): link
         # policies may share one row object across senders (the
         # all-false silent row does), so the split is computed once per
-        # distinct row, not once per broadcast.  Keyed inside the round
-        # entry because the round's matrix keeps its rows alive (id
-        # stability) and eviction drops both together.
+        # distinct row, not once per broadcast.  The loop's link plan
+        # keeps the round's rows alive (id stability) until both are
+        # evicted at the same horizon.
         self._link_positions: Dict[int, Dict[int, tuple]] = {}
-        # pid -> round it is parked on (insertion-ordered, matching the
-        # object loop's gate dict for re-plan release order)
-        self._waiting: Dict[int, int] = {}
+        #: the loop's delivery event kinds, drained by this engine
+        self.handlers = {"cdel": self._cdel, "cbat": self._cbat}
         self._finalized = False
 
         # Constant-delay shortcut (the lock-step engine's test): every
@@ -1290,14 +1234,14 @@ class ColumnarDriftingEngine:
     # ------------------------------------------------------------------
     @classmethod
     def try_build(
-        cls, kernel, environment, *, periods, phases, record_snapshots
+        cls, kernel, environment, *, record_snapshots
     ) -> Tuple[Optional["ColumnarDriftingEngine"], Optional[str]]:
         """``(engine, None)``, or ``(None, reason)`` when it cannot apply.
 
         Same conservatism as the lock-step engine, for heartbeat runs
         only, plus two drifting-specific refusals: payload statistics
         and non-stock latency draws (the caller then runs the object
-        event loop and reports the reason).
+        path and reports the reason).
         """
         reason = _decline_reason(kernel, kinds=(HeartbeatPseudoLeader,))
         if reason is None and kernel.payload_stats:
@@ -1312,140 +1256,58 @@ class ColumnarDriftingEngine:
             reason = f"{env_type.__name__} overrides the stock latency draws"
         if reason is not None:
             return None, reason
-        engine = cls(
-            kernel,
-            environment,
-            periods=periods,
-            phases=phases,
-            record_snapshots=record_snapshots,
-        )
-        return engine, None
+        return cls(kernel, environment, record_snapshots=record_snapshots), None
 
     # ------------------------------------------------------------------
-    # planning closures of the object loop, as methods
+    # the loop's plug-in surface
     # ------------------------------------------------------------------
-    def _nominal(self, pid: int, invocation: int) -> float:
-        return self._phases[pid] + invocation * self._periods[pid]
+    def bind(self, loop) -> None:
+        """Plug into the :class:`~repro.giraf.scheduler.DriftingLoop`
+        about to drive this run, sharing its ``rounds`` and ``active``."""
+        self._loop = loop
+        self._rounds = loop.rounds
+        self._active = loop.active
 
-    def _plan_obligations(self, round_no: int) -> Set[int]:
-        needed = self._obligations.get(round_no)
-        if needed is not None:
-            return needed
-        active = self._active
-        rounds = self._rounds
-        correct = self._kernel.correct
-        candidates = sorted(
-            pid
-            for pid in self._all_pids
-            if active[pid] and pid in correct and rounds[pid] <= round_no
-        )
-        if not candidates:
-            candidates = sorted(pid for pid in self._all_pids if active[pid])
-        if not candidates:
-            needed = self._obligations[round_no] = set()
-            return needed
-        plan = self._environment.plan_round(round_no, candidates)
-        needed = self._obligations[round_no] = set(plan.obligatory)
-        if plan.source is not None:
-            self._trace.declared_sources.setdefault(round_no, plan.source)
-        return needed
-
-    def _link_row(self, round_no: int, sender: int) -> List[bool]:
-        matrices = self._link_matrices
-        matrix = matrices.get(round_no)
-        if matrix is None:
-            matrix = self._environment.plan_round_links(
-                round_no, self._all_pids, self._all_pids
-            )
-            matrices[round_no] = matrix
-            self._evict()
-        return matrix[sender]
-
-    def _evict(self) -> None:
-        """Drop per-round state below the active-round horizon.
+    def evict(self, horizon: int) -> None:
+        """Drop the per-round delivery state below ``horizon``.
 
         A round every active process has passed can never be computed
         again (deliveries for it still *count* on drain, but their
-        state is provably dead — the singleton/batch handlers skip
-        receivers that are already beyond the round).  Obligations are
-        deliberately kept: re-plans walk the full memo like the object
-        loop does, so the environment sees the same call sequence.
+        state is provably dead — the delivery handlers skip receivers
+        that are already beyond the round).
         """
-        active = self._active
-        rounds = self._rounds
-        horizon: Optional[int] = None
-        for pid in self._all_pids:
-            if active[pid]:
-                value = rounds[pid]
-                if horizon is None or value < horizon:
-                    horizon = value
-        if horizon is None:
-            return
-        for store in (
-            self._acc,
-            self._seeded,
-            self._colmask,
-            self._got,
-            self._link_matrices,
-            self._link_positions,
-        ):
-            for stale in [k for k in store if k < horizon]:
+        for store in (self._acc, self._seeded, self._colmask, self._link_positions):
+            for stale in [round_no for round_no in store if round_no < horizon]:
                 del store[stale]
 
-    def _gate_satisfied(self, pid: int, round_no: int) -> bool:
-        if round_no < 1:
-            return True
-        needed = self._plan_obligations(round_no)
-        if not needed:
-            return True
-        got = self._got.get(round_no)
-        bit = 1 << pid
-        if got is None:
-            return all(s == pid for s in needed)
-        return all(s == pid or (got.get(s, 0) & bit) for s in needed)
+    def _cdel(self, now: float, data: tuple) -> None:
+        """One timely link: fold it if its receiver still needs it."""
+        env, receiver = data
+        self._sink.bulk_deliveries(1)
+        round_no = env[1]
+        if self._active[receiver] and self._rounds[receiver] <= round_no:
+            hit, mask = (receiver,), 1 << receiver
+            self._absorb(env, hit, mask)
+            self._loop.arrived(round_no, env[0], hit, mask, now)
 
-    def _replan_after_exit(self, exited: int, now: float) -> None:
-        """Drop an exited process from unfulfilled obligations."""
-        exited_round = self._rounds[exited]
+    def _cbat(self, now: float, data: tuple) -> None:
+        """One batch of late links sharing a latency, as one fold."""
+        env, targets = data
+        self._sink.bulk_deliveries(len(targets))
+        round_no = env[1]
         active = self._active
         rounds = self._rounds
-        correct = self._kernel.correct
-        for round_no, needed in list(self._obligations.items()):
-            if exited in needed and exited_round < round_no:
-                needed.discard(exited)
-                if not needed:
-                    candidates = sorted(
-                        pid
-                        for pid in self._all_pids
-                        if active[pid]
-                        and pid in correct
-                        and rounds[pid] <= round_no
-                    )
-                    if candidates:
-                        plan = self._environment.plan_round(round_no, candidates)
-                        needed.update(plan.obligatory)
-        self._release_waiters(now)
-
-    def _release_waiters(self, now: float) -> None:
-        """Re-check every parked gate (obligations were re-planned)."""
-        kernel = self._kernel
-        waiting = self._waiting
-        for pid, round_no in list(waiting.items()):
-            if self._gate_satisfied(pid, round_no):
-                del waiting[pid]
-                when = self._nominal(pid, round_no + 1)
-                if when < now:
-                    when = now
-                kernel.schedule(when, "eor", (pid, round_no + 1))
-
-    def _crash(self, pid: int, invocation: int, now: float, *, before_send: bool):
-        kernel = self._kernel
-        kernel.crash(
-            kernel.processes[pid], invocation, now, before_send=before_send
-        )
-        self._active[pid] = False
-        self._active_count -= 1
-        self._replan_after_exit(pid, now)
+        hits = [
+            receiver
+            for receiver in targets
+            if active[receiver] and rounds[receiver] <= round_no
+        ]
+        if hits:
+            mask = 0
+            for receiver in hits:
+                mask |= 1 << receiver
+            self._absorb(env, hits, mask)
+            self._loop.arrived(round_no, env[0], hits, mask, now)
 
     # ------------------------------------------------------------------
     # slots and delivery state
@@ -1482,16 +1344,12 @@ class ColumnarDriftingEngine:
         masked matrix min per call — the batch twin of ``n`` envelope
         receives.
         """
-        sender, round_no, row, slots = env
+        _sender, round_no, row, slots = env
         colmask = self._colmask.get(round_no)
         if colmask is None:
             colmask = self._colmask[round_no] = {}
         for slot in slots:
             colmask[slot] = colmask.get(slot, 0) | mask
-        got = self._got.get(round_no)
-        if got is None:
-            got = self._got[round_no] = {}
-        got[sender] = got.get(sender, 0) | mask
         if row is None:
             # round-1 broadcasts carry empty counter maps: merging with
             # them yields the all-zero row the compute already starts
@@ -1501,7 +1359,6 @@ class ColumnarDriftingEngine:
         if acc is None:
             acc = self._acc[round_no] = self._np.zeros_like(self._C)
             self._seeded[round_no] = [False] * self._n
-            self._evict()
         seeded = self._seeded[round_no]
         width = len(row)
         fresh = [pid for pid in receivers if not seeded[pid]]
@@ -1557,8 +1414,9 @@ class ColumnarDriftingEngine:
         row[:] = merged
         return merged
 
-    def _fire(self, pid: int, invocation: int, now: float) -> None:
-        """The object loop's ``end_of_round`` + bookkeeping + broadcast."""
+    def fire(self, pid: int, invocation: int, now: float) -> bool:
+        """The object path's ``end_of_round`` + records + broadcast, on
+        rows (heartbeats never halt, so always ``True``)."""
         trace = self._trace
         computing = invocation - 1
         merged = self._compute(pid, computing) if computing >= 1 else None
@@ -1586,6 +1444,7 @@ class ColumnarDriftingEngine:
         trace.record_round_entry(pid, invocation, now)
         self._sink.send(pid, invocation, now, None)
         self._broadcast(pid, invocation, merged, new_slot, now)
+        return True
 
     def _broadcast(self, pid, round_no, merged, new_slot, now: float) -> None:
         # Envelope snapshot: the combined counter row (pointwise min
@@ -1609,19 +1468,19 @@ class ColumnarDriftingEngine:
         env = (pid, round_no, row, tuple(slots))
 
         # Delivery planning.  The latency values are exactly what the
-        # object loop draws — try_build pinned the stock (pure,
+        # object path draws — try_build pinned the stock (pure,
         # per-link-keyed) latency methods, so batching or skipping
         # calls cannot move a value.
-        needed = self._plan_obligations(round_no)
+        loop = self._loop
         environment = self._environment
         schedule = self._kernel.schedule
         const_delay = self._const_delay
         drop_late = const_delay is not None and const_delay >= NEVER_DELIVERED
-        if pid in needed:
-            timely = [other for other in self._all_pids if other != pid]
+        if loop.plan(round_no) >> pid & 1:
+            timely = [other for other in range(self._n) if other != pid]
             late: List[int] = []
         else:
-            link = self._link_row(round_no, pid)
+            link = loop.link_row(round_no, pid)
             cache = self._link_positions.setdefault(round_no, {})
             split = cache.get(id(link))
             if split is None:
@@ -1653,109 +1512,6 @@ class ColumnarDriftingEngine:
                     schedule(
                         now + latency, "cbat", (env, tuple(groups[latency]))
                     )
-
-    # ------------------------------------------------------------------
-    # the run
-    # ------------------------------------------------------------------
-    def run(self):
-        """Drain the event queue; the object loop's exact drain order."""
-        kernel = self._kernel
-        sink = self._sink
-        active = self._active
-        rounds = self._rounds
-        waiting = self._waiting
-        nominal = self._nominal
-        schedule = kernel.schedule
-        max_rounds = kernel.max_rounds
-        for pid in self._all_pids:
-            schedule(nominal(pid, 1), "eor", (pid, 1))
-        stopped = False
-        while kernel.has_events() and not stopped:
-            now, kind, data = kernel.next_event()
-            if kind == "cdel":
-                env, receiver = data
-                sink.bulk_deliveries(1)
-                round_no = env[1]
-                if active[receiver] and rounds[receiver] <= round_no:
-                    self._absorb(env, (receiver,), 1 << receiver)
-                if waiting.get(receiver) == round_no and self._gate_satisfied(
-                    receiver, round_no
-                ):
-                    del waiting[receiver]
-                    when = nominal(receiver, round_no + 1)
-                    if when < now:
-                        when = now
-                    schedule(when, "eor", (receiver, round_no + 1))
-                continue
-            if kind == "cbat":
-                env, targets = data
-                sink.bulk_deliveries(len(targets))
-                round_no = env[1]
-                hits = [
-                    receiver
-                    for receiver in targets
-                    if active[receiver] and rounds[receiver] <= round_no
-                ]
-                if hits:
-                    mask = 0
-                    for receiver in hits:
-                        mask |= 1 << receiver
-                    self._absorb(env, hits, mask)
-                # A parked gate only opens via a needed sender (any
-                # other delivery leaves its predicate untouched; the
-                # park itself planned the round, so the memo probe
-                # below is side-effect-free).
-                if waiting:
-                    needed = self._obligations.get(round_no)
-                    if needed and env[0] in needed:
-                        for receiver in targets:
-                            if waiting.get(
-                                receiver
-                            ) == round_no and self._gate_satisfied(
-                                receiver, round_no
-                            ):
-                                del waiting[receiver]
-                                when = nominal(receiver, round_no + 1)
-                                if when < now:
-                                    when = now
-                                schedule(
-                                    when, "eor", (receiver, round_no + 1)
-                                )
-                continue
-
-            pid, invocation = data
-            if not active[pid] or rounds[pid] != invocation - 1:
-                continue
-            if invocation > max_rounds:
-                continue
-            crash_plan = kernel.crashes.plan_for(pid)
-            if (
-                crash_plan is not None
-                and crash_plan.round_no == invocation
-                and crash_plan.before_send
-            ):
-                self._crash(pid, invocation, now, before_send=True)
-                continue
-            computing = invocation - 1
-            if computing >= 1 and not self._gate_satisfied(pid, computing):
-                waiting[pid] = computing
-                continue
-            self._fire(pid, invocation, now)
-            if (
-                crash_plan is not None
-                and crash_plan.round_no == invocation
-                and not crash_plan.before_send
-            ):
-                self._crash(pid, invocation, now, before_send=False)
-            else:
-                schedule(
-                    nominal(pid, invocation + 1), "eor", (pid, invocation + 1)
-                )
-            if kernel.stop_requested():
-                stopped = True
-            if self._active_count == 0:
-                stopped = True
-        return self._trace
 
     # ------------------------------------------------------------------
     def finalize(self) -> None:

@@ -117,7 +117,7 @@ class RuntimeKernel:
         >>> kernel.schedule(0.5, "eor", (0, 1))
         >>> kernel.next_event()
         (0.5, 'eor', (0, 1))
-        >>> kernel.queue_delivery(4, receiver=1, envelope=None, sender=0, sent_tick=2)
+        >>> kernel.queue_delivery_row(2, None, sender=0, receivers=[1, 2], delays=[2, 3])
         >>> kernel.due_deliveries(4)
         [(1, None, 0, 2)]
     """
@@ -278,14 +278,6 @@ class RuntimeKernel:
     # ------------------------------------------------------------------
     # delivery queues
     # ------------------------------------------------------------------
-    def queue_delivery(
-        self, due_tick: int, receiver: int, envelope: Envelope, sender: int, sent_tick: int
-    ) -> None:
-        """Queue a late delivery for a lock-step engine's future tick."""
-        self._pending.setdefault(due_tick, []).append(
-            (receiver, envelope, sender, sent_tick)
-        )
-
     def queue_delivery_row(
         self,
         tick: int,
@@ -296,14 +288,13 @@ class RuntimeKernel:
     ) -> None:
         """Queue one broadcast's late deliveries from a delay row.
 
-        The row-wise twin of :meth:`queue_delivery`: ``delays[i]``
-        ticks for ``receivers[i]``, with the same admission filtering
-        the lock-step scheduler previously applied per link — entries
-        due past the horizon or carrying the never-delivered sentinel
-        are dropped (reliability only promises *eventual* delivery,
-        which a finite run prefix cannot refute).  Queue order follows
-        row order, so schedules are identical to per-link queuing.  A
-        delay under one tick raises (see :func:`check_late_row`).
+        ``delays[i]`` ticks for ``receivers[i]``: a queued entry is
+        ``(receiver, envelope, sender, tick)``, due at ``tick +
+        delays[i]``.  Entries due past the horizon or carrying the
+        never-delivered sentinel are dropped (reliability only promises
+        *eventual* delivery, which a finite run prefix cannot refute).
+        Queue order follows row order.  A delay under one tick raises
+        (see :func:`check_late_row`).
         """
         check_late_row(tick, sender, receivers, delays)
         pending = self._pending

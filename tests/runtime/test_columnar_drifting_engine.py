@@ -11,17 +11,17 @@ across environments × link/delay policies × crash schedules × GST
 values × both event queues.  Beyond the hand-picked grid, generated
 configurations (sizes, brands, MS/ES/ESS with swept GST, link and
 delay policies, crash plans before and after send, drifted periods and
-phases, both event queues) pin the matrix event loop cold and after an
-unrelated columnar run has filled the shared history index, and
-straddle each ``try_build`` condition so the declines are pinned too.
+phases, both event queues) pin the matrix path cold and after an
+unrelated columnar run has filled the interned history table, with the
+same environment planning calls in the same order, and straddle each
+``try_build`` condition so the declines are pinned too.
 Without numpy every columnar request declines with the numpy reason
 and the same pins hold against the object loop.
 
 The second half covers the run-local slot table the counter matrices
-are indexed through, and the amortization layer shared with the
-lock-step engine: the warm :class:`HistoryIndex` reused between runs
-inside one intern-cache window, and the lazy finalize views that keep
-teardown O(n) instead of O(n × width).
+are indexed through, runs after unrelated ones in one intern-cache
+window, and the lazy finalize views (shared with the lock-step engine)
+that keep teardown O(n) instead of O(n × width).
 """
 
 import random
@@ -32,7 +32,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.columnar import CounterRowView, numpy_available
-from repro.core.history import clear_intern_cache
+from repro.core.history import clear_intern_cache, intern_cache_size
 from repro.core.pseudo_leader import HeartbeatPseudoLeader
 from repro.giraf.adversary import (
     NEVER_DELIVERED,
@@ -49,14 +49,11 @@ from repro.giraf.environments import (
     EventualSynchronyEnvironment,
     EventuallyStableSourceEnvironment,
     MovingSourceEnvironment,
+    RoundPlan,
     SilentLinks,
 )
 from repro.giraf.scheduler import DriftingScheduler
-from repro.runtime.columnar_engine import (
-    NUMPY_REASON,
-    ColumnarDriftingEngine,
-    warm_history_index,
-)
+from repro.runtime.columnar_engine import NUMPY_REASON, ColumnarDriftingEngine
 from repro.runtime.kernel import RuntimeKernel
 from repro.sim.runner import run_es_consensus
 
@@ -317,8 +314,8 @@ def _recording(cls):
 
 
 def _generated(config, engine):
-    """Run one generated configuration; returns the driver, its trace
-    and the environment's planning calls in order."""
+    """Run one generated configuration; returns the scheduler, its
+    trace and the environment's planning calls in order."""
     (n, brands, seed, env, gst, link, p, delay, crashes, drift, horizon,
      snapshots, queue, decline, override) = config
     links = {
@@ -352,7 +349,7 @@ def _generated(config, engine):
         rng = random.Random(seed)
         periods = [1.0 + drift * rng.random() for _ in range(n)]
         phases = [rng.random() for _ in range(n)]
-    driver = DriftingScheduler(
+    scheduler = DriftingScheduler(
         [HeartbeatPseudoLeader(pid % brands) for pid in range(n)],
         environment,
         crash_schedule=CrashSchedule(
@@ -367,7 +364,7 @@ def _generated(config, engine):
         engine=engine,
         event_queue=queue,
     )
-    return driver, driver.run(), environment.calls
+    return scheduler, scheduler.run(), environment.calls
 
 
 class TestGeneratedConfigurations:
@@ -430,13 +427,8 @@ class TestFallbackPins:
 
 class TestTryBuildEligibility:
     def _build(self, kernel):
-        n = len(kernel.processes)
         engine, _reason = ColumnarDriftingEngine.try_build(
-            kernel,
-            kernel.environment,
-            periods=[1.0 + 0.13 * pid for pid in range(n)],
-            phases=[0.01 * pid for pid in range(n)],
-            record_snapshots=True,
+            kernel, kernel.environment, record_snapshots=True
         )
         return engine
 
@@ -487,7 +479,7 @@ class TestTryBuildEligibility:
 
 
 def _warm_up():
-    """An unrelated columnar run filling the warm history index."""
+    """An unrelated columnar run filling the interned history table."""
     DriftingScheduler(
         [HeartbeatPseudoLeader(f"unrelated-{pid}") for pid in range(5)],
         ENVIRONMENTS["ms-silent-const"](),
@@ -522,7 +514,7 @@ class TestSlotTable:
         }
 
     def test_slots_are_the_run_histories(self):
-        """After an unrelated run has filled the warm index, the table
+        """After an unrelated run has filled the intern table, the table
         still holds exactly the histories this run appended: every
         non-empty prefix of each process's final history."""
         clear_intern_cache()
@@ -560,11 +552,7 @@ class TestSlotTable:
             engine="columnar",
         )
         engine, _ = ColumnarDriftingEngine.try_build(
-            kernel,
-            kernel.environment,
-            periods=[1.0] * 4,
-            phases=[0.0] * 4,
-            record_snapshots=False,
+            kernel, kernel.environment, record_snapshots=False
         )
         capacity = engine._C.shape[1]
         engine._acc[3] = engine._np.zeros_like(engine._C)
@@ -590,28 +578,13 @@ class TestSlotTable:
 
 @needs_numpy
 class TestAmortization:
-    """Warm index reuse + lazy finalize views."""
-
-    def test_warm_index_shared_within_window(self):
-        clear_intern_cache()
-        first = warm_history_index()
-        assert warm_history_index() is first
-        clear_intern_cache()
-        assert warm_history_index() is not first
-
-    def test_second_identical_run_interns_nothing(self):
-        _, trace = _run("columnar", rounds=6)
-        width_after_first = warm_history_index().width
-        driver, again = _run("columnar", rounds=6, clear=False)
-        assert driver._columnar_engine is not None
-        assert again == trace
-        assert warm_history_index().width == width_after_first
+    """Runs after unrelated ones + lazy finalize views."""
 
     def test_warm_index_does_not_widen_the_matrices(self):
-        """Runs inside one intern-cache window share the warm history
-        index, so a run after an unrelated one sees every earlier
-        history; it must still store only the slots its own histories
-        take, and still match the object loop."""
+        """Runs inside one intern-cache window share the interned
+        history table, so a run after an unrelated one meets every
+        earlier history there; it must still store only the slots its
+        own histories take, and still match the object loop."""
         reference, reference_trace = _run("object", crashes=CRASHES)
         cold, _ = _run("columnar", crashes=CRASHES)
         clear_intern_cache()
@@ -622,23 +595,13 @@ class TestAmortization:
             trace_mode="aggregate",
             engine="columnar",
         ).run()
-        assert warm_history_index().width >= 16 * 12
+        assert intern_cache_size() >= 16 * 12
         warm, warm_trace = _run("columnar", crashes=CRASHES, clear=False)
         assert warm_trace == reference_trace
         assert _final_views(warm) == _final_views(reference)
         warm_engine, cold_engine = warm._columnar_engine, cold._columnar_engine
         assert len(warm_engine._cols) == len(cold_engine._cols)
         assert warm_engine._C.shape == cold_engine._C.shape
-
-    def test_width_cap_forces_rebuild(self, monkeypatch):
-        import repro.runtime.columnar_engine as module
-
-        clear_intern_cache()
-        first = warm_history_index()
-        _run("columnar", rounds=6, clear=False)
-        assert first.width > 2
-        monkeypatch.setattr(module, "_WARM_WIDTH_CAP", 2)
-        assert warm_history_index() is not first
 
     def test_finalize_views_are_lazy_rows(self):
         driver, _ = _run("columnar", crashes=CRASHES)
@@ -657,9 +620,9 @@ class TestAmortization:
 
     def test_short_run_overhead_bounded(self):
         # the regression mode: fixed setup/finalize costs dominating a
-        # 2-round run.  With the warm index and lazy views a short
-        # columnar run must beat the object loop outright at a size
-        # where per-round work is already matrix-bound.
+        # 2-round run.  With lazy views a short columnar run must beat
+        # the object loop outright at a size where per-round work is
+        # already matrix-bound.
         n, rounds = 1200, 2
         clear_intern_cache()
         _run("columnar", env="ms-silent-const", n=64, rounds=rounds, clear=False)
@@ -672,3 +635,166 @@ class TestAmortization:
         _run("object", env="ms-silent-const", n=n, rounds=rounds, clear=False)
         object_elapsed = time.perf_counter() - started
         assert columnar_elapsed < object_elapsed
+
+
+class _NamesTheVictim(MovingSourceEnvironment):
+    """Names ``victim`` the obligatory source of the first plan of each
+    round in ``rounds`` (candidate or not), and the highest candidate
+    otherwise; logs every ``plan_round`` call as (round, candidates)."""
+
+    def __init__(self, victim, rounds):
+        super().__init__(RoundRobinSource(), SilentLinks(), ConstantDelay(3))
+        self.victim, self.rounds, self.calls = victim, rounds, []
+
+    def plan_round(self, round_no, candidates):
+        first = all(planned != round_no for planned, _ in self.calls)
+        self.calls.append((round_no, tuple(candidates)))
+        if first and round_no in self.rounds:
+            source = self.victim
+        else:
+            source = candidates[-1]
+        return RoundPlan(source=source, obligatory=frozenset({source}))
+
+
+def _replans(calls):
+    """The ``plan_round`` calls for rounds planned before."""
+    return [call for i, call in enumerate(calls) if call[0] in dict(calls[:i])]
+
+
+class _HaltsAt(HeartbeatPseudoLeader):
+    """A heartbeat that halts while computing round ``at``."""
+
+    def __init__(self, brand, at):
+        super().__init__(brand)
+        self.at = at
+
+    def compute(self, k, inbox):
+        if k >= self.at:
+            self.halt()
+        return super().compute(k, inbox)
+
+
+#: pid 0 is slow and named for rounds 3 and 4; pids 1 and 2 run ahead
+#: to round 4 and park there until pid 0 leaves at its invocation 4
+VICTIM_PERIODS = [5.0, 1.0, 1.0]
+VICTIM_PHASES = [0.0, 0.1, 0.2]
+#: when pid 0's fourth end-of-round fires (crash or halt)
+VICTIM_EXIT_TIME = 20.0
+
+
+def _victim_run(engine, *, halts=False):
+    clear_intern_cache()
+    environment = _NamesTheVictim(0, rounds={3, 4})
+    if halts:
+        algorithms = [_HaltsAt(0, 3)] + [_HaltsAt(pid, 99) for pid in (1, 2)]
+        crashes = None
+    else:
+        algorithms = [HeartbeatPseudoLeader(pid) for pid in range(3)]
+        crashes = CrashSchedule({0: CrashPlan(4, before_send=True)})
+    scheduler = DriftingScheduler(
+        algorithms,
+        environment,
+        crash_schedule=crashes,
+        periods=VICTIM_PERIODS,
+        phases=VICTIM_PHASES,
+        max_rounds=6,
+        trace_mode="aggregate",
+        engine=engine,
+    )
+    return scheduler, scheduler.run(), environment.calls
+
+
+def _log_releases(scheduler):
+    """Log every end-of-round the run schedules while a delivery event
+    drains — a parked gate's release — as (pid, invocation, time, now)."""
+    kernel = scheduler._kernel
+    log, current = [], [0.0, None]
+    pop, push = kernel.next_event, kernel.schedule
+
+    def next_event():
+        event = pop()
+        current[:] = event[:2]
+        return event
+
+    def schedule(time, kind, data):
+        if kind == "eor" and current[1] not in (None, "eor"):
+            log.append((*data, time, current[0]))
+        push(time, kind, data)
+
+    kernel.next_event, kernel.schedule = next_event, schedule
+    return log
+
+
+class TestLoopContract:
+    """The drifting loop's ordering, which both paths share: an exit
+    re-plans the rounds the leaver still owed, and a parked process
+    fires at its nominal time or, when that has passed, the moment its
+    gate opens."""
+
+    @pytest.mark.parametrize("engine", ["object", "columnar"])
+    def test_crash_replans_the_rounds_it_owed(self, engine):
+        scheduler, trace, calls = _victim_run(engine)
+        if engine == "columnar" and numpy_available():
+            assert scheduler.engine_path == "matrix-drifting"
+        # rounds 3 and 4 named pid 0; it crashed before sending round 4,
+        # so round 4 alone was re-planned, over the processes left
+        assert [call for call in calls if call[0] in (3, 4)][:2] == [
+            (3, (1, 2)),
+            (4, (1, 2)),
+        ]
+        assert _replans(calls) == [(4, (1, 2))]
+        # both were parked on round 4 and fire at the crash instant,
+        # long after their nominal times
+        assert trace.crashes[0].time == VICTIM_EXIT_TIME
+        for pid in (1, 2):
+            assert trace.compute_times[pid][4] == VICTIM_EXIT_TIME
+            assert VICTIM_PHASES[pid] + 5 * VICTIM_PERIODS[pid] < VICTIM_EXIT_TIME
+
+    def test_paths_replan_alike(self):
+        _, reference_trace, reference_calls = _victim_run("object")
+        _, trace, calls = _victim_run("columnar")
+        assert calls == reference_calls
+        assert trace == reference_trace
+
+    def test_halt_replans_like_a_crash(self):
+        """Halts happen on the object path only: matrix-path heartbeats
+        never halt."""
+        _, trace, calls = _victim_run("object", halts=True)
+        _, _, crash_calls = _victim_run("object")
+        assert [(halt.pid, halt.round_no, halt.time) for halt in trace.halts] == [
+            (0, 3, VICTIM_EXIT_TIME)
+        ]
+        assert _replans(calls) == _replans(crash_calls) == [(4, (1, 2))]
+        for pid in (1, 2):
+            assert trace.compute_times[pid][4] == VICTIM_EXIT_TIME
+
+    @pytest.mark.parametrize("engine", ["object", "columnar"])
+    def test_parked_gate_releases_at_nominal_or_now(self, engine):
+        clear_intern_cache()
+        periods = [3.0, 1.0, 1.0]
+        phases = [0.0, 0.01, 0.02]
+        scheduler = DriftingScheduler(
+            [HeartbeatPseudoLeader(pid) for pid in range(3)],
+            MovingSourceEnvironment(
+                RandomSource(2), BernoulliLinks(0.4, seed=7), UniformDelay(2, 4, seed=5)
+            ),
+            periods=periods,
+            phases=phases,
+            max_rounds=12,
+            trace_mode="aggregate",
+            engine=engine,
+        )
+        releases = _log_releases(scheduler)
+        trace = scheduler.run()
+        assert releases
+        for pid, invocation, time, now in releases:
+            nominal = phases[pid] + invocation * periods[pid]
+            assert time == max(nominal, now)
+            assert trace.compute_times[pid][invocation - 1] == time
+        # both sides of the max occur: a release after the nominal time
+        # has passed, and one drained at an earlier event time (a
+        # released process's next end-of-round is scheduled at its
+        # nominal time, which may precede the release)
+        assert any(time == now > phases[pid] + invocation * periods[pid]
+                   for pid, invocation, time, now in releases)
+        assert any(time > now for _, _, time, now in releases)

@@ -12,7 +12,7 @@ heartbeat runs) and the object-engine fallback (full traces, drifting
 scheduler, injected round hooks, consensus on top).  Beyond the
 hand-picked grid, generated lock-step heartbeat configurations pin the
 matrix path cold and after an unrelated columnar run has filled the
-shared history index, and a late delay under one tick fails closed on
+interned history table, and a late delay under one tick fails closed on
 both engines.  Without numpy every columnar request declines with
 the numpy reason and the same pins hold against the object engine.
 Algorithm 3 on the matrix path has its own pins in
@@ -47,11 +47,7 @@ from repro.giraf.environments import (
     SilentLinks,
 )
 from repro.giraf.scheduler import DriftingScheduler, LockStepScheduler
-from repro.runtime.columnar_engine import (
-    NUMPY_REASON,
-    ColumnarLockStepEngine,
-    warm_history_index,
-)
+from repro.runtime.columnar_engine import NUMPY_REASON, ColumnarLockStepEngine
 from repro.runtime.kernel import RuntimeKernel
 from repro.sim.runner import run_ess_consensus
 
@@ -285,16 +281,16 @@ def _generated(config, engine):
 
 def _assert_ascending_columns(driver):
     """Counter views list their histories in ascending column order of
-    the engines' shared history index."""
-    index = warm_history_index()
+    the run's history index."""
     for proc in driver.processes:
+        index = proc.algorithm.elector._index
         cols = [index.intern(history) for history in proc.algorithm.elector.counters]
         assert cols == sorted(cols)
 
 
 class TestGeneratedConfigurations:
     """Generated lock-step heartbeat runs take the matrix path and match
-    the object engine, from a cold history index and from one an
+    the object engine, from a cold intern table and from one an
     unrelated columnar run has filled (no cache clear in between)."""
 
     @given(config=heartbeat_configs(), warmup=heartbeat_configs(sizes=range(1, 20)))

@@ -9,7 +9,7 @@ link policies × uniform, constant, never-delivered and 1-tick delays or
 an environment answering its own delays × crash fractions × stop
 predicate × horizons — the whole
 :class:`~repro.giraf.traces.RunTrace` and every final algorithm view
-must equal the object engine's, from a cold history index and from one
+must equal the object engine's, from a cold intern table and from one
 an unrelated columnar run has filled.  Configurations outside the
 regime run the object engine and say why (``engine_decline``).
 
@@ -312,10 +312,10 @@ class TestDeciderSemantics:
             assert proc.halted
 
     def test_warm_index_does_not_widen_the_matrices(self):
-        """Runs inside one intern-cache window share the warm history
-        index, so a run after an unrelated one sees every earlier
-        history; it must still store only its own live columns, and
-        still match the object engine."""
+        """Runs inside one intern-cache window share the interned
+        history table, so a run after an unrelated one meets every
+        earlier history there; it must still store only its own live
+        columns, and still match the object engine."""
         unrelated = (40, 9, "distinct", "MS", "bernoulli", 0.3, "uniform", 1, 0.1, True, 30)
         cold, _ = _assert_pinned(HEADLINE)
         warm, _ = _assert_pinned(HEADLINE, after=unrelated)
