@@ -1,7 +1,8 @@
 """Benchmark A1: Ablation — prefix inheritance in the history counters.
 
-Regenerates table A1 of EXPERIMENTS.md (quick grid).  Run the full
-grid with ``python -m repro.experiments A1 --full``.
+Regenerates table A1 (quick grid).  Run the full grid with
+``python -m repro.experiments A1 --full``; README.md's Experiments
+section lists every ID.
 """
 
 from repro.experiments.ablations import run_a1

@@ -1,7 +1,8 @@
 """Benchmark A2: Ablation — Algorithm 2's even/odd decide phasing (agreement search).
 
-Regenerates table A2 of EXPERIMENTS.md (quick grid).  Run the full
-grid with ``python -m repro.experiments A2 --full``.
+Regenerates table A2 (quick grid).  Run the full grid with
+``python -m repro.experiments A2 --full``; README.md's Experiments
+section lists every ID.
 """
 
 from repro.experiments.ablations import run_a2

@@ -1,7 +1,8 @@
 """Benchmark A3: Ablation — ⊥ proposals by non-leaders (agreement search).
 
-Regenerates table A3 of EXPERIMENTS.md (quick grid).  Run the full
-grid with ``python -m repro.experiments A3 --full``.
+Regenerates table A3 (quick grid).  Run the full grid with
+``python -m repro.experiments A3 --full``; README.md's Experiments
+section lists every ID.
 """
 
 from repro.experiments.ablations import run_a3

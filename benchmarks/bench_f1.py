@@ -1,7 +1,8 @@
 """Benchmark F1: Figure — Algorithm 2 latency series vs GST.
 
-Regenerates table F1 of EXPERIMENTS.md (quick grid).  Run the full
-grid with ``python -m repro.experiments F1 --full``.
+Regenerates table F1 (quick grid).  Run the full grid with
+``python -m repro.experiments F1 --full``; README.md's Experiments
+section lists every ID.
 """
 
 from repro.experiments.consensus_tables import run_f1

@@ -1,7 +1,8 @@
 """Benchmark F2: Figure — Algorithm 3 latency series vs stabilization round.
 
-Regenerates table F2 of EXPERIMENTS.md (quick grid).  Run the full
-grid with ``python -m repro.experiments F2 --full``.
+Regenerates table F2 (quick grid).  Run the full grid with
+``python -m repro.experiments F2 --full``; README.md's Experiments
+section lists every ID.
 """
 
 from repro.experiments.consensus_tables import run_f2

@@ -1,7 +1,8 @@
 """Benchmark F3: Figure — pseudo-leader convergence (Lemmas 4–6), real vs naive.
 
-Regenerates table F3 of EXPERIMENTS.md (quick grid).  Run the full
-grid with ``python -m repro.experiments F3 --full``.
+Regenerates table F3 (quick grid).  Run the full grid with
+``python -m repro.experiments F3 --full``; README.md's Experiments
+section lists every ID.
 """
 
 from repro.experiments.leader_figure import run_f3

@@ -1,7 +1,8 @@
 """Benchmark F4: Figure — Proposition 1 register: write latency and entry growth vs n.
 
-Regenerates table F4 of EXPERIMENTS.md (quick grid).  Run the full
-grid with ``python -m repro.experiments F4 --full``.
+Regenerates table F4 (quick grid).  Run the full grid with
+``python -m repro.experiments F4 --full``; README.md's Experiments
+section lists every ID.
 """
 
 from repro.experiments.weakset_tables import run_f4

@@ -46,8 +46,8 @@ from repro.sim.workloads import ChurnEnvironments
 from repro.weakset.cluster import MSWeakSetCluster
 from repro.weakset.protocol import (
     PeekReply,
-    RoundReply,
-    RoundRequest,
+    StepBatchReply,
+    StepBatchRequest,
     decode_message,
     encode_message,
 )
@@ -446,9 +446,12 @@ def test_bench_event_queue_calendar(benchmark):
 # one shard round trip's worth of hot frames: a round request carrying
 # a burst of adds, its reply, and a peek reply hauling a PROPOSED set
 _CODEC_MESSAGES = (
-    RoundRequest(adds=tuple((t, t % 4, f"churn-0-{t}") for t in range(8))),
-    RoundReply(
+    StepBatchRequest(
+        rounds=1, adds=tuple((t, t % 4, f"churn-0-{t}") for t in range(8))
+    ),
+    StepBatchReply(
         alive=True,
+        executed=1,
         completions=tuple((t, 3.0 + t) for t in range(8)),
         crashed=frozenset({1, 3}),
         now=42.0,
@@ -481,7 +484,9 @@ def _nested_payload(index: int):
 # nested two containers deep: requests hauling structured values and a
 # peek reply hauling a PROPOSED set of them
 _NESTED_MESSAGES = (
-    RoundRequest(adds=tuple((t, t % 4, _nested_payload(t)) for t in range(8))),
+    StepBatchRequest(
+        rounds=1, adds=tuple((t, t % 4, _nested_payload(t)) for t in range(8))
+    ),
     PeekReply(
         crashed=False, proposed=frozenset(_nested_payload(i) for i in range(20))
     ),

@@ -1,7 +1,8 @@
 """Benchmark T1: Theorem 1 — Algorithm 2 (ES) decision latency across n × crashes × GST.
 
-Regenerates table T1 of EXPERIMENTS.md (quick grid).  Run the full
-grid with ``python -m repro.experiments T1 --full``.
+Regenerates table T1 (quick grid).  Run the full grid with
+``python -m repro.experiments T1 --full``; README.md's Experiments
+section lists every ID.
 """
 
 from repro.experiments.consensus_tables import run_t1

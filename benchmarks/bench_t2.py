@@ -1,7 +1,8 @@
 """Benchmark T2: Theorem 2 — Algorithm 3 (ESS) decision latency across n × stabilization.
 
-Regenerates table T2 of EXPERIMENTS.md (quick grid).  Run the full
-grid with ``python -m repro.experiments T2 --full``.
+Regenerates table T2 (quick grid).  Run the full grid with
+``python -m repro.experiments T2 --full``; README.md's Experiments
+section lists every ID.
 """
 
 from repro.experiments.consensus_tables import run_t2

@@ -1,7 +1,8 @@
 """Benchmark T3: Section 4.1 — unbounded state: anonymous vs known-ID payload growth.
 
-Regenerates table T3 of EXPERIMENTS.md (quick grid).  Run the full
-grid with ``python -m repro.experiments T3 --full``.
+Regenerates table T3 (quick grid).  Run the full grid with
+``python -m repro.experiments T3 --full``; README.md's Experiments
+section lists every ID.
 """
 
 from repro.experiments.state_growth import run_t3

@@ -1,7 +1,8 @@
 """Benchmark T4: Theorem 3 — Algorithm 4 weak-set in MS: add latency + spec verdicts.
 
-Regenerates table T4 of EXPERIMENTS.md (quick grid).  Run the full
-grid with ``python -m repro.experiments T4 --full``.
+Regenerates table T4 (quick grid).  Run the full grid with
+``python -m repro.experiments T4 --full``; README.md's Experiments
+section lists every ID.
 """
 
 from repro.experiments.weakset_tables import run_t4

@@ -1,7 +1,8 @@
 """Benchmark T5: Theorem 4 — Algorithm 5 MS emulation: checker verdicts + source movement.
 
-Regenerates table T5 of EXPERIMENTS.md (quick grid).  Run the full
-grid with ``python -m repro.experiments T5 --full``.
+Regenerates table T5 (quick grid).  Run the full grid with
+``python -m repro.experiments T5 --full``; README.md's Experiments
+section lists every ID.
 """
 
 from repro.experiments.weakset_tables import run_t5

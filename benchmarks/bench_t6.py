@@ -1,7 +1,8 @@
 """Benchmark T6: Proposition 4 — Σ emulation candidates vs the r1/r2 construction.
 
-Regenerates table T6 of EXPERIMENTS.md (quick grid).  Run the full
-grid with ``python -m repro.experiments T6 --full``.
+Regenerates table T6 (quick grid).  Run the full grid with
+``python -m repro.experiments T6 --full``; README.md's Experiments
+section lists every ID.
 """
 
 from repro.experiments.sigma_table import run_t6

@@ -1,7 +1,8 @@
 """Benchmark T7: Cost of anonymity — Algorithm 3 vs known-IDs vs Algorithm 2 vs FloodSet.
 
-Regenerates table T7 of EXPERIMENTS.md (quick grid).  Run the full
-grid with ``python -m repro.experiments T7 --full``.
+Regenerates table T7 (quick grid).  Run the full grid with
+``python -m repro.experiments T7 --full``; README.md's Experiments
+section lists every ID.
 """
 
 from repro.experiments.baseline_table import run_t7

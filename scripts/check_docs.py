@@ -1,15 +1,19 @@
 """Documentation checks: doctest the examples, link-check the markdown.
 
 Two failure modes rot documentation silently: docstring examples that
-drift from the code, and markdown references to files or anchors that
-moved.  This script catches both, and runs as the CI ``docs`` job and
+drift from the code, and references to files or anchors that moved —
+from markdown links or from citations in Python docstrings.  This
+script catches both, and runs as the CI ``docs`` job and
 as a tier-1 test (``tests/test_docs.py``):
 
 * every module in :data:`DOCTEST_MODULES` has its doctests executed
   (``python -m doctest`` semantics, via :func:`doctest.testmod`);
 * every relative link and image in the repo's ``*.md`` files must
   resolve to an existing file (http/https/mailto and pure anchors are
-  skipped; fragments are stripped before checking).
+  skipped; fragments are stripped before checking);
+* every markdown file a Python file under :data:`CITING_DIRS` names
+  (a path ending in ``.md`` in a docstring or comment) must exist next
+  to that file or at the repo root.
 
 Usage::
 
@@ -47,6 +51,12 @@ _LINK = re.compile(r"!?\[[^\]]*\]\(([^)\s]+)\)")
 
 #: directories never scanned for markdown
 _SKIP_DIRS = {".git", ".hypothesis", ".pytest_cache", ".benchmarks", ".claude"}
+
+#: top-level directories whose Python files' doc citations are checked
+CITING_DIRS = ("src", "tests", "scripts", "benchmarks")
+
+#: a markdown file named in Python text: a name or path ending in .md
+_CITATION = re.compile(r"\b\w[\w./-]*\.md\b")
 
 
 def run_doctests() -> list[str]:
@@ -95,15 +105,35 @@ def check_markdown_links() -> list[str]:
     return errors
 
 
+def check_doc_citations(root: Path = REPO_ROOT) -> list[str]:
+    """Verify every markdown file a Python file names exists next to
+    that file or at ``root``; return errors."""
+    errors: list[str] = []
+    for top in CITING_DIRS:
+        for path in sorted((root / top).rglob("*.py")):
+            text = path.read_text(encoding="utf-8")
+            for match in _CITATION.finditer(text):
+                name = match.group(0)
+                if (path.parent / name).exists() or (root / name).exists():
+                    continue
+                line = text.count("\n", 0, match.start()) + 1
+                errors.append(
+                    f"{path.relative_to(root)}:{line}: cites {name}, which "
+                    "exists neither next to it nor at the repo root"
+                )
+    return errors
+
+
 def main() -> int:
-    problems = run_doctests() + check_markdown_links()
+    problems = run_doctests() + check_markdown_links() + check_doc_citations()
     for problem in problems:
         print(f"FAIL {problem}")
     if problems:
         return 1
     print(
         f"docs ok: {len(DOCTEST_MODULES)} modules doctested, "
-        f"{len(markdown_files())} markdown files link-checked"
+        f"{len(markdown_files())} markdown files link-checked, "
+        "doc citations in Python files resolved"
     )
     return 0
 

@@ -7,8 +7,8 @@ algorithms (Algorithms 2 and 3, built on the novel pseudo leader
 election), the weak-set shared data structure with its MS equivalence
 (Algorithms 4 and 5), and the Σ failure-detector impossibility
 (Proposition 4) — plus mechanized checkers, baselines, and an
-experiment harness.  See README.md for a tour and DESIGN.md for the
-full system inventory.
+experiment harness.  See README.md for a tour and ARCHITECTURE.md for
+how the layers fit together.
 """
 
 from repro.core import (
@@ -40,7 +40,7 @@ from repro.sim import (
     run_ess_consensus,
 )
 from repro.values import BOTTOM, Bottom
-from repro.weakset import MSWeakSetCluster, ShardBackend, ShardedWeakSetCluster
+from repro.weakset import MSWeakSetCluster, ShardedWeakSetCluster, TransportBackend
 
 __version__ = "1.0.0"
 
@@ -61,9 +61,9 @@ __all__ = [
     "PseudoLeaderElector",
     "RunTrace",
     "RuntimeKernel",
-    "ShardBackend",
     "ShardedWeakSetCluster",
     "TraceSink",
+    "TransportBackend",
     "assert_consensus",
     "check_consensus",
     "check_es",

@@ -45,7 +45,7 @@ Listing-indentation note: lines 19–20 must execute every round — the
 agreement proof reuses Lemma 2, whose argument needs ``WRITTENOLD`` in
 an even round ``k`` to equal ``WRITTEN`` of the odd round ``k-1``.
 Line 20 is kept verbatim even though it is dead (line 6 overwrites
-``WRITTEN`` before any read); see DESIGN.md §4.
+``WRITTEN`` before any read).
 
 Ablation knobs (experiment A3), modelling the design the paper warns
 against ("it is crucial to ensure that all processes propose in every

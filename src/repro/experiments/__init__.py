@@ -1,4 +1,4 @@
-"""The experiment harness: one runner per table/figure in DESIGN.md.
+"""The experiment harness: one runner per table/figure (README.md, Experiments).
 
 Run from the command line::
 

@@ -15,8 +15,7 @@ exactly (decide ≈ GST + 2).  Algorithm 3 tracks the stabilization
 round up to the point where its own pseudo-leader election de-elects
 the blockade's polluting carrier (Lemma 6: leaders ⊆ ⋄-proposers) and
 terminates despite the adversary — the flattening of F2's tail is the
-algorithm beating the strongest schedule we know how to construct, and
-EXPERIMENTS.md discusses it.
+algorithm beating the strongest schedule we know how to construct.
 
 Expected shapes: latency linear in the stabilization point, constant
 in ``n`` and in the number of crashes.
@@ -162,7 +161,7 @@ def run_t2(
         notes=[
             "latency tracks the stabilization round plus pseudo-leader "
             "convergence, until the algorithm's own leader election "
-            "defeats the blockade (Lemma 6) — see EXPERIMENTS.md",
+            "defeats the blockade (Lemma 6)",
         ],
     )
     cells = [(n, stab, repeats, seed, engine) for n in ns for stab in stabs]

@@ -1,7 +1,7 @@
 """The experiment registry: every table and figure, by ID.
 
-``EXPERIMENTS`` maps the IDs from DESIGN.md's per-experiment index to
-their runner functions; :func:`run_experiment` executes one and
+``EXPERIMENTS`` maps the experiment IDs (listed in README.md's
+Experiments section) to their runner functions; :func:`run_experiment` executes one and
 returns its :class:`~repro.analysis.tables.Table`.
 """
 
@@ -71,7 +71,7 @@ def run_experiment(
     leave_at: Optional[object] = None,
     engine: Optional[str] = None,
 ) -> Table:
-    """Run one experiment by its DESIGN.md ID (e.g. ``"T1"``).
+    """Run one experiment by its ID (e.g. ``"T1"``).
 
     ``jobs`` fans grid experiments out over worker processes; runners
     whose workload is not cell-parallel simply ignore it.  ``backend``

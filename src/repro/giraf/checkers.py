@@ -12,7 +12,7 @@ environment's declared sources.  They are used three ways:
 3. as *mutation detectors* — metamorphic tests flip one delivery's
    timeliness and assert the checker notices.
 
-Quantification follows the paper (see DESIGN.md §4): "process ``p_j``
+Quantification follows the paper: "process ``p_j``
 receives the round-``k`` message of ``p_i`` in round ``k``" is read
 operationally as "the delivery lands in ``M_j[k]`` before ``p_j``
 executes ``compute(k, ·)``", and the property quantifies over correct

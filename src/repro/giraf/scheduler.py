@@ -431,6 +431,14 @@ class DriftingLoop:
     def _nominal(self, pid: int, invocation: int) -> float:
         return self._phases[pid] + invocation * self._periods[pid]
 
+    def _schedule_eor(self, pid: int, invocation: int, now: float) -> None:
+        """Schedule ``pid``'s ``invocation``-th end-of-round at its
+        nominal time, or now if that has passed: a process that fired
+        late (after a gate release) catches up from the present, so the
+        clock never runs backwards."""
+        when = self._nominal(pid, invocation)
+        self.kernel.schedule(when if when > now else now, "eor", (pid, invocation))
+
     # ------------------------------------------------------------------
     # planning
     # ------------------------------------------------------------------
@@ -533,10 +541,7 @@ class DriftingLoop:
         satisfied: at its nominal time, or now if that has passed."""
         if self.satisfied(pid, round_no):
             del self._waiting[pid]
-            when = self._nominal(pid, round_no + 1)
-            if when < now:
-                when = now
-            self.kernel.schedule(when, "eor", (pid, round_no + 1))
+            self._schedule_eor(pid, round_no + 1, now)
 
     def _exit(self, pid: int, now: float) -> None:
         """``pid`` crashed or halted.  It sends nothing more, so drop it
@@ -593,14 +598,13 @@ class DriftingLoop:
         handlers = path.handlers
         kernel = self.kernel
         crash_plan_for = kernel.crashes.plan_for
-        schedule = kernel.schedule
+        schedule_eor = self._schedule_eor
         next_event = kernel.next_event
         has_events = kernel.has_events
         max_rounds = kernel.max_rounds
-        nominal = self._nominal
         active, rounds, waiting = self.active, self.rounds, self._waiting
         for pid in self.pids:
-            schedule(nominal(pid, 1), "eor", (pid, 1))
+            kernel.schedule(self._nominal(pid, 1), "eor", (pid, 1))
         while has_events():
             now, kind, data = next_event()
             if kind != "eor":
@@ -626,9 +630,7 @@ class DriftingLoop:
                 if crashing:
                     self._crash(pid, invocation, now, before_send=False)
                 else:
-                    schedule(
-                        nominal(pid, invocation + 1), "eor", (pid, invocation + 1)
-                    )
+                    schedule_eor(pid, invocation + 1, now)
             else:
                 kernel.record_halt(kernel.processes[pid], rounds[pid], now)
                 self._exit(pid, now)
@@ -727,12 +729,15 @@ class DriftingScheduler:
     if they have not arrived, the end-of-round is postponed until they
     do — GIRAF's environment controls ``end-of-round``, so holding it
     back is exactly how a constructive environment realizes its own
-    timeliness promises.
+    timeliness promises.  A postponed process resumes from the
+    present: its next end-of-round is due at its nominal time or at
+    once if that has passed, so the clock never runs backwards.
 
-    Obligations are planned lazily per round and re-planned when an
+    Obligations are planned lazily per round over the active correct
+    processes that have not passed the round, and re-planned when an
     obligatory sender halts or crashes before sending that round (the
-    replacement is an active correct process that has not passed the
-    round yet; see DESIGN.md §4 on halting).
+    replacement is drawn from the same candidates; see ARCHITECTURE.md,
+    "The drifting loop").
 
     Link timeliness is planned **once per round** through the
     environment's vectorized ``plan_round_links`` (the per-round matrix

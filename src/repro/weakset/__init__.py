@@ -44,7 +44,6 @@ from repro.weakset.sharding import (
     MultiprocessBackend,
     RebalanceStats,
     SerialBackend,
-    ShardBackend,
     ShardServer,
     ShardedWeakSetCluster,
     ShardedWeakSetHandle,
@@ -93,7 +92,6 @@ __all__ = [
     "RegisterEntry",
     "RetryPolicy",
     "SerialBackend",
-    "ShardBackend",
     "ShardRecoveryStats",
     "ShardServer",
     "ShardSupervisor",

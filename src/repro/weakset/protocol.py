@@ -6,14 +6,12 @@ closed set of **round-trip message types**, one dataclass pair each:
 ========  ==============================  ==============================
 exchange  request                         reply
 ========  ==============================  ==============================
-round     :class:`RoundRequest` — the     :class:`RoundReply` — shard
-          adds queued since the last      liveness, completed adds,
-          tick ride with the step         the crash set and the clock
-batch     :class:`StepBatchRequest` —     :class:`StepBatchReply` — the
-          advance up to ``rounds``        same fields plus how many
-          lock-step ticks in one frame    ticks actually executed
-          (queued adds apply before
-          the first tick)
+step      :class:`StepBatchRequest` —     :class:`StepBatchReply` — shard
+          advance up to ``rounds``        liveness, how many ticks
+          lock-step ticks (one tick is    executed, completed adds, the
+          ``rounds=1``); the adds         crash set and the clock
+          queued since the last step
+          apply before the first tick
 peek      :class:`PeekRequest` — one      :class:`PeekReply` — the
           process's ``get`` (plus any     process's crash flag and its
           queued adds, so ordering is     local ``PROPOSED`` set
@@ -38,8 +36,8 @@ codec — there is no codec byte and nothing to negotiate::
     body   := tag:uint8 fields…
 
 The body is a struct-packed field layout for the hot round-trip
-messages (round / batch / peek / mux), which keeps pure-Python JSON
-out of every socket frame::
+messages (step / peek / mux), which keeps pure-Python JSON out of
+every socket frame::
 
     adds        := count:u32 [bulk:u8 …]       (absent when count=0)
     bulk=1      := (token:u64 pid:u32)* charlen:u32* bytes:u32 utf8
@@ -61,16 +59,16 @@ calls instead of one recursive encode per node.  The recursive walker
 stays as the fallback for every other container, so the two layouts
 carry the identical value universe.
 
-Message layouts: tag 1 ``RoundRequest`` = adds; tag 2 ``RoundReply`` =
-alive:u8 count:u32 (token:u64 end:f64)* count:u32 crashed:u32* now:f64;
-tag 3 ``PeekRequest`` = pid:u32 adds; tag 4 ``PeekReply`` = crashed:u8
-bulk:u8 count:u32 then (bulk=1) a string-set column layout like the
-adds' or (bulk=0) ``count`` values; tag 5 ``StepBatchRequest`` =
-rounds:u32 adds; tag 6 ``StepBatchReply`` = alive:u8 executed:u32 then
-as tag 2; tags 7/8 ``MuxRequest``/``MuxReply`` = count:u32 then
-length-prefixed sub-bodies.  Tag 0 is the JSON escape for the cold
-messages (trace, stop, error, hello, config, migrate): canonical JSON
-(sorted keys, no whitespace) behind the tag.
+Message layouts: tag 3 ``PeekRequest`` = pid:u32 adds; tag 4
+``PeekReply`` = crashed:u8 bulk:u8 count:u32 then (bulk=1) a
+string-set column layout like the adds' or (bulk=0) ``count`` values;
+tag 5 ``StepBatchRequest`` = rounds:u32 adds; tag 6 ``StepBatchReply``
+= alive:u8 executed:u32 count:u32 (token:u64 end:f64)* count:u32
+crashed:u32* now:f64; tags 7/8 ``MuxRequest``/``MuxReply`` = count:u32
+then length-prefixed sub-bodies.  Tags 1 and 2 (the single-tick pair
+of versions 2–6) are retired and decode as unknown tags.  Tag 0 is the
+JSON escape for the cold messages (trace, stop, error, hello, config,
+migrate): canonical JSON (sorted keys, no whitespace) behind the tag.
 
 The ``'J'`` value escape routes anything outside the native scalar/
 tuple/frozenset universe (``⊥``, interned histories, counter maps,
@@ -94,12 +92,12 @@ you trust (loopback, or a network you control).
 
 Example — a frame is a few dozen bytes and round-trips exactly:
 
-    >>> request = RoundRequest(adds=((0, 2, "alpha"),))
+    >>> request = StepBatchRequest(rounds=1, adds=((0, 2, "alpha"),))
     >>> frame = encode_message(request)
     >>> frame[:1] == bytes([PROTOCOL_VERSION])
     True
     >>> decode_message(frame)
-    RoundRequest(adds=((0, 2, 'alpha'),))
+    StepBatchRequest(rounds=1, adds=((0, 2, 'alpha'),))
 """
 
 from __future__ import annotations
@@ -130,8 +128,6 @@ __all__ = [
     "VersionMismatch",
     "QueuedAdd",
     "WorldConfig",
-    "RoundRequest",
-    "RoundReply",
     "StepBatchRequest",
     "StepBatchReply",
     "PeekRequest",
@@ -166,8 +162,10 @@ __all__ = [
 #: that resets one worker's world in place before the parent replays
 #: its rewritten history (``join_shard`` / ``leave_shard``); version 6
 #: dropped the JSON frame codec: the codec byte left the header and the
-#: codec fields left :class:`HelloRequest` / :class:`ConfigReply`.
-PROTOCOL_VERSION = 6
+#: codec fields left :class:`HelloRequest` / :class:`ConfigReply`;
+#: version 7 retired the single-tick pair (tags 1/2): every tick
+#: crosses as a :class:`StepBatchRequest` (one tick is ``rounds=1``).
+PROTOCOL_VERSION = 7
 
 _HEADER = struct.Struct(">BI")
 
@@ -223,32 +221,16 @@ class WorldConfig:
 # the round-trip message types
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class RoundRequest:
-    """Advance the shard world one tick; queued adds ride along."""
-
-    adds: Tuple[QueuedAdd, ...] = ()
-
-
-@dataclass(frozen=True)
-class RoundReply:
-    """One tick's outcome: liveness, completions, crash set, clock."""
-
-    alive: bool
-    completions: Tuple[Tuple[int, float], ...]
-    crashed: FrozenSet[int]
-    now: float
-
-
-@dataclass(frozen=True)
 class StepBatchRequest:
     """Advance up to ``rounds`` lock-step ticks in one frame.
 
-    The round-batched twin of :class:`RoundRequest`: queued adds apply
-    before the **first** tick (exactly where ``rounds`` consecutive
-    single-round frames would apply them — the parent drains its queue
-    into the first frame of any run of steps), and the worker stops
-    early when its world goes dead mid-batch.  One frame pair instead
-    of ``rounds`` — the ``round_batch=K`` lever for high-latency links.
+    Every tick crosses in one of these (a single tick is
+    ``rounds=1``).  Queued adds apply before the **first** tick —
+    exactly where ``rounds`` consecutive one-tick frames would apply
+    them, since the parent drains its queue into the first frame of
+    any run of steps — and the worker stops early when its world goes
+    dead mid-batch.  One frame pair instead of ``rounds``: the
+    ``round_batch=K`` lever for high-latency links.
     """
 
     rounds: int
@@ -257,12 +239,13 @@ class StepBatchRequest:
 
 @dataclass(frozen=True)
 class StepBatchReply:
-    """A batch's outcome: :class:`RoundReply` plus the executed count.
+    """A step's outcome: liveness, executed ticks, completions, crash
+    set, clock.
 
-    ``completions`` carry the same simulated-time ``end`` stamps the
-    per-round replies would have reported — batching coalesces frames,
-    not simulated time — and ``executed`` says how many ticks actually
-    ran (fewer than requested only when the world went dead).
+    ``completions`` carry the simulated-time ``end`` stamps one-tick
+    steps would have reported — batching coalesces frames, not
+    simulated time — and ``executed`` says how many ticks actually ran
+    (fewer than requested only when the world went dead).
     """
 
     alive: bool
@@ -510,6 +493,7 @@ _I64 = struct.Struct(">q")
 _F64 = struct.Struct(">d")
 _SIZED = struct.Struct(">cI")          # value kind byte + length/count
 _ADD_HEAD = struct.Struct(">QI")       # token, pid
+_BATCH_REP_HEAD = struct.Struct(">II")  # executed, completion count
 
 
 @lru_cache(maxsize=1024)
@@ -848,57 +832,33 @@ def _unpack_adds(body: bytes, offset: int) -> Tuple[Tuple[QueuedAdd, ...], int]:
     return tuple(adds), offset
 
 
-def _pack_round_outcome(
-    completions: Tuple[Tuple[int, float], ...],
-    crashed: FrozenSet[int],
-    now: float,
-    out: bytearray,
-) -> None:
-    count = len(completions)
-    out += _U32.pack(count)
-    if count:
-        out += _repeat("Qd", count).pack(*chain.from_iterable(completions))
-    count = len(crashed)
-    out += _U32.pack(count)
-    if count:
-        out += _repeat("I", count).pack(*sorted(crashed))
-    out += _F64.pack(now)
-
-
-def _unpack_round_outcome(body: bytes, offset: int):
-    (count,) = _U32.unpack_from(body, offset)
-    offset += 4
-    if count:
-        _check_items(body, offset, count, 16)
-        flat = _repeat("Qd", count).unpack_from(body, offset)
-        offset += 16 * count
-        completions = tuple(zip(flat[0::2], flat[1::2]))
-    else:
-        completions = ()
-    (count,) = _U32.unpack_from(body, offset)
-    offset += 4
-    _check_items(body, offset, count, 4)
-    crashed = frozenset(_repeat("I", count).unpack_from(body, offset))
-    offset += 4 * count
-    (now,) = _F64.unpack_from(body, offset)
-    return completions, crashed, now, offset + 8
-
-
-#: body tags; 0 is the JSON escape for the cold messages.
-_B_JSON, _B_ROUND_REQ, _B_ROUND_REP, _B_PEEK_REQ, _B_PEEK_REP = 0, 1, 2, 3, 4
+#: body tags; 0 is the JSON escape for the cold messages.  Tags 1 and
+#: 2 (the single-tick pair up to version 6) stay unassigned.
+_B_JSON, _B_PEEK_REQ, _B_PEEK_REP = 0, 3, 4
 _B_BATCH_REQ, _B_BATCH_REP = 5, 6
 _B_MUX_REQ, _B_MUX_REP = 7, 8
 
 
 def _encode_binary_body(message: object, out: bytearray) -> None:
     kind = type(message)
-    if kind is RoundRequest:
-        out.append(_B_ROUND_REQ)
+    if kind is StepBatchRequest:
+        out.append(_B_BATCH_REQ)
+        out += _U32.pack(message.rounds)
         _pack_adds(message.adds, out)
-    elif kind is RoundReply:
-        out.append(_B_ROUND_REP)
+    elif kind is StepBatchReply:
+        out.append(_B_BATCH_REP)
         out.append(1 if message.alive else 0)
-        _pack_round_outcome(message.completions, message.crashed, message.now, out)
+        out += _U32.pack(message.executed)
+        completions = message.completions
+        count = len(completions)
+        out += _U32.pack(count)
+        if count:
+            out += _repeat("Qd", count).pack(*chain.from_iterable(completions))
+        count = len(message.crashed)
+        out += _U32.pack(count)
+        if count:
+            out += _repeat("I", count).pack(*sorted(message.crashed))
+        out += _F64.pack(message.now)
     elif kind is PeekRequest:
         out.append(_B_PEEK_REQ)
         out += _U32.pack(message.pid)
@@ -928,15 +888,6 @@ def _encode_binary_body(message: object, out: bytearray) -> None:
             out += _U32.pack(count)
             for item in sorted(proposed, key=repr):
                 _encode_binary_value(item, out)
-    elif kind is StepBatchRequest:
-        out.append(_B_BATCH_REQ)
-        out += _U32.pack(message.rounds)
-        _pack_adds(message.adds, out)
-    elif kind is StepBatchReply:
-        out.append(_B_BATCH_REP)
-        out.append(1 if message.alive else 0)
-        out += _U32.pack(message.executed)
-        _pack_round_outcome(message.completions, message.crashed, message.now, out)
     elif kind is MuxRequest or kind is MuxReply:
         # length-prefixed sub-bodies, each a complete tagged binary
         # body — the hot sub-messages keep their struct-packed layouts
@@ -960,16 +911,34 @@ def _decode_binary_body(body: bytes) -> object:
         raise ProtocolError("empty binary frame body")
     tag = body[0]
     try:
+        if tag == _B_BATCH_REQ:
+            (rounds,) = _U32.unpack_from(body, 1)
+            adds, _offset = _unpack_adds(body, 5)
+            return StepBatchRequest(rounds=rounds, adds=adds)
+        if tag == _B_BATCH_REP:
+            executed, count = _BATCH_REP_HEAD.unpack_from(body, 2)
+            offset = 10
+            if count:
+                _check_items(body, offset, count, 16)
+                flat = _repeat("Qd", count).unpack_from(body, offset)
+                offset += 16 * count
+                completions = tuple(zip(flat[0::2], flat[1::2]))
+            else:
+                completions = ()
+            (count,) = _U32.unpack_from(body, offset)
+            offset += 4
+            _check_items(body, offset, count, 4)
+            crashed = frozenset(_repeat("I", count).unpack_from(body, offset))
+            (now,) = _F64.unpack_from(body, offset + 4 * count)
+            return StepBatchReply(
+                alive=bool(body[1]),
+                executed=executed,
+                completions=completions,
+                crashed=crashed,
+                now=now,
+            )
         if tag == _B_JSON:
             return _decode_json_body(body[1:])
-        if tag == _B_ROUND_REQ:
-            adds, _offset = _unpack_adds(body, 1)
-            return RoundRequest(adds=adds)
-        if tag == _B_ROUND_REP:
-            completions, crashed, now, _offset = _unpack_round_outcome(body, 2)
-            return RoundReply(
-                alive=bool(body[1]), completions=completions, crashed=crashed, now=now
-            )
         if tag == _B_PEEK_REQ:
             (pid,) = _U32.unpack_from(body, 1)
             adds, _offset = _unpack_adds(body, 5)
@@ -995,20 +964,6 @@ def _decode_binary_body(body: bytes) -> object:
                     item, offset = _decode_binary_value(body, offset)
                     items.append(item)
             return PeekReply(crashed=bool(body[1]), proposed=frozenset(items))
-        if tag == _B_BATCH_REQ:
-            (rounds,) = _U32.unpack_from(body, 1)
-            adds, _offset = _unpack_adds(body, 5)
-            return StepBatchRequest(rounds=rounds, adds=adds)
-        if tag == _B_BATCH_REP:
-            (executed,) = _U32.unpack_from(body, 2)
-            completions, crashed, now, _offset = _unpack_round_outcome(body, 6)
-            return StepBatchReply(
-                alive=bool(body[1]),
-                executed=executed,
-                completions=completions,
-                crashed=crashed,
-                now=now,
-            )
         if tag in (_B_MUX_REQ, _B_MUX_REP):
             (count,) = _U32.unpack_from(body, 1)
             offset = 5

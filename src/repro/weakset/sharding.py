@@ -12,21 +12,21 @@ shard stays the size of *that shard's* value population instead of the
 whole set, which is the multi-machine story: each shard group can live
 on its own machine, and clients fan ``get`` out and union.
 
-Execution of the K shard worlds goes through a pluggable
-:class:`ShardBackend` seam, built as an explicit three-layer stack:
+Execution of the K shard worlds is an explicit three-layer stack:
 
 * the **wire protocol** (:mod:`repro.weakset.protocol`) — the
-  round-trip message types (round / batch / peek / trace / stop, plus
-  mux and migrate) as frozen dataclasses with one versioned,
-  length-prefixed binary codec;
+  round-trip message types (step / peek / trace / stop, plus mux and
+  migrate) as frozen dataclasses with one versioned, length-prefixed
+  binary codec;
 * the **transports** (:mod:`repro.weakset.transport`) — where a shard
   world lives: in this process with no codec
   (:class:`~repro.weakset.transport.DirectTransport`), in this process
   behind the codec (:class:`~repro.weakset.transport.InProcTransport`),
   behind a ``multiprocessing`` pipe, or across a TCP socket — plus the
-  ``exchange_all`` round loop that issues every shard's request first
-  and harvests replies, as they arrive when the channels are
-  selectable (order-canonical, so traces stay byte-identical);
+  two halves of every exchange: ``send_all`` issues every shard's
+  request first and ``harvest_all`` collects the replies, as they
+  arrive when the channels are selectable (order-canonical, so traces
+  stay byte-identical);
 * the **driver** (this module) — one :class:`TransportBackend` that
   every backend is a thin composition of: :class:`SerialBackend`
   (direct transports, the default), :class:`InProcBackend`,
@@ -100,8 +100,6 @@ from repro.weakset.protocol import (
     PeekRequest,
     ProtocolError,
     QueuedAdd,
-    RoundReply,
-    RoundRequest,
     StepBatchReply,
     StepBatchRequest,
     StopReply,
@@ -126,7 +124,6 @@ from repro.weakset.transport import (
     SocketTransport,
     Transport,
     TransportError,
-    exchange_all,
     harvest_all,
     send_all,
     serve_requests,
@@ -135,7 +132,6 @@ from repro.weakset.transport import (
 __all__ = [
     "ShardedWeakSetCluster",
     "ShardedWeakSetHandle",
-    "ShardBackend",
     "SerialBackend",
     "TransportBackend",
     "InProcBackend",
@@ -357,174 +353,6 @@ def _member_replay_requests(
 
 
 # ----------------------------------------------------------------------
-# the backend seam
-# ----------------------------------------------------------------------
-class ShardBackend(ABC):
-    """Executes the K shard worlds behind :class:`ShardedWeakSetCluster`.
-
-    The facade owns routing, the operation log, and the blocking-add
-    loop; the backend owns *where the shard clusters live and step*.
-    Implementations must preserve the plain shard semantics exactly:
-    a shard is an :class:`~repro.weakset.cluster.MSWeakSetCluster` that
-    receives the same ``begin_add``/``step`` sequence a standalone
-    cluster would (equivalence is pinned — and fuzzed against plain
-    clusters — in ``tests/weakset/test_shard_backends.py``).
-
-    Attributes:
-        num_shards: how many shard worlds the backend drives.
-        members: the sorted member ids owning the shard worlds, one per
-            slot (``members[slot]`` seeds slot ``slot``'s world:
-            environment factory argument, worker handshake index).  A
-            freshly constructed backend has ``members == [0..K-1]``;
-            runtime membership (:meth:`apply_membership`) may leave
-            holes, e.g. ``[0, 2, 3]`` after member 1 left.
-        n: process count inside every shard world.
-        round_batch: how many lock-step ticks the facade's ``advance``
-            coalesces into one :meth:`step_batch` call (transport
-            backends turn that into **one frame pair per worker** —
-            the high-latency-link lever).  Default 1.
-        window: how many round batches a multi-chunk :meth:`advance`
-            may keep **in flight** at once (the driver sends batch
-            ``k+1`` before batch ``k``'s replies are harvested — the
-            round-trip-hiding lever; see
-            :meth:`TransportBackend.advance`).  Traces are identical
-            for every window.  Default 1: strict send-then-harvest.
-    """
-
-    num_shards: int
-    members: List[int]
-    n: int
-    round_batch: int = 1
-    window: int = 1
-
-    def apply_membership(
-        self,
-        new_members: List[int],
-        route_old: Callable[[Hashable], int],
-        route_new: Callable[[Hashable], int],
-    ) -> RebalanceStats:
-        """Rebalance to ``new_members`` (member-id routes old/new).
-
-        :class:`TransportBackend` — every built-in backend — supports
-        runtime membership while each channel hosts one world; the
-        default here rejects it for custom backends.
-        """
-        raise SimulationError(
-            f"{type(self).__name__} does not support runtime membership"
-        )
-
-    @property
-    @abstractmethod
-    def now(self) -> float:
-        """The shared lock-step clock (all shards advance together)."""
-
-    @property
-    @abstractmethod
-    def exhausted(self) -> bool:
-        """True once any shard world ran out of rounds."""
-
-    @abstractmethod
-    def begin_add(self, shard_index: int, pid: int, value: Hashable) -> AddRecord:
-        """Start an add of ``value`` by ``pid`` on shard ``shard_index``.
-
-        Returns an :class:`~repro.weakset.spec.AddRecord` whose ``end``
-        the backend stamps once the shard world reports the value
-        written.  Raises :class:`~repro.errors.SimulationError` for a
-        crashed ``pid`` and :class:`~repro.errors.ProtocolMisuse` while
-        a previous add by ``pid`` on the same shard is still blocked —
-        the same errors, at the same call, as a plain cluster.
-        """
-
-    @abstractmethod
-    def step(self) -> bool:
-        """Advance every shard one tick; False once any shard is done."""
-
-    def step_batch(self, rounds: int) -> Tuple[int, bool]:
-        """Advance every shard up to ``rounds`` ticks in one call.
-
-        Returns ``(executed, alive)``: how many step calls were made
-        (stopping after the first that reported a dead world — exactly
-        the sequence a loop of :meth:`step` calls would make) and the
-        last step's liveness.  The default delegates to :meth:`step`;
-        transport backends override it to coalesce the whole batch
-        into one frame pair per worker.  Queued adds apply before the
-        first tick either way, so traces are identical across batch
-        sizes (pinned in ``tests/weakset/test_shard_backends.py``).
-        """
-        if rounds < 1:
-            raise SimulationError("step_batch needs rounds >= 1")
-        executed = 0
-        alive = True
-        for _ in range(rounds):
-            alive = self.step()
-            executed += 1
-            if not alive:
-                break
-        return executed, alive
-
-    def advance(self, rounds: int) -> int:
-        """Run every shard up to ``rounds`` ticks; return how many ran.
-
-        Ticks are issued in chunks of :attr:`round_batch` through
-        :meth:`step_batch` and stop early once a shard world dies —
-        exactly the loop the facade's :meth:`ShardedWeakSetCluster.advance`
-        historically ran inline.  Living on the backend seam lets a
-        transport backend override it with the pipelined (windowed)
-        driver while every backend keeps the identical tick sequence.
-        """
-        executed_total = 0
-        remaining = rounds
-        while remaining > 0:
-            executed, alive = self.step_batch(min(self.round_batch, remaining))
-            executed_total += executed
-            remaining -= executed
-            if not alive:
-                break
-        return executed_total
-
-    @abstractmethod
-    def crashed(self, shard_index: int, pid: int) -> bool:
-        """Whether ``pid`` has crashed in shard ``shard_index``'s world."""
-
-    @abstractmethod
-    def local_views(self, pid: int) -> List[Tuple[bool, FrozenSet[Hashable]]]:
-        """Per-shard ``(crashed, local PROPOSED)`` pairs for one ``get``.
-
-        Returned in shard order; the facade raises on the first crashed
-        entry and unions the rest, mirroring the serial shard loop.
-        """
-
-    @abstractmethod
-    def traces(self) -> List[RunTrace]:
-        """Per-shard run traces (index = shard).
-
-        The serial backend returns the live trace objects; backends
-        behind a codec return point-in-time snapshots fetched from the
-        workers.
-        """
-
-    @property
-    def recovery_stats(self) -> Optional[ShardRecoveryStats]:
-        """Recovery counters when supervision is on, else ``None``.
-
-        Only a :class:`TransportBackend` constructed with
-        ``recover=True`` has a supervisor to count anything; every
-        other backend reports ``None`` so callers can surface the
-        stats unconditionally.
-        """
-        return None
-
-    def close(self) -> None:
-        """Release backend resources (worker processes, channels)."""
-
-    def __enter__(self) -> "ShardBackend":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-
-# ----------------------------------------------------------------------
 # the worker side: one shard world behind the wire protocol
 # ----------------------------------------------------------------------
 class ShardServer:
@@ -539,12 +367,12 @@ class ShardServer:
 
     Example (driving the protocol without any transport):
 
-        >>> from repro.weakset.protocol import RoundRequest, PeekRequest
+        >>> from repro.weakset.protocol import PeekRequest, StepBatchRequest
         >>> config = WorldConfig(3, _default_environment, None, 100, "full")
         >>> server = ShardServer(config, shard_index=0)
-        >>> reply = server.handle(RoundRequest(adds=((0, 1, "job-7"),)))
-        >>> reply.alive, reply.now
-        (True, 1.0)
+        >>> reply = server.handle(StepBatchRequest(1, adds=((0, 1, "job-7"),)))
+        >>> reply.alive, reply.executed, reply.now
+        (True, 1, 1.0)
         >>> "job-7" in server.handle(PeekRequest(pid=1)).proposed
         True
     """
@@ -588,60 +416,30 @@ class ShardServer:
             del self._records[token]
         return completions
 
-    def _dead_round_reply(self) -> RoundReply:
-        """The no-op reply for a step aimed at an already-dead world.
-
-        A pipelined parent may have several round batches in flight
-        when a world dies; the speculative suffix lands here and must
-        change nothing — matching the scheduler's own behaviour at the
-        horizon, where a further step is a no-op returning False.  The
-        driver discards these replies, so all that matters is that the
-        world (and its trace) is untouched and the clock unchanged.
-        """
-        return RoundReply(
-            alive=False,
-            completions=self._take_completions(),
-            crashed=self._crashed_set(),
-            now=self.cluster.now,
-        )
-
     def handle(self, request: object) -> object:
         """Answer one request; raises on protocol misuse (the serve
         loop converts that into an :class:`~repro.weakset.protocol.ErrorReply`)."""
-        if isinstance(request, RoundRequest):
-            self._apply_adds(request.adds)
-            if self.cluster.exhausted:
-                return self._dead_round_reply()
-            alive = self.cluster.step()
-            return RoundReply(
-                alive=alive,
-                completions=self._take_completions(),
-                crashed=self._crashed_set(),
-                now=self.cluster.now,
-            )
         if isinstance(request, StepBatchRequest):
             if request.rounds < 1:
                 raise ProtocolMisuse("step batch needs rounds >= 1")
             self._apply_adds(request.adds)
             if self.cluster.exhausted:
-                reply = self._dead_round_reply()
-                return StepBatchReply(
-                    alive=False,
-                    executed=1,
-                    completions=reply.completions,
-                    crashed=reply.crashed,
-                    now=reply.now,
-                )
-            alive = True
-            executed = 0
-            # the exact step sequence `rounds` single-round requests
-            # would drive; completions keep their simulated-time end
-            # stamps, so batching coalesces frames, not time
-            for _ in range(request.rounds):
-                alive = self.cluster.step()
-                executed += 1
-                if not alive:
-                    break
+                # A step aimed at an already-dead world is a no-op, as
+                # the scheduler's own step is at the horizon: a
+                # pipelined parent may have several steps in flight
+                # when a world dies, and it discards their replies, so
+                # the world, its trace and its clock stay untouched.
+                alive, executed = False, 1
+            else:
+                alive, executed = True, 0
+                # the exact step sequence `rounds` one-tick requests
+                # would drive; completions keep their simulated-time
+                # end stamps, so batching coalesces frames, not time
+                for _ in range(request.rounds):
+                    alive = self.cluster.step()
+                    executed += 1
+                    if not alive:
+                        break
             return StepBatchReply(
                 alive=alive,
                 executed=executed,
@@ -946,37 +744,43 @@ def spawn_socket_workers(
 # ----------------------------------------------------------------------
 # the parent side: the shared driver
 # ----------------------------------------------------------------------
-class TransportBackend(ShardBackend):
-    """Shard execution composed from protocol + transports + driver.
+class TransportBackend(ABC):
+    """Executes the K shard worlds behind :class:`ShardedWeakSetCluster`.
 
-    This is the shared parent-side driver every backend is a thin
+    The facade owns routing, the operation log and the blocking-add
+    loop; the backend owns *where the shard worlds live and step*.
+    This is the one parent-side driver every backend is a thin
     composition of: it mirrors exactly the shard state the facade
     consults between steps — the shared clock, per-shard crash sets,
     shard exhaustion, and which adds are still in flight — so handle
-    operations stay local, and cross-channel traffic is **one
-    request/reply pair per shard per round** (a
-    :class:`~repro.weakset.protocol.RoundRequest` carries the adds
-    queued since the last tick; the reply carries completions, the
-    crash set and the clock) plus one pair per shard per ``get``.
+    operations stay local.  Each world is a :class:`ShardServer`
+    receiving the same ``begin_add``/``step`` sequence a standalone
+    :class:`~repro.weakset.cluster.MSWeakSetCluster` would (equivalence
+    is pinned — and fuzzed against plain clusters — in
+    ``tests/weakset/test_shard_backends.py``).
 
-    Each exchange issues all shard requests first, then harvests one
-    reply per shard (:func:`repro.weakset.transport.exchange_all`).
-    When every channel is selectable and neither ``recover`` nor
-    ``fault_plan`` is set, the backend keeps one long-lived selector
-    and the harvest **overlaps**: replies are collected as they arrive
-    rather than in fixed shard order, so a slow worker no longer
-    serializes the harvest behind a fast one.  Replies are *processed*
-    in canonical shard order regardless of arrival, so traces stay
-    byte-identical for a fixed seed.
+    Every exchange — a step, a ``get``'s peek, a trace fetch — is one
+    send of a request per shard followed by one harvest of a reply per
+    shard.  A step is a
+    :class:`~repro.weakset.protocol.StepBatchRequest` carrying the adds
+    queued since the last step (one tick is ``rounds=1``); its reply
+    carries the executed count, completions, the crash set and the
+    clock.  When every channel is selectable and neither ``recover``
+    nor ``fault_plan`` is set, the backend keeps one long-lived
+    selector and the harvest **overlaps**: replies are collected as
+    they arrive rather than in fixed shard order, so a slow worker no
+    longer serializes the harvest behind a fast one.  Replies are
+    *processed* in canonical shard order regardless of arrival, so
+    traces stay byte-identical for a fixed seed.
 
-    With ``window > 1`` a multi-chunk :meth:`advance` goes further and
-    **pipelines** the exchanges themselves: up to ``window`` round
-    batches are encoded and sent before the oldest batch's replies are
-    harvested, so the wire carries requests and replies concurrently
-    and a worker can run straight into its next batch without waiting
-    out the parent's fold-in.  Replies are still harvested and folded
-    oldest-batch-first (each channel is FIFO), so the mirror updates —
-    and therefore the traces — are byte-identical to ``window=1``; see
+    :meth:`advance` sends steps of up to ``round_batch`` ticks and
+    keeps up to ``window`` of them in flight: step ``k+1`` is encoded
+    and sent before step ``k``'s replies are harvested, so the wire
+    carries requests and replies concurrently and a worker can run
+    straight into its next step without waiting out the parent's
+    fold-in.  Replies are still harvested and folded oldest-first
+    (each channel is FIFO), so the mirror updates — and therefore the
+    traces — are identical for every batch and window size; see
     :meth:`advance` for the death-mid-window story.
 
     Mux (socket backend only): ``worlds_per_worker > 1`` assigns one
@@ -1009,6 +813,21 @@ class TransportBackend(ShardBackend):
     deterministic per-shard detection matters more than harvest
     overlap when channels are expected to die (and a closed fd
     silently drops out of an epoll set).
+
+    Attributes:
+        num_shards: how many shard worlds the backend drives.
+        members: the sorted member ids owning the shard worlds, one per
+            slot (``members[slot]`` seeds slot ``slot``'s world:
+            environment factory argument, worker handshake index).  A
+            freshly constructed backend has ``members == [0..K-1]``;
+            runtime membership (:meth:`apply_membership`) may leave
+            holes, e.g. ``[0, 2, 3]`` after member 1 left.
+        n: process count inside every shard world.
+        round_batch: how many lock-step ticks one step of
+            :meth:`advance` carries (one frame pair per worker).
+        window: how many steps :meth:`advance` keeps in flight.
+        exchanges / frame_pairs: driver exchanges issued, and the
+            request/reply frame pairs they carried.
     """
 
     def __init__(
@@ -1140,6 +959,8 @@ class TransportBackend(ShardBackend):
     # -- supervision hooks -----------------------------------------------
     @property
     def recovery_stats(self) -> Optional[ShardRecoveryStats]:
+        """Recovery counters when supervision is on (``recover=True``),
+        else ``None``, so callers can surface them unconditionally."""
         return self._supervisor.stats if self._supervisor is not None else None
 
     def _respawn(self, shard_index: int, *, resume_round: int = 0) -> Transport:
@@ -1228,13 +1049,38 @@ class TransportBackend(ShardBackend):
                 )
         return replies
 
-    def _exchange(self, requests: List[object]) -> List[object]:
-        """One round trip; replies in canonical shard order."""
+    def _send(self, requests: List[object]) -> Optional[List[float]]:
+        """The send half of an exchange: one request per shard.
+
+        Returns the per-request reply deadlines for :meth:`_harvest`
+        (``None`` when replies are unbounded, or supervised: the
+        supervisor keeps its own window and deadlines).
+        """
         self.exchanges += 1
         self.frame_pairs += len(self._transports)
         if self._supervisor is not None:
+            self._supervisor.send_window(requests)
+            return None
+        try:
+            return send_all(
+                self._transports,
+                self._wire_requests(requests),
+                timeout=self._request_timeout,
+            )
+        except TransportError as error:
+            raise self._failed_mid_round(error) from None
+
+    def _harvest(
+        self, deadlines: Optional[List[float]], expected: type
+    ) -> List[object]:
+        """The harvest half: the oldest request set's replies, one per
+        shard in canonical order.  A worker-side
+        :class:`~repro.weakset.protocol.ErrorReply` fails closed, and so
+        does any other reply that is not an ``expected`` one: a stale
+        or duplicated frame surfacing an exchange late."""
+        if self._supervisor is not None:
             try:
-                replies = self._supervisor.exchange(requests)
+                replies = self._supervisor.harvest_window()
             except SimulationError:
                 # recovery itself failed: the mirrors and the worlds
                 # can no longer be trusted to agree, so fail closed
@@ -1244,29 +1090,42 @@ class TransportBackend(ShardBackend):
         else:
             try:
                 replies = self._unwire_replies(
-                    exchange_all(
+                    harvest_all(
                         self._transports,
-                        self._wire_requests(requests),
                         selector=self._selector,
+                        deadlines=deadlines,
                         timeout=self._request_timeout,
                     )
                 )
             except TransportError as error:
-                # A worker died mid-round: sibling replies may be
-                # unread and the round half-applied; poison the
-                # backend so later calls cannot consume stale state.
-                self._failed = True
-                raise SimulationError(
-                    f"shard worker failed mid-round (round clock "
-                    f"{self._now:g}): {error}"
-                ) from None
+                raise self._failed_mid_round(error) from None
         for shard_index, reply in enumerate(replies):
-            if isinstance(reply, ErrorReply):
+            if type(reply) is not expected:
                 self._failed = True
+                if isinstance(reply, ErrorReply):
+                    raise SimulationError(
+                        f"shard {shard_index} worker failed:\n{reply.message}"
+                    )
                 raise SimulationError(
-                    f"shard {shard_index} worker failed:\n{reply.message}"
+                    f"shard {shard_index} answered with "
+                    f"{type(reply).__name__} where a {expected.__name__} was "
+                    f"due (round clock {self._now:g}): a stale or duplicated "
+                    "reply is being consumed"
                 )
         return replies
+
+    def _failed_mid_round(self, error: TransportError) -> SimulationError:
+        """Poison the backend for a channel that failed mid-exchange:
+        sibling replies may be unread and the round half-applied, so
+        later calls must not consume stale state."""
+        self._failed = True
+        return SimulationError(
+            f"shard worker failed mid-round (round clock {self._now:g}): {error}"
+        )
+
+    def _exchange(self, requests: List[object], expected: type) -> List[object]:
+        """One round trip: a send and its harvest."""
+        return self._harvest(self._send(requests), expected)
 
     def _ensure_open(self) -> None:
         if self._closed:
@@ -1282,16 +1141,27 @@ class TransportBackend(ShardBackend):
         self._pending = [[] for _ in range(self.num_shards)]
         return batches
 
-    # -- ShardBackend ----------------------------------------------------
+    # -- the backend API -------------------------------------------------
     @property
     def now(self) -> float:
+        """The shared lock-step clock (all shards advance together)."""
         return self._now
 
     @property
     def exhausted(self) -> bool:
+        """True once any shard world ran out of rounds."""
         return any(self._shard_exhausted)
 
     def begin_add(self, shard_index: int, pid: int, value: Hashable) -> AddRecord:
+        """Start an add of ``value`` by ``pid`` on shard ``shard_index``.
+
+        Returns an :class:`~repro.weakset.spec.AddRecord` whose ``end``
+        the backend stamps once the shard world reports the value
+        written.  Raises :class:`~repro.errors.SimulationError` for a
+        crashed ``pid`` and :class:`~repro.errors.ProtocolMisuse` while
+        a previous add by ``pid`` on the same shard is still blocked —
+        the same errors, at the same call, as a plain cluster.
+        """
         self._ensure_open()
         # The shard cluster's checks, mirrored parent-side so a bad add
         # fails fast instead of poisoning a world mid-round (the pid
@@ -1312,41 +1182,8 @@ class TransportBackend(ShardBackend):
         return record
 
     def step(self) -> bool:
-        self._ensure_open()
-        requests = [RoundRequest(adds=batch) for batch in self._take_pending()]
-        return self._apply_step_replies(self._exchange(requests))
-
-    def step_batch(self, rounds: int) -> Tuple[int, bool]:
-        """Advance up to ``rounds`` ticks with **one frame pair per worker**.
-
-        The round-batched exchange: queued adds ride with the batch
-        (applying before its first tick, exactly where a run of
-        single-round frames would apply them), completions come back
-        with their simulated-time end stamps, and the workers stop
-        early in lock-step when a world dies mid-batch (a divergence
-        in executed counts — impossible for the shared horizon and
-        crash schedule every shard world applies — poisons the
-        backend rather than desynchronizing the clocks).
-        """
-        if rounds < 1:
-            raise SimulationError("step_batch needs rounds >= 1")
-        if rounds == 1:
-            return 1, self.step()
-        self._ensure_open()
-        requests = [
-            StepBatchRequest(rounds=rounds, adds=batch)
-            for batch in self._take_pending()
-        ]
-        replies = self._exchange(requests)
-        executed_counts = {reply.executed for reply in replies}
-        if len(executed_counts) != 1:
-            self._failed = True
-            raise SimulationError(
-                "shard worlds diverged mid-batch: executed counts "
-                f"{sorted(executed_counts)} (same horizon and crash schedule "
-                "should stop every shard at the same tick)"
-            )
-        return executed_counts.pop(), self._apply_step_replies(replies)
+        """Advance every shard one tick; False once any shard is done."""
+        return self._drive([1])[1]
 
     # -- runtime membership ----------------------------------------------
     def apply_membership(
@@ -1667,126 +1504,80 @@ class TransportBackend(ShardBackend):
 
     # -- the pipelined (windowed) driver ---------------------------------
     def advance(self, rounds: int) -> int:
-        """Run up to ``rounds`` ticks, keeping ``window`` batches in flight.
+        """Run every shard up to ``rounds`` ticks; return how many ran.
 
-        With ``window=1`` this is exactly the base chunk loop: send a
-        round batch, harvest it, fold it, repeat.  With ``window=W>1``
-        the driver sends up to ``W`` batches before harvesting the
-        oldest — the wire (and the workers) stay busy while the parent
-        folds replies, hiding the per-batch round trip that made
-        batching a timing no-op.
+        Ticks go out as steps of up to :attr:`round_batch` ticks, and up
+        to :attr:`window` steps stay in flight: the driver sends step
+        ``k+1`` before harvesting step ``k``, so the wire (and the
+        workers) stay busy while the parent folds replies, hiding the
+        per-step round trip.  Stops early once a shard world dies.
 
         Determinism is preserved by construction:
 
-        * queued adds ride only with the **first** batch (the facade
-          cannot queue adds mid-``advance``), so every later batch is
-          the empty-adds frame an unpipelined run would send;
-        * channels are FIFO and batches are harvested and folded
+        * queued adds ride only with the **first** step (the facade
+          cannot queue adds mid-``advance``), so every later step is
+          the empty-adds frame a one-step-at-a-time run would send;
+        * channels are FIFO and steps are harvested and folded
           oldest-first, so the mirror update sequence — and therefore
-          every trace — is byte-identical across window sizes;
-        * when a batch reports a dead world, the remaining in-flight
-          batches were **speculative**: the workers answered them with
-          no-op dead replies (see :meth:`ShardServer._dead_round_reply`)
-          that this driver drains off the wire and discards, leaving
-          worlds and mirrors exactly where an unpipelined run stops.
+          every trace — is identical for every batch and window size;
+        * when a step reports a dead world, the steps still in flight
+          were **speculative**: the workers answer them with no-op dead
+          replies (see :meth:`ShardServer.handle`) that this driver
+          drains off the wire and discards, leaving worlds and mirrors
+          exactly where a one-step-at-a-time run stops.
 
-        Supervised (``recover=True``) runs route sends and harvests
-        through the supervisor's window API instead: a worker death
-        mid-window is healed by replaying to the last *acknowledged*
-        batch and re-issuing the whole in-flight suffix
+        Supervised (``recover=True``) runs send and harvest through the
+        supervisor's window instead: a worker death mid-window is
+        healed by replaying to the last *acknowledged* exchange and
+        re-issuing the whole in-flight suffix
         (:meth:`~repro.weakset.supervisor.ShardSupervisor.harvest_window`).
         """
-        if self.window == 1:
-            return super().advance(rounds)
+        batch = self.round_batch
+        return self._drive(
+            [min(batch, rounds - start) for start in range(0, rounds, batch)]
+        )[0]
+
+    def _drive(self, chunks: List[int]) -> Tuple[int, bool]:
+        """Send one step per chunk (its tick count), up to ``window`` in
+        flight, and fold the replies; return (ticks executed, alive)."""
         self._ensure_open()
-        chunks: List[int] = []
-        remaining = rounds
-        while remaining > 0:
-            size = min(self.round_batch, remaining)
-            chunks.append(size)
-            remaining -= size
         in_flight: deque = deque()
         executed_total = 0
         alive = True
         sent = 0
         while sent < len(chunks) or in_flight:
             while alive and sent < len(chunks) and len(in_flight) < self.window:
-                size = chunks[sent]
-                in_flight.append((size, self._window_send(size)))
+                in_flight.append(
+                    self._send(
+                        [
+                            StepBatchRequest(rounds=chunks[sent], adds=batch)
+                            for batch in self._take_pending()
+                        ]
+                    )
+                )
                 sent += 1
             if not in_flight:
-                break  # world died with unsent chunks: abandon them
-            size, deadlines = in_flight.popleft()
-            replies = self._window_harvest(deadlines)
-            if not alive:
-                continue  # speculative batch behind a death: discard
-            executed, alive = self._fold_chunk(size, replies)
-            executed_total += executed
-        return executed_total
+                break  # a world died with chunks unsent: abandon them
+            replies = self._harvest(in_flight.popleft(), StepBatchReply)
+            if alive:
+                executed, alive = self._fold_step(replies)
+                executed_total += executed
+            # else a speculative step behind a death: discard it
+        return executed_total, alive
 
-    def _window_send(self, size: int) -> Optional[List[float]]:
-        """Send one round batch to every shard; per-request deadlines."""
-        batches = self._take_pending()
-        if size == 1:
-            requests: List[object] = [
-                RoundRequest(adds=batch) for batch in batches
-            ]
-        else:
-            requests = [
-                StepBatchRequest(rounds=size, adds=batch) for batch in batches
-            ]
-        self.exchanges += 1
-        self.frame_pairs += len(self._transports)
-        if self._supervisor is not None:
-            self._supervisor.send_window(requests)
-            return None
-        try:
-            return send_all(
-                self._transports,
-                self._wire_requests(requests),
-                timeout=self._request_timeout,
-            )
-        except TransportError as error:
-            self._failed = True
-            raise SimulationError(
-                f"shard worker failed mid-round (round clock "
-                f"{self._now:g}): {error}"
-            ) from None
+    def _fold_step(self, replies: List[object]) -> Tuple[int, bool]:
+        """Fold one step's replies into the parent-side mirrors, in
+        canonical shard order; return (ticks executed, alive).
 
-    def _window_harvest(self, deadlines: Optional[List[float]]) -> List[object]:
-        """Harvest the oldest in-flight batch, one reply per shard."""
-        if self._supervisor is not None:
-            try:
-                replies = self._supervisor.harvest_window()
-            except SimulationError:
-                self._failed = True
-                raise
-            return replies
-        try:
-            wire_replies = harvest_all(
-                self._transports,
-                selector=self._selector,
-                deadlines=deadlines,
-                timeout=self._request_timeout,
-            )
-        except TransportError as error:
-            self._failed = True
-            raise SimulationError(
-                f"shard worker failed mid-round (round clock "
-                f"{self._now:g}): {error}"
-            ) from None
-        return self._unwire_replies(wire_replies)
-
-    def _fold_chunk(self, size: int, replies: List[object]) -> Tuple[int, bool]:
-        """Fold one harvested batch into the mirrors (canonical order)."""
-        for shard_index, reply in enumerate(replies):
-            if isinstance(reply, ErrorReply):
-                self._failed = True
-                raise SimulationError(
-                    f"shard {shard_index} worker failed:\n{reply.message}"
-                )
-        if size == 1:
-            return 1, self._apply_step_replies(replies)
+        Integrity guards stand between the wire and the mirrors.  The
+        workers stop early in lock-step when a world dies mid-step, so
+        their executed counts agree (the shared horizon and crash
+        schedule guarantee it).  A *stale or replayed* reply (e.g. an
+        injected duplicate frame surfacing one exchange late) shows as
+        shard clocks that disagree, or as a completion token the parent
+        is not waiting for.  Any of these poisons the backend — a
+        desynchronized reply stream cannot be consumed safely.
+        """
         executed_counts = {reply.executed for reply in replies}
         if len(executed_counts) != 1:
             self._failed = True
@@ -1795,19 +1586,6 @@ class TransportBackend(ShardBackend):
                 f"{sorted(executed_counts)} (same horizon and crash schedule "
                 "should stop every shard at the same tick)"
             )
-        return executed_counts.pop(), self._apply_step_replies(replies)
-
-    def _apply_step_replies(self, replies: List[object]) -> bool:
-        """Fold round/batch replies into the parent-side mirrors.
-
-        Two integrity guards stand between the wire and the mirrors,
-        both aimed at a *stale or replayed* reply (e.g. an injected
-        duplicate frame surfacing one exchange late): a completion
-        token the parent is not waiting for, and shard clocks that
-        disagree after a lock-step tick.  Either poisons the backend —
-        a desynchronized reply stream cannot be consumed safely.
-        """
-        alive = True
         clocks = {reply.now for reply in replies}
         if len(clocks) > 1:
             self._failed = True
@@ -1816,7 +1594,9 @@ class TransportBackend(ShardBackend):
                 f"{sorted(clocks)} (a stale or duplicated reply is being "
                 "consumed)"
             )
-        self._record_steps(getattr(replies[0], "executed", 1))
+        executed = executed_counts.pop()
+        self._record_steps(executed)
+        alive = True
         for shard_index, reply in enumerate(replies):
             for token, end in reply.completions:
                 record = self._records.pop(token, None)
@@ -1839,27 +1619,38 @@ class TransportBackend(ShardBackend):
             if not reply.alive:
                 self._shard_exhausted[shard_index] = True
                 alive = False
-        return alive
+        return executed, alive
 
     def crashed(self, shard_index: int, pid: int) -> bool:
+        """Whether ``pid`` has crashed in shard ``shard_index``'s world."""
         return pid in self._crashed[shard_index]
 
     def local_views(self, pid: int) -> List[Tuple[bool, FrozenSet[Hashable]]]:
+        """Per-shard ``(crashed, local PROPOSED)`` pairs for one ``get``.
+
+        Returned in shard order; the facade raises on the first crashed
+        entry and unions the rest, mirroring the serial shard loop.
+        Queued adds ride the peek, so they apply before it reads.
+        """
         self._ensure_open()
         requests = [
             PeekRequest(pid=pid, adds=batch) for batch in self._take_pending()
         ]
-        replies = self._exchange(requests)
+        replies = self._exchange(requests, PeekReply)
         return [(reply.crashed, reply.proposed) for reply in replies]
 
     def traces(self) -> List[RunTrace]:
+        """Per-shard run traces (index = shard): the live trace objects
+        on the serial backend, point-in-time snapshots fetched from the
+        workers on the others."""
         self._ensure_open()
         replies = self._exchange(
-            [TraceRequest() for _ in range(self.num_shards)]
+            [TraceRequest() for _ in range(self.num_shards)], TraceReply
         )
         return [reply.trace for reply in replies]
 
     def close(self) -> None:
+        """Release backend resources (worker processes, channels)."""
         if self._closed:
             return
         self._closed = True
@@ -1909,6 +1700,12 @@ class TransportBackend(ShardBackend):
                     "shard worker pid=%s ignored terminate; killed it",
                     getattr(worker, "pid", "?"),
                 )
+
+    def __enter__(self) -> "TransportBackend":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
 
     def __del__(self) -> None:  # pragma: no cover - defensive
         try:
@@ -2364,7 +2161,7 @@ class ShardedWeakSetCluster:
             pipes), ``"socket"`` (workers over loopback TCP, spawned
             automatically), or ``"socket:HOST:PORT"`` (bind there and
             wait for external workers — see :func:`run_socket_worker`);
-            alternatively a constructed :class:`ShardBackend` instance,
+            alternatively a constructed :class:`TransportBackend`,
             which must have been built for the same ``n`` and
             ``shards`` (checked) and supplies its own
             environments/crash schedule/horizon/trace mode (the
@@ -2451,7 +2248,7 @@ class ShardedWeakSetCluster:
         if shards < 1:
             raise SimulationError("need at least one shard")
         make_environment = environment_factory or _default_environment
-        if isinstance(backend, ShardBackend):
+        if isinstance(backend, TransportBackend):
             # A constructed backend brings its own world configuration;
             # reject silent conflicts with the facade's arguments (the
             # remaining construction knobs live inside the backend and
@@ -2525,15 +2322,13 @@ class ShardedWeakSetCluster:
 
     # -- facade plumbing -------------------------------------------------
     def _refresh_ring(self) -> None:
-        members = getattr(self._backend, "members", None)
-        if members is None:  # a custom backend predating membership
-            members = list(range(self._backend.num_shards))
+        members = self._backend.members
         self._ring = HashRing(members)
         self._slots = {member: slot for slot, member in enumerate(members)}
 
     @property
-    def backend(self) -> ShardBackend:
-        """The executing :class:`ShardBackend`."""
+    def backend(self) -> TransportBackend:
+        """The executing :class:`TransportBackend`."""
         return self._backend
 
     @property

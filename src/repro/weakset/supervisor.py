@@ -21,9 +21,9 @@ whole point of the source paper).  This module is the opt-in
   ``recover=True`` routes its exchanges through.  It detects worker
   death (send failure, EOF/reset mid-harvest, reply deadline), asks
   the backend to **respawn** the dead worker, **replays** the new
-  world deterministically to the current round, re-issues the
-  interrupted request, and hands back a reply set indistinguishable
-  from an uninterrupted run.
+  world deterministically to the last acknowledged exchange,
+  re-issues the requests still in flight, and hands back a reply set
+  indistinguishable from an uninterrupted run.
 
 Why replay works: a shard world derives every decision from keyed
 seed streams — never from process state — so a respawned worker fed
@@ -45,7 +45,7 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional
 
 from repro._rng import derive_uniform
 from repro.errors import SimulationError
@@ -53,7 +53,6 @@ from repro.weakset.protocol import (
     ErrorReply,
     PeekRequest,
     ProtocolError,
-    RoundRequest,
     StepBatchRequest,
 )
 from repro.weakset.transport import Transport, TransportError
@@ -174,25 +173,29 @@ class ShardSupervisor:
     """Detect, respawn, replay: the fail-recover exchange driver.
 
     Owned by a :class:`~repro.weakset.sharding.TransportBackend`
-    constructed with ``recover=True``; the backend routes every
-    :meth:`~repro.weakset.sharding.TransportBackend._exchange` through
-    :meth:`exchange` instead of the bare
-    :func:`~repro.weakset.transport.exchange_all` harvest.
+    constructed with ``recover=True``; the backend sends every exchange
+    — step, peek or trace fetch — through :meth:`send_window` and
+    harvests it through :meth:`harvest_window` instead of the bare
+    :func:`~repro.weakset.transport.send_all` /
+    :func:`~repro.weakset.transport.harvest_all` halves.
 
-    The supervised exchange sends each shard's request independently,
-    harvests replies in canonical shard order under the policy's reply
-    deadline, and — for any shard whose channel failed — runs the
-    recovery sequence:
+    A sent request set joins the *window* of sets in flight; a harvest
+    collects the oldest set's replies in canonical shard order under
+    the policy's reply deadline and only then *acknowledges* it into
+    the per-shard request log.  For any shard whose channel failed —
+    at send or mid-harvest — the harvest runs the recovery sequence:
 
     1. close the dead channel and ask the backend to **respawn** the
        worker (:meth:`~repro.weakset.sharding.TransportBackend._respawn`),
        retrying under the policy's deterministic backoff;
-    2. **replay** the supervisor's request log for that shard (every
-       round / batch / peek frame the dead worker consumed — queued
-       adds ride inside them, so the rebuilt world sees the identical
-       operation sequence), discarding the replies;
-    3. **re-issue** the interrupted request and hand its reply back to
-       the normal fold-in path.
+    2. **replay** the shard's acknowledged request log (every step and
+       peek frame the dead worker consumed — queued adds ride inside
+       them, so the rebuilt world sees the identical operation
+       sequence), discarding the replies;
+    3. **re-issue** every request set still in the window, oldest
+       first, and hand the oldest reply back to the harvest in
+       progress; the rest wait parent-side for the harvests that
+       follow.
 
     Fault-injection wrappers
     (:class:`~repro.weakset.faults.FaultyTransport`) are suspended
@@ -241,47 +244,9 @@ class ShardSupervisor:
 
         return contextlib.nullcontext()
 
-    @staticmethod
-    def _ticks_of(request: object, reply: object) -> int:
-        if isinstance(request, RoundRequest):
-            return 1
-        if isinstance(request, StepBatchRequest):
-            return getattr(reply, "executed", request.rounds)
-        return 0
-
-    # -- the supervised exchange -----------------------------------------
-    def exchange(self, requests: List[object]) -> List[object]:
-        """One round trip with every shard, recovering dead workers.
-
-        Returns index-aligned replies exactly like
-        :func:`~repro.weakset.transport.exchange_all`; raises
-        :class:`~repro.errors.SimulationError` only when recovery
-        itself is impossible (respawn attempts exhausted, or the
-        respawned world failed too).
-        """
-        transports = self.backend._transports
-        failed: dict = {}
-        replies: List[object] = [None] * len(transports)
-        for index, (transport, request) in enumerate(zip(transports, requests)):
-            try:
-                transport.send(request)
-            except TransportError as error:
-                failed[index] = f"send failed: {error}"
-        for index, transport in enumerate(transports):
-            if index in failed:
-                continue
-            try:
-                replies[index] = self._recv(transport, index)
-            except (TransportError, ProtocolError) as error:
-                failed[index] = str(error)
-        for index in sorted(failed):
-            replies[index] = self._recover(index, requests[index], failed[index])
-        self._log(requests)
-        return replies
-
     def _log(self, requests: List[object]) -> None:
         for index, request in enumerate(requests):
-            if isinstance(request, (RoundRequest, StepBatchRequest, PeekRequest)):
+            if isinstance(request, (StepBatchRequest, PeekRequest)):
                 self._logs[index].append(request)
 
     def reset_membership(self, new_logs: List[List[object]]) -> None:
@@ -303,18 +268,16 @@ class ShardSupervisor:
         self._logs = [list(log) for log in new_logs]
         self._replies_ahead = [deque() for _ in new_logs]
 
-    # -- the supervised pipelined window ---------------------------------
+    # -- the supervised window -------------------------------------------
     def send_window(self, requests: List[object]) -> None:
         """Issue one request set without harvesting: it joins the window.
 
-        The supervised half of the pipelined driver
-        (:meth:`~repro.weakset.sharding.TransportBackend.advance` with
-        ``window > 1``): requests are sent immediately but only
-        *logged* once :meth:`harvest_window` acknowledges their
-        replies — so replay after a death rebuilds exactly the
-        acknowledged prefix and the whole unacknowledged in-flight
-        suffix is re-issued.  A send failure is recorded, not raised:
-        the shard recovers lazily when its reply is first needed.
+        Requests are sent immediately but only *logged* once
+        :meth:`harvest_window` acknowledges their replies — so replay
+        after a death rebuilds exactly the acknowledged prefix and the
+        whole unacknowledged in-flight suffix is re-issued.  A send
+        failure is recorded, not raised: the shard recovers lazily
+        when its reply is first needed.
         """
         for index, (transport, request) in enumerate(
             zip(self.backend._transports, requests)
@@ -330,14 +293,17 @@ class ShardSupervisor:
     def harvest_window(self) -> List[object]:
         """Harvest (and acknowledge) the oldest in-flight request set.
 
-        Replies come back index-aligned like :meth:`exchange`.  A shard
-        whose channel died — at send time or mid-harvest — runs the
-        windowed recovery: respawn, replay the acknowledged log, then
-        re-issue the **whole** in-flight suffix and buffer its replies
-        parent-side (:attr:`_replies_ahead`), so later harvests of the
-        same window read the buffer instead of the wire and the
-        channel owes nothing once recovery returns (which keeps any
-        fault wrapper's reply schedule aligned with driver exchanges).
+        Replies come back index-aligned, one per shard, and raise
+        :class:`~repro.errors.SimulationError` only when recovery
+        itself is impossible (respawn attempts exhausted, or the
+        respawned world failed too).  A shard whose channel died — at
+        send time or mid-harvest — runs the recovery: respawn, replay
+        the acknowledged log, then re-issue the **whole** in-flight
+        suffix and buffer its replies parent-side
+        (:attr:`_replies_ahead`), so later harvests of the same window
+        read the buffer instead of the wire and the channel owes
+        nothing once recovery returns (which keeps any fault wrapper's
+        reply schedule aligned with driver exchanges).
         """
         if not self._window:
             raise SimulationError(
@@ -361,66 +327,14 @@ class ShardSupervisor:
         return replies
 
     # -- recovery --------------------------------------------------------
-    def _recover(self, index: int, request: object, cause: str) -> object:
-        """Respawn shard ``index``'s worker, replay, re-issue ``request``."""
-        backend = self.backend
-        started = time.perf_counter()
-        self.stats.detections += 1
-        resume_round = int(backend._now)
-        try:
-            backend._transports[index].close()
-        except TransportError:  # pragma: no cover - defensive
-            pass
-        last_error: object = cause
-        reply = None
-        delays = self.policy.backoff("respawn", index)
-        for attempt in range(self.policy.attempts):
-            if attempt:
-                time.sleep(next(delays))
-            try:
-                raw = backend._respawn(index, resume_round=resume_round)
-            except SimulationError as error:
-                last_error = error
-                continue
-            backend._install_transport(index, raw)
-            self.stats.respawns += 1
-            transport = backend._transports[index]
-            try:
-                with self._suspended(transport):
-                    self._replay(index, transport)
-                    transport.send(request)
-                    reply = self._recv(transport, index)
-                break
-            except (TransportError, ProtocolError) as error:
-                # the respawned worker died too: close and go around
-                last_error = error
-                try:
-                    transport.close()
-                except TransportError:  # pragma: no cover - defensive
-                    pass
-        if reply is None:
-            raise SimulationError(
-                f"shard {index} worker died (at round clock {backend._now:g}: "
-                f"{cause}) and could not be recovered after "
-                f"{self.policy.attempts} respawn attempt(s): {last_error}"
-            )
-        if isinstance(reply, ErrorReply):
-            raise SimulationError(
-                f"shard {index} worker failed after recovery:\n{reply.message}"
-            )
-        self.stats.recovered_shards.append(index)
-        self.stats.wall_clock += time.perf_counter() - started
-        return reply
-
     def _recover_windowed(self, index: int, cause: str) -> object:
         """Respawn shard ``index`` mid-window; return the oldest reply.
 
-        Like :meth:`_recover`, but what gets re-issued after replay is
-        the whole in-flight suffix (every request set in
-        :attr:`_window`, oldest first) rather than a single
-        interrupted request.  All suffix replies are drained under
-        fault suspension; the first answers the harvest in progress,
-        the rest wait in :attr:`_replies_ahead`.
+        After the respawn and the replay of the acknowledged log, the
+        whole in-flight suffix (every request set in :attr:`_window`,
+        oldest first) is re-issued and its replies drained under fault
+        suspension; the first answers the harvest in progress, the
+        rest wait in :attr:`_replies_ahead`.
         """
         backend = self.backend
         started = time.perf_counter()
@@ -494,4 +408,5 @@ class ShardSupervisor:
                     f"shard {index} failed while replaying its world "
                     f"(deterministic worker-side error):\n{reply.message}"
                 )
-            self.stats.replayed_rounds += self._ticks_of(logged, reply)
+            if isinstance(logged, StepBatchRequest):
+                self.stats.replayed_rounds += reply.executed

@@ -18,12 +18,14 @@ a shard world can live:
   another machine entirely.  Frames are already length-prefixed, so
   the stream needs no extra delimiting.
 
-:func:`exchange_all` is the round loop: it issues every shard's
-request first, then harvests one reply per shard.  Handed a
-``selector`` with every channel registered, the harvest **overlaps**:
-replies are collected as they arrive instead of in a fixed order, so a
-slow shard no longer serializes the harvest behind a fast one.
-Without one it receives in index order.  The driver keeps a selector
+:func:`send_all` and :func:`harvest_all` are the two halves of every
+exchange: the first issues every shard's request, the second harvests
+one reply per shard — and a pipelined driver may issue several request
+waves before harvesting the oldest.  Handed a ``selector`` with every
+channel registered, the harvest **overlaps**: replies are collected as
+they arrive instead of in a fixed order, so a slow shard no longer
+serializes the harvest behind a fast one.  Without one it receives in
+index order.  The driver keeps a selector
 exactly when every channel is selectable and neither supervision nor
 fault injection is on (dying channels and a shared selector do not
 mix).  Results are returned **order-canonically** either way (reply
@@ -77,7 +79,6 @@ __all__ = [
     "SocketTransport",
     "send_all",
     "harvest_all",
-    "exchange_all",
     "serve_requests",
 ]
 
@@ -312,13 +313,16 @@ def send_all(
 ) -> Optional[List[float]]:
     """Send ``requests[i]`` on ``transports[i]`` for all ``i``.
 
-    The issue half of an exchange, usable on its own by pipelined
-    drivers that want several request waves in flight before the first
-    harvest.  With ``timeout`` set, returns the per-request reply
-    deadlines — each stamped ``time.monotonic() + timeout`` *at its own
-    send* — for :func:`harvest_all`; the deadline belongs to the
-    request, so a wave sent later does not inherit an earlier wave's
-    (staler) deadline.  Returns ``None`` when ``timeout`` is ``None``.
+    The issue half of an exchange (every worker then computes
+    concurrently); a pipelined driver may keep several request waves
+    in flight before the first harvest.  With ``timeout`` set, returns
+    the per-request reply deadlines — each stamped
+    ``time.monotonic() + timeout`` *at its own send* — for
+    :func:`harvest_all`; the deadline belongs to the request, so a
+    wave sent later does not inherit an earlier wave's (staler)
+    deadline, and a wedged or silent worker becomes a diagnosable
+    :class:`TransportError` instead of a hang.  Returns ``None`` when
+    ``timeout`` is ``None``.
 
     Raises :class:`TransportError` annotated with the failing index.
     """
@@ -359,6 +363,10 @@ def harvest_all(
     value); a transport whose own deadline passes without a reply
     raises :class:`TransportError` naming it.  ``timeout`` only labels
     that error with the originally requested budget.
+
+    Raises :class:`TransportError` (annotated with the shard index) as
+    soon as any channel fails; remaining replies are left unread — the
+    round is poisoned either way, and the owning backend fails closed.
     """
     replies: List[object] = [None] * len(transports)
     limit = "its deadline" if timeout is None else f"{timeout:g}s"
@@ -400,42 +408,6 @@ def harvest_all(
         except TransportError as error:
             raise TransportError(f"shard {index}: {error}") from None
     return replies
-
-
-def exchange_all(
-    transports: Sequence[Transport],
-    requests: Sequence[object],
-    *,
-    selector: Optional[selectors.BaseSelector] = None,
-    timeout: Optional[float] = None,
-) -> List[object]:
-    """One request/reply round trip with every shard.
-
-    Sends ``requests[i]`` on ``transports[i]`` for all ``i`` *first*
-    (so every worker computes concurrently), then harvests replies —
-    **as they arrive** when handed a long-lived ``selector`` with
-    every transport registered (data = its index), in index order
-    otherwise.  Either way the returned list is index-aligned with the
-    inputs — the caller processes replies in canonical shard order, so
-    traces do not depend on arrival interleaving.  (:func:`send_all`
-    and :func:`harvest_all` are the two halves, exposed separately for
-    pipelined drivers that keep several waves in flight.)
-
-    ``timeout`` optionally bounds each reply: the deadline is stamped
-    **per request at its send** (not once per call), so a reply's
-    budget starts when its own request went out — a wedged or silent
-    worker becomes a diagnosable :class:`TransportError` naming the
-    shards still owing a reply instead of a hang.  ``None`` (the
-    default) blocks.
-
-    Raises :class:`TransportError` (annotated with the shard index) as
-    soon as any channel fails; remaining replies are left unread — the
-    round is poisoned either way, and the owning backend fails closed.
-    """
-    deadlines = send_all(transports, requests, timeout=timeout)
-    return harvest_all(
-        transports, selector=selector, deadlines=deadlines, timeout=timeout
-    )
 
 
 # ----------------------------------------------------------------------

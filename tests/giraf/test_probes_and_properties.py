@@ -1,6 +1,6 @@
 """Probe algorithms + scheduler-level property tests.
 
-The property tests here close the loop DESIGN.md promises: *whatever*
+The property tests here close the loop between the two: *whatever*
 seeded adversary the constructive environments produce, the resulting
 trace must pass the corresponding ground-truth checker — validating
 schedulers and environments against each other.

@@ -13,6 +13,19 @@ from repro.giraf.probes import EchoProbe
 from repro.giraf.scheduler import DriftingScheduler
 
 
+class _RecordingMovingSource(MovingSourceEnvironment):
+    """An MS environment logging every ``plan_round`` call as
+    (round, candidates)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.calls = []
+
+    def plan_round(self, round_no, candidates):
+        self.calls.append((round_no, tuple(candidates)))
+        return super().plan_round(round_no, candidates)
+
+
 def run_drifting(n=3, env=None, crashes=None, max_rounds=12, **kwargs):
     env = env or MovingSourceEnvironment(source_schedule=RoundRobinSource())
     scheduler = DriftingScheduler(
@@ -80,13 +93,24 @@ class TestDriftingCrashes:
         _, trace = run_drifting(n=4, crashes=crashes, max_rounds=15)
         assert check_ms(trace).ok
 
-    def test_run_survives_source_candidate_crashing(self):
-        # crash the round-robin's would-be source repeatedly; the
-        # scheduler must re-plan obligations rather than deadlock
+    def test_crash_scheduled_pids_are_never_candidates(self):
+        """Pids 0 and 1 would be the round-robin's first sources, but
+        they are scheduled to crash, so no plan ever names them: they
+        are never candidates, never obligatory, and their crashes
+        leave nothing to re-plan (``TestLoopContract`` in
+        ``tests/runtime/test_columnar_drifting_engine.py`` pins the
+        re-plans)."""
         crashes = CrashSchedule(
             {0: CrashPlan(2, before_send=True), 1: CrashPlan(3, before_send=True)}
         )
-        _, trace = run_drifting(n=4, crashes=crashes, max_rounds=12)
+        env = _RecordingMovingSource(source_schedule=RoundRobinSource())
+        _, trace = run_drifting(n=4, env=env, crashes=crashes, max_rounds=12)
+        assert env.calls
+        assert all(
+            not {0, 1} & set(candidates) for _round_no, candidates in env.calls
+        )
+        planned = [round_no for round_no, _candidates in env.calls]
+        assert len(planned) == len(set(planned))  # no round planned twice
         assert trace.max_round_of(2) == 12
         assert trace.max_round_of(3) == 12
         assert check_ms(trace).ok

@@ -706,14 +706,16 @@ def _victim_run(engine, *, halts=False):
 
 def _log_releases(scheduler):
     """Log every end-of-round the run schedules while a delivery event
-    drains — a parked gate's release — as (pid, invocation, time, now)."""
+    drains — a parked gate's release — as (pid, invocation, time, now),
+    and the time of every event the run pops, in pop order."""
     kernel = scheduler._kernel
-    log, current = [], [0.0, None]
+    log, popped, current = [], [], [0.0, None]
     pop, push = kernel.next_event, kernel.schedule
 
     def next_event():
         event = pop()
         current[:] = event[:2]
+        popped.append(event[0])
         return event
 
     def schedule(time, kind, data):
@@ -722,14 +724,13 @@ def _log_releases(scheduler):
         push(time, kind, data)
 
     kernel.next_event, kernel.schedule = next_event, schedule
-    return log
+    return log, popped
 
 
 class TestLoopContract:
     """The drifting loop's ordering, which both paths share: an exit
-    re-plans the rounds the leaver still owed, and a parked process
-    fires at its nominal time or, when that has passed, the moment its
-    gate opens."""
+    re-plans the rounds the leaver still owed, a parked process fires
+    the moment its gate opens, and the clock never runs backwards."""
 
     @pytest.mark.parametrize("engine", ["object", "columnar"])
     def test_crash_replans_the_rounds_it_owed(self, engine):
@@ -784,17 +785,43 @@ class TestLoopContract:
             trace_mode="aggregate",
             engine=engine,
         )
-        releases = _log_releases(scheduler)
+        releases, popped = _log_releases(scheduler)
         trace = scheduler.run()
         assert releases
         for pid, invocation, time, now in releases:
             nominal = phases[pid] + invocation * periods[pid]
             assert time == max(nominal, now)
             assert trace.compute_times[pid][invocation - 1] == time
-        # both sides of the max occur: a release after the nominal time
-        # has passed, and one drained at an earlier event time (a
-        # released process's next end-of-round is scheduled at its
-        # nominal time, which may precede the release)
+        # the clock is monotone, so a process parked at (or after) its
+        # nominal time fires at the release instant — often well after
+        # that nominal time
+        assert popped == sorted(popped)
+        assert all(time == now for _, _, time, now in releases)
         assert any(time == now > phases[pid] + invocation * periods[pid]
                    for pid, invocation, time, now in releases)
-        assert any(time > now for _, _, time, now in releases)
+
+    @pytest.mark.parametrize("engine", ["object", "columnar"])
+    def test_late_fire_never_schedules_into_the_past(self, engine):
+        """A process that fires after a gate release, past its next
+        nominal time, schedules that end-of-round at the release
+        instant rather than at the nominal time behind it: no pop goes
+        backwards, and each process computes its rounds in time
+        order."""
+        clear_intern_cache()
+        scheduler = DriftingScheduler(
+            [HeartbeatPseudoLeader(pid) for pid in range(7)],
+            MovingSourceEnvironment(
+                RandomSource(1), BernoulliLinks(0.4, seed=7), UniformDelay(2, 4, seed=5)
+            ),
+            periods=[3, 1, 1, 1, 1, 1, 1],
+            max_rounds=12,
+            trace_mode="aggregate",
+            engine=engine,
+        )
+        _releases, popped = _log_releases(scheduler)
+        trace = scheduler.run()
+        assert popped == sorted(popped)
+        for pid in range(7):
+            rounds = trace.compute_times[pid]
+            times = [rounds[round_no] for round_no in sorted(rounds)]
+            assert times == sorted(times), pid

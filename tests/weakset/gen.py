@@ -17,8 +17,6 @@ from repro.weakset.protocol import (
     MuxRequest,
     PeekReply,
     PeekRequest,
-    RoundReply,
-    RoundRequest,
     StepBatchReply,
     StepBatchRequest,
     StopReply,
@@ -87,16 +85,6 @@ _crashed = st.frozensets(st.integers(min_value=0, max_value=63), max_size=6)
 
 _clock = st.floats(min_value=0, max_value=1e9, allow_nan=False)
 
-round_requests = st.builds(RoundRequest, adds=queued_adds)
-
-round_replies = st.builds(
-    RoundReply,
-    alive=st.booleans(),
-    completions=_completions,
-    crashed=_crashed,
-    now=_clock,
-)
-
 peek_requests = st.builds(
     PeekRequest, pid=st.integers(min_value=0, max_value=63), adds=queued_adds
 )
@@ -133,8 +121,6 @@ migrate_replies = st.builds(
 )
 
 _simple_messages = st.one_of(
-    round_requests,
-    round_replies,
     peek_requests,
     peek_replies,
     step_batch_requests,
@@ -153,7 +139,7 @@ messages = st.one_of(
     st.builds(
         MuxRequest,
         subs=st.lists(
-            st.one_of(round_requests, peek_requests, step_batch_requests),
+            st.one_of(peek_requests, step_batch_requests),
             min_size=1,
             max_size=3,
         ).map(tuple),
@@ -161,7 +147,7 @@ messages = st.one_of(
     st.builds(
         MuxReply,
         subs=st.lists(
-            st.one_of(round_replies, peek_replies, step_batch_replies),
+            st.one_of(peek_replies, step_batch_replies),
             min_size=1,
             max_size=3,
         ).map(tuple),

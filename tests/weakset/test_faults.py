@@ -32,7 +32,8 @@ from repro.weakset.transport import (
     InProcTransport,
     PipeTransport,
     TransportError,
-    exchange_all,
+    harvest_all,
+    send_all,
 )
 
 
@@ -204,14 +205,21 @@ class TestFaultyTransportUnit:
             worker_end.close()
 
 
+def _exchange(transports, requests, timeout):
+    """One bounded round trip: ``send_all`` stamps the deadlines that
+    ``harvest_all`` enforces."""
+    deadlines = send_all(transports, requests, timeout=timeout)
+    return harvest_all(transports, deadlines=deadlines, timeout=timeout)
+
+
 class TestDelayDeadlineBoundary:
-    """Delay faults against ``exchange_all(timeout=)`` at the boundary.
+    """Delay faults against a bounded exchange at the boundary.
 
     The poll-budget arithmetic (``poll(max(timeout - stall, 0.0))``)
     makes the two edge outcomes deterministic: a stall that exactly
     equals a *direct* poll budget still harvests the buffered reply
-    (zero remainder, not a negative timeout), while ``exchange_all``
-    stamps its deadline at send time — so a stall equal to the exchange
+    (zero remainder, not a negative timeout), while ``send_all``
+    stamps the deadline at send time — so a stall equal to the exchange
     timeout always lands on a strictly smaller remaining budget and
     fails closed with the ordinary reply-timeout error.
     """
@@ -224,23 +232,23 @@ class TestDelayDeadlineBoundary:
         assert transport.poll(0.05) is True
         assert transport.recv().proposed == frozenset({"v"})
 
-    def test_exchange_all_delay_just_under_timeout_succeeds(self):
+    def test_exchange_delay_just_under_timeout_succeeds(self):
         transport = _wrapped(FaultPlan((Fault("delay", 0, 1, delay=0.05),)))
-        replies = exchange_all([transport], [_PING], timeout=0.5)
+        replies = _exchange([transport], [_PING], timeout=0.5)
         assert replies[0].proposed == frozenset({"v"})
 
-    def test_exchange_all_delay_at_timeout_fails_closed(self):
+    def test_exchange_delay_at_timeout_fails_closed(self):
         # the deadline is stamped at send, so by harvest time the
         # remaining budget is strictly below the stall — deterministic
         # timeout, surfaced as the ordinary reply-timeout TransportError
         transport = _wrapped(FaultPlan((Fault("delay", 0, 1, delay=0.2),)))
         with pytest.raises(TransportError, match=r"no reply within 0\.2s"):
-            exchange_all([transport], [_PING], timeout=0.2)
+            _exchange([transport], [_PING], timeout=0.2)
 
-    def test_exchange_all_delay_over_timeout_fails_closed(self):
+    def test_exchange_delay_over_timeout_fails_closed(self):
         transport = _wrapped(FaultPlan((Fault("delay", 0, 1, delay=0.4),)))
         with pytest.raises(TransportError, match=r"no reply within 0\.1s"):
-            exchange_all([transport], [_PING], timeout=0.1)
+            _exchange([transport], [_PING], timeout=0.1)
 
     def test_stall_spends_the_whole_budget_before_failing(self):
         # the failed exchange must have consumed real wall-clock time
@@ -250,7 +258,7 @@ class TestDelayDeadlineBoundary:
         transport = _wrapped(FaultPlan((Fault("delay", 0, 1, delay=0.3),)))
         before = time.monotonic()
         with pytest.raises(TransportError):
-            exchange_all([transport], [_PING], timeout=0.15)
+            _exchange([transport], [_PING], timeout=0.15)
         elapsed = time.monotonic() - before
         assert 0.1 <= elapsed < 0.3
 
@@ -319,6 +327,28 @@ class TestFaultsFailClosed:
             fault_plan=parse_fault_plan("duplicate:0:2"),
         )
         self._assert_fails_closed(cluster, "stale or duplicated")
+
+    def test_duplicated_peek_reply_is_detected_at_the_next_step(self):
+        """A duplicated peek reply surfaces at the following step's
+        harvest: the type guard rejects it with the clean stale-reply
+        error (not a raw AttributeError) and poisons the backend."""
+        cluster = ShardedWeakSetCluster(
+            3,
+            shards=2,
+            backend="inproc",
+            fault_plan=parse_fault_plan("duplicate:0:3"),
+        )
+        cluster.advance(2)  # exchanges 1-2
+        cluster.handle(0).get()  # exchange 3: the peek, answered twice
+        with pytest.raises(
+            SimulationError,
+            match=r"shard 0 answered with PeekReply where a StepBatchReply "
+            r"was due .*stale or duplicated",
+        ):
+            cluster.advance(1)
+        with pytest.raises(SimulationError, match="backend failed"):
+            cluster.step()
+        cluster.close()
 
     def test_real_worker_kill_mid_step_batch(self, start_method):
         """Not an injected fault: SIGKILL the worker process itself

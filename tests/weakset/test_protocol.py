@@ -39,8 +39,6 @@ from repro.weakset.protocol import (
     PeekReply,
     PeekRequest,
     ProtocolError,
-    RoundReply,
-    RoundRequest,
     StepBatchReply,
     StepBatchRequest,
     StopReply,
@@ -64,31 +62,6 @@ def header(length, version=PROTOCOL_VERSION):
 
 
 class TestRoundTripIdentity:
-    @given(adds=queued_adds)
-    @settings(max_examples=60)
-    def test_round_request(self, adds):
-        message = RoundRequest(adds=adds)
-        assert roundtrip(message) == message
-
-    @given(
-        alive=st.booleans(),
-        completions=st.lists(
-            st.tuples(
-                st.integers(min_value=0, max_value=2**31),
-                st.floats(min_value=0, max_value=1e9, allow_nan=False),
-            ),
-            max_size=5,
-        ).map(tuple),
-        crashed=st.frozensets(st.integers(min_value=0, max_value=63), max_size=6),
-        now=st.floats(min_value=0, max_value=1e9, allow_nan=False),
-    )
-    @settings(max_examples=60)
-    def test_round_reply(self, alive, completions, crashed, now):
-        message = RoundReply(
-            alive=alive, completions=completions, crashed=crashed, now=now
-        )
-        assert roundtrip(message) == message
-
     @given(
         rounds=st.integers(min_value=1, max_value=1000),
         adds=queued_adds,
@@ -135,7 +108,7 @@ class TestRoundTripIdentity:
         """Payload types outside the native lanes (here a counter map)
         ride the canonical tagged codec inside the frame."""
         counters = FrozenCounters({(0, 1): 2, (0,): 1})
-        message = RoundRequest(adds=((4, 1, counters), (5, 2, "plain")))
+        message = StepBatchRequest(rounds=1, adds=((4, 1, counters), (5, 2, "plain")))
         assert roundtrip(message) == message
 
     def test_trace_pair_carries_a_real_run_byte_identically(self):
@@ -183,7 +156,7 @@ class TestFlattenedLayout:
     @given(value=nested_strings)
     @settings(max_examples=60)
     def test_string_lane_round_trips(self, value):
-        message = RoundRequest(adds=((0, 0, value),))
+        message = StepBatchRequest(rounds=1, adds=((0, 0, value),))
         assert roundtrip(message) == message
 
     @given(value=nested_i64)
@@ -204,27 +177,27 @@ class TestFlattenedLayout:
     def test_walker_fallback_round_trips(self, value):
         """Mixed-lane leaves (strings next to ints, floats, ⊥ …) do
         not qualify for a bulk lane; the walker carries them."""
-        message = RoundRequest(adds=((1, 2, (value, "tail")),))
+        message = StepBatchRequest(rounds=1, adds=((1, 2, (value, "tail")),))
         assert roundtrip(message) == message
 
     def test_flattened_layout_engages_on_nested_payloads(self):
         nested = (("aa", "bb"), frozenset({"cc"}))
-        assert b"W" in _body(RoundRequest(adds=((0, 0, nested),)))
+        assert b"W" in _body(StepBatchRequest(rounds=1, adds=((0, 0, nested),)))
         # a single (unnested) container stays on the walker: the
         # shape prefix would cost more than it saves
         flat = ("aa", "bb", "cc")
-        assert b"W" not in _body(RoundRequest(adds=((0, 0, flat),)))
+        assert b"W" not in _body(StepBatchRequest(rounds=1, adds=((0, 0, flat),)))
         # mixed leaf types disqualify the bulk lanes
         mixed = (("aa", 1), frozenset({"cc"}))
-        assert b"W" not in _body(RoundRequest(adds=((0, 0, mixed),)))
-        message = RoundRequest(adds=((0, 0, mixed),))
+        assert b"W" not in _body(StepBatchRequest(rounds=1, adds=((0, 0, mixed),)))
+        message = StepBatchRequest(rounds=1, adds=((0, 0, mixed),))
         assert roundtrip(message) == message
 
     def test_big_ints_fall_back_to_the_walker(self):
         huge = ((1 << 70, 2), (3, 4))
-        body = _body(RoundRequest(adds=((0, 0, huge),)))
+        body = _body(StepBatchRequest(rounds=1, adds=((0, 0, huge),)))
         assert b"W" not in body
-        message = RoundRequest(adds=((0, 0, huge),))
+        message = StepBatchRequest(rounds=1, adds=((0, 0, huge),))
         assert roundtrip(message) == message
 
     def test_equal_frozensets_encode_byte_identically(self):
@@ -243,14 +216,14 @@ class TestMuxFrames:
 
     def test_mux_request_and_reply_round_trip(self):
         request = MuxRequest(subs=(
-            RoundRequest(adds=((0, 1, "alpha"),)),
+            StepBatchRequest(rounds=1, adds=((0, 1, "alpha"),)),
             StepBatchRequest(rounds=4, adds=()),
             PeekRequest(pid=2, adds=()),
         ))
         assert roundtrip(request) == request
         reply = MuxReply(subs=(
-            RoundReply(
-                alive=True, completions=((1, 2.0),),
+            StepBatchReply(
+                alive=True, executed=1, completions=((1, 2.0),),
                 crashed=frozenset({0}), now=3.0,
             ),
             StepBatchReply(
@@ -263,7 +236,9 @@ class TestMuxFrames:
 
     def test_empty_and_nested_payload_subs(self):
         request = MuxRequest(subs=(
-            RoundRequest(adds=((0, 0, (("x", "y"), frozenset({"z"}))),)),
+            StepBatchRequest(
+                rounds=1, adds=((0, 0, (("x", "y"), frozenset({"z"}))),)
+            ),
         ))
         assert roundtrip(request) == request
 
@@ -287,11 +262,15 @@ class TestMuxFrames:
 
 
 class TestFraming:
-    def test_protocol_v6_pins(self):
-        """Version 6 dropped the codec byte: the header is
-        version:u8 length:u32."""
-        assert PROTOCOL_VERSION == 6
+    def test_protocol_v7_pins(self):
+        """Version 7 retired the single-tick pair: the header is still
+        version:u8 length:u32, and a tag-1 body (the old one-tick
+        request) is an unknown tag."""
+        assert PROTOCOL_VERSION == 7
         assert HEADER_SIZE == 5
+        body = bytes([1]) + (0).to_bytes(4, "big")
+        with pytest.raises(ProtocolError, match="unknown binary message tag 1"):
+            decode_message(header(len(body)) + body)
 
     def test_header_carries_version_and_length(self):
         frame = encode_message(StopRequest())
@@ -317,11 +296,22 @@ class TestFraming:
         with pytest.raises(VersionMismatch) as excinfo:
             decode_message(v5_frame)
         assert excinfo.value.peer_version == 5
-        assert excinfo.value.local_version == 6
-        assert "5" in str(excinfo.value) and "6" in str(excinfo.value)
+        assert excinfo.value.local_version == 7
+        assert "5" in str(excinfo.value) and "7" in str(excinfo.value)
+
+    def test_v6_round_request_raises_version_mismatch(self):
+        """A v6 peer's one-tick step (tag 1, no rounds field) fails on
+        its first byte, naming both versions."""
+        body = bytes([1]) + (0).to_bytes(4, "big")  # RoundRequest(adds=())
+        v6_frame = bytes([6]) + len(body).to_bytes(4, "big") + body
+        with pytest.raises(VersionMismatch) as excinfo:
+            decode_message(v6_frame)
+        assert excinfo.value.peer_version == 6
+        assert excinfo.value.local_version == 7
+        assert "6" in str(excinfo.value) and "7" in str(excinfo.value)
 
     def test_truncated_frame_rejected(self):
-        frame = encode_message(RoundRequest(adds=((0, 1, "x"),)))
+        frame = encode_message(StepBatchRequest(rounds=1, adds=((0, 1, "x"),)))
         with pytest.raises(ProtocolError):
             decode_message(frame[:-1])
         with pytest.raises(ProtocolError):
@@ -337,9 +327,9 @@ class TestFraming:
             decode_message(header(len(body)) + body)
 
     def test_hot_messages_have_no_json_escape(self):
-        """The round/batch/peek/mux messages cross only in their packed
+        """The step/peek/mux messages cross only in their packed
         layouts; the JSON escape knows the cold messages alone."""
-        body = bytes([0]) + b'{"t":"round_req","v":{"adds":[]}}'
+        body = bytes([0]) + b'{"t":"batch_req","v":{"rounds":1,"adds":[]}}'
         with pytest.raises(ProtocolError, match="unknown message tag"):
             decode_message(header(len(body)) + body)
 
@@ -366,13 +356,6 @@ def _small_trace():
 #: the hot messages and the body tag of each one's packed layout, as
 #: the module docstring's layout table documents them
 HOT_TAGS = [
-    (RoundRequest(adds=((0, 1, "a"),)), 1),
-    (
-        RoundReply(
-            alive=True, completions=((1, 2.0),), crashed=frozenset({0}), now=3.0
-        ),
-        2,
-    ),
     (PeekRequest(pid=2, adds=((3, 2, "p"),)), 3),
     (PeekReply(crashed=False, proposed=frozenset({"v"})), 4),
     (StepBatchRequest(rounds=4, adds=()), 5),
@@ -405,7 +388,7 @@ COLD_IDS = [
 
 
 class TestWireTags:
-    """The body's first byte names its layout: tags 1–8 for the hot
+    """The body's first byte names its layout: tags 3–8 for the hot
     messages' packed layouts, tag 0 for the cold messages' canonical
     JSON.  A peer that reads the same version must read the same tags,
     so each one is pinned."""
@@ -434,7 +417,7 @@ class TestWireTags:
         assert roundtrip(message) == message
 
     def test_hello_negotiates_nothing(self):
-        """Version 6 has one codec, so the hello is an empty payload and
+        """Version 6 left one codec, so the hello is an empty payload and
         the config names no codec: the header's version byte is the
         whole handshake."""
         assert fields(HelloRequest) == ()
@@ -509,7 +492,9 @@ class TestCodecFuzz:
         shape prefix, lane byte, counts and blob are all attack
         surface; nothing worse than ProtocolError may escape."""
         frame = bytearray(
-            encode_message(RoundRequest(adds=((1, 0, (value, value)),)))
+            encode_message(
+                StepBatchRequest(rounds=1, adds=((1, 0, (value, value)),))
+            )
         )
         for _ in range(data.draw(st.integers(min_value=1, max_value=4))):
             position = data.draw(
@@ -528,8 +513,8 @@ class TestCodecFuzz:
         import struct
         import time
 
-        # bulk-adds layout announcing 2**32-1 adds with a 5-byte body
-        body = struct.pack(">BIB", 1, 0xFFFFFFFF, 1)  # tag=round_req
+        # bulk-adds layout announcing 2**32-1 adds in a 10-byte body
+        body = struct.pack(">BIIB", 5, 1, 0xFFFFFFFF, 1)  # tag=batch_req
         started = time.perf_counter()
         with pytest.raises(ProtocolError, match="announce"):
             decode_message(header(len(body)) + body)
@@ -543,7 +528,8 @@ class TestCodecFuzz:
         add_head = (0).to_bytes(8, "big") + (0).to_bytes(4, "big")
         value = (b"U" + (1).to_bytes(4, "big")) * depth + b"N"
         body = (
-            bytes([1])  # round_req tag
+            bytes([5])  # batch_req tag
+            + (1).to_bytes(4, "big")  # rounds
             + (1).to_bytes(4, "big")  # one add
             + bytes([0])  # walker (non-bulk) layout
             + add_head

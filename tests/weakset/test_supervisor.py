@@ -87,6 +87,31 @@ def _serial_reference():
     return _drive(cluster), _snapshot(cluster)
 
 
+def _read_marks(round_batch):
+    """The 1-based driver exchanges of ``_drive`` that carry the first
+    ``get``'s peeks and the ``traces()`` fetch, read off
+    ``backend.exchanges`` on an unfaulted run."""
+    cluster = ShardedWeakSetCluster(
+        3,
+        shards=2,
+        environment_factory=ChurnEnvironments(seed=11),
+        backend="inproc",
+        round_batch=round_batch,
+    )
+    backend = cluster.backend
+    peeks = []
+    local_views = backend.local_views
+
+    def recording(pid):
+        peeks.append(backend.exchanges + 1)
+        return local_views(pid)
+
+    backend.local_views = recording
+    with cluster:
+        _drive(cluster)
+        return peeks[0], backend.exchanges + 1
+
+
 @pytest.mark.chaos
 class TestRecoveredRunsAreByteIdentical:
     """The tentpole acceptance: kill workers mid-run, recover, compare
@@ -120,6 +145,30 @@ class TestRecoveredRunsAreByteIdentical:
             assert stats.recovered_shards == [0]
             assert stats.replayed_rounds >= 1
             assert stats.wall_clock > 0.0
+
+    @pytest.mark.parametrize("round_batch", [1, 4])
+    @pytest.mark.parametrize("target", ["peek", "trace"])
+    def test_kill_at_a_peek_or_trace_fetch_recovers(
+        self, start_method, target, round_batch
+    ):
+        """Peeks and trace fetches heal like steps: a kill at the
+        exchange carrying the first ``get``'s peeks, or at the
+        ``traces()`` fetch, respawns the worker, replays its
+        acknowledged log and re-issues the interrupted request."""
+        reference, traces = _serial_reference()
+        peek_at, trace_at = _read_marks(round_batch)
+        at = peek_at if target == "peek" else trace_at
+        plan = FaultPlan((Fault("kill", 0, at),))
+        with self._build(
+            "multiprocess", plan=plan, start_method=start_method,
+            round_batch=round_batch,
+        ) as cluster:
+            assert _drive(cluster) == reference
+            assert cluster.backend.exchanges == trace_at - 1
+            assert _snapshot(cluster) == traces
+            stats = cluster.recovery_stats
+            assert stats.detections == 1 and stats.respawns == 1
+            assert stats.recovered_shards == [0]
 
     def test_inproc_kill_recovers(self):
         reference, traces = _serial_reference()
@@ -372,14 +421,14 @@ class TestSupervisorWindowAPI:
     def test_send_window_defers_logging_until_harvest(self):
         """A windowed send is not acknowledged (replayable) until its
         harvest: the in-flight deque holds it, the log does not."""
-        from repro.weakset.protocol import RoundRequest
+        from repro.weakset.protocol import StepBatchRequest
 
         cluster = ShardedWeakSetCluster(
             3, shards=2, backend="inproc", recover=True
         )
         try:
             supervisor = cluster.backend._supervisor
-            requests = [RoundRequest(adds=()) for _ in range(2)]
+            requests = [StepBatchRequest(rounds=1) for _ in range(2)]
             supervisor.send_window(requests)
             assert len(supervisor._window) == 1
             assert all(not log for log in supervisor._logs)

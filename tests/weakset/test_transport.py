@@ -2,8 +2,9 @@
 
 Covers the channels in isolation (the direct in-process hand-over,
 framing over real byte streams, partial reads, peer-death semantics)
-and ``exchange_all``'s contract: handed a selector, replies are
-harvested as they arrive but returned in canonical input order.
+and the exchange halves' contract: ``send_all`` issues every request,
+and ``harvest_all``, handed a selector, collects replies as they
+arrive but returns them in canonical input order.
 """
 
 import selectors
@@ -16,7 +17,7 @@ import pytest
 from repro.weakset.protocol import (
     ErrorReply,
     PeekRequest,
-    RoundRequest,
+    StepBatchRequest,
     StopReply,
     StopRequest,
     encode_message,
@@ -26,7 +27,6 @@ from repro.weakset.transport import (
     InProcTransport,
     SocketTransport,
     TransportError,
-    exchange_all,
     harvest_all,
     send_all,
     serve_requests,
@@ -36,6 +36,12 @@ from repro.weakset.transport import (
 def socket_pair():
     left, right = socket.socketpair()
     return SocketTransport(left), SocketTransport(right)
+
+
+def exchange(transports, requests, **options):
+    """One round trip through both halves: send, then harvest."""
+    send_all(transports, requests)
+    return harvest_all(transports, **options)
 
 
 def selector_for(transports):
@@ -48,7 +54,7 @@ def selector_for(transports):
 
 class TestDirectTransport:
     def test_handler_receives_the_callers_object(self):
-        request = RoundRequest(adds=((0, 1, object()),))  # uncodable
+        request = StepBatchRequest(rounds=1, adds=((0, 1, object()),))  # uncodable
         seen = []
 
         def handler(message):
@@ -93,10 +99,10 @@ class TestInProcTransport:
             return StopReply()
 
         transport = InProcTransport(handler)
-        transport.send(RoundRequest(adds=((0, 1, "alpha"),)))
+        transport.send(StepBatchRequest(rounds=1, adds=((0, 1, "alpha"),)))
         assert transport.recv() == StopReply()
         # the handler received a decoded copy, not the caller's object
-        assert seen == [RoundRequest(adds=((0, 1, "alpha"),))]
+        assert seen == [StepBatchRequest(rounds=1, adds=((0, 1, "alpha"),))]
 
     def test_handler_failure_becomes_error_reply(self):
         def handler(request):
@@ -121,7 +127,7 @@ class TestInProcTransport:
 
         transport = InProcTransport(lambda request: StopReply())
         with pytest.raises(ProtocolError):
-            transport.send(RoundRequest(adds=((0, 1, object()),)))
+            transport.send(StepBatchRequest(rounds=1, adds=((0, 1, object()),)))
 
 
 class TestSocketTransport:
@@ -140,7 +146,7 @@ class TestSocketTransport:
         """A TCP stream may deliver a frame a byte at a time."""
         raw_left, raw_right = socket.socketpair()
         transport = SocketTransport(raw_right)
-        frame = encode_message(RoundRequest(adds=((1, 0, "frag"),)))
+        frame = encode_message(StepBatchRequest(rounds=1, adds=((1, 0, "frag"),)))
         received = []
         reader = threading.Thread(target=lambda: received.append(transport.recv()))
         reader.start()
@@ -148,17 +154,17 @@ class TestSocketTransport:
             raw_left.sendall(frame[offset : offset + 1])
             time.sleep(0.001)
         reader.join(timeout=10)
-        assert received == [RoundRequest(adds=((1, 0, "frag"),))]
+        assert received == [StepBatchRequest(rounds=1, adds=((1, 0, "frag"),))]
         raw_left.close()
         transport.close()
 
     def test_two_frames_back_to_back_stay_separate(self):
         left, right = socket_pair()
         try:
-            left.send(RoundRequest(adds=((0, 0, "a"),)))
-            left.send(RoundRequest(adds=((1, 1, "b"),)))
-            assert right.recv() == RoundRequest(adds=((0, 0, "a"),))
-            assert right.recv() == RoundRequest(adds=((1, 1, "b"),))
+            left.send(StepBatchRequest(rounds=1, adds=((0, 0, "a"),)))
+            left.send(StepBatchRequest(rounds=2, adds=((1, 1, "b"),)))
+            assert right.recv() == StepBatchRequest(rounds=1, adds=((0, 0, "a"),))
+            assert right.recv() == StepBatchRequest(rounds=2, adds=((1, 1, "b"),))
         finally:
             left.close()
             right.close()
@@ -181,7 +187,7 @@ class TestSocketTransport:
             right.close()
 
 
-class TestExchangeAll:
+class TestExchange:
     def test_replies_are_order_canonical_despite_arrival_order(self):
         """Worker 0 replies *slowest*; the overlapped harvest must
         still hand back replies[0] = worker 0's answer."""
@@ -199,7 +205,7 @@ class TestExchangeAll:
         for thread in threads:
             thread.start()
         with selector_for(parents) as selector:
-            replies = exchange_all(
+            replies = exchange(
                 list(parents),
                 [PeekRequest(pid=index) for index in range(3)],
                 selector=selector,
@@ -215,7 +221,7 @@ class TestExchangeAll:
     def test_lockstep_harvest_gives_the_same_answers(self):
         handler = lambda request: ErrorReply(f"pid={request.pid}")
         transports = [InProcTransport(handler) for _ in range(3)]
-        replies = exchange_all(
+        replies = exchange(
             transports, [PeekRequest(pid=index) for index in range(3)]
         )
         assert [reply.message for reply in replies] == [
@@ -224,7 +230,7 @@ class TestExchangeAll:
 
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ValueError):
-            exchange_all([InProcTransport(lambda r: StopReply())], [])
+            send_all([InProcTransport(lambda r: StopReply())], [])
 
     def test_dead_peer_is_reported_with_its_shard_index(self):
         left0, right0 = socket_pair()
@@ -238,7 +244,7 @@ class TestExchangeAll:
         thread = threading.Thread(target=serve0)
         thread.start()
         with pytest.raises(TransportError, match="shard 1"):
-            exchange_all([left0, left1], [StopRequest(), StopRequest()])
+            exchange([left0, left1], [StopRequest(), StopRequest()])
         thread.join(timeout=10)
         for transport in (left0, right0, left1):
             transport.close()
