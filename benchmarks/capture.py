@@ -89,6 +89,16 @@ DENSE_LAYOUT_RECORDED_US = {
     "test_bench_heartbeat_columnar_n10k_r40": 1759354.0,
 }
 
+#: Recorded at commit 15d47aa, the last one whose lock-step matrix tick
+#: still ran per-process Python (dense link-plan rows for every sender,
+#: per-process trace-record writes), on the reference machine (2 vCPU
+#: Intel Xeon, Python 3.11.7; median of three bench medians): the same
+#: 40-round heartbeat shape.  A same-machine anchor like the ones
+#: above, enforced only under --strict.
+PER_PROCESS_TICK_RECORDED_US = {
+    "test_bench_heartbeat_columnar_n10k_r40": 536751.1,
+}
+
 #: Recorded at commit 799af11, the last one carrying the JSON frame
 #: codec, on the reference machine (2 vCPU Intel Xeon, Python 3.11.7):
 #: the JSON twins of the two frame-codec benches, the yardstick the
@@ -101,7 +111,12 @@ JSON_CODEC_RECORDED_US = {
 
 
 def run_micro() -> dict[str, float]:
-    """Run bench_micro.py under pytest-benchmark; return mean µs by test."""
+    """Run bench_micro.py under pytest-benchmark; return median µs by test.
+
+    The median, not the mean: one round slowed by a neighbouring load
+    moves a mean of three to five rounds by a third of its slowdown,
+    and a same-run ratio floor with it.
+    """
     with tempfile.TemporaryDirectory() as tmp:
         json_path = Path(tmp) / "bench.json"
         command = [
@@ -119,7 +134,7 @@ def run_micro() -> dict[str, float]:
             raise SystemExit("micro-benchmarks failed")
         blob = json.loads(json_path.read_text())
     return {
-        bench["name"]: round(bench["stats"]["mean"] * 1e6, 3)
+        bench["name"]: round(bench["stats"]["median"] * 1e6, 3)
         for bench in blob["benchmarks"]
     }
 
@@ -168,6 +183,7 @@ def main(argv=None) -> int:
         "stream_v1_recorded_us": STREAM_V1_RECORDED_US,
         "stream_v2_recorded_us": STREAM_V2_RECORDED_US,
         "dense_layout_recorded_us": DENSE_LAYOUT_RECORDED_US,
+        "per_process_tick_recorded_us": PER_PROCESS_TICK_RECORDED_US,
         "json_codec_recorded_us": JSON_CODEC_RECORDED_US,
     }
     if not args.skip_experiments:
@@ -352,13 +368,22 @@ def main(argv=None) -> int:
         speedups["heartbeat_n10k_r40_vs_dense_recorded"] = round(
             recorded / heartbeat, 2
         )
+    # ... and against its recording while the tick still ran Python per
+    # process (sparse link plans and shared trace records since).
+    recorded = PER_PROCESS_TICK_RECORDED_US.get(
+        "test_bench_heartbeat_columnar_n10k_r40"
+    )
+    if heartbeat and recorded:
+        speedups["heartbeat_n10k_r40_vs_per_process_tick_recorded"] = round(
+            recorded / heartbeat, 2
+        )
     if speedups:
         snapshot["speedups"] = speedups
 
     args.output.write_text(json.dumps(snapshot, indent=2, sort_keys=True) + "\n")
     print(f"wrote {args.output}")
-    for name, mean in sorted(micro.items()):
-        print(f"  {name}: {mean} µs")
+    for name, median in sorted(micro.items()):
+        print(f"  {name}: {median} µs")
     for name, factor in sorted(speedups.items()):
         print(f"  speedup[{name}]: {factor}×")
     for name, seconds in sorted(snapshot.get("experiments_s", {}).items()):

@@ -158,6 +158,14 @@ STRICT_FLOORS = [
         "dead columns)",
     ),
     (
+        "heartbeat_n10k_r40_vs_per_process_tick_recorded",
+        2.0,
+        "the 40-round heartbeat at n=10,000 regressed toward a lock-step "
+        "tick with per-process Python (link plans presumably answer "
+        "every silent sender again, or trace records went back to one "
+        "write per process)",
+    ),
+    (
         "frame_codec_binary_vs_json_recorded",
         1.4,
         "the binary frame codec lost its edge over the recorded JSON "

@@ -74,9 +74,12 @@ class LinkPolicy(ABC):
 
         Must answer exactly what per-link :meth:`timely` calls would
         (self-links are reported ``False``; schedulers never deliver
-        them).  The default falls back to the scalar method so custom
-        policies stay correct with no extra work; the shipped policies
-        override it to answer a whole round without per-link dispatch.
+        them), except that a sender with no timely link may be left
+        out: a plan is sparse, and a missing sender's row reads
+        all-false.  The default falls back to the scalar method so
+        custom policies stay correct with no extra work; the shipped
+        policies override it to answer a whole round without per-link
+        dispatch (:class:`SilentLinks` answers ``{}``).
 
         Args:
             round_no: the round being planned.
@@ -84,12 +87,16 @@ class LinkPolicy(ABC):
             receivers: pids eligible to receive (row order).
 
         Returns:
-            ``{sender: row}`` with ``row[i]`` the timeliness of the
-            link to ``receivers[i]``.
+            ``{sender: row}`` for some of ``senders``, every sender with
+            a timely link among them, with ``row[i]`` the timeliness of
+            the link to ``receivers[i]``.
 
         Example:
-            >>> SilentLinks().timely_block(3, [0, 1], [0, 1, 2])
-            {0: [False, False, False], 1: [False, False, False]}
+            >>> silent = SilentLinks()
+            >>> silent.timely_block(3, [0, 1], [0, 1, 2])
+            {}
+            >>> any(silent.timely(3, s, r) for s in (0, 1) for r in (0, 1, 2))
+            False
             >>> AllTimelyLinks().timely_block(3, [0], [0, 1, 2])
             {0: [False, True, True]}
         """
@@ -115,8 +122,7 @@ class SilentLinks(LinkPolicy):
     def timely_block(
         self, round_no: int, senders: Sequence[int], receivers: Sequence[int]
     ) -> Dict[int, List[bool]]:
-        row = [False] * len(receivers)  # shared: rows are read-only
-        return {sender: row for sender in senders}
+        return {}
 
 
 class AllTimelyLinks(LinkPolicy):
@@ -230,17 +236,24 @@ class Environment(ABC):
         Returns:
             ``{sender: row}`` where ``row[i]`` says whether the link to
             ``receivers[i]`` happens to be timely (self-links are
-            ``False``).  Answers are exactly what per-link
-            :meth:`extra_timely` calls would produce —
-            equivalence-tested — so schedulers may use either path
-            interchangeably.
+            ``False``).  The plan is sparse: a sender with no timely
+            link may be left out, and its row reads all-false.
+            Answers are exactly what per-link :meth:`extra_timely`
+            calls would produce — equivalence-tested — so schedulers
+            may use either path interchangeably.
 
         Example (the default link policy is the stingy
-        :class:`SilentLinks`, so nothing extra is timely):
+        :class:`SilentLinks`, so nothing extra is timely and no sender
+        is answered):
 
             >>> env = MovingSourceEnvironment()
             >>> env.plan_round_links(2, [0, 1], [0, 1, 2])
-            {0: [False, False, False], 1: [False, False, False]}
+            {}
+            >>> any(env.extra_timely(2, s, r) for s in (0, 1) for r in (0, 1, 2))
+            False
+            >>> env = MovingSourceEnvironment(link_policy=AllTimelyLinks())
+            >>> env.plan_round_links(2, [0, 1], [0, 1, 2])
+            {0: [False, True, True], 1: [True, False, True]}
         """
         if type(self).extra_timely is not Environment.extra_timely:
             return {

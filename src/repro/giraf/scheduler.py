@@ -307,7 +307,8 @@ class LockStepScheduler:
                     )
 
         # One vectorized environment call covers every non-obligatory
-        # link of the round (replacing O(n²) ``extra_timely`` calls).
+        # link of the round (replacing O(n²) ``extra_timely`` calls); a
+        # sender the sparse plan leaves out has no timely link.
         extra_senders = [pid for pid in envelopes if pid not in plan.obligatory]
         link_rows: Dict[int, List[bool]] = {}
         if extra_senders and receivers:
@@ -394,7 +395,7 @@ class DriftingLoop:
       planned once by ``plan_round`` and never evicted, so a re-plan
       after a crash or halt walks every planned round;
     * per planned round, evicted below the lowest active round: the
-      link plan (its ``plan_round_links`` matrix); per sender, the
+      link plan (its sparse ``plan_round_links`` matrix); per sender, the
       bitmask of the receivers its envelope reached in time, so a batch
       of receivers is one mask update; and per receiver, the bitmask
       of the obligatory senders among those, so a gate probe is one
@@ -423,6 +424,7 @@ class DriftingLoop:
         self._correct = kernel.correct
         self._obligations: Dict[int, int] = {}
         self._links: Dict[int, Dict[int, List[bool]]] = {}
+        self._no_links = [False] * n
         self._reached: Dict[int, List[int]] = {}
         self._held: Dict[int, List[int]] = {}
         self._waiting: Dict[int, int] = {}
@@ -481,13 +483,15 @@ class DriftingLoop:
     def link_row(self, round_no: int, sender: int) -> List[bool]:
         """Which receivers (by pid) a non-obligatory broadcast from
         ``sender`` reaches in time.  Link policies are deterministic per
-        link, so one ``plan_round_links`` call plans the whole round."""
+        link, so one ``plan_round_links`` call plans the whole round; a
+        sender the sparse plan leaves out reads the run's one all-false
+        row."""
         matrix = self._links.get(round_no)
         if matrix is None:
             matrix = self._links[round_no] = self.environment.plan_round_links(
                 round_no, self.pids, self.pids
             )
-        return matrix[sender]
+        return matrix.get(sender, self._no_links)
 
     def _evict(self) -> None:
         """Drop the per-round state of rounds every active process has

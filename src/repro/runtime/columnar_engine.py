@@ -69,8 +69,14 @@ scheduler (``tests/runtime/test_columnar_engine.py`` and
   would be due in a tick already flushed, so it raises
   :class:`~repro.errors.ProtocolMisuse` on both engines instead of
   vanishing;
-* broadcast planning consumes the environment's vectorized
-  ``plan_round_links`` boolean rows directly.  A round's late delays
+* broadcast planning splits the tick's senders into obligatory and
+  extra ones with a pid mask and list slices, and consumes the
+  environment's vectorized ``plan_round_links`` boolean rows directly.  The plan is
+  sparse: a sender with no timely link may be left out
+  (:class:`~repro.giraf.environments.SilentLinks` answers ``{}``), so
+  when every late is dropped — a constant delay past the horizon or
+  the never-delivered sentinel — only the answered rows are visited,
+  and a silent tick costs no Python per sender.  A round's late delays
   are one senders × receivers ``delay_ticks_matrix`` draw per chunk of
   senders (at most :data:`_LATE_CHUNK_CELLS` cells, so memory stays
   bounded at any ``n``), counted per due tick with one
@@ -81,10 +87,16 @@ scheduler (``tests/runtime/test_columnar_engine.py`` and
 Trace bookkeeping (round entries, compute times, decisions, halts,
 aggregate counters, and for heartbeats optional snapshots and payload
 statistics) is emitted in the object engine's exact order and
-arithmetic; ``finalize`` writes the final state back into the
-algorithm objects so a finished run is externally indistinguishable.
-(Inbox round slots are *not* materialized — in aggregate mode nothing
-reads them after the run.)
+arithmetic.  The active processes form one *record group*: they fire
+every tick, so their round entries are one shared dict and their
+compute times another, each written once per tick.  A process leaving
+the group (a crash, or a decision and halt) first takes its own copy,
+so a ``stop_when`` predicate reads at every tick exactly what the
+object engine shows.  ``finalize`` un-shares the rest, so the finished
+trace holds one dict per process, and writes the final state back
+into the algorithm objects so a finished run is externally
+indistinguishable.  (Inbox round slots are *not* materialized — in
+aggregate mode nothing reads them after the run.)
 
 :class:`ColumnarDriftingEngine` is the drifting scheduler's matrix path
 for heartbeat runs: it plugs its row computes and batched delivery
@@ -153,12 +165,13 @@ def _install_final_views(kernel, index, rows, hist_col, final_rounds) -> None:
     columns of its slots — plus its final history (an interned node),
     whose ``counters`` builds its dict on first access — teardown is
     O(n) instead of O(n × width).  A process that never fired keeps its
-    initial history.
+    initial history.  ``hist_col`` and ``final_rounds`` are lists of
+    ints (an engine converts its arrays with one ``tolist`` each).
     """
     histories = index.histories
     for pid, proc in enumerate(kernel.processes):
         algorithm = proc.algorithm
-        col = int(hist_col[pid])
+        col = hist_col[pid]
         history = histories[col] if col >= 0 else algorithm.elector.history
         row, cols = rows(pid)
         algorithm.elector = CounterRowView(history, index, row, cols)
@@ -166,14 +179,15 @@ def _install_final_views(kernel, index, rows, hist_col, final_rounds) -> None:
 
 
 def _install_heartbeat_flags(kernel, leader, since, my, mx, computed) -> None:
-    """The heartbeat's leadership flags and pre-append my/max captures."""
+    """The heartbeat's leadership flags and pre-append my/max captures,
+    from per-process lists of Python values."""
     for pid, algorithm in enumerate(kernel.algorithms):
-        algorithm.currently_leader = bool(leader[pid])
-        value = int(since[pid])
+        algorithm.currently_leader = leader[pid]
+        value = since[pid]
         algorithm.leader_since = None if value < 0 else value
         if computed[pid]:
-            algorithm._my_counter = int(my[pid])
-            algorithm._max_counter = int(mx[pid])
+            algorithm._my_counter = my[pid]
+            algorithm._max_counter = mx[pid]
 
 
 # ----------------------------------------------------------------------
@@ -325,20 +339,28 @@ class ColumnarLockStepEngine:
         self._frozen: Dict[int, tuple] = {}
 
         # --- activity -------------------------------------------------
-        self._active: List[bool] = [True] * n
         self._active_count = n
         self._active_sorted: Optional[List[int]] = list(range(n))
         self._active_np = np.ones(n, dtype=bool)
         self._active_idx = np.arange(n)
+        self._correct_np = np.zeros(n, dtype=bool)
+        self._correct_np[list(kernel.correct)] = True
+        # the last sender array's lists (see _sender_lists)
+        self._lists_of = None
+        self._lists: Tuple[List[int], List[int]] = ([], [])
         # --- histories ------------------------------------------------
-        # Per-process current history column (-1 = never fired), an
-        # int64 array: compute indexes rows with it.
+        # Per-process current history column (-1 = never fired) and
+        # last sending tick (the final round), int64 arrays.
         self._hist_col = np.full(n, -1, dtype=np.int64)
-        self._last_fired = [0] * n
+        self._last_fired = np.zeros(n, dtype=np.int64)
 
         # --- trace plumbing -------------------------------------------
-        self._entries: List[Optional[dict]] = [None] * n
-        self._computes: List[Optional[dict]] = [None] * n
+        # The record group: the active processes fire every tick, so
+        # they share one round-entry dict and one compute-time dict
+        # (see _record_entries); a process leaving the group takes its
+        # own copy first (_unshare), and finalize un-shares the rest.
+        self._entries: Dict[int, float] = {}
+        self._computes: Dict[int, float] = {}
         # due tick -> late-delivery count (the whole late queue)
         self._late_counts: Dict[int, int] = {}
         # last tick's delivery plan, consumed by the next compute:
@@ -448,22 +470,34 @@ class ColumnarLockStepEngine:
     # activity bookkeeping
     # ------------------------------------------------------------------
     def _active_pids(self) -> List[int]:
+        """The active pids, ascending; ``_active_idx`` holds them as an
+        index array.  Both are rebuilt (a new array each time) only
+        after a process stops."""
         cached = self._active_sorted
         if cached is None:
-            active = self._active
-            cached = self._active_sorted = [
-                pid for pid in range(self._n) if active[pid]
-            ]
             self._active_idx = self._np.flatnonzero(self._active_np)
+            cached = self._active_sorted = self._active_idx.tolist()
         return cached
 
     def _deactivate(self, pid: int) -> None:
-        self._active[pid] = False
+        """Take ``pid`` out of the active group (a crash or a halt)."""
         self._active_np[pid] = False
         # later folds stop carrying the row: keep it as it ends
         self._frozen[pid] = (self._C[: len(self._cols), pid].copy(), self._cols)
+        self._unshare((pid,))
         self._active_count -= 1
         self._active_sorted = None
+
+    def _unshare(self, pids) -> None:
+        """Give each of ``pids`` its own copy of the group's records."""
+        trace = self._trace
+        for table, shared in (
+            (trace.round_entries, self._entries),
+            (trace.compute_times, self._computes),
+        ):
+            for pid in pids:
+                if table.get(pid) is shared:
+                    table[pid] = shared.copy()
 
     def _apply_crashes(self, tick: int, *, before_send: bool) -> None:
         crashes = self._trace.crashes
@@ -497,19 +531,22 @@ class ColumnarLockStepEngine:
         return True
 
     # -- fire ----------------------------------------------------------
-    def _fire_heartbeat(self, tick: int) -> List[int]:
+    def _fire_heartbeat(self, tick: int):
+        """Every active process's end-of-round; returns the senders (an
+        ascending pid array)."""
         fired = self._active_pids()
         if not fired:
-            return fired
+            return self._active_idx
         if tick >= 2:
             self._compute_heartbeat(tick)
+            self._record_computes(tick, fired)
         self._append_heartbeat(tick)
-        self._record(tick, fired, fired)
+        self._record_entries(tick, fired)
         if self._record_snapshots and tick >= 2:
             self._emit_snapshots(tick, fired)
         if self._payload_stats:
             self._emit_payload_stats(tick, fired)
-        return fired
+        return self._active_idx
 
     def _fold(self, bumped):
         """Line 8 into the spare buffer, over the live columns only.
@@ -643,33 +680,31 @@ class ColumnarLockStepEngine:
             self._group_col[g] = col
             hist_col[gidx[sel]] = col
 
-    def _record(self, tick: int, computed: List[int], senders: List[int]) -> None:
-        """The object loop's bookkeeping: a compute time for every
-        process that computed, a round entry for every one that sent."""
+    def _record_computes(self, tick: int, computed: List[int]) -> None:
+        """The compute times of ``compute(tick - 1)``: the processes that
+        computed are the record group, so this is one write into its
+        shared dict (the group joins ``trace.compute_times`` on its
+        first compute, in pid order, as the object loop inserts)."""
+        shared = self._computes
+        if not shared:
+            self._trace.compute_times.update(dict.fromkeys(computed, shared))
+        shared[tick - 1] = float(tick)
+
+    def _record_entries(self, tick: int, senders: List[int]) -> None:
+        """The round entries of the tick's senders, the record group
+        (the active processes): one write into its shared dict, which
+        joins ``trace.round_entries`` on the first tick."""
+        if not senders:
+            return
         trace = self._trace
-        time = float(tick)
-        if tick >= 2:
-            computes = self._computes
-            computing = tick - 1
-            for pid in computed:
-                per_round = computes[pid]
-                if per_round is None:
-                    per_round = computes[pid] = trace.compute_times.setdefault(
-                        pid, {}
-                    )
-                per_round[computing] = time
-        entries = self._entries
-        last_fired = self._last_fired
-        for pid in senders:
-            per_round = entries[pid]
-            if per_round is None:
-                per_round = entries[pid] = trace.round_entries.setdefault(pid, {})
-            per_round[tick] = time
-            last_fired[pid] = tick
-        if senders:
-            if tick > trace.rounds_executed:
-                trace.rounds_executed = tick
-            trace.agg_sends += len(senders)
+        shared = self._entries
+        if not shared:
+            trace.round_entries.update(dict.fromkeys(senders, shared))
+        shared[tick] = float(tick)
+        self._last_fired[self._active_idx] = tick
+        if tick > trace.rounds_executed:
+            trace.rounds_executed = tick
+        trace.agg_sends += len(senders)
 
     def _emit_snapshots(self, tick: int, fired: List[int]) -> None:
         trace = self._trace
@@ -729,12 +764,12 @@ class ColumnarLockStepEngine:
         ]
 
     # -- Algorithm 3 ---------------------------------------------------
-    def _fire_ess(self, tick: int) -> List[int]:
-        """Every active process's end-of-round; returns the senders
-        (a decider halts instead of sending)."""
+    def _fire_ess(self, tick: int):
+        """Every active process's end-of-round; returns the senders (an
+        ascending pid array; a decider halts instead of sending)."""
         fired = self._active_pids()
         if not fired:
-            return fired
+            return self._active_idx
         if tick == 1:
             # line 2, HISTORY := VAL: one column per distinct proposal,
             # from the elector's actual node (as for heartbeat brands)
@@ -750,15 +785,16 @@ class ColumnarLockStepEngine:
                     )
                 self._hist_col[pid] = col
             self._anc[:, 0] = self._hist_col
-            self._record(tick, fired, fired)
-            return fired
+            self._record_entries(tick, fired)
+            return self._active_idx
         deciders = self._compute_ess(tick)
-        senders = fired
+        self._record_computes(tick, fired)
         if deciders:
+            # each decider leaves the group with this compute recorded
+            # and this round not entered
             self._halt_deciders(tick, deciders)
-            senders = self._active_pids()
-        self._record(tick, fired, senders)
-        return senders
+        self._record_entries(tick, self._active_pids())
+        return self._active_idx
 
     def _compute_ess(self, tick: int) -> List[int]:
         """``compute(tick - 1, M)`` of every active process as matrix
@@ -889,34 +925,54 @@ class ColumnarLockStepEngine:
             self._deactivate(pid)
 
     # -- deliver -------------------------------------------------------
-    def _deliver(self, tick: int, fired: List[int]) -> None:
-        """Plan and count the round's deliveries from ``fired`` (the
-        tick's senders), leaving the next compute's inputs in
-        ``_pending``."""
-        if not fired:
+    def _sender_lists(self, senders) -> Tuple[List[int], List[int]]:
+        """``senders`` as a list, and ``plan_round``'s candidates (the
+        correct senders, else every sender).  ``senders`` is an active
+        index array, a new one after every stop, so both lists are
+        rebuilt only when the set changes."""
+        if senders is not self._lists_of:
+            correct = senders[self._correct_np[senders]]
+            self._lists = (
+                senders.tolist(),
+                (correct if len(correct) else senders).tolist(),
+            )
+            self._lists_of = senders
+        return self._lists
+
+    def _deliver(self, tick: int, senders) -> None:
+        """Plan and count the round's deliveries from ``senders`` (the
+        tick's senders, an ascending pid array), leaving the next
+        compute's inputs in ``_pending``."""
+        if not len(senders):
             return
         np = self._np
         n = self._n
         kernel = self._kernel
-        trace = self._trace
         environment = self._environment
-        correct = kernel.correct
-        correct_senders = [pid for pid in fired if pid in correct]
-        candidates = correct_senders or fired
+        sender_list, candidates = self._sender_lists(senders)
         plan = environment.plan_round(tick, candidates)
         if plan.source is not None:
-            trace.declared_sources[tick] = plan.source
+            self._trace.declared_sources[tick] = plan.source
 
-        active = self._active
+        active = self._active_np
         receivers = self._active_pids()
         receiver_count = len(receivers)
-        obligatory = plan.obligatory
-        oblig_senders = [pid for pid in fired if pid in obligatory]
-        deliveries = 0
-        for sender in oblig_senders:
-            deliveries += receiver_count - (1 if active[sender] else 0)
-
-        extra_senders = [pid for pid in fired if pid not in obligatory]
+        obligatory = np.zeros(n, dtype=bool)
+        obligatory[list(plan.obligatory)] = True
+        positions = np.flatnonzero(obligatory[senders]).tolist()
+        oblig_senders = [sender_list[at] for at in positions]
+        # an obligatory sender reaches every receiver but itself
+        deliveries = len(oblig_senders) * receiver_count - int(
+            active[oblig_senders].sum()
+        )
+        # the rest, cut out of the sender list between the obligatory
+        # positions (list slices, no int conversion per sender)
+        extra_senders: List[int] = []
+        start = 0
+        for at in positions:
+            extra_senders += sender_list[start:at]
+            start = at + 1
+        extra_senders += sender_list[start:]
         link_rows: Dict[int, List[bool]] = {}
         if extra_senders and receivers:
             link_rows = environment.plan_round_links(tick, extra_senders, receivers)
@@ -926,14 +982,19 @@ class ColumnarLockStepEngine:
         late_counts = self._late_counts
         max_rounds = kernel.max_rounds
         # With a constant delay past the horizon (or the never-delivered
-        # sentinel) every late is dropped at queue time — senders whose
-        # link row is all-false then contribute nothing at all.
+        # sentinel) every late is dropped at queue time, so a sender
+        # with no timely link contributes nothing at all: only the rows
+        # the sparse plan answered are visited.  Otherwise every extra
+        # sender is, a missing row reading all-false.
         drop_all_late = const_delay is not None and (
             tick + const_delay > max_rounds or const_delay >= NEVER_DELIVERED
         )
-        # Link policies may share one row object across senders (the
-        # all-false silent row does); cache its true positions once.
-        positions_cache: Dict[int, List[int]] = {}
+        if drop_all_late:
+            planned = link_rows.items()
+        else:
+            planned = [
+                (sender, link_rows.get(sender, ())) for sender in extra_senders
+            ]
         # (sender, timely receivers) whose lates the matrix draws
         drawn: List[Tuple[int, List[int]]] = []
 
@@ -951,24 +1012,12 @@ class ColumnarLockStepEngine:
                 return receivers[:at] + receivers[at + 1 :]
             return receivers
 
-        for sender in extra_senders:
-            row = link_rows.get(sender)
-            if row is None:
-                if drop_all_late:
-                    continue
-                timely: List[int] = []
-            else:
-                key = id(row)
-                positions = positions_cache.get(key)
-                if positions is None:
-                    positions = positions_cache[key] = [
-                        position for position, flag in enumerate(row) if flag
-                    ]
-                if drop_all_late and not positions:
-                    continue
-                timely = [receivers[position] for position in positions]
-                if timely:
-                    timely = [pid for pid in timely if pid != sender]
+        for sender, row in planned:
+            timely = [
+                pid for pid, flag in zip(receivers, row) if flag and pid != sender
+            ]
+            if drop_all_late and not timely:
+                continue
             if timely:
                 deliveries += len(timely)
                 mask = np.zeros(n, dtype=bool)
@@ -1069,31 +1118,47 @@ class ColumnarLockStepEngine:
         ``VAL``, ``PROPOSED``, ``WRITTEN``, ``WRITTENOLD`` and leader
         flag (decisions were written during the run); counter maps
         materialize lazily on first access (see
-        :func:`_install_final_views`).
+        :func:`_install_final_views`).  The record group's members get
+        their own round-entry and compute-time dicts, so the finished
+        trace holds one dict per process.  Each array is read through
+        one ``tolist``.
         """
         if self._finalized:
             return
         self._finalized = True
         kernel = self._kernel
+        self._unshare(self._active_pids())
         _install_final_views(
-            kernel, self._index, self._final_row, self._hist_col, self._last_fired
+            kernel,
+            self._index,
+            self._final_row,
+            self._hist_col.tolist(),
+            self._last_fired.tolist(),
         )
         if not self._ess:
             _install_heartbeat_flags(
-                kernel, self._leader, self._since, self._my, self._mx, self._computed
+                kernel,
+                *(
+                    array.tolist()
+                    for array in (
+                        self._leader, self._since, self._my, self._mx, self._computed
+                    )
+                ),
             )
             return
         values = self._values
         proposed = _row_sets(self._P, values)
         written_old = _row_sets(self._WO, values)
         written = self._decided_written
+        val = self._val.tolist()
+        was_leader = self._was_leader.tolist()
         for pid, algorithm in enumerate(kernel.algorithms):
-            algorithm.val = values[self._val[pid]]
+            algorithm.val = values[val[pid]]
             algorithm.proposed = proposed[pid]
             # line 20 leaves WRITTEN = PROPOSED after every full round
             algorithm.written = written.get(pid, proposed[pid])
             algorithm.written_old = written_old[pid]
-            algorithm._last_was_leader = bool(self._was_leader[pid])
+            algorithm._last_was_leader = was_leader[pid]
 
 
 class ColumnarDriftingEngine:
@@ -1211,12 +1276,12 @@ class ColumnarDriftingEngine:
         # round -> history slot -> receiver bitmask: who received a
         # message carrying that history this round (the bump set).
         self._colmask: Dict[int, Dict[int, int]] = {}
-        # round -> id(row) -> (timely positions, late positions): link
-        # policies may share one row object across senders (the
-        # all-false silent row does), so the split is computed once per
-        # distinct row, not once per broadcast.  The loop's link plan
-        # keeps the round's rows alive (id stability) until both are
-        # evicted at the same horizon.
+        # round -> id(row) -> (timely positions, late positions): rows
+        # may be one object across senders (the loop's all-false row
+        # for every sender the sparse plan leaves out is), so the split
+        # is computed once per distinct row, not once per broadcast.
+        # The loop keeps the round's rows alive (id stability) until
+        # both are evicted at the same horizon.
         self._link_positions: Dict[int, Dict[int, tuple]] = {}
         #: the loop's delivery event kinds, drained by this engine
         self.handlers = {"cdel": self._cdel, "cbat": self._cbat}
@@ -1531,7 +1596,7 @@ class ColumnarDriftingEngine:
             kernel,
             self._index,
             lambda pid: (self._C[pid, :width], cols),
-            cols[self._hist_slot],
+            cols[self._hist_slot].tolist(),
             self._rounds,
         )
         _install_heartbeat_flags(

@@ -423,26 +423,26 @@ class ShardServer:
             if request.rounds < 1:
                 raise ProtocolMisuse("step batch needs rounds >= 1")
             self._apply_adds(request.adds)
-            if self.cluster.exhausted:
-                # A step aimed at an already-dead world is a no-op, as
-                # the scheduler's own step is at the horizon: a
-                # pipelined parent may have several steps in flight
-                # when a world dies, and it discards their replies, so
-                # the world, its trace and its clock stay untouched.
-                alive, executed = False, 1
-            else:
-                alive, executed = True, 0
+            start = self.cluster.now
+            # A step aimed at an already-dead world is a no-op, as the
+            # scheduler's own step is at the horizon: a pipelined
+            # parent may have several steps in flight when a world
+            # dies, and it discards their replies, so the world, its
+            # trace and its clock stay untouched.
+            alive = not self.cluster.exhausted
+            if alive:
                 # the exact step sequence `rounds` one-tick requests
                 # would drive; completions keep their simulated-time
                 # end stamps, so batching coalesces frames, not time
                 for _ in range(request.rounds):
                     alive = self.cluster.step()
-                    executed += 1
                     if not alive:
                         break
             return StepBatchReply(
                 alive=alive,
-                executed=executed,
+                # ticks run, read off the clock: the step that finds the
+                # horizon runs none, and a dead world answers 0
+                executed=int(self.cluster.now - start),
                 completions=self._take_completions(),
                 crashed=self._crashed_set(),
                 now=self.cluster.now,

@@ -104,20 +104,27 @@ class TestLinkPolicies:
         )
 
 
+def assert_sparse_plan(plan, timely, senders, receivers):
+    """The link-plan contract: ``plan`` answers only senders, each
+    answered row is exactly the per-link answers ``timely(sender,
+    receiver)`` (self-links ``False``), and each sender left out has no
+    timely link at all."""
+    assert set(plan) <= set(senders)
+    for sender in senders:
+        expected = [
+            receiver != sender and timely(sender, receiver) for receiver in receivers
+        ]
+        if sender in plan:
+            assert plan[sender] == expected, sender
+        else:
+            assert not any(expected), sender
+
+
 class TestVectorizedLinkPolicies:
-    """``timely_block`` must answer exactly what per-link calls would."""
+    """``timely_block`` answers what per-link calls would, sparsely."""
 
     SENDERS = [0, 2]
     RECEIVERS = [0, 1, 2, 3]
-
-    def _expected(self, policy, round_no):
-        return {
-            sender: [
-                receiver != sender and policy.timely(round_no, sender, receiver)
-                for receiver in self.RECEIVERS
-            ]
-            for sender in self.SENDERS
-        }
 
     @pytest.mark.parametrize(
         "policy",
@@ -126,9 +133,15 @@ class TestVectorizedLinkPolicies:
     )
     def test_block_matches_scalar(self, policy):
         for round_no in range(1, 12):
-            assert policy.timely_block(
-                round_no, self.SENDERS, self.RECEIVERS
-            ) == self._expected(policy, round_no)
+            plan = policy.timely_block(round_no, self.SENDERS, self.RECEIVERS)
+            assert_sparse_plan(
+                plan,
+                lambda sender, receiver: policy.timely(round_no, sender, receiver),
+                self.SENDERS,
+                self.RECEIVERS,
+            )
+            if isinstance(policy, SilentLinks):
+                assert plan == {}
 
     def test_default_block_falls_back_to_scalar(self):
         from repro.giraf.environments import LinkPolicy
@@ -146,6 +159,63 @@ class TestVectorizedLinkPolicies:
         rows = env.plan_round_links(1, [0, 1], [0, 1, 2])
         assert rows[0] == [False, True, True]
         assert rows[1] == [True, False, True]
+
+
+class RareLinks(MovingSourceEnvironment):
+    """Answers its own ``extra_timely``: a link is timely when the
+    round, sender and receiver sum to a multiple of 5, so most senders
+    of a round have none."""
+
+    def extra_timely(self, round_no, sender, receiver):
+        return (round_no + sender + receiver) % 5 == 0
+
+
+class TestSparseLinkPlans:
+    """``plan_round_links`` keeps the link-plan contract for every stock
+    policy and for an environment answering links itself, over rounds,
+    sender sets and receiver orders."""
+
+    SHAPES = [
+        ([0, 1, 2, 3, 4, 5], [0, 1, 2, 3, 4, 5]),
+        ([1, 4], [0, 2, 3, 4, 5]),
+        ([3], [3]),
+        ([0, 2, 5], []),
+    ]
+
+    @pytest.mark.parametrize(
+        "environment",
+        [
+            MovingSourceEnvironment(link_policy=SilentLinks()),
+            MovingSourceEnvironment(link_policy=AllTimelyLinks()),
+            MovingSourceEnvironment(link_policy=BernoulliLinks(0.3, seed=4)),
+            MovingSourceEnvironment(link_policy=BernoulliLinks(0.0, seed=4)),
+            RareLinks(),
+        ],
+        ids=["silent", "all-timely", "bernoulli", "bernoulli-never", "extra-timely"],
+    )
+    def test_rows_match_extra_timely(self, environment):
+        for round_no in range(1, 9):
+            for senders, receivers in self.SHAPES:
+                assert_sparse_plan(
+                    environment.plan_round_links(round_no, senders, receivers),
+                    lambda sender, receiver: environment.extra_timely(
+                        round_no, sender, receiver
+                    ),
+                    senders,
+                    receivers,
+                )
+
+    def test_silent_plan_is_empty(self):
+        environment = MovingSourceEnvironment(link_policy=SilentLinks())
+        assert environment.plan_round_links(3, [0, 1, 2], [0, 1, 2]) == {}
+
+    def test_extra_timely_override_is_honoured(self):
+        """An environment answering its own links is planned link by
+        link, whatever its link policy says."""
+        environment = RareLinks(link_policy=SilentLinks())
+        plan = environment.plan_round_links(1, [0, 1, 2], [0, 1, 2, 3, 4])
+        assert plan[0] == [False, False, False, False, True]
+        assert plan[1] == [False, False, False, True, False]
 
 
 class TestVectorizedDelayRows:

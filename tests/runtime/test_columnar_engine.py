@@ -13,8 +13,13 @@ scheduler, injected round hooks, consensus on top).  Beyond the
 hand-picked grid, generated lock-step heartbeat configurations pin the
 matrix path cold and after an unrelated columnar run has filled the
 interned history table, and a late delay under one tick fails closed on
-both engines.  Without numpy every columnar request declines with
-the numpy reason and the same pins hold against the object engine.
+both engines.  A stop predicate reads the same round entries and
+compute times at every tick on both engines (the matrix engine shares
+them across its active processes), for heartbeats with crashes and
+Algorithm 3 with deciders halting, and no two processes share a record
+dict once a run is over.  Without numpy every columnar request
+declines with the numpy reason and the same pins hold against the
+object engine.
 Algorithm 3 on the matrix path has its own pins in
 ``test_columnar_ess.py``.
 """
@@ -49,7 +54,7 @@ from repro.giraf.environments import (
 from repro.giraf.scheduler import DriftingScheduler, LockStepScheduler
 from repro.runtime.columnar_engine import NUMPY_REASON, ColumnarLockStepEngine
 from repro.runtime.kernel import RuntimeKernel
-from repro.sim.runner import run_ess_consensus
+from repro.sim.runner import run_ess_consensus, stop_when_all_correct_decided
 
 CRASHES = CrashSchedule(
     {1: CrashPlan(2, True), 3: CrashPlan(3, False), 5: CrashPlan(5, True)}
@@ -209,6 +214,103 @@ class TestWholeRoundEngineOptions:
         )
         assert columnar.run() == reference_trace
         assert _final_views(columnar) == _final_views(reference)
+
+
+class RecordWatch:
+    """A ``stop_when`` predicate that keeps, at every tick, what the
+    trace's round entries and compute times read (pids and rounds in
+    insertion order, with their times), then defers to ``stop``."""
+
+    def __init__(self, stop=None):
+        self.stop = stop
+        self.seen = []
+
+    def __call__(self, trace):
+        self.seen.append(
+            tuple(
+                [(pid, list(rounds.items())) for pid, rounds in table.items()]
+                for table in (trace.round_entries, trace.compute_times)
+            )
+        )
+        return self.stop is not None and self.stop(trace)
+
+
+def _watched(engine, algorithms, environment, crashes, rounds, stop=None):
+    clear_intern_cache()
+    watch = RecordWatch(stop)
+    scheduler = LockStepScheduler(
+        algorithms(),
+        environment(),
+        crash_schedule=crashes,
+        max_rounds=rounds,
+        stop_when=watch,
+        trace_mode="aggregate",
+        engine=engine,
+    )
+    return scheduler, scheduler.run(), watch.seen
+
+
+def _assert_records_pinned(**run):
+    """Both engines show a stop predicate the same records at every
+    tick and finish with the same trace, and the matrix run leaves
+    every process its own record dicts."""
+    _, reference_trace, reference_seen = _watched("object", **run)
+    columnar, trace, seen = _watched("columnar", **run)
+    assert columnar.engine_path == MATRIX_PATH
+    assert seen == reference_seen
+    assert trace == reference_trace
+    records = [*trace.round_entries.values(), *trace.compute_times.values()]
+    assert len({id(record) for record in records}) == len(records)
+    return trace, seen
+
+
+#: a crash in every position the record group meets: after the first
+#: send (pid 0), before any send (pid 2), before the first compute
+#: (pid 3), after a later send (pid 4), before a later send (pid 6)
+RECORD_CRASHES = CrashSchedule(
+    {
+        0: CrashPlan(1, False),
+        2: CrashPlan(1, True),
+        3: CrashPlan(2, True),
+        4: CrashPlan(3, False),
+        6: CrashPlan(5, True),
+    }
+)
+
+
+class TestSharedRecords:
+    """The matrix engine records the round entries and compute times of
+    the processes firing together in one shared dict per table; a
+    process leaving takes its own copy and ``finalize`` un-shares the
+    rest, so the records read as the object engine's throughout."""
+
+    @pytest.mark.parametrize("env", ["ms-bernoulli-uniform", "ms-never-delivered"])
+    def test_heartbeats_with_crashes(self, env):
+        _, seen = _assert_records_pinned(
+            algorithms=lambda: [HeartbeatPseudoLeader(pid % 3) for pid in range(8)],
+            environment=ENVIRONMENTS[env],
+            crashes=RECORD_CRASHES,
+            rounds=9,
+        )
+        assert len(seen) == 9
+
+    def test_algorithm_3_with_deciders_halting(self):
+        trace, seen = _assert_records_pinned(
+            algorithms=lambda: [ESSConsensus(v) for v in [3, 1, 4, 1, 5, 9, 2, 6]],
+            environment=lambda: EventuallyStableSourceEnvironment(
+                3,
+                0,
+                RandomSource(11),
+                BernoulliLinks(0.3, seed=11),
+                UniformDelay(2, 4, seed=11),
+            ),
+            crashes=CrashSchedule({4: CrashPlan(2, False), 6: CrashPlan(3, True)}),
+            rounds=60,
+            stop=stop_when_all_correct_decided,
+        )
+        # deciders leave the group in three different rounds
+        assert sorted({halt.round_no for halt in trace.halts}) == [4, 6, 8]
+        assert len(seen) == trace.rounds_executed == 8
 
 
 @st.composite

@@ -252,13 +252,33 @@ class TestRoundBatching:
         ) as cluster:
             assert cluster.advance(6) == 6
             assert cluster.now == 6.0
-            # the horizon stops the batch mid-flight: the dead step
-            # call is counted, exactly as a loop of step() would
+            # the horizon stops the batch mid-flight: the step that
+            # finds it runs no tick, so only the ticks run are counted
             executed = cluster.advance(10)
             assert cluster.exhausted
             assert cluster.now == 10.0
-            assert executed == 5
-            assert cluster.advance(3) == 1  # dead world: one probe call
+            assert executed == 4
+            assert cluster.advance(3) == 0  # dead world: nothing runs
+
+    @pytest.mark.parametrize("round_batch", [1, 4])
+    @pytest.mark.parametrize("backend", ["serial", "inproc"])
+    def test_advance_past_the_horizon_counts_ticks_run(self, backend, round_batch):
+        """The clock is the count: running into the horizon reports the
+        ticks that ran, a dead world reports 0, and the replay history
+        logs only ticks that ran."""
+        with ShardedWeakSetCluster(
+            3,
+            shards=2,
+            max_total_rounds=4,
+            backend=backend,
+            round_batch=round_batch,
+            window=2,
+        ) as cluster:
+            assert cluster.advance(10) == 4
+            assert cluster.now == 4.0
+            assert cluster.advance(10) == 0
+            assert cluster.now == 4.0
+            assert cluster._backend._history == [("step", 4)]
 
     def test_serial_and_inproc_agree_on_batch_accounting(self):
         serial = ShardedWeakSetCluster(
@@ -932,12 +952,12 @@ def _drive_plain_clusters(run):
         for pid, value in adds:
             events.append(_outcome(lambda: add(pid, value)))
         if kind == "advance":
-            ticks = 0
+            start = worlds[0].now
             for _ in range(arg):
-                ticks += 1
                 if not all([world.step() for world in worlds]):
                     break
-            events.append(("advanced", ticks))
+            # the ticks that ran: a step into the horizon runs none
+            events.append(("advanced", int(worlds[0].now - start)))
         else:
             events.append(_outcome(lambda: get(arg)))
     log = [(r.pid, r.value, r.start, r.end) for r in records]
