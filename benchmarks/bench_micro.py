@@ -19,6 +19,7 @@ import random
 import socket
 import threading
 import time
+from collections import deque
 
 from repro.core.counters import FrozenCounters, apply_round_update
 from repro.core.es_consensus import ESConsensus
@@ -44,6 +45,7 @@ from repro.runtime.events import CalendarEventQueue, HeapEventQueue
 from repro.sim.runner import stop_when_all_correct_decided
 from repro.sim.workloads import ChurnEnvironments
 from repro.weakset.cluster import MSWeakSetCluster
+from repro.weakset.ms_weakset import MSWeakSetAlgorithm, VerbatimMSWeakSetAlgorithm
 from repro.weakset.protocol import (
     PeekReply,
     StepBatchReply,
@@ -278,20 +280,22 @@ def test_bench_ess_uniform_columnar_n256(benchmark):
     assert len(trace.decided_pids()) == 256
 
 
-def _heartbeat_lockstep(n: int, engine: str, rounds: int, source=None):
+def _heartbeat_lockstep(
+    n: int, engine: str, rounds: int, source=None, delay: int = NEVER_DELIVERED
+):
     """S1's regime at bench scale: heartbeat pseudo-leaders, 8 brands,
     MS obligations (round-robin unless ``source`` says otherwise), no
-    extra links, aggregate traces — the dense anonymity workload the
-    columnar engine collapses to matrix ops.  The intern table is
-    cleared first so every iteration pays the same (empty-cache)
-    interning bill."""
+    extra links, lates never delivered unless ``delay`` says otherwise,
+    aggregate traces — the dense anonymity workload the columnar engine
+    collapses to matrix ops.  The intern table is cleared first so
+    every iteration pays the same (empty-cache) interning bill."""
     clear_intern_cache()
     scheduler = LockStepScheduler(
         [HeartbeatPseudoLeader(pid % 8) for pid in range(n)],
         MovingSourceEnvironment(
             source or RoundRobinSource(),
             SilentLinks(),
-            ConstantDelay(NEVER_DELIVERED),
+            ConstantDelay(delay),
         ),
         max_rounds=rounds,
         trace_mode="aggregate",
@@ -346,6 +350,20 @@ def test_bench_heartbeat_columnar_n10k_r40(benchmark):
         iterations=1,
     )
     assert trace.agg_deliveries == 40 * 9_999
+
+
+def test_bench_heartbeat_columnar_n10k_r40_delay3(benchmark):
+    """The same shape with every late delivered three ticks on: the
+    senders the sparse link plan leaves out (all but the source) each
+    add 9,999 lates to one due tick, which the engine counts in one
+    sum instead of one visit per sender."""
+    trace = benchmark.pedantic(
+        _heartbeat_lockstep,
+        args=(10_000, "columnar", 40, RandomSource(1), 3),
+        rounds=3,
+        iterations=1,
+    )
+    assert trace.agg_deliveries == 40 * 9_999 + 37 * 9_999 * 9_999
 
 
 def _heartbeat_drifting(n: int, engine: str, rounds: int):
@@ -537,6 +555,50 @@ def test_bench_weakset_sharded_adds(benchmark):
     """The same wave over 4 value-partitioned shard clusters."""
     records = benchmark(_weakset_add_wave, 4)
     assert all(record.end is not None for record in records)
+
+
+def _weakset_stream(algorithm_class, rounds: int = 200):
+    """One 8-process Algorithm-4 cluster offered two adds per round for
+    ``rounds`` rounds under ``UniformDelay(2, 5)``: late deliveries keep
+    landing in old slots while ``PROPOSED`` grows by about two values a
+    round.  A process with an add still blocked queues the next one."""
+    n = 8
+    algorithms = [algorithm_class() for _ in range(n)]
+    queues = [deque() for _ in range(n)]
+
+    def offer(tick):
+        for index in (2 * tick, 2 * tick + 1):
+            queues[index % n].append(f"s{index}")
+        for algorithm, pending in zip(algorithms, queues):
+            if pending and not algorithm.blocked:
+                algorithm.begin_add(pending.popleft())
+
+    LockStepScheduler(
+        algorithms,
+        MovingSourceEnvironment(RandomSource(7), delay_policy=UniformDelay(2, 5)),
+        max_rounds=rounds,
+        trace_mode="aggregate",
+        on_round=offer,
+    ).run()
+    return algorithms
+
+
+def test_bench_weakset_stream_r200(benchmark):
+    """The stream on the stock automaton, whose line 15 folds only the
+    messages that arrived since its last compute."""
+    algorithms = benchmark.pedantic(
+        _weakset_stream, args=(MSWeakSetAlgorithm,), rounds=3, iterations=1
+    )
+    assert len(algorithms[0].get_now()) > 300
+
+
+def test_bench_weakset_stream_r200_verbatim(benchmark):
+    """The same stream on the verbatim line 15, which re-reads every
+    slot and flattens every message at every compute."""
+    algorithms = benchmark.pedantic(
+        _weakset_stream, args=(VerbatimMSWeakSetAlgorithm,), rounds=3, iterations=1
+    )
+    assert len(algorithms[0].get_now()) > 300
 
 
 def _churn(backend: str, **kwargs):

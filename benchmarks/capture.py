@@ -217,6 +217,14 @@ def main(argv=None) -> int:
     full_now = micro.get("test_bench_drifting_round_throughput_full_trace")
     if fast and full_now:
         speedups["drifting_aggregate_vs_full_trace"] = round(full_now / fast, 2)
+    # Algorithm 4's line 15 folding only what is new, against the same
+    # 200-round stream on the verbatim union over every slot.
+    fold = micro.get("test_bench_weakset_stream_r200")
+    verbatim = micro.get("test_bench_weakset_stream_r200_verbatim")
+    if fold and verbatim:
+        speedups["weakset_stream_r200_vs_verbatim_line15"] = round(
+            verbatim / fold, 2
+        )
     single = micro.get("test_bench_weakset_cluster_adds")
     sharded = micro.get("test_bench_weakset_sharded_adds")
     if single and sharded:
@@ -376,6 +384,14 @@ def main(argv=None) -> int:
     if heartbeat and recorded:
         speedups["heartbeat_n10k_r40_vs_per_process_tick_recorded"] = round(
             recorded / heartbeat, 2
+        )
+    # Constant-delay lates inside the horizon against never-delivered
+    # ones on the same heartbeat shape: the silent senders' lates are
+    # one count per tick, so delivering them should cost little.
+    delayed = micro.get("test_bench_heartbeat_columnar_n10k_r40_delay3")
+    if heartbeat and delayed:
+        speedups["heartbeat_n10k_r40_delay3_vs_never_delivered"] = round(
+            heartbeat / delayed, 2
         )
     if speedups:
         snapshot["speedups"] = speedups

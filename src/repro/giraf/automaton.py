@@ -23,7 +23,8 @@ bookkeeping) and is invisible to the algorithm.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Dict, FrozenSet, Hashable, Mapping, Optional, Set
+from types import MappingProxyType
+from typing import AbstractSet, Dict, FrozenSet, Hashable, Mapping, Optional, Set
 
 from repro.errors import ProtocolMisuse
 from repro.giraf.messages import Envelope
@@ -34,10 +35,11 @@ __all__ = ["GirafAlgorithm", "GirafProcess", "InboxView"]
 class InboxView:
     """Read-only view of a process's per-round message sets ``M_i``.
 
-    ``received(k)`` is the paper's ``M_i[k]``; ``received_up_to(k)`` is
-    the union ``⋃_{1 ≤ k' ≤ k} M_i[k']`` that Algorithm 4 (the weak-set
-    implementation) reads in its line 15.  Late deliveries land in old
-    slots, so both views can grow between rounds.
+    ``received(k)`` is the paper's ``M_i[k]``; ``slots()`` is every
+    slot, live and uncopied, which Algorithm 4 (the weak-set
+    implementation) folds into its line 15 one new message at a time.
+    Late deliveries land in old slots and early ones in future slots,
+    so every view can grow between rounds.
     """
 
     __slots__ = ("_slots",)
@@ -49,8 +51,16 @@ class InboxView:
         """The set of algorithm messages currently in slot ``M[k]``."""
         return frozenset(self._slots.get(k, ()))
 
+    def slots(self) -> Mapping[int, AbstractSet[Hashable]]:
+        """The live slots ``{k: M[k]}``, not copied: a slot only grows,
+        so its size tells a reader whether it changed.  Read, never
+        write, through it."""
+        return MappingProxyType(self._slots)
+
     def received_up_to(self, k: int) -> FrozenSet[Hashable]:
-        """Union of all slots ``M[1] ∪ … ∪ M[k]`` (Algorithm 4 line 15)."""
+        """Union of all slots ``M[1] ∪ … ∪ M[k]``, rebuilt on each call:
+        Algorithm 4's line 15 as written, which the tests and the speed
+        floor compare the incremental fold against."""
         merged: set[Hashable] = set()
         for slot_round, messages in self._slots.items():
             if 1 <= slot_round <= k:

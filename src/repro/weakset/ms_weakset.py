@@ -23,9 +23,22 @@ Pseudocode correspondence (paper's listing)::
       if VAL ∈ WRITTEN: BLOCK := false                line 16
       return PROPOSED                                 line 17
 
-Note line 15 unions over **all** round slots, so late deliveries
-matter here — unlike the consensus algorithms, which only read the
-current slot.  The blocking ``wait`` of line 11 is realized by the
+Line 15 unions over **all** round slots ``1 ≤ k' ≤ k``, so late
+deliveries matter here — unlike the consensus algorithms, which only
+read the current slot.  Rebuilt every round, that union costs
+O(k × messages × |PROPOSED|); :meth:`MSWeakSetAlgorithm.compute` folds
+only what is new instead.  It remembers the messages it has folded and,
+per slot, the size at which it last folded that slot, and at
+``compute(k)`` reads only the slots ``r ≤ k`` whose size changed,
+folding their unseen messages.  A slot above ``k`` (an early arrival on
+the drifting scheduler) waits until it comes into range.  This is
+exact because a slot only grows and ``PROPOSED`` only grows (lines 8
+and 15), so a message folded once stays contained:
+:class:`VerbatimMSWeakSetAlgorithm` computes line 15 as written, and
+the tests pin both to the same ``PROPOSED``, ``WRITTEN`` and ``BLOCK``
+after every compute.
+
+The blocking ``wait`` of line 11 is realized by the
 driver (:func:`run_ms_weakset` / the cluster facade in
 :mod:`repro.weakset.cluster`): GIRAF hooks must not block, so the
 algorithm exposes ``blocked`` state and the driver advances rounds
@@ -45,6 +58,7 @@ from typing import (
     Mapping,
     Optional,
     Sequence,
+    Set,
     Tuple,
 )
 
@@ -57,7 +71,13 @@ from repro.giraf.traces import RunTrace
 from repro.values import BOTTOM
 from repro.weakset.spec import AddRecord, GetRecord, OpLog, WeakSetReport, check_weakset
 
-__all__ = ["MSWeakSetAlgorithm", "WeakSetRunResult", "run_ms_weakset", "OpScript"]
+__all__ = [
+    "MSWeakSetAlgorithm",
+    "OpScript",
+    "VerbatimMSWeakSetAlgorithm",
+    "WeakSetRunResult",
+    "run_ms_weakset",
+]
 
 
 def _intersect_all(messages: FrozenSet[Hashable]) -> FrozenSet[Hashable]:
@@ -81,6 +101,10 @@ class MSWeakSetAlgorithm(GirafAlgorithm):
         self.proposed: FrozenSet[Hashable] = frozenset()
         self.written: FrozenSet[Hashable] = frozenset()
         self.block: bool = False                          # line 3
+        # line 15's local memory: the messages already folded into
+        # PROPOSED, and each slot's size when it was last folded
+        self._folded: Set[FrozenSet[Hashable]] = set()
+        self._folded_sizes: Dict[int, int] = {}
 
     # -- weak-set operations (driver-facing) ----------------------------
     def get_now(self) -> FrozenSet[Hashable]:
@@ -105,21 +129,45 @@ class MSWeakSetAlgorithm(GirafAlgorithm):
         return self.proposed                              # line 4
 
     def compute(self, k: int, inbox: InboxView) -> FrozenSet[Hashable]:
-        messages = inbox.received(k)
-        self.written = _intersect_all(messages)           # line 14
-        merged: set = set()
-        for message in inbox.received_up_to(k):           # line 15: every slot,
-            merged |= message                             # flattening each m
-        self.proposed = frozenset(merged) | self.proposed
+        self.written = _intersect_all(inbox.received(k))  # line 14
+        self._fold_proposed(k, inbox)                     # line 15
         if self.val in self.written:                      # line 16
             self.block = False
         return self.proposed                              # line 17
+
+    def _fold_proposed(self, k: int, inbox: InboxView) -> None:
+        """Line 15, folding only the slots ``1 ≤ r ≤ k`` that grew
+        since their last fold, and only their unseen messages."""
+        folded, sizes = self._folded, self._folded_sizes
+        fresh: set = set()
+        for slot_round, messages in inbox.slots().items():
+            if 1 <= slot_round <= k and len(messages) != sizes.get(slot_round, 0):
+                sizes[slot_round] = len(messages)
+                for message in messages:
+                    if message not in folded:
+                        folded.add(message)
+                        fresh |= message
+        if not fresh <= self.proposed:
+            self.proposed = self.proposed | fresh
 
     def snapshot(self) -> Mapping[str, object]:
         return {
             "proposed_size": len(self.proposed),
             "blocked": self.block,
         }
+
+
+class VerbatimMSWeakSetAlgorithm(MSWeakSetAlgorithm):
+    """Algorithm 4 with line 15 as written: every compute re-reads every
+    slot through :meth:`InboxView.received_up_to` and flattens each
+    message again.  The oracle the tests and the speed floor compare
+    :class:`MSWeakSetAlgorithm`'s fold against; no run uses it."""
+
+    def _fold_proposed(self, k: int, inbox: InboxView) -> None:
+        merged: set = set()
+        for message in inbox.received_up_to(k):
+            merged |= message
+        self.proposed = frozenset(merged) | self.proposed
 
 
 #: Script format: tick -> list of operations issued at that tick.

@@ -1,6 +1,10 @@
 """Tests for Algorithm 4: the weak-set in the MS environment."""
 
+from collections import deque
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ProtocolMisuse
 from repro.giraf.adversary import (
@@ -10,10 +14,22 @@ from repro.giraf.adversary import (
     FlappingSource,
     RandomSource,
     RoundRobinSource,
+    UniformDelay,
 )
 from repro.giraf.checkers import check_ms
-from repro.giraf.environments import MovingSourceEnvironment
-from repro.weakset.ms_weakset import MSWeakSetAlgorithm, run_ms_weakset
+from repro.giraf.environments import (
+    AllTimelyLinks,
+    BernoulliLinks,
+    MovingSourceEnvironment,
+    SilentLinks,
+)
+from repro.giraf.scheduler import DriftingScheduler, LockStepScheduler
+from repro.serialization import trace_to_json
+from repro.weakset.ms_weakset import (
+    MSWeakSetAlgorithm,
+    VerbatimMSWeakSetAlgorithm,
+    run_ms_weakset,
+)
 
 
 class TestAlgorithmUnit:
@@ -105,3 +121,181 @@ class TestRuns:
     def test_unknown_op_rejected(self):
         with pytest.raises(ProtocolMisuse):
             run_ms_weakset(2, {1: [("frobnicate", 0)]}, max_rounds=5)
+
+
+# ----------------------------------------------------------------------
+# the incremental line 15 against the verbatim one
+# ----------------------------------------------------------------------
+class _Scripted:
+    """A process that runs its scripted operations at the top of
+    ``compute(k)`` (an add queues until the previous one is written)
+    and records ``PROPOSED``, ``WRITTEN`` and ``BLOCK`` after it."""
+
+    def __init__(self, script):
+        super().__init__()
+        self.script = script
+        self.queue = deque()
+        self.ops = []
+        self.states = []
+
+    def compute(self, k, inbox):
+        for value in self.script.get(k, ()):
+            if value is None:
+                self.ops.append(("get", k, self.get_now()))
+            else:
+                self.queue.append(value)
+        if self.queue and not self.blocked:
+            value = self.queue.popleft()
+            self.begin_add(value)
+            self.ops.append(("add", k, value))
+        message = super().compute(k, inbox)
+        self.states.append((k, self.proposed, self.written, self.block))
+        return message
+
+
+class _Folding(_Scripted, MSWeakSetAlgorithm):
+    pass
+
+
+class _Verbatim(_Scripted, VerbatimMSWeakSetAlgorithm):
+    pass
+
+
+# Values equal only when they encode equally (no 1 / 1.0 / True): of
+# equal values a set keeps the one that came first, and the two forms
+# fold in different orders, so only then can traces be byte-identical.
+_values = st.one_of(
+    st.text(alphabet="abc", max_size=2),
+    st.integers(min_value=0, max_value=9),
+    st.tuples(st.integers(min_value=0, max_value=3), st.text("ab", max_size=1)),
+)
+
+
+@st.composite
+def oracle_runs(draw):
+    """One Algorithm-4 run: lock-step MS whose drawn late delays land
+    in old slots, or the drifting scheduler whose fast processes' early
+    envelopes land in future slots; crashes; a random add/get script."""
+    n = draw(st.integers(min_value=2, max_value=5))
+    rounds = draw(st.integers(min_value=3, max_value=24))
+    pids = st.integers(min_value=0, max_value=n - 1)
+    script_rounds = st.integers(min_value=1, max_value=rounds)
+    ops = draw(
+        st.lists(
+            st.tuples(pids, script_rounds, st.none() | _values),
+            max_size=3 * n,
+        )
+    )
+    crashes = draw(
+        st.dictionaries(
+            pids,
+            st.builds(CrashPlan, script_rounds, st.booleans()),
+            max_size=n - 1,
+        )
+    )
+    lo = draw(st.integers(min_value=2, max_value=4))
+    return {
+        "n": n,
+        "rounds": rounds,
+        "drifting": draw(st.booleans()),
+        "script": ops,
+        "crashes": crashes,
+        "sources": draw(st.sampled_from(["random", "round-robin", "flapping"])),
+        "links": draw(st.sampled_from(["silent", "bernoulli", "all"])),
+        "delay": (lo, lo + draw(st.integers(min_value=0, max_value=5))),
+        "seed": draw(st.integers(min_value=0, max_value=2**16)),
+        "periods": draw(
+            st.lists(
+                st.floats(min_value=0.5, max_value=3.0), min_size=n, max_size=n
+            )
+        ),
+        "phases": draw(
+            st.lists(
+                st.floats(min_value=0.0, max_value=1.0), min_size=n, max_size=n
+            )
+        ),
+    }
+
+
+def _environment(run):
+    seed = run["seed"]
+    sources = {
+        "random": RandomSource(seed),
+        "round-robin": RoundRobinSource(),
+        "flapping": FlappingSource(2),
+    }[run["sources"]]
+    links = {
+        "silent": SilentLinks(),
+        "bernoulli": BernoulliLinks(0.4, seed=seed),
+        "all": AllTimelyLinks(),
+    }[run["links"]]
+    return MovingSourceEnvironment(
+        source_schedule=sources,
+        link_policy=links,
+        delay_policy=UniformDelay(*run["delay"], seed=seed),
+    )
+
+
+def _run(algorithm_class, run):
+    scripts = [{} for _ in range(run["n"])]
+    for pid, round_no, op in run["script"]:
+        scripts[pid].setdefault(round_no, []).append(op)
+    algorithms = [algorithm_class(script) for script in scripts]
+    crashes = CrashSchedule(run["crashes"])
+    if run["drifting"]:
+        scheduler = DriftingScheduler(
+            algorithms,
+            _environment(run),
+            crashes,
+            periods=run["periods"],
+            phases=run["phases"],
+            max_rounds=run["rounds"],
+        )
+    else:
+        scheduler = LockStepScheduler(
+            algorithms, _environment(run), crashes, max_rounds=run["rounds"]
+        )
+    trace = scheduler.run()
+    return (
+        [algorithm.states for algorithm in algorithms],
+        [algorithm.ops for algorithm in algorithms],
+        trace_to_json(trace),
+    )
+
+
+class TestFoldMatchesVerbatimLine15:
+    """The fold keeps its own memory of what it has folded, so it is
+    checked against line 15 recomputed from every slot each round:
+    identical state after every compute, op logs and full traces."""
+
+    @given(run=oracle_runs())
+    @settings(max_examples=150)
+    def test_generated_runs(self, run):
+        assert _run(_Folding, run) == _run(_Verbatim, run)
+
+    def test_runs_reach_old_and_future_slots(self):
+        """The two slot shapes the fold must get right both occur:
+        a lock-step late delivery into a slot already folded, and a
+        drifting early arrival in a slot above the computing round."""
+        seen = {"old": False, "future": False}
+
+        class Probe(_Folding):
+            def compute(self, k, inbox):
+                for slot_round, messages in inbox.slots().items():
+                    folded_at = self._folded_sizes.get(slot_round)
+                    if slot_round > k:
+                        seen["future"] = True
+                    elif folded_at is not None and len(messages) > folded_at:
+                        seen["old"] = True
+                return super().compute(k, inbox)
+
+        base = {
+            "n": 4, "rounds": 16, "script": [(0, 2, "x"), (3, 5, "y")],
+            "crashes": {}, "sources": "random", "links": "bernoulli",
+            "delay": (2, 6), "seed": 3, "periods": [0.5, 1.0, 2.0, 3.0],
+            "phases": [0.0, 0.3, 0.6, 0.9],
+        }
+        _run(Probe, dict(base, drifting=False))
+        assert seen == {"old": True, "future": False}
+        _run(Probe, dict(base, drifting=True))
+        assert seen == {"old": True, "future": True}

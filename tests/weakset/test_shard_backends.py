@@ -8,7 +8,9 @@ step sequence, same keyed-stream decisions, regardless of the
 overlapped harvest's arrival order.  Since every backend runs one
 shared driver, a differential fuzz at the end checks the serial and
 in-process backends against K plain :class:`MSWeakSetCluster` worlds
-driven without any of the driver's code.
+driven without any of the driver's code, and a recovery fuzz checks
+supervised in-process runs hit by drawn worker kills and resets
+against the unfaulted serial run.
 
 Process-backed tests take the ``start_method`` fixture (see
 ``conftest.py``) so the module runs under both ``fork`` and ``spawn``.
@@ -29,7 +31,7 @@ from repro.serialization import trace_to_json
 from repro.sim.runner import run_churn_workload
 from repro.sim.workloads import CHURN_PATTERNS, ChurnEnvironments
 from repro.weakset.cluster import MSWeakSetCluster
-from repro.weakset.faults import parse_fault_plan
+from repro.weakset.faults import Fault, FaultPlan, parse_fault_plan
 from repro.weakset.protocol import PROTOCOL_VERSION
 from repro.weakset.sharding import (
     MultiprocessBackend,
@@ -41,6 +43,7 @@ from repro.weakset.sharding import (
     shard_of,
 )
 from repro.weakset.spec import check_weakset
+from repro.weakset.supervisor import RetryPolicy
 
 
 def _drive(cluster):
@@ -898,7 +901,7 @@ def _outcome(call):
         return ("error", type(error).__name__, str(error))
 
 
-def _drive_facade(run, backend):
+def _drive_facade(run, backend, **options):
     with ShardedWeakSetCluster(
         run["n"],
         shards=run["shards"],
@@ -909,6 +912,7 @@ def _drive_facade(run, backend):
         round_batch=run["round_batch"],
         window=run["window"],
         **_world_options(run),
+        **options,
     ) as cluster:
         events = []
 
@@ -976,3 +980,37 @@ class TestDifferentialFuzz:
         expected = _drive_plain_clusters(run)
         assert _drive_facade(run, "serial") == expected
         assert _drive_facade(run, "inproc") == expected
+
+
+@st.composite
+def faulted_runs(draw):
+    """A :func:`shard_runs` run plus a plan of one or two worker kills
+    or resets, each at a drawn driver exchange of a drawn shard."""
+    run = draw(shard_runs())
+    faults = st.builds(
+        Fault,
+        st.sampled_from(["kill", "reset"]),
+        st.integers(min_value=0, max_value=run["shards"] - 1),
+        st.integers(min_value=1, max_value=8),
+    )
+    return run, FaultPlan(tuple(draw(st.lists(faults, min_size=1, max_size=2))))
+
+
+@pytest.mark.chaos
+class TestRecoveryFuzz:
+    """Supervised recovery replays each killed world from its request
+    log, rebuilding every algorithm's state (line 15's fold memory
+    included): a recovered in-process run must equal the unfaulted
+    serial run — traces, op logs, get results and errors alike."""
+
+    @given(case=faulted_runs())
+    @settings(max_examples=60)
+    def test_recovered_inproc_matches_clean_serial(self, case):
+        run, plan = case
+        assert _drive_facade(
+            run,
+            "inproc",
+            recover=True,
+            fault_plan=plan,
+            retry_policy=RetryPolicy(attempts=3, base_delay=0.0),
+        ) == _drive_facade(run, "serial")
