@@ -280,22 +280,20 @@ def test_bench_ess_uniform_columnar_n256(benchmark):
     assert len(trace.decided_pids()) == 256
 
 
-def _heartbeat_lockstep(
-    n: int, engine: str, rounds: int, source=None, delay: int = NEVER_DELIVERED
-):
+def _heartbeat_lockstep(n: int, engine: str, rounds: int, source=None):
     """S1's regime at bench scale: heartbeat pseudo-leaders, 8 brands,
     MS obligations (round-robin unless ``source`` says otherwise), no
-    extra links, lates never delivered unless ``delay`` says otherwise,
-    aggregate traces — the dense anonymity workload the columnar engine
-    collapses to matrix ops.  The intern table is cleared first so
-    every iteration pays the same (empty-cache) interning bill."""
+    extra links, aggregate traces — the dense anonymity workload the
+    columnar engine collapses to matrix ops.  The intern table is
+    cleared first so every iteration pays the same (empty-cache)
+    interning bill."""
     clear_intern_cache()
     scheduler = LockStepScheduler(
         [HeartbeatPseudoLeader(pid % 8) for pid in range(n)],
         MovingSourceEnvironment(
             source or RoundRobinSource(),
             SilentLinks(),
-            ConstantDelay(delay),
+            ConstantDelay(NEVER_DELIVERED),
         ),
         max_rounds=rounds,
         trace_mode="aggregate",
@@ -350,20 +348,6 @@ def test_bench_heartbeat_columnar_n10k_r40(benchmark):
         iterations=1,
     )
     assert trace.agg_deliveries == 40 * 9_999
-
-
-def test_bench_heartbeat_columnar_n10k_r40_delay3(benchmark):
-    """The same shape with every late delivered three ticks on: the
-    senders the sparse link plan leaves out (all but the source) each
-    add 9,999 lates to one due tick, which the engine counts in one
-    sum instead of one visit per sender."""
-    trace = benchmark.pedantic(
-        _heartbeat_lockstep,
-        args=(10_000, "columnar", 40, RandomSource(1), 3),
-        rounds=3,
-        iterations=1,
-    )
-    assert trace.agg_deliveries == 40 * 9_999 + 37 * 9_999 * 9_999
 
 
 def _heartbeat_drifting(n: int, engine: str, rounds: int):

@@ -385,14 +385,6 @@ def main(argv=None) -> int:
         speedups["heartbeat_n10k_r40_vs_per_process_tick_recorded"] = round(
             recorded / heartbeat, 2
         )
-    # Constant-delay lates inside the horizon against never-delivered
-    # ones on the same heartbeat shape: the silent senders' lates are
-    # one count per tick, so delivering them should cost little.
-    delayed = micro.get("test_bench_heartbeat_columnar_n10k_r40_delay3")
-    if heartbeat and delayed:
-        speedups["heartbeat_n10k_r40_delay3_vs_never_delivered"] = round(
-            heartbeat / delayed, 2
-        )
     if speedups:
         snapshot["speedups"] = speedups
 

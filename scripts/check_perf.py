@@ -124,13 +124,6 @@ SAME_RUN_FLOORS = [
         "already folded, or slots that did not grow)",
     ),
     (
-        "heartbeat_n10k_r40_delay3_vs_never_delivered",
-        0.5,
-        "delivering constant-delay lates costs more than twice dropping "
-        "them on the 40-round heartbeat at n=10,000 (the lock-step "
-        "matrix engine presumably visits every silent sender again)",
-    ),
-    (
         "shard_rebalance_time",
         0.5,
         "a join rebalance costs more than twice a from-scratch rebuild "

@@ -76,13 +76,10 @@ scheduler (``tests/runtime/test_columnar_engine.py`` and
   (:class:`~repro.giraf.environments.SilentLinks` answers ``{}``), so
   when every late is dropped — a constant delay past the horizon or
   the never-delivered sentinel — only the answered rows are visited,
-  and a silent tick costs no Python per sender.  So it is with a
-  constant delay of two ticks or more inside the horizon: the senders
-  left out add their lates to one due tick, counted in one sum.  A
-  round's late delays are one senders × receivers
-  ``delay_ticks_matrix`` draw per chunk of senders (at most
-  :data:`_LATE_CHUNK_CELLS` cells, so memory stays bounded at any
-  ``n``), counted per due tick with one
+  and a silent tick costs no Python per sender.  A round's late delays
+  are one senders × receivers ``delay_ticks_matrix`` draw per chunk of
+  senders (at most :data:`_LATE_CHUNK_CELLS` cells, so memory stays
+  bounded at any ``n``), counted per due tick with one
   ``np.bincount``, and a policy that declares fixed bounds takes a
   constant-delay arithmetic shortcut.  No per-envelope object exists
   anywhere on the path.
@@ -964,9 +961,10 @@ class ColumnarLockStepEngine:
         obligatory[list(plan.obligatory)] = True
         positions = np.flatnonzero(obligatory[senders]).tolist()
         oblig_senders = [sender_list[at] for at in positions]
-        oblig_active = int(active[oblig_senders].sum())
         # an obligatory sender reaches every receiver but itself
-        deliveries = len(oblig_senders) * receiver_count - oblig_active
+        deliveries = len(oblig_senders) * receiver_count - int(
+            active[oblig_senders].sum()
+        )
         # the rest, cut out of the sender list between the obligatory
         # positions (list slices, no int conversion per sender)
         extra_senders: List[int] = []
@@ -986,29 +984,13 @@ class ColumnarLockStepEngine:
         # With a constant delay past the horizon (or the never-delivered
         # sentinel) every late is dropped at queue time, so a sender
         # with no timely link contributes nothing at all: only the rows
-        # the sparse plan answered are visited.  With a constant delay
-        # of two ticks or more inside the horizon, such a sender only
-        # adds its late links to one due tick's count, so one sum over
-        # the senders the plan left out counts them all.  Otherwise
-        # (delay 1, whose lates feed the next compute, or drawn delays)
-        # every extra sender is visited, a missing row reading all-false.
+        # the sparse plan answered are visited.  Otherwise every extra
+        # sender is, a missing row reading all-false.
         drop_all_late = const_delay is not None and (
             tick + const_delay > max_rounds or const_delay >= NEVER_DELIVERED
         )
         if drop_all_late:
             planned = link_rows.items()
-        elif const_delay is not None and const_delay >= 2:
-            planned = link_rows.items()
-            # each sender left out reaches every receiver but itself late
-            answered = list(link_rows)
-            left_out = len(extra_senders) - len(answered)
-            left_out_active = (
-                int(active[senders].sum()) - oblig_active - int(active[answered].sum())
-            )
-            left_out_late = left_out * receiver_count - left_out_active
-            if left_out_late:
-                due = tick + const_delay
-                late_counts[due] = late_counts.get(due, 0) + left_out_late
         else:
             planned = [
                 (sender, link_rows.get(sender, ())) for sender in extra_senders

@@ -36,7 +36,14 @@ exact because a slot only grows and ``PROPOSED`` only grows (lines 8
 and 15), so a message folded once stays contained:
 :class:`VerbatimMSWeakSetAlgorithm` computes line 15 as written, and
 the tests pin both to the same ``PROPOSED``, ``WRITTEN`` and ``BLOCK``
-after every compute.
+after every compute.  "The same" is under ``==``: of two distinct
+values that are equal (``1``, ``1.0``, ``True``) a set keeps the one
+that entered first, and the fold adds new messages to ``PROPOSED``
+where the verbatim form adds ``PROPOSED`` to the union of every
+message.  A process that added ``True`` and then receives ``{1}``
+keeps ``True``, where the verbatim form keeps ``1``, so traces and get
+results print byte-identical only when no two distinct equal values
+are added (the experiments and benchmarks add strings).
 
 The blocking ``wait`` of line 11 is realized by the
 driver (:func:`run_ms_weakset` / the cluster facade in
