@@ -48,8 +48,8 @@ bench:
 	$(PYTHON) benchmarks/capture.py
 
 # Just the shard-execution benches: the churn quick shape on the
-# serial / multiprocess / socket backends plus the overlapped
-# steady-state harvest.  See PERFORMANCE.md §5.
+# serial / multiprocess / socket backends plus the steady-state
+# harvest.  See PERFORMANCE.md §5.
 bench-shard:
 	$(PYTHON) -m pytest benchmarks/bench_micro.py -q -k "churn or harvest"
 

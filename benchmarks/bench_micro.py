@@ -17,6 +17,7 @@ paths honest (they remain supported and property-tested).
 import queue
 import random
 import socket
+import statistics
 import threading
 import time
 from collections import deque
@@ -59,6 +60,36 @@ from repro.weakset.sharding import (
     SocketBackend,
     spawn_socket_workers,
 )
+
+
+def _interleave(benchmark, turns, sides):
+    """Time the two ``sides`` of a same-run ratio in alternation.
+
+    ``sides`` maps a bench name to a zero-argument call.  After one
+    untimed warm-up turn each side runs ``turns`` times, A, B, A, B, …,
+    and each side's median over its own turns is recorded in
+    ``extra_info["median_us"]`` under its name, which
+    ``benchmarks/capture.py`` files in ``micro_us``.  A slow spell on
+    the host then lands on both sides of the ratio alike, instead of on
+    whichever side happened to run during it.
+    """
+
+    def alternate():
+        samples = {name: [] for name in sides}
+        for call in sides.values():
+            call()
+        for _ in range(turns):
+            for name, call in sides.items():
+                start = time.perf_counter()
+                call()
+                samples[name].append(time.perf_counter() - start)
+        return samples
+
+    samples = benchmark.pedantic(alternate, rounds=1, iterations=1)
+    benchmark.extra_info["median_us"] = {
+        name: round(statistics.median(times) * 1e6, 3)
+        for name, times in samples.items()
+    }
 
 
 def _counter_workload(depth: int, fanout: int, *, interned: bool = True):
@@ -154,16 +185,27 @@ def _run_drifting(trace_mode: str):
     return scheduler.run()
 
 
-def test_bench_drifting_round_throughput(benchmark):
-    """Drifting scheduler on the runtime kernel, aggregate sink."""
-    trace = benchmark(_run_drifting, "aggregate")
-    assert trace.decided_pids()
+def test_bench_drifting_round_throughput_pair(benchmark):
+    """Drifting scheduler on the runtime kernel, aggregate sink
+    (``test_bench_drifting_round_throughput``) against checker-grade
+    full event traces (``..._full_trace``), timed in alternation: each
+    side runs a few milliseconds, short enough for host load to move
+    one side's median against the other's when they run apart."""
 
+    def aggregate():
+        assert _run_drifting("aggregate").decided_pids()
 
-def test_bench_drifting_round_throughput_full_trace(benchmark):
-    """Drifting scheduler, checker-grade full event traces."""
-    trace = benchmark(_run_drifting, "full")
-    assert trace.decided_pids()
+    def full():
+        assert _run_drifting("full").decided_pids()
+
+    _interleave(
+        benchmark,
+        150,
+        {
+            "test_bench_drifting_round_throughput": aggregate,
+            "test_bench_drifting_round_throughput_full_trace": full,
+        },
+    )
 
 
 #: one n=64 broadcast's late receivers (everyone but the sender)
@@ -219,29 +261,42 @@ def _delay_round_rows(policy, round_no, senders, late_receivers):
     ]
 
 
-def test_bench_delay_round_matrix_n64(benchmark):
-    """A 48 x 64 round of late delays through ``UniformDelay.delay_matrix``:
-    one SHAKE-128 block per sender, gathered as one numpy array."""
+def test_bench_delay_round_matrix_vs_rows_n64(benchmark):
+    """A 48 x 64 round of late delays through ``UniformDelay.delay_matrix``
+    — one SHAKE-128 block per sender, gathered as one numpy array
+    (``test_bench_delay_round_matrix_n64``) — against the same round as
+    48 ``delay_row`` calls (``test_bench_delay_round_rows_n64``), timed
+    in alternation: each side runs well under a millisecond."""
     policy = UniformDelay(2, 6, seed=3)
     late = _delay_round_late()
-    delays = benchmark(
-        policy.delay_matrix, 7, DELAY_ROUND_SENDERS, DELAY_ROUND_RECEIVERS, late
-    )
-    assert delays.shape == late.shape
-    assert set(delays[late].tolist()) == set(range(2, 7))
-
-
-def test_bench_delay_round_rows_n64(benchmark):
-    """The same round as 48 ``delay_row`` calls."""
-    policy = UniformDelay(2, 6, seed=3)
     late_receivers = [
         [r for r in DELAY_ROUND_RECEIVERS if r != sender]
         for sender in DELAY_ROUND_SENDERS
     ]
-    rows = benchmark(
-        _delay_round_rows, policy, 7, DELAY_ROUND_SENDERS, late_receivers
+
+    def matrix():
+        return policy.delay_matrix(
+            7, DELAY_ROUND_SENDERS, DELAY_ROUND_RECEIVERS, late
+        )
+
+    def rows():
+        return _delay_round_rows(policy, 7, DELAY_ROUND_SENDERS, late_receivers)
+
+    delays = matrix()
+    assert delays.shape == late.shape
+    assert set(delays[late].tolist()) == set(range(2, 7))
+    assert rows() == [
+        delays[index][late[index]].tolist()
+        for index in range(len(DELAY_ROUND_SENDERS))
+    ]
+    _interleave(
+        benchmark,
+        1000,
+        {
+            "test_bench_delay_round_matrix_n64": matrix,
+            "test_bench_delay_round_rows_n64": rows,
+        },
     )
-    assert len(rows) == 48 and all(len(row) == 63 for row in rows)
 
 
 def _ess_uniform(n: int, engine: str = "object"):
@@ -630,43 +685,38 @@ def test_bench_churn_workload_socket(benchmark):
     assert run.completed == 12
 
 
-def test_bench_churn_workload_socket_batched(benchmark):
-    """The socket stream again with drain rounds batched 4-per-frame.
+def test_bench_churn_workload_socket_batched_vs_mux(benchmark):
+    """The socket stream with drain rounds batched 4-per-frame
+    (``test_bench_churn_workload_socket_batched``) against the same
+    batched stream with both shard worlds multiplexed behind ONE worker
+    process (``test_bench_churn_workload_socket_mux``,
+    ``worlds_per_worker=2``), timed in alternation, 10 turns each.
 
-    Same workload, same results (latencies are batch-invariant); the
-    drain tail crosses the wire as one frame pair per 4 rounds.  On
-    loopback the round trips are cheap so the win is modest — the
-    batching lever is sized for high-latency links, where each saved
-    round trip is a full RTT.
+    Batching leaves the results alone (latencies are batch-invariant);
+    the drain tail crosses the wire as one frame pair per 4 rounds.  On
+    loopback the round trips are cheap, so that win is modest — the
+    batching lever is sized for high-latency links.  Multiplexing
+    halves the processes to spawn and hand-shake and collapses every
+    exchange's two frame pairs into one.  Both sides are dominated by
+    spawning workers, whose cost moves with the host's load, hence the
+    alternation.
     """
-    run = benchmark.pedantic(
-        _churn,
-        args=("socket",),
-        kwargs={"round_batch": 4},
-        rounds=5,
-        iterations=1,
+
+    def batched():
+        assert _churn("socket", round_batch=4).completed == 12
+
+    def mux():
+        run = _churn("socket", round_batch=4, worlds_per_worker=2)
+        assert run.completed == 12
+
+    _interleave(
+        benchmark,
+        10,
+        {
+            "test_bench_churn_workload_socket_batched": batched,
+            "test_bench_churn_workload_socket_mux": mux,
+        },
     )
-    assert run.completed == 12
-
-
-def test_bench_churn_workload_socket_mux(benchmark):
-    """The batched socket stream with both shard worlds multiplexed
-    behind ONE worker process (``worlds_per_worker=2``).
-
-    Against the ``socket_batched`` twin this halves the processes to
-    spawn and hand-shake and collapses every exchange's two frame
-    pairs into one — the whole end-to-end bill shrinks accordingly.
-    It runs right after that twin, so a slow spell on the host meets
-    both sides of their ratio alike.
-    """
-    run = benchmark.pedantic(
-        _churn,
-        args=("socket",),
-        kwargs={"round_batch": 4, "worlds_per_worker": 2},
-        rounds=5,
-        iterations=1,
-    )
-    assert run.completed == 12
 
 
 def test_bench_shard_recovery_time(benchmark):
@@ -757,13 +807,12 @@ def _steady_multiprocess_cluster() -> ShardedWeakSetCluster:
     return cluster
 
 
-def test_bench_shard_harvest_overlapped(benchmark):
-    """25 protocol round trips × 4 shard workers, selector harvest.
+def test_bench_shard_harvest_steady(benchmark):
+    """25 protocol round trips × 4 shard workers at steady state.
 
     Workers are spawned once outside the measurement; what is timed is
-    the steady per-round exchange — send-all, then harvest completions
-    as they arrive.  Multi-core is where the overlap hides a slow shard
-    behind its siblings.
+    the steady per-round exchange — send every shard's step, then
+    harvest the replies in shard order.
     """
     cluster = _steady_multiprocess_cluster()
     try:
@@ -920,9 +969,9 @@ def test_bench_shard_rounds_linked_pipelined(benchmark):
 
     Up to 4 batches are in flight per worker, so their round trips
     overlap on the wire: the latency bill is paid roughly once per
-    window instead of once per batch, while replies stream back into
-    the persistent selector.  Traces are byte-identical to the
-    unpipelined twin — the window is pure transport shape.
+    window instead of once per batch, while replies stream back onto
+    the channels.  Traces are byte-identical to the unpipelined twin —
+    the window is pure transport shape.
     """
     linked = _LinkedCluster(window=4)
     try:

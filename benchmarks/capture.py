@@ -115,7 +115,10 @@ def run_micro() -> dict[str, float]:
 
     The median, not the mean: one round slowed by a neighbouring load
     moves a mean of three to five rounds by a third of its slowdown,
-    and a same-run ratio floor with it.
+    and a same-run ratio floor with it.  A bench that times the two
+    sides of a ratio in alternation (``_interleave`` in bench_micro.py)
+    records each side's median under that side's own name instead of
+    its own.
     """
     with tempfile.TemporaryDirectory() as tmp:
         json_path = Path(tmp) / "bench.json"
@@ -133,10 +136,14 @@ def run_micro() -> dict[str, float]:
             sys.stderr.write(completed.stderr)
             raise SystemExit("micro-benchmarks failed")
         blob = json.loads(json_path.read_text())
-    return {
-        bench["name"]: round(bench["stats"]["median"] * 1e6, 3)
-        for bench in blob["benchmarks"]
-    }
+    micro: dict[str, float] = {}
+    for bench in blob["benchmarks"]:
+        sides = bench.get("extra_info", {}).get("median_us")
+        if sides:
+            micro.update(sides)
+        else:
+            micro[bench["name"]] = round(bench["stats"]["median"] * 1e6, 3)
+    return micro
 
 
 def run_experiments() -> dict[str, float]:

@@ -41,8 +41,8 @@ Fault semantics (all fire exactly once, at their scheduled exchange):
                mid-header frame.
 =============  ========================================================
 
-Faults count only **driver** exchanges: while the supervisor replays a
-respawned world the wrapper is :meth:`~FaultyTransport.suspended`, so
+Faults count only **driver** exchanges: while a respawned world is
+replayed the wrapper is :meth:`~FaultyTransport.suspended`, so
 scheduled faults keep their meaning ("the 7th round the *experiment*
 drives") no matter how much recovery traffic interleaves.
 
@@ -284,10 +284,11 @@ class FaultyTransport(Transport):
     Wraps ``inner`` and forwards everything — until the wrapper's
     driver-exchange counter reaches a scheduled fault for its shard,
     at which point the fault fires once and the schedule advances.
-    Wrapping is transparent to both the exchange loop (``fileno``
-    delegates) and the supervisor (which swaps the inner
-    channel on respawn via :meth:`replace_inner` and silences the
-    schedule during replay via :meth:`suspended`).
+    Wrapping is transparent to the exchange loop and to the backend's
+    rebuild routine, which swaps the inner channel on respawn via
+    :meth:`replace_inner` and routes its frames through
+    :meth:`suspended` (crash replay) or :meth:`rebalancing`
+    (membership changes).
     """
 
     def __init__(self, inner: Transport, shard: int, plan: FaultPlan):
@@ -315,13 +316,10 @@ class FaultyTransport(Transport):
         self._dead = False
 
     # -- delegation ------------------------------------------------------
-    def fileno(self) -> Optional[int]:
-        return self._inner.fileno()
-
     def close(self) -> None:
         self._inner.close()
 
-    # -- supervisor hooks ------------------------------------------------
+    # -- rebuild hooks ---------------------------------------------------
     def replace_inner(self, inner: Transport) -> None:
         """Swap the channel after a respawn; the schedule survives.
 
@@ -338,8 +336,9 @@ class FaultyTransport(Transport):
     def suspended(self) -> Iterator[None]:
         """Disable fault firing *and* exchange counting inside the block.
 
-        Supervisor replay / re-issue traffic flows through here so the
-        schedule stays aligned with driver exchanges.
+        Crash-recovery replay / re-issue traffic and the stop
+        handshake flow through here, so the schedule stays aligned with
+        driver exchanges.
         """
         self._suspended += 1
         try:

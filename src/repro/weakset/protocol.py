@@ -152,8 +152,8 @@ __all__ = [
 #: wire version; bumped on any frame- or message-shape change.  A
 #: parent and worker must agree exactly — the header check fails fast
 #: instead of mis-decoding.  Version 2 added a codec byte, the
-#: binary codec, and the step-batch messages; version 3 added the
-#: ``resume_round`` field to :class:`ConfigReply` (crash recovery);
+#: binary codec, and the step-batch messages; version 3 added a
+#: resume-round field to :class:`ConfigReply` (crash recovery);
 #: version 4 added the multiplexed frames (:class:`MuxRequest` /
 #: :class:`MuxReply`), ``ConfigReply.extra_shards`` (one worker
 #: hosting several shard worlds) and the flattened ``'W'``
@@ -164,8 +164,11 @@ __all__ = [
 #: dropped the JSON frame codec: the codec byte left the header and the
 #: codec fields left :class:`HelloRequest` / :class:`ConfigReply`;
 #: version 7 retired the single-tick pair (tags 1/2): every tick
-#: crosses as a :class:`StepBatchRequest` (one tick is ``rounds=1``).
-PROTOCOL_VERSION = 7
+#: crosses as a :class:`StepBatchRequest` (one tick is ``rounds=1``);
+#: version 8 dropped the resume-round field from :class:`ConfigReply`
+#: and :class:`MigrateRequest` again: a worker only stored it, and the
+#: parent, which drives the replay, knows the round it replays to.
+PROTOCOL_VERSION = 8
 
 _HEADER = struct.Struct(">BI")
 
@@ -339,15 +342,13 @@ class MigrateRequest:
     worker discards its current world and in-flight add records and
     builds a fresh one for ``shard_index`` (its own member id — the
     field double-checks the parent and worker agree which world this
-    channel hosts).  The parent then replays the member's rewritten
-    request history into the fresh world, exactly like the
-    supervisor's crash replay; ``resume_round`` records the round
-    clock that replay is expected to reach, mirroring
-    :class:`ConfigReply.resume_round`.
+    channel hosts).  The parent then drives the member's rewritten
+    request history into the fresh world through the same rebuild
+    routine that replays a respawned worker after a crash; resetting
+    in place saves starting a new worker for a live one.
     """
 
     shard_index: int
-    resume_round: int = 0
 
 
 @dataclass(frozen=True)
@@ -379,11 +380,9 @@ class ConfigReply:
     """The parent's answer to a hello: shard assignment + world config.
 
     ``world`` is a pickled :class:`WorldConfig` (see the module
-    docstring for the trust model).  ``resume_round`` (protocol
-    version 3) tells a worker replacing a crashed one which round clock
-    its rebuilt world must reach: 0 for a fresh start, and the
-    supervisor's current round when the parent is about to replay the
-    dead worker's request log into it.
+    docstring for the trust model).  A worker replacing a crashed
+    one gets the same reply as a fresh one: its world starts empty and
+    the parent replays the dead worker's request log into it.
     ``extra_shards`` (protocol version 4) lists the *additional* shard
     worlds this worker hosts beyond ``shard_index`` — a multiplexed
     worker serves ``(shard_index, *extra_shards)`` and answers
@@ -392,7 +391,6 @@ class ConfigReply:
 
     shard_index: int
     world: bytes
-    resume_round: int = 0
     extra_shards: Tuple[int, ...] = ()
 
 
@@ -419,13 +417,11 @@ _MESSAGE_CODECS: Dict[str, Tuple[type, Callable[[Any], Any], Callable[[Any], Any
         lambda m: {
             "shard_index": m.shard_index,
             "world": base64.b64encode(m.world).decode("ascii"),
-            "resume_round": m.resume_round,
             "extra_shards": list(m.extra_shards),
         },
         lambda v: ConfigReply(
             shard_index=v["shard_index"],
             world=base64.b64decode(v["world"]),
-            resume_round=v.get("resume_round", 0),
             extra_shards=tuple(v.get("extra_shards", ())),
         ),
     ),
@@ -433,10 +429,8 @@ _MESSAGE_CODECS: Dict[str, Tuple[type, Callable[[Any], Any], Callable[[Any], Any
     # per rebuilt world per membership change
     "migrate_req": (
         MigrateRequest,
-        lambda m: {"shard_index": m.shard_index, "resume_round": m.resume_round},
-        lambda v: MigrateRequest(
-            shard_index=v["shard_index"], resume_round=v.get("resume_round", 0)
-        ),
+        lambda m: {"shard_index": m.shard_index},
+        lambda v: MigrateRequest(shard_index=v["shard_index"]),
     ),
     "migrate_rep": (
         MigrateReply,

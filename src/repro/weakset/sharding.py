@@ -24,9 +24,8 @@ Execution of the K shard worlds is an explicit three-layer stack:
   behind the codec (:class:`~repro.weakset.transport.InProcTransport`),
   behind a ``multiprocessing`` pipe, or across a TCP socket — plus the
   two halves of every exchange: ``send_all`` issues every shard's
-  request first and ``harvest_all`` collects the replies, as they
-  arrive when the channels are selectable (order-canonical, so traces
-  stay byte-identical);
+  request first and ``harvest_all`` collects the replies in shard
+  order;
 * the **driver** (this module) — one :class:`TransportBackend` that
   every backend is a thin composition of: :class:`SerialBackend`
   (direct transports, the default), :class:`InProcBackend`,
@@ -34,9 +33,9 @@ Execution of the K shard worlds is an explicit three-layer stack:
   pipes) and :class:`SocketBackend` (workers over TCP —
   loopback-spawned for CI, or remote via :func:`run_socket_worker` /
   ``python -m repro.experiments --connect HOST:PORT``).  Every backend
-  shares its parent-side mirror, its pipelined window and its
-  migrate-and-replay membership path; each world is a
-  :class:`ShardServer` wherever it lives.
+  shares its parent-side mirror, its pipelined window and its one
+  rebuild routine, which crash recovery and membership changes both
+  call; each world is a :class:`ShardServer` wherever it lives.
 
 Because every per-shard decision in the simulator derives from
 keyed seed streams — never from process state, object ids, or
@@ -73,13 +72,22 @@ import itertools
 import logging
 import multiprocessing
 import pickle
-import selectors
 import socket
 import time
 import traceback
 from abc import ABC, abstractmethod
 from collections import deque
-from typing import Callable, Dict, FrozenSet, Hashable, List, Optional, Tuple
+from typing import (
+    Callable,
+    Dict,
+    FrozenSet,
+    Hashable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from dataclasses import dataclass
 
@@ -113,6 +121,7 @@ from repro.weakset.ring import HashRing, ring_for_shards
 from repro.weakset.spec import AddRecord, GetRecord, OpLog, WeakSet
 from repro.weakset.faults import FaultPlan, FaultyTransport
 from repro.weakset.supervisor import (
+    DEFAULT_REQUEST_TIMEOUT,
     RetryPolicy,
     ShardRecoveryStats,
     ShardSupervisor,
@@ -150,6 +159,20 @@ _logger = logging.getLogger(__name__)
 
 #: builds the environment for one shard (shard index -> environment)
 EnvironmentFactory = Callable[[int], Environment]
+
+#: how a socket worker waits for its parent: 50 tries, 0.1 s apart
+#: (the parent may not be listening yet).
+CONNECT_POLICY = RetryPolicy(
+    attempts=50, base_delay=0.1, multiplier=1.0, max_delay=0.1
+)
+
+#: the reply each request type is answered with
+_REPLY_TYPES = {
+    StepBatchRequest: StepBatchReply,
+    PeekRequest: PeekReply,
+    TraceRequest: TraceReply,
+    MigrateRequest: MigrateReply,
+}
 
 
 def _default_environment(shard_index: int) -> Environment:
@@ -377,23 +400,22 @@ class ShardServer:
         True
     """
 
-    def __init__(self, config: WorldConfig, shard_index: int, resume_round: int = 0):
+    def __init__(self, config: WorldConfig, shard_index: int):
         self._config = config
         self.shard_index = shard_index
+        self._reset()
+
+    def _reset(self) -> None:
+        """Build this shard's world fresh from its seeds."""
+        config = self._config
         self.cluster = MSWeakSetCluster(
             config.n,
-            environment=config.environment_factory(shard_index),
+            environment=config.environment_factory(self.shard_index),
             crash_schedule=config.crash_schedule,
             max_total_rounds=config.max_total_rounds,
             trace_mode=config.trace_mode,
         )
         self._records: Dict[int, AddRecord] = {}
-        #: the round clock this world is expected to reach before
-        #: serving live traffic — 0 for a fresh world; the supervisor's
-        #: current round when this server replaces a crashed worker
-        #: (the parent replays the dead worker's request log to get
-        #: there, so the server itself just records the expectation).
-        self.resume_round = resume_round
 
     def _apply_adds(self, adds: Tuple[QueuedAdd, ...]) -> None:
         for token, pid, value in adds:
@@ -459,22 +481,14 @@ class ShardServer:
             # Membership rebalance (protocol v5): reset this worker's
             # world to a fresh seed-built state in place — the parent
             # then replays the member's rewritten history to the
-            # current round, exactly like a supervisor respawn but
+            # current round, exactly as into a respawned worker but
             # without paying for a new process.
             if request.shard_index != self.shard_index:
                 raise ProtocolMisuse(
                     f"migrate aimed at shard {request.shard_index}, this "
                     f"worker hosts shard {self.shard_index}"
                 )
-            self.cluster = MSWeakSetCluster(
-                self._config.n,
-                environment=self._config.environment_factory(self.shard_index),
-                crash_schedule=self._config.crash_schedule,
-                max_total_rounds=self._config.max_total_rounds,
-                trace_mode=self._config.trace_mode,
-            )
-            self._records = {}
-            self.resume_round = request.resume_round
+            self._reset()
             return MigrateReply(
                 shard_index=self.shard_index, now=self.cluster.now
             )
@@ -525,16 +539,11 @@ class _MuxShardServer:
         )
 
 
-def _pipe_worker(
-    connection,
-    shard_index: int,
-    config: WorldConfig,
-    resume_round: int = 0,
-) -> None:
+def _pipe_worker(connection, shard_index: int, config: WorldConfig) -> None:
     """Worker process entry point for the pipe (multiprocess) backend."""
     transport = PipeTransport(connection)
     try:
-        server = ShardServer(config, shard_index, resume_round)
+        server = ShardServer(config, shard_index)
     except BaseException:
         try:
             transport.send(ErrorReply(traceback.format_exc()))
@@ -549,21 +558,18 @@ def _pipe_worker(
 def serve_shard_over_socket(
     address: Tuple[str, int],
     *,
-    connect_retries: int = 50,
-    retry_delay: float = 0.1,
-    retry_policy: Optional[RetryPolicy] = None,
+    retry_policy: RetryPolicy = CONNECT_POLICY,
 ) -> bool:
     """Connect to a shard parent at ``address`` and serve one world.
 
     Retries the connection under ``retry_policy`` (the parent may not
-    be listening yet) — by default a fixed-delay schedule of
-    ``connect_retries`` attempts ``retry_delay`` seconds apart, i.e.
-    the historical timing; pass a
-    :class:`~repro.weakset.supervisor.RetryPolicy` for exponential
-    backoff with seeded jitter instead (what a fleet of workers
-    hammering one parent wants).  Then performs the hello/config
-    bootstrap and serves protocol requests until the parent sends stop
-    or goes away.
+    be listening yet) — by default :data:`CONNECT_POLICY`, 50 tries
+    0.1 s apart; pass a
+    :class:`~repro.weakset.supervisor.RetryPolicy` with a multiplier
+    and jitter for exponential backoff instead (what a fleet of
+    workers hammering one parent wants).  Then performs the
+    hello/config bootstrap and serves protocol requests until the
+    parent sends stop or goes away.
 
     Returns:
         True when a parent was reached (a world was served, or at
@@ -579,14 +585,6 @@ def serve_shard_over_socket(
             version (named for both sides).  Version skew cannot heal
             by retrying, so it surfaces instead of looping.
     """
-    if retry_policy is None:
-        # the historical timing: fixed-delay attempts, no jitter.
-        retry_policy = RetryPolicy(
-            attempts=connect_retries,
-            base_delay=retry_delay,
-            multiplier=1.0,
-            max_delay=retry_delay,
-        )
     sock: Optional[socket.socket] = None
     for delay in retry_policy.backoff("connect", address):
         try:
@@ -623,10 +621,7 @@ def serve_shard_over_socket(
         # worlds behind this one channel; a singleton assignment keeps
         # the historical one-world serve loop.
         indices = (config_reply.shard_index, *config_reply.extra_shards)
-        servers = [
-            ShardServer(config, index, config_reply.resume_round)
-            for index in indices
-        ]
+        servers = [ShardServer(config, index) for index in indices]
     except BaseException:
         try:
             transport.send(ErrorReply(traceback.format_exc()))
@@ -646,9 +641,7 @@ def serve_shard_over_socket(
 def run_socket_worker(
     address: Tuple[str, int],
     *,
-    connect_retries: int = 50,
-    retry_delay: float = 0.1,
-    retry_policy: Optional[RetryPolicy] = None,
+    retry_policy: RetryPolicy = CONNECT_POLICY,
 ) -> int:
     """Serve shard worlds for parents at ``address`` until none remain.
 
@@ -665,17 +658,11 @@ def run_socket_worker(
         plus any handshakes that ended without an assignment).
 
     ``retry_policy`` shapes the per-iteration reconnect schedule (the
-    same deterministic backoff the parent-side supervisor sleeps by);
-    left ``None``, each iteration uses the historical fixed
-    ``connect_retries`` × ``retry_delay`` schedule.
+    same deterministic backoff the parent's respawns sleep by); the
+    default is :data:`CONNECT_POLICY`.
     """
     served = 0
-    while serve_shard_over_socket(
-        address,
-        connect_retries=connect_retries,
-        retry_delay=retry_delay,
-        retry_policy=retry_policy,
-    ):
+    while serve_shard_over_socket(address, retry_policy=retry_policy):
         served += 1
     return served
 
@@ -761,17 +748,13 @@ class TransportBackend(ABC):
 
     Every exchange — a step, a ``get``'s peek, a trace fetch — is one
     send of a request per shard followed by one harvest of a reply per
-    shard.  A step is a
+    shard, in shard order.  A step is a
     :class:`~repro.weakset.protocol.StepBatchRequest` carrying the adds
     queued since the last step (one tick is ``rounds=1``); its reply
     carries the executed count, completions, the crash set and the
-    clock.  When every channel is selectable and neither ``recover``
-    nor ``fault_plan`` is set, the backend keeps one long-lived
-    selector and the harvest **overlaps**: replies are collected as
-    they arrive rather than in fixed shard order, so a slow worker no
-    longer serializes the harvest behind a fast one.  Replies are
-    *processed* in canonical shard order regardless of arrival, so
-    traces stay byte-identical for a fixed seed.
+    clock.  Every request is sent before the first reply is read, so
+    the workers compute concurrently; replies are folded in canonical
+    shard order, so traces stay byte-identical for a fixed seed.
 
     :meth:`advance` sends steps of up to ``round_batch`` ticks and
     keeps up to ``window`` of them in flight: step ``k+1`` is encoded
@@ -792,10 +775,16 @@ class TransportBackend(ABC):
     this class never sees the difference.  :attr:`frame_pairs` counts
     wire frames, i.e. one per worker per exchange.
 
-    Subclasses implement :meth:`_start` to create one
-    :class:`~repro.weakset.transport.Transport` per worker channel
-    (one per shard unless the subclass multiplexes) and any worker
-    processes backing them.
+    Subclasses implement :meth:`_spawn_world`, which starts one
+    member's world and returns its
+    :class:`~repro.weakset.transport.Transport`; the default
+    :meth:`_start` calls it once per member, and a subclass that
+    multiplexes several worlds per channel overrides :meth:`_start`.
+
+    One routine, :meth:`_rebuild`, gives a member a fresh world and
+    drives a request list into it: crash recovery replays a respawned
+    worker through it, and :meth:`apply_membership` rebuilds the
+    worlds a membership change touches through it.
 
     Failure model: by default a vanished worker or a worker-side error
     poisons the backend — the current round is half-applied and
@@ -809,10 +798,8 @@ class TransportBackend(ABC):
     ``fault_plan`` wraps every transport in a
     :class:`~repro.weakset.faults.FaultyTransport` firing the plan's
     scheduled faults — the chaos harness the supervisor is tested
-    against.  Both knobs drop the selector for the in-order harvest:
-    deterministic per-shard detection matters more than harvest
-    overlap when channels are expected to die (and a closed fd
-    silently drops out of an epoll set).
+    against.  Either knob bounds every reply wait by the policy's
+    ``request_timeout`` (30 s when it sets none).
 
     Attributes:
         num_shards: how many shard worlds the backend drives.
@@ -873,14 +860,15 @@ class TransportBackend(ABC):
             trace_mode=trace_mode,
         )
         self._fault_plan = fault_plan
-        self._retry_policy = retry_policy
-        # An unsupervised run with faults injected (or an explicit
-        # request deadline) must time out instead of hanging — a
-        # dropped frame otherwise blocks the harvest forever.
+        # The one deadline rule for every reply wait — harvests,
+        # supervised harvests and rebuilds alike: a supervised run or
+        # one with faults injected (or an explicit request deadline)
+        # must time out instead of hanging — a dropped frame otherwise
+        # blocks the wait forever.
         if retry_policy is not None and retry_policy.request_timeout is not None:
             self._request_timeout: Optional[float] = retry_policy.request_timeout
-        elif fault_plan:
-            self._request_timeout = 30.0
+        elif recover or fault_plan:
+            self._request_timeout = DEFAULT_REQUEST_TIMEOUT
         else:
             self._request_timeout = None
         self._supervisor: Optional[ShardSupervisor] = None
@@ -895,7 +883,6 @@ class TransportBackend(ABC):
         self._failed = False
         self._transports: List[Transport] = []
         self._workers: List = []
-        self._selector: Optional[selectors.BaseSelector] = None
         #: shard indices behind each worker channel (``_groups[c]`` are
         #: the shards channel ``c`` hosts, in sub-request order).  The
         #: identity mapping unless a subclass's ``_start`` multiplexes.
@@ -912,32 +899,21 @@ class TransportBackend(ABC):
                 ]
             if recover:
                 self._supervisor = ShardSupervisor(self, policy=retry_policy)
-            self._open_selector()
         except BaseException:
             self.close()
             raise
 
-    @abstractmethod
     def _start(self) -> None:
         """Create one transport per shard (and any backing workers)."""
+        for member in self.members:
+            self._transports.append(self._spawn_world(member))
 
-    def _open_selector(self) -> None:
-        """Register every channel with one long-lived selector, when
-        the harvest may overlap: more than one channel, all selectable,
-        and neither supervision nor fault injection on.  The per-round
-        harvest is then a single poll instead of a register/unregister
-        cycle; otherwise it stays in index order."""
-        if (
-            self._supervisor is None
-            and not self._fault_plan
-            and len(self._transports) > 1
-            and all(t.fileno() is not None for t in self._transports)
-        ):
-            self._selector = selectors.DefaultSelector()
-            for index, transport in enumerate(self._transports):
-                self._selector.register(
-                    transport.fileno(), selectors.EVENT_READ, index
-                )
+    @abstractmethod
+    def _spawn_world(self, member: int) -> Transport:
+        """Start a world for ``member`` (and any worker backing it);
+        return its raw (unwrapped) transport.  Raises
+        :class:`~repro.errors.SimulationError` on a failed start, which
+        a supervised rebuild retries under its backoff policy."""
 
     # -- membership history ---------------------------------------------
     # The global operation history: the interleaving of issued adds and
@@ -962,45 +938,6 @@ class TransportBackend(ABC):
         """Recovery counters when supervision is on (``recover=True``),
         else ``None``, so callers can surface them unconditionally."""
         return self._supervisor.stats if self._supervisor is not None else None
-
-    def _respawn(self, shard_index: int, *, resume_round: int = 0) -> Transport:
-        """Start a replacement worker for slot ``shard_index``; return
-        its raw (unwrapped) transport.
-
-        Called by the supervisor after detecting worker death.  Slots
-        are translated to member ids here (identical until runtime
-        membership changes them), so subclasses implement only
-        :meth:`_spawn_world`.  Raises
-        :class:`~repro.errors.SimulationError` on a failed attempt
-        (the supervisor retries under its backoff policy).
-        """
-        return self._spawn_world(
-            self.members[shard_index], resume_round=resume_round
-        )
-
-    def _spawn_world(self, member: int, *, resume_round: int = 0) -> Transport:
-        """Start a worker hosting ``member``'s world; return its raw
-        transport.  The base backend has no idea how its subclass makes
-        workers, so recovery and membership joins are only available
-        where a subclass overrides this."""
-        raise SimulationError(
-            f"{type(self).__name__} cannot respawn shard workers"
-        )
-
-    def _install_transport(self, shard_index: int, raw: Transport) -> None:
-        """Adopt a respawned worker's channel at ``shard_index``.
-
-        When the slot holds a fault wrapper the *inner* channel is
-        swapped so the shard's remaining scheduled faults survive the
-        respawn; otherwise the transport is replaced outright.  (The
-        supervised path never uses the shared selector, so there is no
-        registration to fix up.)
-        """
-        current = self._transports[shard_index]
-        if isinstance(current, FaultyTransport):
-            current.replace_inner(raw)
-        else:
-            self._transports[shard_index] = raw
 
     # -- plumbing --------------------------------------------------------
     def _wire_requests(self, requests: List[object]) -> List[object]:
@@ -1092,7 +1029,6 @@ class TransportBackend(ABC):
                 replies = self._unwire_replies(
                     harvest_all(
                         self._transports,
-                        selector=self._selector,
                         deadlines=deadlines,
                         timeout=self._request_timeout,
                     )
@@ -1126,6 +1062,15 @@ class TransportBackend(ABC):
     def _exchange(self, requests: List[object], expected: type) -> List[object]:
         """One round trip: a send and its harvest."""
         return self._harvest(self._send(requests), expected)
+
+    def _recv(self, transport: Transport) -> object:
+        """One reply on one channel under the reply deadline (none set:
+        block); :class:`~repro.weakset.transport.TransportError` when it
+        passes."""
+        timeout = self._request_timeout
+        if timeout is not None and not transport.poll(timeout):
+            raise TransportError(f"no reply within {timeout:g}s")
+        return transport.recv()
 
     def _ensure_open(self) -> None:
         if self._closed:
@@ -1197,13 +1142,12 @@ class TransportBackend(ABC):
         The facade calls this between advances, so the transport window
         is already quiescent (no exchange in flight).  Leaving members'
         workers are stopped; every member whose owned-value set changes
-        (plus every joined member) gets its world **reset and replayed**
-        from the rewritten global history — the same seed-replay the
-        supervisor uses for crash recovery, carried by the protocol-v5
-        :class:`~repro.weakset.protocol.MigrateRequest` /
-        :class:`~repro.weakset.protocol.MigrateReply` handshake — so
-        the rebalanced cluster is byte-identical to one *constructed*
-        with the new membership and driven through the same schedule.
+        (plus every joined member) gets its world **rebuilt** by
+        :meth:`_rebuild` from the rewritten global history — reset in
+        place by the protocol-v5
+        :class:`~repro.weakset.protocol.MigrateRequest` — so the
+        rebalanced cluster is byte-identical to one *constructed* with
+        the new membership and driven through the same schedule.
 
         Migration traffic is not a driver exchange: it does not bump
         :attr:`exchanges`/:attr:`frame_pairs`, and scheduled faults fire
@@ -1244,54 +1188,30 @@ class TransportBackend(ABC):
             for member in plan.rebuilt
         }
 
-        # 1. stop the leaving members' workers.  Like close(), the stop
-        #    handshake is quiet: unfired scheduled faults must not fire
-        #    on (or count) it.
-        transports_by_member = dict(zip(old_members, self._transports))
-        for member in plan.removed:
-            transport = transports_by_member.pop(member)
-            with contextlib.ExitStack() as stack:
-                suspend = getattr(transport, "suspended", None)
-                if suspend is not None:
-                    stack.enter_context(suspend())
-                try:
-                    transport.send(StopRequest())
-                    if transport.poll(1.0):
-                        transport.recv()
-                except (TransportError, ProtocolError):
-                    pass
-            transport.close()
+        # 1. stop the leaving members' workers.
+        channels = dict(zip(old_members, self._transports))
+        self._stop([channels.pop(member) for member in plan.removed])
 
-        # 2. joined members get fresh workers; existing rebuilt members
-        #    keep their channel and are reset in place by the migrate
-        #    handshake inside the replay drive.
-        needs_migrate: Dict[int, bool] = {}
-        for member in plan.rebuilt:
-            if member in transports_by_member:
-                needs_migrate[member] = True
-            else:
-                raw = self._spawn_world(member)
-                if self._fault_plan:
-                    raw = FaultyTransport(raw, member, self._fault_plan)
-                transports_by_member[member] = raw
-                needs_migrate[member] = False
-
-        # 3. replay each rebuilt member's rewritten history.
+        # 2. rebuild each affected member's world from its rewritten
+        #    history, resetting it in place.  A joined member's worker
+        #    is started first, by a rebuild with no history, so it boots
+        #    while the worlds before it replay.
+        for member in plan.joined:
+            channels[member], _replies = self._rebuild(member, None, [])
         completions: Dict[int, float] = {}
         crashed_by_member: Dict[int, FrozenSet[int]] = {}
         replayed_ticks = 0
         for member in plan.rebuilt:
-            ticks, crashed_set, final_now, member_completions = (
-                self._rebuild_world(
-                    member,
-                    transports_by_member,
-                    replay_lists[member],
-                    needs_migrate[member],
-                )
+            channels[member], replies = self._rebuild(
+                member, channels[member], replay_lists[member]
             )
+            steps = [reply for reply in replies if type(reply) is StepBatchReply]
+            ticks = sum(reply.executed for reply in steps)
+            final_now = steps[-1].now if steps else 0.0
             replayed_ticks += ticks
-            crashed_by_member[member] = crashed_set
-            completions.update(member_completions)
+            crashed_by_member[member] = steps[-1].crashed if steps else frozenset()
+            for reply in steps:
+                completions.update(reply.completions)
             if final_now != self._now and (ticks or self._now):
                 self._failed = True
                 raise SimulationError(
@@ -1299,7 +1219,7 @@ class TransportBackend(ABC):
                     f"{final_now:g}; the cluster is at {self._now:g}"
                 )
 
-        # 4. settle add records.  A rebuilt world's replay is the
+        # 3. settle add records.  A rebuilt world's replay is the
         #    authoritative timeline for every value it now owns: each
         #    such record takes the replayed completion stamp — a no-op
         #    for values that did not move, the new owner's timeline for
@@ -1320,10 +1240,7 @@ class TransportBackend(ABC):
             else:
                 self._records.pop(token, None)
 
-        # 5. adopt the new membership across every parent-side mirror.
-        if self._selector is not None:
-            self._selector.close()
-            self._selector = None
+        # 4. adopt the new membership across every parent-side mirror.
         old_crashed = dict(zip(old_members, self._crashed))
         old_logs: Dict[int, List[object]] = (
             dict(zip(old_members, self._supervisor._logs))
@@ -1333,7 +1250,7 @@ class TransportBackend(ABC):
         self.members = list(new_members)
         self.num_shards = len(self.members)
         slot_of = {member: slot for slot, member in enumerate(self.members)}
-        self._transports = [transports_by_member[m] for m in self.members]
+        self._transports = [channels[m] for m in self.members]
         self._groups = [[i] for i in range(self.num_shards)]
         self._shard_exhausted = [False] * self.num_shards
         self._crashed = [
@@ -1351,7 +1268,6 @@ class TransportBackend(ABC):
                 self._pending[slot].append((token, pid, value))
             if record.end is None:
                 self._in_flight[(slot, pid)] = record
-        self._open_selector()
         if self._supervisor is not None:
             self._supervisor.reset_membership(
                 [
@@ -1369,138 +1285,186 @@ class TransportBackend(ABC):
             wall_clock=time.perf_counter() - started,
         )
 
-    def _rebuild_world(
+    def _rebuild(
         self,
         member: int,
-        transports_by_member: Dict[int, Transport],
-        requests: List[object],
-        migrate: bool,
-    ) -> Tuple[int, FrozenSet[int], float, Dict[int, float]]:
-        """Reset ``member``'s world and drive its replay, healing worker
-        death under the supervisor's backoff when supervision is on.
+        channel: Optional[Transport],
+        history: List[object],
+        in_flight: Sequence[object] = (),
+        *,
+        cause: Optional[str] = None,
+    ) -> Tuple[Transport, List[object]]:
+        """Give ``member`` a fresh world and drive requests into it.
 
-        Returns ``(ticks, crashed, final_now, completions)``.  A fresh
-        respawn needs no migrate frame (its world starts empty), so the
-        retry re-drives the request list directly, discarding any
-        partial completions from the failed attempt.
+        The one way a shard world is rebuilt.  ``history`` (the
+        requests that bring the fresh world to where the old one was)
+        is driven in first, then ``in_flight`` (requests the old world
+        still owed replies to); returns the channel now hosting the
+        world and one reply per request, in order.  The two callers:
+
+        * crash recovery (:class:`~repro.weakset.supervisor.ShardSupervisor`)
+          hands over the dead ``channel`` with the ``cause`` of death,
+          the shard's acknowledged request log and the requests still
+          in its window;
+        * a membership change (:meth:`apply_membership`) hands over each
+          rebuilt member's live channel with the member's rewritten
+          history; a joining member first gets its worker from a
+          rebuild with no channel and no history.
+
+        The fresh world comes from a
+        :class:`~repro.weakset.protocol.MigrateRequest` over a live
+        channel — the world is reset in place, no worker is started —
+        and otherwise from :meth:`_spawn_world`: for a dead channel, a
+        joining member, or a retry after a death.  Every reply is
+        awaited under the backend's one reply deadline.  A worker death
+        is retried under the supervisor's
+        :class:`~repro.weakset.supervisor.RetryPolicy` when
+        ``recover=True`` and poisons the backend otherwise; a
+        worker-side :class:`~repro.weakset.protocol.ErrorReply` (or any
+        reply of the wrong type) fails closed either way, because
+        replaying a deterministic world would repeat it.
+
+        Crash-recovery frames are not driver exchanges: a fault wrapper
+        is :meth:`~repro.weakset.faults.FaultyTransport.suspended` for
+        them, and retries back off under ``("respawn", slot)``.  A
+        membership change's frames are migration traffic
+        (:meth:`~repro.weakset.faults.FaultyTransport.rebalancing`),
+        backing off under ``("rebalance", member)``.
         """
         supervisor = self._supervisor
-        attempts = supervisor.policy.attempts if supervisor is not None else 1
-        delays = (
-            supervisor.policy.backoff("rebalance", member)
-            if supervisor is not None
-            else iter(())
-        )
-        last_error: Optional[BaseException] = None
+        recovering = cause is not None
+        # an unsupervised rebuild has no stats to report; count into a
+        # throwaway so the accounting below reads the same either way
+        stats = supervisor.stats if supervisor is not None else ShardRecoveryStats()
+        attempts = 1
+        delays: Iterator[float] = iter(())
+        if supervisor is not None:
+            attempts = supervisor.policy.attempts
+            if recovering:
+                key = ("respawn", self.members.index(member))  # the slot
+            else:
+                key = ("rebalance", member)
+            delays = supervisor.policy.backoff(*key)
+        requests = [*history, *in_flight]
+        since = time.perf_counter() if recovering else None
+        first_cause = last_error = cause
+        spawns = 0
+        if recovering:
+            stats.detections += 1
+            channel.close()
         for attempt in range(attempts):
             if attempt:
                 time.sleep(next(delays))
-            transport = transports_by_member[member]
+            live = cause is None and channel is not None
+            respawned = cause is not None
+            if not live:
+                spawns += 1
+                try:
+                    raw = self._spawn_world(member)
+                except SimulationError as error:
+                    if supervisor is None:
+                        self._failed = True
+                        raise
+                    last_error = str(error)
+                    continue
+                if channel is None:  # a joining member's first worker
+                    channel = (
+                        FaultyTransport(raw, member, self._fault_plan)
+                        if self._fault_plan
+                        else raw
+                    )
+                else:  # a respawn; a fault wrapper keeps its schedule
+                    if isinstance(channel, FaultyTransport):
+                        channel.replace_inner(raw)
+                    else:
+                        channel = raw
+                    stats.respawns += 1
+                    stats.recovered_shards.append(member)
+            quiet = contextlib.nullcontext()
+            if isinstance(channel, FaultyTransport):
+                quiet = channel.suspended() if recovering else channel.rebalancing()
+            replies: List[object] = []
             try:
-                result = self._drive_rebuild(transport, member, migrate, requests)
+                with quiet:
+                    if live:
+                        self._rebuild_reply(
+                            channel, member, MigrateRequest(shard_index=member)
+                        )
+                    for request in requests:
+                        reply = self._rebuild_reply(channel, member, request)
+                        replies.append(reply)
+                        if (
+                            respawned
+                            and len(replies) <= len(history)
+                            and type(reply) is StepBatchReply
+                        ):
+                            stats.replayed_rounds += reply.executed
             except (TransportError, ProtocolError) as error:
-                last_error = error
                 if supervisor is None:
                     self._failed = True
                     raise SimulationError(
-                        f"shard worker for member {member} died "
-                        f"mid-migration: {error}"
+                        f"shard {member} worker died while its world was "
+                        f"rebuilt (round clock {self._now:g}): {error}"
                     ) from None
-                supervisor.stats.detections += 1
-                try:
-                    raw = self._spawn_world(member)
-                except SimulationError as spawn_error:
-                    last_error = spawn_error
-                    continue
-                if isinstance(transport, FaultyTransport):
-                    transport.replace_inner(raw)
-                else:
-                    transport.close()
-                    transports_by_member[member] = raw
-                supervisor.stats.respawns += 1
-                supervisor.stats.recovered_shards.append(member)
-                migrate = False  # the replacement world starts fresh
+                cause = last_error = str(error)
+                first_cause = first_cause or cause
+                stats.detections += 1
+                channel.close()
+                since = since or time.perf_counter()
                 continue
-            if attempt and supervisor is not None:
-                ticks = result[0]
-                supervisor.stats.replayed_rounds += ticks
-            return result
+            if since is not None:
+                stats.wall_clock += time.perf_counter() - since
+            return channel, replies
         self._failed = True
         raise SimulationError(
-            f"worker for member {member} died mid-migration and could not "
-            f"be recovered after {attempts} attempt(s): {last_error}"
+            f"shard {member} worker died (at round clock {self._now:g}: "
+            f"{first_cause or last_error}) and could not be recovered after "
+            f"{spawns} respawn attempt(s): {last_error}"
         )
 
-    def _drive_rebuild(
-        self,
-        transport: Transport,
-        member: int,
-        migrate: bool,
-        requests: List[object],
-    ) -> Tuple[int, FrozenSet[int], float, Dict[int, float]]:
-        """One attempt at the migrate handshake + history replay."""
-        ticks = 0
-        crashed: FrozenSet[int] = frozenset()
-        final_now = 0.0
-        completions: Dict[int, float] = {}
-        rebalancing = getattr(transport, "rebalancing", None)
-        context = (
-            rebalancing() if rebalancing is not None
-            else contextlib.nullcontext()
-        )
-        with context:
-            if migrate:
-                reply = self._rebuild_exchange(
-                    transport,
-                    member,
-                    MigrateRequest(
-                        shard_index=member, resume_round=int(self._now)
-                    ),
-                )
-                if not isinstance(reply, MigrateReply) or reply.now != 0.0:
-                    self._failed = True
-                    raise SimulationError(
-                        f"member {member} answered the migrate request "
-                        f"with {type(reply).__name__}"
-                    )
-            for request in requests:
-                reply = self._rebuild_exchange(transport, member, request)
-                if isinstance(reply, StepBatchReply):
-                    completions.update(dict(reply.completions))
-                    crashed = reply.crashed
-                    final_now = reply.now
-                    ticks += reply.executed
-                elif isinstance(reply, PeekReply):
-                    pass  # trailing-adds delivery frame; nothing to fold
-                else:
-                    self._failed = True
-                    raise SimulationError(
-                        f"member {member} answered a replay request with "
-                        f"{type(reply).__name__}"
-                    )
-        return ticks, crashed, final_now, completions
-
-    def _rebuild_exchange(
-        self, transport: Transport, member: int, request: object
+    def _rebuild_reply(
+        self, channel: Transport, member: int, request: object
     ) -> object:
-        transport.send(request)
-        timeout = self._request_timeout
-        if timeout is None and self._supervisor is not None:
-            timeout = 30.0
-        if timeout is not None and not transport.poll(timeout):
-            raise TransportError(
-                f"member {member}: no migration reply within {timeout:g}s"
-            )
-        reply = transport.recv()
+        """One rebuild exchange; anything but the matching reply type
+        fails closed."""
+        channel.send(request)
+        reply = self._recv(channel)
+        # a reset world must be back at round 0
+        reset = type(reply) is not MigrateReply or reply.now == 0.0
+        if type(reply) is _REPLY_TYPES[type(request)] and reset:
+            return reply
+        self._failed = True
         if isinstance(reply, ErrorReply):
-            # deterministic worker-side error: replaying would repeat
-            # it, so fail closed rather than let the supervisor retry
-            self._failed = True
             raise SimulationError(
-                f"member {member} failed while replaying its world:\n"
-                f"{reply.message}"
+                f"shard {member} worker failed while rebuilding member "
+                f"{member}'s world:\n{reply.message}"
             )
-        return reply
+        raise SimulationError(
+            f"member {member} answered a {type(request).__name__} with "
+            f"{reply!r:.200} while its world was rebuilt"
+        )
+
+    def _stop(self, transports: List[Transport]) -> None:
+        """The stop handshake: send every channel a stop, drain its ack
+        (or an in-flight error), close it.  Shutdown traffic is not a
+        driver exchange: unfired scheduled faults must not fire on (or
+        count) it."""
+        with contextlib.ExitStack() as stack:
+            for transport in transports:
+                if isinstance(transport, FaultyTransport):
+                    stack.enter_context(transport.suspended())
+            for transport in transports:
+                try:
+                    transport.send(StopRequest())
+                except TransportError:
+                    pass
+            for transport in transports:
+                try:
+                    if transport.poll(1.0):
+                        transport.recv()
+                except (TransportError, ProtocolError):
+                    pass
+                transport.close()
 
     # -- the pipelined (windowed) driver ---------------------------------
     def advance(self, rounds: int) -> int:
@@ -1654,30 +1618,7 @@ class TransportBackend(ABC):
         if self._closed:
             return
         self._closed = True
-        if self._selector is not None:
-            self._selector.close()
-            self._selector = None
-        with contextlib.ExitStack() as stack:
-            for transport in self._transports:
-                # shutdown traffic is not a driver exchange: unfired
-                # scheduled faults must not fire on (or count) the
-                # stop handshake.
-                suspend = getattr(transport, "suspended", None)
-                if suspend is not None:
-                    stack.enter_context(suspend())
-            for transport in self._transports:
-                try:
-                    transport.send(StopRequest())
-                except TransportError:
-                    pass
-            for transport in self._transports:
-                try:
-                    # drain the stop ack (or an in-flight error)
-                    if transport.poll(1.0):
-                        transport.recv()
-                except (TransportError, ProtocolError):
-                    pass
-                transport.close()
+        self._stop(self._transports)
         self._reap()
 
     def _reap(self) -> None:
@@ -1740,15 +1681,11 @@ class SerialBackend(TransportBackend):
                 "the serial backend has no workers to supervise or wires "
                 "to fault; use inproc, multiprocess, or socket"
             )
+        self._servers: Dict[int, ShardServer] = {}
         super().__init__(n, **options)
 
-    def _start(self) -> None:
-        self._servers: Dict[int, ShardServer] = {}
-        for member in self.members:
-            self._transports.append(self._spawn_world(member))
-
-    def _spawn_world(self, member: int, *, resume_round: int = 0) -> Transport:
-        server = ShardServer(self._config, member, resume_round)
+    def _spawn_world(self, member: int) -> Transport:
+        server = ShardServer(self._config, member)
         self._servers[member] = server
         return DirectTransport(server.handle)
 
@@ -1769,13 +1706,8 @@ class InProcBackend(TransportBackend):
     at real processes or machines.
     """
 
-    def _start(self) -> None:
-        for member in self.members:
-            self._transports.append(self._spawn_world(member))
-
-    def _spawn_world(self, member: int, *, resume_round: int = 0) -> Transport:
-        server = ShardServer(self._config, member, resume_round)
-        return InProcTransport(server.handle)
+    def _spawn_world(self, member: int) -> Transport:
+        return InProcTransport(ShardServer(self._config, member).handle)
 
 
 class MultiprocessBackend(TransportBackend):
@@ -1824,6 +1756,7 @@ class MultiprocessBackend(TransportBackend):
         self._context = multiprocessing.get_context(
             _resolve_start_method(start_method)
         )
+        self._shard_workers: Dict[int, object] = {}
         super().__init__(
             n,
             shards=shards,
@@ -1839,27 +1772,9 @@ class MultiprocessBackend(TransportBackend):
             members=members,
         )
 
-    def _start(self) -> None:
-        self._shard_workers: Dict[int, object] = {}
-        for member in self.members:
-            self._transports.append(self._spawn_worker(member))
-
-    def _spawn_worker(self, member: int, resume_round: int = 0) -> Transport:
-        parent_conn, child_conn = self._context.Pipe()
-        worker = self._context.Process(
-            target=_pipe_worker,
-            args=(child_conn, member, self._config, resume_round),
-            daemon=True,
-        )
-        worker.start()
-        child_conn.close()
-        self._workers.append(worker)
-        self._shard_workers[member] = worker
-        return PipeTransport(parent_conn)
-
-    def _spawn_world(self, member: int, *, resume_round: int = 0) -> Transport:
-        # The superseded worker stays in ``_workers`` for the final
-        # reap, but is terminated NOW if still running: under ``fork``,
+    def _spawn_world(self, member: int) -> Transport:
+        # A superseded worker stays in ``_workers`` for the final reap,
+        # but is terminated NOW if still running: under ``fork``,
         # sibling workers inherit copies of its pipe's parent end, so a
         # channel-severing fault alone never delivers the EOF that
         # would make it exit — without this it lingers until close()'s
@@ -1868,11 +1783,21 @@ class MultiprocessBackend(TransportBackend):
         if old is not None and old.is_alive():
             old.terminate()
         try:
-            return self._spawn_worker(member, resume_round)
+            parent_conn, child_conn = self._context.Pipe()
+            worker = self._context.Process(
+                target=_pipe_worker,
+                args=(child_conn, member, self._config),
+                daemon=True,
+            )
+            worker.start()
         except OSError as error:  # pragma: no cover - resource exhaustion
             raise SimulationError(
-                f"could not respawn worker for member {member}: {error}"
+                f"could not start a worker for member {member}: {error}"
             ) from None
+        child_conn.close()
+        self._workers.append(worker)
+        self._shard_workers[member] = worker
+        return PipeTransport(parent_conn)
 
 
 class SocketBackend(TransportBackend):
@@ -1988,10 +1913,7 @@ class SocketBackend(TransportBackend):
             )
 
     def _accept_worker(
-        self,
-        shard_index: int,
-        resume_round: int = 0,
-        extra_shards: Tuple[int, ...] = (),
+        self, shard_index: int, extra_shards: Tuple[int, ...] = ()
     ) -> Transport:
         """Accept one worker connection and run the hello/config
         handshake for ``shard_index``; the transport is closed here on
@@ -2024,7 +1946,6 @@ class SocketBackend(TransportBackend):
                     ConfigReply(
                         shard_index=shard_index,
                         world=self._world_blob,
-                        resume_round=resume_round,
                         extra_shards=extra_shards,
                     )
                 )
@@ -2039,7 +1960,7 @@ class SocketBackend(TransportBackend):
         sock.settimeout(None)
         return transport
 
-    def _spawn_world(self, member: int, *, resume_round: int = 0) -> Transport:
+    def _spawn_world(self, member: int) -> Transport:
         # Loopback mode spawns the replacement itself; in external mode
         # (``listen=``) :func:`run_socket_worker`'s loop re-offers the
         # surviving worker fleet, so the accept below is served by
@@ -2052,7 +1973,7 @@ class SocketBackend(TransportBackend):
                     self.address, 1, start_method=self._start_method
                 )
             )
-        return self._accept_worker(member, resume_round)
+        return self._accept_worker(member)
 
     def _reap(self) -> None:
         if self._listener is not None:

@@ -16,14 +16,17 @@ whole point of the source paper).  This module is the opt-in
   surfaces as a timeout error naming the shard instead of a hang.
 * :class:`ShardRecoveryStats` — what recovery cost: detections,
   respawns, replayed rounds, wall-clock.
-* :class:`ShardSupervisor` — the recovery driver a
+* :class:`ShardSupervisor` — the recovery window a
   :class:`~repro.weakset.sharding.TransportBackend` constructed with
   ``recover=True`` routes its exchanges through.  It detects worker
-  death (send failure, EOF/reset mid-harvest, reply deadline), asks
-  the backend to **respawn** the dead worker, **replays** the new
-  world deterministically to the last acknowledged exchange,
-  re-issues the requests still in flight, and hands back a reply set
-  indistinguishable from an uninterrupted run.
+  death (send failure, EOF/reset mid-harvest, reply deadline), keeps
+  each shard's log of acknowledged requests, and hands the dead shard
+  to the backend's one rebuild routine
+  (:meth:`~repro.weakset.sharding.TransportBackend._rebuild`): respawn
+  the worker, replay the log deterministically, re-issue the requests
+  still in flight.  The harvest then gets a reply set
+  indistinguishable from an uninterrupted run.  Membership changes
+  rebuild worlds through the same routine.
 
 Why replay works: a shard world derives every decision from keyed
 seed streams — never from process state — so a respawned worker fed
@@ -42,20 +45,14 @@ bugs.
 
 from __future__ import annotations
 
-import time
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional
 
 from repro._rng import derive_uniform
 from repro.errors import SimulationError
-from repro.weakset.protocol import (
-    ErrorReply,
-    PeekRequest,
-    ProtocolError,
-    StepBatchRequest,
-)
-from repro.weakset.transport import Transport, TransportError
+from repro.weakset.protocol import PeekRequest, ProtocolError, StepBatchRequest
+from repro.weakset.transport import TransportError
 
 __all__ = [
     "RetryPolicy",
@@ -63,9 +60,9 @@ __all__ = [
     "ShardSupervisor",
 ]
 
-#: reply deadline the supervisor enforces when the policy does not set
-#: one: recovery must never hang on a silent worker (a dropped frame
-#: would otherwise block the harvest forever).
+#: reply deadline a supervised or fault-injected backend enforces when
+#: the policy does not set one: recovery must never hang on a silent
+#: worker (a dropped frame would otherwise block the harvest forever).
 DEFAULT_REQUEST_TIMEOUT = 30.0
 
 
@@ -77,9 +74,8 @@ class RetryPolicy:
     :func:`~repro.weakset.sharding.serve_shard_over_socket` walks
     :meth:`backoff` while waiting for a parent,
     :class:`~repro.weakset.sharding.TransportBackend` enforces
-    :attr:`request_timeout` on every reply harvest, and
-    :class:`ShardSupervisor` walks :meth:`backoff` between respawn
-    attempts.
+    :attr:`request_timeout` on every reply it waits for, and its
+    rebuild routine walks :meth:`backoff` between respawn attempts.
 
     Delays are **deterministic**: attempt ``k`` sleeps
     ``min(base_delay * multiplier**k, max_delay)`` plus a jitter
@@ -97,7 +93,7 @@ class RetryPolicy:
             deterministically in ``[0, jitter * delay)``.
         seed: jitter stream seed.
         request_timeout: reply deadline per exchange, seconds (``None``
-            = block; the supervisor substitutes
+            = block; a supervised or fault-injected backend substitutes
             :data:`DEFAULT_REQUEST_TIMEOUT` so recovery never hangs).
 
     Example:
@@ -152,25 +148,28 @@ class ShardRecoveryStats:
 
     Attributes:
         detections: worker failures noticed (send failure, channel EOF
-            or reset, reply deadline expired).
-        respawns: fresh workers actually started (a single detection
-            may take several respawn attempts under the backoff).
+            or reset, reply deadline expired), mid-run or while a
+            membership change rebuilds a world.
+        respawns: fresh workers started in place of dead ones (a single
+            detection may take several respawn attempts under the
+            backoff; a joining member's first worker is not one).
         replayed_rounds: simulation ticks re-executed by respawned
             workers to rebuild their worlds.
         wall_clock: seconds spent inside recovery (respawn + replay +
             re-issue), summed over all detections.
+        recovered_shards: the member id of every respawn, in order
+            (equal to the shard index until membership changes).
     """
 
     detections: int = 0
     respawns: int = 0
     replayed_rounds: int = 0
     wall_clock: float = 0.0
-    #: shard indices recovered, in detection order (repeats allowed).
     recovered_shards: List[int] = field(default_factory=list)
 
 
 class ShardSupervisor:
-    """Detect, respawn, replay: the fail-recover exchange driver.
+    """The supervised exchange window: detect, then hand over to rebuild.
 
     Owned by a :class:`~repro.weakset.sharding.TransportBackend`
     constructed with ``recover=True``; the backend sends every exchange
@@ -181,26 +180,19 @@ class ShardSupervisor:
 
     A sent request set joins the *window* of sets in flight; a harvest
     collects the oldest set's replies in canonical shard order under
-    the policy's reply deadline and only then *acknowledges* it into
+    the backend's reply deadline and only then *acknowledges* it into
     the per-shard request log.  For any shard whose channel failed —
-    at send or mid-harvest — the harvest runs the recovery sequence:
-
-    1. close the dead channel and ask the backend to **respawn** the
-       worker (:meth:`~repro.weakset.sharding.TransportBackend._respawn`),
-       retrying under the policy's deterministic backoff;
-    2. **replay** the shard's acknowledged request log (every step and
-       peek frame the dead worker consumed — queued adds ride inside
-       them, so the rebuilt world sees the identical operation
-       sequence), discarding the replies;
-    3. **re-issue** every request set still in the window, oldest
-       first, and hand the oldest reply back to the harvest in
-       progress; the rest wait parent-side for the harvests that
-       follow.
-
-    Fault-injection wrappers
-    (:class:`~repro.weakset.faults.FaultyTransport`) are suspended
-    while recovery traffic flows, so scheduled faults keep firing at
-    their planned *driver* exchanges whatever recovery interleaves.
+    at send or mid-harvest — the harvest hands the shard to the
+    backend's rebuild routine
+    (:meth:`~repro.weakset.sharding.TransportBackend._rebuild`) with
+    the shard's acknowledged log (every step and peek frame the dead
+    worker consumed — queued adds ride inside them, so the rebuilt
+    world sees the identical operation sequence) followed by every
+    request set still in the window, oldest first.  The routine
+    respawns the worker under this supervisor's :attr:`policy`,
+    drives both in, and returns the replies: the first re-issued one
+    answers the harvest in progress, the rest wait parent-side for the
+    harvests that follow.
     """
 
     def __init__(self, backend, *, policy: Optional[RetryPolicy] = None):
@@ -221,28 +213,6 @@ class ShardSupervisor:
         #: shards whose channel failed at *send* time, with the cause;
         #: recovery happens lazily at their next harvest.
         self._broken: Dict[int, str] = {}
-
-    # -- plumbing --------------------------------------------------------
-    @property
-    def _timeout(self) -> float:
-        return self.policy.request_timeout or DEFAULT_REQUEST_TIMEOUT
-
-    def _recv(self, transport: Transport, index: int) -> object:
-        """One reply under the deadline; TransportError names the wait."""
-        timeout = self._timeout
-        if not transport.poll(timeout):
-            raise TransportError(f"no reply within {timeout:g}s")
-        return transport.recv()
-
-    @staticmethod
-    def _suspended(transport: Transport):
-        """The transport's fault-suspension context, if it has one."""
-        suspend = getattr(transport, "suspended", None)
-        if suspend is not None:
-            return suspend()
-        import contextlib
-
-        return contextlib.nullcontext()
 
     def _log(self, requests: List[object]) -> None:
         for index, request in enumerate(requests):
@@ -296,21 +266,22 @@ class ShardSupervisor:
         Replies come back index-aligned, one per shard, and raise
         :class:`~repro.errors.SimulationError` only when recovery
         itself is impossible (respawn attempts exhausted, or the
-        respawned world failed too).  A shard whose channel died — at
-        send time or mid-harvest — runs the recovery: respawn, replay
-        the acknowledged log, then re-issue the **whole** in-flight
-        suffix and buffer its replies parent-side
-        (:attr:`_replies_ahead`), so later harvests of the same window
-        read the buffer instead of the wire and the channel owes
-        nothing once recovery returns (which keeps any fault wrapper's
-        reply schedule aligned with driver exchanges).
+        rebuilt world failed too).  A shard whose channel died — at
+        send time or mid-harvest — is rebuilt with the whole in-flight
+        suffix re-issued; the replies ahead of this harvest are
+        buffered parent-side (:attr:`_replies_ahead`), so later
+        harvests of the same window read the buffer instead of the wire
+        and the channel owes nothing once recovery returns (which keeps
+        any fault wrapper's reply schedule aligned with driver
+        exchanges).
         """
         if not self._window:
             raise SimulationError(
                 "harvest_window called with no request set in flight"
             )
-        replies: List[object] = [None] * self.backend.num_shards
-        for index, transport in enumerate(self.backend._transports):
+        backend = self.backend
+        replies: List[object] = [None] * backend.num_shards
+        for index, transport in enumerate(backend._transports):
             ahead = self._replies_ahead[index]
             if ahead:
                 replies[index] = ahead.popleft()
@@ -318,95 +289,25 @@ class ShardSupervisor:
             cause = self._broken.pop(index, None)
             if cause is None:
                 try:
-                    replies[index] = self._recv(transport, index)
+                    replies[index] = backend._recv(transport)
                     continue
                 except (TransportError, ProtocolError) as error:
                     cause = str(error)
-            replies[index] = self._recover_windowed(index, cause)
+            replies[index] = self._recover(index, cause)
         self._log(self._window.popleft())
         return replies
 
-    # -- recovery --------------------------------------------------------
-    def _recover_windowed(self, index: int, cause: str) -> object:
-        """Respawn shard ``index`` mid-window; return the oldest reply.
-
-        After the respawn and the replay of the acknowledged log, the
-        whole in-flight suffix (every request set in :attr:`_window`,
-        oldest first) is re-issued and its replies drained under fault
-        suspension; the first answers the harvest in progress, the
-        rest wait in :attr:`_replies_ahead`.
-        """
+    def _recover(self, index: int, cause: str) -> object:
+        """Rebuild shard ``index``'s dead world; return the reply owed
+        to the harvest in progress and buffer the rest of the window's."""
         backend = self.backend
-        started = time.perf_counter()
-        self.stats.detections += 1
-        resume_round = int(backend._now)
-        try:
-            backend._transports[index].close()
-        except TransportError:  # pragma: no cover - defensive
-            pass
-        last_error: object = cause
-        collected: Optional[List[object]] = None
-        delays = self.policy.backoff("respawn", index)
-        for attempt in range(self.policy.attempts):
-            if attempt:
-                time.sleep(next(delays))
-            try:
-                raw = backend._respawn(index, resume_round=resume_round)
-            except SimulationError as error:
-                last_error = error
-                continue
-            backend._install_transport(index, raw)
-            self.stats.respawns += 1
-            transport = backend._transports[index]
-            try:
-                with self._suspended(transport):
-                    self._replay(index, transport)
-                    collected = []
-                    for requests in self._window:
-                        transport.send(requests[index])
-                        collected.append(self._recv(transport, index))
-                break
-            except (TransportError, ProtocolError) as error:
-                # the respawned worker died too: close and go around
-                last_error = error
-                collected = None
-                try:
-                    transport.close()
-                except TransportError:  # pragma: no cover - defensive
-                    pass
-        if collected is None:
-            raise SimulationError(
-                f"shard {index} worker died (at round clock {backend._now:g}: "
-                f"{cause}) and could not be recovered after "
-                f"{self.policy.attempts} respawn attempt(s): {last_error}"
-            )
-        for reply in collected:
-            if isinstance(reply, ErrorReply):
-                raise SimulationError(
-                    f"shard {index} worker failed after recovery:\n"
-                    f"{reply.message}"
-                )
-        self._replies_ahead[index].extend(collected[1:])
-        self.stats.recovered_shards.append(index)
-        self.stats.wall_clock += time.perf_counter() - started
-        return collected[0]
-
-    def _replay(self, index: int, transport: Transport) -> None:
-        """Re-drive the logged request sequence into a fresh world.
-
-        Replies are consumed and discarded — the parent already folded
-        the originals in; the worlds being SHA-512-deterministic is
-        what makes the rebuilt state identical.  A worker-side error
-        during replay is a simulation bug, not an infrastructure
-        fault, and surfaces as :class:`~repro.errors.SimulationError`.
-        """
-        for logged in self._logs[index]:
-            transport.send(logged)
-            reply = self._recv(transport, index)
-            if isinstance(reply, ErrorReply):
-                raise SimulationError(
-                    f"shard {index} failed while replaying its world "
-                    f"(deterministic worker-side error):\n{reply.message}"
-                )
-            if isinstance(logged, StepBatchRequest):
-                self.stats.replayed_rounds += reply.executed
+        log = self._logs[index]
+        backend._transports[index], replies = backend._rebuild(
+            backend.members[index],
+            backend._transports[index],
+            log,
+            [requests[index] for requests in self._window],
+            cause=cause,
+        )
+        self._replies_ahead[index].extend(replies[len(log) + 1 :])
+        return replies[len(log)]

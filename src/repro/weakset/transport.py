@@ -20,23 +20,19 @@ a shard world can live:
 
 :func:`send_all` and :func:`harvest_all` are the two halves of every
 exchange: the first issues every shard's request, the second harvests
-one reply per shard — and a pipelined driver may issue several request
-waves before harvesting the oldest.  Handed a ``selector`` with every
-channel registered, the harvest **overlaps**: replies are collected as
-they arrive instead of in a fixed order, so a slow shard no longer
-serializes the harvest behind a fast one.  Without one it receives in
-index order.  The driver keeps a selector
-exactly when every channel is selectable and neither supervision nor
-fault injection is on (dying channels and a shared selector do not
-mix).  Results are returned **order-canonically** either way (reply
-``i`` belongs to transport ``i`` no matter the arrival order), which
-is why backend traces stay byte-identical for a fixed seed.
+one reply per shard in shard order — and a pipelined driver may issue
+several request waves before harvesting the oldest.  Every request of
+a wave is sent before the first reply is read, so the workers compute
+concurrently whatever order the harvest reads in; reply ``i`` is
+transport ``i``'s, which is why backend traces stay byte-identical for
+a fixed seed.
 
-Rebalance traffic rides the same channels: a membership change first
+Rebuild traffic rides the same channels: a membership change first
 quiesces the pipelined window (every in-flight frame is harvested, so
-the wire is empty), then the driver runs ``Migrate``/replay exchanges
-over these transports like any other request — no side channel, and
-the frame ordering a worker observes stays deterministic.
+the wire is empty), then the driver's one rebuild routine runs its
+``Migrate``/replay exchanges over these transports like any other
+request — no side channel, and the frame ordering a worker observes
+stays deterministic.
 
 Example — the protocol stack over an in-process echo worker:
 
@@ -112,14 +108,6 @@ class Transport(ABC):
         transports) cannot carry one and refuse.
         """
         raise TransportError("transport cannot ship raw frames")
-
-    def fileno(self) -> Optional[int]:
-        """A selectable file descriptor, or ``None`` (not selectable).
-
-        A driver builds an overlapping selector only when every
-        transport is selectable; otherwise it harvests in index order.
-        """
-        return None
 
     def close(self) -> None:
         """Release the channel (idempotent)."""
@@ -216,12 +204,6 @@ class PipeTransport(Transport):
         except (OSError, ValueError):  # pragma: no cover - defensive
             return False
 
-    def fileno(self) -> Optional[int]:
-        try:
-            return self._conn.fileno()
-        except (OSError, ValueError):  # pragma: no cover - defensive
-            return None
-
     def close(self) -> None:
         try:
             self._conn.close()
@@ -285,12 +267,6 @@ class SocketTransport(Transport):
         except (OSError, ValueError):  # pragma: no cover - defensive
             return False
 
-    def fileno(self) -> Optional[int]:
-        try:
-            return self._sock.fileno()
-        except OSError:  # pragma: no cover - defensive
-            return None
-
     def close(self) -> None:
         if self._closed:
             return
@@ -342,21 +318,18 @@ def send_all(
 def harvest_all(
     transports: Sequence[Transport],
     *,
-    selector: Optional[selectors.BaseSelector] = None,
     deadlines: Optional[Sequence[float]] = None,
     timeout: Optional[float] = None,
 ) -> List[object]:
-    """Receive exactly one reply per transport, order-canonically.
+    """Receive exactly one reply per transport, in index order.
 
-    The harvest half of an exchange.  Handed a ``selector`` with every
-    transport registered (data = its index), replies are collected as
-    they arrive; without one, in index order (lock-step).  Either way
-    the returned list is index-aligned with ``transports``.  Each call
-    consumes exactly one reply per channel, and channels deliver
-    replies in request order — so a pipelined driver that issued
-    several waves via :func:`send_all` harvests them one wave at a
-    time, oldest first, and reply ``i`` of each harvest is transport
-    ``i``'s answer to its request in that wave.
+    The harvest half of an exchange; the returned list is index-aligned
+    with ``transports``.  Each call consumes exactly one reply per
+    channel, and channels deliver replies in request order — so a
+    pipelined driver that issued several waves via :func:`send_all`
+    harvests them one wave at a time, oldest first, and reply ``i`` of
+    each harvest is transport ``i``'s answer to its request in that
+    wave.
 
     ``deadlines`` optionally bounds each reply individually (monotonic
     timestamps, index-aligned — normally :func:`send_all`'s return
@@ -370,34 +343,6 @@ def harvest_all(
     """
     replies: List[object] = [None] * len(transports)
     limit = "its deadline" if timeout is None else f"{timeout:g}s"
-    if selector is not None:
-        pending = set(range(len(transports)))
-        while pending:
-            if deadlines is None:
-                ready = selector.select()
-            else:
-                now = time.monotonic()
-                expired = sorted(
-                    index for index in pending if deadlines[index] <= now
-                )
-                if expired:
-                    raise TransportError(
-                        f"shard(s) {expired}: no reply within {limit}"
-                    )
-                wait = min(deadlines[index] for index in pending) - now
-                ready = selector.select(wait)
-                if not ready:
-                    continue  # next pass raises for whoever expired
-            for key, _events in ready:
-                index = key.data
-                if index not in pending:
-                    continue
-                try:
-                    replies[index] = transports[index].recv()
-                except TransportError as error:
-                    raise TransportError(f"shard {index}: {error}") from None
-                pending.discard(index)
-        return replies
     for index, transport in enumerate(transports):
         if deadlines is not None:
             remaining = deadlines[index] - time.monotonic()

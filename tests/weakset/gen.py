@@ -111,7 +111,6 @@ step_batch_replies = st.builds(
 migrate_requests = st.builds(
     MigrateRequest,
     shard_index=st.integers(min_value=0, max_value=255),
-    resume_round=st.integers(min_value=0, max_value=10_000),
 )
 
 migrate_replies = st.builds(

@@ -22,9 +22,11 @@ import pytest
 from repro.errors import SimulationError
 from repro.serialization import trace_to_json
 from repro.sim.workloads import ChurnEnvironments
-from repro.weakset.faults import parse_fault_plan
+from repro.weakset import sharding
+from repro.weakset.faults import Fault, FaultPlan, parse_fault_plan
 from repro.weakset.ring import HashRing, ring_for_shards
 from repro.weakset.sharding import SerialBackend, ShardedWeakSetCluster
+from repro.weakset.supervisor import RetryPolicy
 
 pytestmark = pytest.mark.membership
 
@@ -357,3 +359,201 @@ class TestMembershipSurface:
             assert stats.replayed_ticks == EVENT_AT * len(stats.rebuilt_members)
             assert stats.wall_clock >= 0.0
             assert stats.moved_values >= 0
+
+
+def _refuse_once(backend, refused):
+    """Make the backend's next worker start fail once, noting whose."""
+    start = backend._spawn_world
+
+    def flaky(member):
+        backend._spawn_world = start
+        refused.append(member)
+        raise SimulationError("the nursery is closed")
+
+    backend._spawn_world = flaky
+
+
+def _migrating_cluster(backend, **kwargs):
+    """A cluster at EVENT_AT whose next join migrates a delivered value
+    off an existing member (returned with the cluster)."""
+    adds, old_owner = _adds_migrating_on_join()
+    assert old_owner is not None
+    cluster = _build(backend, **kwargs)
+    for at, pid, value in adds:
+        if at < EVENT_AT:
+            cluster.advance(at - int(cluster.now))
+            cluster.begin_add(pid, value)
+    cluster.advance(EVENT_AT - int(cluster.now))
+    return cluster, old_owner
+
+
+class TestOneRebuildRoutine:
+    """Crash recovery and membership changes rebuild shard worlds
+    through one routine, ``TransportBackend._rebuild``; these pin what
+    each caller relies on it for."""
+
+    def test_join_keeps_the_existing_workers(self):
+        """The kept fast path: a rebuilt existing member is reset in
+        place by a migrate request and keeps its worker process; only
+        the joiner starts one."""
+        cluster, old_owner = _migrating_cluster("multiprocess", start_method="fork")
+        with cluster:
+            backend = cluster.backend
+            workers = dict(backend._shard_workers)
+            channels = dict(zip(backend.members, backend._transports))
+            cluster.join_shard()
+            rebuilt = cluster.last_rebalance.rebuilt_members
+            assert old_owner in rebuilt and 2 in rebuilt
+            for member in (0, 1):
+                assert backend._shard_workers[member] is workers[member]
+                assert workers[member].is_alive()
+                assert backend._transports[member] is channels[member]
+            assert 2 not in workers and backend._shard_workers[2].is_alive()
+            assert len(backend._workers) == 3
+            assert cluster.advance(2) == 2
+
+    def test_leave_keeps_the_surviving_workers(self):
+        with _build("multiprocess", shards=3, start_method="fork") as cluster:
+            backend = cluster.backend
+            for pid, value in enumerate(VALUES[:N]):
+                cluster.begin_add(pid, value)
+            cluster.advance(EVENT_AT)
+            workers = dict(backend._shard_workers)
+            cluster.leave_shard(1)
+            assert cluster.last_rebalance.rebuilt_members
+            assert len(backend._workers) == 3  # nothing started
+            for member in (0, 2):
+                assert backend._shard_workers[member] is workers[member]
+                assert workers[member].is_alive()
+            workers[1].join(timeout=5.0)
+            assert not workers[1].is_alive()  # stopped by the handshake
+            assert cluster.advance(2) == 2
+
+    def test_migration_traffic_is_not_a_driver_exchange(self):
+        cluster, _old_owner = _migrating_cluster("inproc")
+        with cluster:
+            backend = cluster.backend
+            counted = (backend.exchanges, backend.frame_pairs)
+            cluster.join_shard()
+            assert cluster.last_rebalance.replayed_ticks > 0
+            assert (backend.exchanges, backend.frame_pairs) == counted
+
+    @pytest.mark.chaos
+    def test_kill_mid_migration_heals_in_process(self):
+        """The in-process twin of the chaos test above, with exact
+        counts: one death on the old owner's second migration exchange,
+        one respawn, and the replay re-driven on the new worker."""
+        adds, victim = _adds_migrating_on_join()
+        plan = parse_fault_plan(f"kill:{victim}:2:rebalance")
+        grown = _build("inproc", recover=True, fault_plan=plan)
+        fresh = _build("inproc", shards=3)
+        with grown, fresh:
+            grown_result = _run(grown, event=lambda c: c.join_shard(), adds=adds)
+            stats = grown.recovery_stats
+            assert (stats.detections, stats.respawns) == (1, 1)
+            assert stats.recovered_shards == [victim]
+            assert stats.replayed_rounds == EVENT_AT
+            assert grown_result == _run(fresh, adds=adds)
+            assert _snapshot(grown) == _snapshot(fresh)
+
+    @pytest.mark.chaos
+    def test_kill_mid_migration_without_recover_fails_closed(self):
+        _adds, victim = _adds_migrating_on_join()
+        plan = parse_fault_plan(f"kill:{victim}:2:rebalance")
+        cluster, _old_owner = _migrating_cluster("inproc", fault_plan=plan)
+        with cluster:
+            with pytest.raises(
+                SimulationError,
+                match=f"shard {victim} worker died while its world was rebuilt",
+            ):
+                cluster.join_shard()
+            with pytest.raises(SimulationError, match="backend failed"):
+                cluster.advance(1)
+
+    @pytest.mark.chaos
+    def test_supervised_join_retries_a_failed_start(self):
+        """A joiner whose first worker fails to start is retried under
+        supervision; a joining member's first worker is no respawn."""
+        grown = _build(
+            "inproc", recover=True, retry_policy=RetryPolicy(base_delay=0.0)
+        )
+        fresh = _build("inproc", shards=3)
+        refused = []
+        with grown, fresh:
+            result = _run(
+                grown,
+                event=lambda c: (_refuse_once(c.backend, refused), c.join_shard()),
+            )
+            assert refused == [2]
+            stats = grown.recovery_stats
+            assert (stats.detections, stats.respawns) == (0, 0)
+            assert result == _run(fresh)
+            assert _snapshot(grown) == _snapshot(fresh)
+
+    def test_unsupervised_join_fails_closed_on_a_failed_start(self):
+        refused = []
+        with _build("inproc") as cluster:
+            cluster.advance(2)
+            _refuse_once(cluster.backend, refused)
+            with pytest.raises(SimulationError, match="the nursery is closed"):
+                cluster.join_shard()
+            assert refused == [2]
+            with pytest.raises(SimulationError, match="backend failed"):
+                cluster.advance(1)
+
+    @pytest.mark.chaos
+    def test_worker_error_fails_closed_under_supervision(self):
+        """An inadmissible replay is a worker-side error: supervision
+        does not retry it (replaying would repeat it)."""
+        first, second = _values_colliding_on_join()
+        with _build("inproc", recover=True) as cluster:
+            cluster.begin_add(0, first)
+            cluster.begin_add(0, second)
+            cluster.advance(TOTAL_ROUNDS)
+            with pytest.raises(SimulationError, match="member 2"):
+                cluster.join_shard()
+            stats = cluster.recovery_stats
+            assert (stats.detections, stats.respawns) == (0, 0)
+            with pytest.raises(SimulationError, match="backend failed"):
+                cluster.advance(1)
+
+    @pytest.mark.chaos
+    def test_retries_back_off_under_the_two_keys(self, monkeypatch):
+        """Crash recovery backs off under ``("respawn", slot)``, a
+        membership change under ``("rebalance", member)``: after member
+        0 leaves, member 2 sits in slot 1, so the two keys differ."""
+        policy = RetryPolicy(attempts=3, base_delay=0.01, jitter=0.5, seed=5)
+        sleeps = []
+        monkeypatch.setattr(sharding.time, "sleep", sleeps.append)
+        refused = []
+        with _build("inproc", shards=3, recover=True, retry_policy=policy) as cluster:
+            backend = cluster.backend
+            cluster.advance(2)
+            cluster.leave_shard(0)
+            _refuse_once(backend, refused)
+            backend._transports[1].close()  # member 2's worker is gone
+            assert cluster.advance(1) == 1
+            _refuse_once(backend, refused)
+            assert cluster.join_shard() == 3
+            stats = cluster.recovery_stats
+            assert (stats.detections, stats.respawns) == (1, 1)
+            assert stats.recovered_shards == [2]
+        assert refused == [2, 3]
+        assert sleeps == [
+            next(policy.backoff("respawn", 1)),
+            next(policy.backoff("rebalance", 3)),
+        ]
+
+    @pytest.mark.chaos
+    def test_rebalance_faults_stay_quiet_in_recovery_traffic(self):
+        """A crash replay is not migration traffic: a ``rebalance``
+        fault scheduled on the respawned world's first exchange never
+        fires there."""
+        plan = FaultPlan(
+            (Fault("kill", 0, 2), Fault("kill", 0, 1, phase="rebalance"))
+        )
+        with _build("inproc", recover=True, fault_plan=plan) as cluster:
+            cluster.begin_add(0, VALUES[0])
+            cluster.advance(6)
+            stats = cluster.recovery_stats
+            assert (stats.detections, stats.respawns) == (1, 1)

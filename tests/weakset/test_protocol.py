@@ -136,9 +136,9 @@ class TestRoundTripIdentity:
 
     def test_migrate_pair(self):
         """The protocol-v5 rebalance handshake crosses the wire."""
-        request = MigrateRequest(shard_index=7, resume_round=42)
+        request = MigrateRequest(shard_index=7)
         assert roundtrip(request) == request
-        assert roundtrip(MigrateRequest(shard_index=0)).resume_round == 0
+        assert roundtrip(MigrateRequest(shard_index=0)) == MigrateRequest(0)
         reply = MigrateReply(shard_index=7, now=0.0)
         assert roundtrip(reply) == reply
 
@@ -266,7 +266,6 @@ class TestFraming:
         """Version 7 retired the single-tick pair: the header is still
         version:u8 length:u32, and a tag-1 body (the old one-tick
         request) is an unknown tag."""
-        assert PROTOCOL_VERSION == 7
         assert HEADER_SIZE == 5
         body = bytes([1]) + (0).to_bytes(4, "big")
         with pytest.raises(ProtocolError, match="unknown binary message tag 1"):
@@ -296,8 +295,8 @@ class TestFraming:
         with pytest.raises(VersionMismatch) as excinfo:
             decode_message(v5_frame)
         assert excinfo.value.peer_version == 5
-        assert excinfo.value.local_version == 7
-        assert "5" in str(excinfo.value) and "7" in str(excinfo.value)
+        assert excinfo.value.local_version == 8
+        assert "5" in str(excinfo.value) and "8" in str(excinfo.value)
 
     def test_v6_round_request_raises_version_mismatch(self):
         """A v6 peer's one-tick step (tag 1, no rounds field) fails on
@@ -307,8 +306,39 @@ class TestFraming:
         with pytest.raises(VersionMismatch) as excinfo:
             decode_message(v6_frame)
         assert excinfo.value.peer_version == 6
-        assert excinfo.value.local_version == 7
-        assert "6" in str(excinfo.value) and "7" in str(excinfo.value)
+        assert excinfo.value.local_version == 8
+        assert "6" in str(excinfo.value) and "8" in str(excinfo.value)
+
+    def test_protocol_v8_pins(self):
+        """Version 8 dropped the resume-round field: the config and
+        migrate bodies carry exactly the fields left."""
+        assert PROTOCOL_VERSION == 8
+        assert [f.name for f in fields(ConfigReply)] == [
+            "shard_index", "world", "extra_shards",
+        ]
+        assert [f.name for f in fields(MigrateRequest)] == ["shard_index"]
+        config = _body(ConfigReply(shard_index=1, world=b"w", extra_shards=(2,)))
+        assert json.loads(config[1:].decode("utf-8")) == {
+            "t": "config",
+            "v": {"shard_index": 1, "world": "dw==", "extra_shards": [2]},
+        }
+        migrate = _body(MigrateRequest(shard_index=3))
+        assert json.loads(migrate[1:].decode("utf-8")) == {
+            "t": "migrate_req", "v": {"shard_index": 3},
+        }
+
+    def test_v7_frame_raises_version_mismatch(self):
+        """A v7 peer's migrate request (still carrying its resume
+        round) fails on its first byte, naming both versions."""
+        body = bytes([0]) + (
+            b'{"t":"migrate_req","v":{"resume_round":5,"shard_index":1}}'
+        )
+        v7_frame = bytes([7]) + len(body).to_bytes(4, "big") + body
+        with pytest.raises(VersionMismatch) as excinfo:
+            decode_message(v7_frame)
+        assert excinfo.value.peer_version == 7
+        assert excinfo.value.local_version == 8
+        assert "7" in str(excinfo.value) and "8" in str(excinfo.value)
 
     def test_truncated_frame_rejected(self):
         frame = encode_message(StepBatchRequest(rounds=1, adds=((0, 1, "x"),)))
@@ -378,7 +408,7 @@ COLD_MESSAGES = [
     lambda: ErrorReply("boom\n  ünïcode trace"),
     HelloRequest,
     lambda: ConfigReply(shard_index=3, world=b"\x00w\xff", extra_shards=(4,)),
-    lambda: MigrateRequest(shard_index=7, resume_round=42),
+    lambda: MigrateRequest(shard_index=7),
     lambda: MigrateReply(shard_index=7, now=1.5),
 ]
 COLD_IDS = [

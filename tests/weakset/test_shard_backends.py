@@ -4,13 +4,13 @@ The acceptance bar for the transport split: for a fixed seed, every
 backend — in-process behind the codec, one worker process per shard
 over pipes, workers over loopback TCP — must produce a byte-identical
 final weak-set trace to the serial backend: same shard worlds, same
-step sequence, same keyed-stream decisions, regardless of the
-overlapped harvest's arrival order.  Since every backend runs one
-shared driver, a differential fuzz at the end checks the serial and
+step sequence, same keyed-stream decisions, whatever order the
+workers' replies arrive in.  Since every backend runs one shared
+driver, a differential fuzz at the end checks the serial and
 in-process backends against K plain :class:`MSWeakSetCluster` worlds
 driven without any of the driver's code, and a recovery fuzz checks
-supervised in-process runs hit by drawn worker kills and resets
-against the unfaulted serial run.
+supervised runs hit by drawn worker kills and resets — some of them
+during a drawn membership change — against the unfaulted serial run.
 
 Process-backed tests take the ``start_method`` fixture (see
 ``conftest.py``) so the module runs under both ``fork`` and ``spawn``.
@@ -187,7 +187,7 @@ class TestNegotiationAndVersioning:
         thread.start()
         try:
             with pytest.raises(SimulationError) as excinfo:
-                serve_shard_over_socket(address, connect_retries=50)
+                serve_shard_over_socket(address)
             message = str(excinfo.value)
             assert str(alien_version) in message
             assert str(PROTOCOL_VERSION) in message
@@ -578,74 +578,6 @@ class TestBackendClasses:
             ShardedWeakSetCluster(3, shards=2, **{option: value[option]})
 
 
-def _registered(backend):
-    """The channel descriptors the backend's selector watches."""
-    return {key.fd for key in backend._selector.get_map().values()}
-
-
-class TestOverlapRule:
-    """The harvest overlaps exactly when the backend holds a selector,
-    and it holds one only when there is more than one channel, every
-    channel is selectable, and neither supervision nor fault injection
-    is on — arrival order must never reach those two layers."""
-
-    @pytest.mark.parametrize("backend", ["serial", "inproc"])
-    def test_in_process_channels_never_overlap(self, backend):
-        with ShardedWeakSetCluster(3, shards=3, backend=backend) as cluster:
-            assert all(t.fileno() is None for t in cluster.backend._transports)
-            assert cluster.backend._selector is None
-            assert cluster.advance(2) == 2
-
-    def test_process_channels_overlap(self, start_method):
-        cluster = ShardedWeakSetCluster(
-            3, shards=3, backend="multiprocess", start_method=start_method
-        )
-        with cluster:
-            backend = cluster.backend
-            assert _registered(backend) == {
-                t.fileno() for t in backend._transports
-            }
-            assert cluster.advance(2) == 2
-        assert backend._selector is None  # closed with the backend
-
-    @pytest.mark.parametrize("option", ["recover", "fault_plan"])
-    def test_supervision_and_faults_harvest_in_index_order(self, option):
-        # a fault far past the run: the plan is on, nothing fires
-        value = {"recover": True, "fault_plan": parse_fault_plan("kill:0:500")}
-        with ShardedWeakSetCluster(
-            3, shards=3, backend="multiprocess", **{option: value[option]}
-        ) as cluster:
-            assert cluster.backend._selector is None
-            assert cluster.advance(2) == 2
-
-    def test_one_channel_never_overlaps(self):
-        """Two worlds multiplexed behind one socket worker leave one
-        channel: nothing to overlap."""
-        with ShardedWeakSetCluster(
-            3, shards=2, backend="socket", worlds_per_worker=2
-        ) as cluster:
-            assert len(cluster.backend._transports) == 1
-            assert cluster.backend._selector is None
-
-    def test_membership_change_reregisters_the_channels(self):
-        with ShardedWeakSetCluster(
-            3, shards=2, backend="multiprocess"
-        ) as cluster:
-            backend = cluster.backend
-            cluster.advance(1)
-            cluster.join_shard()
-            assert len(backend._transports) == 3
-            assert _registered(backend) == {
-                t.fileno() for t in backend._transports
-            }
-            cluster.leave_shard(0)
-            assert len(backend._transports) == 2
-            assert _registered(backend) == {
-                t.fileno() for t in backend._transports
-            }
-            assert cluster.advance(2) == 2
-
-
 class TestPipelinedWindow:
     """The pipelined driver: windows change timing, never bytes.
 
@@ -923,11 +855,17 @@ def _drive_facade(run, backend, **options):
             for pid, value in adds:
                 events.append(_outcome(lambda: add(pid, value)))
             if kind == "advance":
-                events.append(("advanced", cluster.advance(arg)))
-            else:
+                events.append(_outcome(lambda: cluster.advance(arg)))
+            elif kind == "get":
                 events.append(_outcome(cluster.handle(arg).get))
+            elif kind == "join":
+                events.append(_outcome(cluster.join_shard))
+            else:
+                events.append(_outcome(lambda: cluster.leave_shard(arg)))
         log = [(r.pid, r.value, r.start, r.end) for r in cluster.log.adds]
-        traces = [trace_to_json(trace) for trace in cluster.traces()]
+        traces = _outcome(
+            lambda: [trace_to_json(trace) for trace in cluster.traces()]
+        )
     return events, log, traces
 
 
@@ -961,11 +899,11 @@ def _drive_plain_clusters(run):
                 if not all([world.step() for world in worlds]):
                     break
             # the ticks that ran: a step into the horizon runs none
-            events.append(("advanced", int(worlds[0].now - start)))
+            events.append(("ok", int(worlds[0].now - start)))
         else:
             events.append(_outcome(lambda: get(arg)))
     log = [(r.pid, r.value, r.start, r.end) for r in records]
-    return events, log, [trace_to_json(world.trace) for world in worlds]
+    return events, log, ("ok", [trace_to_json(world.trace) for world in worlds])
 
 
 class TestDifferentialFuzz:
@@ -985,23 +923,52 @@ class TestDifferentialFuzz:
 @st.composite
 def faulted_runs(draw):
     """A :func:`shard_runs` run plus a plan of one or two worker kills
-    or resets, each at a drawn driver exchange of a drawn shard."""
+    or resets, each at a drawn driver exchange of a drawn shard.  About
+    half the runs also join a member or retire one at a drawn step,
+    with a kill or reset scheduled at a drawn migration exchange of a
+    drawn member (``phase="rebalance"``); it fires when that member's
+    world is rebuilt and takes that many exchanges."""
     run = draw(shard_runs())
-    faults = st.builds(
-        Fault,
-        st.sampled_from(["kill", "reset"]),
-        st.integers(min_value=0, max_value=run["shards"] - 1),
-        st.integers(min_value=1, max_value=8),
+    shards = run["shards"]
+    kinds = st.sampled_from(["kill", "reset"])
+    faults = draw(
+        st.lists(
+            st.builds(
+                Fault,
+                kinds,
+                st.integers(min_value=0, max_value=shards - 1),
+                st.integers(min_value=1, max_value=8),
+            ),
+            min_size=1,
+            max_size=2,
+        )
     )
-    return run, FaultPlan(tuple(draw(st.lists(faults, min_size=1, max_size=2))))
+    change = draw(st.sampled_from(["join", "leave", None, None]))
+    if change is not None:
+        member = draw(st.integers(min_value=0, max_value=shards - 1))
+        at = draw(st.integers(min_value=1, max_value=len(run["steps"])))
+        run["steps"].insert(at, ((), (change, member)))
+        # member ``shards`` is the joiner, whose world a join rebuilds
+        faults.append(
+            Fault(
+                draw(kinds),
+                draw(st.integers(min_value=0, max_value=shards)),
+                draw(st.integers(min_value=1, max_value=2)),
+                phase="rebalance",
+            )
+        )
+    return run, FaultPlan(tuple(faults))
 
 
 @pytest.mark.chaos
 class TestRecoveryFuzz:
-    """Supervised recovery replays each killed world from its request
-    log, rebuilding every algorithm's state (line 15's fold memory
-    included): a recovered in-process run must equal the unfaulted
-    serial run — traces, op logs, get results and errors alike."""
+    """Supervised recovery and membership changes rebuild worlds
+    through one routine that replays each world from its request log,
+    rebuilding every algorithm's state (line 15's fold memory
+    included): a recovered run must equal the unfaulted serial run of
+    the same script — traces, op logs, get results, membership changes
+    and errors alike (an inadmissible membership replay fails closed
+    at the same call on both)."""
 
     @given(case=faulted_runs())
     @settings(max_examples=60)
@@ -1010,6 +977,21 @@ class TestRecoveryFuzz:
         assert _drive_facade(
             run,
             "inproc",
+            recover=True,
+            fault_plan=plan,
+            retry_policy=RetryPolicy(attempts=3, base_delay=0.0),
+        ) == _drive_facade(run, "serial")
+
+    @given(case=faulted_runs())
+    @settings(max_examples=10)
+    def test_recovered_multiprocess_matches_clean_serial(self, case):
+        """The same property over forked worker processes, where a
+        kill severs a real pipe and recovery starts a real process."""
+        run, plan = case
+        assert _drive_facade(
+            run,
+            "multiprocess",
+            start_method="fork",
             recover=True,
             fault_plan=plan,
             retry_policy=RetryPolicy(attempts=3, base_delay=0.0),

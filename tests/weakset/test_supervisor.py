@@ -278,10 +278,10 @@ class TestRecoveryLimits:
             retry_policy=policy,
         )
 
-        def refuse(shard_index, *, resume_round=0):
+        def refuse(member):
             raise SimulationError("the nursery is closed")
 
-        cluster.backend._respawn = refuse
+        cluster.backend._spawn_world = refuse
         with pytest.raises(
             SimulationError,
             match=r"shard 0 worker died .* could not be recovered after "

@@ -3,11 +3,10 @@
 Covers the channels in isolation (the direct in-process hand-over,
 framing over real byte streams, partial reads, peer-death semantics)
 and the exchange halves' contract: ``send_all`` issues every request,
-and ``harvest_all``, handed a selector, collects replies as they
-arrive but returns them in canonical input order.
+and ``harvest_all`` collects one reply per channel in index order, each
+under its own deadline.
 """
 
-import selectors
 import socket
 import threading
 import time
@@ -44,14 +43,6 @@ def exchange(transports, requests, **options):
     return harvest_all(transports, **options)
 
 
-def selector_for(transports):
-    """A selector with every transport registered (data = its index)."""
-    selector = selectors.DefaultSelector()
-    for index, transport in enumerate(transports):
-        selector.register(transport.fileno(), selectors.EVENT_READ, index)
-    return selector
-
-
 class TestDirectTransport:
     def test_handler_receives_the_callers_object(self):
         request = StepBatchRequest(rounds=1, adds=((0, 1, object()),))  # uncodable
@@ -68,7 +59,6 @@ class TestDirectTransport:
         # no codec in between: the very same object, which need not
         # be encodable
         assert seen[0] is request
-        assert transport.fileno() is None
 
     def test_handler_failure_becomes_error_reply(self):
         def handler(request):
@@ -189,8 +179,9 @@ class TestSocketTransport:
 
 class TestExchange:
     def test_replies_are_order_canonical_despite_arrival_order(self):
-        """Worker 0 replies *slowest*; the overlapped harvest must
-        still hand back replies[0] = worker 0's answer."""
+        """Worker 0 replies *slowest*, after workers 1 and 2 have
+        answered; the harvest must still hand back replies[0] = worker
+        0's answer and every other reply at its own index."""
         parents, servers = zip(*(socket_pair() for _ in range(3)))
 
         def serve(index, transport):
@@ -204,12 +195,9 @@ class TestExchange:
         ]
         for thread in threads:
             thread.start()
-        with selector_for(parents) as selector:
-            replies = exchange(
-                list(parents),
-                [PeekRequest(pid=index) for index in range(3)],
-                selector=selector,
-            )
+        replies = exchange(
+            list(parents), [PeekRequest(pid=index) for index in range(3)]
+        )
         for thread in threads:
             thread.join(timeout=10)
         assert [reply.message for reply in replies] == [
@@ -292,20 +280,21 @@ class TestDeadlineBookkeeping:
                 timeout=0.05,
             )
 
-    def test_overlapped_harvest_times_out_only_the_late_shard(self):
+    def test_socket_harvest_times_out_only_the_late_shard(self):
+        """Over real streams: shard 0's reply is read, and the timeout
+        names shard 1, whose reply never comes."""
         left0, right0 = socket_pair()
         left1, right1 = socket_pair()
         right0.send(StopReply())  # shard 0's reply is already in flight
         now = time.monotonic()
         try:
-            with selector_for([left0, left1]) as selector:
-                with pytest.raises(TransportError, match=r"shard\(s\) \[1\]"):
-                    harvest_all(
-                        [left0, left1],
-                        selector=selector,
-                        deadlines=[now + 5.0, now + 0.1],
-                        timeout=0.1,
-                    )
+            with pytest.raises(TransportError, match=r"^shard 1: no reply"):
+                harvest_all(
+                    [left0, left1],
+                    deadlines=[now + 5.0, now + 0.1],
+                    timeout=0.1,
+                )
+            assert not left0.poll(0.0)  # shard 0's reply was consumed
         finally:
             for transport in (left0, right0, left1, right1):
                 transport.close()
