@@ -28,8 +28,8 @@ chaos:
 
 # Membership suite: the elastic-sharding layer alone — the HashRing
 # properties, the join/leave byte-identity matrix (every backend ×
-# start method × batch/window shape), the mid-migration chaos tests,
-# and the C5 rebalance grid as an end-to-end smoke.
+# start method × round batch), the mid-migration chaos tests, and the
+# C5 rebalance grid as an end-to-end smoke.
 membership:
 	$(PYTHON) -m pytest -q -m membership tests/weakset
 	$(PYTHON) -m repro.experiments C5
@@ -48,10 +48,11 @@ bench:
 	$(PYTHON) benchmarks/capture.py
 
 # Just the shard-execution benches: the churn quick shape on the
-# serial / multiprocess / socket backends plus the steady-state
-# harvest.  See PERFORMANCE.md §5.
+# serial / multiprocess / socket backends, the steady-state harvest,
+# and the linked batching pair (one round per frame against four,
+# across a simulated 2 ms link).  See PERFORMANCE.md §5 and §24.
 bench-shard:
-	$(PYTHON) -m pytest benchmarks/bench_micro.py -q -k "churn or harvest"
+	$(PYTHON) -m pytest benchmarks/bench_micro.py -q -k "churn or harvest or linked"
 
 # End-to-end smoke: all four workloads of BENCHMARK.json for 3 s each,
 # with every output checked (run.py exits 1 on a failed correctness

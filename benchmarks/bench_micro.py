@@ -827,19 +827,41 @@ class _DelayedLink:
     Models a real network link in front of the shard workers, which is
     the deployment the socket backend exists for: every byte chunk is
     released ``delay`` seconds after it arrived, but later bytes keep
-    flowing while earlier ones are still "in flight" — so an in-flight
-    request wave genuinely overlaps the link latency exactly as it
-    would on a WAN.  Zero-latency loopback cannot show what the
-    pipelined window buys (there is nothing to hide); this link can.
+    flowing while earlier ones are still "in flight", as on a WAN.
+    Zero-latency loopback cannot show what round batching buys (there
+    is no round-trip bill to save); this link can.
+
+    The listener is bound at construction, but no thread runs until
+    :meth:`start`, so the caller can fork the workers first: a child
+    forked while the proxy's threads run could inherit a held lock.
+    The upstream connect retries for ``connect_timeout`` seconds, the
+    backend's accept timeout, because the workers reach the proxy
+    before the parent listens.
     """
 
-    def __init__(self, upstream, delay: float):
+    def __init__(self, upstream, delay: float, connect_timeout: float = 30.0):
         self.upstream = upstream
         self.delay = delay
+        self.connect_timeout = connect_timeout
         self.listener = socket.create_server(("127.0.0.1", 0))
         self.address = self.listener.getsockname()[:2]
         self._sockets = [self.listener]
+
+    def start(self):
         threading.Thread(target=self._accept_loop, daemon=True).start()
+
+    def _connect_upstream(self):
+        deadline = time.monotonic() + self.connect_timeout
+        while True:
+            try:
+                back = socket.create_connection(self.upstream, timeout=5.0)
+            except OSError:
+                if time.monotonic() >= deadline:
+                    return None
+                time.sleep(0.05)
+                continue
+            back.settimeout(None)  # an idle link must not read as EOF
+            return back
 
     def _accept_loop(self):
         while True:
@@ -847,13 +869,7 @@ class _DelayedLink:
                 front, _peer = self.listener.accept()
             except OSError:
                 return  # listener closed
-            back = None
-            for _ in range(100):
-                try:
-                    back = socket.create_connection(self.upstream, timeout=5.0)
-                    break
-                except OSError:
-                    time.sleep(0.05)
+            back = self._connect_upstream()
             if back is None:
                 front.close()
                 continue
@@ -910,73 +926,87 @@ class _DelayedLink:
                 pass
 
 
-class _LinkedCluster:
-    """A 4-shard socket cluster whose workers sit behind a 2 ms-each-
-    way :class:`_DelayedLink`, batching 4 rounds per frame; the
-    pipelined window is the only lever between the twin benches."""
+class _LinkedClusters:
+    """One 4-shard socket cluster per entry of ``round_batches``, each
+    behind its own 2 ms-each-way :class:`_DelayedLink` and batching
+    that many rounds per frame.
 
-    def __init__(self, window: int, delay: float = 0.002):
-        placeholder = socket.create_server(("127.0.0.1", 0))
-        parent_address = placeholder.getsockname()[:2]
-        placeholder.close()
-        self.link = _DelayedLink(parent_address, delay)
-        self.workers = spawn_socket_workers(self.link.address, 4)
-        backend = SocketBackend(
-            4,
-            shards=4,
-            environment_factory=ChurnEnvironments(seed=0),
-            crash_schedule=None,
-            max_total_rounds=1_000_000,
-            trace_mode="aggregate",
-            round_batch=4,
-            window=window,
-            listen=parent_address,
-            accept_timeout=30.0,
-        )
-        self.cluster = ShardedWeakSetCluster(4, shards=4, backend=backend)
-        for pid in range(4):
-            self.cluster.handle(pid).add_async(f"seed-{pid}")
-        self.cluster.advance(10)
+    Every worker is forked before any link starts a thread, and each
+    cluster is warmed up (adds landed) outside the measurement.
+    """
+
+    def __init__(self, round_batches, delay: float = 0.002):
+        self.links, self.workers, self.clusters = [], [], []
+        try:
+            placeholders = [
+                socket.create_server(("127.0.0.1", 0)) for _ in round_batches
+            ]
+            addresses = [sock.getsockname()[:2] for sock in placeholders]
+            self.links = [_DelayedLink(address, delay) for address in addresses]
+            for sock in placeholders:
+                sock.close()
+            for link in self.links:
+                self.workers += spawn_socket_workers(link.address, 4)
+            for link in self.links:
+                link.start()
+            for link, round_batch in zip(self.links, round_batches):
+                backend = SocketBackend(
+                    4,
+                    shards=4,
+                    environment_factory=ChurnEnvironments(seed=0),
+                    crash_schedule=None,
+                    max_total_rounds=1_000_000,
+                    trace_mode="aggregate",
+                    round_batch=round_batch,
+                    listen=link.upstream,
+                    accept_timeout=link.connect_timeout,
+                )
+                cluster = ShardedWeakSetCluster(4, shards=4, backend=backend)
+                self.clusters.append(cluster)
+                for pid in range(4):
+                    cluster.handle(pid).add_async(f"seed-{pid}")
+                cluster.advance(10)
+        except BaseException:
+            self.close()
+            raise
 
     def close(self):
-        self.cluster.close()
+        for cluster in self.clusters:
+            cluster.close()
         for worker in self.workers:
             worker.join(timeout=5.0)
             if worker.is_alive():
                 worker.terminate()
-        self.link.close()
+        for link in self.links:
+            link.close()
 
 
-def test_bench_shard_rounds_linked_unpipelined(benchmark):
-    """32 batched rounds × 4 workers across a 2 ms link, window=1.
+def test_bench_shard_rounds_linked_batched_vs_unbatched(benchmark):
+    """32 rounds × 4 workers across a 2 ms-each-way link, one frame
+    pair per round (``test_bench_shard_rounds_linked_unbatched``)
+    against 4 rounds per frame (``test_bench_shard_rounds_linked_batched``),
+    timed in alternation, 5 turns each.
 
-    Workers are spawned (and the link built) once outside the
-    measurement.  Strict send-then-harvest pays the full round-trip
-    latency once per batch: 8 chunks × ~4 ms RTT on top of the
-    compute.
+    Workers are spawned (and the links built) once outside the
+    measurement.  The driver keeps one step in flight, so each step
+    pays the link's round trip once: 32 round trips unbatched against
+    8 batched, on top of the same compute.  Traces are byte-identical
+    on both sides — batching is pure transport shape.
     """
-    linked = _LinkedCluster(window=1)
+    linked = _LinkedClusters([1, 4])
+    unbatched, batched = linked.clusters
     try:
-        benchmark.pedantic(
-            linked.cluster.advance, args=(32,), rounds=3, iterations=1
-        )
-    finally:
-        linked.close()
-
-
-def test_bench_shard_rounds_linked_pipelined(benchmark):
-    """The same 32 rounds over the same link with window=4.
-
-    Up to 4 batches are in flight per worker, so their round trips
-    overlap on the wire: the latency bill is paid roughly once per
-    window instead of once per batch, while replies stream back onto
-    the channels.  Traces are byte-identical to the unpipelined twin —
-    the window is pure transport shape.
-    """
-    linked = _LinkedCluster(window=4)
-    try:
-        benchmark.pedantic(
-            linked.cluster.advance, args=(32,), rounds=3, iterations=1
+        _interleave(
+            benchmark,
+            5,
+            {
+                "test_bench_shard_rounds_linked_unbatched": (
+                    lambda: unbatched.advance(32)
+                ),
+                "test_bench_shard_rounds_linked_batched": (
+                    lambda: batched.advance(32)
+                ),
+            },
         )
     finally:
         linked.close()

@@ -253,9 +253,8 @@ def main(argv=None) -> int:
         speedups["churn_socket_vs_serial_cost"] = round(sock / serial, 2)
     # Hot-loop overhaul (PR 5): the binary frame codec against the
     # recorded JSON codec on identical messages (a trajectory ratio
-    # since the JSON codec was deleted), the calendar event queue
-    # against the heap twin on identical churn and the round-batched
-    # socket stream against the per-round twin (same-run ratios).
+    # since the JSON codec was deleted) and the calendar event queue
+    # against the heap twin on identical churn (same run).
     binary_codec = micro.get("test_bench_frame_codec_binary")
     recorded = JSON_CODEC_RECORDED_US.get("test_bench_frame_codec_json")
     if binary_codec and recorded:
@@ -268,25 +267,23 @@ def main(argv=None) -> int:
         speedups["event_queue_calendar_vs_heap"] = round(
             heap_queue / calendar_queue, 2
         )
-    batched = micro.get("test_bench_churn_workload_socket_batched")
-    if sock and batched:
-        speedups["churn_socket_batched_vs_unbatched"] = round(sock / batched, 2)
-    # Pipelined driver (PR 7): same-run twins again.  The pipelined
-    # pair runs the identical steady-state batched workload across a
-    # simulated 2 ms-each-way link (benchmarks' _DelayedLink) — the
-    # deployment the window exists for; on zero-latency loopback there
-    # is no round-trip bill to hide and the window is ≈ parity.  The
+    # Round batching across a link: the same steady-state 32 rounds
+    # one frame pair per round and 4 rounds per frame, timed in
+    # alternation across a simulated 2 ms-each-way link (benchmarks'
+    # _DelayedLink) — the deployment batching exists for; on
+    # zero-latency loopback there is no round-trip bill to save.  The
     # mux pair is end-to-end on plain loopback: one worker process
     # hosting both shard worlds halves the spawns and the frame pairs.
     # The nested-codec ratio exercises the flattened 'W' layout on
     # structured payloads (the plain pair's payloads are flat strings),
     # against the recorded JSON codec like the plain pair.
-    linked_serial = micro.get("test_bench_shard_rounds_linked_unpipelined")
-    linked_windowed = micro.get("test_bench_shard_rounds_linked_pipelined")
-    if linked_serial and linked_windowed:
-        speedups["churn_socket_pipelined_vs_unpipelined"] = round(
-            linked_serial / linked_windowed, 2
+    linked_unbatched = micro.get("test_bench_shard_rounds_linked_unbatched")
+    linked_batched = micro.get("test_bench_shard_rounds_linked_batched")
+    if linked_unbatched and linked_batched:
+        speedups["shard_rounds_linked_batched_vs_unbatched"] = round(
+            linked_unbatched / linked_batched, 2
         )
+    batched = micro.get("test_bench_churn_workload_socket_batched")
     mux = micro.get("test_bench_churn_workload_socket_mux")
     if batched and mux:
         speedups["churn_socket_mux_vs_per_world"] = round(batched / mux, 2)

@@ -56,10 +56,10 @@ SAME_RUN_FLOORS = [
         "the drifting aggregate sink costs more than full traces",
     ),
     (
-        "churn_socket_pipelined_vs_unpipelined",
+        "shard_rounds_linked_batched_vs_unbatched",
         1.2,
-        "the pipelined window no longer overlaps link round trips "
-        "(measured across the benches' simulated 2 ms link)",
+        "round batching no longer saves link round trips (measured "
+        "across the benches' simulated 2 ms link)",
     ),
     (
         "churn_socket_mux_vs_per_world",

@@ -109,15 +109,6 @@ def main(argv=None) -> int:
         "— completed-add latencies are batch-invariant)",
     )
     parser.add_argument(
-        "--window",
-        type=int,
-        default=None,
-        metavar="W",
-        help="keep up to W round batches in flight on the churn "
-        "family's transport backends (the pipelined driver; default 1 "
-        "= strict send-then-harvest — tables are window-invariant)",
-    )
-    parser.add_argument(
         "--worlds-per-worker",
         type=int,
         default=None,
@@ -200,8 +191,6 @@ def main(argv=None) -> int:
         parser.error("--join-at rounds must be >= 0")
     if args.round_batch is not None and args.round_batch < 1:
         parser.error("--round-batch must be >= 1")
-    if args.window is not None and args.window < 1:
-        parser.error("--window must be >= 1")
     if args.worlds_per_worker is not None:
         if args.worlds_per_worker < 1:
             parser.error("--worlds-per-worker must be >= 1")
@@ -213,7 +202,6 @@ def main(argv=None) -> int:
             or args.listen is not None
             or args.backend is not None
             or args.round_batch is not None
-            or args.window is not None
             or args.worlds_per_worker is not None
             or args.recover
             or args.fault_plan is not None
@@ -224,7 +212,7 @@ def main(argv=None) -> int:
             # assigns, so accepting them here would mislead
             parser.error(
                 "--connect runs a bare worker; drop IDs/--listen/--backend/"
-                "--round-batch/--window/--worlds-per-worker/"
+                "--round-batch/--worlds-per-worker/"
                 "--recover/--fault-plan/--join-at/--leave-at"
             )
         from repro.weakset.sharding import run_socket_worker
@@ -265,7 +253,6 @@ def main(argv=None) -> int:
             jobs=args.jobs,
             backend=backend,
             round_batch=args.round_batch,
-            window=args.window,
             worlds_per_worker=args.worlds_per_worker,
             recover=args.recover or None,
             fault_plan=args.fault_plan,

@@ -11,8 +11,8 @@ add-stream workload natural, and these experiments characterize it.
   ``pattern × shards``.
 * **C2** — shard-backend equivalence and cost.  The same workload run
   on the serial backend, the multiprocess (pipe) backend, and the
-  socket (loopback TCP) backend, across round batching, the pipelined
-  window and world multiplexing; the latency columns are
+  socket (loopback TCP) backend, across round batching and world
+  multiplexing; the latency columns are
   byte-identical by construction — the table demonstrates it — and
   the wall-clock column shows what the extra processes and the wire
   cost (or buy, on multi-core and multi-machine hosts).
@@ -72,7 +72,6 @@ def run_c1(
     seed: int = 0,
     backend: str = "serial",
     round_batch: int = 1,
-    window: int = 1,
     worlds_per_worker: Optional[int] = None,
     recover: bool = False,
     fault_plan: Optional[FaultPlan] = None,
@@ -110,7 +109,6 @@ def run_c1(
                 backend=backend,
                 seed=seed,
                 round_batch=round_batch,
-                window=window,
                 worlds_per_worker=worlds_per_worker,
                 recover=recover,
                 fault_plan=fault_plan,
@@ -131,21 +129,18 @@ def run_c1(
 def run_c2(
     quick: bool = True,
     seed: int = 0,
-    window: Optional[int] = None,
     worlds_per_worker: Optional[int] = None,
 ) -> Table:
-    """C2: backend × batch × window equivalence and cost.
+    """C2: backend × batch equivalence and cost.
 
     The grid covers the full transport surface on one workload: round
-    batching, the pipelined in-flight window, and socket world
-    multiplexing.  ``window``/``worlds_per_worker`` append an extra
-    socket row with that setting on top of the stock grid.  The
-    ``pairs`` column counts request/reply pairs the driver exchanged
-    with the shard worlds (the serial row's are direct, in-process
-    exchanges) — the structural cost that batching and multiplexing
-    shrink (batch=4 cuts it ~4x; worlds-per-worker=2 halves the
-    remainder) and that a deeper window slightly grows (speculative
-    in-flight batches past the stream's end).
+    batching and socket world multiplexing.  ``worlds_per_worker``
+    appends an extra socket row with that setting on top of the stock
+    grid.  The ``pairs`` column counts request/reply pairs the driver
+    exchanged with the shard worlds (the serial row's are direct,
+    in-process exchanges) — the structural cost that batching and
+    multiplexing shrink (batch=4 cuts it ~4x; worlds-per-worker=2
+    halves the remainder).
     """
     n = 3 if quick else 6
     shards = 2 if quick else 4
@@ -155,20 +150,19 @@ def run_c2(
     table = Table(
         experiment_id="C2",
         title="Shard backends: serial vs multiprocess vs socket "
-        "(batch, window, mux)",
+        "(batch, mux)",
         headers=[
-            "backend", "batch", "win", "wpw", "completed",
+            "backend", "batch", "wpw", "completed",
             "p50", "p95", "p99", "pairs", "wall-s", "matches-serial",
         ],
         notes=[
             "the latency columns must match row-for-row: the transport "
             "backends replay the exact serial shard worlds (keyed-seeded "
             "streams are process-independent), whatever the round "
-            "batching, in-flight window, or world multiplexing",
+            "batching or world multiplexing",
             "pairs = request/reply pairs exchanged with the shard worlds "
             "(direct, in-process pairs for serial); batching divides it, "
-            "wpw>1 multiplexes worlds onto shared frames, win>1 adds a "
-            "few speculative batches past the stream's end",
+            "wpw>1 multiplexes worlds onto shared frames",
             "wall-s is this machine's cost of the worker processes and "
             "per-round message passing (loopback TCP for the socket rows); "
             "on multi-core hosts the shard worlds step concurrently",
@@ -177,19 +171,15 @@ def run_c2(
     )
     reference = None
     cases = [
-        ("serial", 1, 1, 1),
-        ("multiprocess", 1, 1, 1),
-        ("socket", 1, 1, 1),
-        ("socket", 4, 1, 1),
-        ("socket", 4, 2, 1),
-        ("socket", 4, 4, 1),
-        ("socket", 4, 1, 2),
+        ("serial", 1, 1),
+        ("multiprocess", 1, 1),
+        ("socket", 1, 1),
+        ("socket", 4, 1),
+        ("socket", 4, 2),
     ]
-    if window is not None:
-        cases.append(("socket", 4, window, 1))
     if worlds_per_worker is not None:
-        cases.append(("socket", 4, window or 1, worlds_per_worker))
-    for backend, round_batch, win, wpw in cases:
+        cases.append(("socket", 4, worlds_per_worker))
+    for backend, round_batch, wpw in cases:
         start = time.perf_counter()
         run = run_churn_workload(
             n=n,
@@ -200,7 +190,6 @@ def run_c2(
             backend=backend,
             seed=seed,
             round_batch=round_batch,
-            window=win,
             worlds_per_worker=wpw if backend == "socket" else None,
         )
         wall = time.perf_counter() - start
@@ -210,7 +199,6 @@ def run_c2(
         table.add_row(
             backend,
             round_batch,
-            win,
             wpw,
             run.completed,
             run.percentile_latency(50),
@@ -228,7 +216,6 @@ def run_c3(
     seed: int = 0,
     backend: str = "serial",
     round_batch: int = 1,
-    window: int = 1,
     worlds_per_worker: Optional[int] = None,
     recover: bool = False,
     fault_plan: Optional[FaultPlan] = None,
@@ -271,7 +258,6 @@ def run_c3(
                 seed=seed,
                 crash_schedule=crashes,
                 round_batch=round_batch,
-                window=window,
                 worlds_per_worker=worlds_per_worker,
                 recover=recover,
                 fault_plan=fault_plan,

@@ -31,7 +31,7 @@ traces).
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 from repro.analysis.tables import Table
 from repro.core.es_consensus import ESConsensus

@@ -63,7 +63,6 @@ def run_experiment(
     jobs: Optional[int] = None,
     backend: Optional[str] = None,
     round_batch: Optional[int] = None,
-    window: Optional[int] = None,
     worlds_per_worker: Optional[int] = None,
     recover: Optional[bool] = None,
     fault_plan: Optional[object] = None,
@@ -77,9 +76,9 @@ def run_experiment(
     whose workload is not cell-parallel simply ignore it.  ``backend``
     selects the shard-execution backend (``"serial"``,
     ``"multiprocess"``, ``"socket"``, or ``"socket:HOST:PORT"``) for
-    the churn family, ``round_batch`` its frame coalescing, ``window`` its
-    in-flight pipelining depth and ``worlds_per_worker`` the socket
-    backend's world multiplexing; ``recover`` turns on worker
+    the churn family, ``round_batch`` its frame coalescing and
+    ``worlds_per_worker`` the socket backend's world multiplexing;
+    ``recover`` turns on worker
     supervision and ``fault_plan`` injects a
     :class:`~repro.weakset.faults.FaultPlan` of scheduled transport
     faults.  ``join_at``/``leave_at`` hand C5 a custom membership-change
@@ -100,7 +99,6 @@ def run_experiment(
         ("jobs", jobs),
         ("backend", backend),
         ("round_batch", round_batch),
-        ("window", window),
         ("worlds_per_worker", worlds_per_worker),
         ("recover", recover),
         ("fault_plan", fault_plan),
@@ -120,7 +118,6 @@ def run_all(
     jobs: Optional[int] = None,
     backend: Optional[str] = None,
     round_batch: Optional[int] = None,
-    window: Optional[int] = None,
     worlds_per_worker: Optional[int] = None,
     recover: Optional[bool] = None,
     fault_plan: Optional[object] = None,
@@ -135,7 +132,6 @@ def run_all(
             jobs=jobs,
             backend=backend,
             round_batch=round_batch,
-            window=window,
             worlds_per_worker=worlds_per_worker,
             recover=recover,
             fault_plan=fault_plan,

@@ -327,7 +327,6 @@ def run_churn_workload(
     max_total_rounds: Optional[int] = None,
     crash_schedule: Optional[CrashSchedule] = None,
     round_batch: int = 1,
-    window: int = 1,
     worlds_per_worker: Optional[int] = None,
     recover: bool = False,
     fault_plan: Optional[FaultPlan] = None,
@@ -384,12 +383,6 @@ def run_churn_workload(
             The completed-add latencies are batch-invariant (end
             stamps are simulated time); only the drained round count
             may overshoot by up to ``round_batch - 1``.  Default 1.
-        window: keep up to this many round batches in flight during
-            the drain phase (the drain step grows to
-            ``round_batch * window`` so the pipelined driver has
-            batches to overlap; see
-            :meth:`~repro.weakset.sharding.TransportBackend.advance`).
-            Results are window-invariant.  Default 1.
         worlds_per_worker: socket backend only — host this many shard
             worlds per worker process behind one multiplexed channel
             (fewer frame pairs per round; see
@@ -451,7 +444,6 @@ def run_churn_workload(
         trace_mode=trace_mode,
         backend=backend,
         round_batch=round_batch,
-        window=window,
         worlds_per_worker=worlds_per_worker,
         recover=recover,
         fault_plan=fault_plan,
@@ -543,11 +535,8 @@ def run_churn_workload(
                 issued_now += 1
             # Issue phase: strictly one round per iteration (issuance
             # reads completions between rounds).  Drain phase (stream
-            # exhausted): coalesce rounds into round_batch-sized frames
-            # and hand the pipelined driver enough of them to keep its
-            # window full.
-            drain_span = round_batch * window
-            step = drain_span if not remaining and drain_span > 1 else 1
+            # exhausted): one round_batch-sized frame per iteration.
+            step = 1 if remaining else round_batch
             if events and events[0][0] > rounds:
                 # land exactly on the next membership change
                 step = min(step, events[0][0] - rounds)
@@ -579,8 +568,8 @@ def run_churn_workload(
             backend=backend,
             skipped=skipped,
             recovery=cluster.recovery_stats,
-            exchanges=getattr(cluster.backend, "exchanges", 0),
-            frame_pairs=getattr(cluster.backend, "frame_pairs", 0),
+            exchanges=cluster.backend.exchanges,
+            frame_pairs=cluster.backend.frame_pairs,
             rebalances=rebalance_stats,
         )
     finally:

@@ -308,9 +308,8 @@ class FaultyTransport(Transport):
         self._rebalancing = 0
         self._suspended = 0
         # one entry per reply the channel still owes, in request order:
-        # ``[fault-or-None, remaining delay]``.  A FIFO (not a single
-        # slot) because a pipelined driver keeps several requests in
-        # flight — each armed fault stays aligned with *its* reply.
+        # ``[fault-or-None, remaining delay]``, so each armed fault
+        # stays aligned with *its* reply.
         self._reply_faults: List[List[object]] = []
         self._dup_frames: List[bytes] = []
         self._dead = False

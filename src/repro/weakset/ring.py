@@ -31,7 +31,7 @@ balance bound, and cross-process determinism.
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Dict, Hashable, Iterable, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, Tuple
 
 from .._rng import derive_randrange
 

@@ -33,9 +33,10 @@ Execution of the K shard worlds is an explicit three-layer stack:
   pipes) and :class:`SocketBackend` (workers over TCP —
   loopback-spawned for CI, or remote via :func:`run_socket_worker` /
   ``python -m repro.experiments --connect HOST:PORT``).  Every backend
-  shares its parent-side mirror, its pipelined window and its one
-  rebuild routine, which crash recovery and membership changes both
-  call; each world is a :class:`ShardServer` wherever it lives.
+  shares its parent-side mirror, its one-step-at-a-time exchange loop
+  and its one rebuild routine, which crash recovery and membership
+  changes both call; each world is a :class:`ShardServer` wherever it
+  lives.
 
 Because every per-shard decision in the simulator derives from
 keyed seed streams — never from process state, object ids, or
@@ -76,7 +77,6 @@ import socket
 import time
 import traceback
 from abc import ABC, abstractmethod
-from collections import deque
 from typing import (
     Callable,
     Dict,
@@ -447,10 +447,10 @@ class ShardServer:
             self._apply_adds(request.adds)
             start = self.cluster.now
             # A step aimed at an already-dead world is a no-op, as the
-            # scheduler's own step is at the horizon: a pipelined
-            # parent may have several steps in flight when a world
-            # dies, and it discards their replies, so the world, its
-            # trace and its clock stay untouched.
+            # scheduler's own step is at the horizon: an advance issued
+            # after the horizon still sends one step, and its reply
+            # must report the dead world with the world, its trace and
+            # its clock untouched.
             alive = not self.cluster.exhausted
             if alive:
                 # the exact step sequence `rounds` one-tick requests
@@ -756,15 +756,13 @@ class TransportBackend(ABC):
     the workers compute concurrently; replies are folded in canonical
     shard order, so traces stay byte-identical for a fixed seed.
 
-    :meth:`advance` sends steps of up to ``round_batch`` ticks and
-    keeps up to ``window`` of them in flight: step ``k+1`` is encoded
-    and sent before step ``k``'s replies are harvested, so the wire
-    carries requests and replies concurrently and a worker can run
-    straight into its next step without waiting out the parent's
-    fold-in.  Replies are still harvested and folded oldest-first
-    (each channel is FIFO), so the mirror updates — and therefore the
-    traces — are identical for every batch and window size; see
-    :meth:`advance` for the death-mid-window story.
+    :meth:`advance` sends steps of up to ``round_batch`` ticks, one at
+    a time: a step is sent, harvested and folded before the next one
+    is sent, so at most one request set is ever in flight.  Within one
+    ``advance`` the parent issues nothing between ticks, so the batch
+    size is the one lever on how its ticks cross the wire; the mirror
+    updates — and therefore the traces — are identical for every
+    batch size.
 
     Mux (socket backend only): ``worlds_per_worker > 1`` assigns one
     worker several shard worlds behind protocol-v4
@@ -812,7 +810,6 @@ class TransportBackend(ABC):
         n: process count inside every shard world.
         round_batch: how many lock-step ticks one step of
             :meth:`advance` carries (one frame pair per worker).
-        window: how many steps :meth:`advance` keeps in flight.
         exchanges / frame_pairs: driver exchanges issued, and the
             request/reply frame pairs they carried.
     """
@@ -827,7 +824,6 @@ class TransportBackend(ABC):
         max_total_rounds: int,
         trace_mode: str,
         round_batch: int = 1,
-        window: int = 1,
         recover: bool = False,
         fault_plan: Optional[FaultPlan] = None,
         retry_policy: Optional[RetryPolicy] = None,
@@ -835,10 +831,7 @@ class TransportBackend(ABC):
     ):
         if round_batch < 1:
             raise SimulationError("round_batch must be >= 1")
-        if window < 1:
-            raise SimulationError("window must be >= 1")
         self.round_batch = round_batch
-        self.window = window
         self.members = _resolve_members(shards, members)
         self.num_shards = len(self.members)
         shards = self.num_shards
@@ -986,38 +979,22 @@ class TransportBackend(ABC):
                 )
         return replies
 
-    def _send(self, requests: List[object]) -> Optional[List[float]]:
-        """The send half of an exchange: one request per shard.
+    def _exchange(self, requests: List[object], expected: type) -> List[object]:
+        """One round trip: send one request per shard, then harvest one
+        reply per shard in canonical order.
 
-        Returns the per-request reply deadlines for :meth:`_harvest`
-        (``None`` when replies are unbounded, or supervised: the
-        supervisor keeps its own window and deadlines).
+        A supervised backend routes the round trip through its
+        supervisor, which heals a dead worker before returning.  A
+        worker-side :class:`~repro.weakset.protocol.ErrorReply` fails
+        closed, and so does any other reply that is not an
+        ``expected`` one: a stale or duplicated frame surfacing an
+        exchange late.
         """
         self.exchanges += 1
         self.frame_pairs += len(self._transports)
         if self._supervisor is not None:
-            self._supervisor.send_window(requests)
-            return None
-        try:
-            return send_all(
-                self._transports,
-                self._wire_requests(requests),
-                timeout=self._request_timeout,
-            )
-        except TransportError as error:
-            raise self._failed_mid_round(error) from None
-
-    def _harvest(
-        self, deadlines: Optional[List[float]], expected: type
-    ) -> List[object]:
-        """The harvest half: the oldest request set's replies, one per
-        shard in canonical order.  A worker-side
-        :class:`~repro.weakset.protocol.ErrorReply` fails closed, and so
-        does any other reply that is not an ``expected`` one: a stale
-        or duplicated frame surfacing an exchange late."""
-        if self._supervisor is not None:
             try:
-                replies = self._supervisor.harvest_window()
+                replies = self._supervisor.exchange(requests)
             except SimulationError:
                 # recovery itself failed: the mirrors and the worlds
                 # can no longer be trusted to agree, so fail closed
@@ -1026,6 +1003,11 @@ class TransportBackend(ABC):
                 raise
         else:
             try:
+                deadlines = send_all(
+                    self._transports,
+                    self._wire_requests(requests),
+                    timeout=self._request_timeout,
+                )
                 replies = self._unwire_replies(
                     harvest_all(
                         self._transports,
@@ -1058,10 +1040,6 @@ class TransportBackend(ABC):
         return SimulationError(
             f"shard worker failed mid-round (round clock {self._now:g}): {error}"
         )
-
-    def _exchange(self, requests: List[object], expected: type) -> List[object]:
-        """One round trip: a send and its harvest."""
-        return self._harvest(self._send(requests), expected)
 
     def _recv(self, transport: Transport) -> object:
         """One reply on one channel under the reply deadline (none set:
@@ -1139,10 +1117,10 @@ class TransportBackend(ABC):
     ) -> RebalanceStats:
         """Rebalance the live worker fleet onto ``new_members``.
 
-        The facade calls this between advances, so the transport window
-        is already quiescent (no exchange in flight).  Leaving members'
-        workers are stopped; every member whose owned-value set changes
-        (plus every joined member) gets its world **rebuilt** by
+        The facade calls this between advances, when no exchange is in
+        flight.  Leaving members' workers are stopped; every member
+        whose owned-value set changes (plus every joined member) gets
+        its world **rebuilt** by
         :meth:`_rebuild` from the rewritten global history — reset in
         place by the protocol-v5
         :class:`~repro.weakset.protocol.MigrateRequest` — so the
@@ -1298,14 +1276,15 @@ class TransportBackend(ABC):
 
         The one way a shard world is rebuilt.  ``history`` (the
         requests that bring the fresh world to where the old one was)
-        is driven in first, then ``in_flight`` (requests the old world
-        still owed replies to); returns the channel now hosting the
-        world and one reply per request, in order.  The two callers:
+        is driven in first, then ``in_flight`` (the request the old
+        world still owed a reply to); returns the channel now hosting
+        the world and one reply per request, in order.  The two
+        callers:
 
         * crash recovery (:class:`~repro.weakset.supervisor.ShardSupervisor`)
           hands over the dead ``channel`` with the ``cause`` of death,
-          the shard's acknowledged request log and the requests still
-          in its window;
+          the shard's acknowledged request log and the shard's request
+          of the exchange in flight;
         * a membership change (:meth:`apply_membership`) hands over each
           rebuilt member's live channel with the member's rewritten
           history; a joining member first gets its worker from a
@@ -1444,57 +1423,52 @@ class TransportBackend(ABC):
             f"{reply!r:.200} while its world was rebuilt"
         )
 
-    def _stop(self, transports: List[Transport]) -> None:
+    def _stop(self, transports: List[Transport]) -> List[int]:
         """The stop handshake: send every channel a stop, drain its ack
-        (or an in-flight error), close it.  Shutdown traffic is not a
-        driver exchange: unfired scheduled faults must not fire on (or
-        count) it."""
+        (or an in-flight error), close it.  Returns the positions of
+        the channels that failed or answered anything but the ack.
+        Shutdown traffic is not a driver exchange: unfired scheduled
+        faults must not fire on (or count) it."""
+        silent: List[int] = []
         with contextlib.ExitStack() as stack:
             for transport in transports:
                 if isinstance(transport, FaultyTransport):
                     stack.enter_context(transport.suspended())
-            for transport in transports:
+            for index, transport in enumerate(transports):
                 try:
                     transport.send(StopRequest())
                 except TransportError:
-                    pass
-            for transport in transports:
-                try:
-                    if transport.poll(1.0):
-                        transport.recv()
-                except (TransportError, ProtocolError):
-                    pass
+                    silent.append(index)
+            for index, transport in enumerate(transports):
+                if index not in silent:
+                    try:
+                        acked = transport.poll(1.0) and (
+                            type(transport.recv()) is StopReply
+                        )
+                    except (TransportError, ProtocolError):
+                        acked = False
+                    if not acked:
+                        silent.append(index)
                 transport.close()
+        return silent
 
-    # -- the pipelined (windowed) driver ---------------------------------
+    # -- the driver ------------------------------------------------------
     def advance(self, rounds: int) -> int:
         """Run every shard up to ``rounds`` ticks; return how many ran.
 
-        Ticks go out as steps of up to :attr:`round_batch` ticks, and up
-        to :attr:`window` steps stay in flight: the driver sends step
-        ``k+1`` before harvesting step ``k``, so the wire (and the
-        workers) stay busy while the parent folds replies, hiding the
-        per-step round trip.  Stops early once a shard world dies.
-
-        Determinism is preserved by construction:
-
-        * queued adds ride only with the **first** step (the facade
-          cannot queue adds mid-``advance``), so every later step is
-          the empty-adds frame a one-step-at-a-time run would send;
-        * channels are FIFO and steps are harvested and folded
-          oldest-first, so the mirror update sequence — and therefore
-          every trace — is identical for every batch and window size;
-        * when a step reports a dead world, the steps still in flight
-          were **speculative**: the workers answer them with no-op dead
-          replies (see :meth:`ShardServer.handle`) that this driver
-          drains off the wire and discards, leaving worlds and mirrors
-          exactly where a one-step-at-a-time run stops.
-
-        Supervised (``recover=True``) runs send and harvest through the
-        supervisor's window instead: a worker death mid-window is
-        healed by replaying to the last *acknowledged* exchange and
-        re-issuing the whole in-flight suffix
-        (:meth:`~repro.weakset.supervisor.ShardSupervisor.harvest_window`).
+        Ticks go out as steps of up to :attr:`round_batch` ticks, one
+        step in flight at a time: each step is sent, harvested and
+        folded before the next is sent, so the driver stops at the
+        step whose reply reports a dead world and sends nothing after
+        it.  Queued adds ride only with the first step (the facade
+        cannot queue adds mid-``advance``), so every later step is the
+        empty-adds frame a one-tick-at-a-time run would send, and the
+        mirror update sequence — and therefore every trace — is
+        identical for every batch size.  Supervised (``recover=True``)
+        runs exchange through the supervisor, which heals a worker
+        death by replaying the shard's acknowledged log and re-issuing
+        the step in flight
+        (:meth:`~repro.weakset.supervisor.ShardSupervisor.exchange`).
         """
         batch = self.round_batch
         return self._drive(
@@ -1502,31 +1476,23 @@ class TransportBackend(ABC):
         )[0]
 
     def _drive(self, chunks: List[int]) -> Tuple[int, bool]:
-        """Send one step per chunk (its tick count), up to ``window`` in
-        flight, and fold the replies; return (ticks executed, alive)."""
+        """Exchange and fold one step per chunk (its tick count) until
+        a world dies; return (ticks executed, alive)."""
         self._ensure_open()
-        in_flight: deque = deque()
         executed_total = 0
         alive = True
-        sent = 0
-        while sent < len(chunks) or in_flight:
-            while alive and sent < len(chunks) and len(in_flight) < self.window:
-                in_flight.append(
-                    self._send(
-                        [
-                            StepBatchRequest(rounds=chunks[sent], adds=batch)
-                            for batch in self._take_pending()
-                        ]
-                    )
-                )
-                sent += 1
-            if not in_flight:
-                break  # a world died with chunks unsent: abandon them
-            replies = self._harvest(in_flight.popleft(), StepBatchReply)
-            if alive:
-                executed, alive = self._fold_step(replies)
-                executed_total += executed
-            # else a speculative step behind a death: discard it
+        for rounds in chunks:
+            replies = self._exchange(
+                [
+                    StepBatchRequest(rounds=rounds, adds=batch)
+                    for batch in self._take_pending()
+                ],
+                StepBatchReply,
+            )
+            executed, alive = self._fold_step(replies)
+            executed_total += executed
+            if not alive:
+                break
         return executed_total, alive
 
     def _fold_step(self, replies: List[object]) -> Tuple[int, bool]:
@@ -1618,11 +1584,14 @@ class TransportBackend(ABC):
         if self._closed:
             return
         self._closed = True
-        self._stop(self._transports)
-        self._reap()
+        self._reap(self._stop(self._transports))
 
-    def _reap(self) -> None:
+    def _reap(self, silent: Sequence[int] = ()) -> None:
         """Release anything beyond the transports (workers, listeners).
+
+        ``silent`` are the positions of the channels that failed or did
+        not acknowledge the stop; a subclass that knows which worker
+        serves which channel terminates those workers first.
 
         Escalates rather than hangs: join politely, terminate
         (SIGTERM) a laggard, and if it *still* holds on — a wedged
@@ -1747,7 +1716,6 @@ class MultiprocessBackend(TransportBackend):
         trace_mode: str,
         start_method: Optional[str] = None,
         round_batch: int = 1,
-        window: int = 1,
         recover: bool = False,
         fault_plan: Optional[FaultPlan] = None,
         retry_policy: Optional[RetryPolicy] = None,
@@ -1765,7 +1733,6 @@ class MultiprocessBackend(TransportBackend):
             max_total_rounds=max_total_rounds,
             trace_mode=trace_mode,
             round_batch=round_batch,
-            window=window,
             recover=recover,
             fault_plan=fault_plan,
             retry_policy=retry_policy,
@@ -1798,6 +1765,17 @@ class MultiprocessBackend(TransportBackend):
         self._workers.append(worker)
         self._shard_workers[member] = worker
         return PipeTransport(parent_conn)
+
+    def _reap(self, silent: Sequence[int] = ()) -> None:
+        # The same fork hazard as above: a worker whose channel failed
+        # or went unanswered may never see EOF, so terminate it rather
+        # than wait out the polite join.  A worker that acknowledged
+        # the stop exits on its own.
+        for index in silent:
+            worker = self._shard_workers.get(self.members[index])
+            if worker is not None and worker.is_alive():
+                worker.terminate()
+        super()._reap()
 
 
 class SocketBackend(TransportBackend):
@@ -1837,7 +1815,6 @@ class SocketBackend(TransportBackend):
         start_method: Optional[str] = None,
         accept_timeout: float = 30.0,
         round_batch: int = 1,
-        window: int = 1,
         worlds_per_worker: int = 1,
         recover: bool = False,
         fault_plan: Optional[FaultPlan] = None,
@@ -1871,7 +1848,6 @@ class SocketBackend(TransportBackend):
             max_total_rounds=max_total_rounds,
             trace_mode=trace_mode,
             round_batch=round_batch,
-            window=window,
             recover=recover,
             fault_plan=fault_plan,
             retry_policy=retry_policy,
@@ -1975,11 +1951,11 @@ class SocketBackend(TransportBackend):
             )
         return self._accept_worker(member)
 
-    def _reap(self) -> None:
+    def _reap(self, silent: Sequence[int] = ()) -> None:
         if self._listener is not None:
             self._listener.close()
             self._listener = None
-        super()._reap()
+        super()._reap(silent)
 
 
 #: backend name -> constructor; the facade resolves ``backend=`` here.
@@ -2096,12 +2072,6 @@ class ShardedWeakSetCluster:
             blocking adds stay per-tick, so traces are identical
             across batch sizes for a fixed seed (pinned in
             ``tests/weakset/test_shard_backends.py``).  Default 1.
-        window: how many round batches a multi-chunk :meth:`advance`
-            keeps in flight — batch ``k+1`` is sent before batch
-            ``k``'s replies are harvested, hiding the per-batch round
-            trip on the wire backends (see
-            :meth:`TransportBackend.advance`).  Traces are identical
-            across window sizes for a fixed seed.  Default 1.
         worlds_per_worker: socket backend only — let one worker
             process host up to this many shard worlds behind one
             multiplexed channel (protocol-v4 ``MuxRequest`` frames),
@@ -2150,7 +2120,6 @@ class ShardedWeakSetCluster:
         backend: object = "serial",
         start_method: Optional[str] = None,
         round_batch: int = 1,
-        window: int = 1,
         worlds_per_worker: Optional[int] = None,
         recover: bool = False,
         fault_plan: Optional[FaultPlan] = None,
@@ -2186,10 +2155,10 @@ class ShardedWeakSetCluster:
                     "backend knobs; pass them where the backend is built, "
                     "not alongside a constructed instance"
                 )
-            if window != 1 or worlds_per_worker is not None:
+            if worlds_per_worker is not None:
                 raise SimulationError(
-                    "window/worlds_per_worker are construction-time backend "
-                    "knobs; pass them where the backend is built, not "
+                    "worlds_per_worker is a construction-time backend "
+                    "knob; pass it where the backend is built, not "
                     "alongside a constructed instance"
                 )
             if members is not None:
@@ -2229,7 +2198,6 @@ class ShardedWeakSetCluster:
                 max_total_rounds=max_total_rounds,
                 trace_mode=trace_mode,
                 round_batch=round_batch,
-                window=window,
                 recover=recover,
                 fault_plan=fault_plan,
                 retry_policy=retry_policy,
@@ -2377,11 +2345,10 @@ class ShardedWeakSetCluster:
         """Run every shard ``rounds`` ticks (clocks stay aligned).
 
         Ticks are issued to the backend in chunks of the backend's
-        ``round_batch`` (one frame pair per worker per chunk on the
-        wire backends; up to ``window`` chunks kept in flight on a
-        pipelined backend) and the tick sequence is identical for
-        every batch and window size.  Returns how many ticks actually
-        ran — fewer than ``rounds`` once a shard world goes dead.
+        ``round_batch`` (one frame pair per worker per chunk, one chunk
+        in flight at a time) and the tick sequence is identical for
+        every batch size.  Returns how many ticks actually ran — fewer
+        than ``rounds`` once a shard world goes dead.
         """
         return self._backend.advance(rounds)
 

@@ -16,15 +16,15 @@ whole point of the source paper).  This module is the opt-in
   surfaces as a timeout error naming the shard instead of a hang.
 * :class:`ShardRecoveryStats` — what recovery cost: detections,
   respawns, replayed rounds, wall-clock.
-* :class:`ShardSupervisor` — the recovery window a
+* :class:`ShardSupervisor` — the supervised exchange a
   :class:`~repro.weakset.sharding.TransportBackend` constructed with
-  ``recover=True`` routes its exchanges through.  It detects worker
+  ``recover=True`` routes its round trips through.  It detects worker
   death (send failure, EOF/reset mid-harvest, reply deadline), keeps
   each shard's log of acknowledged requests, and hands the dead shard
   to the backend's one rebuild routine
   (:meth:`~repro.weakset.sharding.TransportBackend._rebuild`): respawn
-  the worker, replay the log deterministically, re-issue the requests
-  still in flight.  The harvest then gets a reply set
+  the worker, replay the log deterministically, re-issue the request
+  in flight.  The exchange then returns a reply set
   indistinguishable from an uninterrupted run.  Membership changes
   rebuild worlds through the same routine.
 
@@ -45,7 +45,6 @@ bugs.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional
 
@@ -169,30 +168,26 @@ class ShardRecoveryStats:
 
 
 class ShardSupervisor:
-    """The supervised exchange window: detect, then hand over to rebuild.
+    """The supervised exchange: detect, then hand over to rebuild.
 
     Owned by a :class:`~repro.weakset.sharding.TransportBackend`
-    constructed with ``recover=True``; the backend sends every exchange
-    — step, peek or trace fetch — through :meth:`send_window` and
-    harvests it through :meth:`harvest_window` instead of the bare
-    :func:`~repro.weakset.transport.send_all` /
-    :func:`~repro.weakset.transport.harvest_all` halves.
+    constructed with ``recover=True``; the backend sends every
+    exchange — step, peek or trace fetch — through :meth:`exchange`
+    instead of the bare :func:`~repro.weakset.transport.send_all` /
+    :func:`~repro.weakset.transport.harvest_all` pair.
 
-    A sent request set joins the *window* of sets in flight; a harvest
-    collects the oldest set's replies in canonical shard order under
-    the backend's reply deadline and only then *acknowledges* it into
-    the per-shard request log.  For any shard whose channel failed —
-    at send or mid-harvest — the harvest hands the shard to the
-    backend's rebuild routine
+    An exchange sends one request set, collects its replies in
+    canonical shard order under the backend's reply deadline and only
+    then *acknowledges* it into the per-shard request log.  For any
+    shard whose channel failed — at send or mid-harvest — it hands the
+    shard to the backend's rebuild routine
     (:meth:`~repro.weakset.sharding.TransportBackend._rebuild`) with
     the shard's acknowledged log (every step and peek frame the dead
     worker consumed — queued adds ride inside them, so the rebuilt
-    world sees the identical operation sequence) followed by every
-    request set still in the window, oldest first.  The routine
-    respawns the worker under this supervisor's :attr:`policy`,
-    drives both in, and returns the replies: the first re-issued one
-    answers the harvest in progress, the rest wait parent-side for the
-    harvests that follow.
+    world sees the identical operation sequence) followed by the
+    shard's request of the set in flight.  The routine respawns the
+    worker under this supervisor's :attr:`policy`, drives both in, and
+    returns the replies; the last one answers the exchange.
     """
 
     def __init__(self, backend, *, policy: Optional[RetryPolicy] = None):
@@ -200,19 +195,11 @@ class ShardSupervisor:
         self.policy = policy or RetryPolicy()
         self.stats = ShardRecoveryStats()
         self._logs: List[List[object]] = [[] for _ in range(backend.num_shards)]
-        # -- pipelined-window state (see send_window/harvest_window) --
-        #: in-flight request sets, oldest first; a set moves from here
-        #: into ``_logs`` only once its replies are fully harvested —
-        #: the *acknowledged* point replay rebuilds to.
-        self._window: deque = deque()
-        #: per-shard replies already collected by a mid-window recovery
-        #: (the re-issued suffix answers ahead of the harvest cursor).
-        self._replies_ahead: List[deque] = [
-            deque() for _ in range(backend.num_shards)
-        ]
-        #: shards whose channel failed at *send* time, with the cause;
-        #: recovery happens lazily at their next harvest.
-        self._broken: Dict[int, str] = {}
+        #: the request set sent and not yet acknowledged (``None``
+        #: between exchanges); it moves into ``_logs`` only once its
+        #: replies are fully harvested — the *acknowledged* point
+        #: replay rebuilds to.
+        self._in_flight: Optional[List[object]] = None
 
     def _log(self, requests: List[object]) -> None:
         for index, request in enumerate(requests):
@@ -228,65 +215,41 @@ class ShardSupervisor:
         member's owned slice of the global history) for rebuilt ones —
         so a *later* crash recovery replays the post-rebalance world
         exactly.  Membership changes happen only between advances, so
-        an in-flight window or an unrecovered broken channel here is a
-        driver bug.
+        a request set still in flight here is a driver bug.
         """
-        if self._window or self._broken:
+        if self._in_flight is not None:
             raise SimulationError(
                 "cannot change membership with exchanges in flight"
             )
         self._logs = [list(log) for log in new_logs]
-        self._replies_ahead = [deque() for _ in new_logs]
 
-    # -- the supervised window -------------------------------------------
-    def send_window(self, requests: List[object]) -> None:
-        """Issue one request set without harvesting: it joins the window.
-
-        Requests are sent immediately but only *logged* once
-        :meth:`harvest_window` acknowledges their replies — so replay
-        after a death rebuilds exactly the acknowledged prefix and the
-        whole unacknowledged in-flight suffix is re-issued.  A send
-        failure is recorded, not raised: the shard recovers lazily
-        when its reply is first needed.
-        """
-        for index, (transport, request) in enumerate(
-            zip(self.backend._transports, requests)
-        ):
-            if index in self._broken:
-                continue  # channel already dead; recovery re-sends it
-            try:
-                transport.send(request)
-            except TransportError as error:
-                self._broken[index] = f"send failed: {error}"
-        self._window.append(list(requests))
-
-    def harvest_window(self) -> List[object]:
-        """Harvest (and acknowledge) the oldest in-flight request set.
+    def exchange(self, requests: List[object]) -> List[object]:
+        """Send one request set, harvest and acknowledge its replies.
 
         Replies come back index-aligned, one per shard, and raise
         :class:`~repro.errors.SimulationError` only when recovery
         itself is impossible (respawn attempts exhausted, or the
-        rebuilt world failed too).  A shard whose channel died — at
-        send time or mid-harvest — is rebuilt with the whole in-flight
-        suffix re-issued; the replies ahead of this harvest are
-        buffered parent-side (:attr:`_replies_ahead`), so later
-        harvests of the same window read the buffer instead of the wire
-        and the channel owes nothing once recovery returns (which keeps
-        any fault wrapper's reply schedule aligned with driver
-        exchanges).
+        rebuilt world failed too).  A send failure is recorded, not
+        raised: every other shard still gets its request before the
+        first reply is read, and the failed shard is rebuilt when its
+        reply is due — as is a shard whose channel dies mid-harvest.
+        The request set is logged only after every reply is in, so
+        replay after a death rebuilds exactly the acknowledged prefix
+        and the set in flight is re-issued.
         """
-        if not self._window:
-            raise SimulationError(
-                "harvest_window called with no request set in flight"
-            )
         backend = self.backend
+        self._in_flight = requests
+        broken: Dict[int, str] = {}
+        for index, (transport, request) in enumerate(
+            zip(backend._transports, requests)
+        ):
+            try:
+                transport.send(request)
+            except TransportError as error:
+                broken[index] = f"send failed: {error}"
         replies: List[object] = [None] * backend.num_shards
         for index, transport in enumerate(backend._transports):
-            ahead = self._replies_ahead[index]
-            if ahead:
-                replies[index] = ahead.popleft()
-                continue
-            cause = self._broken.pop(index, None)
+            cause = broken.get(index)
             if cause is None:
                 try:
                     replies[index] = backend._recv(transport)
@@ -294,20 +257,19 @@ class ShardSupervisor:
                 except (TransportError, ProtocolError) as error:
                     cause = str(error)
             replies[index] = self._recover(index, cause)
-        self._log(self._window.popleft())
+        self._log(self._in_flight)
+        self._in_flight = None
         return replies
 
     def _recover(self, index: int, cause: str) -> object:
         """Rebuild shard ``index``'s dead world; return the reply owed
-        to the harvest in progress and buffer the rest of the window's."""
+        to the exchange in progress."""
         backend = self.backend
-        log = self._logs[index]
         backend._transports[index], replies = backend._rebuild(
             backend.members[index],
             backend._transports[index],
-            log,
-            [requests[index] for requests in self._window],
+            self._logs[index],
+            [self._in_flight[index]],
             cause=cause,
         )
-        self._replies_ahead[index].extend(replies[len(log) + 1 :])
-        return replies[len(log)]
+        return replies[-1]

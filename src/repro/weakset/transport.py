@@ -20,19 +20,18 @@ a shard world can live:
 
 :func:`send_all` and :func:`harvest_all` are the two halves of every
 exchange: the first issues every shard's request, the second harvests
-one reply per shard in shard order — and a pipelined driver may issue
-several request waves before harvesting the oldest.  Every request of
-a wave is sent before the first reply is read, so the workers compute
-concurrently whatever order the harvest reads in; reply ``i`` is
-transport ``i``'s, which is why backend traces stay byte-identical for
-a fixed seed.
+one reply per shard in shard order.  Every request is sent before the
+first reply is read, so the workers compute concurrently whatever
+order the harvest reads in; reply ``i`` is transport ``i``'s, which is
+why backend traces stay byte-identical for a fixed seed.  The driver
+harvests each exchange before it sends the next, so at most one
+request set is in flight.
 
-Rebuild traffic rides the same channels: a membership change first
-quiesces the pipelined window (every in-flight frame is harvested, so
-the wire is empty), then the driver's one rebuild routine runs its
-``Migrate``/replay exchanges over these transports like any other
-request — no side channel, and the frame ordering a worker observes
-stays deterministic.
+Rebuild traffic rides the same channels: a membership change runs
+between exchanges, when the wire is empty, and the driver's one
+rebuild routine runs its ``Migrate``/replay exchanges over these
+transports like any other request — no side channel, and the frame
+ordering a worker observes stays deterministic.
 
 Example — the protocol stack over an in-process echo worker:
 
@@ -131,8 +130,8 @@ class DirectTransport(Transport):
     def _answer(self, request: object) -> object:
         try:
             return self._handler(request)
-        except BaseException:
-            return ErrorReply(traceback.format_exc())
+        except BaseException as error:
+            return _error_reply(error)
 
     def send(self, message: object) -> None:
         if self._closed:
@@ -290,15 +289,13 @@ def send_all(
     """Send ``requests[i]`` on ``transports[i]`` for all ``i``.
 
     The issue half of an exchange (every worker then computes
-    concurrently); a pipelined driver may keep several request waves
-    in flight before the first harvest.  With ``timeout`` set, returns
-    the per-request reply deadlines — each stamped
-    ``time.monotonic() + timeout`` *at its own send* — for
-    :func:`harvest_all`; the deadline belongs to the request, so a
-    wave sent later does not inherit an earlier wave's (staler)
-    deadline, and a wedged or silent worker becomes a diagnosable
-    :class:`TransportError` instead of a hang.  Returns ``None`` when
-    ``timeout`` is ``None``.
+    concurrently).  With ``timeout`` set, returns the per-request reply
+    deadlines — each stamped ``time.monotonic() + timeout`` *at its
+    own send* — for :func:`harvest_all`; the deadline belongs to the
+    request, so a request sent after a slow send does not inherit an
+    earlier request's (staler) deadline, and a wedged or silent worker
+    becomes a diagnosable :class:`TransportError` instead of a hang.
+    Returns ``None`` when ``timeout`` is ``None``.
 
     Raises :class:`TransportError` annotated with the failing index.
     """
@@ -324,12 +321,9 @@ def harvest_all(
     """Receive exactly one reply per transport, in index order.
 
     The harvest half of an exchange; the returned list is index-aligned
-    with ``transports``.  Each call consumes exactly one reply per
-    channel, and channels deliver replies in request order — so a
-    pipelined driver that issued several waves via :func:`send_all`
-    harvests them one wave at a time, oldest first, and reply ``i`` of
-    each harvest is transport ``i``'s answer to its request in that
-    wave.
+    with ``transports``, and reply ``i`` is transport ``i``'s answer to
+    its request.  Each call consumes exactly one reply per channel,
+    and channels deliver replies in request order.
 
     ``deadlines`` optionally bounds each reply individually (monotonic
     timestamps, index-aligned — normally :func:`send_all`'s return
@@ -358,6 +352,20 @@ def harvest_all(
 # ----------------------------------------------------------------------
 # the worker-side serve loop
 # ----------------------------------------------------------------------
+def _error_reply(error: BaseException) -> ErrorReply:
+    """A handler's exception as an
+    :class:`~repro.weakset.protocol.ErrorReply`: its traceback from the
+    handler down, leaving out the frame that caught it, so the text is
+    the same whichever transport ran the handler."""
+    return ErrorReply(
+        "".join(
+            traceback.format_exception(
+                type(error), error, error.__traceback__.tb_next
+            )
+        )
+    )
+
+
 def serve_requests(transport: Transport, handler: Callable[[object], object]) -> None:
     """Serve protocol requests until stop, peer exit, or failure.
 
@@ -381,9 +389,9 @@ def serve_requests(transport: Transport, handler: Callable[[object], object]) ->
             break
         try:
             reply = handler(request)
-        except BaseException:
+        except BaseException as error:
             try:
-                transport.send(ErrorReply(traceback.format_exc()))
+                transport.send(_error_reply(error))
             except TransportError:
                 pass
             break

@@ -297,6 +297,32 @@ class TestFaultsFailClosed:
         )
         self._assert_fails_closed(cluster, match)
 
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="the lingering worker is a fork hazard",
+    )
+    @pytest.mark.parametrize("spec", ["kill:0:3", "reset:1:3", "truncate:0:3:4"])
+    def test_close_after_a_worker_killing_fault_is_prompt(self, spec):
+        """Under ``fork`` a sibling worker holds a copy of the severed
+        channel's parent end, so the faulted worker never sees EOF:
+        close() terminates the worker that did not acknowledge its
+        stop instead of waiting out the polite 2 s join."""
+        import time
+
+        cluster = ShardedWeakSetCluster(
+            3,
+            shards=2,
+            backend="multiprocess",
+            start_method="fork",
+            fault_plan=parse_fault_plan(spec),
+        )
+        with pytest.raises(SimulationError, match="mid-round"):
+            cluster.advance(8)
+        before = time.monotonic()
+        cluster.close()
+        assert time.monotonic() - before < 0.5
+        assert all(not worker.is_alive() for worker in cluster.backend._workers)
+
     def test_socket_reset_during_harvest(self, start_method):
         cluster = ShardedWeakSetCluster(
             3,

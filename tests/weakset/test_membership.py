@@ -5,9 +5,9 @@ under test: a cluster that calls :meth:`join_shard` (or
 :meth:`leave_shard`) at round R is **byte-identical** — trace JSON,
 views, add records — to a cluster *constructed* with the post-change
 membership and driven through the same operation schedule.  Pinned
-across all four backends × fork/spawn × round_batch {1,4} × window
-{1,4}, plus the chaos case: a worker killed *mid-migration* under
-``recover=True`` still converges byte-identically.
+across all four backends × fork/spawn × round_batch {1,4}, plus the
+chaos case: a worker killed *mid-migration* under ``recover=True``
+still converges byte-identically.
 
 Adds in the shared workload are asynchronous (``begin_add``): a
 rebalance rewrites every moved add's completion stamp to the replayed
@@ -89,15 +89,15 @@ def _snapshot(cluster):
     return [trace_to_json(trace) for trace in cluster.traces()]
 
 
-GRID = [(1, 1), (4, 1), (1, 4), (4, 4)]
+GRID = [1, 4]
 
 
 class TestJoinEquivalence:
-    @pytest.mark.parametrize("round_batch,window", GRID)
+    @pytest.mark.parametrize("round_batch", GRID)
     @pytest.mark.parametrize("backend", ["serial", "inproc"])
-    def test_join_matches_fresh_construction(self, backend, round_batch, window):
-        grown = _build(backend, round_batch=round_batch, window=window)
-        fresh = _build(backend, shards=3, round_batch=round_batch, window=window)
+    def test_join_matches_fresh_construction(self, backend, round_batch):
+        grown = _build(backend, round_batch=round_batch)
+        fresh = _build(backend, shards=3, round_batch=round_batch)
         with grown, fresh:
             grown_result = _run(grown, event=lambda c: c.join_shard())
             assert grown.members == [0, 1, 2]
@@ -106,22 +106,18 @@ class TestJoinEquivalence:
             assert grown_result == _run(fresh)
             assert _snapshot(grown) == _snapshot(fresh)
 
-    @pytest.mark.parametrize("round_batch,window", GRID)
+    @pytest.mark.parametrize("round_batch", GRID)
     @pytest.mark.parametrize("backend", ["multiprocess", "socket"])
     def test_join_matches_fresh_construction_process_backends(
-        self, backend, round_batch, window, start_method
+        self, backend, round_batch, start_method
     ):
         grown = _build(
-            backend,
-            round_batch=round_batch,
-            window=window,
-            start_method=start_method,
+            backend, round_batch=round_batch, start_method=start_method
         )
         fresh = _build(
             backend,
             shards=3,
             round_batch=round_batch,
-            window=window,
             start_method=start_method,
         )
         with grown, fresh:
@@ -133,14 +129,10 @@ class TestJoinEquivalence:
 
 class TestLeaveEquivalence:
     @pytest.mark.parametrize("backend", ["serial", "inproc"])
-    @pytest.mark.parametrize("round_batch,window", GRID)
-    def test_leave_matches_fresh_construction(self, backend, round_batch, window):
-        shrunk = _build(
-            backend, shards=3, round_batch=round_batch, window=window
-        )
-        fresh = _build(
-            backend, members=[0, 2], round_batch=round_batch, window=window
-        )
+    @pytest.mark.parametrize("round_batch", GRID)
+    def test_leave_matches_fresh_construction(self, backend, round_batch):
+        shrunk = _build(backend, shards=3, round_batch=round_batch)
+        fresh = _build(backend, members=[0, 2], round_batch=round_batch)
         with shrunk, fresh:
             shrunk_result = _run(shrunk, event=lambda c: c.leave_shard(1))
             assert shrunk.members == [0, 2]
@@ -243,15 +235,15 @@ def _values_colliding_on_join():
 
 
 class TestInFlightAdds:
-    @pytest.mark.parametrize("window", [1, 4])
+    @pytest.mark.parametrize("round_batch", GRID)
     @pytest.mark.parametrize("backend", ["serial", "inproc"])
     def test_pending_and_in_flight_adds_move_with_their_values(
-        self, backend, window
+        self, backend, round_batch
     ):
-        """An add still open at the join — delivered-but-uncompleted at
-        window=1, queued-and-undelivered at window=4 — lands exactly
-        where a fresh post-join cluster would put it, with the
-        identical completion stamp."""
+        """The adds still open at the join — one delivered but not yet
+        completed, one queued and not yet delivered — land exactly
+        where a fresh post-join cluster would put them, with the
+        identical completion stamps."""
         def drive(cluster, event=None):
             records = [cluster.begin_add(0, VALUES[0])]
             cluster.advance(EVENT_AT)
@@ -262,8 +254,8 @@ class TestInFlightAdds:
             views = [frozenset(cluster.handle(pid).get()) for pid in range(N)]
             return views, [(r.pid, r.value, r.start, r.end) for r in records]
 
-        grown = _build(backend, window=window)
-        fresh = _build(backend, shards=3, window=window)
+        grown = _build(backend, round_batch=round_batch)
+        fresh = _build(backend, shards=3, round_batch=round_batch)
         with grown, fresh:
             assert drive(grown, event=lambda c: c.join_shard()) == drive(fresh)
             assert _snapshot(grown) == _snapshot(fresh)

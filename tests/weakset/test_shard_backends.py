@@ -275,13 +275,61 @@ class TestRoundBatching:
             max_total_rounds=4,
             backend=backend,
             round_batch=round_batch,
-            window=2,
         ) as cluster:
             assert cluster.advance(10) == 4
             assert cluster.now == 4.0
             assert cluster.advance(10) == 0
             assert cluster.now == 4.0
             assert cluster._backend._history == [("step", 4)]
+
+    def test_advance_at_round_batch_k_is_one_exchange(self, start_method):
+        """advance(k) at round_batch=k is one step: one exchange, and
+        one frame pair per worker channel — three direct channels, or
+        two socket workers hosting the three worlds ([0, 1] + [2])."""
+        for backend, extra, channels in (
+            ("inproc", {}, 3),
+            ("socket", {"worlds_per_worker": 2, "start_method": start_method}, 2),
+        ):
+            with ShardedWeakSetCluster(
+                2, shards=3, backend=backend, round_batch=8, **extra
+            ) as cluster:
+                assert cluster.advance(8) == 8
+                assert cluster.backend.exchanges == 1
+                assert cluster.backend.frame_pairs == channels
+
+    @pytest.mark.parametrize(
+        "round_batch, horizon, first, second",
+        [
+            # 4 one-tick steps run, the 5th finds the horizon
+            (1, 4, (10, 4, 5), (10, 0, 6)),
+            # advance(6) is [4, 2]; advance(10) is [4, 4, 2]: the first
+            # step runs ticks 7-10, the second finds the horizon, and
+            # the third is never sent
+            (4, 10, (6, 6, 2), (10, 4, 4)),
+        ],
+    )
+    def test_no_step_is_sent_after_a_dead_reply(
+        self, round_batch, horizon, first, second
+    ):
+        """An advance that reaches the horizon mid-call stops at the
+        step whose reply reports the dead world: exact exchange and
+        frame-pair counts show that no step follows it, and an
+        advance after the horizon sends exactly one."""
+        with ShardedWeakSetCluster(
+            2,
+            shards=2,
+            max_total_rounds=horizon,
+            backend="inproc",
+            round_batch=round_batch,
+        ) as cluster:
+            backend = cluster.backend
+            for rounds, executed, exchanges in (first, second):
+                assert cluster.advance(rounds) == executed
+                assert backend.exchanges == exchanges
+                assert backend.frame_pairs == 2 * exchanges
+            assert cluster.exhausted
+            assert cluster.advance(3) == 0
+            assert backend.frame_pairs == 2 * (second[2] + 1)
 
     def test_serial_and_inproc_agree_on_batch_accounting(self):
         serial = ShardedWeakSetCluster(
@@ -578,15 +626,14 @@ class TestBackendClasses:
             ShardedWeakSetCluster(3, shards=2, **{option: value[option]})
 
 
-class TestPipelinedWindow:
-    """The pipelined driver: windows change timing, never bytes.
+class TestTransportShape:
+    """Transport-shape levers change frames, never bytes.
 
-    ``window=W`` keeps up to W round batches in flight before the
-    oldest is harvested; ``worlds_per_worker=M`` multiplexes M shard
-    worlds behind one socket worker.  Both are pure transport-shape
-    levers — every cell of the grid must replay the serial worlds byte
-    for byte, and the frame-pair counters must show the wire cost
-    moving the way the levers promise."""
+    ``round_batch=B`` carries B ticks per step, one step in flight at a
+    time; ``worlds_per_worker=M`` multiplexes M shard worlds behind one
+    socket worker.  Every cell of the grid must replay the serial
+    worlds byte for byte, and the frame-pair counters must show the
+    wire cost moving the way the levers promise."""
 
     def _build(self, backend, **kwargs):
         return ShardedWeakSetCluster(
@@ -601,24 +648,20 @@ class TestPipelinedWindow:
         serial = self._build("serial")
         return _drive(serial), _snapshot(serial)
 
-    def test_window_grid_byte_identical(self):
-        """window × round_batch on the in-process transport: every
-        combination equals the plain serial run."""
+    def test_deep_batch_grid_byte_identical(self):
+        """round_batch up to past the workload's longest advance on the
+        in-process transport: every batch equals the plain serial run."""
         serial_result, serial_traces = self._serial_reference()
-        for window in (2, 4):
-            for round_batch in (1, 4):
-                label = (window, round_batch)
-                with self._build(
-                    "inproc", window=window, round_batch=round_batch
-                ) as cluster:
-                    assert _drive(cluster) == serial_result, label
-                    assert _snapshot(cluster) == serial_traces, label
+        for round_batch in (2, 4, 8, 16):
+            with self._build("inproc", round_batch=round_batch) as cluster:
+                assert _drive(cluster) == serial_result, round_batch
+                assert _snapshot(cluster) == serial_traces, round_batch
 
-    def test_window_grid_process_backends(self, start_method):
+    def test_deep_batch_process_backends(self, start_method):
         serial_result, serial_traces = self._serial_reference()
         for backend in ("multiprocess", "socket"):
             with self._build(
-                backend, window=4, round_batch=4, start_method=start_method
+                backend, round_batch=16, start_method=start_method
             ) as cluster:
                 assert _drive(cluster) == serial_result, backend
                 assert _snapshot(cluster) == serial_traces, backend
@@ -666,18 +709,19 @@ class TestPipelinedWindow:
                 assert _drive(cluster) == serial_result, worlds_per_worker
                 assert _snapshot(cluster) == serial_traces, worlds_per_worker
 
-    def test_mux_composes_with_batching_and_window(self):
+    def test_mux_composes_with_batching(self):
         serial_result, serial_traces = self._serial_reference()
         with self._build(
-            "socket", worlds_per_worker=2, round_batch=4, window=2
+            "socket", worlds_per_worker=2, round_batch=8
         ) as cluster:
             assert _drive(cluster) == serial_result
             assert _snapshot(cluster) == serial_traces
 
     def test_frame_pair_counters(self):
         """Batching must actually shrink the frame-pair count (the
-        0.99-speedup fix is structural, not a timing claim); a deeper
-        window may add a few speculative batches but no more."""
+        0.99-speedup fix is structural, not a timing claim), and a
+        batch that carries the workload's whole advance shrinks it
+        further."""
         def pairs(**kwargs):
             with self._build("inproc", **kwargs) as cluster:
                 _drive(cluster)
@@ -688,9 +732,8 @@ class TestPipelinedWindow:
 
         unbatched = pairs()
         batched = pairs(round_batch=4)
-        windowed = pairs(round_batch=4, window=4)
-        assert batched < unbatched
-        assert batched <= windowed < unbatched
+        whole = pairs(round_batch=16)
+        assert whole < batched < unbatched
 
     def test_mux_frame_pairs_collapse(self):
         """worlds_per_worker=3 puts all 3 shard worlds behind one
@@ -707,30 +750,28 @@ class TestPipelinedWindow:
         assert solo_exchanges == mux_exchanges
         assert solo_pairs == 3 * mux_pairs
 
-    def test_churn_workload_window_invariant(self):
+    def test_churn_workload_deep_batch_invariant(self):
         reference = run_churn_workload(
             n=3, shards=2, total_adds=10, adds_per_round=2,
             pattern="round-robin", backend="serial", seed=5,
         )
-        for backend, window, worlds_per_worker in (
-            ("inproc", 2, None),
-            ("inproc", 4, None),
-            ("socket", 4, None),
-            ("socket", 2, 2),
+        for backend, round_batch, worlds_per_worker in (
+            ("inproc", 8, None),
+            ("inproc", 16, None),
+            ("socket", 16, None),
+            ("socket", 8, 2),
         ):
             run = run_churn_workload(
                 n=3, shards=2, total_adds=10, adds_per_round=2,
                 pattern="round-robin", backend=backend, seed=5,
-                round_batch=4, window=window,
+                round_batch=round_batch,
                 worlds_per_worker=worlds_per_worker,
             )
-            label = (backend, window, worlds_per_worker)
+            label = (backend, round_batch, worlds_per_worker)
             assert run.latencies == reference.latencies, label
             assert run.completed == reference.completed, label
 
-    def test_window_and_mux_validation(self):
-        with pytest.raises(SimulationError, match="window"):
-            ShardedWeakSetCluster(2, shards=1, backend="inproc", window=0)
+    def test_mux_validation(self):
         with pytest.raises(SimulationError, match="worlds_per_worker"):
             ShardedWeakSetCluster(
                 2, shards=1, backend="socket", worlds_per_worker=0
@@ -739,10 +780,6 @@ class TestPipelinedWindow:
             ShardedWeakSetCluster(
                 2, shards=1, backend="inproc", worlds_per_worker=2
             )
-        # serial runs the same windowed driver: the CLI can pass
-        # window uniformly without special-casing the default backend
-        cluster = ShardedWeakSetCluster(2, shards=1, window=4)
-        cluster.handle(0).add("v")
 
     def test_mux_rejects_per_shard_channel_features(self):
         """Supervision and fault plans address individual shard
@@ -760,7 +797,7 @@ class TestPipelinedWindow:
                 fault_plan=parse_fault_plan("kill:0:2"),
             )
 
-    def test_constructed_backend_rejects_window_knobs(self):
+    def test_constructed_backend_rejects_the_mux_knob(self):
         backend = SerialBackend(
             3,
             shards=2,
@@ -769,8 +806,6 @@ class TestPipelinedWindow:
             max_total_rounds=100,
             trace_mode="full",
         )
-        with pytest.raises(SimulationError, match="construction-time"):
-            ShardedWeakSetCluster(3, shards=2, backend=backend, window=2)
         with pytest.raises(SimulationError, match="construction-time"):
             ShardedWeakSetCluster(
                 3, shards=2, backend=backend, worlds_per_worker=2
@@ -786,7 +821,8 @@ def shard_runs(draw):
     schedule shared by every shard, round horizon, driver shape, and a
     schedule of steps — each issues up to ``n`` adds, then advances or
     gets.  Horizons mostly below the schedule's 30-tick maximum let
-    worlds go dead mid-batch and mid-window."""
+    worlds go dead mid-batch, and batches up to 8 ticks let one step
+    carry a whole advance."""
     n = draw(st.integers(min_value=1, max_value=6))
     pids = st.integers(min_value=0, max_value=n - 1)
     then = st.one_of(
@@ -802,8 +838,7 @@ def shard_runs(draw):
             st.none() | st.floats(min_value=0.25, max_value=1.0)
         ),
         "horizon": draw(st.integers(min_value=2, max_value=24)),
-        "round_batch": draw(st.integers(min_value=1, max_value=4)),
-        "window": draw(st.integers(min_value=1, max_value=3)),
+        "round_batch": draw(st.integers(min_value=1, max_value=8)),
         "steps": draw(
             st.lists(
                 st.tuples(st.lists(st.tuples(pids, values), max_size=n), then),
@@ -842,7 +877,6 @@ def _drive_facade(run, backend, **options):
         ),
         backend=backend,
         round_batch=run["round_batch"],
-        window=run["window"],
         **_world_options(run),
         **options,
     ) as cluster:

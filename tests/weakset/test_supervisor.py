@@ -112,6 +112,33 @@ def _read_marks(round_batch):
         return peeks[0], backend.exchanges + 1
 
 
+def _advance_mark():
+    """The 1-based driver exchange carrying the first step of
+    ``_drive``'s ``advance(6)``, read off ``backend.exchanges`` on an
+    unfaulted run (the blocking add before it steps one tick at a
+    time, so the mark is the same at every batch size).  With
+    ``round_batch=4`` that step carries 4 ticks and the advance's
+    second step, 2 more, is still to be sent."""
+    cluster = ShardedWeakSetCluster(
+        3,
+        shards=2,
+        environment_factory=ChurnEnvironments(seed=11),
+        backend="inproc",
+    )
+    backend = cluster.backend
+    marks = []
+    advance = backend.advance
+
+    def recording(rounds):
+        marks.append(backend.exchanges + 1)
+        return advance(rounds)
+
+    backend.advance = recording
+    with cluster:
+        _drive(cluster)
+        return marks[0]
+
+
 @pytest.mark.chaos
 class TestRecoveredRunsAreByteIdentical:
     """The tentpole acceptance: kill workers mid-run, recover, compare
@@ -178,11 +205,32 @@ class TestRecoveredRunsAreByteIdentical:
             assert _snapshot(cluster) == traces
             assert cluster.recovery_stats.recovered_shards == [1]
 
-    def test_both_shards_killed_recover(self, start_method):
+    @pytest.mark.parametrize("backend", ["multiprocess", "socket"])
+    @pytest.mark.parametrize("kind", ["kill", "reset"])
+    def test_death_mid_batch_recovers(self, start_method, backend, kind):
+        """A worker dies while a 4-tick step is in flight — before the
+        request reaches it (kill) or after it ran the ticks, with the
+        reply lost (reset) — and the advance still owes a second step.
+        The rebuild replays the acknowledged log and re-issues the
+        4-tick step; the driver then sends the next one."""
+        reference, traces = _serial_reference()
+        plan = FaultPlan((Fault(kind, 0, _advance_mark()),))
+        with self._build(
+            backend, plan=plan, start_method=start_method, round_batch=4
+        ) as cluster:
+            assert _drive(cluster) == reference
+            assert _snapshot(cluster) == traces
+            stats = cluster.recovery_stats
+            assert stats.detections == 1 and stats.respawns == 1
+            assert stats.recovered_shards == [0]
+
+    @pytest.mark.parametrize("round_batch", [1, 4])
+    def test_both_shards_killed_recover(self, start_method, round_batch):
         reference, traces = _serial_reference()
         plan = FaultPlan.kill_fraction(2, 1.0, seed=0, window=(2, 4))
         with self._build(
-            "multiprocess", plan=plan, start_method=start_method
+            "multiprocess", plan=plan, start_method=start_method,
+            round_batch=round_batch,
         ) as cluster:
             assert _drive(cluster) == reference
             assert _snapshot(cluster) == traces
@@ -197,6 +245,27 @@ class TestRecoveredRunsAreByteIdentical:
             assert _drive(cluster) == reference
             assert _snapshot(cluster) == traces
             assert cluster.recovery_stats.recovered_shards == [1]
+
+    def test_delayed_reply_past_its_deadline_heals(self):
+        """A delay fault holding a batched step's reply past the
+        per-request deadline is detected as a timeout and healed."""
+        reference, traces = _serial_reference()
+        plan = FaultPlan((Fault("delay", 0, _advance_mark(), delay=2.0),))
+        policy = RetryPolicy(attempts=3, base_delay=0.01, request_timeout=0.3)
+        cluster = ShardedWeakSetCluster(
+            3,
+            shards=2,
+            environment_factory=ChurnEnvironments(seed=11),
+            backend="multiprocess",
+            round_batch=4,
+            recover=True,
+            fault_plan=plan,
+            retry_policy=policy,
+        )
+        with cluster:
+            assert _drive(cluster) == reference
+            assert _snapshot(cluster) == traces
+            assert cluster.recovery_stats.detections == 1
 
     def test_dropped_frame_recovers_via_reply_timeout(self):
         reference, traces = _serial_reference()
@@ -309,92 +378,13 @@ class TestRecoveryLimits:
 
 
 @pytest.mark.chaos
-class TestWindowedRecovery:
-    """Faults landing inside an *open* pipelined window still heal to
-    byte-identical runs: the supervisor replays to the last
-    acknowledged batch, then re-issues the whole in-flight suffix."""
-
-    def _build(self, backend, *, plan, start_method="fork", window=4,
-               round_batch=1, policy=_POLICY):
-        return ShardedWeakSetCluster(
-            3,
-            shards=2,
-            environment_factory=ChurnEnvironments(seed=11),
-            backend=backend,
-            start_method=start_method,
-            round_batch=round_batch,
-            window=window,
-            recover=True,
-            fault_plan=plan,
-            retry_policy=policy,
-        )
-
-    @pytest.mark.parametrize("backend", ["multiprocess", "socket"])
-    @pytest.mark.parametrize("round_batch", [1, 4])
-    def test_kill_inside_an_open_window(
-        self, start_method, backend, round_batch
-    ):
-        """The kill fires at the window's second send — several
-        speculative batches are already in flight past it."""
-        reference, traces = _serial_reference()
-        plan = FaultPlan((Fault("kill", 0, 2),))
-        with self._build(
-            backend, plan=plan, start_method=start_method,
-            round_batch=round_batch,
-        ) as cluster:
-            assert _drive(cluster) == reference
-            assert _snapshot(cluster) == traces
-            stats = cluster.recovery_stats
-            assert stats.detections == 1 and stats.respawns == 1
-            assert stats.recovered_shards == [0]
-
-    def test_inproc_kill_inside_an_open_window(self):
-        reference, traces = _serial_reference()
-        plan = FaultPlan((Fault("kill", 1, 3),))
-        with self._build("inproc", plan=plan, window=2) as cluster:
-            assert _drive(cluster) == reference
-            assert _snapshot(cluster) == traces
-            assert cluster.recovery_stats.recovered_shards == [1]
-
-    def test_socket_reset_inside_an_open_window(self, start_method):
-        reference, traces = _serial_reference()
-        plan = parse_fault_plan("reset:1:3")
-        with self._build(
-            "socket", plan=plan, start_method=start_method
-        ) as cluster:
-            assert _drive(cluster) == reference
-            assert _snapshot(cluster) == traces
-            assert cluster.recovery_stats.recovered_shards == [1]
-
-    def test_delayed_reply_past_its_deadline_heals(self):
-        """A delay fault holding a reply past the per-request deadline
-        inside the window is detected as a timeout and healed."""
-        reference, traces = _serial_reference()
-        plan = parse_fault_plan("delay:0:2:2.0")
-        policy = RetryPolicy(attempts=3, base_delay=0.01, request_timeout=0.3)
-        with self._build(
-            "multiprocess", plan=plan, policy=policy
-        ) as cluster:
-            assert _drive(cluster) == reference
-            assert _snapshot(cluster) == traces
-            assert cluster.recovery_stats.detections == 1
-
-    def test_both_shards_killed_inside_the_window(self, start_method):
-        reference, traces = _serial_reference()
-        plan = FaultPlan.kill_fraction(2, 1.0, seed=0, window=(2, 4))
-        with self._build(
-            "multiprocess", plan=plan, start_method=start_method
-        ) as cluster:
-            assert _drive(cluster) == reference
-            assert _snapshot(cluster) == traces
-            assert cluster.recovery_stats.respawns == 2
-
-    def test_windowed_churn_run_matches_clean_run(self):
+class TestSupervisedChurn:
+    def test_batched_churn_run_matches_clean_run(self):
         plan = FaultPlan((Fault("kill", 0, 3),))
         healed = run_churn_workload(
             n=3, shards=2, total_adds=8, adds_per_round=2,
             pattern="random", backend="multiprocess", seed=0,
-            round_batch=4, window=4,
+            round_batch=4,
             recover=True, fault_plan=plan, retry_policy=_POLICY,
         )
         clean = run_churn_workload(
@@ -406,38 +396,6 @@ class TestWindowedRecovery:
             clean.completed, clean.latencies,
         )
 
-
-class TestSupervisorWindowAPI:
-    def test_harvest_without_open_window_raises(self):
-        cluster = ShardedWeakSetCluster(
-            3, shards=2, backend="inproc", recover=True
-        )
-        try:
-            with pytest.raises(SimulationError, match="no request set"):
-                cluster.backend._supervisor.harvest_window()
-        finally:
-            cluster.close()
-
-    def test_send_window_defers_logging_until_harvest(self):
-        """A windowed send is not acknowledged (replayable) until its
-        harvest: the in-flight deque holds it, the log does not."""
-        from repro.weakset.protocol import StepBatchRequest
-
-        cluster = ShardedWeakSetCluster(
-            3, shards=2, backend="inproc", recover=True
-        )
-        try:
-            supervisor = cluster.backend._supervisor
-            requests = [StepBatchRequest(rounds=1) for _ in range(2)]
-            supervisor.send_window(requests)
-            assert len(supervisor._window) == 1
-            assert all(not log for log in supervisor._logs)
-            replies = supervisor.harvest_window()
-            assert len(replies) == 2
-            assert not supervisor._window
-            assert all(len(log) == 1 for log in supervisor._logs)
-        finally:
-            cluster.close()
     def test_recovery_stats_ride_the_churn_run(self):
         plan = FaultPlan((Fault("kill", 0, 3),))
         healed = run_churn_workload(

@@ -242,9 +242,9 @@ class TestDeadlineBookkeeping:
     """Reply deadlines belong to *requests*, not to driver calls.
 
     ``send_all(timeout=)`` stamps each request's deadline at its own
-    send; ``harvest_all`` then bounds each reply by its own stamp —
-    the contract a pipelined driver relies on so a wave sent later
-    never inherits an earlier wave's staler budget."""
+    send; ``harvest_all`` then bounds each reply by its own stamp, so
+    a request sent later never inherits an earlier one's staler
+    budget."""
 
     def test_send_all_stamps_each_deadline_at_its_own_send(self):
         class SlowSend(InProcTransport):
@@ -300,7 +300,7 @@ class TestDeadlineBookkeeping:
                 transport.close()
 
     def test_later_wave_gets_a_fresh_budget(self):
-        """Two pipelined waves on one channel: the second wave's
+        """Two waves on one channel: the second wave's
         deadline starts at *its* send, and the harvests drain the
         channel's replies oldest-wave-first."""
         transports = [InProcTransport(lambda request: StopReply())]
