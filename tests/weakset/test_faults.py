@@ -297,23 +297,23 @@ class TestFaultsFailClosed:
         )
         self._assert_fails_closed(cluster, match)
 
-    @pytest.mark.skipif(
-        "fork" not in multiprocessing.get_all_start_methods(),
-        reason="the lingering worker is a fork hazard",
-    )
     @pytest.mark.parametrize("spec", ["kill:0:3", "reset:1:3", "truncate:0:3:4"])
-    def test_close_after_a_worker_killing_fault_is_prompt(self, spec):
-        """Under ``fork`` a sibling worker holds a copy of the severed
-        channel's parent end, so the faulted worker never sees EOF:
-        close() terminates the worker that did not acknowledge its
-        stop instead of waiting out the polite 2 s join."""
+    @pytest.mark.parametrize("backend", ["multiprocess", "socket"])
+    def test_close_after_a_worker_killing_fault_is_prompt(
+        self, start_method, backend, spec
+    ):
+        """Under ``fork`` a sibling pipe worker holds a copy of the
+        severed channel's parent end, so the faulted worker never sees
+        EOF: close() terminates the worker that did not acknowledge its
+        stop instead of waiting out the polite 2 s join.  Every process
+        backend and start method must close as promptly."""
         import time
 
         cluster = ShardedWeakSetCluster(
             3,
             shards=2,
-            backend="multiprocess",
-            start_method="fork",
+            backend=backend,
+            start_method=start_method,
             fault_plan=parse_fault_plan(spec),
         )
         with pytest.raises(SimulationError, match="mid-round"):

@@ -308,28 +308,31 @@ class TestRoundBatching:
             (4, 10, (6, 6, 2), (10, 4, 4)),
         ],
     )
+    @pytest.mark.parametrize("backend", ["inproc", "multiprocess", "socket"])
     def test_no_step_is_sent_after_a_dead_reply(
-        self, round_batch, horizon, first, second
+        self, backend, round_batch, horizon, first, second
     ):
         """An advance that reaches the horizon mid-call stops at the
         step whose reply reports the dead world: exact exchange and
         frame-pair counts show that no step follows it, and an
-        advance after the horizon sends exactly one."""
+        advance after the horizon sends exactly one — on every
+        transport, whose workers answer a dead world's step with a
+        no-op reply."""
         with ShardedWeakSetCluster(
             2,
             shards=2,
             max_total_rounds=horizon,
-            backend="inproc",
+            backend=backend,
             round_batch=round_batch,
         ) as cluster:
-            backend = cluster.backend
+            driver = cluster.backend
             for rounds, executed, exchanges in (first, second):
                 assert cluster.advance(rounds) == executed
-                assert backend.exchanges == exchanges
-                assert backend.frame_pairs == 2 * exchanges
+                assert driver.exchanges == exchanges
+                assert driver.frame_pairs == 2 * exchanges
             assert cluster.exhausted
             assert cluster.advance(3) == 0
-            assert backend.frame_pairs == 2 * (second[2] + 1)
+            assert driver.frame_pairs == 2 * (second[2] + 1)
 
     def test_serial_and_inproc_agree_on_batch_accounting(self):
         serial = ShardedWeakSetCluster(

@@ -20,6 +20,7 @@ from repro.serialization import trace_to_json
 from repro.sim.runner import run_churn_workload
 from repro.sim.workloads import ChurnEnvironments
 from repro.weakset.faults import Fault, FaultPlan, parse_fault_plan
+from repro.weakset.protocol import StepBatchRequest
 from repro.weakset.sharding import SerialBackend, ShardedWeakSetCluster
 from repro.weakset.supervisor import RetryPolicy, ShardSupervisor
 
@@ -205,6 +206,19 @@ class TestRecoveredRunsAreByteIdentical:
             assert _snapshot(cluster) == traces
             assert cluster.recovery_stats.recovered_shards == [1]
 
+    @pytest.mark.parametrize("kind", ["kill", "reset"])
+    def test_inproc_death_mid_batch_recovers(self, kind):
+        """The in-process transport heals a death while a 4-tick step
+        is in flight the same way the process backends do."""
+        reference, traces = _serial_reference()
+        plan = FaultPlan((Fault(kind, 1, _advance_mark()),))
+        with self._build("inproc", plan=plan, round_batch=4) as cluster:
+            assert _drive(cluster) == reference
+            assert _snapshot(cluster) == traces
+            stats = cluster.recovery_stats
+            assert stats.detections == 1 and stats.respawns == 1
+            assert stats.recovered_shards == [1]
+
     @pytest.mark.parametrize("backend", ["multiprocess", "socket"])
     @pytest.mark.parametrize("kind", ["kill", "reset"])
     def test_death_mid_batch_recovers(self, start_method, backend, kind):
@@ -375,6 +389,87 @@ class TestRecoveryLimits:
             cluster.advance(2)  # healthy supervised exchanges work too
         finally:
             cluster.close()
+
+
+class TestSupervisedExchange:
+    """One request set in flight: acknowledged into the replay log only
+    once every reply is in, and re-issued whole to a rebuilt world."""
+
+    def _build(self, plan=None):
+        return ShardedWeakSetCluster(
+            3,
+            shards=2,
+            backend="inproc",
+            round_batch=4,
+            recover=True,
+            fault_plan=plan,
+            retry_policy=_POLICY,
+        )
+
+    def test_a_set_is_logged_only_after_its_replies(self):
+        cluster = self._build()
+        backend = cluster.backend
+        supervisor = backend._supervisor
+        seen = []
+        recv = backend._recv
+
+        def recording(transport):
+            seen.append(
+                (supervisor._in_flight, [list(log) for log in supervisor._logs])
+            )
+            return recv(transport)
+
+        backend._recv = recording
+        with cluster:
+            assert cluster.advance(4) == 4
+            step = [StepBatchRequest(rounds=4)] * 2
+            # one reply read per shard, the set in flight and unlogged
+            assert seen == [(step, [[], []])] * 2
+            assert supervisor._in_flight is None
+            assert supervisor._logs == [[request] for request in step]
+
+    def test_membership_refuses_a_set_in_flight(self):
+        cluster = self._build()
+        backend = cluster.backend
+        supervisor = backend._supervisor
+        refused = []
+        recv = backend._recv
+
+        def rebalancing(transport):
+            with pytest.raises(SimulationError, match="in flight"):
+                supervisor.reset_membership([[], []])
+            refused.append(transport)
+            return recv(transport)
+
+        backend._recv = rebalancing
+        with cluster:
+            cluster.advance(4)
+            assert len(refused) == 2
+            assert len(supervisor._logs[0]) == 1
+            supervisor.reset_membership([[], []])  # between exchanges
+            assert supervisor._logs == [[], []]
+
+    def test_rebuild_reissues_the_set_in_flight(self):
+        """A kill at the second 4-tick step: the rebuild replays the
+        acknowledged first step, then re-issues the lost one, whose
+        reply answers the exchange."""
+        cluster = self._build(FaultPlan((Fault("kill", 0, 2),)))
+        backend = cluster.backend
+        rebuilds = []
+        rebuild = backend._rebuild
+
+        def recording(member, channel, history, in_flight=(), **kwargs):
+            rebuilds.append((member, list(history), list(in_flight)))
+            return rebuild(member, channel, history, in_flight, **kwargs)
+
+        backend._rebuild = recording
+        with cluster:
+            assert cluster.advance(8) == 8
+            step = StepBatchRequest(rounds=4)
+            assert rebuilds == [(0, [step], [step])]
+            assert cluster.recovery_stats.recovered_shards == [0]
+            assert backend._supervisor._logs == [[step, step]] * 2
+            assert cluster.now == 8.0
 
 
 @pytest.mark.chaos
