@@ -500,6 +500,10 @@ def test_bench_event_queue_calendar(benchmark):
     assert total == 300_000
 
 
+#: a get's PROPOSED set at the size weakset_rw's peeks haul (median 40
+#: strings): the shape the codec's one bulk lane packs
+_PROPOSED_STRINGS = frozenset(f"churn-0-{i}" for i in range(40))
+
 # one shard round trip's worth of hot frames: a round request carrying
 # a burst of adds, its reply, and a peek reply hauling a PROPOSED set
 _CODEC_MESSAGES = (
@@ -513,7 +517,7 @@ _CODEC_MESSAGES = (
         crashed=frozenset({1, 3}),
         now=42.0,
     ),
-    PeekReply(crashed=False, proposed=frozenset(f"churn-0-{i}" for i in range(40))),
+    PeekReply(crashed=False, proposed=_PROPOSED_STRINGS),
 )
 
 
@@ -528,9 +532,36 @@ def test_bench_frame_codec_binary(benchmark):
     benchmark(_frame_codec_round_trips)
 
 
+def _peek_round_trips(message, repeats: int = 200):
+    for _ in range(repeats):
+        assert decode_message(encode_message(message)) == message
+
+
+def test_bench_frame_codec_proposed_bulk_vs_walker(benchmark):
+    """A get's 40-string ``PeekReply`` on the codec's bulk lane
+    (``test_bench_frame_codec_proposed_bulk``) against the same set
+    plus one int, which no bulk lane takes, so the per-value walker
+    carries it (``test_bench_frame_codec_proposed_walker``): 200 round
+    trips a turn, timed in alternation, 15 turns each.  The bulk lane
+    is the codec's one second layout, kept while it beats the walker.
+    """
+    bulk = PeekReply(crashed=False, proposed=_PROPOSED_STRINGS)
+    walker = PeekReply(crashed=False, proposed=_PROPOSED_STRINGS | {40})
+    _interleave(
+        benchmark,
+        15,
+        {
+            "test_bench_frame_codec_proposed_bulk": lambda: _peek_round_trips(bulk),
+            "test_bench_frame_codec_proposed_walker": lambda: _peek_round_trips(
+                walker
+            ),
+        },
+    )
+
+
 def _nested_payload(index: int):
-    """A nested tuple/frozenset value with all-string leaves — the
-    shape the 'W' flattened layout column-packs into one lane."""
+    """A value two containers deep with all-string leaves: the walker
+    recurses through every tuple and frozenset node."""
     return (
         (f"churn-{index}", (f"key-{index}", f"val-{index}")),
         frozenset({(f"tag-{index}", f"src-{index}"), (f"alt-{index}", "x")}),
@@ -557,9 +588,8 @@ def _nested_codec_round_trips(repeats: int = 200):
 
 
 def test_bench_frame_codec_nested_binary(benchmark):
-    """Nested payloads through the codec's flattened shape-prefixed
-    layout (one shape string + one packed leaf lane instead of one
-    dispatch per node)."""
+    """Nested payloads through the codec's per-value walker: one
+    dispatch per tuple/frozenset node and per leaf."""
     benchmark(_nested_codec_round_trips)
 
 

@@ -274,9 +274,9 @@ def main(argv=None) -> int:
     # zero-latency loopback there is no round-trip bill to save.  The
     # mux pair is end-to-end on plain loopback: one worker process
     # hosting both shard worlds halves the spawns and the frame pairs.
-    # The nested-codec ratio exercises the flattened 'W' layout on
-    # structured payloads (the plain pair's payloads are flat strings),
-    # against the recorded JSON codec like the plain pair.
+    # The nested-codec ratio times the per-value walker on structured
+    # payloads (the plain pair's payloads are flat strings), against
+    # the recorded JSON codec like the plain pair.
     linked_unbatched = micro.get("test_bench_shard_rounds_linked_unbatched")
     linked_batched = micro.get("test_bench_shard_rounds_linked_batched")
     if linked_unbatched and linked_batched:
@@ -287,6 +287,16 @@ def main(argv=None) -> int:
     mux = micro.get("test_bench_churn_workload_socket_mux")
     if batched and mux:
         speedups["churn_socket_mux_vs_per_world"] = round(batched / mux, 2)
+    # The codec's one bulk lane: a get's 40-string PROPOSED set on the
+    # bulk lane against the same set plus one int on the walker (same
+    # run, interleaved).  The lane stays only while it clearly beats
+    # the walker (check_perf.py floors the ratio at 1.5x).
+    proposed_bulk = micro.get("test_bench_frame_codec_proposed_bulk")
+    proposed_walker = micro.get("test_bench_frame_codec_proposed_walker")
+    if proposed_bulk and proposed_walker:
+        speedups["frame_codec_proposed_bulk_vs_walker"] = round(
+            proposed_walker / proposed_bulk, 2
+        )
     nested_binary = micro.get("test_bench_frame_codec_nested_binary")
     recorded = JSON_CODEC_RECORDED_US.get("test_bench_frame_codec_nested_json")
     if nested_binary and recorded:

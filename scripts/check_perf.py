@@ -124,6 +124,13 @@ SAME_RUN_FLOORS = [
         "already folded, or slots that did not grow)",
     ),
     (
+        "frame_codec_proposed_bulk_vs_walker",
+        1.5,
+        "a get's all-strings PROPOSED set lost its edge on the codec's "
+        "bulk lane over the per-value walker (a second layout at parity "
+        "with the walker should be deleted)",
+    ),
+    (
         "shard_rebalance_time",
         0.5,
         "a join rebalance costs more than twice a from-scratch rebuild "
@@ -181,7 +188,7 @@ STRICT_FLOORS = [
     (
         "frame_codec_nested_vs_json_recorded",
         1.3,
-        "the flattened 'W' layout lost its edge over the recorded JSON "
+        "the per-value walker lost its edge over the recorded JSON "
         "codec on nested payloads",
     ),
 ]

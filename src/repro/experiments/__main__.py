@@ -35,10 +35,8 @@ def _parse_address(text: str) -> Tuple[str, int]:
 
     try:
         return parse_address(text)
-    except SimulationError:
-        raise argparse.ArgumentTypeError(
-            f"expected HOST:PORT, got {text!r}"
-        ) from None
+    except SimulationError as error:
+        raise argparse.ArgumentTypeError(str(error)) from None
 
 
 def _parse_fault_plan(text: str):

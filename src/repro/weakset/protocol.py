@@ -39,29 +39,21 @@ The body is a struct-packed field layout for the hot round-trip
 messages (step / peek / mux), which keeps pure-Python JSON out of
 every socket frame::
 
-    adds        := count:u32 [bulk:u8 …]       (absent when count=0)
-    bulk=1      := (token:u64 pid:u32)* charlen:u32* bytes:u32 utf8
-                   (all-string values, column-packed: one length
-                   array, one concatenated blob)
-    bulk=0      := (token:u64 pid:u32 value)*
+    adds        := count:u32 (token:u64 pid:u32 value)*
     value       := 'N'|'T'|'F' | 'I' i64 | 'D' f64 | 'S' u32 utf8
                    | 'V' u32 decimal | 'U' u32 value* | 'X' u32 value*
-                   | 'W' u32 shape lane                (flattened)
                    | 'J' u32 canonical-JSON   (tagged-codec escape)
-    shape       := ('U' u32 | 'X' u32 | 'L')*          (preorder)
-    lane        := 's' u32 charlen:u32* bytes:u32 utf8
-                   | 'i' u32 i64*
 
-The ``'W'`` layout (protocol version 4) flattens a **nested**
-tuple/frozenset whose leaves are all strings (or all i64 ints) into a
-shape prefix plus one column-packed leaf lane — a handful of C pack
-calls instead of one recursive encode per node.  The recursive walker
-stays as the fallback for every other container, so the two layouts
-carry the identical value universe.
+One recursive walker encodes every add value and every tuple/frozenset
+node.  The one column-packed lane is a ``PeekReply``'s all-strings
+``PROPOSED`` set, the one shape the program sends in bulk: a
+``get`` hauls dozens of strings, while a frame carries a handful of
+adds at most (PERFORMANCE.md §25).
 
 Message layouts: tag 3 ``PeekRequest`` = pid:u32 adds; tag 4
-``PeekReply`` = crashed:u8 bulk:u8 count:u32 then (bulk=1) a
-string-set column layout like the adds' or (bulk=0) ``count`` values;
+``PeekReply`` = crashed:u8 bulk:u8 count:u32 then (bulk=1)
+charlen:u32* bytes:u32 utf8 — one character-length array and one
+concatenated blob — or (bulk=0) ``count`` values;
 tag 5 ``StepBatchRequest`` = rounds:u32 adds; tag 6 ``StepBatchReply``
 = alive:u8 executed:u32 count:u32 (token:u64 end:f64)* count:u32
 crashed:u32* now:f64; tags 7/8 ``MuxRequest``/``MuxReply`` = count:u32
@@ -69,6 +61,13 @@ then length-prefixed sub-bodies.  Tags 1 and 2 (the single-tick pair
 of versions 2–6) are retired and decode as unknown tags.  Tag 0 is the
 JSON escape for the cold messages (trace, stop, error, hello, config,
 migrate): canonical JSON (sorted keys, no whitespace) behind the tag.
+
+Decoding fails closed: every count and length is checked against the
+bytes that remain, a bignum must be ``str(value)``'s digits, the bulk
+lane's character lengths must add up to its blob, and a body — a mux
+sub-body too — must end exactly where its layout does.  Anything else
+raises one :class:`ProtocolError`, so a corrupt body cannot decode
+into a value no process added.
 
 The ``'J'`` value escape routes anything outside the native scalar/
 tuple/frozenset universe (``⊥``, interned histories, counter maps,
@@ -167,8 +166,10 @@ __all__ = [
 #: crosses as a :class:`StepBatchRequest` (one tick is ``rounds=1``);
 #: version 8 dropped the resume-round field from :class:`ConfigReply`
 #: and :class:`MigrateRequest` again: a worker only stored it, and the
-#: parent, which drives the replay, knows the round it replays to.
-PROTOCOL_VERSION = 8
+#: parent, which drives the replay, knows the round it replays to;
+#: version 9 dropped the ``'W'`` value layout and the adds' bulk byte
+#: and lane: the recursive walker carries every add and container.
+PROTOCOL_VERSION = 9
 
 _HEADER = struct.Struct(">BI")
 
@@ -460,10 +461,24 @@ def _encode_json_body(message: object) -> bytes:
     ).encode("utf-8")
 
 
+_JSON_DECODER = json.JSONDecoder()
+
+
+def _load_json(data: bytes) -> Any:
+    """Parse ``data`` as exactly one JSON document: unlike
+    :func:`json.loads`, no whitespace may pad it, so a JSON field is
+    consumed exactly like a packed one."""
+    text = data.decode("utf-8")
+    value, end = _JSON_DECODER.raw_decode(text)
+    if end != len(text):
+        raise json.JSONDecodeError("Extra data", text, end)
+    return value
+
+
 def _decode_json_body(body: bytes) -> object:
     """Invert :func:`_encode_json_body`."""
     try:
-        blob = json.loads(body.decode("utf-8"))
+        blob = _load_json(body)
     except (UnicodeDecodeError, json.JSONDecodeError) as error:
         raise ProtocolError(f"undecodable frame body: {error}") from None
     if not isinstance(blob, dict) or "t" not in blob or "v" not in blob:
@@ -501,113 +516,32 @@ def _repeat(fmt: str, count: int) -> struct.Struct:
     return struct.Struct(">" + fmt * count)
 
 
-def _check_items(body: bytes, offset: int, count: int, itemsize: int) -> None:
-    """Reject a wire-read item count the remaining body cannot hold.
+def _check_items(body: bytes, offset: int, count: int, itemsize: int) -> int:
+    """Reject a wire-read item count the remaining body cannot hold;
+    return the offset just past the ``count`` items.
 
     Counts come off the wire before the items they describe; a garbage
     or hostile count (say ``0xFFFFFFFF``) would otherwise be handed to
     :func:`_repeat`, which builds the format *string* first — gigabytes
     of work before ``struct.error`` ever gets a chance.  Checking
     ``count * itemsize`` against the bytes actually present turns every
-    such frame into an immediate :class:`ProtocolError`.
+    such frame into an immediate :class:`ProtocolError`.  Every byte
+    field (bignum, blob, sub-body; a string inlines the same test) is
+    a count of 1-byte items, so no read can slice past the body and
+    come back short.
     """
-    if count * itemsize > len(body) - offset:
+    end = offset + count * itemsize
+    if end > len(body):
         raise ProtocolError(
             f"binary body announces {count} items of {itemsize} byte(s) "
             f"but only {len(body) - offset} bytes remain"
         )
+    return end
 
 #: value kind bytes as ints (decode compares ``body[offset]`` directly)
 _K_NONE, _K_TRUE, _K_FALSE = ord("N"), ord("T"), ord("F")
 _K_INT, _K_BIG, _K_FLOAT, _K_STR = ord("I"), ord("V"), ord("D"), ord("S")
 _K_TUPLE, _K_FSET, _K_JSON = ord("U"), ord("X"), ord("J")
-_K_FLAT, _K_LEAF = ord("W"), ord("L")
-_LANE_STR, _LANE_I64 = ord("s"), ord("i")
-
-
-def _flatten_shape(value: Any, shape: bytearray, leaves: list) -> int:
-    """Preorder shape walk for the ``'W'`` layout; returns how many
-    containers the subtree holds.  Leaves land in ``leaves`` untyped —
-    the caller checks lane eligibility afterwards and discards the
-    walk when no bulk lane fits."""
-    kind = type(value)
-    if kind is tuple:
-        shape += _SIZED.pack(b"U", len(value))
-        containers = 1
-        for item in value:
-            containers += _flatten_shape(item, shape, leaves)
-        return containers
-    if kind is frozenset:
-        # same canonical (repr-sorted) element order as the walker
-        shape += _SIZED.pack(b"X", len(value))
-        containers = 1
-        for item in sorted(value, key=repr):
-            containers += _flatten_shape(item, shape, leaves)
-        return containers
-    shape.append(_K_LEAF)
-    leaves.append(value)
-    return 0
-
-
-def _encode_flattened(value: Any, out: bytearray) -> bool:
-    """Try the flattened shape-prefixed ``'W'`` layout for a container.
-
-    Applies to *nested* tuples/frozensets (two or more containers)
-    whose leaves all fit one bulk lane — all ``str``, or all i64-range
-    ``int``.  The shape crosses as one preorder token string and the
-    leaves as one column-packed lane, so decode is a few C unpack
-    calls plus a shape rebuild instead of one dispatch per node.
-    Returns ``False`` (having written nothing) when the value does not
-    qualify; the caller falls back to the recursive walker.
-    """
-    shape = bytearray()
-    leaves: list = []
-    containers = _flatten_shape(value, shape, leaves)
-    if containers < 2 or not leaves:
-        return False
-    count = len(leaves)
-    if all(type(leaf) is str for leaf in leaves):
-        out += _SIZED.pack(b"W", len(shape))
-        out += shape
-        blob = "".join(leaves).encode("utf-8")
-        out.append(_LANE_STR)
-        out += _U32.pack(count)
-        out += _repeat("I", count).pack(*map(len, leaves))
-        out += _U32.pack(len(blob))
-        out += blob
-        return True
-    if all(
-        type(leaf) is int and -(1 << 63) <= leaf < (1 << 63) for leaf in leaves
-    ):
-        out += _SIZED.pack(b"W", len(shape))
-        out += shape
-        out.append(_LANE_I64)
-        out += _U32.pack(count)
-        out += _repeat("q", count).pack(*leaves)
-        return True
-    return False
-
-
-def _rebuild_shape(
-    shape: bytes, offset: int, leaves: list, index: int
-) -> Tuple[Any, int, int]:
-    """Rebuild one subtree from a ``'W'`` shape prefix and leaf lane;
-    returns (value, new shape offset, new leaf index)."""
-    token = shape[offset]
-    offset += 1
-    if token == _K_LEAF:
-        return leaves[index], offset, index + 1
-    (count,) = _U32.unpack_from(shape, offset)
-    offset += 4
-    items = []
-    for _ in range(count):
-        item, offset, index = _rebuild_shape(shape, offset, leaves, index)
-        items.append(item)
-    if token == _K_TUPLE:
-        return tuple(items), offset, index
-    if token == _K_FSET:
-        return frozenset(items), offset, index
-    raise ProtocolError(f"unknown shape token {token!r}")
 
 
 def _encode_binary_value(value: Any, out: bytearray) -> None:
@@ -641,17 +575,15 @@ def _encode_binary_value(value: Any, out: bytearray) -> None:
     elif value is False:
         out += b"F"
     elif kind is tuple:
-        if not _encode_flattened(value, out):
-            out += _SIZED.pack(b"U", len(value))
-            for item in value:
-                _encode_binary_value(item, out)
+        out += _SIZED.pack(b"U", len(value))
+        for item in value:
+            _encode_binary_value(item, out)
     elif kind is frozenset:
         # Canonical (repr-sorted) element order, like the canonical
         # codec: equal sets encode byte-identically in every process.
-        if not _encode_flattened(value, out):
-            out += _SIZED.pack(b"X", len(value))
-            for item in sorted(value, key=repr):
-                _encode_binary_value(item, out)
+        out += _SIZED.pack(b"X", len(value))
+        for item in sorted(value, key=repr):
+            _encode_binary_value(item, out)
     else:
         # bool/int/float/str subclasses land here too (exact types
         # above keep the hot path to one dispatch) — the canonical
@@ -676,7 +608,13 @@ def _decode_binary_value(body: bytes, offset: int) -> Tuple[Any, int]:
     if kind == _K_STR:
         (length,) = _U32.unpack_from(body, offset)
         offset += 4
-        return body[offset : offset + length].decode("utf-8"), offset + length
+        end = offset + length
+        if end > len(body):  # _check_items inline: the walker's hottest read
+            raise ProtocolError(
+                f"string announces {length} bytes but only "
+                f"{len(body) - offset} remain"
+            )
+        return body[offset:end].decode("utf-8"), end
     if kind == _K_INT:
         return _I64.unpack_from(body, offset)[0], offset + 8
     if kind == _K_FLOAT:
@@ -690,7 +628,12 @@ def _decode_binary_value(body: bytes, offset: int) -> Tuple[Any, int]:
     if kind == _K_BIG:
         (length,) = _U32.unpack_from(body, offset)
         offset += 4
-        return int(body[offset : offset + length].decode("ascii")), offset + length
+        end = _check_items(body, offset, length, 1)
+        digits = body[offset:end].decode("ascii")
+        # int() also takes " 1_0"; the encoder writes str(value) only
+        if not digits.lstrip("-").isdecimal():
+            raise ProtocolError(f"malformed bignum digits {digits!r}")
+        return int(digits), end
     if kind == _K_TUPLE:
         (count,) = _U32.unpack_from(body, offset)
         offset += 4
@@ -709,49 +652,12 @@ def _decode_binary_value(body: bytes, offset: int) -> Tuple[Any, int]:
             item, offset = _decode_binary_value(body, offset)
             items.append(item)
         return frozenset(items), offset
-    if kind == _K_FLAT:
-        (shape_size,) = _U32.unpack_from(body, offset)
-        offset += 4
-        if shape_size > len(body) - offset:
-            raise ProtocolError(
-                f"flattened shape prefix announces {shape_size} bytes, "
-                f"only {len(body) - offset} remain"
-            )
-        shape = body[offset : offset + shape_size]
-        offset += shape_size
-        lane = body[offset]
-        offset += 1
-        (count,) = _U32.unpack_from(body, offset)
-        offset += 4
-        leaves: list = []
-        if lane == _LANE_STR:
-            _check_items(body, offset, count, 4)
-            lengths = _repeat("I", count).unpack_from(body, offset)
-            offset += 4 * count
-            (blob_size,) = _U32.unpack_from(body, offset)
-            offset += 4
-            text = body[offset : offset + blob_size].decode("utf-8")
-            offset += blob_size
-            position = 0
-            for length in lengths:
-                leaves.append(text[position : position + length])
-                position += length
-        elif lane == _LANE_I64:
-            _check_items(body, offset, count, 8)
-            leaves.extend(_repeat("q", count).unpack_from(body, offset))
-            offset += 8 * count
-        else:
-            raise ProtocolError(f"unknown flattened leaf lane {lane!r}")
-        value, shape_offset, leaf_index = _rebuild_shape(shape, 0, leaves, 0)
-        if shape_offset != len(shape) or leaf_index != count:
-            raise ProtocolError("malformed flattened shape prefix")
-        return value, offset
     if kind == _K_JSON:
         (length,) = _U32.unpack_from(body, offset)
         offset += 4
-        blob = body[offset : offset + length]
+        end = _check_items(body, offset, length, 1)
         try:
-            return decode_value(json.loads(blob.decode("utf-8"))), offset + length
+            return decode_value(_load_json(body[offset:end])), end
         except (
             UnicodeDecodeError,
             json.JSONDecodeError,
@@ -762,67 +668,23 @@ def _decode_binary_value(body: bytes, offset: int) -> Tuple[Any, int]:
 
 
 def _pack_adds(adds: Tuple[QueuedAdd, ...], out: bytearray) -> None:
-    count = len(adds)
-    out += _U32.pack(count)
-    if not count:
-        return
-    strings = [value for _t, _p, value in adds if type(value) is str]
-    if len(strings) == count:
-        # bulk layout for the dominant case (string add values):
-        # column-packed (token, pid) heads, one *character*-length
-        # array and one concatenated blob — a handful of C calls for
-        # the whole batch, and the decoder pays ONE utf-8 decode plus
-        # a string slice per value.  Queue order is semantic and
-        # preserved (no sorting here).
-        out.append(1)
-        heads: list = []
-        for token, pid, _value in adds:
-            heads.append(token)
-            heads.append(pid)
-        blob = "".join(strings).encode("utf-8")
-        out += _repeat("QI", count).pack(*heads)
-        out += _repeat("I", count).pack(*map(len, strings))
-        out += _U32.pack(len(blob))
-        out += blob
-    else:
-        out.append(0)
-        for token, pid, value in adds:
-            out += _ADD_HEAD.pack(token, pid)
-            _encode_binary_value(value, out)
+    # queue order is semantic and preserved (no sorting here)
+    out += _U32.pack(len(adds))
+    for token, pid, value in adds:
+        out += _ADD_HEAD.pack(token, pid)
+        _encode_binary_value(value, out)
 
 
 def _unpack_adds(body: bytes, offset: int) -> Tuple[Tuple[QueuedAdd, ...], int]:
     (count,) = _U32.unpack_from(body, offset)
     offset += 4
-    if not count:
-        return (), offset
-    bulk = body[offset]
-    offset += 1
+    # an add is its head plus at least one value byte
+    _check_items(body, offset, count, _ADD_HEAD.size + 1)
     adds = []
-    if bulk:
-        _check_items(body, offset, count, 12)
-        heads = _repeat("QI", count).unpack_from(body, offset)
-        offset += 12 * count
-        _check_items(body, offset, count, 4)
-        lengths = _repeat("I", count).unpack_from(body, offset)
-        offset += 4 * count
-        (blob_size,) = _U32.unpack_from(body, offset)
-        offset += 4
-        text = body[offset : offset + blob_size].decode("utf-8")
-        offset += blob_size
-        position = 0
-        for index, length in enumerate(lengths):
-            adds.append(
-                (heads[2 * index], heads[2 * index + 1], text[position : position + length])
-            )
-            position += length
-    else:
-        head_size = _ADD_HEAD.size
-        for _ in range(count):
-            token, pid = _ADD_HEAD.unpack_from(body, offset)
-            offset += head_size
-            value, offset = _decode_binary_value(body, offset)
-            adds.append((token, pid, value))
+    for _ in range(count):
+        token, pid = _ADD_HEAD.unpack_from(body, offset)
+        value, offset = _decode_binary_value(body, offset + _ADD_HEAD.size)
+        adds.append((token, pid, value))
     return tuple(adds), offset
 
 
@@ -905,11 +767,13 @@ def _decode_binary_body(body: bytes) -> object:
         raise ProtocolError("empty binary frame body")
     tag = body[0]
     try:
+        if tag == _B_JSON:
+            return _decode_json_body(body[1:])
         if tag == _B_BATCH_REQ:
             (rounds,) = _U32.unpack_from(body, 1)
-            adds, _offset = _unpack_adds(body, 5)
-            return StepBatchRequest(rounds=rounds, adds=adds)
-        if tag == _B_BATCH_REP:
+            adds, offset = _unpack_adds(body, 5)
+            message = StepBatchRequest(rounds=rounds, adds=adds)
+        elif tag == _B_BATCH_REP:
             executed, count = _BATCH_REP_HEAD.unpack_from(body, 2)
             offset = 10
             if count:
@@ -923,21 +787,21 @@ def _decode_binary_body(body: bytes) -> object:
             offset += 4
             _check_items(body, offset, count, 4)
             crashed = frozenset(_repeat("I", count).unpack_from(body, offset))
-            (now,) = _F64.unpack_from(body, offset + 4 * count)
-            return StepBatchReply(
+            offset += 4 * count
+            (now,) = _F64.unpack_from(body, offset)
+            offset += 8
+            message = StepBatchReply(
                 alive=bool(body[1]),
                 executed=executed,
                 completions=completions,
                 crashed=crashed,
                 now=now,
             )
-        if tag == _B_JSON:
-            return _decode_json_body(body[1:])
-        if tag == _B_PEEK_REQ:
+        elif tag == _B_PEEK_REQ:
             (pid,) = _U32.unpack_from(body, 1)
-            adds, _offset = _unpack_adds(body, 5)
-            return PeekRequest(pid=pid, adds=adds)
-        if tag == _B_PEEK_REP:
+            adds, offset = _unpack_adds(body, 5)
+            message = PeekRequest(pid=pid, adds=adds)
+        elif tag == _B_PEEK_REP:
             (count,) = _U32.unpack_from(body, 3)
             offset = 7
             items = []
@@ -947,7 +811,14 @@ def _decode_binary_body(body: bytes) -> object:
                 offset += 4 * count
                 (blob_size,) = _U32.unpack_from(body, offset)
                 offset += 4
-                text = body[offset : offset + blob_size].decode("utf-8")
+                end = _check_items(body, offset, blob_size, 1)
+                text = body[offset:end].decode("utf-8")
+                offset = end
+                if sum(lengths) != len(text):
+                    raise ProtocolError(
+                        f"bulk string lengths add up to {sum(lengths)} "
+                        f"characters but the blob holds {len(text)}"
+                    )
                 position = 0
                 for length in lengths:
                     items.append(text[position : position + length])
@@ -957,8 +828,8 @@ def _decode_binary_body(body: bytes) -> object:
                 for _ in range(count):
                     item, offset = _decode_binary_value(body, offset)
                     items.append(item)
-            return PeekReply(crashed=bool(body[1]), proposed=frozenset(items))
-        if tag in (_B_MUX_REQ, _B_MUX_REP):
+            message = PeekReply(crashed=bool(body[1]), proposed=frozenset(items))
+        elif tag in (_B_MUX_REQ, _B_MUX_REP):
             (count,) = _U32.unpack_from(body, 1)
             offset = 5
             _check_items(body, offset, count, 4)
@@ -966,10 +837,13 @@ def _decode_binary_body(body: bytes) -> object:
             for _ in range(count):
                 (length,) = _U32.unpack_from(body, offset)
                 offset += 4
-                subs.append(_decode_binary_body(body[offset : offset + length]))
-                offset += length
+                end = _check_items(body, offset, length, 1)
+                subs.append(_decode_binary_body(body[offset:end]))
+                offset = end
             cls = MuxRequest if tag == _B_MUX_REQ else MuxReply
-            return cls(subs=tuple(subs))
+            message = cls(subs=tuple(subs))
+        else:
+            raise ProtocolError(f"unknown binary message tag {tag!r}")
     except ProtocolError:
         raise
     except (
@@ -983,7 +857,12 @@ def _decode_binary_body(body: bytes) -> object:
         raise ProtocolError(
             f"truncated or corrupt binary frame body: {error!r}"
         ) from None
-    raise ProtocolError(f"unknown binary message tag {tag!r}")
+    if offset != len(body):
+        raise ProtocolError(
+            f"binary body holds {len(body)} bytes but its "
+            f"{type(message).__name__} layout ends at byte {offset}"
+        )
+    return message
 
 
 # ----------------------------------------------------------------------

@@ -1972,15 +1972,18 @@ def parse_address(text: str) -> Tuple[str, int]:
 
     The one address syntax shared by the backend spec, the CLI's
     ``--listen``/``--connect`` flags, and :func:`run_socket_worker`
-    callers.
+    callers.  The port must be a decimal number in 0–65535, the range
+    a socket can bind or connect to.
 
     Example:
         >>> parse_address("0.0.0.0:7000")
         ('0.0.0.0', 7000)
     """
     host, _sep, port = text.rpartition(":")
-    if not host or not port.isdigit():
-        raise SimulationError(f"bad address {text!r}; expected HOST:PORT")
+    if not host or not port.isdecimal() or int(port) > 65535:
+        raise SimulationError(
+            f"bad address {text!r}; expected HOST:PORT with a port in 0-65535"
+        )
     return host, int(port)
 
 

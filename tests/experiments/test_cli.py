@@ -71,14 +71,21 @@ class TestCli:
             main(["C1", "--backend", "multiprocess", "--listen", "0.0.0.0:7000"])
         assert excinfo.value.code == 2
 
-    def test_listen_and_connect_addresses_validated(self):
+    def test_listen_and_connect_addresses_validated(self, capsys):
         for argv in (
             ["C1", "--backend", "socket", "--listen", "nonsense"],
             ["--connect", "7000"],
+            # ports past 65535 are usage errors, not a socket-layer
+            # OverflowError or a worker that retries and serves nothing
+            ["C1", "--backend", "socket", "--listen", "127.0.0.1:99999"],
+            ["--connect", "127.0.0.1:99999"],
         ):
             with pytest.raises(SystemExit) as excinfo:
                 main(argv)
             assert excinfo.value.code == 2
+            err = capsys.readouterr().err
+            assert "expected HOST:PORT with a port in 0-65535" in err
+            assert "Traceback" not in err
 
     def test_connect_rejects_experiment_arguments(self):
         with pytest.raises(SystemExit) as excinfo:

@@ -53,8 +53,8 @@ queued_adds = st.lists(
     max_size=5,
 ).map(tuple)
 
-# nested payloads whose leaves all fit one bulk lane — the 'W'
-# flattened layout's target shapes
+# nested payloads over one leaf kind (all strings, or all i64 ints):
+# deep walker recursion with no escape values in the way
 nested_strings = st.recursive(
     st.text(max_size=8),
     lambda children: st.one_of(

@@ -4,8 +4,9 @@ The acceptance bar for the transport split and the binary fast path:
 the frame codec must round-trip every message type exactly
 (property-tested over the value universe the weak set trades in —
 including unicode strings, nested frozensets, big ints and ``⊥``),
-frames must fail loudly — wrong version, truncation, unknown tags —
-instead of mis-decoding, and a version mismatch must carry both
+frames must fail loudly — wrong version, truncation, unknown tags, a
+body that does not hold exactly what it announces — instead of
+mis-decoding, and a version mismatch must carry both
 versions so bootstrap code can name them.
 """
 
@@ -26,6 +27,7 @@ from gen import (
 )
 from repro.core.counters import FrozenCounters
 from repro.serialization import trace_to_json
+from repro.values import BOTTOM
 from repro.weakset.protocol import (
     HEADER_SIZE,
     PROTOCOL_VERSION,
@@ -59,6 +61,11 @@ def roundtrip(message):
 def header(length, version=PROTOCOL_VERSION):
     """A hand-built frame header: version:u8 length:u32."""
     return bytes([version]) + length.to_bytes(4, "big")
+
+
+def reframe(body):
+    """A frame around ``body`` whose header length matches it."""
+    return header(len(body)) + bytes(body)
 
 
 class TestRoundTripIdentity:
@@ -147,21 +154,19 @@ def _body(message):
     return encode_message(message)[HEADER_SIZE:]
 
 
-class TestFlattenedLayout:
-    """The 'W' shape-prefixed layout: nested homogeneous containers
-    cross as one shape string plus one column-packed leaf lane; every
-    shape that does not qualify falls back to the recursive walker —
-    and both paths round-trip identically."""
+class TestNestedValues:
+    """The recursive walker carries every tuple/frozenset value, at any
+    depth and over any mix of leaves, and round-trips it exactly."""
 
     @given(value=nested_strings)
     @settings(max_examples=60)
-    def test_string_lane_round_trips(self, value):
+    def test_nested_strings_round_trip(self, value):
         message = StepBatchRequest(rounds=1, adds=((0, 0, value),))
         assert roundtrip(message) == message
 
     @given(value=nested_i64)
     @settings(max_examples=60)
-    def test_i64_lane_round_trips(self, value):
+    def test_nested_i64_round_trip(self, value):
         message = PeekReply(crashed=False, proposed=frozenset({(value, 0)}))
         assert roundtrip(message) == message
 
@@ -174,36 +179,22 @@ class TestFlattenedLayout:
         max_leaves=10,
     ))
     @settings(max_examples=60)
-    def test_walker_fallback_round_trips(self, value):
-        """Mixed-lane leaves (strings next to ints, floats, ⊥ …) do
-        not qualify for a bulk lane; the walker carries them."""
+    def test_mixed_leaves_round_trip(self, value):
+        """Strings next to ints, floats, ⊥ … in one container."""
         message = StepBatchRequest(rounds=1, adds=((1, 2, (value, "tail")),))
         assert roundtrip(message) == message
 
-    def test_flattened_layout_engages_on_nested_payloads(self):
-        nested = (("aa", "bb"), frozenset({"cc"}))
-        assert b"W" in _body(StepBatchRequest(rounds=1, adds=((0, 0, nested),)))
-        # a single (unnested) container stays on the walker: the
-        # shape prefix would cost more than it saves
-        flat = ("aa", "bb", "cc")
-        assert b"W" not in _body(StepBatchRequest(rounds=1, adds=((0, 0, flat),)))
-        # mixed leaf types disqualify the bulk lanes
-        mixed = (("aa", 1), frozenset({"cc"}))
-        assert b"W" not in _body(StepBatchRequest(rounds=1, adds=((0, 0, mixed),)))
-        message = StepBatchRequest(rounds=1, adds=((0, 0, mixed),))
-        assert roundtrip(message) == message
-
-    def test_big_ints_fall_back_to_the_walker(self):
+    def test_big_ints_round_trip(self):
+        """Ints outside i64 cross as decimal digits (``'V'``)."""
         huge = ((1 << 70, 2), (3, 4))
-        body = _body(StepBatchRequest(rounds=1, adds=((0, 0, huge),)))
-        assert b"W" not in body
         message = StepBatchRequest(rounds=1, adds=((0, 0, huge),))
+        assert b"V" + (22).to_bytes(4, "big") + str(1 << 70).encode() in _body(message)
         assert roundtrip(message) == message
 
     def test_equal_frozensets_encode_byte_identically(self):
-        """The flattened frozenset walk keeps the canonical
-        (repr-sorted) element order, so equal sets built in different
-        orders produce the same bytes in every process."""
+        """The walker visits a frozenset in the canonical (repr-sorted)
+        element order, so equal sets built in different orders produce
+        the same bytes in every process."""
         ab = frozenset({("a", "b"), ("c", "d")})
         ba = frozenset({("c", "d"), ("a", "b")})
         left = encode_message(PeekReply(crashed=False, proposed=ab))
@@ -295,8 +286,8 @@ class TestFraming:
         with pytest.raises(VersionMismatch) as excinfo:
             decode_message(v5_frame)
         assert excinfo.value.peer_version == 5
-        assert excinfo.value.local_version == 8
-        assert "5" in str(excinfo.value) and "8" in str(excinfo.value)
+        assert excinfo.value.local_version == 9
+        assert "5" in str(excinfo.value) and "9" in str(excinfo.value)
 
     def test_v6_round_request_raises_version_mismatch(self):
         """A v6 peer's one-tick step (tag 1, no rounds field) fails on
@@ -306,13 +297,36 @@ class TestFraming:
         with pytest.raises(VersionMismatch) as excinfo:
             decode_message(v6_frame)
         assert excinfo.value.peer_version == 6
-        assert excinfo.value.local_version == 8
-        assert "6" in str(excinfo.value) and "8" in str(excinfo.value)
+        assert excinfo.value.local_version == 9
+        assert "6" in str(excinfo.value) and "9" in str(excinfo.value)
 
-    def test_protocol_v8_pins(self):
-        """Version 8 dropped the resume-round field: the config and
-        migrate bodies carry exactly the fields left."""
-        assert PROTOCOL_VERSION == 8
+    def test_protocol_v9_pins(self):
+        """Version 9 left one layout for adds, ``count:u32`` then
+        ``token:u64 pid:u32 value`` per add with no bulk byte, even
+        when every value is a string, and the walker carries containers
+        node by node.  The config and migrate bodies carry exactly the
+        fields version 8 left."""
+        assert PROTOCOL_VERSION == 9
+
+        def u32(value):
+            return value.to_bytes(4, "big")
+
+        def add_head(token, pid):
+            return token.to_bytes(8, "big") + u32(pid)
+
+        step = _body(StepBatchRequest(rounds=2, adds=((7, 3, "ab"), (8, 1, "c"))))
+        assert step == (
+            bytes([5]) + u32(2) + u32(2)
+            + add_head(7, 3) + b"S" + u32(2) + b"ab"
+            + add_head(8, 1) + b"S" + u32(1) + b"c"
+        )
+        assert _body(PeekRequest(pid=4, adds=())) == bytes([3]) + u32(4) + u32(0)
+        nested = _body(PeekRequest(pid=0, adds=((1, 0, (("a",), frozenset({"b"}))),)))
+        assert nested == (
+            bytes([3]) + u32(0) + u32(1) + add_head(1, 0)
+            + b"U" + u32(2) + b"U" + u32(1) + b"S" + u32(1) + b"a"
+            + b"X" + u32(1) + b"S" + u32(1) + b"b"
+        )
         assert [f.name for f in fields(ConfigReply)] == [
             "shard_index", "world", "extra_shards",
         ]
@@ -327,6 +341,22 @@ class TestFraming:
             "t": "migrate_req", "v": {"shard_index": 3},
         }
 
+    def test_v8_frame_raises_version_mismatch(self):
+        """A v8 peer's step carrying its all-strings bulk adds (bulk
+        byte 1, column-packed heads, lengths and blob) fails on its
+        first byte, naming both versions."""
+        body = (
+            bytes([5]) + (1).to_bytes(4, "big") + (1).to_bytes(4, "big")
+            + bytes([1]) + (0).to_bytes(8, "big") + (2).to_bytes(4, "big")
+            + (5).to_bytes(4, "big") + (5).to_bytes(4, "big") + b"alpha"
+        )
+        v8_frame = bytes([8]) + len(body).to_bytes(4, "big") + body
+        with pytest.raises(VersionMismatch) as excinfo:
+            decode_message(v8_frame)
+        assert excinfo.value.peer_version == 8
+        assert excinfo.value.local_version == 9
+        assert "8" in str(excinfo.value) and "9" in str(excinfo.value)
+
     def test_v7_frame_raises_version_mismatch(self):
         """A v7 peer's migrate request (still carrying its resume
         round) fails on its first byte, naming both versions."""
@@ -337,8 +367,8 @@ class TestFraming:
         with pytest.raises(VersionMismatch) as excinfo:
             decode_message(v7_frame)
         assert excinfo.value.peer_version == 7
-        assert excinfo.value.local_version == 8
-        assert "7" in str(excinfo.value) and "8" in str(excinfo.value)
+        assert excinfo.value.local_version == 9
+        assert "7" in str(excinfo.value) and "9" in str(excinfo.value)
 
     def test_truncated_frame_rejected(self):
         frame = encode_message(StepBatchRequest(rounds=1, adds=((0, 1, "x"),)))
@@ -457,6 +487,85 @@ class TestWireTags:
         )
 
 
+#: the bulk PeekReply the corrupt-body cases edit: sorted strings, so
+#: its length array reads 5 ("alpha") then 4 ("beta")
+ALPHA_BETA = PeekReply(crashed=False, proposed=frozenset({"alpha", "beta"}))
+
+
+class TestBodiesHoldExactlyWhatTheyAnnounce:
+    """A body edited under a header fixed to match the edit fails with
+    one ProtocolError; it never decodes into values no process added
+    (each case below decoded quietly before the codec checked every
+    length and required every body to be consumed exactly)."""
+
+    def test_cut_bulk_blob(self):
+        """Cut 3 bytes: the blob announces more bytes than remain."""
+        body = _body(ALPHA_BETA)
+        with pytest.raises(ProtocolError, match="announces 9 items"):
+            decode_message(reframe(body[:-3]))
+
+    def test_bulk_lengths_must_add_up_to_the_blob(self):
+        body = bytearray(_body(ALPHA_BETA))
+        assert body[7:15] == (5).to_bytes(4, "big") + (4).to_bytes(4, "big")
+        body[7:11] = (2).to_bytes(4, "big")
+        with pytest.raises(ProtocolError, match="add up to 6 characters"):
+            decode_message(reframe(body))
+
+    @pytest.mark.parametrize(
+        "last", ["beta", 1 << 70, BOTTOM], ids=["string", "bignum", "escape"]
+    )
+    def test_cut_last_add_value(self, last):
+        """The last add's string, bignum digits or ``'J'`` blob cut."""
+        request = StepBatchRequest(rounds=1, adds=((0, 1, "alpha"), (1, 2, last)))
+        with pytest.raises(ProtocolError):
+            decode_message(reframe(_body(request)[:-2]))
+
+    @pytest.mark.parametrize("digits", [b" 1_0", b"+10", b"1e3", b"-"])
+    def test_bignum_digits_must_be_canonical(self, digits):
+        """A ``'V'`` value holds ``str(value)``; padding, separators or
+        a sign ``int()`` would accept are corruption."""
+        body = (
+            bytes([5]) + (1).to_bytes(4, "big") + (1).to_bytes(4, "big")
+            + (0).to_bytes(8, "big") + (0).to_bytes(4, "big")
+            + b"V" + len(digits).to_bytes(4, "big") + digits
+        )
+        with pytest.raises(ProtocolError, match="malformed bignum digits"):
+            decode_message(reframe(body))
+
+    @pytest.mark.parametrize(
+        "fix_sub_length", [False, True], ids=["sub-length-kept", "sub-length-fixed"]
+    )
+    def test_cut_mux_sub_body(self, fix_sub_length):
+        peek = PeekReply(crashed=False, proposed=frozenset({"alpha"}))
+        body = bytearray(_body(MuxReply(subs=(peek,)))[:-2])
+        if fix_sub_length:
+            # tag:u8 count:u32 then the one sub-body's length:u32
+            body[5:9] = (len(body) - 9).to_bytes(4, "big")
+        with pytest.raises(ProtocolError, match="announces"):
+            decode_message(reframe(body))
+
+    @pytest.mark.parametrize(
+        "message",
+        [message for message, _tag in HOT_TAGS],
+        ids=[type(message).__name__ for message, _tag in HOT_TAGS],
+    )
+    def test_trailing_bytes_rejected(self, message):
+        with pytest.raises(ProtocolError, match="layout ends at byte"):
+            decode_message(reframe(_body(message) + b"\x00"))
+
+    def test_trailing_bytes_in_a_mux_sub_body_rejected(self):
+        sub = _body(PeekRequest(pid=1, adds=())) + b"\x00"
+        body = bytes([7]) + (1).to_bytes(4, "big") + len(sub).to_bytes(4, "big") + sub
+        with pytest.raises(ProtocolError, match="PeekRequest layout ends"):
+            decode_message(reframe(body))
+
+    @pytest.mark.parametrize("padding", [b" ", b"\n", b"x"])
+    def test_cold_json_body_must_end_with_its_document(self, padding):
+        body = _body(StopRequest()) + padding
+        with pytest.raises(ProtocolError, match="undecodable"):
+            decode_message(reframe(body))
+
+
 class TestCodecFuzz:
     """Hostile-input bar for the codec: decode of any truncated or
     corrupted frame must raise a clean :class:`ProtocolError` (or its
@@ -515,12 +624,12 @@ class TestCodecFuzz:
         except ProtocolError:
             pass
 
-    @given(value=st.one_of(nested_strings, nested_i64), data=st.data())
+    @given(value=st.one_of(nested_strings, nested_i64, values), data=st.data())
     @settings(max_examples=150)
-    def test_flattened_layout_survives_corruption(self, value, data):
-        """The 'W' shape-prefixed layout under byte corruption: its
-        shape prefix, lane byte, counts and blob are all attack
-        surface; nothing worse than ProtocolError may escape."""
+    def test_nested_values_survive_corruption(self, value, data):
+        """Nested walker values under byte corruption: every kind byte,
+        count and length inside them is attack surface; nothing worse
+        than ProtocolError may escape."""
         frame = bytearray(
             encode_message(
                 StepBatchRequest(rounds=1, adds=((1, 0, (value, value)),))
@@ -536,6 +645,25 @@ class TestCodecFuzz:
         except ProtocolError:
             pass
 
+    @given(message=messages, data=st.data())
+    @settings(max_examples=150)
+    def test_cut_bodies_raise_protocol_error(self, message, data):
+        """A body cut short under a header that matches the cut (the
+        frame length is right, the body is not) never decodes."""
+        body = _body(message)
+        missing = data.draw(st.integers(min_value=1, max_value=len(body)))
+        with pytest.raises(ProtocolError):
+            decode_message(reframe(body[: len(body) - missing]))
+
+    @given(message=messages, garbage=st.binary(min_size=1, max_size=16))
+    @settings(max_examples=150)
+    def test_trailing_bytes_raise_protocol_error(self, message, garbage):
+        """Bytes past the end of a message's layout, under a header
+        that counts them, never decode: a body holds exactly one
+        message."""
+        with pytest.raises(ProtocolError):
+            decode_message(reframe(_body(message) + garbage))
+
     def test_giant_count_rejected_before_allocation(self):
         """A hostile item count (0xFFFFFFFF) must be rejected from the
         body length, not handed to the column unpacker to build a
@@ -543,8 +671,8 @@ class TestCodecFuzz:
         import struct
         import time
 
-        # bulk-adds layout announcing 2**32-1 adds in a 10-byte body
-        body = struct.pack(">BIIB", 5, 1, 0xFFFFFFFF, 1)  # tag=batch_req
+        # a step announcing 2**32-1 adds in a 9-byte body
+        body = struct.pack(">BII", 5, 1, 0xFFFFFFFF)  # tag=batch_req
         started = time.perf_counter()
         with pytest.raises(ProtocolError, match="announce"):
             decode_message(header(len(body)) + body)
@@ -561,7 +689,6 @@ class TestCodecFuzz:
             bytes([5])  # batch_req tag
             + (1).to_bytes(4, "big")  # rounds
             + (1).to_bytes(4, "big")  # one add
-            + bytes([0])  # walker (non-bulk) layout
             + add_head
             + value
         )

@@ -414,8 +414,12 @@ class TestTransportBackendSemantics:
         assert parse_backend_spec("socket:10.0.0.5:7000") == (
             "socket", {"listen": ("10.0.0.5", 7000)},
         )
-        with pytest.raises(SimulationError):
-            parse_backend_spec("socket:7000")
+        assert parse_backend_spec("socket:10.0.0.5:65535") == (
+            "socket", {"listen": ("10.0.0.5", 65535)},
+        )
+        for spec in ("socket:7000", "socket:10.0.0.5:65536", "socket:h:²"):
+            with pytest.raises(SimulationError, match="socket:HOST:PORT"):
+                parse_backend_spec(spec)
         with pytest.raises(SimulationError):
             parse_backend_spec("multiprocess:opts")
 
