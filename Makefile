@@ -9,14 +9,16 @@ test:
 
 # Columnar suite alone: the counter-storage property tests and the
 # engine-equivalence pins (heartbeats on both schedulers, Algorithm 3
-# on the lock-step engine).  CI runs it twice — with numpy, and again
+# on the lock-step engine), plus the drifting loop against its frozen
+# per-envelope oracle.  CI runs it twice — with numpy, and again
 # after uninstalling numpy, where every columnar request declines to
 # the object engine with the numpy reason and the pins check that.
 test-columnar:
 	$(PYTHON) -m pytest -q tests/core/test_columnar.py \
 		tests/runtime/test_columnar_engine.py \
 		tests/runtime/test_columnar_ess.py \
-		tests/runtime/test_columnar_drifting_engine.py
+		tests/runtime/test_columnar_drifting_engine.py \
+		tests/runtime/test_drifting_oracle.py
 
 # Chaos suite: the fault-injection and crash-recovery tests alone —
 # seeded FaultPlans (fixed in the test files, so every run replays the

@@ -18,9 +18,11 @@ import queue
 import random
 import socket
 import statistics
+import sys
 import threading
 import time
 from collections import deque
+from pathlib import Path
 
 from repro.core.counters import FrozenCounters, apply_round_update
 from repro.core.es_consensus import ESConsensus
@@ -61,8 +63,10 @@ from repro.weakset.sharding import (
     spawn_socket_workers,
 )
 
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
-def _interleave(benchmark, turns, sides):
+
+def _interleave(benchmark, turns, sides, setup=None):
     """Time the two ``sides`` of a same-run ratio in alternation.
 
     ``sides`` maps a bench name to a zero-argument call.  After one
@@ -72,17 +76,27 @@ def _interleave(benchmark, turns, sides):
     ``benchmarks/capture.py`` files in ``micro_us``.  A slow spell on
     the host then lands on both sides of the ratio alike, instead of on
     whichever side happened to run during it.
+
+    ``setup`` optionally maps a side's name to a zero-argument call
+    run before each of that side's turns, outside the timing; the side
+    is then called with what it returns (a fresh cluster, say, that
+    the timed call changes).
     """
+    setup = setup or {}
+
+    def turn(name, call):
+        args = (setup[name](),) if name in setup else ()
+        start = time.perf_counter()
+        call(*args)
+        return time.perf_counter() - start
 
     def alternate():
         samples = {name: [] for name in sides}
-        for call in sides.values():
-            call()
+        for name, call in sides.items():
+            turn(name, call)
         for _ in range(turns):
             for name, call in sides.items():
-                start = time.perf_counter()
-                call()
-                samples[name].append(time.perf_counter() - start)
+                samples[name].append(turn(name, call))
         return samples
 
     samples = benchmark.pedantic(alternate, rounds=1, iterations=1)
@@ -204,6 +218,58 @@ def test_bench_drifting_round_throughput_pair(benchmark):
         {
             "test_bench_drifting_round_throughput": aggregate,
             "test_bench_drifting_round_throughput_full_trace": full,
+        },
+    )
+
+
+def _es_drifting(scheduler_cls, seed: int):
+    """One ``es_drifting`` instance (the e2e workload's shape):
+    Algorithm 2 at n=64 in ES with GST 2 and ``UniformDelay(2, 6)``,
+    run until every process decides."""
+    scheduler = scheduler_cls(
+        [ESConsensus(value) for value in random.Random(seed).sample(range(10**6), 64)],
+        EventualSynchronyEnvironment(
+            gst=2,
+            source_schedule=RandomSource(seed),
+            delay_policy=UniformDelay(2, 6, seed=seed),
+        ),
+        max_rounds=200,
+        stop_when=stop_when_all_correct_decided,
+        trace_mode="aggregate",
+    )
+    return scheduler.run()
+
+
+def test_bench_drifting_es_n64_drained_vs_per_envelope(benchmark):
+    """Three ``es_drifting`` instances on the drifting loop, which
+    drains a receiver's arrivals when it computes
+    (``test_bench_drifting_es_n64_drained``), against the frozen
+    per-envelope loop the tests pin it to, one queue event per
+    delivered envelope (``..._per_envelope``), timed in alternation.
+    Both sides produce identical traces (asserted before the timing)."""
+    sys.path.insert(0, str(REPO_ROOT / "tests" / "runtime"))
+    from drifting_oracle import PerEnvelopeDriftingScheduler
+
+    seeds = (901001, 901002, 901003)
+    for seed in seeds:
+        assert _es_drifting(DriftingScheduler, seed) == _es_drifting(
+            PerEnvelopeDriftingScheduler, seed
+        )
+
+    def drained():
+        for seed in seeds:
+            _es_drifting(DriftingScheduler, seed)
+
+    def per_envelope():
+        for seed in seeds:
+            _es_drifting(PerEnvelopeDriftingScheduler, seed)
+
+    _interleave(
+        benchmark,
+        10,
+        {
+            "test_bench_drifting_es_n64_drained": drained,
+            "test_bench_drifting_es_n64_per_envelope": per_envelope,
         },
     )
 
@@ -784,40 +850,40 @@ def _grown_membership_cluster(shards: int) -> ShardedWeakSetCluster:
     return cluster
 
 
-def test_bench_shard_rebalance_join(benchmark):
-    """One ``join_shard()`` on a steady 2-shard serial cluster.
+def test_bench_shard_rebalance_join_vs_fresh_twin(benchmark):
+    """One ``join_shard()`` on a steady 2-shard serial cluster, against
+    its equivalence yardstick, timed in alternation.
 
-    What is timed is the whole membership change: the consistent-hash
-    ring diff, the minimal moved-value set, migration, and the
-    deterministic seed replay that rebuilds the newcomer's world to the
-    current round.  Each bench round starts from a fresh steady cluster
-    (built in setup, outside the measurement).  The fresh-twin bench
-    below is the yardstick: a rebalance is pinned byte-identical to
-    constructing the post-join membership from scratch, so its cost
-    should stay in the same ballpark as (and amortize better than)
-    that rebuild.
+    The join side (``test_bench_shard_rebalance_join``) times the whole
+    membership change: the consistent-hash ring diff, the minimal
+    moved-value set, migration, and the deterministic seed replay that
+    rebuilds the newcomer's world to the current round.  Each turn
+    starts from a fresh steady cluster, built by ``_interleave``'s
+    setup outside the timing.  The fresh-twin side
+    (``test_bench_shard_rebalance_fresh_twin``) constructs the
+    post-join membership (3 shard groups) from scratch and drives it
+    through the identical schedule to the same round: a rebalance is
+    pinned byte-identical to that rebuild, so its cost should stay in
+    the same ballpark (and amortize better).
     """
 
     def join(cluster):
         member = cluster.join_shard()
         stats = cluster.last_rebalance
         assert stats.moved_values >= 1 and member in stats.rebuilt_members
-        return stats
 
-    benchmark.pedantic(
-        join,
-        setup=lambda: ((_grown_membership_cluster(2),), {}),
-        rounds=5,
-        iterations=1,
+    def fresh_twin():
+        assert _grown_membership_cluster(3).now == 6.0
+
+    _interleave(
+        benchmark,
+        15,
+        {
+            "test_bench_shard_rebalance_join": join,
+            "test_bench_shard_rebalance_fresh_twin": fresh_twin,
+        },
+        setup={"test_bench_shard_rebalance_join": lambda: _grown_membership_cluster(2)},
     )
-
-
-def test_bench_shard_rebalance_fresh_twin(benchmark):
-    """The rebalance's equivalence yardstick, measured directly:
-    construct the post-join membership (3 shard groups) from scratch
-    and drive it through the identical schedule to the same round."""
-    cluster = benchmark(_grown_membership_cluster, 3)
-    assert cluster.now == 6.0
 
 
 def _steady_multiprocess_cluster() -> ShardedWeakSetCluster:

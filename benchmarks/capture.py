@@ -346,6 +346,15 @@ def main(argv=None) -> int:
             speedups[f"drifting_round_columnar_vs_object_{scale}"] = round(
                 object_cost / columnar_cost, 2
             )
+    # Arrivals drained when the receiver computes, against the frozen
+    # per-envelope loop (tests/runtime/drifting_oracle.py) on three
+    # es_drifting instances, same run, interleaved.
+    drained = micro.get("test_bench_drifting_es_n64_drained")
+    per_envelope = micro.get("test_bench_drifting_es_n64_per_envelope")
+    if drained and per_envelope:
+        speedups["drifting_es_n64_drained_vs_per_envelope"] = round(
+            per_envelope / drained, 2
+        )
     drifting = micro.get("test_bench_drifting_round_throughput")
     recorded = PR4_RECORDED_US.get("test_bench_drifting_round_throughput")
     if drifting and recorded:

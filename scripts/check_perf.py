@@ -95,6 +95,13 @@ SAME_RUN_FLOORS = [
         "loop at n=100 — the switch should never lose at small n",
     ),
     (
+        "drifting_es_n64_drained_vs_per_envelope",
+        1.2,
+        "the drifting loop lost its edge over one queue event per "
+        "delivered envelope on the es_drifting shape (arrivals presumably "
+        "stopped being drained when the receiver computes)",
+    ),
+    (
         "ess_uniform_columnar_vs_object_n256",
         2.0,
         "Algorithm 3 on the lock-step matrix engine lost its edge over "

@@ -179,9 +179,12 @@ class GirafProcess:
         crashed process takes no steps, and a halted one has left the
         protocol, so the merge would never be observed.
         """
-        if self.crashed or self.halted:
+        if self.crashed or self.algorithm.halted:
             return
-        self._slots.setdefault(envelope.round_no, set()).update(envelope.payload)
+        slot = self._slots.get(envelope.round_no)
+        if slot is None:
+            slot = self._slots[envelope.round_no] = set()
+        slot.update(envelope.payload)
 
     def receive_values(self, round_no: int, values: FrozenSet[Hashable]) -> None:
         """Merge several envelopes' worth of round-``round_no`` payloads.

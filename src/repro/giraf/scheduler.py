@@ -38,7 +38,9 @@ algorithms.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence
+import math
+from bisect import bisect_left
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import SimulationError
 from repro.giraf.adversary import NEVER_DELIVERED, CrashSchedule
@@ -370,21 +372,31 @@ class DriftingLoop:
     *path* computes and delivers:
 
     * the object path (:class:`_ObjectPath`): each process's
-      ``end_of_round`` and one ``deliver`` event per envelope and link;
+      ``end_of_round``; a broadcast leaves one ``(time, seq)``-keyed
+      arrival per delivered link in its receiver's pending store, and
+      the receiver applies them only when the loop drains it;
     * the matrix path
       (:class:`~repro.runtime.columnar_engine.ColumnarDriftingEngine`):
       row computes, one ``cdel`` event per timely link and one ``cbat``
       event per batch of late links sharing a latency.
 
     A path provides ``fire(pid, invocation, now)`` — the end-of-round,
-    its trace records and the broadcast's delivery events, ``False``
-    when the process halted instead of sending — plus ``handlers``
-    (delivery event kind → ``handler(now, data)``) and
-    ``evict(horizon)``, which drops its per-round state below the
-    lowest active round.  Its broadcasts ask the loop for the round's
-    obligations (:meth:`plan`) and link plan (:meth:`link_row`), and its
-    handlers report through :meth:`arrived` the receivers an envelope
-    reached before they computed its round.
+    its trace records and the broadcast, ``False`` when the process
+    halted instead of sending — plus ``handlers`` (its own event kind →
+    ``handler(now, data)``), ``drain(pid, cutoff)``, which applies
+    ``pid``'s arrivals keyed before ``cutoff``, ``finish(cutoff)``,
+    which drains everyone, and ``evict(horizon)``, which drops its
+    per-round state below the lowest active round.  Its broadcasts ask
+    the loop for the round's obligations (:meth:`plan`) and link plan
+    (:meth:`link_row`), report their arrival record (:meth:`sent`), and
+    set the gate bits of the receivers an envelope reached before they
+    computed its round (the matrix path through :meth:`arrived`).
+
+    Every event is keyed ``(time, seq)``.  The loop drains a process up
+    to the key of the event that looks at it: its own end-of-round
+    (before the crash check, the gate check and the fire), an exit that
+    re-probes its gate, and the run's end (the stopping end-of-round,
+    or everything once the queue empties).
 
     The loop keeps, for the run:
 
@@ -395,14 +407,22 @@ class DriftingLoop:
       planned once by ``plan_round`` and never evicted, so a re-plan
       after a crash or halt walks every planned round;
     * per planned round, evicted below the lowest active round: the
-      link plan (its sparse ``plan_round_links`` matrix); per sender, the
-      bitmask of the receivers its envelope reached in time, so a batch
-      of receivers is one mask update; and per receiver, the bitmask
+      link plan (its sparse ``plan_round_links`` matrix); per sender,
+      the bitmask of the receivers its envelope reached in time, so a
+      batch of receivers is one mask update; per receiver, the bitmask
       of the obligatory senders among those, so a gate probe is one
       mask test (a re-plan folds in the new senders' past arrivals);
+      and per sender, its broadcast's arrival record — send time,
+      latency row by receiver and the block's first seq, so receiver
+      ``r``'s arrival is keyed ``(time + latency[r], base + r)``;
     * the parked processes: pid → the round whose obligations it waits
       for.  A gate is satisfied when every obligatory sender but the
-      process itself has reached it.
+      process itself has reached it.  A parked process gets one
+      ``release`` event, keyed at the arrival of the last obligatory
+      envelope it misses (:meth:`_arm`) — or, while a missing sender has
+      not broadcast, none until it does.  An exit re-probes and re-arms
+      only the waiters on rounds whose obligations it changed; a
+      release whose key is no longer the armed one is ignored.
     """
 
     def __init__(
@@ -425,9 +445,15 @@ class DriftingLoop:
         self._obligations: Dict[int, int] = {}
         self._links: Dict[int, Dict[int, List[bool]]] = {}
         self._no_links = [False] * n
+        #: the latency row of a broadcast that reaches no one
+        self.no_arrivals = [NEVER_DELIVERED] * n
         self._reached: Dict[int, List[int]] = {}
         self._held: Dict[int, List[int]] = {}
+        self._sent: Dict[int, Dict[int, tuple]] = {}
+        self._sent_bits: Dict[int, int] = {}
         self._waiting: Dict[int, int] = {}
+        #: parked pid -> the key its live release event carries
+        self._armed: Dict[int, Tuple[float, int]] = {}
         self._path = None
 
     def _nominal(self, pid: int, invocation: int) -> float:
@@ -477,6 +503,8 @@ class DriftingLoop:
             self._obligations[round_no] = needed
             self._reached[round_no] = [0] * len(self.pids)
             self._held[round_no] = [0] * len(self.pids)
+            self._sent[round_no] = {}
+            self._sent_bits[round_no] = 0
             self._evict()
         return needed
 
@@ -503,10 +531,35 @@ class DriftingLoop:
         )
         if horizon is None:
             return
-        for store in (self._links, self._reached, self._held):
+        for store in (
+            self._links,
+            self._reached,
+            self._held,
+            self._sent,
+            self._sent_bits,
+        ):
             for stale in [round_no for round_no in store if round_no < horizon]:
                 del store[stale]
         self._path.evict(horizon)
+
+    def sent(
+        self, round_no: int, sender: int, now: float, latencies: List[float], base: int
+    ) -> None:
+        """Record ``sender``'s round-``round_no`` broadcast: receiver
+        ``r``'s arrival is keyed ``(now + latencies[r], base + r)``, or
+        never comes when ``latencies[r]`` is the never-delivered
+        sentinel (a broadcast that reaches no one keeps no record).
+        The round's last obligatory broadcast arms the waiters that
+        were missing a sender yet to send."""
+        if latencies is not self.no_arrivals:
+            self._sent[round_no][sender] = (now, latencies, base)
+        bits = self._sent_bits[round_no] = self._sent_bits[round_no] | 1 << sender
+        needed = self._obligations[round_no]
+        if needed >> sender & 1 and not needed & ~bits:
+            armed = self._armed
+            for pid, waited in self._waiting.items():
+                if waited == round_no and pid not in armed:
+                    self._arm(pid, round_no)
 
     # ------------------------------------------------------------------
     # gating
@@ -519,43 +572,75 @@ class DriftingLoop:
         return not needed & ~(self._held[round_no][pid] | 1 << pid)
 
     def arrived(
-        self,
-        round_no: int,
-        sender: int,
-        receivers: Sequence[int],
-        mask: int,
-        now: float,
+        self, round_no: int, sender: int, receivers: Sequence[int], mask: int
     ) -> None:
         """``sender``'s round-``round_no`` envelope reached ``receivers``
         (active and not yet past the round, ascending; ``mask`` is their
-        bitmask): record it, and release a parked receiver it completes."""
+        bitmask): record it in the gate bits."""
         self._reached[round_no][sender] |= mask
         bit = 1 << sender
         # only an obligatory sender moves a gate
         if self._obligations[round_no] & bit:
             held = self._held[round_no]
-            waiting = self._waiting
             for pid in receivers:
                 held[pid] |= bit
-                if waiting.get(pid) == round_no:
-                    self._release(pid, round_no, now)
 
-    def _release(self, pid: int, round_no: int, now: float) -> None:
-        """Schedule parked ``pid``'s end-of-round once its gate is
-        satisfied: at its nominal time, or now if that has passed."""
-        if self.satisfied(pid, round_no):
+    def _arm(self, pid: int, round_no: int) -> None:
+        """Key parked ``pid``'s release at the arrival of the last
+        obligatory round-``round_no`` envelope its gate misses.
+
+        ``pid`` has been drained up to some key, so every missing
+        arrival it has not seen is keyed after every arrival it has:
+        the latest missing one completes the gate.  While a missing
+        sender has not broadcast, :meth:`sent` arms ``pid`` later; an
+        arrival that never comes leaves it parked.
+        """
+        missing = self._obligations[round_no] & ~(
+            self._held[round_no][pid] | 1 << pid
+        )
+        armed = self._armed
+        if missing & ~self._sent_bits[round_no]:
+            armed.pop(pid, None)
+            return
+        records = self._sent[round_no]
+        key = None
+        while missing:
+            low = missing & -missing
+            missing ^= low
+            record = records.get(low.bit_length() - 1)
+            if record is None or record[1][pid] >= NEVER_DELIVERED:
+                armed.pop(pid, None)
+                return
+            time, latencies, base = record
+            arrival = (time + latencies[pid], base + pid)
+            if key is None or arrival > key:
+                key = arrival
+        if armed.get(pid) != key:
+            armed[pid] = key
+            self.kernel.push(key[0], key[1], "release", (pid, round_no))
+
+    def _wake(self, now: float, seq: int, data: tuple) -> None:
+        """A ``release`` event: schedule the parked process's
+        end-of-round, at its nominal time or now if that has passed —
+        unless the release went stale (the process left the round, or
+        a re-plan re-armed it under another key)."""
+        pid, round_no = data
+        if self._waiting.get(pid) == round_no and self._armed.get(pid) == (now, seq):
             del self._waiting[pid]
+            del self._armed[pid]
             self._schedule_eor(pid, round_no + 1, now)
 
-    def _exit(self, pid: int, now: float) -> None:
-        """``pid`` crashed or halted.  It sends nothing more, so drop it
-        from the obligations of every round it has not sent, re-plan any
-        round that leaves with none, and re-probe every parked gate."""
+    def _exit(self, pid: int, key: Tuple[float, int]) -> None:
+        """``pid`` crashed or halted at the event keyed ``key``.  It
+        sends nothing more, so drop it from the obligations of every
+        round it has not sent, re-plan any round that leaves with none,
+        and re-probe the parked gates of the rounds that changed."""
         self.active[pid] = False
         self._active_count -= 1
         bit = 1 << pid
         exited_round = self.rounds[pid]
         obligations = self._obligations
+        changed = set()
         for round_no, needed in list(obligations.items()):
             if needed & bit and exited_round < round_no:
                 needed &= ~bit
@@ -569,8 +654,19 @@ class DriftingLoop:
                         )
                         self._hold(round_no, needed)
                 obligations[round_no] = needed
+                changed.add(round_no)
+        if not changed:
+            return
+        now = key[0]
         for waiter, round_no in list(self._waiting.items()):
-            self._release(waiter, round_no, now)
+            if round_no in changed:
+                self._path.drain(waiter, key)
+                if self.satisfied(waiter, round_no):
+                    del self._waiting[waiter]
+                    self._armed.pop(waiter, None)
+                    self._schedule_eor(waiter, round_no + 1, now)
+                else:
+                    self._arm(waiter, round_no)
 
     def _hold(self, round_no: int, senders: int) -> None:
         """Fold the past arrivals of newly obligatory ``senders`` into
@@ -586,19 +682,25 @@ class DriftingLoop:
                     if reached[sender] >> pid & 1:
                         held[pid] |= bit
 
-    def _crash(self, pid: int, invocation: int, now: float, *, before_send: bool):
+    def _crash(
+        self, pid: int, invocation: int, key: Tuple[float, int], *, before_send: bool
+    ):
         kernel = self.kernel
-        kernel.crash(kernel.processes[pid], invocation, now, before_send=before_send)
-        self._exit(pid, now)
+        kernel.crash(
+            kernel.processes[pid], invocation, key[0], before_send=before_send
+        )
+        self._exit(pid, key)
 
     # ------------------------------------------------------------------
     # dispatch
     # ------------------------------------------------------------------
     def run(self, path) -> None:
-        """Drain the event queue through ``path`` until it empties, the
-        stop predicate fires or no process is active."""
+        """Run the event queue through ``path`` until it empties, the
+        stop predicate fires or no process is active, then drain every
+        process up to that point."""
         self._path = path
         fire = path.fire
+        drain = path.drain
         handlers = path.handlers
         kernel = self.kernel
         crash_plan_for = kernel.crashes.plan_for
@@ -609,10 +711,14 @@ class DriftingLoop:
         active, rounds, waiting = self.active, self.rounds, self._waiting
         for pid in self.pids:
             kernel.schedule(self._nominal(pid, 1), "eor", (pid, 1))
+        stop = _END
         while has_events():
             now, kind, data = next_event()
             if kind != "eor":
-                handlers[kind](now, data)
+                if kind == "release":
+                    self._wake(now, kernel.event_seq, data)
+                else:
+                    handlers[kind](now, data)
                 continue
             pid, invocation = data
             if (
@@ -621,31 +727,49 @@ class DriftingLoop:
                 or invocation > max_rounds
             ):
                 continue
+            key = (now, kernel.event_seq)
+            drain(pid, key)
             crash_plan = crash_plan_for(pid)
             crashing = crash_plan is not None and crash_plan.round_no == invocation
             if crashing and crash_plan.before_send:
-                self._crash(pid, invocation, now, before_send=True)
+                self._crash(pid, invocation, key, before_send=True)
                 continue
             computing = invocation - 1
             if computing >= 1 and not self.satisfied(pid, computing):
                 waiting[pid] = computing
+                self._arm(pid, computing)
                 continue
             if fire(pid, invocation, now):
                 if crashing:
-                    self._crash(pid, invocation, now, before_send=False)
+                    self._crash(pid, invocation, key, before_send=False)
                 else:
                     schedule_eor(pid, invocation + 1, now)
             else:
                 kernel.record_halt(kernel.processes[pid], rounds[pid], now)
-                self._exit(pid, now)
+                self._exit(pid, key)
             if kernel.stop_requested() or not self._active_count:
-                return
+                stop = key
+                break
+        path.finish(stop)
+
+
+#: a drain cutoff after every arrival: the queue emptied
+_END = (math.inf, 0)
 
 
 class _ObjectPath:
     """The drifting loop's object path: processes fire through
-    ``end_of_round``, and every envelope reaches every receiver as its
-    own ``deliver`` event, merged by ``receive``."""
+    ``end_of_round``, and a broadcast leaves one ``(time, seq)``-keyed
+    entry per delivered link in its receiver's pending store.  A drain
+    applies a receiver's entries in key order — the merge into the
+    inbox, the delivery count and the gate bits — exactly as one event
+    per envelope would have: GIRAF's ``compute(k, M)`` is the only
+    reader of an inbox, the gate is only read when the loop looks at
+    the process, and the process's round and liveness, which decide an
+    arrival's timeliness, change only at its own end-of-rounds.
+
+    Full traces record each delivery with its key when it is drained
+    and emit them in ``(time, seq)`` order when the run ends."""
 
     def __init__(self, loop: DriftingLoop, record_snapshots: bool):
         kernel = loop.kernel
@@ -655,7 +779,11 @@ class _ObjectPath:
         self._trace = kernel.trace
         self._sink = kernel.sink
         self._record_snapshots = record_snapshots
-        self.handlers = {"deliver": self.deliver}
+        self.handlers: Dict[str, Callable] = {}
+        #: per receiver: undrained (time, seq, sender, envelope, sent_time)
+        self._pending: List[list] = [[] for _ in loop.pids]
+        #: full traces: drained deliveries, keyed, until the run ends
+        self._deliveries: Optional[list] = [] if self._sink.wants_events else None
 
     def fire(self, pid: int, invocation: int, now: float) -> bool:
         """``end_of_round`` with its records, then the broadcast;
@@ -678,46 +806,98 @@ class _ObjectPath:
         return True
 
     def _broadcast(self, pid: int, envelope: Envelope, now: float) -> None:
-        """One ``deliver`` event per receiver: every link of an
-        obligatory sender is timely, the others as the link plan says."""
+        """One pending entry per delivered receiver, under one block of
+        seqs: every link of an obligatory sender is timely, the others
+        as the link plan says."""
         loop = self._loop
         environment = loop.environment
         round_no = envelope.round_no
         receivers = [other for other in loop.pids if other != pid]
-        if loop.plan(round_no) >> pid & 1:
+        obligatory = loop.plan(round_no) >> pid & 1
+        if obligatory:
             timely_targets, late_targets = receivers, []
         else:
             row = loop.link_row(round_no, pid)
             timely_targets, late_targets = [], []
             for other in receivers:
                 (timely_targets if row[other] else late_targets).append(other)
-        latencies = dict(
-            zip(
-                timely_targets,
-                environment.timely_latencies(round_no, pid, timely_targets),
-            )
-        )
-        latencies.update(
-            zip(late_targets, environment.late_latencies(round_no, pid, late_targets))
-        )
-        schedule = self._kernel.schedule
-        for other in receivers:
-            latency = latencies[other]
+        timely = environment.timely_latencies(round_no, pid, timely_targets)
+        late = environment.late_latencies(round_no, pid, late_targets)
+        if obligatory:
+            latencies = list(timely)
+            latencies.insert(pid, NEVER_DELIVERED)
+        elif timely_targets or min(late, default=NEVER_DELIVERED) < NEVER_DELIVERED:
+            latencies = [NEVER_DELIVERED] * len(loop.pids)
+            for other, latency in zip(timely_targets, timely):
+                latencies[other] = latency
+            for other, latency in zip(late_targets, late):
+                latencies[other] = latency
+        else:
+            latencies = loop.no_arrivals
+        base = self._kernel.reserve(len(latencies))
+        loop.sent(round_no, pid, now, latencies, base)
+        if latencies is loop.no_arrivals:
+            return
+        pending = self._pending
+        for other, latency in enumerate(latencies):
             if latency < NEVER_DELIVERED:
-                schedule(now + latency, "deliver", (pid, other, envelope, now))
+                pending[other].append(
+                    (now + latency, base + other, pid, envelope, now)
+                )
 
-    def deliver(self, now: float, data: tuple) -> None:
-        """One envelope reaching one receiver."""
-        sender, receiver, envelope, sent_time = data
+    def drain(self, pid: int, cutoff: Tuple[float, int]) -> None:
+        """Apply ``pid``'s arrivals keyed before ``cutoff``, in key
+        order: merge each envelope, count the delivery, and set the gate
+        bits of one that reached ``pid`` before it computed the round."""
+        pending = self._pending[pid]
+        if not pending:
+            return
+        # one sort per drain: the entries since the last drain arrive in
+        # broadcast order, the rest are already sorted
+        pending.sort()
+        if pending[-1] < cutoff:
+            ready = pending
+            self._pending[pid] = []
+        else:
+            split = bisect_left(pending, cutoff)
+            if not split:
+                return
+            ready = pending[:split]
+            del pending[:split]
         loop = self._loop
-        round_no = envelope.round_no
-        timely = False
-        if loop.active[receiver]:
-            self._processes[receiver].receive(envelope)
-            timely = loop.rounds[receiver] <= round_no
-        self._sink.delivery(sender, receiver, round_no, sent_time, now, timely)
-        if timely:
-            loop.arrived(round_no, sender, (receiver,), 1 << receiver, now)
+        active = loop.active[pid]
+        receive = self._processes[pid].receive
+        current = loop.rounds[pid]
+        reached, held, obligations = loop._reached, loop._held, loop._obligations
+        bit = 1 << pid
+        deliveries = self._deliveries
+        for time, seq, sender, envelope, sent_time in ready:
+            receive(envelope)  # a no-op once pid crashed or halted
+            round_no = envelope.round_no
+            timely = active and current <= round_no
+            if timely:
+                reached[round_no][sender] |= bit
+                if obligations[round_no] >> sender & 1:
+                    held[round_no][pid] |= 1 << sender
+            if deliveries is not None:
+                deliveries.append(
+                    (time, seq, sender, pid, round_no, sent_time, timely)
+                )
+        if deliveries is None:
+            self._sink.bulk_deliveries(len(ready))
+
+    def finish(self, cutoff: Tuple[float, int]) -> None:
+        """Drain every receiver up to ``cutoff``; a full trace then
+        gets its deliveries in ``(time, seq)`` order."""
+        for pid in self._loop.pids:
+            self.drain(pid, cutoff)
+        deliveries = self._deliveries
+        if deliveries:
+            deliveries.sort()
+            record = self._sink.delivery
+            for time, _, sender, receiver, round_no, sent_time, timely in deliveries:
+                record(sender, receiver, round_no, sent_time, time, timely)
+            deliveries.clear()
 
     def evict(self, horizon: int) -> None:
         """Nothing per round to drop: each process keeps its inbox."""
@@ -755,11 +935,24 @@ class DriftingScheduler:
     ``SendEvent``/``DeliveryEvent`` objects, identical metrics
     (equivalence-tested in ``tests/runtime``).
 
+    On the object path a delivery lands when its receiver next
+    computes (or an exit re-probes its gate, or the run ends), not at
+    its arrival time, so a ``stop_when`` predicate sees the deliveries
+    of each receiver up to its last drain only — in full traces and in
+    the aggregate count alike.  The finished trace holds every
+    delivery up to the stopping end-of-round, in ``(time, seq)``
+    order; the shipped predicate reads decisions only.
+
     ``event_queue`` selects the kernel's continuous-time event core:
-    ``"calendar"`` (the default bucketed queue — O(1) delivery
-    inserts) or ``"heap"`` (the historical global ``heapq``).  Both
-    drain in identical ``(time, seq)`` order, so the produced traces
-    are byte-identical (pinned in ``tests/runtime``).
+    ``"calendar"`` (the default bucketed queue) or ``"heap"`` (the
+    historical global ``heapq``).  Both drain in identical
+    ``(time, seq)`` order, so the produced traces are byte-identical
+    (pinned in ``tests/runtime``).  The queue holds end-of-rounds and
+    gate releases — O(n) events per round — plus the matrix path's
+    delivery events.
+
+    ``periods`` must be positive and finite and ``phases`` finite; any
+    other value raises :class:`~repro.errors.SimulationError`.
 
     One :class:`DriftingLoop` does the planning, gating and dispatch
     on either engine.  ``engine="columnar"`` plugs the matrix engine
@@ -813,8 +1006,14 @@ class DriftingScheduler:
             phases = [0.01 * pid for pid in range(n)]
         if len(periods) != n or len(phases) != n:
             raise SimulationError("periods/phases must match the process count")
-        if any(p <= 0 for p in periods):
-            raise SimulationError("periods must be positive")
+        for period, phase in zip(periods, phases):
+            # ``not period > 0`` also catches NaN, which compares false
+            if not period > 0 or not math.isfinite(period):
+                raise SimulationError(
+                    f"periods must be positive and finite, got {period!r}"
+                )
+            if not math.isfinite(phase):
+                raise SimulationError(f"phases must be finite, got {phase!r}")
         self._periods = list(periods)
         self._phases = list(phases)
         self._columnar_engine = None

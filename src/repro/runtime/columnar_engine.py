@@ -1168,8 +1168,8 @@ class ColumnarDriftingEngine:
     processes — every process fires at its own nominal times and late
     messages land in old round slots.  What it *does* have is fan-out:
     one broadcast reaches up to ``n - 1`` receivers, and the object
-    path materializes one envelope-delivery event (plus one receive and
-    one inbox mutation) per link.  This engine plugs into the same
+    path materializes one pending entry (plus one receive and one inbox
+    mutation) per link.  This engine plugs into the same
     :class:`~repro.giraf.scheduler.DriftingLoop` — which plans the
     rounds, gates, re-plans and dispatches the end-of-rounds for both
     paths — and replaces the per-link payload machinery with
@@ -1195,25 +1195,33 @@ class ColumnarDriftingEngine:
       (tick, round) batch** — drained as one masked pointwise-minimum
       fold into a per-round accumulator matrix plus bitmask updates
       (:meth:`_absorb`), instead of ``n - 1`` envelope drains; both
-      report their receivers to the loop's gates;
+      set the loop's gate bits (:meth:`DriftingLoop.arrived`), and the
+      broadcast reports its arrival record (:meth:`DriftingLoop.sent`),
+      from which the loop keys a parked gate's release;
     * a process's ``compute(k, ·)`` then reads
       ``min(own row, accumulator row)`` and bumps once per distinct
       received-history slot — work scaling with distinct histories,
       not with the number of messages received.
 
-    Event drain order is identical to the object path's: timely
+    Event drain order is identical to the object path's: a broadcast
+    reserves one block of seqs, one per process, and receiver ``r``'s
+    arrival is keyed ``(time, base + r)`` on both paths; timely
     latencies are fractional (``0.05 + 0.4·U ∈ (0.05, 0.45)``) while
     late latencies are integral tick counts, so a batch never ties a
-    singleton; same-latency lates form exactly one batch drained in
-    ascending-pid order (the object path's scheduling order); and
-    cross-broadcast blocks keep their scheduling order.  Eligibility
-    shares :func:`_decline_reason` with the lock-step engine (aggregate
-    traces × stock heartbeat pseudo-leaders in initial state) plus two
-    drifting-specific refusals — per-send payload statistics
-    (compounded envelopes share embedded messages, so structural sizes
-    are not recoverable from rows) and overridden latency methods (the
-    disjointness argument above needs the stock draws).  Everything
-    else runs the object path.  Every step is pinned byte-identical to
+    singleton; same-latency lates form exactly one batch, keyed at its
+    first (lowest-pid) receiver's seq and drained in ascending-pid
+    order (the object path's key order); and cross-broadcast blocks
+    keep their scheduling order.  A gate release keyed at a receiver's
+    arrival shares the key of the ``cdel`` or sits just after the
+    ``cbat`` that lands it, and ``"release"`` sorts after both kinds,
+    so it pops right after that delivery, as the object path's does.
+    Eligibility shares :func:`_decline_reason` with the lock-step
+    engine (aggregate traces × stock heartbeat pseudo-leaders in
+    initial state) plus two drifting-specific refusals — per-send
+    payload statistics (compounded envelopes share embedded messages,
+    so structural sizes are not recoverable from rows) and overridden
+    latency methods (the disjointness argument above needs the stock
+    draws).  Everything else runs the object path.  Every step is pinned byte-identical to
     the object path across environments × crashes × GST × periods and
     phases × event queues, on generated configurations cold and after
     an unrelated run, with the same environment calls in the same
@@ -1345,6 +1353,13 @@ class ColumnarDriftingEngine:
             for stale in [round_no for round_no in store if round_no < horizon]:
                 del store[stale]
 
+    def drain(self, pid: int, cutoff) -> None:
+        """Nothing to drain: this path's deliveries land as their own
+        ``cdel``/``cbat`` events."""
+
+    def finish(self, cutoff) -> None:
+        """Nothing to drain at the run's end either."""
+
     def _cdel(self, now: float, data: tuple) -> None:
         """One timely link: fold it if its receiver still needs it."""
         env, receiver = data
@@ -1353,7 +1368,7 @@ class ColumnarDriftingEngine:
         if self._active[receiver] and self._rounds[receiver] <= round_no:
             hit, mask = (receiver,), 1 << receiver
             self._absorb(env, hit, mask)
-            self._loop.arrived(round_no, env[0], hit, mask, now)
+            self._loop.arrived(round_no, env[0], hit, mask)
 
     def _cbat(self, now: float, data: tuple) -> None:
         """One batch of late links sharing a latency, as one fold."""
@@ -1372,7 +1387,7 @@ class ColumnarDriftingEngine:
             for receiver in hits:
                 mask |= 1 << receiver
             self._absorb(env, hits, mask)
-            self._loop.arrived(round_no, env[0], hits, mask, now)
+            self._loop.arrived(round_no, env[0], hits, mask)
 
     # ------------------------------------------------------------------
     # slots and delivery state
@@ -1535,14 +1550,17 @@ class ColumnarDriftingEngine:
         # Delivery planning.  The latency values are exactly what the
         # object path draws — try_build pinned the stock (pure,
         # per-link-keyed) latency methods, so batching or skipping
-        # calls cannot move a value.
+        # calls cannot move a value.  Keys as in the class docstring:
+        # one block of seqs, a batch at its first receiver's.
         loop = self._loop
         environment = self._environment
-        schedule = self._kernel.schedule
+        n = self._n
+        base = self._kernel.reserve(n)
+        push = self._kernel.push
         const_delay = self._const_delay
         drop_late = const_delay is not None and const_delay >= NEVER_DELIVERED
         if loop.plan(round_no) >> pid & 1:
-            timely = [other for other in range(self._n) if other != pid]
+            timely = [other for other in range(n) if other != pid]
             late: List[int] = []
         else:
             link = loop.link_row(round_no, pid)
@@ -1559,24 +1577,39 @@ class ColumnarDriftingEngine:
             late = (
                 [] if drop_late else [other for other in late_pos if other != pid]
             )
+        # the arrival record's latency row (see DriftingLoop.sent)
+        if not timely and not late:
+            latencies = loop.no_arrivals
+        elif late and const_delay is not None:
+            # every link but the timely ones and the sender's own is late
+            latencies = [float(const_delay)] * n
+            latencies[pid] = NEVER_DELIVERED
+        else:
+            latencies = [NEVER_DELIVERED] * n
         if timely:
             timely_lat = environment.timely_latencies(round_no, pid, timely)
             for receiver, latency in zip(timely, timely_lat):
+                latencies[receiver] = latency
                 if latency < NEVER_DELIVERED:
-                    schedule(now + latency, "cdel", (env, receiver))
+                    push(now + latency, base + receiver, "cdel", (env, receiver))
         if late:
             if const_delay is not None:
-                schedule(now + float(const_delay), "cbat", (env, tuple(late)))
+                push(
+                    now + float(const_delay), base + late[0], "cbat", (env, tuple(late))
+                )
             else:
                 late_lat = environment.late_latencies(round_no, pid, late)
                 groups: Dict[float, List[int]] = {}
                 for receiver, latency in zip(late, late_lat):
+                    latencies[receiver] = latency
                     if latency < NEVER_DELIVERED:
                         groups.setdefault(latency, []).append(receiver)
                 for latency in sorted(groups):
-                    schedule(
-                        now + latency, "cbat", (env, tuple(groups[latency]))
+                    targets = groups[latency]
+                    push(
+                        now + latency, base + targets[0], "cbat", (env, tuple(targets))
                     )
+        loop.sent(round_no, pid, now, latencies, base)
 
     # ------------------------------------------------------------------
     def finalize(self) -> None:

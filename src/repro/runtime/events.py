@@ -2,9 +2,12 @@
 
 The kernel's continuous-time event core was a single global ``heapq``
 of ``(time, seq, kind, data)`` entries.  A binary heap pays O(log N)
-per *insert*, and the drifting scheduler inserts one event per
-delivery — O(n²) per round — so on large ``n × rounds`` runs the
-inserts dominate the event core.
+per *insert*; the calendar queue below removes that factor, which pays
+only when inserts into a large pending set dominate.  No run has that
+shape: the drifting loop queues end-of-rounds and gate releases, O(n)
+per round, and lands arrivals outside the queue (the matrix path adds
+one event per timely link and one per batch of late ones).  The two
+queues stay a selectable pair, pinned to drain identically.
 
 :class:`CalendarEventQueue` is the bucketed (timing-wheel) structure
 that removes the insert log-factor: events land in a bucket keyed by

@@ -13,9 +13,11 @@ recording.  The kernel extracts that shared machinery once:
 * the **crash/halt lifecycle** (scheduled-crash application, once-only
   halt recording, decision polling);
 * the **delivery queues**: a tick-indexed late-delivery map for
-  lock-step engines and a continuous-time event queue for event-driven
+  lock-step engines, and a continuous-time event queue for event-driven
   ones (a bucketed calendar queue by default, the historical ``heapq``
-  selectable — see :mod:`repro.runtime.events`).
+  selectable — see :mod:`repro.runtime.events`) with the one sequence
+  counter that orders equal times, which a drifting broadcast draws
+  from in blocks.
 
 Schedulers stay in charge of *ordering* — when rounds fire, how
 deliveries interleave — and delegate everything else here, so a fast
@@ -25,7 +27,6 @@ every engine at once.
 
 from __future__ import annotations
 
-import itertools
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import ProtocolMisuse, SimulationError
@@ -97,11 +98,11 @@ class RuntimeKernel:
             equivalent (``tests/runtime``), so this is purely a
             representation switch.
         event_queue: ``"calendar"`` (bucketed timing wheel, the
-            default — O(1) inserts, bucket width derived from the
-            environment's delay bounds) or ``"heap"`` (the historical
-            global ``heapq``).  Both drain in exactly ``(time, seq)``
-            order, so traces are byte-identical either way
-            (equivalence-tested in ``tests/runtime``).
+            default, bucket width derived from the environment's delay
+            bounds) or ``"heap"`` (the historical global ``heapq``).
+            Both drain in exactly ``(time, seq)`` order, so traces are
+            byte-identical either way (equivalence-tested in
+            ``tests/runtime``).
 
     Example — a kernel owns the process pool and the event plumbing;
     schedulers only decide ordering:
@@ -115,8 +116,12 @@ class RuntimeKernel:
         >>> len(kernel.processes), sorted(kernel.correct)
         (3, [0, 1, 2])
         >>> kernel.schedule(0.5, "eor", (0, 1))
-        >>> kernel.next_event()
-        (0.5, 'eor', (0, 1))
+        >>> kernel.next_event(), kernel.event_seq
+        ((0.5, 'eor', (0, 1)), 0)
+        >>> base = kernel.reserve(3)
+        >>> kernel.push(0.25, base + 2, "release", (2, 1))
+        >>> kernel.next_event(), kernel.event_seq
+        ((0.25, 'release', (2, 1)), 3)
         >>> kernel.queue_delivery_row(2, None, sender=0, receivers=[1, 2], delays=[2, 3])
         >>> kernel.due_deliveries(4)
         [(1, None, 0, 2)]
@@ -184,7 +189,10 @@ class RuntimeKernel:
             if event_queue == "heap"
             else CalendarEventQueue(calendar_width(environment))
         )
-        self._seq = itertools.count()
+        #: the next unused sequence number (see :meth:`reserve`)
+        self._seq = 0
+        #: the sequence number of the event :meth:`next_event` last popped
+        self.event_seq: Optional[int] = None
 
     # ------------------------------------------------------------------
     # trace + sink
@@ -315,11 +323,28 @@ class RuntimeKernel:
     # ------------------------------------------------------------------
     def schedule(self, time: float, kind: str, data: tuple) -> None:
         """Push a continuous-time event; FIFO among equal times."""
-        self._events.push((time, next(self._seq), kind, data))
+        seq = self._seq
+        self._seq = seq + 1
+        self._events.push((time, seq, kind, data))
+
+    def reserve(self, count: int) -> int:
+        """Reserve ``count`` consecutive sequence numbers; return the
+        first.  A broadcast reserves one per process, so the keys of
+        its arrivals sort after everything scheduled before it and
+        before everything scheduled after it, as ``count`` separate
+        :meth:`schedule` calls would."""
+        base = self._seq
+        self._seq = base + count
+        return base
+
+    def push(self, time: float, seq: int, kind: str, data: tuple) -> None:
+        """Push an event under a sequence number from :meth:`reserve`."""
+        self._events.push((time, seq, kind, data))
 
     def next_event(self) -> Tuple[float, str, tuple]:
-        """Pop the earliest event as ``(time, kind, data)``."""
-        time, _, kind, data = self._events.pop()
+        """Pop the earliest event as ``(time, kind, data)``; its
+        sequence number is left in :attr:`event_seq`."""
+        time, self.event_seq, kind, data = self._events.pop()
         return time, kind, data
 
     def has_events(self) -> bool:

@@ -64,10 +64,13 @@ migrate): canonical JSON (sorted keys, no whitespace) behind the tag.
 
 Decoding fails closed: every count and length is checked against the
 bytes that remain, a bignum must be ``str(value)``'s digits, the bulk
-lane's character lengths must add up to its blob, and a body — a mux
-sub-body too — must end exactly where its layout does.  Anything else
-raises one :class:`ProtocolError`, so a corrupt body cannot decode
-into a value no process added.
+lane's character lengths must add up to its blob, a decoded frozenset
+(a ``'X'`` value, a ``PeekReply``'s ``PROPOSED`` on either lane, a
+``StepBatchReply``'s crashed set) must hold as many distinct elements
+as it announces, and a body — a mux sub-body too — must end exactly
+where its layout does.  Anything else raises one
+:class:`ProtocolError`, so a corrupt body cannot decode into a value
+no process added.
 
 The ``'J'`` value escape routes anything outside the native scalar/
 tuple/frozenset universe (``⊥``, interned histories, counter maps,
@@ -538,6 +541,21 @@ def _check_items(body: bytes, offset: int, count: int, itemsize: int) -> int:
         )
     return end
 
+
+def _distinct(items, count: int, what: str) -> FrozenSet[Any]:
+    """The frozenset of the ``count`` decoded ``items``, failing closed
+    when two of them are equal: the encoder writes each element of a
+    set once, so a body that repeats one announces a size the set it
+    decodes to does not have."""
+    value = frozenset(items)
+    if len(value) != count:
+        raise ProtocolError(
+            f"{what} announces {count} elements but only "
+            f"{len(value)} are distinct"
+        )
+    return value
+
+
 #: value kind bytes as ints (decode compares ``body[offset]`` directly)
 _K_NONE, _K_TRUE, _K_FALSE = ord("N"), ord("T"), ord("F")
 _K_INT, _K_BIG, _K_FLOAT, _K_STR = ord("I"), ord("V"), ord("D"), ord("S")
@@ -651,7 +669,7 @@ def _decode_binary_value(body: bytes, offset: int) -> Tuple[Any, int]:
         for _ in range(count):
             item, offset = _decode_binary_value(body, offset)
             items.append(item)
-        return frozenset(items), offset
+        return _distinct(items, count, "frozenset"), offset
     if kind == _K_JSON:
         (length,) = _U32.unpack_from(body, offset)
         offset += 4
@@ -786,7 +804,9 @@ def _decode_binary_body(body: bytes) -> object:
             (count,) = _U32.unpack_from(body, offset)
             offset += 4
             _check_items(body, offset, count, 4)
-            crashed = frozenset(_repeat("I", count).unpack_from(body, offset))
+            crashed = _distinct(
+                _repeat("I", count).unpack_from(body, offset), count, "crashed set"
+            )
             offset += 4 * count
             (now,) = _F64.unpack_from(body, offset)
             offset += 8
@@ -828,7 +848,10 @@ def _decode_binary_body(body: bytes) -> object:
                 for _ in range(count):
                     item, offset = _decode_binary_value(body, offset)
                     items.append(item)
-            message = PeekReply(crashed=bool(body[1]), proposed=frozenset(items))
+            message = PeekReply(
+                crashed=bool(body[1]),
+                proposed=_distinct(items, count, "PROPOSED set"),
+            )
         elif tag in (_B_MUX_REQ, _B_MUX_REP):
             (count,) = _U32.unpack_from(body, 1)
             offset = 5

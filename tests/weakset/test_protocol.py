@@ -566,6 +566,72 @@ class TestBodiesHoldExactlyWhatTheyAnnounce:
             decode_message(reframe(body))
 
 
+def _repeat_element(message, keep, drop):
+    """``message``'s body with the encoding of element ``drop`` of one
+    of its sets overwritten by element ``keep``'s (same width), so the
+    set announces two elements and holds one twice."""
+    body = _body(message)
+    assert body.count(drop) == 1
+    return reframe(body.replace(drop, keep))
+
+
+class TestFrozensetsDecodeToTheirCount:
+    """Every lane that decodes a frozenset checks the set it built
+    against the count the body announced: a body repeating an element
+    raises one ProtocolError instead of decoding to a smaller set (each
+    body below decoded quietly before that check)."""
+
+    def test_bulk_peek_lane(self):
+        """Lengths ``[2, 2]`` over the blob ``abab``."""
+        frame = _repeat_element(
+            PeekReply(crashed=False, proposed=frozenset({"ab", "cd"})), b"ab", b"cd"
+        )
+        with pytest.raises(ProtocolError, match="announces 2 elements but only 1"):
+            decode_message(frame)
+
+    def test_walker_peek_lane(self):
+        frame = _repeat_element(
+            PeekReply(crashed=True, proposed=frozenset({7, 8})),
+            b"I" + (7).to_bytes(8, "big"),
+            b"I" + (8).to_bytes(8, "big"),
+        )
+        with pytest.raises(ProtocolError, match="PROPOSED set announces 2"):
+            decode_message(frame)
+
+    def test_walker_frozenset_value(self):
+        """An ``'X'`` add value carrying ``"ab"`` twice."""
+        frame = _repeat_element(
+            StepBatchRequest(rounds=1, adds=((0, 1, frozenset({"ab", "cd"})),)),
+            b"S" + (2).to_bytes(4, "big") + b"ab",
+            b"S" + (2).to_bytes(4, "big") + b"cd",
+        )
+        with pytest.raises(ProtocolError, match="frozenset announces 2"):
+            decode_message(frame)
+
+    def test_step_batch_reply_crashed_set(self):
+        reply = StepBatchReply(
+            alive=True, executed=1, completions=(), crashed=frozenset({3, 4}), now=1.0
+        )
+        frame = _repeat_element(
+            reply,
+            (2).to_bytes(4, "big") + (3).to_bytes(4, "big") * 2,
+            (2).to_bytes(4, "big") + (3).to_bytes(4, "big") + (4).to_bytes(4, "big"),
+        )
+        with pytest.raises(ProtocolError, match="crashed set announces 2"):
+            decode_message(frame)
+
+    @given(value=st.frozensets(values, max_size=6))
+    @settings(max_examples=120)
+    def test_every_encodable_frozenset_round_trips_with_its_size(self, value):
+        """On the walker (an add value and a mixed ``PROPOSED``) and, for
+        all-strings sets, on the bulk lane."""
+        add = roundtrip(StepBatchRequest(rounds=1, adds=((0, 0, value),))).adds[0][2]
+        proposed = roundtrip(PeekReply(crashed=False, proposed=value)).proposed
+        for decoded in (add, proposed):
+            assert decoded == value
+            assert len(decoded) == len(value)
+
+
 class TestCodecFuzz:
     """Hostile-input bar for the codec: decode of any truncated or
     corrupted frame must raise a clean :class:`ProtocolError` (or its
