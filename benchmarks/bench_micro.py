@@ -401,7 +401,7 @@ def test_bench_ess_uniform_columnar_n256(benchmark):
     assert len(trace.decided_pids()) == 256
 
 
-def _heartbeat_lockstep(n: int, engine: str, rounds: int, source=None):
+def _heartbeat_lockstep_scheduler(n: int, engine: str, rounds: int, source=None):
     """S1's regime at bench scale: heartbeat pseudo-leaders, 8 brands,
     MS obligations (round-robin unless ``source`` says otherwise), no
     extra links, aggregate traces — the dense anonymity workload the
@@ -409,7 +409,7 @@ def _heartbeat_lockstep(n: int, engine: str, rounds: int, source=None):
     cleared first so every iteration pays the same (empty-cache)
     interning bill."""
     clear_intern_cache()
-    scheduler = LockStepScheduler(
+    return LockStepScheduler(
         [HeartbeatPseudoLeader(pid % 8) for pid in range(n)],
         MovingSourceEnvironment(
             source or RoundRobinSource(),
@@ -420,7 +420,11 @@ def _heartbeat_lockstep(n: int, engine: str, rounds: int, source=None):
         trace_mode="aggregate",
         engine=engine,
     )
-    trace = scheduler.run()
+
+
+def _heartbeat_lockstep(n: int, engine: str, rounds: int, source=None):
+    """Build (see ``_heartbeat_lockstep_scheduler``) and run."""
+    trace = _heartbeat_lockstep_scheduler(n, engine, rounds, source).run()
     assert trace.rounds_executed == rounds
     return trace
 
@@ -469,6 +473,49 @@ def test_bench_heartbeat_columnar_n10k_r40(benchmark):
         iterations=1,
     )
     assert trace.agg_deliveries == 40 * 9_999
+
+
+def test_bench_heartbeat_n10k_r40_narrow_vs_int64_counters(benchmark):
+    """The ``heartbeat_matrix`` shape above with the counter matrices
+    in the type their bound allows (int8 at 40 rounds,
+    ``test_bench_heartbeat_n10k_r40_narrow_counters``) against the same
+    run with ``counter_dtype`` patched to int64 for this bench only
+    (``..._int64_counters``), timed in alternation.  Each turn's
+    scheduler is built untimed, so only ``run()`` is timed, as in the
+    end-to-end workload's ``instance_s``.  Both sides produce identical
+    traces (asserted before the timing)."""
+    import numpy as np
+
+    from repro.runtime import columnar_engine
+
+    narrow_dtype = columnar_engine.counter_dtype
+
+    def narrow():
+        return _heartbeat_lockstep_scheduler(10_000, "columnar", 40, RandomSource(1))
+
+    def int64():
+        columnar_engine.counter_dtype = lambda max_rounds: np.dtype(np.int64)
+        try:
+            return narrow()
+        finally:
+            columnar_engine.counter_dtype = narrow_dtype
+
+    def run(scheduler):
+        assert scheduler.run().rounds_executed == 40
+
+    assert narrow().run() == int64().run()
+    _interleave(
+        benchmark,
+        10,
+        {
+            "test_bench_heartbeat_n10k_r40_narrow_counters": run,
+            "test_bench_heartbeat_n10k_r40_int64_counters": run,
+        },
+        setup={
+            "test_bench_heartbeat_n10k_r40_narrow_counters": narrow,
+            "test_bench_heartbeat_n10k_r40_int64_counters": int64,
+        },
+    )
 
 
 def _heartbeat_drifting(n: int, engine: str, rounds: int):

@@ -408,6 +408,14 @@ def main(argv=None) -> int:
         speedups["heartbeat_n10k_r40_vs_per_process_tick_recorded"] = round(
             recorded / heartbeat, 2
         )
+    # Counter matrices in the type their bound allows, against the same
+    # run with int64 counters, same run, interleaved.
+    narrow = micro.get("test_bench_heartbeat_n10k_r40_narrow_counters")
+    wide = micro.get("test_bench_heartbeat_n10k_r40_int64_counters")
+    if narrow and wide:
+        speedups["heartbeat_n10k_r40_narrow_vs_int64_counters"] = round(
+            wide / narrow, 2
+        )
     if speedups:
         snapshot["speedups"] = speedups
 

@@ -27,9 +27,11 @@ whole-array primitives:
   evaluated for all bumps before any write lands, realizing the
   paper's simultaneous batch assignment.
 
-Rows are numpy arrays.  numpy stays optional: without it
-(:func:`numpy_available` is the one probe) the matrix engines decline
-every run with one reason and the object engine runs instead.
+Rows are numpy arrays of :func:`counter_dtype`'s type, the narrowest
+signed integer that the run's horizon allows.  numpy stays optional:
+without it (:func:`numpy_available` is the one probe) the matrix
+engines decline every run with one reason and the object engine runs
+instead.
 
 Layers, bottom up:
 
@@ -64,6 +66,7 @@ from repro.core.history import History, HistoryNode, intern_history
 
 __all__ = [
     "numpy_available",
+    "counter_dtype",
     "HistoryIndex",
     "CounterRowView",
 ]
@@ -79,6 +82,23 @@ except ImportError:  # pragma: no cover - exercised by the CI decline leg
 def numpy_available() -> bool:
     """True when numpy is importable: the matrix engines need it."""
     return _np is not None
+
+
+def counter_dtype(max_rounds: int):
+    """The narrowest signed integer type holding every counter of a run
+    of at most ``max_rounds`` rounds: the matrix engines' counter type.
+
+    Line 8 folds a process's own row into its minimum and line 9 sets a
+    counter to one more than a prefix maximum, so no counter exceeds
+    the number of computes so far, at most ``max_rounds - 1`` on either
+    scheduler.  ``min_scalar_type(-max_rounds)`` is the narrowest type
+    holding that bound: int8 up to 128 rounds, int16 up to 32,768,
+    int32 up to 2**31.  Past int64 it would be ``object``, so the type
+    is capped there.  ``max_rounds`` must be an ``int`` (the kernel
+    stores one): a float would give a float type.
+    """
+    dtype = _np.min_scalar_type(-max_rounds)
+    return dtype if dtype.kind == "i" else _np.dtype(_np.int64)
 
 
 class HistoryIndex:

@@ -49,6 +49,18 @@ scheduler (``tests/runtime/test_columnar_engine.py`` and
   only live columns, the histories an active process can still count,
   slot-major with one column per process (``_fold`` drops the rest
   each tick);
+* counters are stored in the narrowest signed integer type that holds
+  ``max_rounds - 1`` (:func:`~repro.core.columnar.counter_dtype`:
+  int8 up to 128 rounds, int16 up to 32,768), on both engines: line 8's
+  minimum never raises a counter and line 9 sets one to one more than
+  a prefix maximum, so no counter exceeds the number of computes.  The
+  heartbeat's hot passes read whole contiguous slot rows, which numpy
+  vectorizes at that width: a bump reduces its prefix slots' rows and
+  then picks its receivers, and the fold fills the live rows with the
+  obligatory senders' shared minimum before one same-shape minimum.
+  Nothing outside the engines sees the type: final views read rows
+  through ``tolist``, snapshots and leader captures through ``int`` or
+  int64 arrays;
 * a lock-step envelope carries only its sender's own message (nothing
   of round ``t`` reaches anyone before everyone has fired), so the
   tick-``t+1`` compute of process ``i`` folds exactly its own row, the
@@ -113,7 +125,12 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.columnar import CounterRowView, HistoryIndex, numpy_available
+from repro.core.columnar import (
+    CounterRowView,
+    HistoryIndex,
+    counter_dtype,
+    numpy_available,
+)
 from repro.core.ess_consensus import ESSConsensus
 from repro.core.pseudo_leader import HeartbeatPseudoLeader, PseudoLeaderElector
 from repro.giraf.adversary import NEVER_DELIVERED
@@ -326,9 +343,11 @@ class ColumnarLockStepEngine:
         self._np = np
         self._index = HistoryIndex()
         # Live-column layout (see _fold): two slot-major buffers, one
-        # column per process, one slot per stored history.
-        self._C = np.zeros((8, n), dtype=np.int64)
-        self._N = np.zeros((8, n), dtype=np.int64)
+        # column per process, one slot per stored history, in the
+        # narrowest type the run's counters fit.
+        dtype = counter_dtype(kernel.max_rounds)
+        self._C = np.zeros((8, n), dtype=dtype)
+        self._N = np.zeros((8, n), dtype=dtype)
         #: slot -> history column (slot 0, always zero: -1); every fold
         #: makes a new array, so a kept reference stays valid
         self._cols = np.full(1, -1, dtype=np.int64)
@@ -588,9 +607,14 @@ class ColumnarLockStepEngine:
             slot_of[cols[1:]] = 0
         slot_of[new_cols[1:]] = np.arange(1, width)
         if len(N) < width:
-            N = self._N = np.zeros((2 * width, self._n), dtype=np.int64)
+            N = self._N = np.zeros((2 * width, self._n), dtype=N.dtype)
         if oblig:
-            np.minimum(C[keep], shared[keep][:, None], out=N[1:live])
+            # a fill, then a same-shape minimum: numpy does not
+            # vectorize a minimum against a broadcast column at int8
+            # or int16
+            folded = N[1:live]
+            folded[...] = shared[keep][:, None]
+            np.minimum(folded, C[keep], out=folded)
         else:
             N[1:live] = C[1:live]
         N[live:width] = 0
@@ -640,7 +664,9 @@ class ColumnarLockStepEngine:
         for col, mask in masks.items():
             rows = np.flatnonzero(mask)
             slots = np.unique(slot_of[index.ancestor_cols(col)])
-            values = N[slots[:, None], rows].max(axis=0) + 1
+            # whole contiguous slot rows reduced first, then the
+            # receivers picked: cheaper than a 2-D gather
+            values = N[slots].max(axis=0)[rows] + 1
             writes.append((slot_of[col], rows, values))
         for slot, rows, values in writes:
             N[slot, rows] = values
@@ -1175,8 +1201,10 @@ class ColumnarDriftingEngine:
     paths — and replaces the per-link payload machinery with
     delivery-tick columns over a run-local slot table (the lock-step
     engine's conventions: ``_cols`` maps slot → history column with
-    slot 0 a permanent zero, ``_slot_of`` maps column → slot).  A slot
-    is assigned when the run first appends a history and is never
+    slot 0 a permanent zero, ``_slot_of`` maps column → slot, and the
+    counters take :func:`~repro.core.columnar.counter_dtype`'s type,
+    which only ``_C`` names: every accumulator is made like it).  A
+    slot is assigned when the run first appends a history and is never
     dropped — processes sit in different rounds, so no round's minimum
     retires a column for all of them — and every prefix of a run's
     history was appended earlier by the same process, so line 9's
@@ -1250,8 +1278,8 @@ class ColumnarDriftingEngine:
         self._chain: list = [np.zeros(0, dtype=np.intp)]
         #: row pid, slot s = the counter pid sent for history
         #: ``_cols[s]`` with its latest round message; every counter
-        #: matrix shares this capacity (see _slot)
-        self._C = np.zeros((n, 8), dtype=np.int64)
+        #: matrix shares this capacity and type (see _slot)
+        self._C = np.zeros((n, 8), dtype=counter_dtype(kernel.max_rounds))
 
         # --- per-process state ----------------------------------------
         # The loop's ``rounds`` (invocations fired so far) and
@@ -1407,7 +1435,7 @@ class ColumnarDriftingEngine:
         capacity = self._C.shape[1]
         if slot >= capacity:
             def grown(matrix):
-                wider = np.zeros((self._n, 2 * capacity), dtype=np.int64)
+                wider = np.zeros((self._n, 2 * capacity), dtype=matrix.dtype)
                 wider[:, :capacity] = matrix
                 return wider
 

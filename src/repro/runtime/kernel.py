@@ -27,6 +27,7 @@ every engine at once.
 
 from __future__ import annotations
 
+import operator
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import ProtocolMisuse, SimulationError
@@ -79,7 +80,9 @@ class RuntimeKernel:
             per process (pid = index).
         environment: the MS/ES/ESS environment the engine consults.
         crash_schedule: adversary crash plan (default: failure-free).
-        max_rounds: round horizon for the run.
+        max_rounds: round horizon for the run, an ``int`` (numpy
+            integers too, stored as ``int``; not a ``bool``) of at
+            least 1.
         stop_when: optional early-exit predicate over the trace.
         record_snapshots: forward per-round algorithm snapshots into
             the trace.
@@ -143,8 +146,16 @@ class RuntimeKernel:
     ):
         if not algorithms:
             raise SimulationError("need at least one process")
-        if max_rounds < 1:
-            raise SimulationError("max_rounds must be >= 1")
+        rounds = None
+        if not isinstance(max_rounds, bool):
+            try:
+                rounds = operator.index(max_rounds)
+            except TypeError:
+                pass
+        if rounds is None or rounds < 1:
+            raise SimulationError(
+                f"max_rounds must be an int >= 1, not {max_rounds!r}"
+            )
         if trace_mode not in ("full", "aggregate"):
             raise SimulationError(f"unknown trace_mode {trace_mode!r}")
         if engine not in ("object", "columnar"):
@@ -155,7 +166,7 @@ class RuntimeKernel:
         self.environment = environment
         self.crashes = crash_schedule or CrashSchedule.none()
         self.crashes.validate(len(self.algorithms))
-        self.max_rounds = max_rounds
+        self.max_rounds = rounds
         self.stop_when = stop_when
         self.record_snapshots = record_snapshots
         self.aggregate = trace_mode == "aggregate"

@@ -22,7 +22,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.columnar import CounterRowView, HistoryIndex, numpy_available
+from repro.core.columnar import (
+    CounterRowView,
+    HistoryIndex,
+    counter_dtype,
+    numpy_available,
+)
 from repro.core.counters import FrozenCounters, prefix_max
 from repro.core.history import (
     clear_intern_cache,
@@ -47,6 +52,32 @@ class TestNumpyProbe:
 
         monkeypatch.setattr(columnar_module, "_np", None)
         assert not numpy_available()
+
+
+class TestCounterDtype:
+    """The matrix engines' counter type: the narrowest signed integer
+    holding ``max_rounds - 1``, capped at int64 (the runs that reach
+    the int8 edge are pinned in ``tests/runtime/test_columnar_engine.py``)."""
+
+    @pytest.mark.parametrize(
+        "max_rounds, name",
+        [
+            (1, "int8"),
+            (128, "int8"),
+            (129, "int16"),
+            (32_768, "int16"),
+            (32_769, "int32"),
+            (2**31, "int32"),
+            (2**31 + 1, "int64"),
+            (2**63 + 1, "int64"),
+        ],
+    )
+    def test_narrowest_type_for_the_bound(self, max_rounds, name):
+        np = pytest.importorskip("numpy")
+        dtype = counter_dtype(max_rounds)
+        assert dtype == np.dtype(name)
+        if max_rounds <= 2**63:
+            assert np.iinfo(dtype).max >= max_rounds - 1
 
 
 class TestHistoryIndex:

@@ -57,9 +57,17 @@ class TestBasicRun:
             LockStepScheduler([], EventualSynchronyEnvironment(gst=1))
 
     def test_max_rounds_validated(self):
-        with pytest.raises(SimulationError):
-            LockStepScheduler([EchoProbe(0)], EventualSynchronyEnvironment(gst=1),
-                              max_rounds=0)
+        bad = [0, float("nan"), float("inf"), float("-inf"), 2.5, True, "5", None]
+        for max_rounds in bad:
+            for engine in ("object", "columnar"):
+                with pytest.raises(SimulationError, match="max_rounds"):
+                    LockStepScheduler(
+                        [EchoProbe(0)],
+                        EventualSynchronyEnvironment(gst=1),
+                        max_rounds=max_rounds,
+                        trace_mode="aggregate",
+                        engine=engine,
+                    )
 
 
 class TestLateDelivery:

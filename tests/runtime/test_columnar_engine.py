@@ -216,6 +216,48 @@ class TestWholeRoundEngineOptions:
         assert _final_views(columnar) == _final_views(reference)
 
 
+def _all_timely_run(engine, scheduler_class, rounds):
+    clear_intern_cache()
+    driver = scheduler_class(
+        [HeartbeatPseudoLeader("x") for _ in range(4)],
+        MovingSourceEnvironment(
+            RoundRobinSource(), AllTimelyLinks(), UniformDelay(2, 4, seed=5)
+        ),
+        max_rounds=rounds,
+        record_snapshots=True,
+        trace_mode="aggregate",
+        engine=engine,
+    )
+    return driver, driver.run()
+
+
+@pytest.mark.parametrize("rounds", [128, 129])
+@pytest.mark.parametrize("scheduler_class", [LockStepScheduler, DriftingScheduler])
+class TestCounterDtypeEdge:
+    """Counters stop at ``max_rounds - 1``, so 128 rounds fit int8 and
+    129 need int16: with one brand and every link timely each compute
+    bumps the shared history, so the largest counter reaches exactly
+    127 and then 128, matching the object engine on both schedulers."""
+
+    def test_largest_counter_fits_the_type(self, scheduler_class, rounds):
+        reference, reference_trace = _all_timely_run(
+            "object", scheduler_class, rounds
+        )
+        columnar, columnar_trace = _all_timely_run(
+            "columnar", scheduler_class, rounds
+        )
+        assert columnar_trace == reference_trace
+        views = _final_views(columnar)
+        assert views == _final_views(reference)
+        assert max(max(view["counters"].values()) for view in views) == rounds - 1
+        if numpy_available():
+            import numpy as np
+
+            assert columnar.engine_path != "object"
+            expected = np.int8 if rounds == 128 else np.int16
+            assert columnar._columnar_engine._C.dtype == expected
+
+
 class RecordWatch:
     """A ``stop_when`` predicate that keeps, at every tick, what the
     trace's round entries and compute times read (pids and rounds in

@@ -17,6 +17,7 @@ import pytest
 
 from repro.core.es_consensus import ESConsensus
 from repro.core.ess_consensus import ESSConsensus
+from repro.core.pseudo_leader import HeartbeatPseudoLeader
 from repro.errors import SimulationError
 from repro.giraf.adversary import CrashPlan, CrashSchedule, RandomSource
 from repro.giraf.environments import (
@@ -234,15 +235,39 @@ class TestDriftingAggregateMode:
             )
 
 
+#: horizons that are not an int >= 1: NaN and inf never ended a
+#: heartbeat run, 2.5 and True ran a few rounds, "5" and None raised a
+#: raw TypeError
+BAD_MAX_ROUNDS = [0, float("nan"), float("inf"), float("-inf"), 2.5, True, "5", None]
+
+
 class TestKernelLifecycle:
     def test_validations_match_the_old_schedulers(self):
         environment = MovingSourceEnvironment()
         with pytest.raises(SimulationError):
             RuntimeKernel([], environment)
-        with pytest.raises(SimulationError):
-            RuntimeKernel([EchoProbe(0)], environment, max_rounds=0)
+        for max_rounds in BAD_MAX_ROUNDS:
+            with pytest.raises(SimulationError, match="max_rounds"):
+                RuntimeKernel([EchoProbe(0)], environment, max_rounds=max_rounds)
+            for scheduler in (LockStepScheduler, DriftingScheduler):
+                for engine in ("object", "columnar"):
+                    with pytest.raises(SimulationError, match="max_rounds"):
+                        scheduler(
+                            [HeartbeatPseudoLeader(0)],
+                            environment,
+                            max_rounds=max_rounds,
+                            trace_mode="aggregate",
+                            engine=engine,
+                        )
         with pytest.raises(SimulationError):
             RuntimeKernel([EchoProbe(0)], environment, trace_mode="bogus")
+
+    def test_numpy_integer_horizon_is_stored_as_int(self):
+        np = pytest.importorskip("numpy")
+        kernel = RuntimeKernel(
+            [EchoProbe(0)], MovingSourceEnvironment(), max_rounds=np.int16(7)
+        )
+        assert kernel.max_rounds == 7 and type(kernel.max_rounds) is int
 
     def test_sink_selection_follows_trace_mode(self):
         environment = MovingSourceEnvironment()
