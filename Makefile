@@ -51,8 +51,9 @@ bench:
 
 # Just the shard-execution benches: the churn quick shape on the
 # serial / multiprocess / socket backends, the steady-state harvest,
-# and the linked batching pair (one round per frame against four,
-# across a simulated 2 ms link).  See PERFORMANCE.md §5 and §24.
+# the linked batching pair (one round per frame against four, across
+# a simulated 2 ms link) and the linked rebuild pair (one replay frame
+# against one frame per request).  See PERFORMANCE.md §5, §24, §28.
 bench-shard:
 	$(PYTHON) -m pytest benchmarks/bench_micro.py -q -k "churn or harvest or linked"
 

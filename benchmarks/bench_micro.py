@@ -45,12 +45,15 @@ from repro.giraf.environments import (
 from repro.giraf.messages import payload_size
 from repro.giraf.scheduler import DriftingScheduler, LockStepScheduler
 from repro.runtime.events import CalendarEventQueue, HeapEventQueue
+from repro.serialization import trace_to_json
 from repro.sim.runner import stop_when_all_correct_decided
 from repro.sim.workloads import ChurnEnvironments
 from repro.weakset.cluster import MSWeakSetCluster
 from repro.weakset.ms_weakset import MSWeakSetAlgorithm, VerbatimMSWeakSetAlgorithm
 from repro.weakset.protocol import (
+    MuxReply,
     PeekReply,
+    ReplayRequest,
     StepBatchReply,
     StepBatchRequest,
     decode_message,
@@ -60,6 +63,7 @@ from repro.weakset.sharding import (
     MultiprocessBackend,
     ShardedWeakSetCluster,
     SocketBackend,
+    _member_replay_requests,
     spawn_socket_workers,
 )
 
@@ -1151,5 +1155,70 @@ def test_bench_shard_rounds_linked_batched_vs_unbatched(benchmark):
                 ),
             },
         )
+    finally:
+        linked.close()
+
+
+def test_bench_shard_rebuild_linked_one_frame_vs_per_request(benchmark):
+    """Rebuild one shard world across a 2 ms-each-way link: the whole
+    replay in one ``ReplayRequest`` frame
+    (``test_bench_shard_rebuild_linked_one_frame``, the backend's
+    ``_rebuild``) against a per-request twin
+    (``test_bench_shard_rebuild_linked_per_request``) that resets the
+    world with an empty replay frame and then sends the same requests
+    one frame at a time, timed in alternation, 5 turns each.
+
+    The cluster (4 socket workers behind the link) is driven 40 rounds
+    with one add per round outside the measurement, so member 1's
+    history is about 40 requests: one round trip against about 41.
+    Both sides leave the world where it was, so the traces are
+    unchanged afterwards.
+    """
+    linked = _LinkedClusters([1])
+    (cluster,) = linked.clusters
+    backend = cluster.backend
+    try:
+        open_adds = {}
+        for round_no in range(40):
+            # one add a round, by a process with no add still open
+            free = [
+                pid for pid in range(4)
+                if pid not in open_adds or open_adds[pid].end is not None
+            ]
+            if free:
+                pid = free[round_no % len(free)]
+                open_adds[pid] = cluster.handle(pid).add_async(f"rebuild-{round_no}")
+            cluster.advance(1)
+        before = [trace_to_json(trace) for trace in cluster.traces()]
+        member = 1
+        replay = _member_replay_requests(
+            backend._history, member, backend._unsent_tokens()
+        )
+        assert len(replay) >= 30
+
+        def one_frame():
+            channel = backend._transports[member]
+            backend._transports[member], replies = backend._rebuild(
+                member, channel, replay
+            )
+            assert len(replies) == len(replay)
+
+        def per_request():
+            channel = backend._transports[member]
+            channel.send(ReplayRequest(shard_index=member, subs=()))
+            assert type(channel.recv()) is MuxReply
+            for request in replay:
+                channel.send(request)
+                channel.recv()
+
+        _interleave(
+            benchmark,
+            5,
+            {
+                "test_bench_shard_rebuild_linked_one_frame": one_frame,
+                "test_bench_shard_rebuild_linked_per_request": per_request,
+            },
+        )
+        assert [trace_to_json(trace) for trace in cluster.traces()] == before
     finally:
         linked.close()

@@ -283,6 +283,15 @@ def main(argv=None) -> int:
         speedups["shard_rounds_linked_batched_vs_unbatched"] = round(
             linked_unbatched / linked_batched, 2
         )
+    # Rebuilding one world across the same link: its whole replay in
+    # one ReplayRequest frame against the same requests one frame at a
+    # time (same run, interleaved).
+    one_frame = micro.get("test_bench_shard_rebuild_linked_one_frame")
+    per_request = micro.get("test_bench_shard_rebuild_linked_per_request")
+    if one_frame and per_request:
+        speedups["shard_rebuild_linked_one_frame_vs_per_request"] = round(
+            per_request / one_frame, 2
+        )
     batched = micro.get("test_bench_churn_workload_socket_batched")
     mux = micro.get("test_bench_churn_workload_socket_mux")
     if batched and mux:
@@ -314,7 +323,7 @@ def main(argv=None) -> int:
     # Elastic membership (PR 8): one join_shard() rebalance against its
     # equivalence yardstick — constructing the post-join membership
     # from scratch and driving the identical schedule.  > 1 means the
-    # incremental rebalance (migrate + replay only the rebuilt worlds)
+    # incremental rebalance (one replay frame per rebuilt world only)
     # beats a full rebuild; the floor only trips if it blows past it.
     rebalance = micro.get("test_bench_shard_rebalance_join")
     fresh = micro.get("test_bench_shard_rebalance_fresh_twin")

@@ -62,6 +62,13 @@ SAME_RUN_FLOORS = [
         "across the benches' simulated 2 ms link)",
     ),
     (
+        "shard_rebuild_linked_one_frame_vs_per_request",
+        3.0,
+        "rebuilding a shard world no longer crosses the link in one "
+        "frame (measured across the benches' simulated 2 ms link "
+        "against the same replay sent one request per frame)",
+    ),
+    (
         "churn_socket_mux_vs_per_world",
         1.0,
         "multiplexing shard worlds onto one worker stopped paying for "
@@ -149,8 +156,8 @@ SAME_RUN_FLOORS = [
         "shard_rebalance_time",
         0.5,
         "a join rebalance costs more than twice a from-scratch rebuild "
-        "of the same membership (migrate + targeted replay stopped "
-        "paying for itself)",
+        "of the same membership (one replay frame per rebuilt world "
+        "stopped paying for itself)",
     ),
 ]
 

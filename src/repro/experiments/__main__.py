@@ -129,10 +129,12 @@ def main(argv=None) -> int:
         default=None,
         metavar="SPEC",
         help="inject scheduled transport faults into the churn family's "
-        "shard channels: comma-separated kind:shard:at[:param] entries, "
-        "e.g. 'kill:0:5,delay:1:3:0.5' (kinds: kill, reset, drop, "
-        "duplicate, delay, truncate; at = 1-based driver exchange); "
-        "combine with --recover to heal, omit it to verify fail-closed",
+        "shard channels: comma-separated kind:shard:at[:param][:rebalance] "
+        "entries, e.g. 'kill:0:5,delay:1:3:0.5' (kinds: kill, reset, drop, "
+        "duplicate, delay, truncate; at = 1-based driver exchange, or "
+        "with :rebalance the 1-based rebuild frame a membership change "
+        "sends that member); combine with --recover to heal, omit it to "
+        "verify fail-closed",
     )
     parser.add_argument(
         "--join-at",

@@ -36,7 +36,7 @@ from repro.weakset.ms_weakset import (
     WeakSetRunResult,
     run_ms_weakset,
 )
-from repro.weakset.protocol import MigrateReply, MigrateRequest
+from repro.weakset.protocol import ReplayRequest
 from repro.weakset.register_adapter import RegisterEntry, WeakSetRegister
 from repro.weakset.ring import HashRing, ring_for_shards
 from repro.weakset.sharding import (
@@ -80,14 +80,13 @@ __all__ = [
     "InProcBackend",
     "KnownParticipantsWeakSet",
     "MSEmulation",
-    "MigrateReply",
-    "MigrateRequest",
     "MSWeakSetAlgorithm",
     "MSWeakSetCluster",
     "MultiprocessBackend",
     "OpLog",
     "OpScript",
     "RebalanceStats",
+    "ReplayRequest",
     "RegisterBackedMSEmulation",
     "RegisterEntry",
     "RetryPolicy",

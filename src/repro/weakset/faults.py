@@ -48,14 +48,17 @@ drives") no matter how much recovery traffic interleaves.
 
 Faults also carry a **phase**: ``"live"`` faults (the default) fire at
 driver exchanges as above, while ``"rebalance"`` faults fire at
-*migration* exchanges — the frames a membership change
+*rebuild frames* — the one
+:class:`~repro.weakset.protocol.ReplayRequest` a membership change
 (:meth:`~repro.weakset.sharding.ShardedWeakSetCluster.join_shard` /
-``leave_shard``) sends while rebuilding moved worlds, which flow
-inside :meth:`FaultyTransport.rebalancing`.  The two counters are
+``leave_shard``) sends each world it rebuilds, inside
+:meth:`FaultyTransport.rebalancing`.  The two counters are
 independent: live traffic never trips a rebalance fault and a
 rebalance never consumes a live fault's exchange budget, so a plan
-like ``kill:2:3:rebalance`` deterministically kills shard 2's worker
-in the middle of a migration without disturbing the run around it.
+like ``kill:2:1:rebalance`` deterministically kills shard 2's worker
+on the first rebuild frame it is sent, without disturbing the run
+around it; ``kill:2:3:rebalance`` waits for its third, which only a
+third membership change that rebuilds it sends.
 """
 
 from __future__ import annotations
@@ -83,7 +86,7 @@ __all__ = [
 FAULT_KINDS = ("kill", "reset", "drop", "duplicate", "delay", "truncate")
 
 #: recognised fault phases: live driver exchanges vs membership
-#: rebalance (migration/replay) exchanges.
+#: rebalance (rebuild frame) exchanges.
 FAULT_PHASES = ("live", "rebalance")
 
 
@@ -97,8 +100,9 @@ class Fault:
             index until runtime membership changes the mapping).
         at: 1-based driver exchange at which the fault fires (exchange
             1 is the first request the backend sends after start-up).
-            For ``phase="rebalance"`` faults, the 1-based *migration*
-            exchange instead.
+            For ``phase="rebalance"`` faults, the 1-based rebuild frame
+            sent to this member instead (one per membership change that
+            rebuilds its world).
         delay: stall length in seconds (``delay`` faults only).
         cut: bytes of the encoded frame actually shipped (``truncate``
             faults only; must land inside the frame).
@@ -220,8 +224,8 @@ def parse_fault_plan(text: str) -> FaultPlan:
     entries; the optional parameter field is the delay in seconds for
     ``delay`` faults and the byte cut for ``truncate`` faults (other
     kinds take none).  A trailing ``rebalance`` field schedules the
-    fault against *migration* exchanges (membership changes) instead
-    of live driver exchanges.
+    fault against the member's rebuild frames (one per membership
+    change that rebuilds its world) instead of live driver exchanges.
 
         >>> plan = parse_fault_plan("kill:0:5, delay:1:3:0.5")
         >>> [(f.kind, f.shard, f.at, f.delay) for f in plan.faults]
@@ -349,12 +353,15 @@ class FaultyTransport(Transport):
     def rebalancing(self) -> Iterator[None]:
         """Route traffic in the block through the *rebalance* schedule.
 
-        Membership migration frames (world reset + history replay)
-        flow through here: they bump the rebalance exchange counter
-        and can fire only ``phase="rebalance"`` faults, so live fault
-        schedules keep their driver-exchange meaning across a
-        rebalance — and chaos tests can kill a worker precisely
-        mid-migration.  Reentrant, like :meth:`suspended`.
+        A membership change's rebuild frame — one
+        :class:`~repro.weakset.protocol.ReplayRequest` per rebuilt
+        world, resetting it and replaying its history — flows through
+        here: it bumps the rebalance counter and can fire only
+        ``phase="rebalance"`` faults, so live fault schedules keep
+        their driver-exchange meaning across a rebalance, and chaos
+        tests can kill a worker precisely mid-migration (at ``at=1``,
+        the one frame of the first change that rebuilds it).
+        Reentrant, like :meth:`suspended`.
         """
         self._rebalancing += 1
         try:

@@ -19,12 +19,15 @@ peek      :class:`PeekRequest` — one      :class:`PeekReply` — the
 trace     :class:`TraceRequest`           :class:`TraceReply` — a
                                           point-in-time run trace
 stop      :class:`StopRequest`            :class:`StopReply`
+replay    :class:`ReplayRequest` — reset  one :class:`MuxReply` — the
+          the world from its seeds,       sub-replies, index-aligned
+          then answer step / peek /
+          trace sub-requests in order
 ========  ==============================  ==============================
 
 plus :class:`ErrorReply` (a worker-side failure, valid in any reply
 position), the multiplexed pair :class:`MuxRequest` /
-:class:`MuxReply`, the rebalance pair :class:`MigrateRequest` /
-:class:`MigrateReply`, and the one-time bootstrap pair
+:class:`MuxReply`, and the one-time bootstrap pair
 :class:`HelloRequest` / :class:`ConfigReply` that the socket transport
 uses to hand a connecting worker its shard assignment.
 
@@ -36,8 +39,8 @@ codec — there is no codec byte and nothing to negotiate::
     body   := tag:uint8 fields…
 
 The body is a struct-packed field layout for the hot round-trip
-messages (step / peek / mux), which keeps pure-Python JSON out of
-every socket frame::
+messages (step / peek / mux / replay), which keeps pure-Python JSON
+out of every socket frame::
 
     adds        := count:u32 (token:u64 pid:u32 value)*
     value       := 'N'|'T'|'F' | 'I' i64 | 'D' f64 | 'S' u32 utf8
@@ -57,10 +60,12 @@ concatenated blob — or (bulk=0) ``count`` values;
 tag 5 ``StepBatchRequest`` = rounds:u32 adds; tag 6 ``StepBatchReply``
 = alive:u8 executed:u32 count:u32 (token:u64 end:f64)* count:u32
 crashed:u32* now:f64; tags 7/8 ``MuxRequest``/``MuxReply`` = count:u32
-then length-prefixed sub-bodies.  Tags 1 and 2 (the single-tick pair
-of versions 2–6) are retired and decode as unknown tags.  Tag 0 is the
-JSON escape for the cold messages (trace, stop, error, hello, config,
-migrate): canonical JSON (sorted keys, no whitespace) behind the tag.
+then length-prefixed sub-bodies; tag 9 ``ReplayRequest`` =
+shard_index:u32 count:u32 then length-prefixed sub-bodies.  Tags 1 and
+2 (the single-tick pair of versions 2–6) are retired and decode as
+unknown tags.  Tag 0 is the JSON escape for the cold messages (trace,
+stop, error, hello, config): canonical JSON (sorted keys, no
+whitespace) behind the tag.
 
 Decoding fails closed: every count and length is checked against the
 bytes that remain, a bignum must be ``str(value)``'s digits, the bulk
@@ -141,8 +146,7 @@ __all__ = [
     "ErrorReply",
     "MuxRequest",
     "MuxReply",
-    "MigrateRequest",
-    "MigrateReply",
+    "ReplayRequest",
     "HelloRequest",
     "ConfigReply",
     "encode_message",
@@ -160,7 +164,7 @@ __all__ = [
 #: :class:`MuxReply`), ``ConfigReply.extra_shards`` (one worker
 #: hosting several shard worlds) and the flattened ``'W'``
 #: nested-container value layout; version 5 added the membership
-#: rebalance pair (:class:`MigrateRequest` / :class:`MigrateReply`)
+#: rebalance pair (``MigrateRequest`` / ``MigrateReply``)
 #: that resets one worker's world in place before the parent replays
 #: its rewritten history (``join_shard`` / ``leave_shard``); version 6
 #: dropped the JSON frame codec: the codec byte left the header and the
@@ -168,11 +172,14 @@ __all__ = [
 #: version 7 retired the single-tick pair (tags 1/2): every tick
 #: crosses as a :class:`StepBatchRequest` (one tick is ``rounds=1``);
 #: version 8 dropped the resume-round field from :class:`ConfigReply`
-#: and :class:`MigrateRequest` again: a worker only stored it, and the
+#: and ``MigrateRequest`` again: a worker only stored it, and the
 #: parent, which drives the replay, knows the round it replays to;
 #: version 9 dropped the ``'W'`` value layout and the adds' bulk byte
-#: and lane: the recursive walker carries every add and container.
-PROTOCOL_VERSION = 9
+#: and lane: the recursive walker carries every add and container;
+#: version 10 replaced the migrate pair with :class:`ReplayRequest`:
+#: a world is reset and replayed in one frame, answered by one
+#: :class:`MuxReply`.
+PROTOCOL_VERSION = 10
 
 _HEADER = struct.Struct(">BI")
 
@@ -338,33 +345,23 @@ class MuxReply:
 
 
 @dataclass(frozen=True)
-class MigrateRequest:
-    """Reset the worker's world for a membership rebalance (v5).
+class ReplayRequest:
+    """Rebuild the worker's world in one frame (protocol v10).
 
-    Sent over an *existing* channel when a ``join_shard`` /
-    ``leave_shard`` changed which values the hosted world owns: the
-    worker discards its current world and in-flight add records and
-    builds a fresh one for ``shard_index`` (its own member id — the
-    field double-checks the parent and worker agree which world this
-    channel hosts).  The parent then drives the member's rewritten
-    request history into the fresh world through the same rebuild
-    routine that replays a respawned worker after a crash; resetting
-    in place saves starting a new worker for a live one.
+    The worker resets its world to a fresh seed-built state for
+    ``shard_index`` (its own member id: the field double-checks that
+    parent and worker agree which world this channel hosts), then
+    answers ``subs`` in order, each a step, peek or trace request, and
+    replies with one :class:`MuxReply` whose ``subs`` align
+    index-for-index.  Crash recovery and membership changes both send
+    it: ``subs`` are the member's slice of the parent's operation
+    history, then, after a crash, the request the dead worker still
+    owed a reply to.  One round trip per rebuild, however long the
+    history.
     """
 
     shard_index: int
-
-
-@dataclass(frozen=True)
-class MigrateReply:
-    """Acknowledges a :class:`MigrateRequest`: the fresh world's clock.
-
-    ``now`` is always 0.0 for a just-built world; carrying it lets the
-    parent assert the reset actually happened before replaying.
-    """
-
-    shard_index: int
-    now: float
+    subs: Tuple[object, ...]
 
 
 # ----------------------------------------------------------------------
@@ -428,18 +425,6 @@ _MESSAGE_CODECS: Dict[str, Tuple[type, Callable[[Any], Any], Callable[[Any], Any
             world=base64.b64decode(v["world"]),
             extra_shards=tuple(v.get("extra_shards", ())),
         ),
-    ),
-    # the migrate pair (protocol v5) is cold-path traffic — one pair
-    # per rebuilt world per membership change
-    "migrate_req": (
-        MigrateRequest,
-        lambda m: {"shard_index": m.shard_index},
-        lambda v: MigrateRequest(shard_index=v["shard_index"]),
-    ),
-    "migrate_rep": (
-        MigrateReply,
-        lambda m: {"shard_index": m.shard_index, "now": m.now},
-        lambda v: MigrateReply(shard_index=v["shard_index"], now=v["now"]),
     ),
 }
 
@@ -710,7 +695,7 @@ def _unpack_adds(body: bytes, offset: int) -> Tuple[Tuple[QueuedAdd, ...], int]:
 #: 2 (the single-tick pair up to version 6) stay unassigned.
 _B_JSON, _B_PEEK_REQ, _B_PEEK_REP = 0, 3, 4
 _B_BATCH_REQ, _B_BATCH_REP = 5, 6
-_B_MUX_REQ, _B_MUX_REP = 7, 8
+_B_MUX_REQ, _B_MUX_REP, _B_REPLAY_REQ = 7, 8, 9
 
 
 def _encode_binary_body(message: object, out: bytearray) -> None:
@@ -762,11 +747,15 @@ def _encode_binary_body(message: object, out: bytearray) -> None:
             out += _U32.pack(count)
             for item in sorted(proposed, key=repr):
                 _encode_binary_value(item, out)
-    elif kind is MuxRequest or kind is MuxReply:
+    elif kind is MuxRequest or kind is MuxReply or kind is ReplayRequest:
         # length-prefixed sub-bodies, each a complete tagged binary
         # body — the hot sub-messages keep their struct-packed layouts
-        # inside the multiplexed frame
-        out.append(_B_MUX_REQ if kind is MuxRequest else _B_MUX_REP)
+        # inside the multiplexed frame; a replay names its world first
+        if kind is ReplayRequest:
+            out.append(_B_REPLAY_REQ)
+            out += _U32.pack(message.shard_index)
+        else:
+            out.append(_B_MUX_REQ if kind is MuxRequest else _B_MUX_REP)
         out += _U32.pack(len(message.subs))
         for sub in message.subs:
             sub_body = bytearray()
@@ -774,7 +763,7 @@ def _encode_binary_body(message: object, out: bytearray) -> None:
             out += _U32.pack(len(sub_body))
             out += sub_body
     else:
-        # cold messages (trace/stop/error/bootstrap/migrate): canonical
+        # cold messages (trace/stop/error/bootstrap): canonical
         # JSON behind the escape tag
         out.append(_B_JSON)
         out += _encode_json_body(message)
@@ -852,9 +841,10 @@ def _decode_binary_body(body: bytes) -> object:
                 crashed=bool(body[1]),
                 proposed=_distinct(items, count, "PROPOSED set"),
             )
-        elif tag in (_B_MUX_REQ, _B_MUX_REP):
-            (count,) = _U32.unpack_from(body, 1)
-            offset = 5
+        elif tag in (_B_MUX_REQ, _B_MUX_REP, _B_REPLAY_REQ):
+            offset = 5 if tag == _B_REPLAY_REQ else 1
+            (count,) = _U32.unpack_from(body, offset)
+            offset += 4
             _check_items(body, offset, count, 4)
             subs = []
             for _ in range(count):
@@ -863,8 +853,12 @@ def _decode_binary_body(body: bytes) -> object:
                 end = _check_items(body, offset, length, 1)
                 subs.append(_decode_binary_body(body[offset:end]))
                 offset = end
-            cls = MuxRequest if tag == _B_MUX_REQ else MuxReply
-            message = cls(subs=tuple(subs))
+            if tag == _B_REPLAY_REQ:
+                (shard_index,) = _U32.unpack_from(body, 1)
+                message = ReplayRequest(shard_index=shard_index, subs=tuple(subs))
+            else:
+                cls = MuxRequest if tag == _B_MUX_REQ else MuxReply
+                message = cls(subs=tuple(subs))
         else:
             raise ProtocolError(f"unknown binary message tag {tag!r}")
     except ProtocolError:

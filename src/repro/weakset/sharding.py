@@ -16,7 +16,7 @@ Execution of the K shard worlds is an explicit three-layer stack:
 
 * the **wire protocol** (:mod:`repro.weakset.protocol`) — the
   round-trip message types (step / peek / trace / stop, plus mux and
-  migrate) as frozen dataclasses with one versioned, length-prefixed
+  replay) as frozen dataclasses with one versioned, length-prefixed
   binary codec;
 * the **transports** (:mod:`repro.weakset.transport`) — where a shard
   world lives: in this process with no codec
@@ -100,14 +100,13 @@ from repro.weakset.protocol import (
     ConfigReply,
     ErrorReply,
     HelloRequest,
-    MigrateReply,
-    MigrateRequest,
     MuxReply,
     MuxRequest,
     PeekReply,
     PeekRequest,
     ProtocolError,
     QueuedAdd,
+    ReplayRequest,
     StepBatchReply,
     StepBatchRequest,
     StopReply,
@@ -166,12 +165,12 @@ CONNECT_POLICY = RetryPolicy(
     attempts=50, base_delay=0.1, multiplier=1.0, max_delay=0.1
 )
 
-#: the reply each request type is answered with
+#: the reply each request type is answered with; also the request
+#: types a replay may carry
 _REPLY_TYPES = {
     StepBatchRequest: StepBatchReply,
     PeekRequest: PeekReply,
     TraceRequest: TraceReply,
-    MigrateRequest: MigrateReply,
 }
 
 
@@ -272,11 +271,11 @@ def _plan_rebalance(
     old_members: List[int],
     new_members: List[int],
     history: List[tuple],
-    route_old: Callable[[Hashable], int],
     route_new: Callable[[Hashable], int],
     pending_tokens: FrozenSet[int],
 ) -> _RebalancePlan:
-    """Classify a membership change against the operation history.
+    """Classify a membership change against the operation history,
+    whose add entries name each value's current owner.
 
     A world needs rebuilding exactly when its *delivered-add stream*
     changes under the new routing: the old and new owners of every
@@ -313,7 +312,7 @@ def _plan_rebalance(
     for entry in history:
         if entry[0] != "add":
             continue
-        _kind, token, pid, value, record = entry
+        _kind, token, pid, value, record, owner_old = entry
         owner_new = route_new(value)
         if record.end is None:
             key = (owner_new, pid)
@@ -328,7 +327,6 @@ def _plan_rebalance(
             in_flight[key] = value
         if token in pending_tokens:
             continue  # undelivered: re-bucketed, never replayed
-        owner_old = route_old(value)
         if owner_old != owner_new:
             moved.add(value)
             if owner_old in new_set:
@@ -338,38 +336,29 @@ def _plan_rebalance(
 
 
 def _member_replay_requests(
-    history: List[tuple],
-    member: int,
-    route_new: Callable[[Hashable], int],
-    pending_tokens: FrozenSet[int],
+    history: List[tuple], member: int, pending_tokens: FrozenSet[int]
 ) -> List[object]:
-    """The wire request sequence that rebuilds ``member``'s world.
+    """The request sequence that rebuilds ``member``'s world.
 
-    Walks the global history and keeps only the delivered adds the new
-    routing assigns to ``member``, closing each add run with the tick
-    span that followed it — the exact operation sequence a cluster
-    constructed with the new membership would have driven into this
-    world.  Delivered adds issued after the last tick ride a trailing
-    peek frame (adds apply before the peek reads; the world's clock
-    does not move), mirroring how a live peek delivers queued adds.
-    The list doubles as the supervisor's request log for the slot, so
-    a *later* crash replays the rebalanced world correctly.
+    The one replay source: crash recovery and membership changes both
+    rebuild a world from it.  Walks the global history and keeps only
+    the adds its entries record ``member`` as owning, closing each add
+    run with the tick span that followed it — the exact operation
+    sequence the member's world has consumed.  Adds in
+    ``pending_tokens`` have not been acknowledged by any world (still
+    queued, or riding the request set in flight) and are left out.
+    Delivered adds issued after the last tick ride a trailing peek
+    (adds apply before the peek reads; the world's clock does not
+    move), mirroring how a live peek delivers queued adds.
     """
     requests: List[object] = []
     adds: List[QueuedAdd] = []
     for entry in history:
         if entry[0] == "step":
-            requests.append(
-                StepBatchRequest(rounds=entry[1], adds=tuple(adds))
-            )
+            requests.append(StepBatchRequest(rounds=entry[1], adds=tuple(adds)))
             adds = []
-            continue
-        _kind, token, pid, value, _record = entry
-        if token in pending_tokens:
-            continue  # undelivered: re-bucketed to the live queue
-        if route_new(value) != member:
-            continue
-        adds.append((token, pid, value))
+        elif entry[5] == member and entry[1] not in pending_tokens:
+            adds.append(entry[1:4])  # (token, pid, value)
     if adds:
         requests.append(PeekRequest(pid=0, adds=tuple(adds)))
     return requests
@@ -477,21 +466,24 @@ class ShardServer:
             )
         if isinstance(request, TraceRequest):
             return TraceReply(trace=self.cluster.trace)
-        if isinstance(request, MigrateRequest):
-            # Membership rebalance (protocol v5): reset this worker's
-            # world to a fresh seed-built state in place — the parent
-            # then replays the member's rewritten history to the
-            # current round, exactly as into a respawned worker but
-            # without paying for a new process.
+        if isinstance(request, ReplayRequest):
+            # A rebuild (protocol v10): check the whole frame, reset
+            # this world to a fresh seed-built state in place, then
+            # answer the replayed requests in order.  A request that
+            # raises fails the frame; the parent fails closed.
             if request.shard_index != self.shard_index:
                 raise ProtocolMisuse(
-                    f"migrate aimed at shard {request.shard_index}, this "
+                    f"replay aimed at shard {request.shard_index}, this "
                     f"worker hosts shard {self.shard_index}"
                 )
+            for sub in request.subs:
+                if type(sub) not in _REPLY_TYPES:
+                    raise ProtocolMisuse(
+                        f"a replay carries steps, peeks and trace fetches, "
+                        f"not {type(sub).__name__}"
+                    )
             self._reset()
-            return MigrateReply(
-                shard_index=self.shard_index, now=self.cluster.now
-            )
+            return MuxReply(subs=tuple(map(self.handle, request.subs)))
         if isinstance(request, StopRequest):
             # serve_requests intercepts stops before they reach a
             # handler; the in-process transports dispatch here
@@ -780,7 +772,8 @@ class TransportBackend(ABC):
     multiplexes several worlds per channel overrides :meth:`_start`.
 
     One routine, :meth:`_rebuild`, gives a member a fresh world and
-    drives a request list into it: crash recovery replays a respawned
+    replays the member's slice of the operation history into it in one
+    frame: crash recovery (:meth:`_recover`) rebuilds a respawned
     worker through it, and :meth:`apply_membership` rebuilds the
     worlds a membership change touches through it.
 
@@ -841,8 +834,8 @@ class TransportBackend(ABC):
         #: request/reply frame pairs they carried (one per worker
         #: channel per exchange, direct channels included — so batching
         #: and mux visibly shrink ``frame_pairs`` per simulated round,
-        #: independent of timing noise).  Shutdown, recovery and
-        #: migration traffic is not counted.
+        #: independent of timing noise).  Shutdown and rebuild traffic
+        #: is not counted.
         self.exchanges = 0
         self.frame_pairs = 0
         self._config = WorldConfig(
@@ -908,14 +901,15 @@ class TransportBackend(ABC):
         :class:`~repro.errors.SimulationError` on a failed start, which
         a supervised rebuild retries under its backoff policy."""
 
-    # -- membership history ---------------------------------------------
-    # The global operation history: the interleaving of issued adds and
-    # lock-step ticks since construction.  A rebalance replays the
-    # *owned* slice of this history into each rebuilt world — the same
-    # seed-replay idea the supervisor uses for crash recovery, applied
-    # to a membership change instead of a worker death.  Entries:
-    #   ("add", token, pid, value, record)
-    #   ("step", ticks)                      coalesced with the tail
+    # -- the operation history -------------------------------------------
+    # The interleaving of issued adds and acknowledged lock-step ticks
+    # since construction: the one replay source.  Every rebuilt world,
+    # after a crash or a membership change, replays the slice of it
+    # that its member owns (_member_replay_requests).  Steps enter only
+    # in _fold_step, once every reply of their set is in, so a replay
+    # stops at the acknowledged prefix.  Entries:
+    #   ("add", token, pid, value, record, owner)  owner: a member id
+    #   ("step", ticks)                            coalesced with the tail
     def _record_steps(self, ticks: int) -> None:
         if ticks < 1:
             return
@@ -1064,6 +1058,23 @@ class TransportBackend(ABC):
         self._pending = [[] for _ in range(self.num_shards)]
         return batches
 
+    def _unsent_tokens(self, in_flight: Sequence[object] = ()) -> FrozenSet[int]:
+        """Tokens of the adds no world has acknowledged: still queued,
+        or riding ``in_flight`` (any shard's request of the set in
+        flight).  A replay leaves them out."""
+        batches = [*self._pending, *(getattr(r, "adds", ()) for r in in_flight)]
+        return frozenset(token for batch in batches for token, _pid, _value in batch)
+
+    def _slot(self, shard_index: int) -> int:
+        """``shard_index`` when it names a slot: a negative index
+        would wrap onto another shard's mirror."""
+        if not 0 <= shard_index < self.num_shards:
+            raise SimulationError(
+                f"no shard slot {shard_index}; slots are "
+                f"0..{self.num_shards - 1}"
+            )
+        return shard_index
+
     # -- the backend API -------------------------------------------------
     @property
     def now(self) -> float:
@@ -1081,14 +1092,17 @@ class TransportBackend(ABC):
         Returns an :class:`~repro.weakset.spec.AddRecord` whose ``end``
         the backend stamps once the shard world reports the value
         written.  Raises :class:`~repro.errors.SimulationError` for a
-        crashed ``pid`` and :class:`~repro.errors.ProtocolMisuse` while
-        a previous add by ``pid`` on the same shard is still blocked —
-        the same errors, at the same call, as a plain cluster.
+        ``shard_index`` that names no slot or a crashed ``pid``, and
+        :class:`~repro.errors.ProtocolMisuse` while a previous add by
+        ``pid`` on the same shard is still blocked — the same errors,
+        at the same call, as a plain cluster.  Nothing is queued or
+        recorded for a rejected add.
         """
         self._ensure_open()
         # The shard cluster's checks, mirrored parent-side so a bad add
-        # fails fast instead of poisoning a world mid-round (the pid
-        # guard doubles the facade's, for direct backend users).
+        # fails fast instead of poisoning a world mid-round (the slot
+        # and pid guards double the facade's, for direct backend users).
+        self._slot(shard_index)
         if not 0 <= pid < self.n:
             raise SimulationError(f"no process {pid}")
         if pid in self._crashed[shard_index]:
@@ -1101,7 +1115,9 @@ class TransportBackend(ABC):
         self._records[token] = record
         self._in_flight[(shard_index, pid)] = record
         self._pending[shard_index].append((token, pid, value))
-        self._history.append(("add", token, pid, value, record))
+        self._history.append(
+            ("add", token, pid, value, record, self.members[shard_index])
+        )
         return record
 
     def step(self) -> bool:
@@ -1110,31 +1126,31 @@ class TransportBackend(ABC):
 
     # -- runtime membership ----------------------------------------------
     def apply_membership(
-        self,
-        new_members: List[int],
-        route_old: Callable[[Hashable], int],
-        route_new: Callable[[Hashable], int],
+        self, new_members: List[int], route_new: Callable[[Hashable], int]
     ) -> RebalanceStats:
         """Rebalance the live worker fleet onto ``new_members``.
 
+        ``route_new`` maps a value to its member id under the new
+        membership (each history add entry records its old owner).
         The facade calls this between advances, when no exchange is in
-        flight.  Leaving members' workers are stopped; every member
+        flight.  :func:`_plan_rebalance` validates the change before
+        anything mutates; then every add entry is rewritten to its new
+        owner, leaving members' workers are stopped, and every member
         whose owned-value set changes (plus every joined member) gets
-        its world **rebuilt** by
-        :meth:`_rebuild` from the rewritten global history — reset in
-        place by the protocol-v5
-        :class:`~repro.weakset.protocol.MigrateRequest` — so the
-        rebalanced cluster is byte-identical to one *constructed* with
-        the new membership and driven through the same schedule.
+        its world **rebuilt** by :meth:`_rebuild` from its slice of
+        the rewritten history, in one frame that resets a live world
+        in place — so the rebalanced cluster is byte-identical to one
+        *constructed* with the new membership and driven through the
+        same schedule.
 
-        Migration traffic is not a driver exchange: it does not bump
-        :attr:`exchanges`/:attr:`frame_pairs`, and scheduled faults fire
-        on it only when tagged ``phase="rebalance"``
+        Rebuild traffic is not a driver exchange: it does not bump
+        :attr:`exchanges`/:attr:`frame_pairs`, and scheduled faults
+        fire on it only when tagged ``phase="rebalance"``
         (:meth:`~repro.weakset.faults.FaultyTransport.rebalancing`).
-        With ``recover=True`` a worker killed mid-migration is respawned
-        under the supervisor's backoff policy and its replay re-driven
-        from scratch; without supervision a mid-migration death poisons
-        the backend exactly like a mid-round death.
+        With ``recover=True`` a worker killed mid-rebuild is respawned
+        under the supervisor's backoff policy and its frame re-sent;
+        without supervision a mid-rebuild death poisons the backend
+        exactly like a mid-round death.
         """
         started = time.perf_counter()
         self._ensure_open()
@@ -1147,33 +1163,25 @@ class TransportBackend(ABC):
             raise SimulationError(
                 "cannot change membership once a shard world is exhausted"
             )
-        pending_tokens = frozenset(
-            token for batch in self._pending for token, _pid, _value in batch
-        )
+        pending_tokens = self._unsent_tokens()
+        history = self._history
         plan = _plan_rebalance(
-            self.members,
-            new_members,
-            self._history,
-            route_old,
-            route_new,
-            pending_tokens,
+            self.members, new_members, history, route_new, pending_tokens
         )
+        for index, entry in enumerate(history):
+            if entry[0] == "add":
+                history[index] = (*entry[:5], route_new(entry[3]))
         old_members = list(self.members)
-        replay_lists = {
-            member: _member_replay_requests(
-                self._history, member, route_new, pending_tokens
-            )
-            for member in plan.rebuilt
-        }
 
         # 1. stop the leaving members' workers.
         channels = dict(zip(old_members, self._transports))
         self._stop([channels.pop(member) for member in plan.removed])
 
-        # 2. rebuild each affected member's world from its rewritten
-        #    history, resetting it in place.  A joined member's worker
-        #    is started first, by a rebuild with no history, so it boots
-        #    while the worlds before it replay.
+        # 2. rebuild each affected member's world from its slice of the
+        #    rewritten history, resetting it in place.  A joined
+        #    member's worker is started first, by a rebuild with nothing
+        #    to replay (no frame), so it boots while the worlds before
+        #    it replay.
         for member in plan.joined:
             channels[member], _replies = self._rebuild(member, None, [])
         completions: Dict[int, float] = {}
@@ -1181,7 +1189,9 @@ class TransportBackend(ABC):
         replayed_ticks = 0
         for member in plan.rebuilt:
             channels[member], replies = self._rebuild(
-                member, channels[member], replay_lists[member]
+                member,
+                channels[member],
+                _member_replay_requests(history, member, pending_tokens),
             )
             steps = [reply for reply in replies if type(reply) is StepBatchReply]
             ticks = sum(reply.executed for reply in steps)
@@ -1206,11 +1216,11 @@ class TransportBackend(ABC):
         #    ``None`` and re-tracked so their later completion is
         #    recognized rather than rejected as an unknown token.
         rebuilt_set = set(plan.rebuilt)
-        for entry in self._history:
+        for entry in history:
             if entry[0] != "add":
                 continue
-            _kind, token, pid, value, record = entry
-            if token in pending_tokens or route_new(value) not in rebuilt_set:
+            _kind, token, _pid, _value, record, owner = entry
+            if token in pending_tokens or owner not in rebuilt_set:
                 continue
             record.end = completions.get(token)
             if record.end is None:
@@ -1220,11 +1230,6 @@ class TransportBackend(ABC):
 
         # 4. adopt the new membership across every parent-side mirror.
         old_crashed = dict(zip(old_members, self._crashed))
-        old_logs: Dict[int, List[object]] = (
-            dict(zip(old_members, self._supervisor._logs))
-            if self._supervisor is not None
-            else {}
-        )
         self.members = list(new_members)
         self.num_shards = len(self.members)
         slot_of = {member: slot for slot, member in enumerate(self.members)}
@@ -1237,23 +1242,15 @@ class TransportBackend(ABC):
         ]
         self._pending = [[] for _ in range(self.num_shards)]
         self._in_flight = {}
-        for entry in self._history:
+        for entry in history:
             if entry[0] != "add":
                 continue
-            _kind, token, pid, value, record = entry
-            slot = slot_of[route_new(value)]
+            _kind, token, pid, value, record, owner = entry
+            slot = slot_of[owner]
             if token in pending_tokens:
                 self._pending[slot].append((token, pid, value))
             if record.end is None:
                 self._in_flight[(slot, pid)] = record
-        if self._supervisor is not None:
-            self._supervisor.reset_membership(
-                [
-                    list(replay_lists[m]) if m in rebuilt_set
-                    else old_logs.get(m, [])
-                    for m in self.members
-                ]
-            )
         return RebalanceStats(
             joined=tuple(plan.joined),
             left=tuple(plan.removed),
@@ -1262,6 +1259,24 @@ class TransportBackend(ABC):
             replayed_ticks=replayed_ticks,
             wall_clock=time.perf_counter() - started,
         )
+
+    def _recover(self, slot: int, requests: List[object], cause: str) -> object:
+        """Rebuild slot ``slot``'s dead world from the acknowledged
+        history and re-issue its request of the set in flight,
+        ``requests``; return that request's reply, which answers the
+        exchange in progress.  The supervisor calls this for every
+        shard whose channel failed."""
+        member = self.members[slot]
+        self._transports[slot], replies = self._rebuild(
+            member,
+            self._transports[slot],
+            _member_replay_requests(
+                self._history, member, self._unsent_tokens(requests)
+            ),
+            [requests[slot]],
+            cause=cause,
+        )
+        return replies[-1]
 
     def _rebuild(
         self,
@@ -1272,41 +1287,44 @@ class TransportBackend(ABC):
         *,
         cause: Optional[str] = None,
     ) -> Tuple[Transport, List[object]]:
-        """Give ``member`` a fresh world and drive requests into it.
+        """Give ``member`` a fresh world and replay requests into it.
 
-        The one way a shard world is rebuilt.  ``history`` (the
-        requests that bring the fresh world to where the old one was)
-        is driven in first, then ``in_flight`` (the request the old
-        world still owed a reply to); returns the channel now hosting
-        the world and one reply per request, in order.  The two
-        callers:
+        The one way a shard world is rebuilt, in one frame: a
+        :class:`~repro.weakset.protocol.ReplayRequest` carrying
+        ``history`` (from :func:`_member_replay_requests`: what brings a
+        fresh world to where the old one was) then ``in_flight`` (the
+        request the old world still owed a reply to).  The worker
+        resets its world, answers the requests in order and replies
+        with one :class:`~repro.weakset.protocol.MuxReply`; returns the
+        channel now hosting the world and one sub-reply per request.
+        The two callers:
 
-        * crash recovery (:class:`~repro.weakset.supervisor.ShardSupervisor`)
-          hands over the dead ``channel`` with the ``cause`` of death,
-          the shard's acknowledged request log and the shard's request
-          of the exchange in flight;
-        * a membership change (:meth:`apply_membership`) hands over each
-          rebuilt member's live channel with the member's rewritten
-          history; a joining member first gets its worker from a
-          rebuild with no channel and no history.
+        * crash recovery (:meth:`_recover`) hands over the dead
+          ``channel`` with the ``cause`` of death, the member's
+          acknowledged history and its request of the exchange in
+          flight;
+        * a membership change (:meth:`apply_membership`) hands over
+          each rebuilt member's live channel with its history under
+          the new routing; a joining member first gets its worker from
+          a rebuild with no channel and nothing to replay, which sends
+          no frame.
 
-        The fresh world comes from a
-        :class:`~repro.weakset.protocol.MigrateRequest` over a live
-        channel — the world is reset in place, no worker is started —
-        and otherwise from :meth:`_spawn_world`: for a dead channel, a
-        joining member, or a retry after a death.  Every reply is
-        awaited under the backend's one reply deadline.  A worker death
-        is retried under the supervisor's
+        A live channel's world is reset in place by the frame, no
+        worker is started; a dead channel, a joining member or a retry
+        after a death gets its worker from :meth:`_spawn_world` first.
+        The reply is awaited under the backend's one reply deadline.  A
+        worker death is retried under the supervisor's
         :class:`~repro.weakset.supervisor.RetryPolicy` when
         ``recover=True`` and poisons the backend otherwise; a
-        worker-side :class:`~repro.weakset.protocol.ErrorReply` (or any
-        reply of the wrong type) fails closed either way, because
-        replaying a deterministic world would repeat it.
+        worker-side :class:`~repro.weakset.protocol.ErrorReply`, or any
+        reply but a ``MuxReply`` holding one reply of the matching type
+        per request, fails closed either way, because replaying a
+        deterministic world would repeat it.
 
         Crash-recovery frames are not driver exchanges: a fault wrapper
         is :meth:`~repro.weakset.faults.FaultyTransport.suspended` for
         them, and retries back off under ``("respawn", slot)``.  A
-        membership change's frames are migration traffic
+        membership change's frame is rebuild traffic
         (:meth:`~repro.weakset.faults.FaultyTransport.rebalancing`),
         backing off under ``("rebalance", member)``.
         """
@@ -1324,7 +1342,7 @@ class TransportBackend(ABC):
             else:
                 key = ("rebalance", member)
             delays = supervisor.policy.backoff(*key)
-        requests = [*history, *in_flight]
+        replay = ReplayRequest(shard_index=member, subs=(*history, *in_flight))
         since = time.perf_counter() if recovering else None
         first_cause = last_error = cause
         spawns = 0
@@ -1334,9 +1352,8 @@ class TransportBackend(ABC):
         for attempt in range(attempts):
             if attempt:
                 time.sleep(next(delays))
-            live = cause is None and channel is not None
             respawned = cause is not None
-            if not live:
+            if respawned or channel is None:
                 spawns += 1
                 try:
                     raw = self._spawn_world(member)
@@ -1352,6 +1369,8 @@ class TransportBackend(ABC):
                         if self._fault_plan
                         else raw
                     )
+                    if not replay.subs:  # a fresh world is already reset
+                        return channel, []
                 else:  # a respawn; a fault wrapper keeps its schedule
                     if isinstance(channel, FaultyTransport):
                         channel.replace_inner(raw)
@@ -1362,22 +1381,10 @@ class TransportBackend(ABC):
             quiet = contextlib.nullcontext()
             if isinstance(channel, FaultyTransport):
                 quiet = channel.suspended() if recovering else channel.rebalancing()
-            replies: List[object] = []
             try:
                 with quiet:
-                    if live:
-                        self._rebuild_reply(
-                            channel, member, MigrateRequest(shard_index=member)
-                        )
-                    for request in requests:
-                        reply = self._rebuild_reply(channel, member, request)
-                        replies.append(reply)
-                        if (
-                            respawned
-                            and len(replies) <= len(history)
-                            and type(reply) is StepBatchReply
-                        ):
-                            stats.replayed_rounds += reply.executed
+                    channel.send(replay)
+                    reply = self._recv(channel)
             except (TransportError, ProtocolError) as error:
                 if supervisor is None:
                     self._failed = True
@@ -1391,36 +1398,38 @@ class TransportBackend(ABC):
                 channel.close()
                 since = since or time.perf_counter()
                 continue
+            if not (
+                type(reply) is MuxReply
+                and len(reply.subs) == len(replay.subs)
+                and all(
+                    type(sub) is _REPLY_TYPES[type(request)]
+                    for request, sub in zip(replay.subs, reply.subs)
+                )
+            ):
+                self._failed = True
+                if isinstance(reply, ErrorReply):
+                    raise SimulationError(
+                        f"shard {member} worker failed while rebuilding "
+                        f"member {member}'s world:\n{reply.message}"
+                    )
+                raise SimulationError(
+                    f"member {member} answered a replay of "
+                    f"{len(replay.subs)} requests with {reply!r:.200}"
+                )
+            if respawned:
+                stats.replayed_rounds += sum(
+                    sub.executed
+                    for sub in reply.subs[: len(history)]
+                    if type(sub) is StepBatchReply
+                )
             if since is not None:
                 stats.wall_clock += time.perf_counter() - since
-            return channel, replies
+            return channel, list(reply.subs)
         self._failed = True
         raise SimulationError(
             f"shard {member} worker died (at round clock {self._now:g}: "
             f"{first_cause or last_error}) and could not be recovered after "
             f"{spawns} respawn attempt(s): {last_error}"
-        )
-
-    def _rebuild_reply(
-        self, channel: Transport, member: int, request: object
-    ) -> object:
-        """One rebuild exchange; anything but the matching reply type
-        fails closed."""
-        channel.send(request)
-        reply = self._recv(channel)
-        # a reset world must be back at round 0
-        reset = type(reply) is not MigrateReply or reply.now == 0.0
-        if type(reply) is _REPLY_TYPES[type(request)] and reset:
-            return reply
-        self._failed = True
-        if isinstance(reply, ErrorReply):
-            raise SimulationError(
-                f"shard {member} worker failed while rebuilding member "
-                f"{member}'s world:\n{reply.message}"
-            )
-        raise SimulationError(
-            f"member {member} answered a {type(request).__name__} with "
-            f"{reply!r:.200} while its world was rebuilt"
         )
 
     def _stop(self, transports: List[Transport]) -> List[int]:
@@ -1466,9 +1475,8 @@ class TransportBackend(ABC):
         mirror update sequence — and therefore every trace — is
         identical for every batch size.  Supervised (``recover=True``)
         runs exchange through the supervisor, which heals a worker
-        death by replaying the shard's acknowledged log and re-issuing
-        the step in flight
-        (:meth:`~repro.weakset.supervisor.ShardSupervisor.exchange`).
+        death by replaying the shard's acknowledged history and
+        re-issuing the step in flight (:meth:`_recover`).
         """
         batch = self.round_batch
         return self._drive(
@@ -1553,7 +1561,7 @@ class TransportBackend(ABC):
 
     def crashed(self, shard_index: int, pid: int) -> bool:
         """Whether ``pid`` has crashed in shard ``shard_index``'s world."""
-        return pid in self._crashed[shard_index]
+        return pid in self._crashed[self._slot(shard_index)]
 
     def local_views(self, pid: int) -> List[Tuple[bool, FrozenSet[Hashable]]]:
         """Per-shard ``(crashed, local PROPOSED)`` pairs for one ``get``.
@@ -2333,9 +2341,8 @@ class ShardedWeakSetCluster:
         self._rebalance([m for m in current if m != member])
 
     def _rebalance(self, new_members: List[int]) -> None:
-        new_ring = HashRing(new_members)
         stats = self._backend.apply_membership(
-            new_members, self._ring.owner, new_ring.owner
+            new_members, HashRing(new_members).owner
         )
         self._refresh_ring()
         self._last_rebalance = stats

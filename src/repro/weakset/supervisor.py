@@ -19,21 +19,21 @@ whole point of the source paper).  This module is the opt-in
 * :class:`ShardSupervisor` — the supervised exchange a
   :class:`~repro.weakset.sharding.TransportBackend` constructed with
   ``recover=True`` routes its round trips through.  It detects worker
-  death (send failure, EOF/reset mid-harvest, reply deadline), keeps
-  each shard's log of acknowledged requests, and hands the dead shard
-  to the backend's one rebuild routine
-  (:meth:`~repro.weakset.sharding.TransportBackend._rebuild`): respawn
-  the worker, replay the log deterministically, re-issue the request
-  in flight.  The exchange then returns a reply set
-  indistinguishable from an uninterrupted run.  Membership changes
-  rebuild worlds through the same routine.
+  death (send failure, EOF/reset mid-harvest, reply deadline) and
+  hands the dead shard to the backend
+  (:meth:`~repro.weakset.sharding.TransportBackend._recover`), which
+  respawns the worker and sends it one frame: the shard's slice of
+  the backend's operation history, then the request in flight.  The
+  exchange then returns a reply set indistinguishable from an
+  uninterrupted run.  Membership changes rebuild worlds through the
+  same routine and from the same history.
 
 Why replay works: a shard world derives every decision from keyed
 seed streams — never from process state — so a respawned worker fed
-the exact request sequence the dead one consumed (the supervisor keeps
-that log) rebuilds the *identical* world, tick for tick.  Recovered
-traces are therefore byte-identical to an uninterrupted run (pinned in
-``tests/weakset/test_supervisor.py``).
+the operation sequence the dead one acknowledged (the backend's one
+history records it) rebuilds the *identical* world, tick for tick.
+Recovered traces are therefore byte-identical to an uninterrupted run
+(pinned in ``tests/weakset/test_supervisor.py``).
 
 What recovery deliberately does **not** attempt: a worker-side
 :class:`~repro.weakset.protocol.ErrorReply` (the world itself raised)
@@ -50,7 +50,7 @@ from typing import Dict, Iterator, List, Optional
 
 from repro._rng import derive_uniform
 from repro.errors import SimulationError
-from repro.weakset.protocol import PeekRequest, ProtocolError, StepBatchRequest
+from repro.weakset.protocol import ProtocolError
 from repro.weakset.transport import TransportError
 
 __all__ = [
@@ -176,55 +176,26 @@ class ShardSupervisor:
     instead of the bare :func:`~repro.weakset.transport.send_all` /
     :func:`~repro.weakset.transport.harvest_all` pair.
 
-    An exchange sends one request set, collects its replies in
-    canonical shard order under the backend's reply deadline and only
-    then *acknowledges* it into the per-shard request log.  For any
-    shard whose channel failed — at send or mid-harvest — it hands the
-    shard to the backend's rebuild routine
-    (:meth:`~repro.weakset.sharding.TransportBackend._rebuild`) with
-    the shard's acknowledged log (every step and peek frame the dead
-    worker consumed — queued adds ride inside them, so the rebuilt
-    world sees the identical operation sequence) followed by the
-    shard's request of the set in flight.  The routine respawns the
-    worker under this supervisor's :attr:`policy`, drives both in, and
-    returns the replies; the last one answers the exchange.
+    An exchange sends one request set and collects its replies in
+    canonical shard order under the backend's reply deadline.  For
+    any shard whose channel failed — at send or mid-harvest — it hands
+    the shard to the backend
+    (:meth:`~repro.weakset.sharding.TransportBackend._recover`), which
+    respawns the worker under this supervisor's :attr:`policy` and
+    replays the shard's acknowledged history followed by its request
+    of the set in flight, in one frame; the last reply answers the
+    exchange.  The supervisor keeps no log of its own: the backend
+    folds a step into its history only after every reply of the set
+    is in, so the history holds exactly the acknowledged prefix.
     """
 
     def __init__(self, backend, *, policy: Optional[RetryPolicy] = None):
         self.backend = backend
         self.policy = policy or RetryPolicy()
         self.stats = ShardRecoveryStats()
-        self._logs: List[List[object]] = [[] for _ in range(backend.num_shards)]
-        #: the request set sent and not yet acknowledged (``None``
-        #: between exchanges); it moves into ``_logs`` only once its
-        #: replies are fully harvested — the *acknowledged* point
-        #: replay rebuilds to.
-        self._in_flight: Optional[List[object]] = None
-
-    def _log(self, requests: List[object]) -> None:
-        for index, request in enumerate(requests):
-            if isinstance(request, (StepBatchRequest, PeekRequest)):
-                self._logs[index].append(request)
-
-    def reset_membership(self, new_logs: List[List[object]]) -> None:
-        """Adopt a membership change's per-slot request logs.
-
-        Called by the backend after a rebalance rewrote some worlds'
-        histories: ``new_logs`` is the new slot-ordered log list —
-        carried over verbatim for untouched members, rewritten (the
-        member's owned slice of the global history) for rebuilt ones —
-        so a *later* crash recovery replays the post-rebalance world
-        exactly.  Membership changes happen only between advances, so
-        a request set still in flight here is a driver bug.
-        """
-        if self._in_flight is not None:
-            raise SimulationError(
-                "cannot change membership with exchanges in flight"
-            )
-        self._logs = [list(log) for log in new_logs]
 
     def exchange(self, requests: List[object]) -> List[object]:
-        """Send one request set, harvest and acknowledge its replies.
+        """Send one request set and harvest its replies.
 
         Replies come back index-aligned, one per shard, and raise
         :class:`~repro.errors.SimulationError` only when recovery
@@ -233,12 +204,8 @@ class ShardSupervisor:
         raised: every other shard still gets its request before the
         first reply is read, and the failed shard is rebuilt when its
         reply is due — as is a shard whose channel dies mid-harvest.
-        The request set is logged only after every reply is in, so
-        replay after a death rebuilds exactly the acknowledged prefix
-        and the set in flight is re-issued.
         """
         backend = self.backend
-        self._in_flight = requests
         broken: Dict[int, str] = {}
         for index, (transport, request) in enumerate(
             zip(backend._transports, requests)
@@ -256,20 +223,5 @@ class ShardSupervisor:
                     continue
                 except (TransportError, ProtocolError) as error:
                     cause = str(error)
-            replies[index] = self._recover(index, cause)
-        self._log(self._in_flight)
-        self._in_flight = None
+            replies[index] = backend._recover(index, requests, cause)
         return replies
-
-    def _recover(self, index: int, cause: str) -> object:
-        """Rebuild shard ``index``'s dead world; return the reply owed
-        to the exchange in progress."""
-        backend = self.backend
-        backend._transports[index], replies = backend._rebuild(
-            backend.members[index],
-            backend._transports[index],
-            self._logs[index],
-            [self._in_flight[index]],
-            cause=cause,
-        )
-        return replies[-1]

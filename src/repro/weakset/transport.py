@@ -28,8 +28,9 @@ harvests each exchange before it sends the next, so at most one
 request set is in flight.
 
 Rebuild traffic rides the same channels: a membership change runs
-between exchanges, when the wire is empty, and the driver's one
-rebuild routine runs its ``Migrate``/replay exchanges over these
+between exchanges, when the wire is empty, and a crash recovery in
+place of the dead worker's reply; the driver's one rebuild routine
+sends each rebuilt world one ``ReplayRequest`` frame over these
 transports like any other request — no side channel, and the frame
 ordering a worker observes stays deterministic.
 

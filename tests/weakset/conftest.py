@@ -1,4 +1,5 @@
-"""Weak-set test fixtures: the multiprocessing start-method matrix.
+"""Weak-set test fixtures: the multiprocessing start-method matrix,
+and a frame counter for the shard driver's rebuild traffic.
 
 The shard backends promise identical behaviour under ``fork`` and
 ``spawn`` (under ``spawn`` the world config must pickle, which is easy
@@ -12,6 +13,9 @@ import multiprocessing
 
 import pytest
 
+from repro.weakset.sharding import TransportBackend
+from repro.weakset.transport import InProcTransport
+
 _AVAILABLE = [
     method
     for method in ("fork", "spawn")
@@ -23,3 +27,34 @@ _AVAILABLE = [
 def start_method(request):
     """Every available multiprocessing start method, one run each."""
     return request.param
+
+
+@pytest.fixture
+def count_frames(monkeypatch):
+    """``count_frames(window)`` returns a list that fills, in send
+    order, with the type names of the frames the in-process transports
+    send while the ``TransportBackend`` method ``window`` runs."""
+
+    def start(window):
+        frames = []
+        inside = []
+        send = InProcTransport.send
+        method = getattr(TransportBackend, window)
+
+        def counting(self, message):
+            if inside:
+                frames.append(type(message).__name__)
+            return send(self, message)
+
+        def watched(self, *args, **kwargs):
+            inside.append(window)
+            try:
+                return method(self, *args, **kwargs)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(InProcTransport, "send", counting)
+        monkeypatch.setattr(TransportBackend, window, watched)
+        return frames
+
+    return start

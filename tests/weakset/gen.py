@@ -11,16 +11,16 @@ from hypothesis import strategies as st
 from repro.values import BOTTOM
 from repro.weakset.protocol import (
     ErrorReply,
-    MigrateReply,
-    MigrateRequest,
     MuxReply,
     MuxRequest,
     PeekReply,
     PeekRequest,
+    ReplayRequest,
     StepBatchReply,
     StepBatchRequest,
     StopReply,
     StopRequest,
+    TraceRequest,
 )
 
 # the payload universe the weak set trades in (and the canonical codec
@@ -108,32 +108,33 @@ step_batch_replies = st.builds(
     now=_clock,
 )
 
-migrate_requests = st.builds(
-    MigrateRequest,
-    shard_index=st.integers(min_value=0, max_value=255),
-)
-
-migrate_replies = st.builds(
-    MigrateReply,
-    shard_index=st.integers(min_value=0, max_value=255),
-    now=_clock,
-)
-
 _simple_messages = st.one_of(
     peek_requests,
     peek_replies,
     step_batch_requests,
     step_batch_replies,
-    migrate_requests,
-    migrate_replies,
     st.just(StopRequest()),
     st.just(StopReply()),
     st.builds(ErrorReply, message=st.text(max_size=40)),
 )
 
+#: a rebuild frame: a world's replayed steps and peeks, possibly an
+#: empty history, and at most one trailing trace fetch (a crash during
+#: ``traces()`` re-issues it)
+replay_requests = st.builds(
+    ReplayRequest,
+    shard_index=st.integers(min_value=0, max_value=2**32 - 1),
+    subs=st.tuples(
+        st.lists(st.one_of(step_batch_requests, peek_requests), max_size=4),
+        st.lists(st.just(TraceRequest()), max_size=1),
+    ).map(lambda parts: tuple(parts[0] + parts[1])),
+)
+
 #: every message shape the frame codec carries (mux frames wrap the simple
-#: ones, mirroring how the socket backend multiplexes worlds)
+#: ones, mirroring how the socket backend multiplexes worlds, and a
+#: replay frame carries a rebuilt world's requests)
 messages = st.one_of(
+    replay_requests,
     _simple_messages,
     st.builds(
         MuxRequest,

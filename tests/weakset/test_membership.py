@@ -21,6 +21,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.serialization import trace_to_json
+from repro.sim.runner import run_churn_workload
 from repro.sim.workloads import ChurnEnvironments
 from repro.weakset import sharding
 from repro.weakset.faults import Fault, FaultPlan, parse_fault_plan
@@ -181,16 +182,17 @@ class TestChaosDuringMigration:
     def test_kill_mid_migration_heals_byte_identically(
         self, backend, start_method
     ):
-        """A worker killed on its 2nd migration exchange is respawned
-        under the supervisor and the rebalanced run still converges
-        byte-identical to a fresh unsupervised post-join cluster."""
+        """A worker killed on its rebuild frame, the one frame a
+        migration sends it, is respawned under the supervisor and the
+        rebalanced run still converges byte-identical to a fresh
+        unsupervised post-join cluster."""
         adds, victim = _adds_migrating_on_join()
         assert victim is not None, (
             "ring_for_shards(3) moves none of 10,000 candidate values off "
             "ring_for_shards(2), so the join would migrate nothing and the "
             "rebalance-phase kill could never fire"
         )
-        plan = parse_fault_plan(f"kill:{victim}:2:rebalance")
+        plan = parse_fault_plan(f"kill:{victim}:1:rebalance")
         grown = _build(
             backend, recover=True, fault_plan=plan, start_method=start_method
         )
@@ -386,7 +388,7 @@ class TestOneRebuildRoutine:
 
     def test_join_keeps_the_existing_workers(self):
         """The kept fast path: a rebuilt existing member is reset in
-        place by a migrate request and keeps its worker process; only
+        place by its replay frame and keeps its worker process; only
         the joiner starts one."""
         cluster, old_owner = _migrating_cluster("multiprocess", start_method="fork")
         with cluster:
@@ -421,6 +423,29 @@ class TestOneRebuildRoutine:
             assert not workers[1].is_alive()  # stopped by the handshake
             assert cluster.advance(2) == 2
 
+    @pytest.mark.parametrize(
+        "joins, leaves, frames_sent",
+        [((10,), (), 3), ((), ((40, 0),), 2), ((10,), ((40, 0),), 6)],
+        ids=["join@10", "leave@40", "join@10,leave@40"],
+    )
+    def test_one_frame_per_rebuilt_member(
+        self, count_frames, joins, leaves, frames_sent
+    ):
+        """C5's full stream: a membership change sends each rebuilt
+        member one ``ReplayRequest``, however many steps its history
+        holds, and each leaving member its stop."""
+        frames = count_frames("apply_membership")
+        run = run_churn_workload(
+            n=8, shards=2, total_adds=48, adds_per_round=1,
+            pattern="random", backend="inproc", seed=0,
+            join_at=joins, leave_at=leaves,
+        )
+        rebuilt = sum(len(stats.rebuilt_members) for stats in run.rebalances)
+        left = sum(len(stats.left) for stats in run.rebalances)
+        assert sorted(frames) == ["ReplayRequest"] * rebuilt + ["StopRequest"] * left
+        assert len(frames) == frames_sent
+        assert run.replayed_ticks > rebuilt  # more steps than frames
+
     def test_migration_traffic_is_not_a_driver_exchange(self):
         cluster, _old_owner = _migrating_cluster("inproc")
         with cluster:
@@ -433,10 +458,10 @@ class TestOneRebuildRoutine:
     @pytest.mark.chaos
     def test_kill_mid_migration_heals_in_process(self):
         """The in-process twin of the chaos test above, with exact
-        counts: one death on the old owner's second migration exchange,
-        one respawn, and the replay re-driven on the new worker."""
+        counts: one death on the old owner's rebuild frame, one
+        respawn, and the frame re-sent to the new worker."""
         adds, victim = _adds_migrating_on_join()
-        plan = parse_fault_plan(f"kill:{victim}:2:rebalance")
+        plan = parse_fault_plan(f"kill:{victim}:1:rebalance")
         grown = _build("inproc", recover=True, fault_plan=plan)
         fresh = _build("inproc", shards=3)
         with grown, fresh:
@@ -451,7 +476,7 @@ class TestOneRebuildRoutine:
     @pytest.mark.chaos
     def test_kill_mid_migration_without_recover_fails_closed(self):
         _adds, victim = _adds_migrating_on_join()
-        plan = parse_fault_plan(f"kill:{victim}:2:rebalance")
+        plan = parse_fault_plan(f"kill:{victim}:1:rebalance")
         cluster, _old_owner = _migrating_cluster("inproc", fault_plan=plan)
         with cluster:
             with pytest.raises(
@@ -506,6 +531,30 @@ class TestOneRebuildRoutine:
                 cluster.join_shard()
             stats = cluster.recovery_stats
             assert (stats.detections, stats.respawns) == (0, 0)
+            with pytest.raises(SimulationError, match="backend failed"):
+                cluster.advance(1)
+
+    @pytest.mark.parametrize("recover", [False, True], ids=["fail-closed", "recover"])
+    def test_a_raising_replay_ends_its_worker(self, recover):
+        """The inadmissible replay over a real pipe: the joiner's worker
+        answers its frame with one error and exits, and the run fails
+        closed whether or not it is supervised."""
+        first, second = _values_colliding_on_join()
+        cluster = _build(
+            "multiprocess", start_method="fork", recover=recover,
+            retry_policy=RetryPolicy(base_delay=0.0),
+        )
+        with cluster:
+            cluster.begin_add(0, first)
+            cluster.begin_add(0, second)
+            cluster.advance(TOTAL_ROUNDS)
+            with pytest.raises(SimulationError, match="ProtocolMisuse"):
+                cluster.join_shard()
+            joiner = cluster.backend._shard_workers[2]
+            joiner.join(timeout=5.0)
+            assert joiner.exitcode == 0
+            if recover:
+                assert cluster.recovery_stats.detections == 0
             with pytest.raises(SimulationError, match="backend failed"):
                 cluster.advance(1)
 

@@ -34,13 +34,12 @@ from repro.weakset.protocol import (
     ConfigReply,
     ErrorReply,
     HelloRequest,
-    MigrateReply,
-    MigrateRequest,
     MuxReply,
     MuxRequest,
     PeekReply,
     PeekRequest,
     ProtocolError,
+    ReplayRequest,
     StepBatchReply,
     StepBatchRequest,
     StopReply,
@@ -141,12 +140,27 @@ class TestRoundTripIdentity:
         config = ConfigReply(shard_index=3, world=b"\x00\x01pickle-bytes\xff")
         assert roundtrip(config) == config
 
-    def test_migrate_pair(self):
-        """The protocol-v5 rebalance handshake crosses the wire."""
-        request = MigrateRequest(shard_index=7)
+    def test_replay_request(self):
+        """The protocol-v10 rebuild frame crosses the wire: a world's
+        replayed steps and peeks, a trailing trace fetch, or nothing."""
+        request = ReplayRequest(
+            shard_index=7,
+            subs=(
+                StepBatchRequest(rounds=3, adds=((0, 1, "alpha"),)),
+                PeekRequest(pid=0, adds=((1, 2, ("b", frozenset({1}))),)),
+                TraceRequest(),
+            ),
+        )
         assert roundtrip(request) == request
-        assert roundtrip(MigrateRequest(shard_index=0)) == MigrateRequest(0)
-        reply = MigrateReply(shard_index=7, now=0.0)
+        assert roundtrip(ReplayRequest(0, ())) == ReplayRequest(0, ())
+        reply = MuxReply(subs=(
+            StepBatchReply(
+                alive=True, executed=3, completions=((0, 2.0),),
+                crashed=frozenset(), now=3.0,
+            ),
+            PeekReply(crashed=False, proposed=frozenset({"alpha"})),
+            TraceReply(trace=MSWeakSetCluster(2, max_total_rounds=4).trace),
+        ))
         assert roundtrip(reply) == reply
 
 
@@ -286,8 +300,8 @@ class TestFraming:
         with pytest.raises(VersionMismatch) as excinfo:
             decode_message(v5_frame)
         assert excinfo.value.peer_version == 5
-        assert excinfo.value.local_version == 9
-        assert "5" in str(excinfo.value) and "9" in str(excinfo.value)
+        assert excinfo.value.local_version == 10
+        assert "5" in str(excinfo.value) and "10" in str(excinfo.value)
 
     def test_v6_round_request_raises_version_mismatch(self):
         """A v6 peer's one-tick step (tag 1, no rounds field) fails on
@@ -297,16 +311,18 @@ class TestFraming:
         with pytest.raises(VersionMismatch) as excinfo:
             decode_message(v6_frame)
         assert excinfo.value.peer_version == 6
-        assert excinfo.value.local_version == 9
-        assert "6" in str(excinfo.value) and "9" in str(excinfo.value)
+        assert excinfo.value.local_version == 10
+        assert "6" in str(excinfo.value) and "10" in str(excinfo.value)
 
-    def test_protocol_v9_pins(self):
+    def test_protocol_v10_pins(self):
         """Version 9 left one layout for adds, ``count:u32`` then
         ``token:u64 pid:u32 value`` per add with no bulk byte, even
         when every value is a string, and the walker carries containers
-        node by node.  The config and migrate bodies carry exactly the
-        fields version 8 left."""
-        assert PROTOCOL_VERSION == 9
+        node by node; the config body carries exactly the fields
+        version 8 left.  Version 10 replaced the migrate pair with the
+        replay frame (its layout is pinned in ``TestWireTags``), so the
+        JSON escape no longer knows a migrate tag."""
+        assert PROTOCOL_VERSION == 10
 
         def u32(value):
             return value.to_bytes(4, "big")
@@ -330,16 +346,27 @@ class TestFraming:
         assert [f.name for f in fields(ConfigReply)] == [
             "shard_index", "world", "extra_shards",
         ]
-        assert [f.name for f in fields(MigrateRequest)] == ["shard_index"]
+        assert [f.name for f in fields(ReplayRequest)] == ["shard_index", "subs"]
         config = _body(ConfigReply(shard_index=1, world=b"w", extra_shards=(2,)))
         assert json.loads(config[1:].decode("utf-8")) == {
             "t": "config",
             "v": {"shard_index": 1, "world": "dw==", "extra_shards": [2]},
         }
-        migrate = _body(MigrateRequest(shard_index=3))
-        assert json.loads(migrate[1:].decode("utf-8")) == {
-            "t": "migrate_req", "v": {"shard_index": 3},
-        }
+        for tag in ("migrate_req", "migrate_rep"):
+            body = bytes([0]) + b'{"t":"%s","v":{"shard_index":3}}' % tag.encode()
+            with pytest.raises(ProtocolError, match="unknown message tag"):
+                decode_message(reframe(body))
+
+    def test_v9_frame_raises_version_mismatch(self):
+        """A v9 peer's migrate request fails on its first byte, naming
+        both versions."""
+        body = bytes([0]) + b'{"t":"migrate_req","v":{"shard_index":1}}'
+        v9_frame = bytes([9]) + len(body).to_bytes(4, "big") + body
+        with pytest.raises(VersionMismatch) as excinfo:
+            decode_message(v9_frame)
+        assert excinfo.value.peer_version == 9
+        assert excinfo.value.local_version == 10
+        assert "9" in str(excinfo.value) and "10" in str(excinfo.value)
 
     def test_v8_frame_raises_version_mismatch(self):
         """A v8 peer's step carrying its all-strings bulk adds (bulk
@@ -354,8 +381,8 @@ class TestFraming:
         with pytest.raises(VersionMismatch) as excinfo:
             decode_message(v8_frame)
         assert excinfo.value.peer_version == 8
-        assert excinfo.value.local_version == 9
-        assert "8" in str(excinfo.value) and "9" in str(excinfo.value)
+        assert excinfo.value.local_version == 10
+        assert "8" in str(excinfo.value) and "10" in str(excinfo.value)
 
     def test_v7_frame_raises_version_mismatch(self):
         """A v7 peer's migrate request (still carrying its resume
@@ -367,8 +394,8 @@ class TestFraming:
         with pytest.raises(VersionMismatch) as excinfo:
             decode_message(v7_frame)
         assert excinfo.value.peer_version == 7
-        assert excinfo.value.local_version == 9
-        assert "7" in str(excinfo.value) and "9" in str(excinfo.value)
+        assert excinfo.value.local_version == 10
+        assert "7" in str(excinfo.value) and "10" in str(excinfo.value)
 
     def test_truncated_frame_rejected(self):
         frame = encode_message(StepBatchRequest(rounds=1, adds=((0, 1, "x"),)))
@@ -427,6 +454,13 @@ HOT_TAGS = [
     ),
     (MuxRequest(subs=(PeekRequest(pid=0, adds=()),)), 7),
     (MuxReply(subs=(PeekReply(crashed=True, proposed=frozenset()),)), 8),
+    (
+        ReplayRequest(
+            shard_index=2,
+            subs=(StepBatchRequest(rounds=3, adds=()), PeekRequest(pid=0, adds=())),
+        ),
+        9,
+    ),
 ]
 
 #: builders for every cold message, each crossing behind tag 0
@@ -438,20 +472,42 @@ COLD_MESSAGES = [
     lambda: ErrorReply("boom\n  ünïcode trace"),
     HelloRequest,
     lambda: ConfigReply(shard_index=3, world=b"\x00w\xff", extra_shards=(4,)),
-    lambda: MigrateRequest(shard_index=7),
-    lambda: MigrateReply(shard_index=7, now=1.5),
 ]
 COLD_IDS = [
     "trace_req", "trace_rep", "stop_req", "stop_rep", "error",
-    "hello", "config", "migrate_req", "migrate_rep",
+    "hello", "config",
 ]
 
 
 class TestWireTags:
-    """The body's first byte names its layout: tags 3–8 for the hot
+    """The body's first byte names its layout: tags 3–9 for the hot
     messages' packed layouts, tag 0 for the cold messages' canonical
     JSON.  A peer that reads the same version must read the same tags,
     so each one is pinned."""
+
+    def test_replay_request_layout(self):
+        """Tag 9: ``shard_index:u32 · count:u32`` then each sub-request
+        as ``length:u32`` and its complete tagged body, like a mux
+        frame's; a trace fetch rides its JSON escape body."""
+
+        def u32(value):
+            return value.to_bytes(4, "big")
+
+        step = _body(StepBatchRequest(rounds=3, adds=((7, 1, "a"),)))
+        trace = _body(TraceRequest())
+        body = _body(
+            ReplayRequest(
+                shard_index=258,
+                subs=(StepBatchRequest(rounds=3, adds=((7, 1, "a"),)), TraceRequest()),
+            )
+        )
+        assert body == (
+            bytes([9]) + u32(258) + u32(2)
+            + u32(len(step)) + step + u32(len(trace)) + trace
+        )
+        assert _body(ReplayRequest(shard_index=1, subs=())) == (
+            bytes([9]) + u32(1) + u32(0)
+        )
 
     @pytest.mark.parametrize(
         "message, tag",

@@ -431,6 +431,28 @@ class TestTransportBackendSemantics:
             cluster.handle(0).add("fine")
             assert "fine" in cluster.handle(1).get()
 
+    @pytest.mark.parametrize("slot", [-1, 2, 5])
+    def test_out_of_range_slot_rejected_before_anything_is_queued(self, slot):
+        """A slot outside ``0..K-1`` names no shard.  Python indexing
+        would wrap a negative one onto the last shard (recording that
+        shard's member as the add's owner) and answer a large one with
+        a bare IndexError."""
+        backend = SerialBackend(
+            3,
+            shards=2,
+            environment_factory=ChurnEnvironments(seed=1),
+            crash_schedule=None,
+            max_total_rounds=100,
+            trace_mode="full",
+        )
+        with pytest.raises(SimulationError, match=r"slots are 0\.\.1"):
+            backend.begin_add(slot, 0, "x")
+        assert backend._pending == [[], []] and backend._history == []
+        with pytest.raises(SimulationError, match=r"slots are 0\.\.1"):
+            backend.crashed(slot, 0)
+        backend.begin_add(1, 0, "x")  # nothing was poisoned
+        assert backend.advance(2) == 2 and not backend.crashed(1, 0)
+
     def test_mismatched_backend_instance_rejected(self):
         backend = SerialBackend(
             3,
@@ -966,9 +988,10 @@ def faulted_runs(draw):
     """A :func:`shard_runs` run plus a plan of one or two worker kills
     or resets, each at a drawn driver exchange of a drawn shard.  About
     half the runs also join a member or retire one at a drawn step,
-    with a kill or reset scheduled at a drawn migration exchange of a
-    drawn member (``phase="rebalance"``); it fires when that member's
-    world is rebuilt and takes that many exchanges."""
+    with a kill or reset scheduled at a drawn rebuild frame of a drawn
+    member (``phase="rebalance"``); it fires when that member's world
+    is rebuilt, which takes one frame, so a fault drawn at frame 2
+    stays quiet."""
     run = draw(shard_runs())
     shards = run["shards"]
     kinds = st.sampled_from(["kill", "reset"])
@@ -1004,8 +1027,8 @@ def faulted_runs(draw):
 @pytest.mark.chaos
 class TestRecoveryFuzz:
     """Supervised recovery and membership changes rebuild worlds
-    through one routine that replays each world from its request log,
-    rebuilding every algorithm's state (line 15's fold memory
+    through one routine that replays each world from the driver's one
+    history, rebuilding every algorithm's state (line 15's fold memory
     included): a recovered run must equal the unfaulted serial run of
     the same script — traces, op logs, get results, membership changes
     and errors alike (an inadmissible membership replay fails closed

@@ -13,16 +13,35 @@ Process-backed tests take the ``start_method`` fixture (see
 ``conftest.py``) so the module runs under both ``fork`` and ``spawn``.
 """
 
+import multiprocessing
+import threading
+
 import pytest
 
-from repro.errors import SimulationError
+from repro.errors import ProtocolMisuse, SimulationError
 from repro.serialization import trace_to_json
 from repro.sim.runner import run_churn_workload
 from repro.sim.workloads import ChurnEnvironments
 from repro.weakset.faults import Fault, FaultPlan, parse_fault_plan
-from repro.weakset.protocol import StepBatchRequest
-from repro.weakset.sharding import SerialBackend, ShardedWeakSetCluster
+from repro.weakset.protocol import (
+    ErrorReply,
+    MuxReply,
+    MuxRequest,
+    PeekReply,
+    PeekRequest,
+    ReplayRequest,
+    StepBatchRequest,
+    StopRequest,
+    WorldConfig,
+)
+from repro.weakset.sharding import (
+    SerialBackend,
+    ShardServer,
+    ShardedWeakSetCluster,
+    shard_of,
+)
 from repro.weakset.supervisor import RetryPolicy, ShardSupervisor
+from repro.weakset.transport import PipeTransport, serve_requests
 
 #: fast healing for tests: tight backoff, short reply deadline.
 _POLICY = RetryPolicy(attempts=3, base_delay=0.01, request_timeout=30.0)
@@ -392,8 +411,9 @@ class TestRecoveryLimits:
 
 
 class TestSupervisedExchange:
-    """One request set in flight: acknowledged into the replay log only
-    once every reply is in, and re-issued whole to a rebuilt world."""
+    """One request set in flight: a rebuilt world replays only the
+    steps folded into the backend's history, then the set's request is
+    re-issued to it."""
 
     def _build(self, plan=None):
         return ShardedWeakSetCluster(
@@ -406,54 +426,14 @@ class TestSupervisedExchange:
             retry_policy=_POLICY,
         )
 
-    def test_a_set_is_logged_only_after_its_replies(self):
-        cluster = self._build()
-        backend = cluster.backend
-        supervisor = backend._supervisor
-        seen = []
-        recv = backend._recv
-
-        def recording(transport):
-            seen.append(
-                (supervisor._in_flight, [list(log) for log in supervisor._logs])
-            )
-            return recv(transport)
-
-        backend._recv = recording
-        with cluster:
-            assert cluster.advance(4) == 4
-            step = [StepBatchRequest(rounds=4)] * 2
-            # one reply read per shard, the set in flight and unlogged
-            assert seen == [(step, [[], []])] * 2
-            assert supervisor._in_flight is None
-            assert supervisor._logs == [[request] for request in step]
-
-    def test_membership_refuses_a_set_in_flight(self):
-        cluster = self._build()
-        backend = cluster.backend
-        supervisor = backend._supervisor
-        refused = []
-        recv = backend._recv
-
-        def rebalancing(transport):
-            with pytest.raises(SimulationError, match="in flight"):
-                supervisor.reset_membership([[], []])
-            refused.append(transport)
-            return recv(transport)
-
-        backend._recv = rebalancing
-        with cluster:
-            cluster.advance(4)
-            assert len(refused) == 2
-            assert len(supervisor._logs[0]) == 1
-            supervisor.reset_membership([[], []])  # between exchanges
-            assert supervisor._logs == [[], []]
-
-    def test_rebuild_reissues_the_set_in_flight(self):
+    @pytest.mark.parametrize("killed", [0, 1])
+    def test_rebuild_reissues_the_set_in_flight(self, killed):
         """A kill at the second 4-tick step: the rebuild replays the
         acknowledged first step, then re-issues the lost one, whose
-        reply answers the exchange."""
-        cluster = self._build(FaultPlan((Fault("kill", 0, 2),)))
+        reply answers the exchange.  Killing shard 1 means shard 0's
+        reply of the set was already read: its step is still not
+        folded, so it is not replayed."""
+        cluster = self._build(FaultPlan((Fault("kill", killed, 2),)))
         backend = cluster.backend
         rebuilds = []
         rebuild = backend._rebuild
@@ -466,10 +446,175 @@ class TestSupervisedExchange:
         with cluster:
             assert cluster.advance(8) == 8
             step = StepBatchRequest(rounds=4)
-            assert rebuilds == [(0, [step], [step])]
-            assert cluster.recovery_stats.recovered_shards == [0]
-            assert backend._supervisor._logs == [[step, step]] * 2
+            assert rebuilds == [(killed, [step], [step])]
+            assert cluster.recovery_stats.recovered_shards == [killed]
             assert cluster.now == 8.0
+
+
+@pytest.mark.chaos
+class TestRebuildTraffic:
+    """A rebuilt world is replayed from the backend's one history in
+    one frame, whatever that history holds."""
+
+    @pytest.mark.parametrize("at, replayed", [(3, 2), (40, 39)])
+    def test_a_recovered_world_gets_one_frame(self, count_frames, at, replayed):
+        """C5's full stream (n=8, 2 shards, 48 spaced adds) with shard
+        0's worker killed at exchange ``at``: one ``ReplayRequest``
+        carries the ``at - 1`` acknowledged ticks and the step in
+        flight."""
+        frames = count_frames("_recover")
+        run = run_churn_workload(
+            n=8, shards=2, total_adds=48, adds_per_round=1,
+            pattern="random", backend="inproc", seed=0,
+            recover=True, fault_plan=FaultPlan((Fault("kill", 0, at),)),
+            retry_policy=_POLICY,
+        )
+        clean = run_churn_workload(
+            n=8, shards=2, total_adds=48, adds_per_round=1,
+            pattern="random", backend="serial", seed=0,
+        )
+        assert frames == ["ReplayRequest"]
+        assert (run.recovery.respawns, run.recovery.replayed_rounds) == (1, replayed)
+        assert (run.completed, run.latencies) == (clean.completed, clean.latencies)
+
+    @pytest.mark.parametrize("owner", [0, 1])
+    def test_a_queued_add_survives_a_kill_at_a_trace_fetch(self, owner):
+        """An add queued but not yet sent when its owner dies at a
+        ``traces()`` fetch is no part of the replay (the fetch does not
+        carry queued adds): it reaches the rebuilt world with the next
+        step, exactly when it reaches a clean run's world."""
+        value = next(
+            f"queued-{i}" for i in range(100) if shard_of(f"queued-{i}", 2) == owner
+        )
+
+        def drive(cluster):
+            cluster.handle(0).add("first")
+            cluster.advance(2)
+            record = cluster.begin_add(1, value)
+            fetch_at = cluster.backend.exchanges + 1
+            fetched = _snapshot(cluster)  # the add is still queued here
+            cluster.advance(6)
+            return fetch_at, fetched, _snapshot(cluster), record.end
+
+        def build(**kwargs):
+            return ShardedWeakSetCluster(
+                3,
+                shards=2,
+                environment_factory=ChurnEnvironments(seed=11),
+                backend="inproc",
+                **kwargs,
+            )
+
+        clean = build()
+        with clean:
+            expected = drive(clean)
+        healed = build(
+            recover=True,
+            fault_plan=FaultPlan((Fault("kill", owner, expected[0]),)),
+            retry_policy=_POLICY,
+        )
+        with healed:
+            assert drive(healed) == expected
+            assert expected[-1] is not None
+            assert healed.recovery_stats.respawns == 1
+
+
+def _world():
+    """A shard-0 world three ticks in."""
+    config = WorldConfig(3, ChurnEnvironments(seed=11), None, 100, "full")
+    server = ShardServer(config, shard_index=0)
+    server.handle(StepBatchRequest(rounds=3))
+    return server
+
+
+class TestReplayFailsClosed:
+    """The worker checks a replay frame whole before it resets; a
+    request that raises mid-replay ends the frame with one error; the
+    parent takes nothing but one matching reply per request."""
+
+    def test_worker_refuses_a_replay_for_another_shard(self):
+        server = _world()
+        with pytest.raises(ProtocolMisuse, match="replay aimed at shard 1"):
+            server.handle(ReplayRequest(shard_index=1, subs=()))
+        assert server.cluster.now == 3.0  # refused before the reset
+
+    @pytest.mark.parametrize(
+        "sub",
+        [
+            StopRequest(),
+            MuxRequest(subs=(PeekRequest(pid=0),)),
+            ReplayRequest(shard_index=0, subs=()),
+        ],
+        ids=["stop", "mux", "replay"],
+    )
+    def test_worker_refuses_a_request_it_cannot_replay(self, sub):
+        server = _world()
+        replay = ReplayRequest(shard_index=0, subs=(StepBatchRequest(rounds=1), sub))
+        with pytest.raises(ProtocolMisuse, match=f"not {type(sub).__name__}"):
+            server.handle(replay)
+        assert server.cluster.now == 3.0
+
+    def test_a_raising_request_ends_the_frame_with_one_error(self):
+        """Two adds by one process in one tick: the world raises on the
+        second sub-request, the serve loop sends one ``ErrorReply`` for
+        the whole frame and ends."""
+        parent, child = multiprocessing.Pipe()
+        worker = threading.Thread(
+            target=serve_requests, args=(PipeTransport(child), _world().handle)
+        )
+        worker.start()
+        channel = PipeTransport(parent)
+        try:
+            twice = StepBatchRequest(rounds=1, adds=((0, 1, "a"), (1, 1, "b")))
+            channel.send(
+                ReplayRequest(
+                    shard_index=0,
+                    subs=(StepBatchRequest(rounds=2), twice, PeekRequest(pid=0)),
+                )
+            )
+            assert channel.poll(5.0)
+            reply = channel.recv()
+            assert type(reply) is ErrorReply and "ProtocolMisuse" in reply.message
+            worker.join(timeout=5.0)
+            assert not worker.is_alive()
+            assert not channel.poll(0.1)
+        finally:
+            channel.close()
+            PipeTransport(child).close()
+
+    @pytest.mark.parametrize(
+        "lie",
+        [
+            lambda reply: MuxReply(subs=reply.subs[:-1]),
+            lambda reply: MuxReply(
+                subs=(*reply.subs[:-1], PeekReply(crashed=False, proposed=frozenset()))
+            ),
+            lambda reply: reply.subs[-1],
+        ],
+        ids=["sub-count", "sub-type", "bare-reply"],
+    )
+    @pytest.mark.parametrize("recover", [False, True], ids=["fail-closed", "recover"])
+    def test_parent_poisons_the_backend_on_a_mismatched_reply(
+        self, monkeypatch, lie, recover
+    ):
+        handle = ShardServer.handle
+
+        def lying(self, request):
+            reply = handle(self, request)
+            return lie(reply) if type(request) is ReplayRequest else reply
+
+        monkeypatch.setattr(ShardServer, "handle", lying)
+        cluster = ShardedWeakSetCluster(
+            3, shards=2, backend="inproc", recover=recover, retry_policy=_POLICY
+        )
+        with cluster:
+            cluster.handle(0).add("before")
+            with pytest.raises(SimulationError, match="answered a replay"):
+                cluster.join_shard()
+            with pytest.raises(SimulationError, match="backend failed"):
+                cluster.advance(1)
+            if recover:
+                assert cluster.recovery_stats.detections == 0
 
 
 @pytest.mark.chaos
