@@ -44,7 +44,6 @@ from repro.giraf.environments import (
 )
 from repro.giraf.messages import payload_size
 from repro.giraf.scheduler import DriftingScheduler, LockStepScheduler
-from repro.runtime.events import CalendarEventQueue, HeapEventQueue
 from repro.serialization import trace_to_json
 from repro.sim.runner import stop_when_all_correct_decided
 from repro.sim.workloads import ChurnEnvironments
@@ -573,48 +572,6 @@ def test_bench_drifting_round_columnar_n10k(benchmark):
         _heartbeat_drifting, args=(10_000, "columnar", 2), rounds=3, iterations=1
     )
     assert trace.agg_sends > 0
-
-
-def _event_queue_churn(queue_factory, pending: int = 200_000, churn: int = 100_000):
-    """Steady-state event churn at a size where the insert cost shows.
-
-    Seeds ``pending`` in-flight events, then pops-and-reschedules
-    ``churn`` times — the drifting scheduler's delivery pattern, scaled
-    to the large ``n × rounds`` regime the calendar queue targets
-    (every heap insert pays O(log N) sift work there; calendar inserts
-    are bucket appends).
-    """
-    rng = random.Random(0)
-    queue = queue_factory()
-    now, seq = 0.0, 0
-    for _ in range(pending):
-        queue.push((now + rng.uniform(0.0, 6.0), seq, "deliver", None))
-        seq += 1
-    for _ in range(churn):
-        now = queue.pop()[0]
-        queue.push((now + rng.uniform(0.05, 6.0), seq, "deliver", None))
-        seq += 1
-    assert len(queue) == pending
-    return seq
-
-
-def test_bench_event_queue_heap(benchmark):
-    """The historical global-heap event core on the churn workload."""
-    total = benchmark.pedantic(
-        _event_queue_churn, args=(HeapEventQueue,), rounds=3, iterations=1
-    )
-    assert total == 300_000
-
-
-def test_bench_event_queue_calendar(benchmark):
-    """The calendar (bucketed) event core on the identical workload."""
-    total = benchmark.pedantic(
-        _event_queue_churn,
-        args=(lambda: CalendarEventQueue(1.0),),
-        rounds=3,
-        iterations=1,
-    )
-    assert total == 300_000
 
 
 #: a get's PROPOSED set at the size weakset_rw's peeks haul (median 40

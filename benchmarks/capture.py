@@ -253,19 +253,12 @@ def main(argv=None) -> int:
         speedups["churn_socket_vs_serial_cost"] = round(sock / serial, 2)
     # Hot-loop overhaul (PR 5): the binary frame codec against the
     # recorded JSON codec on identical messages (a trajectory ratio
-    # since the JSON codec was deleted) and the calendar event queue
-    # against the heap twin on identical churn (same run).
+    # since the JSON codec was deleted).
     binary_codec = micro.get("test_bench_frame_codec_binary")
     recorded = JSON_CODEC_RECORDED_US.get("test_bench_frame_codec_json")
     if binary_codec and recorded:
         speedups["frame_codec_binary_vs_json_recorded"] = round(
             recorded / binary_codec, 2
-        )
-    heap_queue = micro.get("test_bench_event_queue_heap")
-    calendar_queue = micro.get("test_bench_event_queue_calendar")
-    if heap_queue and calendar_queue:
-        speedups["event_queue_calendar_vs_heap"] = round(
-            heap_queue / calendar_queue, 2
         )
     # Round batching across a link: the same steady-state 32 rounds
     # one frame pair per round and 4 rounds per frame, timed in

@@ -36,7 +36,6 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 #: examples elsewhere.
 DOCTEST_MODULES = [
     "repro.runtime.kernel",
-    "repro.runtime.events",
     "repro.runtime.sinks",
     "repro.giraf.environments",
     "repro.weakset.protocol",

@@ -307,7 +307,7 @@ def run_c4(
         title="Worker crash recovery: respawn + replay cost per backend",
         headers=[
             "backend", "crash-frac", "batch", "kills", "detected",
-            "respawned", "replayed", "rec-wall-s", "completed",
+            "respawned", "replayed", "rec-wall-ms", "completed",
             "matches-unfaulted",
         ],
         notes=[
@@ -316,7 +316,7 @@ def run_c4(
             "at seeded exchanges; recover=True respawns each one and "
             "replays its world from the keyed seed streams",
             "replayed = simulation rounds re-executed by respawned "
-            "workers; rec-wall-s = wall-clock inside recovery; "
+            "workers; rec-wall-ms = wall-clock inside recovery, in ms; "
             "matches-unfaulted compares completed count and every add "
             "latency against an unfaulted run of the same cell — "
             "deterministic replay makes them identical",
@@ -365,7 +365,7 @@ def run_c4(
                     stats.detections if stats else 0,
                     stats.respawns if stats else 0,
                     stats.replayed_rounds if stats else 0,
-                    stats.wall_clock if stats else 0.0,
+                    1000 * stats.wall_clock if stats else 0.0,
                     run.completed,
                     (run.completed, run.latencies)
                     == (clean.completed, clean.latencies),
@@ -419,7 +419,7 @@ def run_c5(
         title="Elastic sharding: membership-change cost under load",
         headers=[
             "backend", "event", "batch", "moved", "replayed",
-            "rebal-wall-s", "completed", "p50", "matches-serial",
+            "rebal-wall-ms", "completed", "p50", "matches-serial",
         ],
         notes=[
             "each row joins/retires shard members mid-stream; moved = "
@@ -458,7 +458,7 @@ def run_c5(
                 batch,
                 run.moved_values,
                 run.replayed_ticks,
-                sum(stats.wall_clock for stats in run.rebalances),
+                1000 * sum(stats.wall_clock for stats in run.rebalances),
                 run.completed,
                 run.percentile_latency(50),
                 summary == reference,

@@ -312,10 +312,10 @@ class DelayPolicy(ABC):
     def delay_bounds(self) -> Optional[tuple]:
         """The ``(lo, hi)`` tick range this policy draws from, if known.
 
-        Consumed by the runtime kernel's calendar event queue to pick
-        its bucket width (a wide late window widens the buckets).
-        Policies with no meaningful bound return ``None`` — the kernel
-        then uses the 1-tick default.
+        Read by the matrix engines (``_constant_delay`` in
+        :mod:`repro.runtime.columnar_engine`): when ``lo == hi`` every
+        late delay is that one constant.  Policies with no meaningful
+        bound return ``None``.
         """
         return None
 

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from heapq import heappop, heappush
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import SimulationError
@@ -392,7 +393,13 @@ class DriftingLoop:
     set the gate bits of the receivers an envelope reached before they
     computed its round (the matrix path through :meth:`arrived`).
 
-    Every event is keyed ``(time, seq)``.  The loop drains a process up
+    Every event is keyed ``(time, seq)``.  The loop's event queue is one
+    ``heapq`` list of ``(time, seq, kind, data)`` entries, and ``seq``
+    comes from one counter: an end-of-round draws the next number, and
+    a broadcast reserves a block (:meth:`reserve`) and pushes its
+    events under it (:meth:`push`).  Equal times pop in ``seq`` order
+    (FIFO), and at an equal key a ``release`` pops after the ``cdel``
+    or ``cbat`` it shares that key with.  The loop drains a process up
     to the key of the event that looks at it: its own end-of-round
     (before the crash check, the gate check and the fire), an exit that
     re-probes its gate, and the run's end (the stopping end-of-round,
@@ -455,6 +462,23 @@ class DriftingLoop:
         #: parked pid -> the key its live release event carries
         self._armed: Dict[int, Tuple[float, int]] = {}
         self._path = None
+        #: the event queue: a heap of (time, seq, kind, data) entries
+        self._events: List[tuple] = []
+        #: the next unused sequence number (see :meth:`reserve`)
+        self._seq = 0
+
+    def reserve(self, count: int) -> int:
+        """Reserve ``count`` consecutive sequence numbers; return the
+        first.  A broadcast reserves one per process, so the keys of its
+        arrivals sort after every event queued before it and before
+        every event queued after it."""
+        base = self._seq
+        self._seq = base + count
+        return base
+
+    def push(self, time: float, seq: int, kind: str, data: tuple) -> None:
+        """Queue an event under a sequence number from :meth:`reserve`."""
+        heappush(self._events, (time, seq, kind, data))
 
     def _nominal(self, pid: int, invocation: int) -> float:
         return self._phases[pid] + invocation * self._periods[pid]
@@ -465,7 +489,8 @@ class DriftingLoop:
         late (after a gate release) catches up from the present, so the
         clock never runs backwards."""
         when = self._nominal(pid, invocation)
-        self.kernel.schedule(when if when > now else now, "eor", (pid, invocation))
+        seq = self.reserve(1)
+        self.push(when if when > now else now, seq, "eor", (pid, invocation))
 
     # ------------------------------------------------------------------
     # planning
@@ -617,7 +642,7 @@ class DriftingLoop:
                 key = arrival
         if armed.get(pid) != key:
             armed[pid] = key
-            self.kernel.push(key[0], key[1], "release", (pid, round_no))
+            self.push(key[0], key[1], "release", (pid, round_no))
 
     def _wake(self, now: float, seq: int, data: tuple) -> None:
         """A ``release`` event: schedule the parked process's
@@ -705,18 +730,17 @@ class DriftingLoop:
         kernel = self.kernel
         crash_plan_for = kernel.crashes.plan_for
         schedule_eor = self._schedule_eor
-        next_event = kernel.next_event
-        has_events = kernel.has_events
+        events = self._events
         max_rounds = kernel.max_rounds
         active, rounds, waiting = self.active, self.rounds, self._waiting
         for pid in self.pids:
-            kernel.schedule(self._nominal(pid, 1), "eor", (pid, 1))
+            self.push(self._nominal(pid, 1), self.reserve(1), "eor", (pid, 1))
         stop = _END
-        while has_events():
-            now, kind, data = next_event()
+        while events:
+            now, seq, kind, data = heappop(events)
             if kind != "eor":
                 if kind == "release":
-                    self._wake(now, kernel.event_seq, data)
+                    self._wake(now, seq, data)
                 else:
                     handlers[kind](now, data)
                 continue
@@ -727,7 +751,7 @@ class DriftingLoop:
                 or invocation > max_rounds
             ):
                 continue
-            key = (now, kernel.event_seq)
+            key = (now, seq)
             drain(pid, key)
             crash_plan = crash_plan_for(pid)
             crashing = crash_plan is not None and crash_plan.round_no == invocation
@@ -834,7 +858,7 @@ class _ObjectPath:
                 latencies[other] = latency
         else:
             latencies = loop.no_arrivals
-        base = self._kernel.reserve(len(latencies))
+        base = loop.reserve(len(latencies))
         loop.sent(round_no, pid, now, latencies, base)
         if latencies is loop.no_arrivals:
             return
@@ -943,13 +967,12 @@ class DriftingScheduler:
     delivery up to the stopping end-of-round, in ``(time, seq)``
     order; the shipped predicate reads decisions only.
 
-    ``event_queue`` selects the kernel's continuous-time event core:
-    ``"calendar"`` (the default bucketed queue) or ``"heap"`` (the
-    historical global ``heapq``).  Both drain in identical
-    ``(time, seq)`` order, so the produced traces are byte-identical
-    (pinned in ``tests/runtime``).  The queue holds end-of-rounds and
-    gate releases — O(n) events per round — plus the matrix path's
-    delivery events.
+    ``event_queue`` selects nothing.  The loop always runs one
+    ``heapq``, which holds end-of-rounds and gate releases — O(n)
+    events per round — plus the matrix path's delivery events.  The
+    keyword is kept so that existing callers keep working: it accepts
+    ``"calendar"`` or ``"heap"``, which run the same loop, and raises
+    :class:`~repro.errors.SimulationError` on any other value.
 
     ``periods`` must be positive and finite and ``phases`` finite; any
     other value raises :class:`~repro.errors.SimulationError`.
@@ -994,8 +1017,9 @@ class DriftingScheduler:
             trace_mode=trace_mode,
             payload_stats=payload_stats,
             engine=engine,
-            event_queue=event_queue,
         )
+        if event_queue not in ("calendar", "heap"):
+            raise SimulationError(f"unknown event_queue {event_queue!r}")
         self._environment = environment
         self._record_snapshots = record_snapshots
         self.processes = self._kernel.processes

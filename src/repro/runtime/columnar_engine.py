@@ -1249,11 +1249,11 @@ class ColumnarDriftingEngine:
     payload statistics (compounded envelopes share embedded messages,
     so structural sizes are not recoverable from rows) and overridden
     latency methods (the disjointness argument above needs the stock
-    draws).  Everything else runs the object path.  Every step is pinned byte-identical to
-    the object path across environments × crashes × GST × periods and
-    phases × event queues, on generated configurations cold and after
-    an unrelated run, with the same environment calls in the same
-    order (``tests/runtime/test_columnar_drifting_engine.py``).
+    draws).  Everything else runs the object path.  Every step is
+    pinned byte-identical to the object path across environments ×
+    crashes × GST × periods and phases, on generated configurations
+    cold and after an unrelated run, with the same environment calls
+    in the same order (``tests/runtime/test_columnar_drifting_engine.py``).
     """
 
     def __init__(self, kernel, environment, *, record_snapshots):
@@ -1583,8 +1583,8 @@ class ColumnarDriftingEngine:
         loop = self._loop
         environment = self._environment
         n = self._n
-        base = self._kernel.reserve(n)
-        push = self._kernel.push
+        base = loop.reserve(n)
+        push = loop.push
         const_delay = self._const_delay
         drop_late = const_delay is not None and const_delay >= NEVER_DELIVERED
         if loop.plan(round_no) >> pid & 1:

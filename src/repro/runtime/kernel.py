@@ -1,4 +1,4 @@
-"""The runtime kernel: one event core shared by every run engine.
+"""The runtime kernel: the run lifecycle shared by every run engine.
 
 Before this module existed the repo materialized runs through three
 disjoint engines — ``LockStepScheduler``, ``DriftingScheduler`` and the
@@ -12,17 +12,15 @@ recording.  The kernel extracts that shared machinery once:
   (full events or aggregate counters — see :mod:`repro.runtime.sinks`);
 * the **crash/halt lifecycle** (scheduled-crash application, once-only
   halt recording, decision polling);
-* the **delivery queues**: a tick-indexed late-delivery map for
-  lock-step engines, and a continuous-time event queue for event-driven
-  ones (a bucketed calendar queue by default, the historical ``heapq``
-  selectable — see :mod:`repro.runtime.events`) with the one sequence
-  counter that orders equal times, which a drifting broadcast draws
-  from in blocks.
+* the **late-delivery queue** of the lock-step engines: a
+  tick-indexed map of deliveries due at later ticks.
 
 Schedulers stay in charge of *ordering* — when rounds fire, how
 deliveries interleave — and delegate everything else here, so a fast
 path added to the kernel (aggregate sinks, batched flushes) reaches
-every engine at once.
+every engine at once.  The drifting scheduler's continuous-time event
+queue is its loop's own (:class:`~repro.giraf.scheduler.DriftingLoop`),
+since no other engine uses one.
 """
 
 from __future__ import annotations
@@ -36,7 +34,6 @@ from repro.giraf.automaton import GirafAlgorithm, GirafProcess
 from repro.giraf.environments import Environment
 from repro.giraf.messages import Envelope
 from repro.giraf.traces import CrashEvent, DecisionEvent, HaltEvent, RunTrace
-from repro.runtime.events import CalendarEventQueue, HeapEventQueue, calendar_width
 from repro.runtime.sinks import AggregateTraceSink, FullTraceSink, TraceSink
 
 __all__ = ["RuntimeKernel", "StopPredicate"]
@@ -100,15 +97,9 @@ class RuntimeKernel:
             fallback (``engine_decline``).  Both engines are pinned
             equivalent (``tests/runtime``), so this is purely a
             representation switch.
-        event_queue: ``"calendar"`` (bucketed timing wheel, the
-            default, bucket width derived from the environment's delay
-            bounds) or ``"heap"`` (the historical global ``heapq``).
-            Both drain in exactly ``(time, seq)`` order, so traces are
-            byte-identical either way (equivalence-tested in
-            ``tests/runtime``).
 
-    Example — a kernel owns the process pool and the event plumbing;
-    schedulers only decide ordering:
+    Example — a kernel owns the process pool and the late-delivery
+    queue; schedulers only decide ordering:
 
         >>> from repro.giraf.environments import MovingSourceEnvironment
         >>> from repro.weakset.ms_weakset import MSWeakSetAlgorithm
@@ -118,13 +109,6 @@ class RuntimeKernel:
         ... )
         >>> len(kernel.processes), sorted(kernel.correct)
         (3, [0, 1, 2])
-        >>> kernel.schedule(0.5, "eor", (0, 1))
-        >>> kernel.next_event(), kernel.event_seq
-        ((0.5, 'eor', (0, 1)), 0)
-        >>> base = kernel.reserve(3)
-        >>> kernel.push(0.25, base + 2, "release", (2, 1))
-        >>> kernel.next_event(), kernel.event_seq
-        ((0.25, 'release', (2, 1)), 3)
         >>> kernel.queue_delivery_row(2, None, sender=0, receivers=[1, 2], delays=[2, 3])
         >>> kernel.due_deliveries(4)
         [(1, None, 0, 2)]
@@ -142,7 +126,6 @@ class RuntimeKernel:
         trace_mode: str = "full",
         payload_stats: bool = False,
         engine: str = "object",
-        event_queue: str = "calendar",
     ):
         if not algorithms:
             raise SimulationError("need at least one process")
@@ -160,8 +143,6 @@ class RuntimeKernel:
             raise SimulationError(f"unknown trace_mode {trace_mode!r}")
         if engine not in ("object", "columnar"):
             raise SimulationError(f"unknown engine {engine!r}")
-        if event_queue not in ("calendar", "heap"):
-            raise SimulationError(f"unknown event_queue {event_queue!r}")
         self.algorithms = list(algorithms)
         self.environment = environment
         self.crashes = crash_schedule or CrashSchedule.none()
@@ -193,17 +174,6 @@ class RuntimeKernel:
         self._halted_recorded: Set[int] = set()
         # due tick -> queued late deliveries (lock-step engines)
         self._pending: Dict[int, List[QueuedDelivery]] = {}
-        # continuous-time event queue (event-driven engines)
-        self.event_queue = event_queue
-        self._events = (
-            HeapEventQueue()
-            if event_queue == "heap"
-            else CalendarEventQueue(calendar_width(environment))
-        )
-        #: the next unused sequence number (see :meth:`reserve`)
-        self._seq = 0
-        #: the sequence number of the event :meth:`next_event` last popped
-        self.event_seq: Optional[int] = None
 
     # ------------------------------------------------------------------
     # trace + sink
@@ -295,7 +265,7 @@ class RuntimeKernel:
         return self.stop_when is not None and self.stop_when(self.trace)
 
     # ------------------------------------------------------------------
-    # delivery queues
+    # late-delivery queue
     # ------------------------------------------------------------------
     def queue_delivery_row(
         self,
@@ -328,36 +298,3 @@ class RuntimeKernel:
     def due_deliveries(self, tick: int) -> Sequence[QueuedDelivery]:
         """Pop (and return) the deliveries due at ``tick``."""
         return self._pending.pop(tick, ())
-
-    # ------------------------------------------------------------------
-    # event queue
-    # ------------------------------------------------------------------
-    def schedule(self, time: float, kind: str, data: tuple) -> None:
-        """Push a continuous-time event; FIFO among equal times."""
-        seq = self._seq
-        self._seq = seq + 1
-        self._events.push((time, seq, kind, data))
-
-    def reserve(self, count: int) -> int:
-        """Reserve ``count`` consecutive sequence numbers; return the
-        first.  A broadcast reserves one per process, so the keys of
-        its arrivals sort after everything scheduled before it and
-        before everything scheduled after it, as ``count`` separate
-        :meth:`schedule` calls would."""
-        base = self._seq
-        self._seq = base + count
-        return base
-
-    def push(self, time: float, seq: int, kind: str, data: tuple) -> None:
-        """Push an event under a sequence number from :meth:`reserve`."""
-        self._events.push((time, seq, kind, data))
-
-    def next_event(self) -> Tuple[float, str, tuple]:
-        """Pop the earliest event as ``(time, kind, data)``; its
-        sequence number is left in :attr:`event_seq`."""
-        time, self.event_seq, kind, data = self._events.pop()
-        return time, kind, data
-
-    def has_events(self) -> bool:
-        """True while the event queue is non-empty."""
-        return bool(self._events)

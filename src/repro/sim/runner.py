@@ -97,7 +97,6 @@ def run_consensus(
     phases: Optional[Sequence[float]] = None,
     trace_mode: str = "full",
     engine: str = "object",
-    event_queue: str = "calendar",
 ) -> ConsensusRun:
     """Run one consensus instance and package trace + verdict + metrics.
 
@@ -117,9 +116,6 @@ def run_consensus(
             run is eligible — aggregate traces, stock Algorithm 3 on
             the lock-step scheduler — else the object engine; pinned
             equivalent — see :mod:`repro.runtime.columnar_engine`).
-        event_queue: continuous-time event core for the drifting
-            scheduler (``"calendar"`` or ``"heap"``; ignored under
-            lock-step, which has no event queue).
     """
     algorithms = [factory(value) for value in proposals]
     stop = stop_when_all_correct_decided if stop_early else None
@@ -146,7 +142,6 @@ def run_consensus(
             phases=phases,
             trace_mode=trace_mode,
             engine=engine,
-            event_queue=event_queue,
         )
     else:
         raise ValueError(f"unknown scheduler {scheduler!r}")
@@ -170,7 +165,6 @@ def run_es_consensus(
     record_snapshots: bool = False,
     trace_mode: str = "full",
     engine: str = "object",
-    event_queue: str = "calendar",
     **algorithm_kwargs,
 ) -> ConsensusRun:
     """Algorithm 2 under a seeded ES environment."""
@@ -188,7 +182,6 @@ def run_es_consensus(
         stabilization_round=gst,
         trace_mode=trace_mode,
         engine=engine,
-        event_queue=event_queue,
     )
 
 
@@ -204,7 +197,6 @@ def run_ess_consensus(
     record_snapshots: bool = False,
     trace_mode: str = "full",
     engine: str = "object",
-    event_queue: str = "calendar",
     **algorithm_kwargs,
 ) -> ConsensusRun:
     """Algorithm 3 under a seeded ESS environment.
@@ -228,7 +220,6 @@ def run_ess_consensus(
         stabilization_round=stabilization_round,
         trace_mode=trace_mode,
         engine=engine,
-        event_queue=event_queue,
     )
 
 

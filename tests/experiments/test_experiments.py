@@ -7,6 +7,7 @@ makes (checker verdicts, violation presence, growth direction).
 
 import pytest
 
+from repro.analysis.stats import fmt
 from repro.analysis.tables import Table
 from repro.experiments import EXPERIMENTS, run_experiment
 from repro.experiments.churn_tables import run_c1, run_c2, run_c3, run_c5
@@ -181,6 +182,12 @@ class TestHeadlineClaims:
             assert replayed >= 1, event
         # every cell still lands the full offered load
         assert all(done == 16 for done in table.column("completed"))
+        # a rebalance takes milliseconds: its wall cell never renders 0.0
+        for replayed, wall in zip(
+            table.column("replayed"), table.column("rebal-wall-ms")
+        ):
+            if replayed > 0:
+                assert float(fmt(wall)) > 0.0
 
     def test_c5_custom_scenario_via_join_leave_kwargs(self):
         table = run_experiment(

@@ -3,7 +3,7 @@
 A verbatim copy of :class:`~repro.giraf.scheduler.DriftingLoop` and the
 object path as they stood before arrivals were drained at compute:
 every envelope reaches every receiver as its own ``deliver`` event
-through the kernel's queue, and each arrival re-probes the parked gate
+through the loop's queue, and each arrival re-probes the parked gate
 it may complete.  The drained loop must produce the same traces, final
 inboxes and decisions (``test_drifting_oracle.py``), and
 ``benchmarks/bench_micro.py`` times the two against each other.
@@ -15,6 +15,7 @@ same kernel) with its ``run`` swapped for this loop on the object path.
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
 from typing import Dict, List, Sequence
 
 from repro.giraf.adversary import NEVER_DELIVERED
@@ -102,6 +103,13 @@ class DriftingLoop:
         self._held: Dict[int, List[int]] = {}
         self._waiting: Dict[int, int] = {}
         self._path = None
+        self._events: List[tuple] = []
+        self._seq = 0
+
+    def schedule(self, time: float, kind: str, data: tuple) -> None:
+        """Push an event; FIFO among equal times."""
+        heappush(self._events, (time, self._seq, kind, data))
+        self._seq += 1
 
     def _nominal(self, pid: int, invocation: int) -> float:
         return self._phases[pid] + invocation * self._periods[pid]
@@ -112,7 +120,7 @@ class DriftingLoop:
         late (after a gate release) catches up from the present, so the
         clock never runs backwards."""
         when = self._nominal(pid, invocation)
-        self.kernel.schedule(when if when > now else now, "eor", (pid, invocation))
+        self.schedule(when if when > now else now, "eor", (pid, invocation))
 
     # ------------------------------------------------------------------
     # planning
@@ -276,14 +284,13 @@ class DriftingLoop:
         kernel = self.kernel
         crash_plan_for = kernel.crashes.plan_for
         schedule_eor = self._schedule_eor
-        next_event = kernel.next_event
-        has_events = kernel.has_events
+        events = self._events
         max_rounds = kernel.max_rounds
         active, rounds, waiting = self.active, self.rounds, self._waiting
         for pid in self.pids:
-            kernel.schedule(self._nominal(pid, 1), "eor", (pid, 1))
-        while has_events():
-            now, kind, data = next_event()
+            self.schedule(self._nominal(pid, 1), "eor", (pid, 1))
+        while events:
+            now, _, kind, data = heappop(events)
             if kind != "eor":
                 handlers[kind](now, data)
                 continue
@@ -373,7 +380,7 @@ class _ObjectPath:
         latencies.update(
             zip(late_targets, environment.late_latencies(round_no, pid, late_targets))
         )
-        schedule = self._kernel.schedule
+        schedule = self._loop.schedule
         for other in receivers:
             latency = latencies[other]
             if latency < NEVER_DELIVERED:

@@ -8,13 +8,13 @@ switch: every configuration must produce a
 :class:`~repro.giraf.traces.RunTrace` that compares equal as a whole
 dataclass, and final algorithm views that match field by field —
 across environments × link/delay policies × crash schedules × GST
-values × both event queues.  Beyond the hand-picked grid, generated
-configurations (sizes, brands, MS/ES/ESS with swept GST, link and
-delay policies, crash plans before and after send, drifted periods and
-phases, both event queues) pin the matrix path cold and after an
-unrelated columnar run has filled the interned history table, with the
-same environment planning calls in the same order, and straddle each
-``try_build`` condition so the declines are pinned too.
+values.  Beyond the hand-picked grid, generated configurations (sizes,
+brands, MS/ES/ESS with swept GST, link and delay policies, crash plans
+before and after send, drifted periods and phases) pin the matrix path
+cold and after an unrelated columnar run has filled the interned
+history table, with the same environment planning calls in the same
+order, and straddle each ``try_build`` condition so the declines are
+pinned too.
 Without numpy every columnar request declines with the numpy reason
 and the same pins hold against the object loop.
 
@@ -26,11 +26,13 @@ that keep teardown O(n) instead of O(n × width).
 
 import random
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.giraf.scheduler as scheduler_module
 from repro.core.columnar import CounterRowView, numpy_available
 from repro.core.history import clear_intern_cache, intern_cache_size
 from repro.core.pseudo_leader import HeartbeatPseudoLeader
@@ -116,7 +118,6 @@ def _run(
     record_snapshots=True,
     trace_mode="aggregate",
     payload_stats=False,
-    event_queue="calendar",
     clear=True,
 ):
     if clear:
@@ -130,7 +131,6 @@ def _run(
         trace_mode=trace_mode,
         payload_stats=payload_stats,
         engine=engine,
-        event_queue=event_queue,
     )
     trace = driver.run()
     return driver, trace
@@ -157,12 +157,6 @@ class TestDriftingEnginePins:
 class TestDriftingEngineOptions:
     def test_without_snapshots(self):
         _assert_equivalent(record_snapshots=False)
-
-    @pytest.mark.parametrize("event_queue", ["calendar", "heap"])
-    def test_event_queues_agree(self, event_queue):
-        _assert_equivalent(
-            env="es-bernoulli", crashes=CRASHES, event_queue=event_queue
-        )
 
     @pytest.mark.parametrize("gst", [1, 4, 8])
     def test_gst_sweep(self, gst):
@@ -201,7 +195,7 @@ class TestDriftingEngineOptions:
         assert columnar.run() == reference_trace
         assert _final_views(columnar) == _final_views(reference)
 
-    def test_runner_event_queue_passthrough(self):
+    def test_runner_columnar_matches_object(self):
         clear_intern_cache()
         reference = run_es_consensus(
             [2, 0, 1],
@@ -211,17 +205,16 @@ class TestDriftingEngineOptions:
             engine="object",
         )
         clear_intern_cache()
-        heap = run_es_consensus(
+        columnar = run_es_consensus(
             [2, 0, 1],
             gst=3,
             max_rounds=40,
             scheduler="drifting",
             engine="columnar",
-            event_queue="heap",
         )
-        assert heap.trace == reference.trace
-        assert heap.report == reference.report
-        assert heap.metrics == reference.metrics
+        assert columnar.trace == reference.trace
+        assert columnar.report == reference.report
+        assert columnar.metrics == reference.metrics
 
 
 ENVIRONMENT_CLASSES = {
@@ -275,14 +268,13 @@ def drifting_configs(draw, sizes=tuple(range(1, 20)) + (64,)):
     drift = draw(st.sampled_from([0.0, 0.0, 0.5, 1.5]))
     horizon = draw(st.integers(1, 6 if n > 19 else 14))
     snapshots = draw(st.booleans())
-    queue = draw(st.sampled_from(["calendar", "heap"]))
     decline = draw(
         st.sampled_from([None, None, None, "payload", "full", "latency"])
     )
     override = draw(st.sampled_from(LATENCY_METHODS))
     return (
         n, brands, seed, env, gst, link, p, delay, crashes, drift, horizon,
-        snapshots, queue, decline, override,
+        snapshots, decline, override,
     )
 
 
@@ -317,7 +309,7 @@ def _generated(config, engine):
     """Run one generated configuration; returns the scheduler, its
     trace and the environment's planning calls in order."""
     (n, brands, seed, env, gst, link, p, delay, crashes, drift, horizon,
-     snapshots, queue, decline, override) = config
+     snapshots, decline, override) = config
     links = {
         "silent": SilentLinks,
         "alltimely": AllTimelyLinks,
@@ -362,7 +354,6 @@ def _generated(config, engine):
         trace_mode="full" if decline == "full" else "aggregate",
         payload_stats=decline == "payload",
         engine=engine,
-        event_queue=queue,
     )
     return scheduler, scheduler.run(), environment.calls
 
@@ -704,26 +695,28 @@ def _victim_run(engine, *, halts=False):
     return scheduler, scheduler.run(), environment.calls
 
 
-def _log_releases(scheduler):
+def _log_releases(monkeypatch):
     """Log every end-of-round the run schedules while a delivery event
     drains — a parked gate's release — as (pid, invocation, time, now),
-    and the time of every event the run pops, in pop order."""
-    kernel = scheduler._kernel
+    and the time of every event the run pops, in pop order: the loop's
+    ``heappush`` and ``heappop``, wrapped."""
     log, popped, current = [], [], [0.0, None]
-    pop, push = kernel.next_event, kernel.schedule
+    heappop, heappush = scheduler_module.heappop, scheduler_module.heappush
 
-    def next_event():
-        event = pop()
-        current[:] = event[:2]
-        popped.append(event[0])
-        return event
+    def pop(heap):
+        entry = heappop(heap)
+        current[:] = entry[0], entry[2]
+        popped.append(entry[0])
+        return entry
 
-    def schedule(time, kind, data):
+    def push(heap, entry):
+        time, _, kind, data = entry
         if kind == "eor" and current[1] not in (None, "eor"):
             log.append((*data, time, current[0]))
-        push(time, kind, data)
+        heappush(heap, entry)
 
-    kernel.next_event, kernel.schedule = next_event, schedule
+    monkeypatch.setattr(scheduler_module, "heappop", pop)
+    monkeypatch.setattr(scheduler_module, "heappush", push)
     return log, popped
 
 
@@ -770,7 +763,7 @@ class TestLoopContract:
             assert trace.compute_times[pid][4] == VICTIM_EXIT_TIME
 
     @pytest.mark.parametrize("engine", ["object", "columnar"])
-    def test_parked_gate_releases_at_nominal_or_now(self, engine):
+    def test_parked_gate_releases_at_nominal_or_now(self, engine, monkeypatch):
         clear_intern_cache()
         periods = [3.0, 1.0, 1.0]
         phases = [0.0, 0.01, 0.02]
@@ -785,7 +778,7 @@ class TestLoopContract:
             trace_mode="aggregate",
             engine=engine,
         )
-        releases, popped = _log_releases(scheduler)
+        releases, popped = _log_releases(monkeypatch)
         trace = scheduler.run()
         assert releases
         for pid, invocation, time, now in releases:
@@ -801,7 +794,7 @@ class TestLoopContract:
                    for pid, invocation, time, now in releases)
 
     @pytest.mark.parametrize("engine", ["object", "columnar"])
-    def test_late_fire_never_schedules_into_the_past(self, engine):
+    def test_late_fire_never_schedules_into_the_past(self, engine, monkeypatch):
         """A process that fires after a gate release, past its next
         nominal time, schedules that end-of-round at the release
         instant rather than at the nominal time behind it: no pop goes
@@ -818,10 +811,55 @@ class TestLoopContract:
             trace_mode="aggregate",
             engine=engine,
         )
-        _releases, popped = _log_releases(scheduler)
+        _releases, popped = _log_releases(monkeypatch)
         trace = scheduler.run()
         assert popped == sorted(popped)
         for pid in range(7):
             rounds = trace.compute_times[pid]
             times = [rounds[round_no] for round_no in sorted(rounds)]
             assert times == sorted(times), pid
+
+    @pytest.mark.parametrize("engine", ["object", "columnar"])
+    def test_pops_in_key_order_fifo_among_equal_times(self, engine, monkeypatch):
+        """Integer clocks in phase put many end-of-rounds and late
+        batches on one instant.  The loop pops in ``(time, seq)`` order,
+        so events at one time come out in ascending seq (FIFO); two
+        entries share a key only when a parked gate's ``release`` is
+        keyed at the ``cdel`` (or first ``cbat`` receiver) that lands
+        the envelope it waits for, and then the release pops after it.
+        Only the matrix path queues deliveries, so only it has ties."""
+        clear_intern_cache()
+        popped = []
+        heappop = scheduler_module.heappop
+
+        def pop(heap):
+            popped.append(heappop(heap))
+            return popped[-1]
+
+        monkeypatch.setattr(scheduler_module, "heappop", pop)
+        n = 6
+        scheduler = DriftingScheduler(
+            [HeartbeatPseudoLeader(pid % 2) for pid in range(n)],
+            MovingSourceEnvironment(
+                RandomSource(2), BernoulliLinks(0.4, seed=7), UniformDelay(2, 4, seed=5)
+            ),
+            periods=[2] + [1] * (n - 1),
+            phases=[0] * n,
+            max_rounds=12,
+            trace_mode="aggregate",
+            engine=engine,
+        )
+        scheduler.run()
+        keys = [(time, seq) for time, seq, _, _ in popped]
+        assert keys == sorted(keys)
+        assert max(Counter(time for time, _ in keys).values()) >= n
+        ties = {
+            (before[2], after[2])
+            for before, after in zip(popped, popped[1:])
+            if before[:2] == after[:2]
+        }
+        if scheduler.engine_path == "matrix-drifting":
+            assert ties == {("cdel", "release")}
+        else:
+            assert not ties
+            assert {kind for _, _, kind, _ in popped} == {"eor", "release"}

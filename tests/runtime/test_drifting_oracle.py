@@ -10,11 +10,11 @@ event per envelope and link — and every run here must match it as a
 whole trace, final inboxes and decisions, under ``==``: Algorithms 2,
 3 and 4 and heartbeats, in MS, ES and ESS, with crashes before and
 after send, halts on decision, drifted and integer clocks (equal-time
-ties between end-of-rounds and arrivals), parked gates, both trace
-modes and both event queues.  Re-plans need an obligatory sender that
-leaves before sending, which stock plans rarely choose (a process
-with a crash plan is never a candidate), so some draws name a slowed
-victim the source of a few rounds.
+ties between end-of-rounds and arrivals), parked gates and both trace
+modes.  Re-plans need an obligatory sender that leaves before sending,
+which stock plans rarely choose (a process with a crash plan is never
+a candidate), so some draws name a slowed victim the source of a few
+rounds.
 
 The queue itself shrinks from O(n²) to O(n) events per round, which
 the event-count pin below holds at the ``es_drifting`` shape.
@@ -26,6 +26,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import drifting_oracle
+import repro.giraf.scheduler as scheduler_module
 from drifting_oracle import PerEnvelopeDriftingScheduler
 from repro.core.es_consensus import ESConsensus
 from repro.core.ess_consensus import ESSConsensus
@@ -129,7 +131,6 @@ def drifting_runs(draw):
     horizon = draw(st.integers(1, 12))
     trace_mode = draw(st.sampled_from(["full", "aggregate"]))
     payload_stats = trace_mode == "aggregate" and draw(st.booleans())
-    queue = draw(st.sampled_from(["calendar", "heap"]))
     stop = kind in ("es", "ess") and draw(st.booleans())
     # one draw in two names a victim source for a few rounds, mostly a
     # process the crash schedule takes down
@@ -142,13 +143,13 @@ def drifting_runs(draw):
     slowdown = draw(st.sampled_from([1, 3, 5]))
     return (
         n, kind, seed, env, gst, link, p, delay, crashes, clocks, horizon,
-        trace_mode, payload_stats, queue, stop, victim, named, slowdown,
+        trace_mode, payload_stats, stop, victim, named, slowdown,
     )
 
 
 def _build(config, cls):
     (n, kind, seed, env, gst, link, p, delay, crashes, clocks, horizon,
-     trace_mode, payload_stats, queue, stop, victim, named, slowdown) = config
+     trace_mode, payload_stats, stop, victim, named, slowdown) = config
     links = {
         "silent": SilentLinks,
         "alltimely": AllTimelyLinks,
@@ -190,7 +191,6 @@ def _build(config, cls):
         stop_when=stop_when_all_correct_decided if stop else None,
         trace_mode=trace_mode,
         payload_stats=payload_stats,
-        event_queue=queue,
     )
 
 
@@ -226,15 +226,14 @@ class TestGeneratedRuns:
         _assert_matches_oracle(config)
 
     @pytest.mark.parametrize("trace_mode", ["full", "aggregate"])
-    @pytest.mark.parametrize("queue", ["calendar", "heap"])
-    def test_es_consensus_with_crashes_and_ties(self, trace_mode, queue):
+    def test_es_consensus_with_crashes_and_ties(self, trace_mode):
         """Algorithm 2 at n=12 on integer clocks: end-of-rounds and late
         arrivals tie in time, obligatory senders crash on both sides of
         their send, and deciders halt."""
         _assert_matches_oracle(
             (12, "es", 7, "ES", 3, "bernoulli", 0.3, "uniform",
              ((2, 2, True), (5, 3, False), (9, 4, True)), "integer", 14,
-             trace_mode, False, queue, True, 9, frozenset({2, 4}), 3)
+             trace_mode, False, True, 9, frozenset({2, 4}), 3)
         )
 
 
@@ -253,7 +252,7 @@ class _Victim(MovingSourceEnvironment):
         return RoundPlan(source=source, obligatory=frozenset({source}))
 
 
-def _victim_run(cls, queue):
+def _victim_run(cls):
     """pid 1 runs ahead and parks on round 4, waiting for pid 0, which
     crashes before sending it 0.02 after pid 2 has sent round 4.  The
     re-plan names pid 2, whose envelope is still in flight to pid 1:
@@ -266,16 +265,14 @@ def _victim_run(cls, queue):
         phases=[0.02, 0.0, 0.0],
         max_rounds=6,
         trace_mode="full",
-        event_queue=queue,
     )
     return scheduler, scheduler.run()
 
 
 class TestReplanRearm:
-    @pytest.mark.parametrize("queue", ["calendar", "heap"])
-    def test_exit_rearms_a_parked_gate(self, queue):
-        scheduler, trace = _victim_run(DriftingScheduler, queue)
-        _, oracle_trace = _victim_run(PerEnvelopeDriftingScheduler, queue)
+    def test_exit_rearms_a_parked_gate(self):
+        scheduler, trace = _victim_run(DriftingScheduler)
+        _, oracle_trace = _victim_run(PerEnvelopeDriftingScheduler)
         assert trace == oracle_trace
         assert trace.crashes[0].time == 20.02
         (arrival,) = [
@@ -288,24 +285,18 @@ class TestReplanRearm:
         assert trace.compute_times[1][4] == arrival.delivered_time
 
 
-class _CountingQueue:
-    """An event queue that counts its pushes."""
+def _count_pushes(monkeypatch, module):
+    """Count the event pushes ``module``'s loop makes from now on: its
+    ``heappush``, wrapped."""
+    pushed = [0]
+    heappush = module.heappush
 
-    def __init__(self, queue):
-        self.queue, self.pushed = queue, 0
+    def counting(heap, entry):
+        pushed[0] += 1
+        heappush(heap, entry)
 
-    def push(self, entry):
-        self.pushed += 1
-        self.queue.push(entry)
-
-    def pop(self):
-        return self.queue.pop()
-
-    def __len__(self):
-        return len(self.queue)
-
-    def __bool__(self):
-        return bool(self.queue)
+    monkeypatch.setattr(module, "heappush", counting)
+    return pushed
 
 
 def _es_drifting(cls, seed=901001, n=64):
@@ -321,15 +312,17 @@ def _es_drifting(cls, seed=901001, n=64):
         stop_when=stop_when_all_correct_decided,
         trace_mode="aggregate",
     )
-    counter = scheduler._kernel._events = _CountingQueue(scheduler._kernel._events)
-    return scheduler.run(), counter.pushed
+    return scheduler.run()
 
 
 class TestEventCount:
-    def test_es_drifting_pushes_order_n_events_per_round(self):
+    def test_es_drifting_pushes_order_n_events_per_round(self, monkeypatch):
         n = 64
-        trace, pushed = _es_drifting(DriftingScheduler)
-        oracle_trace, oracle_pushed = _es_drifting(PerEnvelopeDriftingScheduler)
+        pushes = _count_pushes(monkeypatch, scheduler_module)
+        oracle_pushes = _count_pushes(monkeypatch, drifting_oracle)
+        trace = _es_drifting(DriftingScheduler)
+        oracle_trace = _es_drifting(PerEnvelopeDriftingScheduler)
+        (pushed,), (oracle_pushed,) = pushes, oracle_pushes
         assert trace == oracle_trace
         rounds = trace.rounds_executed
         assert trace.agg_deliveries == n * (n - 1) * rounds
@@ -340,7 +333,6 @@ class TestEventCount:
 
 
 class TestClockValidation:
-    @pytest.mark.parametrize("queue", ["calendar", "heap"])
     @pytest.mark.parametrize(
         "periods, phases",
         [
@@ -352,12 +344,11 @@ class TestClockValidation:
         ],
         ids=["nan-period", "inf-period", "nan-phase", "inf-phase", "zero-period"],
     )
-    def test_non_finite_clocks_raise(self, queue, periods, phases):
+    def test_non_finite_clocks_raise(self, periods, phases):
         with pytest.raises(SimulationError, match="periods|phases"):
             DriftingScheduler(
                 [HeartbeatPseudoLeader(pid) for pid in range(2)],
                 MovingSourceEnvironment(),
                 periods=periods,
                 phases=phases,
-                event_queue=queue,
             )

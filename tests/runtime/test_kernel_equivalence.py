@@ -152,13 +152,13 @@ def _drifting(trace_mode, *, payload_stats=False, crashes=None):
     return scheduler.run()
 
 
-class TestCalendarQueueEquivalence:
-    """The calendar event core must not move a single event.
+class TestEventQueueKeyword:
+    """``DriftingScheduler``'s ``event_queue`` keyword selects nothing.
 
-    ``event_queue="calendar"`` (the default) and ``event_queue="heap"``
-    (the historical core) must produce **byte-identical** drifting
-    traces — same events, same times, same order — across the
-    MS/ES/ESS × link-policy grid, with and without crashes.
+    Both accepted values, ``"calendar"`` and ``"heap"``, run the loop's
+    one heap and give byte-identical traces across the MS/ES/ESS ×
+    link-policy grid, with and without crashes; any other value is
+    refused.
     """
 
     @pytest.mark.parametrize("policy_name,policy_factory", LINK_POLICIES)
@@ -182,25 +182,11 @@ class TestCalendarQueueEquivalence:
                     crashes is not None,
                 )
 
-    def test_aggregate_mode_identical_across_queues(self):
-        calendar = _drifting("aggregate", payload_stats=True)
-        # _drifting uses the default (calendar); rebuild on the heap
-        heap = DriftingScheduler(
-            [ESSConsensus(v) for v in [7, 7, 2, 9]],
-            EventuallyStableSourceEnvironment(
-                stabilization_round=6,
-                preferred_source=0,
-                source_schedule=RandomSource(5),
-                link_policy=BernoulliLinks(0.4, seed=12),
-            ),
-            max_rounds=80,
-            periods=[1.0, 1.3, 1.9, 0.7],
-            stop_when=stop_when_all_correct_decided,
-            trace_mode="aggregate",
-            payload_stats=True,
-            event_queue="heap",
-        ).run()
-        assert trace_to_json(calendar) == trace_to_json(heap)
+    def test_unknown_value_rejected(self):
+        with pytest.raises(SimulationError, match="event_queue"):
+            DriftingScheduler(
+                [EchoProbe(0)], MovingSourceEnvironment(), event_queue="wheelie"
+            )
 
 
 class TestDriftingAggregateMode:
@@ -277,15 +263,6 @@ class TestKernelLifecycle:
         assert isinstance(aggregate.sink, AggregateTraceSink)
         assert not aggregate.sink.wants_events
         assert aggregate.trace.aggregate and not full.trace.aggregate
-
-    def test_event_heap_is_fifo_among_equal_times(self):
-        kernel = RuntimeKernel([EchoProbe(0)], MovingSourceEnvironment())
-        kernel.schedule(1.0, "eor", ("a",))
-        kernel.schedule(1.0, "eor", ("b",))
-        kernel.schedule(0.5, "eor", ("c",))
-        order = [kernel.next_event()[2][0] for _ in range(3)]
-        assert order == ["c", "a", "b"]
-        assert not kernel.has_events()
 
     def test_es_consensus_runs_under_drifting_aggregate(self):
         scheduler = DriftingScheduler(

@@ -988,10 +988,9 @@ def faulted_runs(draw):
     """A :func:`shard_runs` run plus a plan of one or two worker kills
     or resets, each at a drawn driver exchange of a drawn shard.  About
     half the runs also join a member or retire one at a drawn step,
-    with a kill or reset scheduled at a drawn rebuild frame of a drawn
-    member (``phase="rebalance"``); it fires when that member's world
-    is rebuilt, which takes one frame, so a fault drawn at frame 2
-    stays quiet."""
+    with a kill or reset scheduled at rebuild frame 1 of a drawn member
+    (``phase="rebalance"``): a rebuilt world gets exactly one frame, so
+    the fault fires whenever the change rebuilds that member's world."""
     run = draw(shard_runs())
     shards = run["shards"]
     kinds = st.sampled_from(["kill", "reset"])
@@ -1017,7 +1016,7 @@ def faulted_runs(draw):
             Fault(
                 draw(kinds),
                 draw(st.integers(min_value=0, max_value=shards)),
-                draw(st.integers(min_value=1, max_value=2)),
+                1,
                 phase="rebalance",
             )
         )
