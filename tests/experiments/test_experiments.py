@@ -10,7 +10,7 @@ import pytest
 from repro.analysis.stats import fmt
 from repro.analysis.tables import Table
 from repro.experiments import EXPERIMENTS, run_experiment
-from repro.experiments.churn_tables import run_c1, run_c2, run_c3, run_c5
+from repro.experiments.churn_tables import run_c1, run_c2, run_c3, run_c4, run_c5
 from repro.experiments.consensus_tables import run_f2, run_t2
 from repro.experiments.leader_figure import run_f3
 from repro.experiments.scale_table import s1_cells, s1_scheduler
@@ -168,6 +168,27 @@ class TestHeadlineClaims:
         # every cell accounts for the whole offered load
         for issued, skipped in zip(table.column("issued"), table.column("skipped")):
             assert issued + skipped == 18
+
+    def test_c4_recovery_replays_to_the_unfaulted_run(self):
+        table = run_c4(quick=True)
+        assert all(table.column("matches-unfaulted"))
+        assert all(done == 10 for done in table.column("completed"))
+        for backend, kills, detected, respawned, replayed, wall in zip(
+            table.column("backend"),
+            table.column("kills"),
+            table.column("detected"),
+            table.column("respawned"),
+            table.column("replayed"),
+            table.column("rec-wall-ms"),
+        ):
+            # every seeded kill is noticed, respawned and replayed
+            assert kills == detected == respawned >= 1, backend
+            assert replayed >= 1, backend
+            assert wall > 0.0, backend
+            # respawning a worker process takes milliseconds: its wall
+            # cell never renders 0.0
+            if backend == "multiprocess":
+                assert float(fmt(wall)) > 0.0
 
     def test_c5_membership_changes_are_invisible_to_the_stream(self):
         table = run_c5(quick=True)

@@ -27,6 +27,7 @@ that keep teardown O(n) instead of O(n × width).
 import random
 import time
 from collections import Counter
+from heapq import heappop
 
 import pytest
 from hypothesis import given, settings
@@ -54,7 +55,7 @@ from repro.giraf.environments import (
     RoundPlan,
     SilentLinks,
 )
-from repro.giraf.scheduler import DriftingScheduler
+from repro.giraf.scheduler import DriftingLoop, DriftingScheduler
 from repro.runtime.columnar_engine import NUMPY_REASON, ColumnarDriftingEngine
 from repro.runtime.kernel import RuntimeKernel
 from repro.sim.runner import run_es_consensus
@@ -863,3 +864,107 @@ class TestLoopContract:
         else:
             assert not ties
             assert {kind for _, _, kind, _ in popped} == {"eor", "release"}
+
+    @pytest.mark.parametrize("engine", ["object", "columnar"])
+    @given(config=drifting_configs())
+    @settings(max_examples=25)
+    def test_generated_runs_pop_in_key_order(self, engine, config):
+        """Across generated configurations — crashes on both sides of
+        the send, drifted clocks, silent and never-delivered links,
+        declined matrix requests — the loop pops its entries in
+        ``(time, seq, kind)`` order: nothing is queued behind the event
+        being handled, and a release pops after the delivery whose key
+        it shares."""
+        popped = []
+        heappop = scheduler_module.heappop
+
+        def pop(heap):
+            popped.append(heappop(heap))
+            return popped[-1]
+
+        clear_intern_cache()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(scheduler_module, "heappop", pop)
+            _generated(config, engine)
+        assert popped
+        entries = [entry[:3] for entry in popped]
+        assert entries == sorted(entries)
+
+
+def _bare_loop(periods=(2.0,), phases=(0.5,)):
+    """A loop over heartbeats on the given clocks, before any run."""
+    environment = MovingSourceEnvironment()
+    kernel = RuntimeKernel(
+        [HeartbeatPseudoLeader(pid) for pid in range(len(periods))], environment
+    )
+    return DriftingLoop(kernel, environment, periods, phases)
+
+
+def _drain(loop):
+    """Pop the loop's queue empty, in the order its run would."""
+    return [heappop(loop._events) for _ in range(len(loop._events))]
+
+
+class TestLoopQueue:
+    """The loop's one ``heapq``: each entry is ``(time, seq, kind,
+    data)`` under a ``seq`` from :meth:`DriftingLoop.reserve`, so
+    earlier times pop first, equal times pop in ``seq`` order (FIFO),
+    and at one key a delivery pops before the ``release`` keyed at it."""
+
+    def test_reserve_hands_out_consecutive_blocks(self):
+        loop = _bare_loop()
+        assert [loop.reserve(count) for count in (1, 5, 0, 2, 1)] == [0, 1, 6, 6, 8]
+        assert loop.reserve(1) == 9
+        assert not loop._events
+
+    def test_a_block_pops_between_the_events_around_it(self):
+        """A broadcast's arrivals, all at one instant, pop in receiver
+        order: after the end-of-round queued before the block, before
+        the one queued after it, and after an earlier time queued
+        last."""
+        loop = _bare_loop()
+        loop.push(3.0, loop.reserve(1), "eor", (0, 1))
+        base = loop.reserve(4)
+        for receiver in (3, 1, 0, 2):
+            loop.push(3.0, base + receiver, "cdel", (None, receiver))
+        loop.push(3.0, loop.reserve(1), "eor", (0, 2))
+        loop.push(1.0, loop.reserve(1), "eor", (0, 3))
+        assert [(time, seq, data) for time, seq, _, data in _drain(loop)] == [
+            (1.0, 6, (0, 3)),
+            (3.0, 0, (0, 1)),
+            (3.0, 1, (None, 0)),
+            (3.0, 2, (None, 1)),
+            (3.0, 3, (None, 2)),
+            (3.0, 4, (None, 3)),
+            (3.0, 5, (0, 2)),
+        ]
+
+    @pytest.mark.parametrize("delivery", ["cdel", "cbat"])
+    def test_release_pops_after_the_delivery_sharing_its_key(self, delivery):
+        """A parked gate's release is keyed at the arrival that opens
+        it, which the matrix path queues as a ``cdel`` (or the ``cbat``
+        led by that receiver): pushed first or not, it pops after."""
+        loop = _bare_loop()
+        base = loop.reserve(3)
+        loop.push(4.0, base + 2, "release", (2, 3))
+        loop.push(4.0, base + 2, delivery, (None, 2))
+        loop.push(4.0, base + 1, delivery, (None, 1))
+        assert [(seq, kind) for _, seq, kind, _ in _drain(loop)] == [
+            (1, delivery),
+            (2, delivery),
+            (2, "release"),
+        ]
+
+    @pytest.mark.parametrize(
+        "now, expected",
+        [(4.0, 6.5), (6.5, 6.5), (9.0, 9.0)],
+        ids=["before-nominal", "at-nominal", "past-nominal"],
+    )
+    def test_end_of_round_is_never_queued_behind_now(self, now, expected):
+        """pid 0's third end-of-round is due at 0.5 + 3 * 2.0: the loop
+        queues it there, or at ``now`` once that has passed, under the
+        next unused seq."""
+        loop = _bare_loop()
+        loop.reserve(2)
+        loop._schedule_eor(0, 3, now)
+        assert _drain(loop) == [(expected, 2, "eor", (0, 3))]

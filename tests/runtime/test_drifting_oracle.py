@@ -236,6 +236,43 @@ class TestGeneratedRuns:
              trace_mode, False, True, 9, frozenset({2, 4}), 3)
         )
 
+    @pytest.mark.parametrize("trace_mode", ["full", "aggregate"])
+    @pytest.mark.parametrize(
+        "kind, env, stop",
+        [("ess", "ESS", True), ("weakset", "MS", False), ("heartbeat", "ESS", False)],
+        ids=["ess", "weakset", "heartbeat"],
+    )
+    def test_other_algorithms_with_crashes_and_ties(self, kind, env, stop, trace_mode):
+        """Algorithm 3 in ESS, Algorithm 4 in MS and heartbeats in ESS
+        on the same integer clocks, crash plans and slowed victim as
+        the Algorithm 2 run: some twenty events share an instant, and
+        dozens of gate releases pop."""
+        _assert_matches_oracle(
+            (12, kind, 7, env, 3, "bernoulli", 0.3, "uniform",
+             ((2, 2, True), (5, 3, False), (9, 4, True)), "integer", 14,
+             trace_mode, False, stop, 9, frozenset({2, 4}), 3)
+        )
+
+    @given(config=drifting_runs())
+    @settings(max_examples=40)
+    def test_pops_in_key_order(self, config):
+        """Every generated run, halts, stops and re-plans included, pops
+        its events in ``(time, seq)`` order: the loop never queues an
+        event behind the one it is handling."""
+        popped = []
+        heappop = scheduler_module.heappop
+
+        def pop(heap):
+            popped.append(heappop(heap))
+            return popped[-1]
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(scheduler_module, "heappop", pop)
+            _build(config, DriftingScheduler).run()
+        assert popped
+        keys = [entry[:2] for entry in popped]
+        assert keys == sorted(keys)
+
 
 class _Victim(MovingSourceEnvironment):
     """Names pid 0 the source of round 4's first plan and the highest
@@ -252,7 +289,7 @@ class _Victim(MovingSourceEnvironment):
         return RoundPlan(source=source, obligatory=frozenset({source}))
 
 
-def _victim_run(cls):
+def _victim_run(cls, trace_mode="full"):
     """pid 1 runs ahead and parks on round 4, waiting for pid 0, which
     crashes before sending it 0.02 after pid 2 has sent round 4.  The
     re-plan names pid 2, whose envelope is still in flight to pid 1:
@@ -264,7 +301,7 @@ def _victim_run(cls):
         periods=[5.0, 1.0, 5.0],
         phases=[0.02, 0.0, 0.0],
         max_rounds=6,
-        trace_mode="full",
+        trace_mode=trace_mode,
     )
     return scheduler, scheduler.run()
 
@@ -283,6 +320,19 @@ class TestReplanRearm:
         assert arrival.sent_time == 20.0 < crash_time < arrival.delivered_time
         # pid 1 computes round 4 the moment pid 2's envelope lands
         assert trace.compute_times[1][4] == arrival.delivered_time
+
+    def test_aggregate_traces_rearm_alike(self):
+        """Without delivery events to read, the aggregate run re-arms
+        the same gate: every process computes every round when it does
+        in the full trace, pid 1's round 4 included."""
+        _, full = _victim_run(DriftingScheduler)
+        _, trace = _victim_run(DriftingScheduler, "aggregate")
+        _, oracle_trace = _victim_run(PerEnvelopeDriftingScheduler, "aggregate")
+        assert trace == oracle_trace
+        assert trace.aggregate and not trace.deliveries
+        assert trace.crashes == full.crashes
+        assert trace.compute_times == full.compute_times
+        assert trace.agg_deliveries == len(full.deliveries)
 
 
 def _count_pushes(monkeypatch, module):
@@ -346,6 +396,38 @@ class TestClockValidation:
     )
     def test_non_finite_clocks_raise(self, periods, phases):
         with pytest.raises(SimulationError, match="periods|phases"):
+            DriftingScheduler(
+                [HeartbeatPseudoLeader(pid) for pid in range(2)],
+                MovingSourceEnvironment(),
+                periods=periods,
+                phases=phases,
+            )
+
+    @pytest.mark.parametrize(
+        "periods, phases",
+        [
+            ([1.0, -0.5], None),
+            ([float("-inf"), 1.0], None),
+            (None, [0.0, float("inf")]),
+        ],
+        ids=["negative-period", "minus-inf-period", "plus-inf-phase"],
+    )
+    def test_out_of_range_clocks_raise(self, periods, phases):
+        with pytest.raises(SimulationError, match="periods|phases"):
+            DriftingScheduler(
+                [HeartbeatPseudoLeader(pid) for pid in range(2)],
+                MovingSourceEnvironment(),
+                periods=periods,
+                phases=phases,
+            )
+
+    @pytest.mark.parametrize(
+        "periods, phases",
+        [([1.0, 1.0, 1.0], None), (None, [0.0]), (None, [0.0, 0.0, 0.0])],
+        ids=["long-periods", "short-phases", "long-phases"],
+    )
+    def test_clock_counts_must_match_the_processes(self, periods, phases):
+        with pytest.raises(SimulationError, match="process count"):
             DriftingScheduler(
                 [HeartbeatPseudoLeader(pid) for pid in range(2)],
                 MovingSourceEnvironment(),
